@@ -7,7 +7,7 @@ projection pipeline tying them together.
 """
 
 from .defaults import (BUDGET, GRID_CAP, MAX_SOLVER_ITERS, MEM_TOL, NET_CAP,
-                       PROBE_SEED, RANK_TOL, STAB_TOL, TOL, thread_cap)
+                       PROBE_SEED, RANK_TOL, STAB_TOL, TOL)
 from .errors import (ConvergenceFailure, DependentBasisError, DimensionError,
                      GridOracleRefusal, NetTooLargeError, OrbitLocatorError,
                      PipelineRefusal, SolverFailure)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUDGET", "GRID_CAP", "MAX_SOLVER_ITERS", "MEM_TOL", "NET_CAP",
-    "PROBE_SEED", "RANK_TOL", "STAB_TOL", "TOL", "thread_cap",
+    "PROBE_SEED", "RANK_TOL", "STAB_TOL", "TOL",
     "ConvergenceFailure", "DependentBasisError", "DimensionError",
     "GridOracleRefusal", "NetTooLargeError", "OrbitLocatorError",
     "PipelineRefusal", "SolverFailure",

@@ -57,6 +57,13 @@ def _as_vec(raw, dim: int, name: str) -> np.ndarray:
     return v
 
 
+def _as_float(raw, path: str, name: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: field {name!r} is not a number: {exc}") from exc
+
+
 def load_problem(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,12 +99,12 @@ def load_problem(path: str) -> Problem:
     y = _as_vec(raw["y"], dim, "y") if raw.get("y") is not None else None
     n = raw.get("n")
     if n is not None:
-        n = float(n)
+        n = _as_float(n, path, "n")
         if not n >= 0.0:
             raise InputError(f"{path}: n must be nonnegative")
     tol = raw.get("tol")
     if tol is not None:
-        tol = float(tol)
+        tol = _as_float(tol, path, "tol")
         if not tol > 0.0:
             raise InputError(f"{path}: tol must be positive")
     budget = raw.get("budget")

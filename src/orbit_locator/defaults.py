@@ -5,8 +5,6 @@ Every entry can be overridden per call (keyword argument) or per run
 library, the CLI and the test suite in agreement.
 """
 
-import os
-
 TOL = 1e-6        # distance / gauge tolerance
 STAB_TOL = 1e-7   # plateau test for the nested-limit stabilisation shortcut
 BUDGET = 30       # nested-limit level budget
@@ -19,17 +17,3 @@ PROBE_SEED = 1729       # seed for projection-certificate probe vectors
 
 MAX_SOLVER_ITERS = 200_000  # first-order fallback iteration budget
 
-
-def thread_cap() -> int:
-    """Worker cap from the ORBIT_LOCATOR_THREADS environment variable.
-
-    Execution is currently sequential, which trivially honours any cap;
-    batch loops still consult this so a future parallel backend stays
-    within the user's limit.
-    """
-    raw = os.environ.get("ORBIT_LOCATOR_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)

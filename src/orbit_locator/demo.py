@@ -12,7 +12,6 @@ distance and at what cost.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import nested, operators, pipeline
 from . import open_mapping as om
-from .defaults import BUDGET, TOL, thread_cap
+from .defaults import BUDGET, TOL
 from .errors import DimensionError
 from .located import OrbitBallContext, orbit_ball
 
@@ -75,21 +74,13 @@ def _row(c: float, budget: int, tol: float) -> DemoRow:
 
 def demo_table(c_values: Sequence[float] = DEFAULT_C_VALUES,
                budget: int = BUDGET, tol: float = TOL) -> list:
-    """One DemoRow per c, in input order.
-
-    Rows are independent; with ORBIT_LOCATOR_THREADS > 1 they are computed
-    concurrently, output order unaffected.
-    """
+    """One DemoRow per c, in input order."""
     cs = [float(c) for c in c_values]
     for c in cs:
         if abs(c) > 1.0:
             raise DimensionError(f"family parameter must satisfy |c| <= 1, got {c:g}")
     if budget < 1:
         raise DimensionError("budget must be at least 1")
-    cap = thread_cap()
-    if cap > 1 and len(cs) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as ex:
-            return list(ex.map(lambda c: _row(c, budget, tol), cs))
     return [_row(c, budget, tol) for c in cs]
 
 

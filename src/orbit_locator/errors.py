@@ -24,7 +24,8 @@ class DependentBasisError(OrbitLocatorError):
 
 
 class ConvergenceFailure(OrbitLocatorError):
-    """An iterative eigenvalue/singular-value computation exhausted its budget."""
+    """An eigen- or singular-value computation failed, or a result did not
+    pass its residual check."""
 
     def __init__(self, message: str, *, best=None, residual=None, iterations=None):
         super().__init__(message)

@@ -1,10 +1,12 @@
 """Dense real linear algebra on desk-scale problems.
 
-Singular values are computed by iterated deflation of a power method on the
-Gram matrix, with Rayleigh-quotient refinement for clustered spectra. Each
-accepted eigenpair is residual-certified (for symmetric matrices the residual
-norm bounds the eigenvalue error), and a trace check at the end certifies
-that no eigenvalue was missed.
+Eigen- and singular values come from LAPACK through numpy. The symmetric
+eigensolver checks every returned pair after the fact: for a symmetric
+matrix the residual norm ||S v - lam v|| bounds the distance from lam to the
+spectrum, so a pair that does not meet its bound raises ConvergenceFailure
+instead of passing as certified. Small stacks of matrices get closed-form
+spectral norms (d <= 3), which the enumeration oracles use as a route
+independent of LAPACK.
 """
 
 from __future__ import annotations
@@ -13,13 +15,6 @@ import numpy as np
 
 from .defaults import RANK_TOL
 from .errors import ConvergenceFailure, DimensionError
-
-# deterministic start vectors for the power stage; two independent starts
-# guard against a start accidentally orthogonal to the top eigenvector
-_START_SEED = 0x0B17A11
-
-_POWER_STEPS = 60
-_RQI_STEPS = 40
 
 
 def as_vector(v) -> np.ndarray:
@@ -42,19 +37,6 @@ def as_matrix(M, *, square: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DimensionError("matrix entries must be finite")
     return arr
-
-
-def inner(u, v) -> float:
-    """Euclidean inner product sum(u_i v_i); dimensions must agree."""
-    a = as_vector(u)
-    b = as_vector(v)
-    if a.shape != b.shape:
-        raise DimensionError(f"inner product of vectors with shapes {a.shape} and {b.shape}")
-    return float(np.dot(a, b))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
 
 
 def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> tuple[list[np.ndarray], int]:
@@ -84,216 +66,51 @@ def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> tuple[list[np.ndarray
     return basis, len(basis)
 
 
-def _power_then_rqi(S: np.ndarray, v0: np.ndarray, tol_resid: float):
-    """One power-method run with Rayleigh-quotient refinement.
-
-    Returns (lam, v, resid, iters). lam is certified within resid of a true
-    eigenvalue of the symmetric matrix S; which one depends on the start.
-    """
-    d = S.shape[0]
-    v = v0 / np.linalg.norm(v0)
-    lam = float(v @ S @ v)
-    resid = float(np.linalg.norm(S @ v - lam * v))
-    iters = 0
-    for _ in range(_POWER_STEPS):
-        iters += 1
-        w = S @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, v, 0.0, iters  # v is in the kernel: exact eigenpair
-        v = w / nw
-        lam = float(v @ S @ v)
-        resid = float(np.linalg.norm(S @ v - lam * v))
-        if resid <= tol_resid:
-            return lam, v, resid, iters
-    # Rayleigh refinement: cubic convergence once the power stage has
-    # narrowed the basin; guards keep it from silently drifting downward
-    scale = float(np.linalg.norm(S, ord="fro")) or 1.0
-    lam_floor = lam - resid
-    for j in range(_RQI_STEPS):
-        iters += 1
-        shift = lam
-        try:
-            w = np.linalg.solve(S - shift * np.eye(d), v)
-        except np.linalg.LinAlgError:
-            w = np.linalg.solve(S - (shift + scale * 1e-12 * (j + 1)) * np.eye(d), v)
-        nw = float(np.linalg.norm(w))
-        if not np.isfinite(nw) or nw == 0.0:
-            break
-        cand = w / nw
-        lam_cand = float(cand @ S @ cand)
-        resid_cand = float(np.linalg.norm(S @ cand - lam_cand * cand))
-        if lam_cand < lam_floor - 10.0 * tol_resid:
-            break  # jumped to a lower eigenvalue: keep the power-stage result
-        v, lam, resid = cand, lam_cand, resid_cand
-        if resid <= tol_resid:
-            return lam, v, resid, iters
-    return lam, v, resid, iters
-
-
-def _sym_top_eigpair(S: np.ndarray, tol_resid: float):
-    """Largest eigenpair of symmetric S via two deterministic starts.
-
-    Returns (lam, v, resid, iters); resid bounds |lam - lam_true| for the
-    eigenvalue the run converged to, and the larger of the two runs is kept.
-    """
-    d = S.shape[0]
-    scale = float(np.linalg.norm(S, ord="fro"))
-    if scale == 0.0:
-        e0 = np.zeros(d)
-        e0[0] = 1.0
-        return 0.0, e0, 0.0, 0
-    rng = np.random.default_rng(_START_SEED + d)
-    starts = [rng.standard_normal(d), np.ones(d)]
-    best = None
-    total = 0
-    for v0 in starts:
-        lam, v, resid, iters = _power_then_rqi(S, v0, tol_resid)
-        total += iters
-        if best is None or lam > best[0]:
-            best = (lam, v, resid)
-    lam, v, resid = best
-    return lam, v, resid, total
-
-
-def _orthonormal_complement(vecs, d: int):
-    """Orthonormal vectors completing vecs to a basis of R^d."""
-    comp = []
-    have = list(vecs)
-    for j in range(d):
-        if len(have) == d:
-            break
-        w = np.zeros(d)
-        w[j] = 1.0
-        for _ in range(2):
-            for q in have:
-                w -= np.dot(q, w) * q
-        nw = float(np.linalg.norm(w))
-        if nw > 1e-8:
-            w /= nw
-            comp.append(w)
-            have.append(w)
-    return comp
-
-
-def sym_eigh_desc(S, tol: float = 1e-12, *, max_restarts: int = 4):
+def sym_eigh_desc(S, tol: float = 1e-12):
     """All eigenvalues (descending) and eigenvectors of a symmetric matrix.
 
-    Iterated deflation of the power/Rayleigh stage; a final trace check
-    certifies completeness. Raises ConvergenceFailure when an eigenpair
-    cannot be certified within the budget.
+    LAPACK's eigh, then every pair is checked after the fact: for symmetric
+    S the residual ||S v - lam v|| bounds the distance from lam to the
+    spectrum. Raises ConvergenceFailure when LAPACK fails or a residual
+    exceeds 50 * tol * ||S||_F * max(1, d).
     """
     S = as_matrix(S, square=True)
     S = 0.5 * (S + S.T)
     d = S.shape[0]
     scale = float(np.linalg.norm(S, ord="fro"))
-    if scale == 0.0:
-        return np.zeros(d), np.eye(d)
-    tol_resid = max(tol, 1e-14) * scale
-    R = S.copy()
-    lams = []
-    vecs = []
-    total_iters = 0
-    for _ in range(d):
-        if float(np.linalg.norm(R, ord="fro")) <= 10.0 * tol_resid:
-            # remainder is numerically zero: the rest of the spectrum
-            # vanishes and any orthonormal completion will do
-            for q in _orthonormal_complement(vecs, d):
-                lams.append(float(q @ S @ q))
-                vecs.append(q)
-            break
-        lam, v, resid, iters = _sym_top_eigpair(R, tol_resid)
-        total_iters += iters
-        # re-orthogonalize against accepted eigenvectors to fight drift
-        for q in vecs:
-            v = v - np.dot(q, v) * q
-        nv = float(np.linalg.norm(v))
-        if nv < 1e-8:
-            raise ConvergenceFailure(
-                "power/Rayleigh stage collapsed onto the deflated subspace",
-                best=np.array(lams), residual=resid, iterations=total_iters)
-        v = v / nv
-        lam = float(v @ S @ v)
-        resid = float(np.linalg.norm(R @ v - lam * np.dot(v, v) * v))
-        if resid > 50.0 * tol_resid * max(1.0, d):
-            raise ConvergenceFailure(
-                f"eigenpair residual {resid:.3e} not certified within budget",
-                best=np.array(lams), residual=resid, iterations=total_iters)
-        lams.append(lam)
-        vecs.append(v)
-        R = R - lam * np.outer(v, v)
-    lams = np.array(lams)
-    trace_gap = abs(float(np.trace(S)) - float(lams.sum()))
-    if trace_gap > 100.0 * tol_resid * max(1, d):
+    try:
+        lams, V = np.linalg.eigh(S)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh failed: {exc}") from exc
+    lams = lams[::-1]
+    V = V[:, ::-1]
+    resid = np.linalg.norm(S @ V - V * lams, axis=0)
+    worst = float(resid.max())
+    bound = 50.0 * max(tol, 1e-14) * scale * max(1.0, d)
+    if not worst <= bound:
         raise ConvergenceFailure(
-            f"trace check failed: spectrum sum off by {trace_gap:.3e}",
-            best=lams, residual=trace_gap, iterations=total_iters)
-    order = np.argsort(-lams)
-    V = np.array(vecs).T
-    return lams[order], V[:, order]
+            f"eigenpair residual {worst:.3e} exceeds {bound:.3e}",
+            best=lams, residual=worst)
+    return lams, V
 
 
-def singular_values(M, tol: float = 1e-10) -> np.ndarray:
-    """Singular values of M, descending, via deflated power iterations on
-    the (smaller-side) Gram matrix. Raises ConvergenceFailure on budget
-    exhaustion rather than returning an uncertified spectrum."""
-    M = as_matrix(M)
-    m, n = M.shape
-    if m <= n:
-        G = M @ M.T
-    else:
-        G = M.T @ M
-    # eigenvalues of the Gram matrix are squared singular values; the
-    # eigenvalue residual tolerance ~ 2*sigma*tol keeps sigma within tol
-    scale = float(np.linalg.norm(M, ord="fro"))
-    if scale == 0.0:
-        return np.zeros(min(m, n))
-    eig_tol = max(2.0 * tol / scale, 1e-14)
-    lams, _ = sym_eigh_desc(G, eig_tol)
-    return np.sqrt(np.clip(lams, 0.0, None))
+def singular_values(M) -> np.ndarray:
+    """Singular values of M, descending."""
+    return np.linalg.svd(as_matrix(M), compute_uv=False)
 
 
-def spectral_norm(M, tol: float = 1e-12) -> float:
+def spectral_norm(M) -> float:
     """Largest singular value (operator 2-norm)."""
-    M = as_matrix(M)
-    scale = float(np.linalg.norm(M, ord="fro"))
-    if scale == 0.0:
-        return 0.0
-    if M.shape[0] <= M.shape[1]:
-        G = M @ M.T
-    else:
-        G = M.T @ M
-    tol_resid = max(tol, 1e-14) * float(np.linalg.norm(G, ord="fro"))
-    lam, _, _, _ = _sym_top_eigpair(G, tol_resid)
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(singular_values(M)[0])
 
 
-def top_singular_triple(M, tol: float = 1e-12):
-    """(sigma1, u, v) with M v = sigma1 u, computed from the Gram matrix."""
-    M = as_matrix(M)
-    G = M.T @ M
-    scale = float(np.linalg.norm(G, ord="fro"))
-    if scale == 0.0:
-        u = np.zeros(M.shape[0])
-        v = np.zeros(M.shape[1])
-        u[0] = 1.0
-        v[0] = 1.0
-        return 0.0, u, v
-    lam, v, _, _ = _sym_top_eigpair(G, max(tol, 1e-14) * scale)
-    sigma = float(np.sqrt(max(lam, 0.0)))
-    if sigma <= 1e-300:
-        u = np.zeros(M.shape[0])
-        u[0] = 1.0
-        return 0.0, u, v
-    u = (M @ v) / sigma
-    nu = float(np.linalg.norm(u))
-    if nu > 0:
-        u = u / nu
-    return sigma, u, v
+def top_singular_triple(M):
+    """(sigma1, u, v) with M v = sigma1 u and unit u, v."""
+    U, s, Vt = np.linalg.svd(as_matrix(M), full_matrices=False)
+    return float(s[0]), U[:, 0], Vt[0]
 
 
-def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4,
-                       tol: float = 1e-12):
+def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4):
     """Singular triples clustered at the top of the spectrum.
 
     Returns [(s, u, v), ...] for every singular value within rel_gap
@@ -302,65 +119,41 @@ def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4,
     vectors. Empty for the zero matrix.
     """
     M = as_matrix(M)
-    m, n = M.shape
-    scale = float(np.linalg.norm(M, ord="fro"))
-    if scale == 0.0:
-        return []
-    left = m <= n
-    G = M @ M.T if left else M.T @ M
-    lams, V = sym_eigh_desc(G, max(2.0 * tol / scale, 1e-14))
-    sig = np.sqrt(np.clip(lams, 0.0, None))
+    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
     out = []
     for i in range(min(len(sig), max_pairs)):
         if sig[i] < sig[0] * (1.0 - rel_gap) or sig[i] <= 1e-300:
             break
-        if left:
-            u = V[:, i]
-            v = M.T @ u / sig[i]
-        else:
-            v = V[:, i]
-            u = M @ v / sig[i]
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-        if nu > 0:
-            u = u / nu
-        if nv > 0:
-            v = v / nv
+        u, v = U[:, i], Vt[i]
         out.append((float(u @ M @ v), u, v))
     return out
 
 
-def clip_spectral(M, bound: float, tol: float = 1e-13) -> np.ndarray:
+def clip_spectral(M, bound: float) -> np.ndarray:
     """Nearest matrix (Frobenius) with spectral norm <= bound: singular
     values above the bound are clipped down to it."""
-    M = as_matrix(M)
-    R = M.copy()
-    for _ in range(min(M.shape) + 2):
-        sigma, u, v = top_singular_triple(R, tol)
-        if sigma <= bound * (1.0 + 1e-14) + 1e-300:
-            break
-        R = R - (sigma - bound) * np.outer(u, v)
-    return R
+    U, s, Vt = np.linalg.svd(as_matrix(M), full_matrices=False)
+    return (U * np.minimum(s, bound)) @ Vt
 
 
-def nuclear_norm(M, tol: float = 1e-10) -> float:
+def nuclear_norm(M) -> float:
     """Sum of singular values."""
-    return float(np.sum(singular_values(M, tol)))
+    return float(np.sum(singular_values(M)))
 
 
 # --- closed-form batch spectral norms -------------------------------------
 #
-# Deliberately a different computational route from the power-method path
-# above: enumerative oracles (grids, nets) use these so the two sides of a
-# solver-vs-oracle comparison share no iterative machinery.
+# For d <= 3 deliberately a different computational route from LAPACK:
+# enumerative oracles (grids, nets) use these so the two sides of a
+# solver-vs-oracle comparison share no eigensolver.
 
 def _batch_gram(Ms: np.ndarray) -> np.ndarray:
     return np.einsum("nji,njk->nik", Ms, Ms)
 
 
 def batch_spectral_norms(Ms: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of matrices, shape (N, d, d), d <= 3 closed
-    form, larger d falls back to a loop."""
+    """Spectral norms of a stack of matrices, shape (N, d, d): closed form
+    for d <= 3, one stacked SVD for larger d."""
     Ms = np.asarray(Ms, dtype=float)
     if Ms.ndim != 3:
         raise DimensionError(f"expected a stack of matrices, got shape {Ms.shape}")
@@ -376,10 +169,7 @@ def batch_spectral_norms(Ms: np.ndarray) -> np.ndarray:
         return np.sqrt(np.clip(lam, 0.0, None))
     if d == 3:
         return np.sqrt(np.clip(_batch_sym3_top_eig(G), 0.0, None))
-    out = np.empty(Ms.shape[0])
-    for i in range(Ms.shape[0]):
-        out[i] = spectral_norm(Ms[i])
-    return out
+    return np.linalg.svd(Ms, compute_uv=False)[:, 0]
 
 
 def _batch_sym3_top_eig(G: np.ndarray) -> np.ndarray:

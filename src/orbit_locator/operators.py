@@ -91,36 +91,34 @@ def make_subspace(basis, rank_tol: float = RANK_TOL) -> OperatorSubspace:
     for i, B in enumerate(mats):
         if B.shape != (dim, dim):
             raise DimensionError(f"basis[{i}] has shape {B.shape}, expected {(dim, dim)}")
-    max_norm = max(float(np.linalg.norm(B)) for B in mats)
-    if max_norm == 0.0:
-        raise DependentBasisError("basis[0] is zero", index=0)
-    threshold = rank_tol * max_norm
-    ortho: list[np.ndarray] = []
-    cols = []
-    for i, B in enumerate(mats):
-        w = B.astype(float, copy=True)
-        coeff = np.zeros(len(mats))
-        for _ in range(2):
-            for j, Q in enumerate(ortho):
-                c = float(np.tensordot(Q, w))
-                coeff[j] += c
-                w -= c * Q
-        nw = float(np.linalg.norm(w))
-        if nw <= threshold:
-            raise DependentBasisError(
-                f"basis[{i}] lies in the span of basis[0..{i - 1}] "
-                f"(residual {nw:.3e} <= {threshold:.3e})", index=i)
-        coeff[len(ortho)] = nw
-        ortho.append(w / nw)
-        cols.append(coeff)
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(B)) for B in mats]
+    for i, nb in enumerate(norms):
+        if not np.isfinite(nb):
+            raise DimensionError(
+                f"basis[{i}] has a Frobenius norm that overflows to {nb}")
+    # unpivoted QR of the flattened basis: R_ii is the residual of
+    # basis[i] against basis[0..i-1], so the first small one names the
+    # first dependent matrix; B_j = sum_i R[i, j] * ortho_i
+    Q, R = np.linalg.qr(np.stack([B.ravel() for B in mats], axis=1))
+    signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    Q = Q * signs
+    R = R * signs[:, None]
+    threshold = rank_tol * max(norms)
     k = len(mats)
-    # columns give B_j = sum_i R[i, j] * ortho_i with R upper triangular
-    R = np.zeros((k, k))
-    for j, coeff in enumerate(cols):
-        R[:, j] = coeff[:k]
+    for i in range(min(k, dim * dim)):
+        if R[i, i] <= threshold:
+            where = f"lies in the span of basis[0..{i - 1}]" if i else "is zero"
+            raise DependentBasisError(
+                f"basis[{i}] {where} (residual {R[i, i]:.3e} <= {threshold:.3e})",
+                index=i)
+    if k > dim * dim:
+        raise DependentBasisError(
+            f"basis[{dim * dim}] lies in the span of basis[0..{dim * dim - 1}] "
+            f"({k} matrices in a space of dimension {dim * dim})", index=dim * dim)
     return OperatorSubspace(
         basis=tuple(B.copy() for B in mats), dim=dim, k=k,
-        ortho=tuple(ortho), upper_tri=R)
+        ortho=tuple(Q[:, i].reshape(dim, dim) for i in range(k)), upper_tri=R)
 
 
 def orbit(subspace: OperatorSubspace, x, rank_tol: float = RANK_TOL) -> OrbitGeometry:
@@ -137,9 +135,9 @@ def orbit(subspace: OperatorSubspace, x, rank_tol: float = RANK_TOL) -> OrbitGeo
     return OrbitGeometry(x=xv.copy(), orbit_basis=tuple(images), Q=tuple(Q), P=P, rank=rank)
 
 
-def op_norm(subspace: OperatorSubspace, coeffs, tol: float = 1e-12) -> float:
+def op_norm(subspace: OperatorSubspace, coeffs) -> float:
     """Spectral norm of sum_i coeffs_i B_i."""
-    return linalg.spectral_norm(subspace.matrix(coeffs), tol)
+    return linalg.spectral_norm(subspace.matrix(coeffs))
 
 
 def _dual_basis(subspace: OperatorSubspace) -> list[np.ndarray]:

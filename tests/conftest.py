@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own linear algebra:
-rank comes from Gaussian elimination, singular values from numpy's svd.
-Tests compare library output against these routes.
+rank comes from Gaussian elimination, singular values from the symmetric
+eigenvalues of the Hermitian dilation [[0, M], [M^T, 0]] (the library takes
+them from LAPACK's SVD). Tests compare library output against these routes.
 """
 
 import numpy as np
@@ -38,15 +39,22 @@ def gauss_rank(vectors, tol: float = 1e-9) -> int:
     return rank
 
 
-def svd_sigma(M) -> float:
-    """Top singular value via numpy's svd."""
-    return float(np.linalg.svd(np.atleast_2d(np.asarray(M, float)),
-                               compute_uv=False)[0])
-
-
 def svd_values(M) -> np.ndarray:
-    return np.linalg.svd(np.atleast_2d(np.asarray(M, float)),
-                         compute_uv=False)
+    """Singular values, descending: the eigenvalues of the dilation
+    [[0, M], [M^T, 0]] are +-sigma_i plus |m - n| zeros, so its top
+    min(m, n) eigenvalues are the singular values of M."""
+    M = np.atleast_2d(np.asarray(M, float))
+    m, n = M.shape
+    D = np.zeros((m + n, m + n))
+    D[:m, m:] = M
+    D[m:, :m] = M.T
+    lams = np.linalg.eigvalsh(D)[::-1][:min(m, n)]
+    return np.clip(lams, 0.0, None)
+
+
+def svd_sigma(M) -> float:
+    """Top singular value, through the dilation route of svd_values."""
+    return float(svd_values(M)[0])
 
 
 @pytest.fixture

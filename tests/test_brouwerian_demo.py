@@ -91,10 +91,3 @@ def test_table_shape(default_rows):
     assert len(lines) == len(default_rows) + 1
     assert lines[0].split() == ["c", "r", "N", "d", "levels", "verdict"]
 
-
-def test_threaded_rows_match_serial(monkeypatch):
-    cs = (0.0, 0.5, 0.01)
-    serial = demo_table(cs)
-    monkeypatch.setenv("ORBIT_LOCATOR_THREADS", "4")
-    threaded = demo_table(cs)
-    assert rows_to_csv(serial) == rows_to_csv(threaded)

@@ -134,6 +134,12 @@ def test_input_errors(tmp_path, capsys):
     assert code2 == 1 and "unknown fields" in err2
     missing = write_problem(tmp_path, name="m.json", dim=2, basis=DIAG_BASIS)
     assert run_cli(capsys, ["project", missing])[0] == 1
+    bad_n = diag_problem(tmp_path, name="n.json", n="abc")
+    code3, out3, err3 = run_cli(capsys, ["balldist", bad_n])
+    assert code3 == 1 and out3 == "" and "'n'" in err3
+    bad_tol = diag_problem(tmp_path, name="t.json", tol=[1])
+    code4, out4, err4 = run_cli(capsys, ["balldist", bad_tol, "--n", "2"])
+    assert code4 == 1 and out4 == "" and "'tol'" in err4
 
 
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

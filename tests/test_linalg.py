@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_locator import DimensionError, linalg
+from orbit_locator import ConvergenceFailure, DimensionError, linalg
 from conftest import gauss_rank, svd_sigma, svd_values
 
 
@@ -22,7 +22,7 @@ def test_orthonormalize_known_case():
     vecs = [np.array([2.0, 0.0]), np.array([1.0, 1.0])]
     Q, rank = linalg.orthonormalize(vecs)
     assert rank == 2
-    G = np.array([[linalg.inner(a, b) for b in Q] for a in Q])
+    G = np.array([[np.dot(a, b) for b in Q] for a in Q])
     assert np.allclose(G, np.eye(2), atol=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_orthonormalize_rank_matches_elimination(rng):
         Q, rank = linalg.orthonormalize(vecs)
         assert rank == gauss_rank(vecs)
         for v in vecs:
-            proj = sum(linalg.inner(v, q) * q for q in Q) if Q else np.zeros_like(v)
+            proj = sum(np.dot(v, q) * q for q in Q) if Q else np.zeros_like(v)
             assert np.linalg.norm(v - proj) <= 1e-8 * max(1.0, np.linalg.norm(v))
 
 
@@ -68,6 +68,24 @@ def test_sym_eigh_desc_degenerate_spectrum():
     assert np.allclose(V @ np.diag(lams) @ V.T, S, atol=1e-10)
     lams0, V0 = linalg.sym_eigh_desc(np.zeros((3, 3)))
     assert np.allclose(lams0, 0.0) and np.allclose(V0.T @ V0, np.eye(3), atol=1e-12)
+
+
+def test_sym_eigh_desc_rejects_bad_eigenpair(rng, monkeypatch):
+    # the residual check is what keeps a LAPACK pair certified: a returned
+    # eigenvector off by 1e-6 must be refused, not passed on
+    S = rng.normal(size=(4, 4))
+    S = S + S.T
+    eigh = np.linalg.eigh
+
+    def perturbed(A):
+        lams, V = eigh(A)
+        V = V.copy()
+        V[:, -1] += 1e-6 * V[:, 0]
+        return lams, V
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ConvergenceFailure):
+        linalg.sym_eigh_desc(S)
 
 
 def test_singular_values_rectangular(rng):
@@ -117,7 +135,7 @@ def test_nuclear_norm(rng):
     assert abs(linalg.nuclear_norm(M) - float(svd_values(M).sum())) <= 1e-9
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_batch_spectral_norms(rng, d):
     Ms = rng.normal(size=(64, d, d))
     got = linalg.batch_spectral_norms(Ms)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_locator import (DimensionError, GridOracleRefusal, LocatedSet,
-                           OrbitBallContext, OrbitLocatorError, ball_distance,
-                           euclidean_ball, gauge_of_orbit_ball,
-                           grid_oracle_distance, linear_image_ball,
-                           make_subspace, orbit_ball)
+from orbit_locator import (MEM_TOL, DimensionError, GridOracleRefusal,
+                           LocatedSet, OrbitBallContext, OrbitLocatorError,
+                           SolverFailure, ball_distance, euclidean_ball,
+                           gauge_of_orbit_ball, grid_oracle_distance,
+                           linear_image_ball, make_subspace, orbit_ball)
+from conftest import svd_sigma
 
 
 def diag_formula(n, c=0.1):
@@ -166,3 +167,31 @@ def test_distance_is_lipschitz(seed):
     d1 = ctx.distance(y1, 2.0, tol=1e-8).value
     d2 = ctx.distance(y2, 2.0, tol=1e-8).value
     assert abs(d1 - d2) <= np.linalg.norm(y1 - y2) + 1e-6
+
+
+def wide_draw_problem(index):
+    """Problem `index` of the wide draw (generator seed 7, dim 2..5, k 1..4,
+    y scaled by 1.5), drawn in the order dim, k, basis, x, y."""
+    g = np.random.default_rng(7)
+    for _ in range(index + 1):
+        dim = int(g.integers(2, 6))
+        k = int(g.integers(1, 5))
+        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
+        x = g.normal(size=dim)
+        y = g.normal(size=dim) * 1.5
+    return basis, x, y
+
+
+def test_certified_witness_is_feasible():
+    # the top two singular values of the optimal witness nearly tie here;
+    # a sigma1 that comes out low lets an infeasible point be "certified"
+    basis, x, y = wide_draw_problem(30)
+    assert len(basis) == 3 and x.shape == (2,)
+    sub = make_subspace(basis)
+    try:
+        res = OrbitBallContext(sub, x).distance(y, 1.0, 1e-6)
+    except SolverFailure as exc:
+        assert exc.lower <= exc.upper
+        return
+    assert res.method == "certified"
+    assert svd_sigma(sub.matrix(res.coeffs)) <= 1.0 + MEM_TOL

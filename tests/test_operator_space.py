@@ -23,6 +23,17 @@ def test_make_subspace_rejects_dependence():
     with pytest.raises(DependentBasisError) as exc:
         make_subspace(basis)
     assert exc.value.index == 2
+    # more matrices than the dimension of the matrix space
+    with pytest.raises(DependentBasisError) as exc:
+        make_subspace([np.eye(1), 2.0 * np.eye(1)])
+    assert exc.value.index == 1
+
+
+def test_make_subspace_rejects_overflowing_basis():
+    # entries of 1e200 are finite, but their Frobenius norm is not
+    with pytest.raises(DimensionError) as exc:
+        make_subspace([np.eye(2), np.full((2, 2), 1e200)])
+    assert "basis[1]" in str(exc.value)
 
 
 def test_ortho_recombination_consistent(rng):
