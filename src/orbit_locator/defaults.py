@@ -6,6 +6,7 @@ library, the CLI and the test suite in agreement.
 """
 
 TOL = 1e-6        # distance / gauge tolerance
+GAUGE_TOL = 1e-10  # step floor of the orbit-ball gauge pattern search
 STAB_TOL = 1e-7   # plateau test for the nested-limit stabilisation shortcut
 BUDGET = 30       # nested-limit level budget
 RANK_TOL = 1e-9   # rank decisions in Gram-Schmidt and basis validation

@@ -39,6 +39,15 @@ def as_matrix(M, *, square: bool = False) -> np.ndarray:
     return arr
 
 
+def as_rows(V, width: int) -> np.ndarray:
+    """Validate and convert to a finite 2-d float array of rows of length
+    width."""
+    arr = as_matrix(V)
+    if arr.shape[1] != width:
+        raise DimensionError(f"expected rows of length {width}, got shape {arr.shape}")
+    return arr
+
+
 def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> tuple[list[np.ndarray], int]:
     """Modified Gram-Schmidt with a drop rule.
 
@@ -147,8 +156,11 @@ def nuclear_norm(M) -> float:
 # enumerative oracles (grids, nets) use these so the two sides of a
 # solver-vs-oracle comparison share no eigensolver.
 
+_EYE3 = np.eye(3)
+
+
 def _batch_gram(Ms: np.ndarray) -> np.ndarray:
-    return np.einsum("nji,njk->nik", Ms, Ms)
+    return np.matmul(Ms.transpose(0, 2, 1), Ms)
 
 
 def batch_spectral_norms(Ms: np.ndarray) -> np.ndarray:
@@ -160,15 +172,14 @@ def batch_spectral_norms(Ms: np.ndarray) -> np.ndarray:
     d = Ms.shape[2]
     if d == 1:
         return np.abs(Ms[:, 0, 0])
-    G = _batch_gram(Ms)
     if d == 2:
-        tr = G[:, 0, 0] + G[:, 1, 1]
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-        lam = 0.5 * (tr + disc)
-        return np.sqrt(np.clip(lam, 0.0, None))
+        # [[a, b], [c, e]] has singular values (|z1| +- |z2|) / 2 with
+        # z1 = (a + e) + i(c - b) and z2 = (a - e) + i(c + b)
+        a, b, c, e = Ms[:, 0, 0], Ms[:, 0, 1], Ms[:, 1, 0], Ms[:, 1, 1]
+        return 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, c + b))
     if d == 3:
-        return np.sqrt(np.clip(_batch_sym3_top_eig(G), 0.0, None))
+        G = _batch_gram(Ms)
+        return np.sqrt(np.maximum(_batch_sym3_top_eig(G), 0.0))
     return np.linalg.svd(Ms, compute_uv=False)[:, 0]
 
 
@@ -184,18 +195,15 @@ def _batch_sym3_top_eig(G: np.ndarray) -> np.ndarray:
     q = (a + b + c) / 3.0
     diag_dev = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2
     p2 = diag_dev + 2.0 * p1
-    p = np.sqrt(np.clip(p2 / 6.0, 0.0, None))
-    lam = np.where(p <= 1e-300, q, 0.0)
-    mask = p > 1e-300
-    if np.any(mask):
-        pm = p[mask]
-        Bm = (G[mask] - q[mask][:, None, None] * np.eye(3)[None, :, :]) / pm[:, None, None]
-        detB = (Bm[:, 0, 0] * (Bm[:, 1, 1] * Bm[:, 2, 2] - Bm[:, 1, 2] * Bm[:, 2, 1])
-                - Bm[:, 0, 1] * (Bm[:, 1, 0] * Bm[:, 2, 2] - Bm[:, 1, 2] * Bm[:, 2, 0])
-                + Bm[:, 0, 2] * (Bm[:, 1, 0] * Bm[:, 2, 1] - Bm[:, 1, 1] * Bm[:, 2, 0]))
-        r = np.clip(detB / 2.0, -1.0, 1.0)
-        phi = np.arccos(r) / 3.0
-        lam_m = q[mask] + 2.0 * pm * np.cos(phi)
-        lam = lam.copy()
-        lam[mask] = lam_m
-    return lam
+    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
+    # a scalar multiple of the identity (p = 0) has the eigenvalue q; the
+    # stand-in divisor only keeps those rows finite
+    round_ = p > 1e-300
+    pm = np.where(round_, p, 1.0)
+    Bm = (G - q[:, None, None] * _EYE3) / pm[:, None, None]
+    detB = (Bm[:, 0, 0] * (Bm[:, 1, 1] * Bm[:, 2, 2] - Bm[:, 1, 2] * Bm[:, 2, 1])
+            - Bm[:, 0, 1] * (Bm[:, 1, 0] * Bm[:, 2, 2] - Bm[:, 1, 2] * Bm[:, 2, 0])
+            + Bm[:, 0, 2] * (Bm[:, 1, 0] * Bm[:, 2, 1] - Bm[:, 1, 1] * Bm[:, 2, 0]))
+    r = np.minimum(np.maximum(detB / 2.0, -1.0), 1.0)
+    phi = np.arccos(r) / 3.0
+    return np.where(round_, q + 2.0 * pm * np.cos(phi), q)

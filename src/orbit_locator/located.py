@@ -3,12 +3,20 @@ nearest point for every query.
 
 The main instance is the image of a scaled operator-norm ball through a
 fixed vector, {M x : M in span(B_1..B_k), sigma1(M) <= n}. Its solver has
-three routes: an exact shortcut when the orthogonal projection of the query
-onto the orbit span already lies in the set, an active-boundary Newton/KKT
-iteration for fast convergence, and a projected-gradient fallback whose
-stopping rule is a computable optimality certificate. Projection onto the
-feasible region alternates between the span and the spectral-norm ball
-(Dykstra); its residual is folded into the certificate.
+three routes: an exact shortcut when the orthogonal projection Py of the
+query onto the orbit span already lies in the set, an active-boundary
+Newton/KKT iteration for fast convergence, and a projected-gradient
+fallback whose stopping rule is a computable optimality certificate.
+Projection onto the feasible region alternates between the span and the
+spectral-norm ball (Dykstra); its residual is folded into the certificate.
+
+The shortcut is decided lazily. sigma1 of the least-norm preimage of Py
+bounds gauge(Py) from above (it is the gauge when no span operator kills
+x), so when that bound already clears n the answer is Py, witnessed by
+the least-norm preimage; only otherwise does the gauge's pattern search
+over the null directions run. Gauges are evaluated row-wise on stacks of
+vectors, so a scan over many directions costs one stacked SVD, or one
+spectral-norm sweep per pattern round.
 
 Euclidean balls and linear images of balls (ellipsoids) are provided as
 exactly-locatable companions, and a pure enumeration oracle gives two-sided
@@ -17,13 +25,14 @@ distance brackets for small coefficient counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg, operators
-from .defaults import GRID_CAP, MAX_SOLVER_ITERS, RANK_TOL, TOL
+from .defaults import GAUGE_TOL, GRID_CAP, MAX_SOLVER_ITERS, RANK_TOL, TOL
 from .errors import (DimensionError, GridOracleRefusal, OrbitLocatorError,
                      SolverFailure)
 
@@ -49,9 +58,11 @@ class LocatedSet:
     """A set with a certified distance oracle.
 
     locate(y, tol) returns a DistanceResult whose value is within tol of the
-    true distance; dist and nearest are shorthands. gauge(v), when the set
-    supports it, is the Minkowski functional: the least s >= 0 with v in
-    s-times-the-set (inf when no scaling reaches v).
+    true distance; dist and nearest are shorthands. gauges(V, tol), when the
+    set supports it, applies the Minkowski functional to each row of V: the
+    least s >= 0 with v in s-times-the-set (inf when no scaling reaches v).
+    The gauge oracle takes (V, tol) and returns one value per row; exact
+    oracles ignore tol. gauge(v) is the one-row case.
     """
 
     def __init__(self, ambient_dim: int, locate: Callable, gauge=None,
@@ -70,33 +81,21 @@ class LocatedSet:
     def nearest(self, y, tol: float = TOL) -> np.ndarray:
         return self.locate(y, tol).point
 
-    def gauge(self, v, tol: Optional[float] = None) -> float:
+    def gauges(self, V, tol: float = GAUGE_TOL) -> np.ndarray:
         if self._gauge is None:
             raise OrbitLocatorError(
                 f"{self.description or 'this set'} has no gauge oracle")
-        v = linalg.as_vector(v)
-        if tol is None:
-            return self._gauge(v)
-        try:
-            return self._gauge(v, tol)
-        except TypeError:
-            # gauge oracle is exact and takes no tolerance
-            return self._gauge(v)
+        V = linalg.as_rows(V, self.ambient_dim)
+        return np.asarray(self._gauge(V, float(tol)), dtype=float)
+
+    def gauge(self, v, tol: float = GAUGE_TOL) -> float:
+        return float(self.gauges(linalg.as_vector(v)[None, :], tol)[0])
 
 
-def compass_min(fn, z0, *, init_step: float, step_tol: float,
-                max_evals: int = 50_000, batch_fn=None):
-    """Derivative-free coordinate/diagonal pattern descent.
-
-    Minimizes fn over R^m starting at z0, shrinking the step when no
-    direction improves. On convex objectives the final value is within
-    O(step) of the minimum. batch_fn, when given, evaluates a whole round
-    of probes in one call (same values as fn, cheaper); it only steers
-    the search, and the returned value is re-anchored on fn. Returns
-    (z, fn(z), evaluations).
-    """
-    z = np.asarray(z0, dtype=float).copy()
-    m = z.size
+@functools.lru_cache(maxsize=16)
+def _pattern(m: int) -> np.ndarray:
+    """The probe directions of compass_min in R^m, in probe order: +-e_i,
+    then (+-e_i +- e_j) / sqrt(2) for i < j. Shared, so read-only."""
     dirs = []
     for i in range(m):
         e = np.zeros(m)
@@ -111,38 +110,69 @@ def compass_min(fn, z0, *, init_step: float, step_tol: float,
                     e[i] = si
                     e[j] = sj
                     dirs.append(e / np.sqrt(2.0))
-    f = float(fn(z))
-    evals = 1
-    if not dirs:
-        return z, f, evals
-    D = np.stack(dirs)
-    s = float(init_step)
-    while s > step_tol and evals < max_evals:
-        if batch_fn is not None:
-            cand = z[None, :] + s * D
-            vals = np.asarray(batch_fn(cand), dtype=float)
+    D = np.stack(dirs) if dirs else np.zeros((0, m))
+    D.flags.writeable = False
+    return D
+
+
+def compass_min(fn, z0, *, init_step, step_tol, max_evals: int = 50_000,
+                batch_fn=None):
+    """Derivative-free coordinate/diagonal pattern descent, one search per
+    row of z0, all run in lockstep.
+
+    Search i minimizes its own objective over R^m from z0[i], shrinking its
+    step (init_step and step_tol are scalars or one value per search) when
+    no direction improves. On convex objectives the final value is within
+    O(step) of the minimum. fn(rows, P) evaluates the objectives of the
+    searches rows[j] at the points P[j], shape (len(rows), p, m), and
+    returns shape (len(rows), p); each round makes one call covering every
+    search still active. batch_fn, when given, has the same form and
+    approximates fn more cheaply; it only steers the searches, and the
+    returned values are re-anchored on fn. Returns (z, fn(z), evaluations)
+    with z of the shape of z0, one value per search and the total number
+    of evaluations.
+    """
+    z = np.array(z0, dtype=float)
+    S, m = z.shape
+    D = _pattern(m)
+    every = np.arange(S)
+    f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
+    evals = S
+    if m:
+        steer = fn if batch_fn is None else batch_fn
+        step = np.full(S, init_step, dtype=float)
+        floor = np.full(S, step_tol, dtype=float)
+        # the active searches are kept compacted and written back only when
+        # one stops; all of them have made the same number of evaluations
+        act = every[step > floor]
+        za, fa, sa, la = z[act], f[act], step[act], floor[act]
+        rows = np.arange(act.size)
+        per_search = 1
+        while act.size and per_search < max_evals:
+            cand = za[:, None, :] + sa[:, None, None] * D
+            vals = np.asarray(steer(act, cand), dtype=float)
             evals += vals.size
-            j = int(np.argmin(vals))
-            if float(vals[j]) < f - 1e-18:
-                z = cand[j]
-                f = float(vals[j])
-            else:
-                s *= 0.5
-            continue
-        best = None
-        for d in dirs:
-            zc = z + s * d
-            fc = float(fn(zc))
-            evals += 1
-            if fc < f - 1e-18 and (best is None or fc < best[1]):
-                best = (zc, fc)
-        if best is None:
-            s *= 0.5
-        else:
-            z, f = best
-    if batch_fn is not None:
-        f = float(fn(z))
-        evals += 1
+            per_search += D.shape[0]
+            j = vals.argmin(axis=1)
+            low = vals[rows, j]
+            better = low < fa - 1e-18
+            moved = np.count_nonzero(better)
+            if moved:
+                np.copyto(za, cand[rows, j], where=better[:, None])
+                np.copyto(fa, low, where=better)
+            if moved == act.size:
+                continue
+            np.multiply(sa, 0.5, out=sa, where=~better)
+            keep = sa > la
+            if np.count_nonzero(keep) < act.size:
+                z[act], f[act] = za, fa
+                act, za, fa, sa, la = (act[keep], za[keep], fa[keep],
+                                       sa[keep], la[keep])
+                rows = rows[:act.size]
+        z[act], f[act] = za, fa
+        if batch_fn is not None:
+            f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
+            evals += S
     return z, f, evals
 
 
@@ -195,44 +225,68 @@ class OrbitBallContext:
         return np.linalg.solve(self.subspace.upper_tri, t)
 
     def min_norm_preimage(self, v) -> np.ndarray:
-        """Least-norm t with Phi t = projection of v onto the orbit span."""
-        b = self.range_vecs.T @ (self.Phi.T @ v)
-        return self.range_vecs @ (b / self.range_lams)
+        """Least-norm t with Phi t = projection of v onto the orbit span;
+        row-wise for a stack of vectors."""
+        b = (v @ self.Phi) @ self.range_vecs
+        return (b / self.range_lams) @ self.range_vecs.T
 
     # ---- gauge ------------------------------------------------------------
 
-    def gauge(self, v, tol: float = 1e-10):
-        """Least sigma1 over operators in the span sending x to v; inf when
-        v is outside the orbit span."""
-        v = linalg.as_vector(v)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return 0.0, np.zeros(self.k)
+    def gauge(self, v, tol: float = GAUGE_TOL):
+        """Least sigma1 over operators in the span sending x to v, with the
+        coefficients of one such operator; (inf, None) when v is outside
+        the orbit span."""
+        vals, ts = self.gauges(linalg.as_vector(v)[None, :], tol)
+        if not np.isfinite(vals[0]):
+            return np.inf, None
+        return float(vals[0]), ts[0]
+
+    def gauges(self, V, tol: float = GAUGE_TOL):
+        """Row-wise gauge of a stack of vectors: (values, coefficient rows),
+        with value inf and a row of NaN for vectors outside the orbit span.
+
+        Without a null space the least-norm preimage is the only preimage
+        and the values come from one stacked SVD. Otherwise one lockstep
+        pattern search over the null directions runs for all rows, steered
+        by closed-form spectral norms and re-anchored on LAPACK's."""
+        V = linalg.as_rows(V, self.dim)
+        d = self.dim
+        nv = np.linalg.norm(V, axis=1)
         if self.rank == 0:
-            return np.inf, None
-        resid = float(np.linalg.norm(v - self.geo.P @ v))
-        if resid > 1e-9 * max(nv, 1.0):
-            return np.inf, None
-        t_hat = self.min_norm_preimage(v)
-        if self.null_vecs.shape[1] == 0:
-            return linalg.spectral_norm(self.mat(t_hat)), t_hat
+            on = nv == 0.0
+        else:
+            resid = np.linalg.norm(V - V @ self.geo.P.T, axis=1)
+            on = resid <= 1e-9 * np.maximum(nv, 1.0)
+        vals = np.where(on, 0.0, np.inf)
+        ts = np.zeros((V.shape[0], self.k))
+        ts[~on] = np.nan
+        live = np.flatnonzero(on & (nv > 0.0))
+        if live.size == 0:
+            return vals, ts
+        t_hat = self.min_norm_preimage(V[live])
         N = self.null_vecs
+        if N.shape[1] == 0:
+            ts[live] = t_hat
+            vals[live] = _sigma1(np.einsum("qk,kij->qij", t_hat, self.stack))
+            return vals, ts
 
-        def h(z):
-            return linalg.spectral_norm(self.mat(t_hat + N @ z))
+        def mats(rows, P):
+            return np.einsum("rpk,kij->rpij", P @ N.T + t_hat[rows, None, :],
+                             self.stack)
 
-        def h_batch(zs):
-            # one closed-form sweep per pattern round; steering only
-            ts = np.asarray(zs, dtype=float) @ N.T + t_hat
-            Ms = np.einsum("qk,kij->qij", ts, self.stack)
-            return linalg.batch_spectral_norms(Ms)
+        def steer(rows, P):
+            Ms = mats(rows, P)
+            return linalg.batch_spectral_norms(
+                Ms.reshape(-1, d, d)).reshape(Ms.shape[:2])
 
-        z0 = np.zeros(N.shape[1])
-        scale = max(1.0, float(np.linalg.norm(t_hat)))
-        z, val, _ = compass_min(h, z0, init_step=scale,
-                                step_tol=tol * scale / 4.0,
-                                batch_fn=h_batch)
-        return val, t_hat + N @ z
+        scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
+        z, g, _ = compass_min(lambda rows, P: _sigma1(mats(rows, P)),
+                              np.zeros((live.size, N.shape[1])),
+                              init_step=scale, step_tol=tol * scale / 4.0,
+                              batch_fn=steer)
+        vals[live] = g
+        ts[live] = t_hat + z @ N.T
+        return vals, ts
 
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
@@ -472,7 +526,13 @@ class OrbitBallContext:
                 method="degenerate")
         q = self._query(y)
         base, Py = q["base"], q["Py"]
-        gPy, t_rep = q["gauge"], q["rep"]
+        # gauge(Py) <= ub, so a bound that clears n decides the interior
+        # route exactly as the gauge would; otherwise search for the gauge
+        gPy, t_rep = q["ub"], q["t_hat"]
+        if not gPy <= n - 5e-10 * max(1.0, gPy):
+            if "gauge" not in q:
+                q["gauge"] = self.gauge(Py)
+            gPy, t_rep = q["gauge"]
         if gPy <= n - 5e-10 * max(1.0, gPy):
             return DistanceResult(
                 value=base, point=Py.copy(),
@@ -551,18 +611,30 @@ class OrbitBallContext:
             iterations=it_total, partial=self.point(best_t))
 
     def _query(self, y) -> dict:
+        """Per-query data kept across levels: Py, ||y - Py||, the least-norm
+        preimage t_hat of Py and ub = sigma1(mat(t_hat)) >= gauge(Py). The
+        gauge with its coefficients, under "gauge", is ub and t_hat when
+        there is no null space and is otherwise filled in on first need."""
         key = y.tobytes()
         hit = self._query_cache.get(key)
         if hit is not None:
             return hit
         Py = self.geo.P @ y
         base = float(np.linalg.norm(y - Py))
-        gPy, t_rep = self.gauge(Py)
-        out = {"Py": Py, "base": base, "gauge": gPy, "rep": t_rep}
+        t_hat = self.min_norm_preimage(Py)
+        ub = linalg.spectral_norm(self.mat(t_hat))
+        out = {"Py": Py, "base": base, "t_hat": t_hat, "ub": ub}
+        if self.null_vecs.shape[1] == 0:
+            out["gauge"] = (ub, t_hat)
         if len(self._query_cache) > 128:
             self._query_cache.clear()
         self._query_cache[key] = out
         return out
+
+
+def _sigma1(Ms) -> np.ndarray:
+    """Largest singular value of each matrix in a stack, by LAPACK."""
+    return np.linalg.svd(Ms, compute_uv=False)[..., 0]
 
 
 def ball_distance(subspace, x, n: float, y, tol: float = TOL, warm=None,
@@ -573,7 +645,7 @@ def ball_distance(subspace, x, n: float, y, tol: float = TOL, warm=None,
     return ctx.distance(y, n, tol, warm)
 
 
-def gauge_of_orbit_ball(subspace, x, v, tol: float = 1e-10) -> float:
+def gauge_of_orbit_ball(subspace, x, v, tol: float = GAUGE_TOL) -> float:
     """Least sigma1 over span operators sending x to v (inf outside the span)."""
     val, _ = OrbitBallContext(subspace, x).gauge(v, tol)
     return val
@@ -589,9 +661,8 @@ def orbit_ball(subspace, x, n: float,
     def loc(y, tol):
         return ctx.distance(y, n, tol)
 
-    def gg(v, tol: float = 1e-10):
-        val, _ = ctx.gauge(v, tol)
-        return val if n == 1.0 else (val / n if np.isfinite(val) else np.inf)
+    def gg(V, tol):
+        return ctx.gauges(V, tol)[0] / n
 
     return LocatedSet(subspace.dim, loc, gg,
                       description=f"orbit ball at level {n:g}")
@@ -614,8 +685,8 @@ def euclidean_ball(center, radius: float) -> LocatedSet:
 
     gauge = None
     if float(np.linalg.norm(c)) == 0.0 and r > 0:
-        def gauge(v):
-            return float(np.linalg.norm(v)) / r
+        def gauge(V, tol):
+            return np.linalg.norm(V, axis=1) / r
 
     return LocatedSet(c.size, loc, gauge, description=f"ball radius {r:g}")
 
@@ -639,8 +710,8 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
     lr = lams[:r]
 
     def min_norm_preimage(y):
-        b = Vr.T @ (T.T @ y)
-        return Vr @ (b / lr) if r else np.zeros(m)
+        # row-wise for a stack; with r = 0 the products are all zeros
+        return (((y @ T) @ Vr) / lr) @ Vr.T
 
     def loc(y, tol):
         u = min_norm_preimage(y)
@@ -671,12 +742,11 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
         return DistanceResult(float(np.linalg.norm(y - point)), point,
                               None, 0.0, its, "ellipsoid-kkt")
 
-    def gauge(v):
-        u = min_norm_preimage(v)
-        resid = float(np.linalg.norm(v - T @ u))
-        if resid > 1e-9 * max(float(np.linalg.norm(v)), 1.0):
-            return np.inf
-        return float(np.linalg.norm(u)) / n
+    def gauge(V, tol):
+        U = min_norm_preimage(V)
+        resid = np.linalg.norm(V - U @ T.T, axis=1)
+        off = resid > 1e-9 * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+        return np.where(off, np.inf, np.linalg.norm(U, axis=1) / n)
 
     return LocatedSet(d, loc, gauge, description="linear image of a ball")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, located
-from .defaults import PROBE_SEED, RANK_TOL
+from .defaults import GAUGE_TOL, PROBE_SEED, RANK_TOL
 from .errors import ConvergenceFailure, DimensionError
 
 
@@ -142,25 +142,31 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
 
     Equals 1 over the maximum gauge on the unit sphere of W. The sphere is
     scanned with a deterministic sample (a uniform half-circle of angles
-    in two dimensions, a seeded set of directions above that), the best
-    cell is refined (golden section, or pattern descent in the tangent
-    space), and the result is certified two ways: gauge checks at the
-    worst direction and a full greedy membership run at radius r(1-tol).
-    An infinite gauge along any sampled direction short-circuits to r = 0
+    in two dimensions, a seeded set of directions above that) in one
+    row-wise gauge call, the best cell is refined (golden section, or
+    pattern descent in the tangent space with one gauge call per round),
+    and the result is certified two ways: gauge checks at the worst
+    direction and a full greedy membership run at radius r(1-tol). An
+    infinite gauge along any sampled direction short-circuits to r = 0
     with that direction reported.
     """
-    basis, m = linalg.orthonormalize(W_basis)
+    vectors = [linalg.as_vector(w) for w in W_basis]
+    for w in vectors:
+        if w.size != C.ambient_dim:
+            raise DimensionError(
+                f"W_basis vector has length {w.size}, expected {C.ambient_dim}")
+    basis, m = linalg.orthonormalize(vectors)
     if m == 0:
         raise DimensionError("W_basis spans nothing; no inner radius")
     B = np.stack(basis, axis=1)
     # scan with a coarse gauge (selects the best cell only), refine and
     # certify with a tight one; an incomplete gauge descent overestimates,
     # so the scan can misrank cells only within its own tolerance
-    scan_tol = max(min(1e-6, tol / 4.0), 1e-10)
-    tight_tol = 1e-10
+    scan_tol = max(min(1e-6, tol / 4.0), GAUGE_TOL)
+    tight_tol = GAUGE_TOL
 
     def gauge_at(coords, gtol: float) -> float:
-        return float(C.gauge(B @ np.asarray(coords, dtype=float), gtol))
+        return C.gauge(B @ np.asarray(coords, dtype=float), gtol)
 
     if m == 1:
         g = gauge_at([1.0], tight_tol)
@@ -174,7 +180,7 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
     if m == 2:
         thetas = np.linspace(0.0, np.pi, samples, endpoint=False)
         coords = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        vals = np.array([gauge_at(c, scan_tol) for c in coords])
+        vals = C.gauges(coords @ B.T, scan_tol)
         if np.any(~np.isfinite(vals)):
             j = int(np.argmax(~np.isfinite(vals)))
             return RadiusResult(0.0, _lex_smaller(B @ coords[j]),
@@ -207,7 +213,7 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
     count = max(samples, 256 * m)
     dirs = rng.standard_normal((count, m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = np.array([gauge_at(c, scan_tol) for c in dirs])
+    vals = C.gauges(dirs @ B.T, scan_tol)
     if np.any(~np.isfinite(vals)):
         j = int(np.argmax(~np.isfinite(vals)))
         return RadiusResult(0.0, _lex_smaller(B @ dirs[j]),
@@ -219,16 +225,17 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
         [e - float(e @ w0) * w0 for e in np.eye(m)], 1e-8)
     Tm = np.stack(Tspan, axis=1)
 
-    def neg_gauge(z):
-        w = w0 + Tm @ z
-        w = w / float(np.linalg.norm(w))
-        return -gauge_at(w, scan_tol)
+    def neg_gauge(rows, P):
+        # one search: its probes are the rows of P[0]
+        W = w0 + P[0] @ Tm.T
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        return -C.gauges(W @ B.T, scan_tol)[None, :]
 
     z, _, _ = located.compass_min(
-        neg_gauge, np.zeros(Tm.shape[1]),
+        neg_gauge, np.zeros((1, Tm.shape[1])),
         init_step=np.pi / max(8.0, count ** (1.0 / max(m - 1, 1))),
         step_tol=1e-9)
-    w = w0 + Tm @ z
+    w = w0 + Tm @ z[0]
     w = w / float(np.linalg.norm(w))
     g = gauge_at(w, tight_tol)
     if g <= 0.0:
@@ -244,12 +251,12 @@ def _argmax_lex(vals: np.ndarray, dirs_ambient) -> int:
 
 def _certified(C, r: float, direction: np.ndarray, method: str,
                tol: float) -> RadiusResult:
-    g_edge = float(C.gauge(r * direction, 1e-10))
+    g_edge = C.gauge(r * direction, GAUGE_TOL)
     if g_edge > 1.0 + tol:
         raise ConvergenceFailure(
             f"radius certificate failed: gauge at r*direction is {g_edge:.9f}",
             best=r, residual=g_edge - 1.0, iterations=0)
-    g_out = float(C.gauge((1.0 + 5.0 * tol) * r * direction, 1e-10))
+    g_out = C.gauge((1.0 + 5.0 * tol) * r * direction, GAUGE_TOL)
     if not g_out > 1.0 - tol:
         raise ConvergenceFailure(
             "radius certificate failed: direction is not extremal",

@@ -195,3 +195,104 @@ def test_certified_witness_is_feasible():
         return
     assert res.method == "certified"
     assert svd_sigma(sub.matrix(res.coeffs)) <= 1.0 + MEM_TOL
+
+
+def test_gauge_rejects_wrong_length(diag_sub):
+    with pytest.raises(DimensionError):
+        gauge_of_orbit_ball(diag_sub, [1.0, 0.5], [1.0, 2.0, 3.0])
+    ball = orbit_ball(diag_sub, [1.0, 0.5], 1.0)
+    with pytest.raises(DimensionError):
+        ball.gauges(np.ones((4, 3)))
+
+
+def test_gauge_oracle_type_error_propagates():
+    # an oracle that fails at a non-default tolerance must not be rerun
+    # silently at its default one
+    def broken(V, tol=1e-10):
+        if tol != 1e-10:
+            raise TypeError("oracle bug")
+        return np.linalg.norm(V, axis=1)
+
+    S = LocatedSet(2, lambda y, tol: None, broken, description="broken")
+    with pytest.raises(TypeError, match="oracle bug"):
+        S.gauge([1.0, 0.0], 1e-6)
+
+
+def rank_one_pair(g, dim):
+    """Two generators whose images of x are parallel: orbit rank 1, so the
+    gauge has a one-dimensional null space."""
+    x = g.normal(size=dim)
+    B1 = g.normal(size=(dim, dim))
+    kill_x = np.eye(dim) - np.outer(x, x) / float(x @ x)
+    return [B1, 0.7 * B1 + g.normal(size=(dim, dim)) @ kill_x], x
+
+
+@pytest.mark.parametrize("shape", ["d3k2r1", "d3k2r2", "d2k3r2"])
+def test_batched_gauges_match_one_row(shape):
+    g = np.random.default_rng(11)
+    if shape == "d3k2r1":
+        basis, x = rank_one_pair(g, 3)
+    else:
+        dim, k = int(shape[1]), int(shape[3])
+        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
+        x = g.normal(size=dim)
+    sub = make_subspace(basis)
+    ctx = OrbitBallContext(sub, x)
+    assert ctx.rank == int(shape[5])
+    rows = [ctx.geo.P @ g.normal(size=x.size) for _ in range(10)]
+    rows.append(np.zeros(x.size))
+    if ctx.rank < x.size:
+        rows.append(g.normal(size=x.size))      # off the orbit span
+    V = np.stack(rows)
+    for tol in (1e-10, 1e-6):
+        vals, ts = ctx.gauges(V, tol)
+        assert vals[10] == 0.0 and np.all(ts[10] == 0.0)
+        if ctx.rank < x.size:
+            assert vals[11] == np.inf and np.all(np.isnan(ts[11]))
+        for v, val, t in zip(V, vals, ts):
+            one, t_one = ctx.gauge(v, tol)
+            if not np.isfinite(one):
+                assert t_one is None and val == np.inf
+                continue
+            assert abs(val - one) <= tol * max(1.0, one), (val, one)
+            assert np.allclose(ctx.point(t), v, atol=1e-9)
+            assert abs(svd_sigma(ctx.mat(t)) - val) <= 1e-9 * max(1.0, val)
+        ball = orbit_ball(sub, x, 2.0, ctx=ctx)
+        assert np.array_equal(ball.gauges(V, tol), vals / 2.0)
+    for S in (euclidean_ball(np.zeros(x.size), 2.0),
+              linear_image_ball(basis[0][:, :2], 1.5)):
+        batch = S.gauges(V)
+        assert np.allclose(batch, [S.gauge(v) for v in V], rtol=1e-15, atol=0.0)
+
+
+def test_interior_witness_is_feasible():
+    # wide-draw problem 55 (dim 3, k 4, orbit rank 3): sigma1 of the
+    # least-norm preimage of Py sits above gauge(Py), so levels between the
+    # two reach the interior route only through the gauge's search
+    basis, x, y0 = wide_draw_problem(55)
+    sub = make_subspace(basis)
+    ctx = OrbitBallContext(sub, x)
+    assert ctx.null_vecs.shape[1] == 1
+    g = np.random.default_rng(3)
+    through_search = 0
+    for y in [y0] + [g.normal(size=3) * 1.5 for _ in range(3)]:
+        Py = ctx.geo.P @ y
+        gauge, _ = ctx.gauge(Py)
+        ub = svd_sigma(ctx.mat(ctx.min_norm_preimage(Py)))
+        assert gauge < ub
+        for n in (0.5 * gauge, 1.001 * gauge, 0.5 * (gauge + ub),
+                  1.001 * ub, 2.0 * ub):
+            try:
+                res = ctx.distance(y, n, tol=1e-6)
+            except SolverFailure:
+                res = None
+            interior = res is not None and res.method == "interior"
+            assert interior == (gauge <= n - 5e-10 * max(1.0, gauge)), (n, gauge)
+            if not interior:
+                continue
+            through_search += n < ub
+            M = sub.matrix(res.coeffs)
+            assert svd_sigma(M) <= n * (1.0 + MEM_TOL)
+            assert np.allclose(M @ x, res.point, atol=1e-9)
+            assert np.allclose(res.point, Py, atol=1e-12)
+    assert through_search >= 4

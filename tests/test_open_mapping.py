@@ -94,6 +94,12 @@ def test_inner_radius_sphere_scan():
     assert rr.method == "sphere-scan"
 
 
+def test_inner_radius_rejects_wrong_length(diag_sub):
+    ball = orbit_ball(diag_sub, np.array([1.0, 0.5]), 1.0)
+    with pytest.raises(DimensionError):
+        inner_radius(ball, [np.array([1.0, 0.0, 0.0])])
+
+
 def test_inner_radius_deterministic(diag_sub):
     e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     ball = orbit_ball(diag_sub, np.array([1.0, 0.3]), 1.0)
