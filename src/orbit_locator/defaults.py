@@ -1,8 +1,10 @@
 """Central table of numeric defaults.
 
-Every entry can be overridden per call (keyword argument) or per run
-(CLI flag / problem-file field). Keeping them in one place keeps the
-library, the CLI and the test suite in agreement.
+Most entries are defaults that can be overridden per call (keyword
+argument) or per run (CLI flag / problem-file field). PROBE_SEED and
+MAX_SOLVER_ITERS are fixed: nothing takes them as an argument. Keeping
+them in one place keeps the library, the CLI and the test suite in
+agreement.
 """
 
 TOL = 1e-6        # distance / gauge tolerance
@@ -14,7 +16,7 @@ MEM_TOL = 1e-9    # relative spectral-norm membership band: sigma1 <= n*(1+MEM_T
 
 NET_CAP = 200_000       # epsilon-net size cap before refusing
 GRID_CAP = 40_000_000   # grid-oracle enumeration cap
-PROBE_SEED = 1729       # seed for projection-certificate probe vectors
+PROBE_SEED = 1729       # seed for sphere-scan and projection-certificate probes
 
 MAX_SOLVER_ITERS = 200_000  # first-order fallback iteration budget
 

@@ -778,32 +778,15 @@ def grid_oracle_distance(subspace, x, n: float, y, eps: float,
     sig_lip = float(np.sqrt(sum(linalg.spectral_norm(B) ** 2 for B in subspace.basis)))
     nx = float(np.linalg.norm(xv))
     h = 2.0 * eps / (np.sqrt(k) * (L2 + sig_lip * nx))
-    bounds = operators.coefficient_box(subspace, n)
-    axes = [np.linspace(-b, b, 2 * max(1, int(np.ceil(b / h))) + 1) for b in bounds]
-    size = 1
-    for a in axes:
-        size *= len(a)
+    size, chunks = operators.grid_orbit_points(
+        subspace, xv, n, h, n + sig_lip * h * np.sqrt(k) / 2.0)
     if size > cap:
         raise GridOracleRefusal(
             f"grid oracle needs about {size} points (cap {cap})")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coeffs = np.stack([mm.ravel() for mm in mesh], axis=1)
-    stack = np.stack(subspace.basis)
-    sigmas = np.empty(coeffs.shape[0])
-    chunk = 200_000
     best = np.inf
-    band = n + sig_lip * h * np.sqrt(k) / 2.0
-    for s in range(0, coeffs.shape[0], chunk):
-        cs = coeffs[s:s + chunk]
-        mats = np.einsum("pk,kij->pij", cs, stack)
-        sig = linalg.batch_spectral_norms(mats)
-        keep = sig <= band
-        if not np.any(keep):
-            continue
-        scale = np.minimum(1.0, n / np.maximum(sig[keep], 1e-300))
-        pts = (mats[keep] * scale[:, None, None]) @ xv
-        dists = np.linalg.norm(pts - y[None, :], axis=1)
-        best = min(best, float(dists.min()))
+    for pts in chunks:
+        if len(pts):
+            best = min(best, float(np.linalg.norm(pts - y, axis=1).min()))
     if not np.isfinite(best):
         best = float(np.linalg.norm(y))
     cover = h * np.sqrt(k) / 2.0 * (L2 + sig_lip * nx)

@@ -141,14 +141,14 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
     """Largest rho with the ball B(0, rho) of span(W_basis) inside C.
 
     Equals 1 over the maximum gauge on the unit sphere of W. The sphere is
-    scanned with a deterministic sample (a uniform half-circle of angles
-    in two dimensions, a seeded set of directions above that) in one
-    row-wise gauge call, the best cell is refined (golden section, or
-    pattern descent in the tangent space with one gauge call per round),
-    and the result is certified two ways: gauge checks at the worst
-    direction and a full greedy membership run at radius r(1-tol). An
-    infinite gauge along any sampled direction short-circuits to r = 0
-    with that direction reported.
+    scanned with a deterministic sample in one row-wise gauge call: the
+    single axis in one dimension, a uniform half-circle of angles in two,
+    a seeded set of directions above that. The best sample is refined by
+    pattern descent in its tangent space, one gauge call per round, and
+    the result is certified two ways: gauge checks at the worst direction
+    and a full greedy membership run at radius r(1-tol). An infinite gauge
+    along any sampled direction short-circuits to r = 0 with that
+    direction reported.
     """
     vectors = [linalg.as_vector(w) for w in W_basis]
     for w in vectors:
@@ -161,66 +161,42 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
     B = np.stack(basis, axis=1)
     # scan with a coarse gauge (selects the best cell only), refine and
     # certify with a tight one; an incomplete gauge descent overestimates,
-    # so the scan can misrank cells only within its own tolerance
+    # so the scan can misrank cells only within its own tolerance. The one
+    # direction of a line is scanned tight and needs no refinement.
     scan_tol = max(min(1e-6, tol / 4.0), GAUGE_TOL)
     tight_tol = GAUGE_TOL
-
-    def gauge_at(coords, gtol: float) -> float:
-        return C.gauge(B @ np.asarray(coords, dtype=float), gtol)
-
     if m == 1:
-        g = gauge_at([1.0], tight_tol)
-        if not np.isfinite(g):
-            return RadiusResult(0.0, _lex_smaller(B[:, 0]), "unbounded-gauge", tol)
-        if g <= 0.0:
-            raise DimensionError("gauge vanishes along W; body is unbounded")
-        direction = _lex_smaller(B[:, 0])
-        return _certified(C, 1.0 / g, direction, "axis", tol)
-
-    if m == 2:
+        method, dirs, scan_tol = "axis", np.ones((1, 1)), tight_tol
+    elif m == 2:
         thetas = np.linspace(0.0, np.pi, samples, endpoint=False)
-        coords = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        vals = C.gauges(coords @ B.T, scan_tol)
-        if np.any(~np.isfinite(vals)):
-            j = int(np.argmax(~np.isfinite(vals)))
-            return RadiusResult(0.0, _lex_smaller(B @ coords[j]),
-                                "unbounded-gauge", tol)
-        best = _argmax_lex(vals, [B @ c for c in coords])
-        h = np.pi / samples
-        phi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = thetas[best] - h, thetas[best] + h
-        c1 = b - phi * (b - a)
-        c2 = a + phi * (b - a)
-        f1 = gauge_at([np.cos(c1), np.sin(c1)], scan_tol)
-        f2 = gauge_at([np.cos(c2), np.sin(c2)], scan_tol)
-        for _ in range(60):
-            if f1 < f2:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + phi * (b - a)
-                f2 = gauge_at([np.cos(c2), np.sin(c2)], scan_tol)
-            else:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - phi * (b - a)
-                f1 = gauge_at([np.cos(c1), np.sin(c1)], scan_tol)
-        th = 0.5 * (a + b)
-        g = gauge_at([np.cos(th), np.sin(th)], tight_tol)
-        w = B @ np.array([np.cos(th), np.sin(th)])
-        if g <= 0.0:
-            raise DimensionError("gauge vanishes along W; body is unbounded")
-        return _certified(C, 1.0 / g, _lex_smaller(w), "circle-scan", tol)
-
-    rng = np.random.default_rng(PROBE_SEED)
-    count = max(samples, 256 * m)
-    dirs = rng.standard_normal((count, m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        method = "circle-scan"
+        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    else:
+        rng = np.random.default_rng(PROBE_SEED)
+        method = "sphere-scan"
+        dirs = rng.standard_normal((max(samples, 256 * m), m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vals = C.gauges(dirs @ B.T, scan_tol)
     if np.any(~np.isfinite(vals)):
         j = int(np.argmax(~np.isfinite(vals)))
         return RadiusResult(0.0, _lex_smaller(B @ dirs[j]),
                             "unbounded-gauge", tol)
-    best = _argmax_lex(vals, [B @ c for c in dirs])
-    w0 = dirs[best]
-    # pattern-descend on -gauge over the tangent chart w(z) ~ w0 + T z
+    best = _argmax_lex(vals, dirs @ B.T)
+    w, g = dirs[best], float(vals[best])
+    if m > 1:
+        w = _refine(C, B, w, scan_tol, len(dirs))
+        g = C.gauge(B @ w, tight_tol)
+    if g <= 0.0:
+        raise DimensionError("gauge vanishes along W; body is unbounded")
+    return _certified(C, 1.0 / g, _lex_smaller(B @ w), method, tol)
+
+
+def _refine(C, B: np.ndarray, w0: np.ndarray, gtol: float,
+            count: int) -> np.ndarray:
+    """Pattern-ascend the gauge from the unit direction w0 (coordinates in
+    the orthonormal columns of B) over the tangent chart w(z) ~ w0 + T z,
+    starting at the spacing of a count-point sample of the sphere."""
+    m = w0.size
     Tspan, _ = linalg.orthonormalize(
         [e - float(e @ w0) * w0 for e in np.eye(m)], 1e-8)
     Tm = np.stack(Tspan, axis=1)
@@ -229,18 +205,14 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
         # one search: its probes are the rows of P[0]
         W = w0 + P[0] @ Tm.T
         W /= np.linalg.norm(W, axis=1, keepdims=True)
-        return -C.gauges(W @ B.T, scan_tol)[None, :]
+        return -C.gauges(W @ B.T, gtol)[None, :]
 
     z, _, _ = located.compass_min(
         neg_gauge, np.zeros((1, Tm.shape[1])),
-        init_step=np.pi / max(8.0, count ** (1.0 / max(m - 1, 1))),
+        init_step=np.pi / max(8.0, count ** (1.0 / (m - 1))),
         step_tol=1e-9)
     w = w0 + Tm @ z[0]
-    w = w / float(np.linalg.norm(w))
-    g = gauge_at(w, tight_tol)
-    if g <= 0.0:
-        raise DimensionError("gauge vanishes along W; body is unbounded")
-    return _certified(C, 1.0 / g, _lex_smaller(B @ w), "sphere-scan", tol)
+    return w / float(np.linalg.norm(w))
 
 
 def _argmax_lex(vals: np.ndarray, dirs_ambient) -> int:

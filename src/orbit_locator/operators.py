@@ -9,6 +9,7 @@ sigma1(M) <= n * (1 + mem_tol).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +165,43 @@ def _axis_grid(bound: float, step: float) -> np.ndarray:
     return np.linspace(-bound, bound, intervals + 1)
 
 
+GRID_CHUNK = 16_384  # grid points enumerated at a time
+
+
+def grid_orbit_points(subspace: OperatorSubspace, x, n: float, step: float,
+                      band: float):
+    """Enumerate the coefficient box of the level-n ball on a grid with
+    spacing at most step.
+
+    Returns (size, chunks): the number of grid points, and an iterator
+    that walks the grid GRID_CHUNK points at a time and yields, per chunk,
+    the orbit points M x of the grid operators with sigma1(M) <= band,
+    each pulled back into the ball by the factor min(1, n / sigma1(M)).
+    Nothing is enumerated before chunks is iterated, so a caller can
+    refuse on size first; memory stays bounded by the chunk.
+    """
+    xv = linalg.as_vector(x)
+    axes = [_axis_grid(b, step) for b in coefficient_box(subspace, n)]
+    shape = tuple(len(a) for a in axes)
+    size = math.prod(shape)
+    stack = np.stack(subspace.basis)
+
+    def chunks():
+        for start in range(0, size, GRID_CHUNK):
+            idx = np.unravel_index(
+                np.arange(start, min(start + GRID_CHUNK, size)), shape)
+            coeffs = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
+            mats = np.einsum("pk,kij->pij", coeffs, stack)
+            sigmas = linalg.batch_spectral_norms(mats)
+            near = sigmas <= band
+            scale = np.minimum(1.0, n / np.maximum(sigmas[near], 1e-300))
+            yield (mats[near] * scale[:, None, None]) @ xv
+
+    return size, chunks()
+
+
 def epsilon_net(subspace: OperatorSubspace, x, n: float, eps: float,
-                cap: int = NET_CAP, mem_tol: float = MEM_TOL) -> list[np.ndarray]:
+                cap: int = NET_CAP) -> list[np.ndarray]:
     """Finite eps-cover of the level-n orbit ball {M x : sigma1(M) <= n}.
 
     Grids the coefficient box, keeps grid points inside the ball and pulls
@@ -184,33 +220,18 @@ def epsilon_net(subspace: OperatorSubspace, x, n: float, eps: float,
     k = subspace.k
     l2 = float(np.sqrt(np.sum(image_norms ** 2)))
     step = min(eps / (np.sqrt(k) * lmax), 2.0 * 0.95 * eps / (l2 * np.sqrt(k)))
-    bounds = coefficient_box(subspace, n)
-    axes = [_axis_grid(b, step) for b in bounds]
-    size = 1
-    for a in axes:
-        size *= len(a)
+    # operator-norm growth per unit coefficient step, for the boundary band
+    op_lip = float(np.sqrt(sum(linalg.spectral_norm(B) ** 2 for B in subspace.basis)))
+    size, chunks = grid_orbit_points(subspace, xv, n, step,
+                                     n + op_lip * step * np.sqrt(k))
     if size > cap:
         raise NetTooLargeError(
             f"epsilon net needs about {size} grid points (cap {cap}); "
             f"coarsen eps or lower n", required_size=size)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coeffs = np.stack([m.ravel() for m in mesh], axis=1)
-    stack = np.stack(subspace.basis)
-    mats = np.einsum("pk,kij->pij", coeffs, stack)
-    sigmas = linalg.batch_spectral_norms(mats)
-    # operator-norm growth per unit coefficient step, for the boundary band
-    op_lip = float(np.sqrt(sum(linalg.spectral_norm(B) ** 2 for B in subspace.basis)))
-    band = n + op_lip * step * np.sqrt(k)
-    keep = sigmas <= n * (1.0 + mem_tol)
-    rescale = (~keep) & (sigmas <= band)
-    points = [mats[keep] @ xv] if np.any(keep) else []
-    if np.any(rescale):
-        scaled = mats[rescale] * (n / sigmas[rescale])[:, None, None]
-        points.append(scaled @ xv)
-    if not points:
+    out = np.concatenate(list(chunks), axis=0)
+    if out.shape[0] == 0:
         return [np.zeros(subspace.dim)]
-    out = np.concatenate(points, axis=0)
-    return [out[i] for i in range(out.shape[0])]
+    return list(out)
 
 
 def covering_gap(subspace: OperatorSubspace, x, n: float, net,

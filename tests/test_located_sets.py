@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from orbit_locator import (MEM_TOL, DimensionError, GridOracleRefusal,
                            SolverFailure, ball_distance, euclidean_ball,
                            gauge_of_orbit_ball, grid_oracle_distance,
                            linear_image_ball, make_subspace, orbit_ball)
+from orbit_locator.operators import GRID_CHUNK
 from conftest import svd_sigma
 
 
@@ -139,6 +142,26 @@ def test_grid_oracle_brackets_solver(diag_sub):
         d = ball_distance(diag_sub, x, n, y, tol=1e-8).value
         lo, hi = grid_oracle_distance(diag_sub, x, n, y, eps=0.02)
         assert lo - 1e-9 <= d <= hi + 1e-9, (n, lo, d, hi)
+
+
+def test_grid_oracle_memory_is_bounded(diag_sub):
+    # the grid is walked in chunks, never built whole: at least 8 chunks
+    # here (the refusal below proves the size), and the peak allocation
+    # stays far below the 51 MB of materialising the meshgrid
+    x = np.array([1.0, 0.5])
+    y = np.array([0.3, 2.0])
+    with pytest.raises(GridOracleRefusal):
+        grid_oracle_distance(diag_sub, x, 1.0, y, eps=5e-3,
+                             cap=8 * GRID_CHUNK - 1)
+    tracemalloc.start()
+    try:
+        lo, hi = grid_oracle_distance(diag_sub, x, 1.0, y, eps=5e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    d = ball_distance(diag_sub, x, 1.0, y, tol=1e-8).value
+    assert lo - 1e-9 <= d <= hi + 1e-9, (lo, d, hi)
 
 
 def test_grid_oracle_refuses_many_coefficients():

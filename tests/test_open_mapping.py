@@ -6,7 +6,7 @@ from orbit_locator import (DimensionError, DistanceResult, LocatedSet,
                            inner_radius, linear_image_ball, open_map_radius,
                            orbit_ball)
 from orbit_locator.open_mapping import Undecided as DeadBand
-from conftest import svd_values
+from conftest import svd_sigma, svd_values
 
 
 def unit_disc():
@@ -75,6 +75,24 @@ def test_inner_radius_boxes(diag_sub):
         rr = inner_radius(ball, e, tol=1e-6)
         assert abs(rr.r - min(1.0, c)) <= 2e-6
         assert rr.method == "circle-scan"
+
+
+@pytest.mark.parametrize("m, method", [(1, "axis"), (2, "circle-scan"),
+                                       (3, "sphere-scan")])
+def test_inner_radius_rotated_ellipsoid(m, method):
+    # a rotated ellipsoid cut by a random m-dimensional span W: the worst
+    # direction falls between the scan samples, which alone miss r by
+    # about 1e-6 (m = 2) and 1e-4 (m = 3), so the refinement decides
+    rng = np.random.default_rng(100 + m)
+    for _ in range(3):
+        T = rng.normal(size=(m + 1, m + 1))
+        W = rng.normal(size=(m + 1, m))
+        ball = linear_image_ball(T, 1.0)
+        rr = inner_radius(ball, list(W.T), tol=1e-6)
+        BW = np.linalg.qr(W)[0]
+        r_true = 1.0 / svd_sigma(np.linalg.solve(T, BW))
+        assert abs(rr.r - r_true) <= 1e-9 * r_true, (rr.r, r_true)
+        assert rr.method == method
 
 
 def test_inner_radius_segment_ambient_vs_span():
