@@ -4,9 +4,12 @@ nearest point for every query.
 The main instance is the image of a scaled operator-norm ball through a
 fixed vector, {M x : M in span(B_1..B_k), sigma1(M) <= n}. Its solver has
 three routes: an exact shortcut when the orthogonal projection Py of the
-query onto the orbit span already lies in the set, an active-boundary
-Newton/KKT iteration for fast convergence, and a projected-gradient
-fallback whose stopping rule is a computable optimality certificate.
+query onto the orbit span already lies in the set, a boundary SQP
+candidate, and a projected-gradient fallback; every boundary answer is
+checked by a computable optimality certificate. The SQP step is Newton on
+the KKT system, with the curvature of sigma1 in the Lagrangian Hessian,
+when the top singular value is simple, and a first-order linearization of
+each cluster member when it is not.
 Projection onto the feasible region alternates between the span and the
 spectral-norm ball (Dykstra); its residual is folded into the certificate.
 
@@ -188,6 +191,7 @@ class OrbitBallContext:
     def __init__(self, subspace: operators.OperatorSubspace, x,
                  rank_tol: float = RANK_TOL):
         self.subspace = subspace
+        self.rank_tol = float(rank_tol)
         self.geo = operators.orbit(subspace, x, rank_tol)
         self.x = self.geo.x
         self.k = subspace.k
@@ -229,6 +233,23 @@ class OrbitBallContext:
         row-wise for a stack of vectors."""
         b = (v @ self.Phi) @ self.range_vecs
         return (b / self.range_lams) @ self.range_vecs.T
+
+    def rank_margin(self) -> float:
+        """The factor by which the singular values of Phi clear the rank
+        cut rank_tol * sigma_max(Phi), on whichever side they fall (inf
+        when Phi is zero). A small factor means the rank decision, and with
+        it P, is marginal."""
+        sv = np.linalg.svd(self.Phi, compute_uv=False)
+        cut = self.rank_tol * sv[0]
+        if cut == 0.0:
+            return np.inf
+        with np.errstate(divide="ignore"):
+            return float(np.min(np.maximum(sv / cut, cut / sv)))
+
+    def span_distance(self, y) -> float:
+        """||y - Py||, the distance to the orbit span: an exact lower bound
+        on the distance to every orbit ball."""
+        return self._query(linalg.as_vector(y))["base"]
 
     # ---- gauge ------------------------------------------------------------
 
@@ -442,14 +463,16 @@ class OrbitBallContext:
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
-    def _kkt_step(self, grad, G, slacks):
-        """Equality-constrained quadratic step with active-set multiplier
-        pruning: drops constraints whose multipliers come out negative."""
+    def _kkt_step(self, W, grad, G, slacks):
+        """Equality-constrained quadratic step on the model Hessian W with
+        active-set multiplier pruning: drops constraints whose multipliers
+        come out negative. With every constraint dropped the step is the
+        unconstrained one on the objective Hessian H."""
         idx = list(range(G.shape[1]))
         while idx:
             p = len(idx)
             K = np.zeros((self.k + p, self.k + p))
-            K[:self.k, :self.k] = self.H
+            K[:self.k, :self.k] = W
             K[:self.k, self.k:] = G[:, idx]
             K[self.k:, :self.k] = G[:, idx].T
             rhs = np.concatenate([-grad, slacks[idx]])
@@ -460,12 +483,27 @@ class OrbitBallContext:
             idx.pop(int(np.argmin(mu)))
         return np.linalg.lstsq(self.H, -grad, rcond=None)[0]
 
+    def _sigma1_hessian(self, U, sig, Vt):
+        """Hessian of t -> sigma1(mat(t)) at a matrix with SVD (U, sig, Vt)
+        whose top singular value is simple:
+        sum over j >= 2 of [s1 (a_j a_j' + b_j b_j') + s_j (a_j b_j' + b_j a_j')]
+        / (s1^2 - s_j^2), with a_jk = u_j' Q_k v1 and b_jk = u1' Q_k v_j."""
+        a = np.einsum("kij,j->ki", self.stack, Vt[0]) @ U[:, 1:]
+        b = np.einsum("i,kij->kj", U[:, 0], self.stack) @ Vt[1:].T
+        s1, rest = sig[0], sig[1:]
+        den = s1 * s1 - rest * rest
+        cross = (a * (rest / den)) @ b.T
+        return s1 * ((a / den) @ a.T + (b / den) @ b.T) + cross + cross.T
+
     def _sqp(self, y, n: float, t0, max_outer: int = 80):
-        """Fast candidate via linearizing the top singular cluster on the
-        active boundary (one constraint per cluster member, so corners
-        where several singular values tie at n converge quadratically).
-        Returns (t, iterations, reason); the caller always re-verifies with
-        the optimality certificate."""
+        """Fast candidate on the active boundary sigma1(mat(t)) = n. When
+        the top singular value is simple (no other within 5%) each step is
+        Newton on the KKT system: the model Hessian is the Lagrangian's,
+        H + mu sigma1'', with mu the least-squares multiplier of the current
+        gradient. When it is clustered, each cluster member at n gets its
+        own linearized constraint on the objective Hessian alone, a
+        first-order step. Returns (t, iterations, reason); the caller
+        always re-verifies with the optimality certificate."""
         t = self.feasify(np.asarray(t0, dtype=float).copy(), n)
         f = self._f(t, y)
         iters = 0
@@ -473,7 +511,9 @@ class OrbitBallContext:
             iters += 1
             M = self.mat(t)
             grad = self._grad(t, y)
-            pairs = linalg.top_singular_pairs(M, rel_gap=0.05, max_pairs=3)
+            U, sig, Vt = np.linalg.svd(M)
+            pairs = linalg.top_singular_pairs(M, rel_gap=0.05, max_pairs=3,
+                                              factors=(U, sig, Vt))
             # the optimum sits on the boundary (the caller ruled out the
             # interior), so the top pair is always treated as active; ties
             # within a generous band join it and multiplier pruning evicts
@@ -484,7 +524,13 @@ class OrbitBallContext:
                 G = np.stack([np.einsum("i,kij,j->k", u, self.stack, v)
                               for (_, u, v) in active], axis=1)
                 slacks = np.array([n - s for (s, _, _) in active])
-                delta = self._kkt_step(grad, G, slacks)
+                W = self.H
+                if len(pairs) == 1:
+                    g = G[:, 0]
+                    mu = max(0.0, -float(grad @ g) / max(float(g @ g), 1e-300))
+                    if mu > 0.0:
+                        W = self.H + mu * self._sigma1_hessian(U, sig, Vt)
+                delta = self._kkt_step(W, grad, G, slacks)
             else:
                 delta = np.linalg.lstsq(self.H, -grad, rcond=None)[0]
             nd = float(np.linalg.norm(delta))
@@ -595,7 +641,7 @@ class OrbitBallContext:
                 if fn_ < best_f:
                     best_t, best_f = tn.copy(), fn_
                 tprev = tn
-            # Newton polish from the incumbent
+            # SQP polish from the incumbent
             t2, its2, _ = self._sqp(y, n, best_t, max_outer=25)
             it_total += its2
             t2 = self.feasify(t2, n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, located, operators
-from .defaults import BUDGET, STAB_TOL, TOL
+from .defaults import BUDGET, RANK_MARGIN, STAB_TOL, TOL
 from .errors import DimensionError, OrbitLocatorError, SolverFailure
 
 
@@ -39,9 +39,12 @@ class Located:
 
 @dataclass(frozen=True, eq=False)
 class Stabilized:
-    """Two consecutive levels agreed, so the global distance equals the
-    level-N distance: once d_N = d_{N+1}, enlarging the ball further can
-    never get closer."""
+    """The global distance is d, the level-N distance, within the report
+    tolerance plus the level-N solver tolerance. Certified by a lower
+    bound: every level distance is at least ||y - Py||, the distance to
+    the orbit span, and d_N came within those tolerances of it (0 stands
+    in for ||y - Py|| when the rank decision is marginal). Levels N and
+    N + 1 also agreed within stab_tol."""
     N: int
     d: float
 
@@ -132,8 +135,13 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
 
     * Located: tail_bound(n, d_n) <= tol^2, meaning all later minimizers
       stay within about tol of y_n; then y_inf = y_n, d = ||y - y_inf||.
-    * Stabilized: d_{n-1} and d_n agree within stab_tol; the global
-      distance is d_{n-1}.
+    * Stabilized: d_{n-1} and d_n agree within stab_tol, and d_{n-1} is
+      within tol + tol_{n-1} of the exact lower bound ||y - Py|| on every
+      level distance; the global distance is d_{n-1}. Agreement alone
+      proves nothing about the limit, so the lower bound is the
+      certificate. When a singular value of Phi lies within a factor
+      RANK_MARGIN of the rank cut, on either side, the rank decision behind
+      P is marginal and the lower bound drops to 0.
 
     Otherwise the verdict is Undecided with bracket [0, d_budget]: no
     finite sweep can certify a positive global lower bound.
@@ -168,12 +176,21 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
         if tail_bound(n, d_n) <= tol * tol:
             verdict = Located(d=d_n, y_inf=res.point)
             break
-        if len(levels) >= 2 and stabilize_check(levels[-2].d, d_n, stab_tol):
+        # the level n - 1 answer came with solver tolerance 2^-(n+1) or tol
+        if (len(levels) >= 2 and stabilize_check(levels[-2].d, d_n, stab_tol)
+                and levels[-2].d - _lower_bound(ctx, y)
+                <= tol + min(tol, 2.0 ** -(n + 1))):
             verdict = Stabilized(N=n - 1, d=levels[-2].d)
             break
     if verdict is None:
         verdict = Undecided(budget=budget, lower=0.0, upper=levels[-1].d)
     return _close_report(levels, verdict, tol)
+
+
+def _lower_bound(ctx: located.OrbitBallContext, y) -> float:
+    """Exact lower bound on the global distance: ||y - Py||, or 0 when the
+    rank decision behind P is marginal."""
+    return 0.0 if ctx.rank_margin() <= RANK_MARGIN else ctx.span_distance(y)
 
 
 def _close_report(levels, verdict, tol: float) -> DistanceReport:

@@ -248,10 +248,16 @@ def covering_gap(subspace: OperatorSubspace, x, n: float, net,
     scale = np.minimum(1.0, n / np.maximum(sigmas, 1e-300))
     members = (mats * scale[:, None, None]) @ xv
     net_arr = np.asarray(net, dtype=float)
+    # difference tiles of rows x cols points, with a running minimum per
+    # member, so memory does not grow with the net
+    rows, cols = 256, 1024
     worst = 0.0
-    chunk = 2048
-    for start in range(0, members.shape[0], chunk):
-        block = members[start:start + chunk]
-        d2 = ((block[:, None, :] - net_arr[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(np.sqrt(d2.min(axis=1).max())))
+    for start in range(0, members.shape[0], rows):
+        block = members[start:start + rows]
+        best = np.full(len(block), np.inf)
+        for lo in range(0, len(net_arr), cols):
+            diff = block[:, None, :] - net_arr[None, lo:lo + cols, :]
+            np.minimum(best, np.einsum("pqd,pqd->pq", diff, diff).min(axis=1),
+                       out=best)
+        worst = max(worst, float(np.sqrt(best.max())))
     return worst

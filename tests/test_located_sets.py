@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from orbit_locator import (MEM_TOL, DimensionError, GridOracleRefusal,
                            LocatedSet, OrbitBallContext, OrbitLocatorError,
-                           SolverFailure, ball_distance, euclidean_ball,
-                           gauge_of_orbit_ball, grid_oracle_distance,
-                           linear_image_ball, make_subspace, orbit_ball)
+                           SolverFailure, Stabilized, ball_distance,
+                           euclidean_ball, gauge_of_orbit_ball,
+                           grid_oracle_distance, linear_image_ball,
+                           locate_distance, make_subspace, orbit_ball)
 from orbit_locator.operators import GRID_CHUNK
-from conftest import svd_sigma
+from conftest import svd_sigma, svd_values
 
 
 def diag_formula(n, c=0.1):
@@ -203,6 +204,92 @@ def wide_draw_problem(index):
         x = g.normal(size=dim)
         y = g.normal(size=dim) * 1.5
     return basis, x, y
+
+
+def family50_problem(index):
+    """Problem `index` (from 20 on) of the acceptance family50 draw
+    (generator seed 424242): 20 diagonal-family queries come first, then
+    dim 2..4, k 1..3, drawn in the order dim, k, basis, x, y."""
+    g = np.random.default_rng(424242)
+    for _ in range(20):
+        g.normal(size=2)
+    for _ in range(index - 19):
+        dim = int(g.integers(2, 5))
+        k = int(g.integers(1, 4))
+        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
+        x = g.normal(size=dim)
+        y = g.normal(size=dim) * 1.5
+    return basis, x, y
+
+
+@pytest.mark.parametrize("dim,k", [(2, 3), (3, 2), (4, 3), (5, 4)])
+def test_sigma1_hessian_matches_second_differences(dim, k):
+    g = np.random.default_rng(100 * dim + k)
+    sub = make_subspace([g.normal(size=(dim, dim)) for _ in range(k)])
+    ctx = OrbitBallContext(sub, g.normal(size=dim))
+    t = g.normal(size=k)
+    U, sig, Vt = np.linalg.svd(ctx.mat(t))
+    assert sig[1] < 0.95 * sig[0]
+    hess = ctx._sigma1_hessian(U, sig, Vt)
+    # central second differences of sigma1 through the dilation oracle
+    h = 1e-4
+    E = h * np.eye(k)
+    fd = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            fd[i, j] = sum(si * sj * svd_sigma(ctx.mat(t + si * E[i] + sj * E[j]))
+                           for si in (1, -1) for sj in (1, -1)) / (4 * h * h)
+    assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-14)
+    assert np.abs(hess - fd).max() <= 1e-6 * np.abs(hess).max()
+
+
+def test_newton_step_certifies_quickly():
+    # a boundary solve with a simple top singular value: the step on the
+    # Lagrangian Hessian converges fast where the first-order step took 145
+    # iterations and a projected-gradient burst
+    basis, x, y = family50_problem(20)
+    assert (len(basis), x.size) == (3, 3)
+    sub = make_subspace(basis)
+    res = OrbitBallContext(sub, x).distance(y, 1.0, 1e-6)
+    assert res.method == "certified"
+    assert res.iterations <= 30, res.iterations
+    assert svd_sigma(sub.matrix(res.coeffs)) <= 1.0 + MEM_TOL
+
+
+@pytest.mark.parametrize("index", [23, 137])
+def test_sweep_settles_where_first_order_failed(index):
+    basis, x, y = wide_draw_problem(index)
+    sub = make_subspace(basis)
+    res = OrbitBallContext(sub, x).distance(y, 1.0, 1e-6)
+    assert res.method == "certified"
+    assert svd_sigma(sub.matrix(res.coeffs)) <= 1.0 + MEM_TOL
+    report = locate_distance(sub, x, y, budget=12, tol=1e-6)
+    assert isinstance(report.verdict, Stabilized), report.verdict
+    # the distance to the orbit span, by least squares on the images B_i x
+    images = np.stack([B @ x for B in basis], axis=1)
+    c = np.linalg.lstsq(images, y, rcond=None)[0]
+    span_d = float(np.linalg.norm(y - images @ c))
+    assert abs(report.verdict.d - span_d) <= 2e-6
+
+
+def test_near_tie_keeps_first_order_step(monkeypatch):
+    # the top two singular values of the optimal witness nearly tie; the
+    # curvature of sigma1 blows up there, so every step stays first order
+    gaps = []
+    hessian = OrbitBallContext._sigma1_hessian
+
+    def recorded(self, U, sig, Vt):
+        gaps.append(sig[1] / sig[0])
+        return hessian(self, U, sig, Vt)
+
+    monkeypatch.setattr(OrbitBallContext, "_sigma1_hessian", recorded)
+    basis, x, y = wide_draw_problem(35)
+    sub = make_subspace(basis)
+    res = OrbitBallContext(sub, x).distance(y, 1.0, 1e-6)
+    assert res.method == "certified"
+    s = svd_values(sub.matrix(res.coeffs))
+    assert s[0] <= 1.0 + MEM_TOL and s[1] >= 0.99 * s[0]
+    assert gaps == []
 
 
 def test_certified_witness_is_feasible():

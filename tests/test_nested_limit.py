@@ -82,6 +82,41 @@ def test_sweep_undecided_within_budget(diag_sub):
     assert abs(v.upper - 0.5) <= 1e-6
 
 
+def test_stabilized_needs_the_span_lower_bound(diag_sub):
+    # x = (1, 1e-8): the orbit span is the whole plane, so the distance from
+    # y = (0, 1) is 0, while the level distances 1 - 1e-8 n agree within
+    # stab_tol; agreement alone must not settle the sweep
+    y = np.array([0.0, 1.0])
+    report = locate_distance(diag_sub, np.array([1.0, 1e-8]), y, budget=12)
+    v = report.verdict
+    assert isinstance(v, Undecided), v
+    assert v.lower == 0.0 and abs(v.upper - (1.0 - 12e-8)) <= 1e-6
+    # x = (1, 0): the span is the first axis and d_1 = ||y - Py|| = 1
+    report = locate_distance(diag_sub, np.array([1.0, 0.0]), y, budget=12)
+    assert isinstance(report.verdict, Stabilized)
+    assert report.verdict.N == 1 and abs(report.verdict.d - 1.0) <= 1e-6
+
+
+def test_stabilized_at_a_marginal_rank(diag_sub):
+    # x = (1, 5e-10): the singular value 5e-10 of Phi falls a factor 2
+    # below the rank cut, so the span is taken to be the first axis and
+    # ||y - Py|| = 1 = d_1, but in exact arithmetic the distance is 0; a
+    # marginal rank leaves only the lower bound 0, which still certifies
+    # a distance near 0
+    x = np.array([1.0, 5e-10])
+    ctx = OrbitBallContext(diag_sub, x)
+    assert ctx.rank == 1 and 1.0 < ctx.rank_margin() <= 100.0
+    report = locate_distance(diag_sub, x, np.array([0.0, 1.0]), budget=12)
+    assert isinstance(report.verdict, Undecided), report.verdict
+    report = locate_distance(diag_sub, x, np.array([0.5, 0.0]), budget=12)
+    assert isinstance(report.verdict, Stabilized)
+    assert report.verdict.d <= 1e-6
+    assert abs(OrbitBallContext(diag_sub, [1.0, 1e-8]).rank_margin() - 10.0) <= 1e-9
+    assert OrbitBallContext(diag_sub, [1.0, 1e-6]).rank_margin() > 100.0
+    assert OrbitBallContext(diag_sub, [1.0, 0.0]).rank_margin() > 1e8
+    assert OrbitBallContext(diag_sub, [0.0, 0.0]).rank_margin() == np.inf
+
+
 def test_report_certificates_hold(diag_sub):
     x = np.array([1.0, 0.1])
     y = np.array([0.0, 1.0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,22 @@ def test_epsilon_net_covers(diag_sub):
     assert np.all(np.abs(arr[:, 0]) <= 1.0 + 1e-9)
     assert np.all(np.abs(arr[:, 1]) <= 0.1 + 1e-9)
     assert covering_gap(diag_sub, x, 1.0, net) <= 0.1
+
+
+def test_covering_gap_memory_is_bounded(diag_sub):
+    # 2048 samples against a 20449-point net: comparing them all at once
+    # takes about 1 GB, the tiled comparison a few MB
+    x = np.array([1.0, 0.5])
+    net = epsilon_net(diag_sub, x, 1.0, eps=0.02)
+    assert len(net) > 20_000
+    tracemalloc.start()
+    try:
+        gap = covering_gap(diag_sub, x, 1.0, net, samples=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert 0.0 < gap <= 0.02
 
 
 def test_epsilon_net_cap():
