@@ -95,10 +95,14 @@ class LocatedSet:
         return float(self.gauges(linalg.as_vector(v)[None, :], tol)[0])
 
 
+_LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
+
+
 @functools.lru_cache(maxsize=16)
 def _pattern(m: int) -> np.ndarray:
-    """The probe directions of compass_min in R^m, in probe order: +-e_i,
-    then (+-e_i +- e_j) / sqrt(2) for i < j. Shared, so read-only."""
+    """The probes of one compass_min round in R^m for a unit step, in probe
+    order: +-e_i, then (+-e_i +- e_j) / sqrt(2) for i < j, at each of the
+    _LEVELS step scales 1, 1/2, ..., largest first. Shared, so read-only."""
     dirs = []
     for i in range(m):
         e = np.zeros(m)
@@ -114,6 +118,7 @@ def _pattern(m: int) -> np.ndarray:
                     e[j] = sj
                     dirs.append(e / np.sqrt(2.0))
     D = np.stack(dirs) if dirs else np.zeros((0, m))
+    D = np.concatenate([D * 0.5 ** i for i in range(_LEVELS)])
     D.flags.writeable = False
     return D
 
@@ -123,17 +128,20 @@ def compass_min(fn, z0, *, init_step, step_tol, max_evals: int = 50_000,
     """Derivative-free coordinate/diagonal pattern descent, one search per
     row of z0, all run in lockstep.
 
-    Search i minimizes its own objective over R^m from z0[i], shrinking its
-    step (init_step and step_tol are scalars or one value per search) when
-    no direction improves. On convex objectives the final value is within
-    O(step) of the minimum. fn(rows, P) evaluates the objectives of the
-    searches rows[j] at the points P[j], shape (len(rows), p, m), and
-    returns shape (len(rows), p); each round makes one call covering every
-    search still active. batch_fn, when given, has the same form and
-    approximates fn more cheaply; it only steers the searches, and the
-    returned values are re-anchored on fn. Returns (z, fn(z), evaluations)
-    with z of the shape of z0, one value per search and the total number
-    of evaluations.
+    Search i minimizes its own objective over R^m from z0[i] (init_step
+    and step_tol are scalars or one value per search). Each round probes
+    every pattern direction at the four step sizes s, s/2, s/4 and s/8 at
+    once and moves to the best improving probe, keeping s; when no probe
+    improves, s shrinks by 16, and the search stops once s is at most
+    step_tol. On convex objectives the final value is within O(step) of
+    the minimum. fn(rows, P) evaluates the objectives of the searches
+    rows[j] at the points P[j], shape (len(rows), p, m), and returns shape
+    (len(rows), p); each round makes one call covering every search still
+    active. batch_fn, when given, has the same form and approximates fn
+    more cheaply; it only steers the searches, and the returned values are
+    re-anchored on fn. Returns (z, fn(z), evaluations) with z of the shape
+    of z0, one value per search and the total number of evaluations;
+    evaluations and max_evals (a per-search cap) count probes.
     """
     z = np.array(z0, dtype=float)
     S, m = z.shape
@@ -165,7 +173,7 @@ def compass_min(fn, z0, *, init_step, step_tol, max_evals: int = 50_000,
                 np.copyto(fa, low, where=better)
             if moved == act.size:
                 continue
-            np.multiply(sa, 0.5, out=sa, where=~better)
+            np.multiply(sa, 0.5 ** _LEVELS, out=sa, where=~better)
             keep = sa > la
             if np.count_nonzero(keep) < act.size:
                 z[act], f[act] = za, fa
@@ -269,7 +277,8 @@ class OrbitBallContext:
         Without a null space the least-norm preimage is the only preimage
         and the values come from one stacked SVD. Otherwise one lockstep
         pattern search over the null directions runs for all rows, steered
-        by closed-form spectral norms and re-anchored on LAPACK's."""
+        by closed-form spectral norms and re-anchored on LAPACK's; each of
+        its rounds is one spectral-norm sweep spanning four step sizes."""
         V = linalg.as_rows(V, self.dim)
         d = self.dim
         nv = np.linalg.norm(V, axis=1)

@@ -144,11 +144,11 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
     scanned with a deterministic sample in one row-wise gauge call: the
     single axis in one dimension, a uniform half-circle of angles in two,
     a seeded set of directions above that. The best sample is refined by
-    pattern descent in its tangent space, one gauge call per round, and
-    the result is certified two ways: gauge checks at the worst direction
-    and a full greedy membership run at radius r(1-tol). An infinite gauge
-    along any sampled direction short-circuits to r = 0 with that
-    direction reported.
+    pattern descent in its tangent space, one gauge call per round (a
+    round probes four step sizes at once), and the result is certified two
+    ways: gauge checks at the worst direction and a full greedy membership
+    run at radius r(1-tol). An infinite gauge along any sampled direction
+    short-circuits to r = 0 with that direction reported.
     """
     vectors = [linalg.as_vector(w) for w in W_basis]
     for w in vectors:
@@ -223,12 +223,13 @@ def _argmax_lex(vals: np.ndarray, dirs_ambient) -> int:
 
 def _certified(C, r: float, direction: np.ndarray, method: str,
                tol: float) -> RadiusResult:
-    g_edge = C.gauge(r * direction, GAUGE_TOL)
+    # the edge check at r*direction and the check just outside, in one call
+    g_edge, g_out = C.gauges(np.outer((1.0, 1.0 + 5.0 * tol), r * direction),
+                             GAUGE_TOL)
     if g_edge > 1.0 + tol:
         raise ConvergenceFailure(
             f"radius certificate failed: gauge at r*direction is {g_edge:.9f}",
             best=r, residual=g_edge - 1.0, iterations=0)
-    g_out = C.gauge((1.0 + 5.0 * tol) * r * direction, GAUGE_TOL)
     if not g_out > 1.0 - tol:
         raise ConvergenceFailure(
             "radius certificate failed: direction is not extremal",

@@ -57,6 +57,17 @@ def svd_sigma(M) -> float:
     return float(svd_values(M)[0])
 
 
+def svd_sigmas(Ms) -> np.ndarray:
+    """Top singular value of each square matrix in a stack, through the
+    dilation route of svd_values: the top eigenvalue of [[0, M], [M^T, 0]]."""
+    Ms = np.asarray(Ms, float)
+    d = Ms.shape[-1]
+    D = np.zeros(Ms.shape[:-2] + (2 * d, 2 * d))
+    D[..., :d, d:] = Ms
+    D[..., d:, :d] = np.swapaxes(Ms, -1, -2)
+    return np.clip(np.linalg.eigvalsh(D)[..., -1], 0.0, None)
+
+
 @pytest.fixture
 def diag_sub():
     """Span of the two diagonal matrix units in dimension 2."""

@@ -1,0 +1,185 @@
+"""compass_min, the lockstep pattern search behind every gauge with a null
+space and every inner radius, against references that do not use it:
+dense grids and golden section on the dilation oracle of conftest."""
+
+import numpy as np
+import pytest
+
+from orbit_locator import (OrbitBallContext, located, make_subspace,
+                           span_inner_radius)
+from orbit_locator.defaults import GAUGE_TOL
+from conftest import svd_sigma, svd_sigmas
+
+GOLD = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, lo, hi, iters=90):
+    """Row-wise golden-section search of a function unimodal on [lo, hi]:
+    f maps an array of abscissae to the values there. Returns the least
+    value found per row and its abscissa."""
+    a, b = np.array(lo, float), np.array(hi, float)
+    c, d = b - GOLD * (b - a), a + GOLD * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - GOLD * (b - a), a + GOLD * (b - a))
+        fnew = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+    return np.minimum(fc, fd), np.where(fc <= fd, c, d)
+
+
+def sigma1_objective(A, Ns):
+    """fn(rows, P) of compass_min for the single objective
+    z -> sigma1(A + sum_j z_j N_j), by LAPACK."""
+    def fn(rows, P):
+        M = A + sum(P[..., j, None, None] * N for j, N in enumerate(Ns))
+        return np.linalg.svd(M, compute_uv=False)[..., 0]
+    return fn
+
+
+def reference_min(A, Ns, R=4.0, grid=41):
+    """min over z in [-R, R]^m of sigma1(A + sum z_j N_j), m = 1 or 2: a
+    dense grid brackets the minimiser of the (convex) profile in z_1,
+    golden section finishes; in two coordinates the profile value at z_1
+    is itself a golden-section minimum over z_2 on [-R, R]."""
+    def profile(s):
+        M = A + s[..., None, None] * Ns[0]
+        if len(Ns) == 1:
+            return svd_sigmas(M)
+        return golden_min(lambda t: svd_sigmas(M + t[..., None, None] * Ns[1]),
+                          np.full(s.shape, -R), np.full(s.shape, R))[0]
+    zs = np.linspace(-R, R, grid)
+    i = int(np.argmin(profile(zs)))
+    assert 0 < i < grid - 1, "minimiser outside the reference box"
+    h = zs[1] - zs[0]
+    return float(golden_min(profile, [zs[i] - h], [zs[i] + h])[0][0])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compass_min_reaches_sigma1_minimum(m, seed):
+    g = np.random.default_rng(40 + seed)
+    A = g.normal(size=(3, 3))
+    Ns = [g.normal(size=(3, 3)) for _ in range(m)]
+    # sigma1 of the objective is Lipschitz in z with this constant
+    lip = np.sqrt(sum(svd_sigma(N) ** 2 for N in Ns))
+    ref = reference_min(A, Ns)
+    step_tol = 1e-8
+    z, f, evals = located.compass_min(sigma1_objective(A, Ns), np.zeros((1, m)),
+                                      init_step=1.0, step_tol=step_tol)
+    assert z.shape == (1, m) and f.shape == (1,) and evals > 1
+    assert abs(f[0] - ref) <= 4.0 * step_tol * lip, (f[0], ref)
+    assert f[0] == sigma1_objective(A, Ns)(None, z[:, None, :])[0, 0]
+
+
+def test_lockstep_rows_equal_one_row_runs():
+    g = np.random.default_rng(5)
+    S, m = 4, 2
+    A = g.normal(size=(S, 3, 3))
+    Ns = g.normal(size=(S, m, 3, 3))
+    z0 = g.normal(size=(S, m))
+    init = np.array([1.0, 0.3, 2.0, 0.05])
+    floor = np.array([1e-8, 1e-6, 1e-10, 1e-4])
+
+    def fn(rows, P):
+        # search i minimises sigma1(A_i + sum_j z_j N_ij)
+        M = A[rows, None] + sum(P[..., j, None, None] * Ns[rows, None, j]
+                                for j in range(m))
+        return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+    z, f, evals = located.compass_min(fn, z0, init_step=init, step_tol=floor)
+    total = 0
+    for i in range(S):
+        zi, fi, ei = located.compass_min(
+            lambda rows, P: fn(np.full(len(rows), i), P), z0[i:i + 1],
+            init_step=init[i], step_tol=floor[i])
+        assert np.array_equal(z[i], zi[0]) and f[i] == fi[0], i
+        total += ei
+    assert evals == total
+
+
+def null_space_problem(seed):
+    """A dimension-2 subspace of three operators whose orbit has rank 2,
+    built like the span corpus shape (2, 3, 2): the third operator sends x
+    into the span of the first two images, so the orbit map has a
+    one-dimensional kernel and every gauge runs a pattern search."""
+    g = np.random.default_rng(seed)
+    x = g.normal(size=2)
+    basis = [g.normal(size=(2, 2)) for _ in range(2)]
+    kill_x = np.eye(2) - np.outer(x, x) / float(x @ x)
+    mix = g.normal(size=2)
+    basis.append(mix[0] * basis[0] + mix[1] * basis[1]
+                 + g.normal(size=(2, 2)) @ kill_x)
+    return basis, x
+
+
+def reference_gauges(basis, x, V):
+    """Gauge of each row of V for the unit orbit ball of a null_space_problem:
+    the least sigma1 over the line of coefficient vectors c with
+    sum c_i B_i x = v, by golden section over the kernel coordinate on the
+    dilation oracle."""
+    B = np.stack(basis)
+    Phi = np.stack([Bi @ x for Bi in basis])            # rows B_i x
+    C0 = np.linalg.solve(Phi.T @ Phi, V.T).T @ Phi.T    # least-norm c
+    ker = np.cross(Phi[:, 0], Phi[:, 1])
+    ker /= np.linalg.norm(ker)
+
+    def mats(C):
+        return np.einsum("qk,kij->qij", C, B)
+
+    # sigma1 grows at least like |s| sigma1(ker) - sigma1(c0) along the line
+    span = 2.0 * svd_sigmas(mats(C0)) / svd_sigma(mats(ker[None])[0])
+    return golden_min(lambda s: svd_sigmas(mats(C0 + s[:, None] * ker)),
+                      -span, span)[0]
+
+
+def test_tight_gauge_search_rounds(monkeypatch):
+    # one tight gauge on a null-space ball: the rounds are sequential and
+    # each costs one spectral-norm sweep, so their number sets the cost of
+    # every inner radius
+    basis, x = null_space_problem(7)
+    ctx = OrbitBallContext(make_subspace(basis), x)
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (2, 1)
+    v = np.array([np.cos(0.3), np.sin(0.3)])
+    calls = []
+    search = located.compass_min
+
+    def count(f):
+        def counted(rows, P):
+            calls.append(len(rows))
+            return f(rows, P)
+        return counted
+
+    def counting_search(fn, z0, *, batch_fn=None, **kw):
+        return search(count(fn), z0, **kw,
+                      batch_fn=batch_fn and count(batch_fn))
+
+    monkeypatch.setattr(located, "compass_min", counting_search)
+    val, _ = ctx.gauge(v, GAUGE_TOL)
+    ref = float(reference_gauges(basis, x, v[None])[0])
+    assert abs(val - ref) <= 1e-9 * ref, (val, ref)
+    # calls to fn and batch_fn, the start and the re-anchoring included;
+    # with four step sizes probed per round the search makes about 20
+    assert len(calls) <= 25, len(calls)
+
+
+def test_null_space_inner_radius():
+    basis, x = null_space_problem(7)
+    sub = make_subspace(basis)
+    # a half circle of 4096 directions, then golden section in the angle
+    # around the largest gauge found
+    count = 4096
+    thetas = np.arange(count) * np.pi / count
+
+    def circle(th):
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+    j = int(np.argmax(reference_gauges(basis, x, circle(thetas))))
+    h = np.pi / count
+    low, _ = golden_min(lambda th: -reference_gauges(basis, x, circle(th)),
+                        [thetas[j] - h], [thetas[j] + h], 60)
+    r_ref = -1.0 / float(low[0])
+    rr = span_inner_radius(sub, x)
+    assert abs(rr.r - r_ref) <= 1e-7 * r_ref, (rr.r, r_ref)
