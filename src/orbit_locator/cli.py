@@ -10,6 +10,7 @@ input and flags produce byte-identical output. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -353,6 +354,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="orbit-locator", add_help=True)
     sub = parser.add_subparsers(dest="command")

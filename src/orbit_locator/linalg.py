@@ -119,21 +119,16 @@ def top_singular_triple(M):
     return float(s[0]), U[:, 0], Vt[0]
 
 
-def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4,
-                       factors=None):
+def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4):
     """Singular triples clustered at the top of the spectrum.
 
     Returns [(s, u, v), ...] for every singular value within rel_gap
     (relatively) of the largest, capped at max_pairs, with s recomputed as
     u @ M @ v so the triple is exactly consistent with the returned unit
-    vectors. Empty for the zero matrix. factors, when given, is M's SVD
-    (U, s, Vt) as np.linalg.svd returns it, so a caller that needs the
-    whole decomposition runs it once.
+    vectors. Empty for the zero matrix.
     """
     M = as_matrix(M)
-    if factors is None:
-        factors = np.linalg.svd(M, full_matrices=False)
-    U, sig, Vt = factors
+    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
     out = []
     for i in range(min(len(sig), max_pairs)):
         if sig[i] < sig[0] * (1.0 - rel_gap) or sig[i] <= 1e-300:

@@ -10,6 +10,11 @@ checked by a computable optimality certificate. The SQP step is Newton on
 the KKT system, with the curvature of sigma1 in the Lagrangian Hessian,
 when the top singular value is simple, and a first-order linearization of
 each cluster member when it is not.
+The SQP and the certificate run row-wise over levels: solve_levels finds
+and checks the boundary candidates of one query at many levels in one
+lockstep search, one stacked SVD per iteration, and distance picks its
+level's candidate up from the query cache; a single level is the one-row
+case.
 Projection onto the feasible region alternates between the span and the
 spectral-norm ball (Dykstra); its residual is folded into the certificate.
 
@@ -224,14 +229,17 @@ class OrbitBallContext:
 
     # ---- coefficient/matrix bridges -------------------------------------
 
+    # mat, point, feasify, _f and _grad are row-wise on stacks of
+    # coefficient vectors
+
     def mat(self, t) -> np.ndarray:
-        return np.einsum("k,kij->ij", t, self.stack)
+        return np.einsum("...k,kij->...ij", t, self.stack)
 
     def tcoords(self, M) -> np.ndarray:
         return np.einsum("ij,kij->k", M, self.stack)
 
     def point(self, t) -> np.ndarray:
-        return self.Phi @ t
+        return t @ self.Phi.T
 
     def orig_coeffs(self, t) -> np.ndarray:
         return np.linalg.solve(self.subspace.upper_tri, t)
@@ -320,11 +328,13 @@ class OrbitBallContext:
 
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
-    def feasify(self, t, n: float) -> np.ndarray:
-        sig = linalg.spectral_norm(self.mat(t))
-        if sig > n and sig > 0.0:
-            return t * (n / sig)
-        return t
+    def feasify(self, t, n) -> np.ndarray:
+        """t scaled down by n / sigma1(mat(t)) when that is below 1; n is a
+        scalar or broadcasts against the rows of a stack."""
+        t = np.asarray(t, dtype=float)
+        sig = _sigma1(self.mat(t))
+        over = (sig > n) & (sig > 0.0)
+        return t * np.where(over, n / np.where(over, sig, 1.0), 1.0)[..., None]
 
     def project(self, w, n: float, dyk_tol: float, max_sweeps: int = 400):
         """Euclidean projection of coefficient vector w onto
@@ -362,14 +372,31 @@ class OrbitBallContext:
 
     def _f(self, t, y):
         r = self.point(t) - y
-        return float(r @ r)
+        return np.einsum("...i,...i->...", r, r)
 
     def _grad(self, t, y):
-        return 2.0 * (self.Phi.T @ (self.point(t) - y))
+        return 2.0 * ((self.point(t) - y) @ self.Phi)
 
-    def _cert_gap(self, t, y, n: float) -> float:
-        """Upper bound on f(t) - min f over the feasible region, valid for
-        any feasible t.
+    def _bound(self, r, pen, D):
+        """The certificate's bound on f(t) - f* from a residual r = grad +
+        <Z, C_.> and a penalty pen, row-wise. The objective is exactly
+        quadratic, so on the range of Phi the residual converts at rate
+        1/(4 lam_min); only the component along the null directions pays
+        the worst-case linear rate ||r|| D."""
+        lin = np.linalg.norm(r, axis=-1) * D + pen
+        lam_r = self.range_lams[-1] - 1e-12 * self.range_lams[0]
+        if lam_r <= 0.0:
+            return lin
+        rr = r @ self.range_vecs
+        rn = r - rr @ self.range_vecs.T
+        quad = (np.einsum("...i,...i->...", rr, rr) / (4.0 * lam_r)
+                + np.linalg.norm(rn, axis=-1) * D + pen)
+        return np.minimum(lin, quad)
+
+    def _cert_gap(self, t, y, n, target=-np.inf) -> np.ndarray:
+        """Upper bound on f(t) - min f over the level-n feasible region for
+        each row t of a stack, valid for any feasible t; n and target are
+        scalars or one value per row.
 
         For orthonormal frames Up, Vp of the top singular cluster at t and
         any positive semidefinite Z, convexity of the objective and of the
@@ -378,110 +405,83 @@ class OrbitBallContext:
         with C_k = Up' Q_k Vp. Every PSD Z keeps the bound valid, so solve
         quality only affects tightness, never correctness. The frames must
         be matched (Up spans M Vp), otherwise no PSD Z can reproduce the
-        subgradient at a corner where several singular values tie."""
+        subgradient at a corner where several singular values tie.
+
+        One stacked SVD gives every row the bound at Z = 0 and the
+        single-pair closed form, which is exact when the top singular value
+        is simple. A row with other singular values within 1% of the top
+        one then searches Z in the frames of that cluster (at most 4 pairs)
+        by alternating projections, one row at a time, and stops at the
+        first bound <= its target. Every iterate is a valid bound, so
+        whether the result is <= target comes out as in the full search."""
+        t = np.asarray(t, dtype=float)
+        n = np.broadcast_to(np.asarray(n, dtype=float), t.shape[:1])
+        target = np.broadcast_to(np.asarray(target, dtype=float), n.shape)
         grad = self._grad(t, y)
-        D = n * np.sqrt(self.dim) + float(np.linalg.norm(t))
-        # the objective is exactly quadratic, so on the range of Phi the
-        # residual converts at rate 1/(4 lam_min); only the component along
-        # the null directions pays the worst-case linear rate
-        lam_r = 0.0
-        if self.rank > 0:
-            lam_r = float(self.range_lams[self.rank - 1]
-                          - 1e-12 * self.range_lams[0])
-        R = self.range_vecs
-
-        def bound(r, pen):
-            rho = float(np.linalg.norm(r))
-            lin = rho * D + pen
-            if lam_r <= 0.0:
-                return lin
-            rr = R.T @ r
-            rn = r - R @ rr
-            quad = (float(rr @ rr) / (4.0 * lam_r)
-                    + float(np.linalg.norm(rn)) * D + pen)
-            return min(lin, quad)
-
-        best = bound(grad, 0.0)
+        D = n * np.sqrt(self.dim) + np.linalg.norm(t, axis=1)
         M = self.mat(t)
-        pairs = linalg.top_singular_pairs(M, rel_gap=1e-2, max_pairs=4)
-        if not pairs:
-            return best
-        vs, _ = linalg.orthonormalize([v for (_, _, v) in pairs], 1e-8)
-        if not vs:
-            return best
-        cols = [M @ v for v in vs]
-        if min(float(np.linalg.norm(c)) for c in cols) <= 1e-14:
-            return best
-        us, _ = linalg.orthonormalize(cols, 1e-8)
-        p = min(len(us), len(vs))
-        if p == 0:
-            return best
-        Up = np.stack(us[:p], axis=1)
-        Vp = np.stack(vs[:p], axis=1)
+        U, sig, Vt = np.linalg.svd(M)
+        u, v = U[:, :, 0], Vt[:, 0]
+        c0 = np.einsum("ri,kij,rj->rk", u, self.stack, v)
+        mu = np.maximum(0.0, -np.einsum("rk,rk->r", grad, c0)
+                        / np.maximum(np.einsum("rk,rk->r", c0, c0), 1e-300))
+        pen = np.maximum(mu * (n - np.einsum("ri,rij,rj->r", u, M, v)), 0.0)
+        gap = self._bound(grad, 0.0, D)
+        top = sig[:, 0] > 1e-14
+        gap = np.where(top, np.minimum(
+            gap, self._bound(grad + mu[:, None] * c0, pen, D)), gap)
+        p = np.cumprod(sig[:, :4] >= 0.99 * sig[:, :1], axis=1).sum(axis=1)
+        for r in np.flatnonzero(top & (p > 1) & (gap > target)):
+            gap[r] = self._cluster_gap(grad[r], n[r], D[r], M[r],
+                                       U[r, :, :p[r]], Vt[r, :p[r]].T,
+                                       gap[r], target[r])
+        return gap
+
+    def _cluster_gap(self, grad, n, D, M, Up, Vp, best, target) -> float:
+        """_cert_gap's search for one row whose top singular value is
+        clustered, in the frames Up, Vp of the cluster: the least of best
+        and the bounds of the iterates, stopping once it is <= target."""
+        p = Up.shape[1]
         C = np.einsum("ia,kij,jb->kab", Up, self.stack, Vp)
         Cm = Up.T @ M @ Vp
 
         def score(Z):
             r = grad + np.einsum("ab,kab->k", Z, C)
             pen = max(n * float(np.trace(Z)) - float(np.sum(Z * Cm)), 0.0)
-            return bound(r, pen)
+            return float(self._bound(r, pen, D))
 
-        # single-pair closed form: exact when the top singular value is simple
-        c0 = C[:, 0, 0]
-        mu = max(0.0, -float(grad @ c0) / max(float(c0 @ c0), 1e-300))
-        Z = np.zeros((p, p))
-        Z[0, 0] = mu
-        out = min(best, score(Z))
-        if p == 1:
-            return out
-        # orthonormal basis of symmetric p x p matrices; coefficient 2-norm
-        # equals the Frobenius norm, so cone projection commutes with it
-        sym = []
-        for a in range(p):
-            for b in range(a, p):
-                B = np.zeros((p, p))
-                if a == b:
-                    B[a, a] = 1.0
-                else:
-                    B[a, b] = B[b, a] = np.sqrt(0.5)
-                sym.append(B)
-        A = np.stack([np.einsum("kab,ab->k", C, B) for B in sym], axis=1)
+        # orthonormal basis S of the symmetric p x p matrices; coefficient
+        # 2-norm equals the Frobenius norm, so cone projection commutes with it
+        S = np.zeros((p * (p + 1) // 2, p, p))
+        for m, (a, b) in enumerate(zip(*np.triu_indices(p))):
+            S[m, a, b] = S[m, b, a] = 1.0 if a == b else np.sqrt(0.5)
+        A = np.einsum("kab,mab->km", C, S)
         Apinv = np.linalg.pinv(A, rcond=1e-13)
-
-        def psd_clip(Zm):
-            lams, V = linalg.sym_eigh_desc(0.5 * (Zm + Zm.T), 1e-12)
-            return (V * np.clip(lams, 0.0, None)) @ V.T
-
-        def to_mat(z):
-            return sum(zi * B for zi, B in zip(z, sym))
-
-        def to_vec(Zm):
-            return np.array([float(np.sum(Zm * B)) for B in sym])
-
         # alternate between the affine set {A z = -grad} and the PSD cone;
         # each cone-side iterate is a valid certificate, keep the best
         z = Apinv @ (-grad)
-        Z = psd_clip(to_mat(z))
-        out = min(out, score(Z))
-        for _ in range(60):
-            z = to_vec(Z)
+        for _ in range(61):
+            lams, V = linalg.sym_eigh_desc(np.einsum("m,mab->ab", z, S), 1e-12)
+            Z = (V * np.clip(lams, 0.0, None)) @ V.T
+            best = min(best, score(Z))
+            if best <= target:
+                break
+            z = np.einsum("ab,mab->m", Z, S)
             z = z - Apinv @ (A @ z + grad)
-            Z = psd_clip(to_mat(z))
-            out = min(out, score(Z))
-        return out
+        return best
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
-    def _kkt_step(self, W, grad, G, slacks):
-        """Equality-constrained quadratic step on the model Hessian W with
-        active-set multiplier pruning: drops constraints whose multipliers
-        come out negative. With every constraint dropped the step is the
-        unconstrained one on the objective Hessian H."""
+    def _kkt_step(self, grad, G, slacks):
+        """Equality-constrained quadratic step on the objective Hessian H
+        with active-set multiplier pruning: drops constraints whose
+        multipliers come out negative. With every constraint dropped the
+        step is the unconstrained one."""
         idx = list(range(G.shape[1]))
         while idx:
             p = len(idx)
             K = np.zeros((self.k + p, self.k + p))
-            K[:self.k, :self.k] = W
+            K[:self.k, :self.k] = self.H
             K[:self.k, self.k:] = G[:, idx]
             K[self.k:, :self.k] = G[:, idx].T
             rhs = np.concatenate([-grad, slacks[idx]])
@@ -496,80 +496,173 @@ class OrbitBallContext:
         """Hessian of t -> sigma1(mat(t)) at a matrix with SVD (U, sig, Vt)
         whose top singular value is simple:
         sum over j >= 2 of [s1 (a_j a_j' + b_j b_j') + s_j (a_j b_j' + b_j a_j')]
-        / (s1^2 - s_j^2), with a_jk = u_j' Q_k v1 and b_jk = u1' Q_k v_j."""
-        a = np.einsum("kij,j->ki", self.stack, Vt[0]) @ U[:, 1:]
-        b = np.einsum("i,kij->kj", U[:, 0], self.stack) @ Vt[1:].T
-        s1, rest = sig[0], sig[1:]
+        / (s1^2 - s_j^2), with a_jk = u_j' Q_k v1 and b_jk = u1' Q_k v_j;
+        one Hessian per matrix for stacked factors."""
+        a = np.einsum("kij,...j->...ki", self.stack, Vt[..., 0, :]) @ U[..., 1:]
+        b = (np.einsum("...i,kij->...kj", U[..., 0], self.stack)
+             @ np.swapaxes(Vt[..., 1:, :], -1, -2))
+        s1, rest = sig[..., :1, None], sig[..., None, 1:]
         den = s1 * s1 - rest * rest
-        cross = (a * (rest / den)) @ b.T
-        return s1 * ((a / den) @ a.T + (b / den) @ b.T) + cross + cross.T
 
-    def _sqp(self, y, n: float, t0, max_outer: int = 80):
-        """Fast candidate on the active boundary sigma1(mat(t)) = n. When
-        the top singular value is simple (no other within 5%) each step is
-        Newton on the KKT system: the model Hessian is the Lagrangian's,
-        H + mu sigma1'', with mu the least-squares multiplier of the current
-        gradient. When it is clustered, each cluster member at n gets its
-        own linearized constraint on the objective Hessian alone, a
-        first-order step. Returns (t, iterations, reason); the caller
-        always re-verifies with the optimality certificate."""
-        t = self.feasify(np.asarray(t0, dtype=float).copy(), n)
+        def outer(p, q):
+            return p @ np.swapaxes(q, -1, -2)
+
+        cross = outer(a * (rest / den), b)
+        return (s1 * (outer(a / den, a) + outer(b / den, b))
+                + cross + np.swapaxes(cross, -1, -2))
+
+    def _sqp(self, y, n, t0, max_outer: int = 80):
+        """Candidates on the active boundary sigma1(mat(t)) = n, one search
+        per row of t0 (n: a scalar or one level per row) in lockstep; a row
+        leaves when its search ends. Each iteration makes one stacked mat
+        and one stacked SVD. Rows whose top singular value is simple (no
+        other within 5%) share one batched Newton step on the KKT system,
+        with the Lagrangian's Hessian H + mu sigma1'' and mu the
+        least-squares multiplier of the gradient. A clustered row gives each
+        cluster member at n its own linearized constraint on H alone, a
+        first-order step. Each row moves by the first alpha in 1, 1/2, ...,
+        2^-11 with f < f_prev - 1e-18 (full steps as one stacked trial, the
+        halvings of rejected rows as one more) and stops on a step below
+        1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after max_outer
+        iterations. t0 is scaled onto the ball first. Returns (t, iterations
+        per row); the caller always re-verifies with the certificate."""
+        t = np.array(t0, dtype=float)
+        n = np.broadcast_to(np.asarray(n, dtype=float), t.shape[:1])
+        t = self.feasify(t, n)
         f = self._f(t, y)
-        iters = 0
+        iters = np.zeros(len(t), dtype=int)
+        k, p = self.k, min(self.dim, 3)
+        eps = np.finfo(float).eps
+        H_inv = np.linalg.pinv(self.H, rcond=eps * k)
+        halves = 0.5 ** np.arange(1, 12)
+        act = np.arange(len(t))
         for _ in range(max_outer):
-            iters += 1
-            M = self.mat(t)
-            grad = self._grad(t, y)
+            if not act.size:
+                break
+            iters[act] += 1
+            ta, na, fa = t[act], n[act], f[act]
+            M = self.mat(ta)
+            grad = self._grad(ta, y)
             U, sig, Vt = np.linalg.svd(M)
-            pairs = linalg.top_singular_pairs(M, rel_gap=0.05, max_pairs=3,
-                                              factors=(U, sig, Vt))
+            # the pairs within 5% of the top: constraint gradients u'Q_k v
+            # and values u'Mv
+            Up, Vp = U[:, :, :p], Vt[:, :p]
+            G = np.einsum("rip,kij,rpj->rkp", Up, self.stack, Vp)
+            s = np.einsum("rip,rij,rpj->rp", Up, M, Vp)
+            band = np.cumprod((sig[:, :p] >= 0.95 * sig[:, :1])
+                              & (sig[:, :p] > 1e-300), axis=1).astype(bool)
+            pairs = band.sum(axis=1)
+            # the unconstrained step: no pair, or its multiplier pruned
+            delta = -grad @ H_inv.T
+            one = np.flatnonzero(pairs == 1)
+            if one.size:
+                g = G[one, :, 0]
+                mu = np.maximum(0.0, -np.einsum("rk,rk->r", grad[one], g)
+                                / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
+                K = np.zeros((one.size, k + 1, k + 1))
+                K[:, :k, :k] = self.H
+                bent = mu > 0.0
+                if bent.any():
+                    c = one[bent]
+                    K[bent, :k, :k] += (mu[bent, None, None]
+                                        * self._sigma1_hessian(U[c], sig[c], Vt[c]))
+                K[:, :k, k] = K[:, k, :k] = g
+                rhs = np.concatenate([-grad[one], (na[one] - s[one, 0])[:, None]],
+                                     axis=1)
+                sol = (np.linalg.pinv(K, rcond=eps * (k + 1)) @ rhs[..., None])[..., 0]
+                kept = sol[:, k] >= -1e-12
+                delta[one[kept]] = sol[kept, :k]
             # the optimum sits on the boundary (the caller ruled out the
             # interior), so the top pair is always treated as active; ties
             # within a generous band join it and multiplier pruning evicts
             # wrongly included ones
-            active = [pq for i, pq in enumerate(pairs)
-                      if i == 0 or pq[0] >= n * (1.0 - 1e-3)]
-            if active:
-                G = np.stack([np.einsum("i,kij,j->k", u, self.stack, v)
-                              for (_, u, v) in active], axis=1)
-                slacks = np.array([n - s for (s, _, _) in active])
-                W = self.H
-                if len(pairs) == 1:
-                    g = G[:, 0]
-                    mu = max(0.0, -float(grad @ g) / max(float(g @ g), 1e-300))
-                    if mu > 0.0:
-                        W = self.H + mu * self._sigma1_hessian(U, sig, Vt)
-                delta = self._kkt_step(W, grad, G, slacks)
-            else:
-                delta = np.linalg.lstsq(self.H, -grad, rcond=None)[0]
-            nd = float(np.linalg.norm(delta))
-            if nd <= 1e-13 * max(1.0, float(np.linalg.norm(t))):
-                return t, iters, "converged"
-            alpha = 1.0
-            accepted = False
-            for _ in range(12):
-                tc = self.feasify(t + alpha * delta, n)
+            for r in np.flatnonzero(pairs > 1):
+                on = band[r] & ((np.arange(p) == 0) | (s[r] >= na[r] * (1.0 - 1e-3)))
+                delta[r] = self._kkt_step(grad[r], G[r][:, on], na[r] - s[r, on])
+            moving = (np.linalg.norm(delta, axis=1)
+                      > 1e-13 * np.maximum(1.0, np.linalg.norm(ta, axis=1)))
+            live = np.flatnonzero(moving)
+            tc = self.feasify(ta[live] + delta[live], na[live])
+            fc = self._f(tc, y)
+            won = fc < fa[live] - 1e-18
+            ta[live[won]], fa[live[won]] = tc[won], fc[won]
+            lost = live[~won]
+            ended = ~moving
+            if lost.size:
+                tc = self.feasify(ta[lost, None] + halves[:, None] * delta[lost, None],
+                                  na[lost, None])
                 fc = self._f(tc, y)
-                if fc < f - 1e-18:
-                    t, f = tc, fc
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                return t, iters, "stall"
-            if abs(f) < 1e-30:
-                return t, iters, "converged"
-        return t, iters, "budget"
+                ok = fc < fa[lost, None] - 1e-18
+                j, won = ok.argmax(axis=1), ok.any(axis=1)
+                w = np.flatnonzero(won)
+                ta[lost[w]], fa[lost[w]] = tc[w, j[w]], fc[w, j[w]]
+                ended[lost[~won]] = True
+            t[act], f[act] = ta, fa
+            act = act[~(ended | (np.abs(fa) < 1e-30))]
+        return t, iters
 
     # ---- public distance query --------------------------------------------
 
-    def distance(self, y, n: float, tol: float = TOL, warm=None) -> DistanceResult:
-        """Distance from y to {M x : M in the span, sigma1(M) <= n}, within
-        tol, with a witness point. Raises SolverFailure with honest bounds
-        when the certificate cannot be met within the iteration budget."""
+    def _as_query(self, y) -> np.ndarray:
         y = linalg.as_vector(y)
         if y.shape != (self.dim,):
             raise DimensionError(f"query has shape {y.shape}, expected ({self.dim},)")
+        return y
+
+    def _interior(self, q: dict, n: float):
+        """(inside, g, t_rep) for the query data q at level n: whether Py
+        lies in the level-n ball, with g >= gauge(Py) and coefficients t_rep
+        of an operator of sigma1 g sending x to Py. gauge(Py) <= ub, so a
+        bound that clears n decides it exactly as the gauge would;
+        otherwise the gauge's search runs, once per query."""
+        g, t_rep = q["ub"], q["t_hat"]
+        if not g <= n - 5e-10 * max(1.0, g):
+            if "gauge" not in q:
+                q["gauge"] = self.gauge(q["Py"])
+            g, t_rep = q["gauge"]
+        return g <= n - 5e-10 * max(1.0, g), g, t_rep
+
+    def solve_levels(self, y, ns, tol=TOL) -> None:
+        """Boundary candidates for the query y at every level in ns, from
+        one lockstep _sqp and one stacked _cert_gap with target tol * dhat
+        (tol a scalar or one value per level). Levels whose route is
+        interior or degenerate, and levels already solved for this query,
+        are skipped. Each level starts from the interior route's
+        representative scaled onto its ball. The (t, iterations, f, gap,
+        target) of each level goes to the query cache, where distance takes
+        it up; nothing is certified here and no SolverFailure is raised."""
+        y = self._as_query(y)
+        if self.rank == 0:
+            return
+        q = self._query(y)
+        todo = {}
+        for n, tl in zip(map(float, ns), np.broadcast_to(tol, (len(ns),))):
+            if n <= 0.0 or n in q["levels"] or n in todo:
+                continue
+            inside, g, t_rep = self._interior(q, n)
+            if not inside:
+                todo[n] = (tl, t_rep * min(1.0, n * (1.0 - 1e-12) / g))
+        if not todo:
+            return
+        n = np.array(list(todo))
+        t, iters = self._sqp(y, n, [t0 for _, t0 in todo.values()])
+        f = self._f(t, y)
+        goal = [tl for tl, _ in todo.values()] * np.sqrt(f)
+        gap = self._cert_gap(t, y, n, goal)
+        for i, level in enumerate(todo):
+            q["levels"][level] = (t[i], int(iters[i]), float(f[i]),
+                                  float(gap[i]), float(goal[i]))
+
+    def distance(self, y, n: float, tol: float = TOL, warm=None) -> DistanceResult:
+        """Distance from y to {M x : M in the span, sigma1(M) <= n}, within
+        tol, with a witness point. A boundary level starts from its
+        solve_levels candidate (the cached one when an earlier call solved
+        this level for y) and returns it when its gap meets tol * dhat; with
+        warm it starts from an SQP run from warm instead. Otherwise
+        projected-gradient bursts and SQP polishes follow. Raises
+        SolverFailure with honest bounds when the certificate cannot be met
+        within the iteration budget."""
+        y = self._as_query(y)
         n = float(n)
         tol = float(tol)
         if n < 0.0:
@@ -580,33 +673,28 @@ class OrbitBallContext:
                 coeffs=np.zeros(self.k), tol=0.0, iterations=0,
                 method="degenerate")
         q = self._query(y)
-        base, Py = q["base"], q["Py"]
-        # gauge(Py) <= ub, so a bound that clears n decides the interior
-        # route exactly as the gauge would; otherwise search for the gauge
-        gPy, t_rep = q["ub"], q["t_hat"]
-        if not gPy <= n - 5e-10 * max(1.0, gPy):
-            if "gauge" not in q:
-                q["gauge"] = self.gauge(Py)
-            gPy, t_rep = q["gauge"]
-        if gPy <= n - 5e-10 * max(1.0, gPy):
+        inside, _, t_rep = self._interior(q, n)
+        if inside:
             return DistanceResult(
-                value=base, point=Py.copy(),
+                value=q["base"], point=q["Py"].copy(),
                 coeffs=self.orig_coeffs(t_rep), tol=tol, iterations=0,
                 method="interior")
         # boundary-active solve over orthonormal coefficients
-        if warm is not None:
-            t0 = self.feasify(np.asarray(warm, dtype=float).copy(), n)
-        elif t_rep is not None and gPy > 0:
-            t0 = t_rep * min(1.0, n * (1.0 - 1e-12) / gPy)
+        if warm is None:
+            if n not in q["levels"]:
+                self.solve_levels(y, [n], tol)
+            best_t, it_total, best_f, gap, goal = q["levels"][n]
+            best_t = best_t.copy()
+            # a gap at or below the search's target may be an early stop:
+            # when it misses this call's target, certify from scratch
+            if tol * np.sqrt(best_f) < gap <= goal:
+                gap = None
         else:
-            t0 = np.zeros(self.k)
-        t, iters, _ = self._sqp(y, n, t0)
-        t = self.feasify(t, n)
-        best_t = t.copy()
-        best_f = self._f(t, y)
-        best_lower = base
+            t, its = self._sqp(y, n, np.asarray(warm, dtype=float)[None])
+            best_t, it_total, gap = t[0], int(its[0]), None
+            best_f = float(self._f(best_t, y))
+        best_lower = q["base"]
         dyk_tol = max(1e-12, 1e-3 * tol) * max(n, 1.0)
-        it_total = iters
         z = best_t.copy()
         tprev = best_t.copy()
         theta = 1.0
@@ -614,8 +702,9 @@ class OrbitBallContext:
         stagnant = 0
         prev_mark = (np.inf, np.inf)
         while True:
-            gap = self._cert_gap(best_t, y, n)
             dhat = float(np.sqrt(best_f))
+            if gap is None:
+                gap = float(self._cert_gap(best_t[None], y, n, tol * dhat)[0])
             best_lower = max(best_lower, float(np.sqrt(max(best_f - gap, 0.0))))
             if dhat <= tol or gap <= tol * dhat:
                 return DistanceResult(
@@ -651,15 +740,16 @@ class OrbitBallContext:
                     best_t, best_f = tn.copy(), fn_
                 tprev = tn
             # SQP polish from the incumbent
-            t2, its2, _ = self._sqp(y, n, best_t, max_outer=25)
-            it_total += its2
-            t2 = self.feasify(t2, n)
+            t2, its2 = self._sqp(y, n, best_t[None], max_outer=25)
+            it_total += int(its2[0])
+            t2 = t2[0]
             f2 = self._f(t2, y)
             if f2 < best_f:
                 best_t, best_f = t2.copy(), f2
                 z = t2.copy()
                 tprev = t2.copy()
                 theta = 1.0
+            gap = None
         raise SolverFailure(
             "distance certificate not reached within iteration budget",
             lower=best_lower, upper=float(np.sqrt(best_f)),
@@ -669,7 +759,8 @@ class OrbitBallContext:
         """Per-query data kept across levels: Py, ||y - Py||, the least-norm
         preimage t_hat of Py and ub = sigma1(mat(t_hat)) >= gauge(Py). The
         gauge with its coefficients, under "gauge", is ub and t_hat when
-        there is no null space and is otherwise filled in on first need."""
+        there is no null space and is otherwise filled in on first need.
+        "levels" maps a boundary level to its solve_levels candidate."""
         key = y.tobytes()
         hit = self._query_cache.get(key)
         if hit is not None:
@@ -678,7 +769,7 @@ class OrbitBallContext:
         base = float(np.linalg.norm(y - Py))
         t_hat = self.min_norm_preimage(Py)
         ub = linalg.spectral_norm(self.mat(t_hat))
-        out = {"Py": Py, "base": base, "t_hat": t_hat, "ub": ub}
+        out = {"Py": Py, "base": base, "t_hat": t_hat, "ub": ub, "levels": {}}
         if self.null_vecs.shape[1] == 0:
             out["gauge"] = (ub, t_hat)
         if len(self._query_cache) > 128:

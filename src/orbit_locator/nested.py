@@ -146,8 +146,11 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     Otherwise the verdict is Undecided with bracket [0, d_budget]: no
     finite sweep can certify a positive global lower bound.
 
-    Warm starts reuse the previous minimizer's coefficients; they speed
-    the solver up but do not change any verdict.
+    One ctx.solve_levels call first finds every level's boundary candidate
+    in lockstep; ctx.distance then takes them up level by level and runs
+    its fallback only where a candidate misses the level's tolerance, so a
+    level past the verdict never runs it and a SolverFailure comes from the
+    first failing level the loop reaches.
     """
     if budget < 1:
         raise DimensionError("budget must be at least 1")
@@ -156,13 +159,13 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
     y = linalg.as_vector(y)
+    tols = [min(tol, 2.0 ** -(n + 2)) for n in range(1, budget + 1)]
+    ctx.solve_levels(y, range(1, budget + 1), tols)
     levels: list[Level] = []
-    warm = None
     verdict: object = None
-    for n in range(1, budget + 1):
-        tol_n = min(tol, 2.0 ** -(n + 2))
+    for n, tol_n in enumerate(tols, start=1):
         try:
-            res = ctx.distance(y, float(n), tol=tol_n, warm=warm)
+            res = ctx.distance(y, float(n), tol=tol_n)
         except SolverFailure as exc:
             report = _close_report(levels, None, tol)
             raise SolverFailure(
@@ -171,8 +174,6 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
                 iterations=exc.iterations, partial=report) from exc
         d_n = float(np.linalg.norm(y - res.point))
         levels.append(Level(n=n, d=d_n, y=res.point))
-        if res.coeffs is not None:
-            warm = subspace.to_ortho_coeffs(res.coeffs)
         if tail_bound(n, d_n) <= tol * tol:
             verdict = Located(d=d_n, y_inf=res.point)
             break

@@ -216,9 +216,16 @@ def _refine(C, B: np.ndarray, w0: np.ndarray, gtol: float,
 
 
 def _argmax_lex(vals: np.ndarray, dirs_ambient) -> int:
+    """Index of the largest value; values within 1e-12 max(top, 1) of it
+    tie, and the lexicographically smallest _lex_smaller direction wins."""
     top = float(np.max(vals))
-    tied = [j for j in range(len(vals)) if vals[j] >= top - 1e-12 * max(top, 1.0)]
-    return min(tied, key=lambda j: tuple(_lex_smaller(dirs_ambient[j])))
+    tied = np.flatnonzero(vals >= top - 1e-12 * max(top, 1.0))
+    W = np.asarray(dirs_ambient, dtype=float)[tied]
+    # _lex_smaller(w) is -w exactly when the first nonzero entry is positive
+    lead = W[np.arange(len(W)), (W != 0.0).argmax(axis=1)]
+    W = np.where((lead > 0.0)[:, None], -W, W)
+    # lexsort is stable and takes its primary key last
+    return int(tied[np.lexsort(W.T[::-1])[0]])
 
 
 def _certified(C, r: float, direction: np.ndarray, method: str,

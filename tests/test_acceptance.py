@@ -4,17 +4,20 @@ its own verdict per test). Criteria 4, 5 and 8 share one batch of 50
 instances built in a module fixture."""
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from orbit_locator import (GridOracleRefusal, Located, Member, Stabilized, Witness,
+from orbit_locator import (MEM_TOL, GridOracleRefusal, Located, Member,
+                           OrbitBallContext, Stabilized, Witness,
                            ball_distance, cauchy_bound, demo_table,
                            diag_subspace, euclidean_ball, greedy_decompose,
                            grid_oracle_distance, linear_image_ball,
                            locate_distance, make_subspace,
                            metric_complement_distance, op_norm, orbit,
                            orbit_ball, open_map_radius, pipeline_distance)
+from conftest import svd_sigma
 
 
 def _diag():
@@ -126,6 +129,29 @@ def test_criterion_05_verdicts_match_projection(family50):
     assert settled >= 40  # the sweep settles the vast majority
     print(f"\n[criterion 5] {settled}/50 verdicts match the projection "
           f"distance within 3e-6, levels nonincreasing: PASS")
+
+
+def test_criterion_05_family50_verdicts_pinned(family50):
+    instances, reports, _ = family50
+    kinds = Counter(type(report.verdict).__name__ for report in reports)
+    assert kinds == {"Stabilized": 43, "Undecided": 7}, kinds
+    # every certified level witness is in its ball by the dilation oracle;
+    # asking a level again returns the sweep's answer from the query cache
+    checked = 0
+    for (sub, x, y), report in zip(instances, reports):
+        ctx = OrbitBallContext(sub, x)
+        again = locate_distance(sub, x, y, budget=12, tol=1e-6, ctx=ctx)
+        assert [lv.d for lv in again.levels] == [lv.d for lv in report.levels]
+        for level in again.levels:
+            res = ctx.distance(y, float(level.n),
+                               tol=min(1e-6, 2.0 ** -(level.n + 2)))
+            assert np.array_equal(res.point, level.y)
+            if res.method == "certified":
+                sigma = svd_sigma(sub.matrix(res.coeffs))
+                assert sigma <= level.n * (1.0 + MEM_TOL), (level.n, sigma)
+                checked += 1
+    print(f"\n[criterion 5] family50: 43 Stabilized, 7 Undecided, "
+          f"{checked} certified level witnesses feasible: PASS")
 
 
 def test_criterion_06_open_map_radius():

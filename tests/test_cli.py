@@ -161,3 +161,17 @@ def test_flag_overrides_file_tol(tmp_path, capsys):
     assert json.loads(out)["verdict"]["kind"] == "Located"
     _, out2, _ = run_cli(capsys, ["distance", path, "--tol", "1e-6"])
     assert json.loads(out2)["verdict"]["kind"] == "Stabilized"
+
+
+def test_cached_parser_matches_fresh_parser(tmp_path, capsys):
+    # the parser is built once per process: a flag given to one run must
+    # not carry over into the next
+    path = diag_problem(tmp_path, budget=12)
+    runs = [["distance", path, "--budget", "3"], ["distance", path]]
+    cached = [run_cli(capsys, argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    assert cached == fresh
+    assert cached[0][1] != cached[1][1]

@@ -406,3 +406,84 @@ def test_interior_witness_is_feasible():
             assert np.allclose(M @ x, res.point, atol=1e-9)
             assert np.allclose(res.point, Py, atol=1e-12)
     assert through_search >= 4
+
+
+def family50_diag_problem(index):
+    """Problem `index` (below 20) of the acceptance family50 draw: the
+    diagonal subspace with x = (1, c) and the index-th query of the draw."""
+    cs = [0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1, 0.75]
+    g = np.random.default_rng(424242)
+    for _ in range(index + 1):
+        y = g.normal(size=2) * 1.2
+    return [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.array([1.0, cs[index]]), y
+
+
+@pytest.mark.parametrize("source,index", [
+    ("family50", 7),    # diag c = 0.1: a clustered corner at level 1
+    ("family50", 20),
+    ("family50", 44),   # clustered at level 6
+    ("wide", 35),       # the top pair nearly ties at level 1
+])
+def test_lockstep_sqp_rows_match_one_row_solves(source, index):
+    if source == "wide":
+        basis, x, y = wide_draw_problem(index)
+    elif index < 20:
+        basis, x, y = family50_diag_problem(index)
+    else:
+        basis, x, y = family50_problem(index)
+    ctx = OrbitBallContext(make_subspace(basis), x)
+    q = ctx._query(y)
+    ns, starts = [], []
+    for n in range(1, 13):
+        inside, g, t_rep = ctx._interior(q, float(n))
+        if not inside:
+            ns.append(float(n))
+            starts.append(t_rep * min(1.0, n * (1.0 - 1e-12) / g))
+    assert len(ns) >= 2
+    ts, iters = ctx._sqp(y, ns, starts)
+    assert iters.shape == (len(ns),)
+    for n, t0, t in zip(ns, starts, ts):
+        t1, _ = ctx._sqp(y, n, [t0])
+        d = float(np.linalg.norm(ctx.point(t) - y))
+        d1 = float(np.linalg.norm(ctx.point(t1[0]) - y))
+        assert abs(d - d1) <= 1e-12, (n, d, d1)
+        assert svd_sigma(ctx.mat(t)) <= n * (1.0 + MEM_TOL)
+
+
+def test_cert_gap_target_decides_as_full_search(diag_sub):
+    # level-1 points near the corner (1, 1) of the diag c = 0.1 ball, where
+    # the top two singular values tie or nearly tie; the query's nearest
+    # point is the corner (1, 0.1)
+    x = np.array([1.0, 0.1])
+    y = np.array([2.0, 1.0])
+    ctx = OrbitBallContext(diag_sub, x)
+    _, hi = grid_oracle_distance(diag_sub, x, 1.0, y, eps=1e-2)
+    g = np.random.default_rng(11)
+    ts = np.vstack([[1.0, 1.0], 1.0 - g.uniform(0.0, 0.02, size=(40, 2))])
+    cases = [(ctx, y, 1.0, ts, hi)]
+    # the level 1-3 candidates of wide-draw problem 35, whose top pair
+    # nearly ties: there the search still improves after its first iterate
+    basis, x, y = wide_draw_problem(35)
+    ctx = OrbitBallContext(make_subspace(basis), x)
+    ctx.solve_levels(y, [1, 2, 3])
+    for n, entry in ctx._query(y)["levels"].items():
+        cases.append((ctx, y, n, entry[0][None], None))
+    met = total = 0
+    for ctx, y, n, ts, hi in cases:
+        f = ctx._f(ts, y)
+        full = ctx._cert_gap(ts, y, n)
+        targets = [scale * full for scale in (0.5, 1.0, 2.0, 10.0)]
+        targets += [tol * np.sqrt(f) for tol in (1e-6, 1e-3, 1e-1)]
+        for target in targets:
+            gap = ctx._cert_gap(ts, y, n, target)
+            assert np.array_equal(gap <= target, full <= target)
+            assert np.all(gap >= full)
+            met += int(np.count_nonzero(gap <= target))
+            total += gap.size
+            # the corner's gap is 0, so its bound is the distance itself:
+            # allow rounding
+            if hi is not None:
+                for gp in (gap, full):
+                    assert np.all(np.sqrt(np.maximum(f - gp, 0.0)) <= hi + 1e-12)
+    # both decisions occur
+    assert 0 < met < total

@@ -6,6 +6,7 @@ from orbit_locator import (DimensionError, DistanceResult, LocatedSet,
                            inner_radius, linear_image_ball, open_map_radius,
                            orbit_ball)
 from orbit_locator.open_mapping import Undecided as DeadBand
+from orbit_locator.open_mapping import _argmax_lex, _lex_smaller
 from conftest import svd_sigma, svd_values
 
 
@@ -159,3 +160,26 @@ def test_open_map_radius_rank_deficient():
     assert "row rank" in str(exc.value)
     with pytest.raises(DimensionError):
         open_map_radius(np.zeros((3, 2)))  # more rows than columns
+
+
+def _argmax_lex_loop(vals, dirs):
+    # the rule written out: ties within 1e-12 max(top, 1), then the
+    # lexicographically smallest sign-normalized direction, first index
+    top = float(np.max(vals))
+    tied = [j for j in range(len(vals))
+            if vals[j] >= top - 1e-12 * max(top, 1.0)]
+    return min(tied, key=lambda j: tuple(_lex_smaller(dirs[j])))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_argmax_lex_matches_loop_rule(scale):
+    g = np.random.default_rng(int(np.log10(scale)) + 40)
+    for _ in range(200):
+        count = int(g.integers(1, 60))
+        # exact ties in value, and one value nudged inside the tie band
+        vals = g.integers(0, 3, size=count) * 0.5 * scale
+        vals[g.integers(count)] += 4e-13 * max(float(vals.max()), 1.0)
+        # entries in {-1, 0, 1}: zero leads, sign flips and repeated
+        # directions, so the lexicographic order ties too
+        dirs = g.integers(-1, 2, size=(count, int(g.integers(1, 4)))) * 1.0
+        assert _argmax_lex(vals, dirs) == _argmax_lex_loop(vals, dirs)
