@@ -5,18 +5,19 @@ The main instance is the image of a scaled operator-norm ball through a
 fixed vector, {M x : M in span(B_1..B_k), sigma1(M) <= n}. Its solver has
 three routes: an exact shortcut when the orthogonal projection Py of the
 query onto the orbit span already lies in the set, a boundary SQP
-candidate, and a projected-gradient fallback; every boundary answer is
-checked by a computable optimality certificate. The SQP step is Newton on
-the KKT system, with the curvature of sigma1 in the Lagrangian Hessian,
-when the top singular value is simple, and a first-order linearization of
-each cluster member when it is not.
-The SQP and the certificate run row-wise over levels: solve_levels finds
-and checks the boundary candidates of one query at many levels in one
-lockstep search, one stacked SVD per iteration, and distance picks its
+candidate, and ADMM as the one fallback. The SQP step is Newton on the KKT
+system, with the curvature of sigma1 in the Lagrangian Hessian, when the
+top singular value is simple, and a first-order linearization of each
+cluster member when it is not. Every boundary answer is certified by a
+duality gap: the Lagrangian dual has a closed form at any d x d multiplier
+W, so the SQP candidate is checked at its single-pair KKT multiplier, and
+ADMM stops once the best of its iterates scaled onto the ball meets the
+best dual bound of its multipliers. No alternating projection (Dykstra)
+runs. The SQP and the certificate run row-wise over levels: solve_levels
+finds and checks the boundary candidates of one query at many levels in
+one lockstep search, one stacked SVD per iteration, and distance picks its
 level's candidate up from the query cache; a single level is the one-row
 case.
-Projection onto the feasible region alternates between the span and the
-spectral-norm ball (Dykstra); its residual is folded into the certificate.
 
 The shortcut is decided lazily. sigma1 of the least-norm preimage of Py
 bounds gauge(Py) from above (it is the gauge when no span operator kills
@@ -218,25 +219,21 @@ class OrbitBallContext:
             self.range_vecs = V[:, :self.rank]
             self.range_lams = np.clip(lams[:self.rank], 1e-300, None)
             self.null_vecs = V[:, self.rank:]
-            self.L = 2.0 * float(lams[0])
         else:
             self.range_vecs = np.zeros((self.k, 0))
             self.range_lams = np.zeros(0)
             self.null_vecs = np.eye(self.k)
-            self.L = 0.0
-        self.eta = 1.0 / self.L if self.L > 0 else 0.0
         self._query_cache: dict[bytes, dict] = {}
 
     # ---- coefficient/matrix bridges -------------------------------------
 
-    # mat, point, feasify, _f and _grad are row-wise on stacks of
-    # coefficient vectors
+    # mat, tcoords, point, feasify, _f and _grad are row-wise on stacks
 
     def mat(self, t) -> np.ndarray:
         return np.einsum("...k,kij->...ij", t, self.stack)
 
     def tcoords(self, M) -> np.ndarray:
-        return np.einsum("ij,kij->k", M, self.stack)
+        return np.einsum("...ij,kij->...k", M, self.stack)
 
     def point(self, t) -> np.ndarray:
         return t @ self.Phi.T
@@ -339,8 +336,14 @@ class OrbitBallContext:
     def project(self, w, n: float, dyk_tol: float, max_sweeps: int = 400):
         """Euclidean projection of coefficient vector w onto
         {t : sigma1(mat(t)) <= n}, via alternating corrections between the
-        span and the spectral ball. Returns (t, shift) with t feasible and
-        shift an estimate of the distance to the exact projection."""
+        span and the spectral ball (Dykstra). Returns (t, shift) with t
+        feasible and shift an estimate of the distance to the exact
+        projection.
+
+        No solver route calls it; the fallback is ADMM. It stays defined
+        because perfbench/layertrace.py wraps it by looking it up with
+        owner.__dict__[attr]: removing it breaks the benchmark's --trace 1
+        run until that wrapper table drops it."""
         M0 = self.mat(w)
         sig = linalg.spectral_norm(M0)
         if sig <= n * (1.0 + 1e-15):
@@ -377,98 +380,54 @@ class OrbitBallContext:
     def _grad(self, t, y):
         return 2.0 * ((self.point(t) - y) @ self.Phi)
 
-    def _bound(self, r, pen, D):
-        """The certificate's bound on f(t) - f* from a residual r = grad +
-        <Z, C_.> and a penalty pen, row-wise. The objective is exactly
-        quadratic, so on the range of Phi the residual converts at rate
-        1/(4 lam_min); only the component along the null directions pays
-        the worst-case linear rate ||r|| D."""
-        lin = np.linalg.norm(r, axis=-1) * D + pen
-        lam_r = self.range_lams[-1] - 1e-12 * self.range_lams[0]
-        if lam_r <= 0.0:
-            return lin
-        rr = r @ self.range_vecs
-        rn = r - rr @ self.range_vecs.T
-        quad = (np.einsum("...i,...i->...", rr, rr) / (4.0 * lam_r)
-                + np.linalg.norm(rn, axis=-1) * D + pen)
-        return np.minimum(lin, quad)
-
-    def _cert_gap(self, t, y, n, target=-np.inf) -> np.ndarray:
-        """Upper bound on f(t) - min f over the level-n feasible region for
-        each row t of a stack, valid for any feasible t; n and target are
-        scalars or one value per row.
-
-        For orthonormal frames Up, Vp of the top singular cluster at t and
-        any positive semidefinite Z, convexity of the objective and of the
-        top singular value gives
-        f* >= f(t) - ||grad + <Z, C_.>|| * D - (n tr Z - <Up Z Vp', M>)
-        with C_k = Up' Q_k Vp. Every PSD Z keeps the bound valid, so solve
-        quality only affects tightness, never correctness. The frames must
-        be matched (Up spans M Vp), otherwise no PSD Z can reproduce the
-        subgradient at a corner where several singular values tie.
-
-        One stacked SVD gives every row the bound at Z = 0 and the
-        single-pair closed form, which is exact when the top singular value
-        is simple. A row with other singular values within 1% of the top
-        one then searches Z in the frames of that cluster (at most 4 pairs)
-        by alternating projections, one row at a time, and stops at the
-        first bound <= its target. Every iterate is a valid bound, so
-        whether the result is <= target comes out as in the full search."""
-        t = np.asarray(t, dtype=float)
-        n = np.broadcast_to(np.asarray(n, dtype=float), t.shape[:1])
-        target = np.broadcast_to(np.asarray(target, dtype=float), n.shape)
+    def _multiplier(self, t, y) -> np.ndarray:
+        """The single-pair KKT multiplier W = mu u1 v1' of each row t of a
+        stack, from one stacked SVD of mat(t): g_k = u1' Q_k v1 is the
+        gradient of the top singular value and mu = max(0, -<grad, g> /
+        ||g||^2) the least-squares multiplier of the objective's gradient.
+        W = 0 where sigma1 <= 1e-14."""
         grad = self._grad(t, y)
-        D = n * np.sqrt(self.dim) + np.linalg.norm(t, axis=1)
-        M = self.mat(t)
-        U, sig, Vt = np.linalg.svd(M)
+        U, sig, Vt = np.linalg.svd(self.mat(t))
         u, v = U[:, :, 0], Vt[:, 0]
-        c0 = np.einsum("ri,kij,rj->rk", u, self.stack, v)
-        mu = np.maximum(0.0, -np.einsum("rk,rk->r", grad, c0)
-                        / np.maximum(np.einsum("rk,rk->r", c0, c0), 1e-300))
-        pen = np.maximum(mu * (n - np.einsum("ri,rij,rj->r", u, M, v)), 0.0)
-        gap = self._bound(grad, 0.0, D)
-        top = sig[:, 0] > 1e-14
-        gap = np.where(top, np.minimum(
-            gap, self._bound(grad + mu[:, None] * c0, pen, D)), gap)
-        p = np.cumprod(sig[:, :4] >= 0.99 * sig[:, :1], axis=1).sum(axis=1)
-        for r in np.flatnonzero(top & (p > 1) & (gap > target)):
-            gap[r] = self._cluster_gap(grad[r], n[r], D[r], M[r],
-                                       U[r, :, :p[r]], Vt[r, :p[r]].T,
-                                       gap[r], target[r])
-        return gap
+        g = np.einsum("ri,kij,rj->rk", u, self.stack, v)
+        mu = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
+                        / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
+        mu = np.where(sig[:, 0] > 1e-14, mu, 0.0)
+        return mu[:, None, None] * u[:, :, None] * v[:, None, :]
 
-    def _cluster_gap(self, grad, n, D, M, Up, Vp, best, target) -> float:
-        """_cert_gap's search for one row whose top singular value is
-        clustered, in the frames Up, Vp of the cluster: the least of best
-        and the bounds of the iterates, stopping once it is <= target."""
-        p = Up.shape[1]
-        C = np.einsum("ia,kij,jb->kab", Up, self.stack, Vp)
-        Cm = Up.T @ M @ Vp
+    def _dual(self, W, y, n) -> np.ndarray:
+        """Lower bound on min f over the level-n feasible region from any
+        d x d multiplier W; row-wise for a stack of W (n a scalar or one
+        level per row).
 
-        def score(Z):
-            r = grad + np.einsum("ab,kab->k", Z, C)
-            pen = max(n * float(np.trace(Z)) - float(np.sum(Z * Cm)), 0.0)
-            return float(self._bound(r, pen, D))
+        With c = tcoords(W), its null part cut off (c' = c - N N'c,
+        W' = W - mat(N N'c)), every feasible t has
+        <W', mat(t)> = c't <= ||W'||_* sigma1 <= n ||W'||_*, so
+        f(t) >= f(t) + c't - n ||W'||_*. On the range of Phi the right
+        side is least at t* = R (R'(2 Phi'y - c') / 2 Lambda). Along the
+        null directions Phi R is orthogonal to Phi N, and f can fall below
+        its range part only through -2 <N'Phi'y, N't>, with ||N't|| <=
+        ||t|| <= n sqrt(d): that term keeps the bound valid when the rank
+        cut drops a nonzero eigenvalue of Phi'Phi."""
+        N, R = self.null_vecs, self.range_vecs
+        b = y @ self.Phi
+        c = self.tcoords(W)
+        cn = (c @ N) @ N.T
+        c = c - cn
+        t = (((2.0 * b - c) @ R) / (2.0 * self.range_lams)) @ R.T
+        nuc = np.linalg.svd(W - self.mat(cn), compute_uv=False).sum(axis=-1)
+        leak = 2.0 * np.sqrt(self.dim) * np.linalg.norm(b @ N)
+        return (self._f(t, y) + np.einsum("...k,...k->...", c, t)
+                - n * (nuc + leak))
 
-        # orthonormal basis S of the symmetric p x p matrices; coefficient
-        # 2-norm equals the Frobenius norm, so cone projection commutes with it
-        S = np.zeros((p * (p + 1) // 2, p, p))
-        for m, (a, b) in enumerate(zip(*np.triu_indices(p))):
-            S[m, a, b] = S[m, b, a] = 1.0 if a == b else np.sqrt(0.5)
-        A = np.einsum("kab,mab->km", C, S)
-        Apinv = np.linalg.pinv(A, rcond=1e-13)
-        # alternate between the affine set {A z = -grad} and the PSD cone;
-        # each cone-side iterate is a valid certificate, keep the best
-        z = Apinv @ (-grad)
-        for _ in range(61):
-            lams, V = linalg.sym_eigh_desc(np.einsum("m,mab->ab", z, S), 1e-12)
-            Z = (V * np.clip(lams, 0.0, None)) @ V.T
-            best = min(best, score(Z))
-            if best <= target:
-                break
-            z = np.einsum("ab,mab->m", Z, S)
-            z = z - Apinv @ (A @ z + grad)
-        return best
+    def _cert_gap(self, t, y, n) -> np.ndarray:
+        """Upper bound f(t) - _dual(W) on f(t) - min f over the level-n
+        feasible region for each feasible row t of a stack (n a scalar or
+        one level per row), at the single-pair multiplier W of the row. Any
+        W gives a valid bound, so W only affects tightness: at an optimum
+        whose top singular value is simple the gap is 0 up to rounding."""
+        t = np.asarray(t, dtype=float)
+        return self._f(t, y) - self._dual(self._multiplier(t, y), y, n)
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
@@ -622,45 +581,78 @@ class OrbitBallContext:
             g, t_rep = q["gauge"]
         return g <= n - 5e-10 * max(1.0, g), g, t_rep
 
-    def solve_levels(self, y, ns, tol=TOL) -> None:
+    def solve_levels(self, y, ns) -> None:
         """Boundary candidates for the query y at every level in ns, from
-        one lockstep _sqp and one stacked _cert_gap with target tol * dhat
-        (tol a scalar or one value per level). Levels whose route is
+        one lockstep _sqp and one stacked _cert_gap. Levels whose route is
         interior or degenerate, and levels already solved for this query,
         are skipped. Each level starts from the interior route's
-        representative scaled onto its ball. The (t, iterations, f, gap,
-        target) of each level goes to the query cache, where distance takes
-        it up; nothing is certified here and no SolverFailure is raised."""
+        representative scaled onto its ball. The (t, iterations, f, gap) of
+        each level goes to the query cache, where distance takes it up;
+        nothing is certified against a tolerance here and no SolverFailure
+        is raised."""
         y = self._as_query(y)
         if self.rank == 0:
             return
         q = self._query(y)
         todo = {}
-        for n, tl in zip(map(float, ns), np.broadcast_to(tol, (len(ns),))):
+        for n in map(float, ns):
             if n <= 0.0 or n in q["levels"] or n in todo:
                 continue
             inside, g, t_rep = self._interior(q, n)
             if not inside:
-                todo[n] = (tl, t_rep * min(1.0, n * (1.0 - 1e-12) / g))
+                todo[n] = t_rep * min(1.0, n * (1.0 - 1e-12) / g)
         if not todo:
             return
         n = np.array(list(todo))
-        t, iters = self._sqp(y, n, [t0 for _, t0 in todo.values()])
+        t, iters = self._sqp(y, n, list(todo.values()))
         f = self._f(t, y)
-        goal = [tl for tl, _ in todo.values()] * np.sqrt(f)
-        gap = self._cert_gap(t, y, n, goal)
+        gap = self._cert_gap(t, y, n)
         for i, level in enumerate(todo):
             q["levels"][level] = (t[i], int(iters[i]), float(f[i]),
-                                  float(gap[i]), float(goal[i]))
+                                  float(gap[i]))
+
+    def _admm(self, y, n, tol, t, f, iters):
+        """ADMM on min f(s) + [sigma1(X) <= n] subject to mat(s) = X (Boyd
+        et al., Distributed Optimization and Statistical Learning via the
+        Alternating Direction Method of Multipliers, FnT ML 2011) from the
+        candidate t with f = f(t), iters iterations already spent, and W
+        from the multiplier of t. rho = 2 sqrt(lam_max lam_min) of Phi'Phi.
+        The best f(feasify(s)) is the upper bound and the largest _dual(W)
+        the lower one. Returns (t, iterations) once the gap is at most
+        tol sqrt(f) or sqrt(f) <= tol. There is no stall exit: after
+        MAX_SOLVER_ITERS iterations in all it raises SolverFailure."""
+        rho = 2.0 * np.sqrt(self.range_lams[0] * self.range_lams[-1])
+        inv = np.linalg.inv(self.H + rho * np.eye(self.k))
+        b = 2.0 * (y @ self.Phi)
+        X = self.mat(t)
+        W = self._multiplier(t[None], y)[0]
+        lower = -np.inf
+        while iters < MAX_SOLVER_ITERS:
+            iters += 1
+            s = inv @ (b - self.tcoords(W) + rho * self.tcoords(X))
+            S = self.mat(s)
+            X = linalg.clip_spectral(S + W / rho, n)
+            W = W + rho * (S - X)
+            ts = self.feasify(s, n)
+            fs = float(self._f(ts, y))
+            if fs < f:
+                t, f = ts, fs
+            lower = max(lower, float(self._dual(W, y, n)))
+            if f - lower <= tol * np.sqrt(f) or np.sqrt(f) <= tol:
+                return t, iters
+        raise SolverFailure(
+            "distance certificate not reached within iteration budget",
+            lower=float(np.sqrt(max(lower, 0.0))), upper=float(np.sqrt(f)),
+            iterations=iters, partial=self.point(t))
 
     def distance(self, y, n: float, tol: float = TOL, warm=None) -> DistanceResult:
         """Distance from y to {M x : M in the span, sigma1(M) <= n}, within
         tol, with a witness point. A boundary level starts from its
         solve_levels candidate (the cached one when an earlier call solved
-        this level for y) and returns it when its gap meets tol * dhat; with
-        warm it starts from an SQP run from warm instead. Otherwise
-        projected-gradient bursts and SQP polishes follow. Raises
-        SolverFailure with honest bounds when the certificate cannot be met
+        this level for y); with warm it starts from an SQP run from warm
+        instead. The candidate is returned when its duality gap is at most
+        tol times its distance, and otherwise ADMM runs from it. Raises
+        SolverFailure with honest bounds when ADMM cannot close the gap
         within the iteration budget."""
         y = self._as_query(y)
         n = float(n)
@@ -679,81 +671,21 @@ class OrbitBallContext:
                 value=q["base"], point=q["Py"].copy(),
                 coeffs=self.orig_coeffs(t_rep), tol=tol, iterations=0,
                 method="interior")
-        # boundary-active solve over orthonormal coefficients
         if warm is None:
             if n not in q["levels"]:
-                self.solve_levels(y, [n], tol)
-            best_t, it_total, best_f, gap, goal = q["levels"][n]
-            best_t = best_t.copy()
-            # a gap at or below the search's target may be an early stop:
-            # when it misses this call's target, certify from scratch
-            if tol * np.sqrt(best_f) < gap <= goal:
-                gap = None
+                self.solve_levels(y, [n])
+            t, iters, f, gap = q["levels"][n]
         else:
-            t, its = self._sqp(y, n, np.asarray(warm, dtype=float)[None])
-            best_t, it_total, gap = t[0], int(its[0]), None
-            best_f = float(self._f(best_t, y))
-        best_lower = q["base"]
-        dyk_tol = max(1e-12, 1e-3 * tol) * max(n, 1.0)
-        z = best_t.copy()
-        tprev = best_t.copy()
-        theta = 1.0
-        burst = 40
-        stagnant = 0
-        prev_mark = (np.inf, np.inf)
-        while True:
-            dhat = float(np.sqrt(best_f))
-            if gap is None:
-                gap = float(self._cert_gap(best_t[None], y, n, tol * dhat)[0])
-            best_lower = max(best_lower, float(np.sqrt(max(best_f - gap, 0.0))))
-            if dhat <= tol or gap <= tol * dhat:
-                return DistanceResult(
-                    value=dhat, point=self.point(best_t),
-                    coeffs=self.orig_coeffs(best_t), tol=tol,
-                    iterations=it_total, method="certified")
-            mark = (best_f, gap)
-            if (abs(mark[0] - prev_mark[0]) <= 1e-15 * max(1.0, best_f)
-                    and abs(mark[1] - prev_mark[1]) <= 1e-12 * max(1.0, gap)):
-                stagnant += 1
-            else:
-                stagnant = 0
-            prev_mark = mark
-            if stagnant >= 8 or it_total >= MAX_SOLVER_ITERS:
-                break
-            # burst of accelerated projected-gradient iterations
-            for _ in range(burst):
-                it_total += 1
-                w = z - self.eta * self._grad(z, y)
-                tn, _ = self.project(w, n, dyk_tol, max_sweeps=30)
-                fn_ = self._f(tn, y)
-                fprev = self._f(tprev, y)
-                if fn_ > fprev:
-                    z = tprev.copy()
-                    theta = 1.0
-                    tn = tprev
-                    fn_ = fprev
-                else:
-                    th1 = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-                    z = tn + ((theta - 1.0) / th1) * (tn - tprev)
-                    theta = th1
-                if fn_ < best_f:
-                    best_t, best_f = tn.copy(), fn_
-                tprev = tn
-            # SQP polish from the incumbent
-            t2, its2 = self._sqp(y, n, best_t[None], max_outer=25)
-            it_total += int(its2[0])
-            t2 = t2[0]
-            f2 = self._f(t2, y)
-            if f2 < best_f:
-                best_t, best_f = t2.copy(), f2
-                z = t2.copy()
-                tprev = t2.copy()
-                theta = 1.0
-            gap = None
-        raise SolverFailure(
-            "distance certificate not reached within iteration budget",
-            lower=best_lower, upper=float(np.sqrt(best_f)),
-            iterations=it_total, partial=self.point(best_t))
+            ts, its = self._sqp(y, n, np.asarray(warm, dtype=float)[None])
+            t, iters = ts[0], int(its[0])
+            f = float(self._f(t, y))
+            gap = float(self._cert_gap(ts, y, n)[0])
+        if gap > tol * np.sqrt(f) and np.sqrt(f) > tol:
+            t, iters = self._admm(y, n, tol, t, f, iters)
+        return DistanceResult(
+            value=float(np.sqrt(self._f(t, y))), point=self.point(t),
+            coeffs=self.orig_coeffs(t), tol=tol, iterations=iters,
+            method="certified")
 
     def _query(self, y) -> dict:
         """Per-query data kept across levels: Py, ||y - Py||, the least-norm

@@ -146,11 +146,11 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     Otherwise the verdict is Undecided with bracket [0, d_budget]: no
     finite sweep can certify a positive global lower bound.
 
-    One ctx.solve_levels call first finds every level's boundary candidate
-    in lockstep; ctx.distance then takes them up level by level and runs
-    its fallback only where a candidate misses the level's tolerance, so a
-    level past the verdict never runs it and a SolverFailure comes from the
-    first failing level the loop reaches.
+    One ctx.solve_levels call first finds and checks every level's
+    boundary candidate in lockstep; ctx.distance then takes them up level
+    by level and runs ADMM only where a candidate's duality gap misses the
+    level's tolerance, so a level past the verdict never runs it and a
+    SolverFailure comes from the first failing level the loop reaches.
     """
     if budget < 1:
         raise DimensionError("budget must be at least 1")
@@ -160,7 +160,7 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
         ctx = located.OrbitBallContext(subspace, x)
     y = linalg.as_vector(y)
     tols = [min(tol, 2.0 ** -(n + 2)) for n in range(1, budget + 1)]
-    ctx.solve_levels(y, range(1, budget + 1), tols)
+    ctx.solve_levels(y, range(1, budget + 1))
     levels: list[Level] = []
     verdict: object = None
     for n, tol_n in enumerate(tols, start=1):
