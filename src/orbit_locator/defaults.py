@@ -19,5 +19,5 @@ NET_CAP = 200_000       # epsilon-net size cap before refusing
 GRID_CAP = 40_000_000   # grid-oracle enumeration cap
 PROBE_SEED = 1729       # seed for sphere-scan and projection-certificate probes
 
-MAX_SOLVER_ITERS = 200_000  # ADMM iteration budget (SQP iterations count against it)
+MAX_SOLVER_ITERS = 80_000  # ADMM iteration budget (SQP iterations count against it)
 

@@ -10,14 +10,18 @@ system, with the curvature of sigma1 in the Lagrangian Hessian, when the
 top singular value is simple, and a first-order linearization of each
 cluster member when it is not. Every boundary answer is certified by a
 duality gap: the Lagrangian dual has a closed form at any d x d multiplier
-W, so the SQP candidate is checked at its single-pair KKT multiplier, and
-ADMM stops once the best of its iterates scaled onto the ball meets the
-best dual bound of its multipliers. No alternating projection (Dykstra)
-runs. The SQP and the certificate run row-wise over levels: solve_levels
-finds and checks the boundary candidates of one query at many levels in
-one lockstep search, one stacked SVD per iteration, and distance picks its
-level's candidate up from the query cache; a single level is the one-row
-case.
+W, so the SQP candidate is checked at two KKT multipliers, the single
+top pair's and a nonnegative fit over the pairs tied within 5% of the top,
+and ADMM, balancing its penalty against its residuals, stops once the best
+of its iterates scaled onto the ball meets the best dual bound of its
+multipliers. The gap is also the SQP's stop rule: every iteration takes it
+from the SVD it already makes, and a level leaves the search on the
+iteration it is certified at its tolerance. No alternating projection
+(Dykstra) runs. The SQP and the certificate run row-wise over levels:
+solve_levels finds and checks the boundary candidates of one query at many
+levels in one lockstep search, each started from the spectral clip of the
+interior representative, and distance picks its level's candidate up from
+the query cache; a single level is the one-row case.
 
 The shortcut is decided lazily. sigma1 of the least-norm preimage of Py
 bounds gauge(Py) from above (it is the gauge when no span operator kills
@@ -102,6 +106,8 @@ class LocatedSet:
 
 
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
+_BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
+_BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
 
 
 @functools.lru_cache(maxsize=16)
@@ -214,11 +220,15 @@ class OrbitBallContext:
         self.Phi = np.stack([Q @ self.x for Q in subspace.ortho], axis=1)
         self.rank = self.geo.rank
         self.H = 2.0 * (self.Phi.T @ self.Phi)
+        # H_inv is pinv(H) with pinv's own cut: drop 2 lam <= eps k 2 lam_max
+        self.H_inv = np.zeros((self.k, self.k))
         if self.rank > 0:
             lams, V = linalg.sym_eigh_desc(0.5 * self.H, 1e-14)
             self.range_vecs = V[:, :self.rank]
             self.range_lams = np.clip(lams[:self.rank], 1e-300, None)
             self.null_vecs = V[:, self.rank:]
+            kept = V[:, lams > np.finfo(float).eps * self.k * lams[0]]
+            self.H_inv = (kept / (2.0 * lams[:kept.shape[1]])) @ kept.T
         else:
             self.range_vecs = np.zeros((self.k, 0))
             self.range_lams = np.zeros(0)
@@ -380,20 +390,54 @@ class OrbitBallContext:
     def _grad(self, t, y):
         return 2.0 * ((self.point(t) - y) @ self.Phi)
 
-    def _multiplier(self, t, y) -> np.ndarray:
-        """The single-pair KKT multiplier W = mu u1 v1' of each row t of a
-        stack, from one stacked SVD of mat(t): g_k = u1' Q_k v1 is the
-        gradient of the top singular value and mu = max(0, -<grad, g> /
-        ||g||^2) the least-squares multiplier of the objective's gradient.
-        W = 0 where sigma1 <= 1e-14."""
+    def _top_pairs(self, U, sig, Vt):
+        """For stacked SVD factors of mat(t), with p = min(d, 3): the top p
+        pairs' outer products u_i v_i', shape (rows, p, d, d); G[r, k, i] =
+        u_i' Q_k v_i, the gradients of their singular values; and the band,
+        the leading pairs within 5% of the top."""
+        p = min(self.dim, 3)
+        outer = np.swapaxes(U[:, :, :p], 1, 2)[..., None] * Vt[:, :p, None, :]
+        G = np.swapaxes(self.tcoords(outer), 1, 2)
+        band = np.cumprod((sig[:, :p] >= 0.95 * sig[:, :1])
+                          & (sig[:, :p] > 1e-300), axis=1).astype(bool)
+        return outer, G, band
+
+    def _multiplier(self, t, y, svd=None) -> np.ndarray:
+        """Two KKT multipliers for each row t of a stack, shape (rows, 2, d,
+        d), from the SVD of mat(t) (svd, when the caller has it). The first
+        is the single pair W1 = mu u1 v1', mu = max(0, -<grad, g> /
+        ||g||^2) with g the gradient of the top singular value. The second
+        is the band W = sum mu_i u_i v_i' over _top_pairs' band, mu >= 0 the
+        nonnegative least-squares fit of -grad by the band's gradients,
+        found by trying every support; it is W1 when the band is one pair.
+        Where the top value ties, the subgradient spreads over the cluster
+        (Overton, SIAM J. Matrix Anal. Appl. 1988) and only the band W can
+        match it. Both are 0 where sigma1 <= 1e-14."""
         grad = self._grad(t, y)
-        U, sig, Vt = np.linalg.svd(self.mat(t))
-        u, v = U[:, :, 0], Vt[:, 0]
-        g = np.einsum("ri,kij,rj->rk", u, self.stack, v)
-        mu = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
-                        / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
-        mu = np.where(sig[:, 0] > 1e-14, mu, 0.0)
-        return mu[:, None, None] * u[:, :, None] * v[:, None, :]
+        U, sig, Vt = np.linalg.svd(self.mat(t)) if svd is None else svd
+        outer, G, band = self._top_pairs(U, sig, Vt)
+        p = G.shape[2]
+        g = G[:, :, 0]
+        mu = np.zeros((len(G), 2, p))
+        mu[:, :, 0] = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
+                                 / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))[:, None]
+        multi = np.flatnonzero(band.sum(axis=1) > 1)
+        if multi.size:
+            # least squares on each support S (a row of bits) by the masked
+            # normal equations; the fit is the nonnegative one, inside the
+            # band, of least residual
+            G, grad = G[multi], grad[multi]
+            S =((np.arange(2 ** p)[:, None] >> np.arange(p)) & 1).astype(bool)
+            A = np.swapaxes(G, 1, 2) @ G
+            b = -np.einsum("rkp,rk->rp", G, grad)
+            fit = (np.linalg.pinv(A[:, None] * (S[:, :, None] & S[:, None, :]))
+                   @ (b[:, None] * S)[..., None])[..., 0]
+            ok = ~(S & ~band[multi, None]).any(axis=2) & (fit >= 0.0).all(axis=2)
+            res = np.linalg.norm(grad[:, None] + fit @ np.swapaxes(G, 1, 2), axis=2)
+            mu[multi, 1] = fit[np.arange(multi.size),
+                               np.where(ok, res, np.inf).argmin(axis=1)]
+        mu *= (sig[:, :1] > 1e-14)[:, :, None]
+        return np.einsum("rwp,rpij->rwij", mu, outer)
 
     def _dual(self, W, y, n) -> np.ndarray:
         """Lower bound on min f over the level-n feasible region from any
@@ -420,14 +464,17 @@ class OrbitBallContext:
         return (self._f(t, y) + np.einsum("...k,...k->...", c, t)
                 - n * (nuc + leak))
 
-    def _cert_gap(self, t, y, n) -> np.ndarray:
-        """Upper bound f(t) - _dual(W) on f(t) - min f over the level-n
+    def _cert_gap(self, t, y, n, svd=None) -> np.ndarray:
+        """Upper bound f(t) - max _dual(W) on f(t) - min f over the level-n
         feasible region for each feasible row t of a stack (n a scalar or
-        one level per row), at the single-pair multiplier W of the row. Any
-        W gives a valid bound, so W only affects tightness: at an optimum
-        whose top singular value is simple the gap is 0 up to rounding."""
+        one level per row), over the row's two _multiplier W (svd, when
+        given, is the SVD of mat(t)). Any W gives a valid bound, so W only
+        affects tightness: at an optimum whose top singular value is simple,
+        or whose tied top values admit a nonnegative multiplier fit, the
+        gap is 0 up to rounding."""
         t = np.asarray(t, dtype=float)
-        return self._f(t, y) - self._dual(self._multiplier(t, y), y, n)
+        n = np.asarray(n, dtype=float)[..., None]
+        return self._f(t, y) - self._dual(self._multiplier(t, y, svd), y, n).max(axis=-1)
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
@@ -470,49 +517,59 @@ class OrbitBallContext:
         return (s1 * (outer(a / den, a) + outer(b / den, b))
                 + cross + np.swapaxes(cross, -1, -2))
 
-    def _sqp(self, y, n, t0, max_outer: int = 80):
+    def _sqp(self, y, n, t0, tol, max_outer: int = 80):
         """Candidates on the active boundary sigma1(mat(t)) = n, one search
-        per row of t0 (n: a scalar or one level per row) in lockstep; a row
-        leaves when its search ends. Each iteration makes one stacked mat
-        and one stacked SVD. Rows whose top singular value is simple (no
-        other within 5%) share one batched Newton step on the KKT system,
-        with the Lagrangian's Hessian H + mu sigma1'' and mu the
-        least-squares multiplier of the gradient. A clustered row gives each
-        cluster member at n its own linearized constraint on H alone, a
-        first-order step. Each row moves by the first alpha in 1, 1/2, ...,
-        2^-11 with f < f_prev - 1e-18 (full steps as one stacked trial, the
-        halvings of rejected rows as one more) and stops on a step below
-        1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after max_outer
-        iterations. t0 is scaled onto the ball first. Returns (t, iterations
-        per row); the caller always re-verifies with the certificate."""
+        per row of t0 (n and tol: scalars or one value per row) in
+        lockstep; a row leaves when its search ends. Each iteration makes
+        one stacked mat and one stacked SVD, and first takes every row's
+        duality gap (_cert_gap) from that SVD: a row stops once _certified
+        at its tol. The others step. Rows whose top singular value is
+        simple (no other within 5%) share one batched Newton step on the
+        KKT system, with the Lagrangian's Hessian H + mu sigma1'' and mu
+        the least-squares multiplier of the gradient. A clustered row gives
+        each cluster member at n its own linearized constraint on H alone,
+        a first-order step. Each row moves by the first alpha in 1, 1/2,
+        ..., 2^-11 with f < f_prev - 1e-18 (full steps as one stacked
+        trial, the halvings of rejected rows as one more) and otherwise
+        stops on a step below 1e-13 max(1, ||t||), on |f| < 1e-30, on a
+        stall or after max_outer iterations; such a row takes its gap at
+        its final point. t0 is scaled onto the ball first. Returns (t,
+        steps taken, f, gap), one per row."""
         t = np.array(t0, dtype=float)
         n = np.broadcast_to(np.asarray(n, dtype=float), t.shape[:1])
+        tol = np.broadcast_to(np.asarray(tol, dtype=float), t.shape[:1])
         t = self.feasify(t, n)
         f = self._f(t, y)
+        gap = np.zeros(len(t))
+        done = np.zeros(len(t), dtype=bool)
         iters = np.zeros(len(t), dtype=int)
-        k, p = self.k, min(self.dim, 3)
+        k = self.k
         eps = np.finfo(float).eps
-        H_inv = np.linalg.pinv(self.H, rcond=eps * k)
         halves = 0.5 ** np.arange(1, 12)
         act = np.arange(len(t))
         for _ in range(max_outer):
             if not act.size:
                 break
-            iters[act] += 1
             ta, na, fa = t[act], n[act], f[act]
-            M = self.mat(ta)
+            U, sig, Vt = svd = np.linalg.svd(self.mat(ta))
+            gap[act] = self._cert_gap(ta, y, na, svd)
+            shut = _certified(fa, gap[act], tol[act])
+            done[act] = shut
+            if shut.any():
+                act, ta, na, fa, U, sig, Vt = (
+                    a[~shut] for a in (act, ta, na, fa, U, sig, Vt))
+                if not act.size:
+                    break
+            iters[act] += 1
             grad = self._grad(ta, y)
-            U, sig, Vt = np.linalg.svd(M)
             # the pairs within 5% of the top: constraint gradients u'Q_k v
-            # and values u'Mv
-            Up, Vp = U[:, :, :p], Vt[:, :p]
-            G = np.einsum("rip,kij,rpj->rkp", Up, self.stack, Vp)
-            s = np.einsum("rip,rij,rpj->rp", Up, M, Vp)
-            band = np.cumprod((sig[:, :p] >= 0.95 * sig[:, :1])
-                              & (sig[:, :p] > 1e-300), axis=1).astype(bool)
+            # and values sigma
+            _, G, band = self._top_pairs(U, sig, Vt)
+            p = G.shape[2]
+            s = sig[:, :p]
             pairs = band.sum(axis=1)
             # the unconstrained step: no pair, or its multiplier pruned
-            delta = -grad @ H_inv.T
+            delta = -grad @ self.H_inv.T
             one = np.flatnonzero(pairs == 1)
             if one.size:
                 g = G[one, :, 0]
@@ -558,7 +615,10 @@ class OrbitBallContext:
                 ended[lost[~won]] = True
             t[act], f[act] = ta, fa
             act = act[~(ended | (np.abs(fa) < 1e-30))]
-        return t, iters
+        rest = np.flatnonzero(~done)
+        if rest.size:
+            gap[rest] = self._cert_gap(t[rest], y, n[rest])
+        return t, iters, f, gap
 
     # ---- public distance query --------------------------------------------
 
@@ -581,77 +641,94 @@ class OrbitBallContext:
             g, t_rep = q["gauge"]
         return g <= n - 5e-10 * max(1.0, g), g, t_rep
 
-    def solve_levels(self, y, ns) -> None:
+    def solve_levels(self, y, ns, tols) -> None:
         """Boundary candidates for the query y at every level in ns, from
-        one lockstep _sqp and one stacked _cert_gap. Levels whose route is
-        interior or degenerate, and levels already solved for this query,
-        are skipped. Each level starts from the interior route's
-        representative scaled onto its ball. The (t, iterations, f, gap) of
-        each level goes to the query cache, where distance takes it up;
-        nothing is certified against a tolerance here and no SolverFailure
-        is raised."""
+        one lockstep _sqp; tols is a scalar or one tolerance per level, and
+        each row of the search stops once its duality gap meets its level's
+        tolerance. Levels whose route is interior or degenerate, and levels
+        already solved for this query, are skipped. Each level starts from
+        the spectral clip U min(Sigma, n) V' of the interior route's
+        representative, taken back to coefficients. The (t, iterations, f,
+        gap, tol) of each level goes to the query cache, where distance
+        takes it up; no SolverFailure is raised here."""
         y = self._as_query(y)
         if self.rank == 0:
             return
         q = self._query(y)
+        ns = [float(n) for n in ns]
         todo = {}
-        for n in map(float, ns):
+        for n, tol in zip(ns, np.broadcast_to(np.asarray(tols, dtype=float), len(ns))):
             if n <= 0.0 or n in q["levels"] or n in todo:
                 continue
-            inside, g, t_rep = self._interior(q, n)
+            inside, _, t_rep = self._interior(q, n)
             if not inside:
-                todo[n] = t_rep * min(1.0, n * (1.0 - 1e-12) / g)
+                todo[n] = (t_rep, tol)
         if not todo:
             return
         n = np.array(list(todo))
-        t, iters = self._sqp(y, n, list(todo.values()))
-        f = self._f(t, y)
-        gap = self._cert_gap(t, y, n)
+        t_rep, tol = (np.array(v) for v in zip(*todo.values()))
+        U, sig, Vt = np.linalg.svd(self.mat(t_rep))
+        t0 = self.tcoords((U * np.minimum(sig, n[:, None])[:, None]) @ Vt)
+        t, iters, f, gap = self._sqp(y, n, t0, tol)
         for i, level in enumerate(todo):
             q["levels"][level] = (t[i], int(iters[i]), float(f[i]),
-                                  float(gap[i]))
+                                  float(gap[i]), float(tol[i]))
 
     def _admm(self, y, n, tol, t, f, iters):
         """ADMM on min f(s) + [sigma1(X) <= n] subject to mat(s) = X (Boyd
         et al., Distributed Optimization and Statistical Learning via the
         Alternating Direction Method of Multipliers, FnT ML 2011) from the
         candidate t with f = f(t), iters iterations already spent, and W
-        from the multiplier of t. rho = 2 sqrt(lam_max lam_min) of Phi'Phi.
-        The best f(feasify(s)) is the upper bound and the largest _dual(W)
-        the lower one. Returns (t, iterations) once the gap is at most
-        tol sqrt(f) or sqrt(f) <= tol. There is no stall exit: after
-        MAX_SOLVER_ITERS iterations in all it raises SolverFailure."""
+        from the band multiplier of t. rho starts at 2 sqrt(lam_max
+        lam_min) of Phi'Phi and is balanced every _BALANCE_EVERY iterations
+        (ibid. 3.4.1): doubled when the primal residual ||S - X|| exceeds
+        _BALANCE_RATIO times the dual one rho ||X - X_prev||, halved in
+        the opposite case. W is unscaled, so it needs no rescale. The best
+        f(feasify(s)) is the upper bound and the largest _dual(W) the lower
+        one. Returns (t, iterations, f, gap) once _certified at tol. There
+        is no stall exit: after MAX_SOLVER_ITERS iterations in all it
+        raises SolverFailure."""
         rho = 2.0 * np.sqrt(self.range_lams[0] * self.range_lams[-1])
         inv = np.linalg.inv(self.H + rho * np.eye(self.k))
         b = 2.0 * (y @ self.Phi)
         X = self.mat(t)
-        W = self._multiplier(t[None], y)[0]
+        W = self._multiplier(t[None], y)[0, 1]
         lower = -np.inf
+        start = iters
         while iters < MAX_SOLVER_ITERS:
             iters += 1
             s = inv @ (b - self.tcoords(W) + rho * self.tcoords(X))
             S = self.mat(s)
-            X = linalg.clip_spectral(S + W / rho, n)
+            X_prev, X = X, linalg.clip_spectral(S + W / rho, n)
             W = W + rho * (S - X)
             ts = self.feasify(s, n)
             fs = float(self._f(ts, y))
             if fs < f:
                 t, f = ts, fs
             lower = max(lower, float(self._dual(W, y, n)))
-            if f - lower <= tol * np.sqrt(f) or np.sqrt(f) <= tol:
-                return t, iters
+            if _certified(f, f - lower, tol):
+                return t, iters, f, f - lower
+            if (iters - start) % _BALANCE_EVERY == 0:
+                primal = np.linalg.norm(S - X)
+                dual = rho * np.linalg.norm(X - X_prev)
+                scale = (2.0 if primal > _BALANCE_RATIO * dual
+                         else 0.5 if dual > _BALANCE_RATIO * primal else 1.0)
+                if scale != 1.0:
+                    rho *= scale
+                    inv = np.linalg.inv(self.H + rho * np.eye(self.k))
         raise SolverFailure(
             "distance certificate not reached within iteration budget",
             lower=float(np.sqrt(max(lower, 0.0))), upper=float(np.sqrt(f)),
             iterations=iters, partial=self.point(t))
 
-    def distance(self, y, n: float, tol: float = TOL, warm=None) -> DistanceResult:
+    def distance(self, y, n: float, tol: float = TOL) -> DistanceResult:
         """Distance from y to {M x : M in the span, sigma1(M) <= n}, within
-        tol, with a witness point. A boundary level starts from its
-        solve_levels candidate (the cached one when an earlier call solved
-        this level for y); with warm it starts from an SQP run from warm
-        instead. The candidate is returned when its duality gap is at most
-        tol times its distance, and otherwise ADMM runs from it. Raises
+        tol, with a witness point. A boundary level takes its solve_levels
+        candidate (the cached one when an earlier call solved this level
+        for y) and returns it when _certified at tol. When tol is tighter
+        than the one the candidate was solved to, the one-row _sqp first
+        resumes from it at tol; what is still open runs ADMM, and the
+        certified answer replaces the cached candidate. Raises
         SolverFailure with honest bounds when ADMM cannot close the gap
         within the iteration budget."""
         y = self._as_query(y)
@@ -671,20 +748,19 @@ class OrbitBallContext:
                 value=q["base"], point=q["Py"].copy(),
                 coeffs=self.orig_coeffs(t_rep), tol=tol, iterations=0,
                 method="interior")
-        if warm is None:
-            if n not in q["levels"]:
-                self.solve_levels(y, [n])
-            t, iters, f, gap = q["levels"][n]
-        else:
-            ts, its = self._sqp(y, n, np.asarray(warm, dtype=float)[None])
-            t, iters = ts[0], int(its[0])
-            f = float(self._f(t, y))
-            gap = float(self._cert_gap(ts, y, n)[0])
-        if gap > tol * np.sqrt(f) and np.sqrt(f) > tol:
-            t, iters = self._admm(y, n, tol, t, f, iters)
+        if n not in q["levels"]:
+            self.solve_levels(y, [n], tol)
+        t, iters, f, gap, solved = q["levels"][n]
+        if not _certified(f, gap, tol):
+            if tol < solved:
+                ts, its, fs, gaps = self._sqp(y, n, t[None], tol)
+                t, iters, f, gap = ts[0], iters + int(its[0]), fs[0], gaps[0]
+            if not _certified(f, gap, tol):
+                t, iters, f, gap = self._admm(y, n, tol, t, f, iters)
+            q["levels"][n] = (t, iters, f, gap, tol)
         return DistanceResult(
             value=float(np.sqrt(self._f(t, y))), point=self.point(t),
-            coeffs=self.orig_coeffs(t), tol=tol, iterations=iters,
+            coeffs=self.orig_coeffs(t), tol=tol, iterations=int(iters),
             method="certified")
 
     def _query(self, y) -> dict:
@@ -715,12 +791,20 @@ def _sigma1(Ms) -> np.ndarray:
     return np.linalg.svd(Ms, compute_uv=False)[..., 0]
 
 
-def ball_distance(subspace, x, n: float, y, tol: float = TOL, warm=None,
+def _certified(f, gap, tol):
+    """The stop rule of every boundary solve, elementwise: the duality gap
+    is at most tol times the distance sqrt(f), or the distance is at most
+    tol."""
+    root = np.sqrt(f)
+    return (gap <= tol * root) | (root <= tol)
+
+
+def ball_distance(subspace, x, n: float, y, tol: float = TOL,
                   ctx: Optional[OrbitBallContext] = None) -> DistanceResult:
     """Distance from y to the level-n orbit ball of the subspace through x."""
     if ctx is None:
         ctx = OrbitBallContext(subspace, x)
-    return ctx.distance(y, n, tol, warm)
+    return ctx.distance(y, n, tol)
 
 
 def gauge_of_orbit_ball(subspace, x, v, tol: float = GAUGE_TOL) -> float:

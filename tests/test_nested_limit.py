@@ -151,12 +151,12 @@ def test_solver_failure_carries_partial(diag_sub, monkeypatch):
     real = OrbitBallContext.distance
     calls = {"n": 0}
 
-    def flaky(self, yy, n, tol=1e-6, warm=None):
+    def flaky(self, yy, n, tol=1e-6):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise SolverFailure("stalled", lower=0.1, upper=0.9,
                                 iterations=7)
-        return real(self, yy, n, tol=tol, warm=warm)
+        return real(self, yy, n, tol=tol)
 
     monkeypatch.setattr(OrbitBallContext, "distance", flaky)
     with pytest.raises(SolverFailure) as exc:
