@@ -6,12 +6,13 @@ fixed vector, {M x : M in span(B_1..B_k), sigma1(M) <= n}. Its solver has
 three routes: an exact shortcut when the orthogonal projection Py of the
 query onto the orbit span already lies in the set, a boundary SQP
 candidate, and ADMM as the one fallback. The SQP step is Newton on the KKT
-system, with the curvature of sigma1 in the Lagrangian Hessian, when the
-top singular value is simple, and a first-order linearization of each
-cluster member when it is not. Every boundary answer is certified by a
-duality gap: the Lagrangian dual has a closed form at any d x d multiplier
-W, so the SQP candidate is checked at two KKT multipliers, the single
-top pair's and a nonnegative fit over the pairs tied within 5% of the top,
+system of the top singular pair, with the curvature of sigma1 in the
+Lagrangian Hessian wherever the top singular value is simple, however close
+the second; only an exact tie drops it. Every boundary answer is certified
+by a duality gap: the Lagrangian dual has a closed form at any d x d
+multiplier W, so the SQP candidate is checked at two KKT multipliers, the
+single top pair's and a nonnegative fit over the pairs within 5% of the
+top, which covers the exact ties,
 and ADMM, balancing its penalty against its residuals, stops once the best
 of its iterates scaled onto the ball meets the best dual bound of its
 multipliers. The gap is also the SQP's stop rule: every iteration takes it
@@ -390,37 +391,33 @@ class OrbitBallContext:
     def _grad(self, t, y):
         return 2.0 * ((self.point(t) - y) @ self.Phi)
 
-    def _top_pairs(self, U, sig, Vt):
+    def _top_pairs(self, U, Vt):
         """For stacked SVD factors of mat(t), with p = min(d, 3): the top p
-        pairs' outer products u_i v_i', shape (rows, p, d, d); G[r, k, i] =
-        u_i' Q_k v_i, the gradients of their singular values; and the band,
-        the leading pairs within 5% of the top."""
+        pairs' outer products u_i v_i', shape (rows, p, d, d), and G[r, k,
+        i] = u_i' Q_k v_i, the gradients of their singular values."""
         p = min(self.dim, 3)
         outer = np.swapaxes(U[:, :, :p], 1, 2)[..., None] * Vt[:, :p, None, :]
-        G = np.swapaxes(self.tcoords(outer), 1, 2)
-        band = np.cumprod((sig[:, :p] >= 0.95 * sig[:, :1])
-                          & (sig[:, :p] > 1e-300), axis=1).astype(bool)
-        return outer, G, band
+        return outer, np.swapaxes(self.tcoords(outer), 1, 2)
 
     def _multiplier(self, t, y, svd=None) -> np.ndarray:
         """Two KKT multipliers for each row t of a stack, shape (rows, 2, d,
         d), from the SVD of mat(t) (svd, when the caller has it). The first
         is the single pair W1 = mu u1 v1', mu = max(0, -<grad, g> /
         ||g||^2) with g the gradient of the top singular value. The second
-        is the band W = sum mu_i u_i v_i' over _top_pairs' band, mu >= 0 the
-        nonnegative least-squares fit of -grad by the band's gradients,
-        found by trying every support; it is W1 when the band is one pair.
-        Where the top value ties, the subgradient spreads over the cluster
-        (Overton, SIAM J. Matrix Anal. Appl. 1988) and only the band W can
-        match it. Both are 0 where sigma1 <= 1e-14."""
+        is the band W = sum mu_i u_i v_i' over the leading pairs within 5% of
+        the top, mu >= 0 the nonnegative least-squares fit of -grad by their
+        gradients, found by trying every support; it is W1 when the band is
+        one pair. Where the top value ties, the subgradient spreads over the
+        cluster (Overton, SIAM J. Matrix Anal. Appl. 1988) and only the band
+        W can match it. Both are 0 where sigma1 <= 1e-14."""
         grad = self._grad(t, y)
         U, sig, Vt = np.linalg.svd(self.mat(t)) if svd is None else svd
-        outer, G, band = self._top_pairs(U, sig, Vt)
+        outer, G = self._top_pairs(U, Vt)
         p = G.shape[2]
-        g = G[:, :, 0]
+        band = np.cumprod((sig[:, :p] >= 0.95 * sig[:, :1])
+                          & (sig[:, :p] > 1e-300), axis=1).astype(bool)
         mu = np.zeros((len(G), 2, p))
-        mu[:, :, 0] = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
-                                 / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))[:, None]
+        mu[:, :, 0] = _top_multiplier(grad, G[:, :, 0])[:, None]
         multi = np.flatnonzero(band.sum(axis=1) > 1)
         if multi.size:
             # least squares on each support S (a row of bits) by the masked
@@ -478,26 +475,6 @@ class OrbitBallContext:
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
-    def _kkt_step(self, grad, G, slacks):
-        """Equality-constrained quadratic step on the objective Hessian H
-        with active-set multiplier pruning: drops constraints whose
-        multipliers come out negative. With every constraint dropped the
-        step is the unconstrained one."""
-        idx = list(range(G.shape[1]))
-        while idx:
-            p = len(idx)
-            K = np.zeros((self.k + p, self.k + p))
-            K[:self.k, :self.k] = self.H
-            K[:self.k, self.k:] = G[:, idx]
-            K[self.k:, :self.k] = G[:, idx].T
-            rhs = np.concatenate([-grad, slacks[idx]])
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            mu = sol[self.k:]
-            if np.all(mu >= -1e-12):
-                return sol[:self.k]
-            idx.pop(int(np.argmin(mu)))
-        return np.linalg.lstsq(self.H, -grad, rcond=None)[0]
-
     def _sigma1_hessian(self, U, sig, Vt):
         """Hessian of t -> sigma1(mat(t)) at a matrix with SVD (U, sig, Vt)
         whose top singular value is simple:
@@ -523,18 +500,19 @@ class OrbitBallContext:
         lockstep; a row leaves when its search ends. Each iteration makes
         one stacked mat and one stacked SVD, and first takes every row's
         duality gap (_cert_gap) from that SVD: a row stops once _certified
-        at its tol. The others step. Rows whose top singular value is
-        simple (no other within 5%) share one batched Newton step on the
-        KKT system, with the Lagrangian's Hessian H + mu sigma1'' and mu
-        the least-squares multiplier of the gradient. A clustered row gives
-        each cluster member at n its own linearized constraint on H alone,
-        a first-order step. Each row moves by the first alpha in 1, 1/2,
-        ..., 2^-11 with f < f_prev - 1e-18 (full steps as one stacked
-        trial, the halvings of rejected rows as one more) and otherwise
-        stops on a step below 1e-13 max(1, ||t||), on |f| < 1e-30, on a
-        stall or after max_outer iterations; such a row takes its gap at
-        its final point. t0 is scaled onto the ball first. Returns (t,
-        steps taken, f, gap), one per row."""
+        at its tol. The others share one batched Newton step on the KKT
+        system whose one constraint is the top pair's, sigma1 = n, with the
+        Lagrangian's Hessian H + mu sigma1'' and mu the least-squares
+        multiplier of the gradient; where mu is 0 or the top value ties
+        exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is undefined)
+        the Hessian is H. A row whose KKT multiplier comes out below -1e-12
+        takes the unconstrained step -H+ grad. Each row moves by the first
+        alpha in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as
+        one stacked trial, the halvings of rejected rows as one more) and
+        otherwise stops on a step below 1e-13 max(1, ||t||), on |f| <
+        1e-30, on a stall or after max_outer iterations; such a row takes
+        its gap at its final point. t0 is scaled onto the ball first.
+        Returns (t, steps taken, f, gap), one per row."""
         t = np.array(t0, dtype=float)
         n = np.broadcast_to(np.asarray(n, dtype=float), t.shape[:1])
         tol = np.broadcast_to(np.asarray(tol, dtype=float), t.shape[:1])
@@ -562,39 +540,25 @@ class OrbitBallContext:
                     break
             iters[act] += 1
             grad = self._grad(ta, y)
-            # the pairs within 5% of the top: constraint gradients u'Q_k v
-            # and values sigma
-            _, G, band = self._top_pairs(U, sig, Vt)
-            p = G.shape[2]
-            s = sig[:, :p]
-            pairs = band.sum(axis=1)
-            # the unconstrained step: no pair, or its multiplier pruned
-            delta = -grad @ self.H_inv.T
-            one = np.flatnonzero(pairs == 1)
-            if one.size:
-                g = G[one, :, 0]
-                mu = np.maximum(0.0, -np.einsum("rk,rk->r", grad[one], g)
-                                / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
-                K = np.zeros((one.size, k + 1, k + 1))
-                K[:, :k, :k] = self.H
-                bent = mu > 0.0
-                if bent.any():
-                    c = one[bent]
-                    K[bent, :k, :k] += (mu[bent, None, None]
-                                        * self._sigma1_hessian(U[c], sig[c], Vt[c]))
-                K[:, :k, k] = K[:, k, :k] = g
-                rhs = np.concatenate([-grad[one], (na[one] - s[one, 0])[:, None]],
-                                     axis=1)
-                sol = (np.linalg.pinv(K, rcond=eps * (k + 1)) @ rhs[..., None])[..., 0]
-                kept = sol[:, k] >= -1e-12
-                delta[one[kept]] = sol[kept, :k]
             # the optimum sits on the boundary (the caller ruled out the
-            # interior), so the top pair is always treated as active; ties
-            # within a generous band join it and multiplier pruning evicts
-            # wrongly included ones
-            for r in np.flatnonzero(pairs > 1):
-                on = band[r] & ((np.arange(p) == 0) | (s[r] >= na[r] * (1.0 - 1e-3)))
-                delta[r] = self._kkt_step(grad[r], G[r][:, on], na[r] - s[r, on])
+            # interior), so the top pair is the one constraint
+            g = self._top_pairs(U, Vt)[1][:, :, 0]
+            mu = _top_multiplier(grad, g)
+            K = np.zeros((act.size, k + 1, k + 1))
+            K[:, :k, :k] = self.H
+            # sigma1 is smooth wherever its value is simple, however close
+            # the second; at an exact tie sigma1'' is undefined
+            bent = np.flatnonzero((mu > 0.0) & np.all(
+                sig[:, 1:2] < (1.0 - 1e-12) * sig[:, :1], axis=1))
+            if bent.size:
+                K[bent, :k, :k] += (mu[bent, None, None]
+                                    * self._sigma1_hessian(U[bent], sig[bent], Vt[bent]))
+            K[:, :k, k] = K[:, k, :k] = g
+            rhs = np.concatenate([-grad, (na - sig[:, 0])[:, None]], axis=1)
+            sol = (np.linalg.pinv(K, rcond=eps * (k + 1)) @ rhs[..., None])[..., 0]
+            # a pruned multiplier leaves the unconstrained step
+            delta = np.where((sol[:, k] >= -1e-12)[:, None], sol[:, :k],
+                             -grad @ self.H_inv.T)
             moving = (np.linalg.norm(delta, axis=1)
                       > 1e-13 * np.maximum(1.0, np.linalg.norm(ta, axis=1)))
             live = np.flatnonzero(moving)
@@ -789,6 +753,13 @@ class OrbitBallContext:
 def _sigma1(Ms) -> np.ndarray:
     """Largest singular value of each matrix in a stack, by LAPACK."""
     return np.linalg.svd(Ms, compute_uv=False)[..., 0]
+
+
+def _top_multiplier(grad, g):
+    """The least-squares KKT multiplier of the top singular pair, row-wise:
+    max(0, -<grad, g> / ||g||^2) with g the gradient of sigma1."""
+    return np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
+                      / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
 
 
 def _certified(f, gap, tol):
