@@ -159,7 +159,7 @@ _REQUIRED = {
     "distance": ("levels", "cauchy_bounds", "verdict"),
     "balldist": ("n", "d", "point"),
     "project": ("P", "rank", "r", "probes"),
-    "radius": ("r", "direction", "method"),
+    "radius": ("r", "floor", "direction", "method"),
     "decompose": ("r", "outcome", "steps"),
     "omt": ("r", "direction", "method"),
 }
@@ -256,6 +256,7 @@ def _cmd_project(args) -> dict:
         "P": cert.P,
         "rank": cert.rank,
         "r": cert.r,
+        "floor": cert.floor,
         "note": cert.note,
         "probes": [{"y": row.y, "N": row.N, "d_pipeline": row.d_pipeline,
                     "d_oracle": row.d_oracle} for row in cert.per_y_trace],
@@ -273,6 +274,7 @@ def _cmd_radius(args) -> dict:
         "tol": rr.tol,
         "seed": p.seed,
         "r": rr.r,
+        "floor": rr.floor,
         "direction": rr.direction,
         "method": rr.method,
     }

@@ -17,7 +17,7 @@ RANK_MARGIN = 100.0  # a singular value this close (as a factor) to the rank cut
 
 NET_CAP = 200_000       # epsilon-net size cap before refusing
 GRID_CAP = 40_000_000   # grid-oracle enumeration cap
-PROBE_SEED = 1729       # seed for sphere-scan and projection-certificate probes
+PROBE_SEED = 1729       # seed for the random probes of build_projection
 
 # ADMM iteration budget (SQP iterations count against it): 13 times the
 # 1500 the hardest level of the test corpora needs (see README)

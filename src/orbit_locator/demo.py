@@ -57,18 +57,18 @@ def _row(c: float, budget: int, tol: float) -> DemoRow:
     # in the plane, and it is the ambient radius that controls truncation.
     # At c = 0 the span collapses and this radius honestly hits 0.
     ambient = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    r = om.inner_radius(ball, ambient, tol=min(tol, 1e-8)).r
-    if r > tol:
+    rr = om.inner_radius(ball, ambient, tol=min(tol, 1e-8))
+    if rr.floor > tol:
         d, N = pipeline.pipeline_distance(sub, x, y, tol=tol,
-                                          ctx=ctx, radius=r)
-        return DemoRow(c=float(c), r=r, N=N, d=d,
+                                          ctx=ctx, radius=rr.floor)
+        return DemoRow(c=float(c), r=rr.r, N=N, d=d,
                        levels_to_locate=0, verdict="pipeline")
     report = nested.locate_distance(sub, x, y, budget=budget, tol=tol,
                                     ctx=ctx)
     v = report.verdict
     name = type(v).__name__.lower()
     d = v.upper if isinstance(v, nested.Undecided) else v.d
-    return DemoRow(c=float(c), r=r, N=None, d=float(d),
+    return DemoRow(c=float(c), r=rr.r, N=None, d=float(d),
                    levels_to_locate=len(report.levels), verdict=name)
 
 

@@ -29,8 +29,8 @@ bounds gauge(Py) from above (it is the gauge when no span operator kills
 x), so when that bound already clears n the answer is Py, witnessed by
 the least-norm preimage; only otherwise does the gauge's pattern search
 over the null directions run. Gauges are evaluated row-wise on stacks of
-vectors, so a scan over many directions costs one stacked SVD, or one
-spectral-norm sweep per pattern round.
+vectors, so a round of the inner-radius search over many directions
+costs one stacked SVD, or one spectral-norm sweep per pattern round.
 
 Euclidean balls and linear images of balls (ellipsoids) are provided as
 exactly-locatable companions, and a pure enumeration oracle gives two-sided

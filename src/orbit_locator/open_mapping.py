@@ -3,10 +3,11 @@
 For a located, bounded, balanced, convex body C and a target y with
 ||y|| < r, the doubling recursion u_i = 2 u_{i-1} - x_i either writes y as
 a series sum 2^{-i} x_i with every x_i in 2C, or runs into a residual
-vector provably bounded away from C. Scanning unit directions for the
-largest gauge value turns the same machinery into an inner-radius
-computation, and applying it to the image of the unit ball under a
-surjective matrix recovers the open-mapping radius sigma_min.
+vector provably bounded away from C. A branch and bound over unit
+directions for the largest gauge value gives the inner radius with a
+rigorous floor, the same doubling run certifies it, and applied to the
+image of the unit ball under a surjective matrix the machinery recovers
+the open-mapping radius sigma_min.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, located
-from .defaults import GAUGE_TOL, PROBE_SEED, RANK_TOL
+from .defaults import GAUGE_TOL, RANK_TOL
 from .errors import ConvergenceFailure, DimensionError
 
 
@@ -63,6 +64,7 @@ class RadiusResult:
     direction: np.ndarray
     method: str
     tol: float
+    floor: float
 
 
 def _lex_smaller(w: np.ndarray) -> np.ndarray:
@@ -136,19 +138,35 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
     return Decomposition(steps=tuple(steps), outcome=Member(xi=xi), r=r, y=y)
 
 
-def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
-                 samples: int = 512) -> RadiusResult:
-    """Largest rho with the ball B(0, rho) of span(W_basis) inside C.
+# branch and bound of inner_radius over cube-face cells
+_BB_REL = 1e-9      # a cell stays live while its bound exceeds best * (1 + _BB_REL)
+_BB_KEEP = 4        # live cells split per round (at least m); the rest bound the floor
+_BB_SPLIT_BITS = 4  # a split makes max(2, 2**(_BB_SPLIT_BITS // (m-1))) children per axis
 
-    Equals 1 over the maximum gauge on the unit sphere of W. The sphere is
-    scanned with a deterministic sample in one row-wise gauge call: the
-    single axis in one dimension, a uniform half-circle of angles in two,
-    a seeded set of directions above that. The best sample is refined by
-    pattern descent in its tangent space, one gauge call per round (a
-    round probes four step sizes at once), and the result is certified two
-    ways: gauge checks at the worst direction and a full greedy membership
-    run at radius r(1-tol). An infinite gauge along any sampled direction
-    short-circuits to r = 0 with that direction reported.
+
+def inner_radius(C: located.LocatedSet, W_basis,
+                 tol: float = 1e-6) -> RadiusResult:
+    """Largest rho with the ball B(0, rho) of span(W_basis) inside C, with
+    a rigorous floor.
+
+    rho is 1 over the maximum gauge g on the unit sphere of W, found by a
+    branch and bound (Piyavskii 1972; Shubert 1972) whose cells are
+    (m-1)-cubes on the faces {u_i = 1} of the cube, covering the sphere up
+    to sign. Each round is one gauge call over its cells' centres, the axes
+    first. A computed gauge is sigma1 at a feasible preimage, so at least
+    g, and a cell of width h with centre c on face i holds no gauge above
+    the smaller of g(c/|c|) / cos delta, with delta = 2 asin(h sqrt(m-1)/4)
+    its angular radius (at the maximiser w*, g(u) >= g(w*) cos angle(u, w*)
+    by the supporting plane there), and |c| g(c/|c|) + (h/2) sum_{j != i}
+    g(e_j), by subadditivity, as the face has norm >= 1. A cell stays live
+    while its bound exceeds best * (1 + _BB_REL); the max(_BB_KEEP, m) live
+    cells with the largest bounds are split, the largest bound of the rest
+    is kept.
+
+    r is 1 over the best gauge found, direction its unit vector, and floor
+    1 over the larger of best * (1 + _BB_REL) and that kept bound. The line
+    (m = 1) is one tight gauge, with floor = r. A greedy membership run at
+    r(1 - tol) certifies r; an infinite gauge short-circuits to r = 0.
     """
     vectors = [linalg.as_vector(w) for w in W_basis]
     for w in vectors:
@@ -159,95 +177,76 @@ def inner_radius(C: located.LocatedSet, W_basis, tol: float = 1e-6, *,
     if m == 0:
         raise DimensionError("W_basis spans nothing; no inner radius")
     B = np.stack(basis, axis=1)
-    # scan with a coarse gauge (selects the best cell only), refine and
-    # certify with a tight one; an incomplete gauge descent overestimates,
-    # so the scan can misrank cells only within its own tolerance. The one
-    # direction of a line is scanned tight and needs no refinement.
-    scan_tol = max(min(1e-6, tol / 4.0), GAUGE_TOL)
-    tight_tol = GAUGE_TOL
     if m == 1:
-        method, dirs, scan_tol = "axis", np.ones((1, 1)), tight_tol
-    elif m == 2:
-        thetas = np.linspace(0.0, np.pi, samples, endpoint=False)
-        method = "circle-scan"
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        method, w = "axis", np.ones(1)
+        g = top = C.gauge(B[:, 0], GAUGE_TOL)
     else:
-        rng = np.random.default_rng(PROBE_SEED)
-        method = "sphere-scan"
-        dirs = rng.standard_normal((max(samples, 256 * m), m))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = C.gauges(dirs @ B.T, scan_tol)
-    if np.any(~np.isfinite(vals)):
-        j = int(np.argmax(~np.isfinite(vals)))
-        return RadiusResult(0.0, _lex_smaller(B @ dirs[j]),
-                            "unbounded-gauge", tol)
-    best = _argmax_lex(vals, dirs @ B.T)
-    w, g = dirs[best], float(vals[best])
-    if m > 1:
-        w = _refine(C, B, w, scan_tol, len(dirs))
-        g = C.gauge(B @ w, tight_tol)
+        method = "circle-scan" if m == 2 else "sphere-scan"
+        g, w, top = _branch_and_bound(C, B)
+    if not np.isfinite(g):
+        return RadiusResult(0.0, _lex_smaller(B @ w), "unbounded-gauge", tol,
+                            floor=0.0)
     if g <= 0.0:
         raise DimensionError("gauge vanishes along W; body is unbounded")
-    return _certified(C, 1.0 / g, _lex_smaller(B @ w), method, tol)
+    return _certified(C, RadiusResult(1.0 / g, _lex_smaller(B @ w), method,
+                                      tol, floor=1.0 / top), tol)
 
 
-def _refine(C, B: np.ndarray, w0: np.ndarray, gtol: float,
-            count: int) -> np.ndarray:
-    """Pattern-ascend the gauge from the unit direction w0 (coordinates in
-    the orthonormal columns of B) over the tangent chart w(z) ~ w0 + T z,
-    starting at the spacing of a count-point sample of the sphere."""
-    m = w0.size
-    Tspan, _ = linalg.orthonormalize(
-        [e - float(e @ w0) * w0 for e in np.eye(m)], 1e-8)
-    Tm = np.stack(Tspan, axis=1)
+def _branch_and_bound(C, B: np.ndarray) -> tuple:
+    """(best gauge found, its unit direction in the coordinates of B, the
+    largest gauge on the sphere the search leaves possible); the best is
+    inf, with its direction, as soon as a gauge is not finite."""
+    m = B.shape[1]
+    per = max(2, 2 ** (_BB_SPLIT_BITS // (m - 1)))
+    # children's centre offsets for a parent of unit width, one table per
+    # face: the face's own coordinate stays put
+    grid = (np.indices((per,) * (m - 1)).reshape(m - 1, -1).T + 0.5) / per - 0.5
+    kids = np.stack([np.insert(grid, i, 0.0, axis=1) for i in range(m)])
+    centres, faces, h = np.eye(m), np.arange(m), 2.0
+    best, w, dropped, lip = -np.inf, None, 0.0, None
+    keep_max = max(_BB_KEEP, m)
+    while True:
+        norms = np.linalg.norm(centres, axis=1)
+        dirs = centres / norms[:, None]
+        vals = C.gauges(dirs @ B.T, GAUGE_TOL)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            return np.inf, dirs[int(np.argmax(bad))], np.inf
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, w = float(vals[j]), dirs[j]
+        if lip is None:
+            # round 1 gauged the axes: per face, the sum over the others
+            lip = vals.sum() - vals
+        # a point of the cell has norm >= 1 and, by subadditivity, a gauge
+        # of at most g(centre) + (h/2) * lip
+        bound = norms * vals + 0.5 * h * lip[faces]
+        # cos delta = 1 - 2 sin^2(delta / 2); nonpositive past a quarter sphere
+        cos = 1.0 - h * h * (m - 1) / 8.0
+        if cos > 0.0:
+            bound = np.minimum(bound, vals / cos)
+        live = np.flatnonzero(bound > best * (1.0 + _BB_REL))
+        live = live[np.argsort(-bound[live], kind="stable")]
+        if live.size > keep_max:
+            dropped = max(dropped, float(bound[live[keep_max]]))
+            live = live[:keep_max]
+        if live.size == 0:
+            return best, w, max(best * (1.0 + _BB_REL), dropped)
+        centres = (centres[live, None, :] + h * kids[faces[live]]).reshape(-1, m)
+        faces = np.repeat(faces[live], grid.shape[0])
+        h /= per
 
-    def neg_gauge(rows, P):
-        # one search: its probes are the rows of P[0]
-        W = w0 + P[0] @ Tm.T
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
-        return -C.gauges(W @ B.T, gtol)[None, :]
 
-    z, _, _ = located.compass_min(
-        neg_gauge, np.zeros((1, Tm.shape[1])),
-        init_step=np.pi / max(8.0, count ** (1.0 / (m - 1))),
-        step_tol=1e-9)
-    w = w0 + Tm @ z[0]
-    return w / float(np.linalg.norm(w))
-
-
-def _argmax_lex(vals: np.ndarray, dirs_ambient) -> int:
-    """Index of the largest value; values within 1e-12 max(top, 1) of it
-    tie, and the lexicographically smallest _lex_smaller direction wins."""
-    top = float(np.max(vals))
-    tied = np.flatnonzero(vals >= top - 1e-12 * max(top, 1.0))
-    W = np.asarray(dirs_ambient, dtype=float)[tied]
-    # _lex_smaller(w) is -w exactly when the first nonzero entry is positive
-    lead = W[np.arange(len(W)), (W != 0.0).argmax(axis=1)]
-    W = np.where((lead > 0.0)[:, None], -W, W)
-    # lexsort is stable and takes its primary key last
-    return int(tied[np.lexsort(W.T[::-1])[0]])
-
-
-def _certified(C, r: float, direction: np.ndarray, method: str,
-               tol: float) -> RadiusResult:
-    # the edge check at r*direction and the check just outside, in one call
-    g_edge, g_out = C.gauges(np.outer((1.0, 1.0 + 5.0 * tol), r * direction),
-                             GAUGE_TOL)
-    if g_edge > 1.0 + tol:
-        raise ConvergenceFailure(
-            f"radius certificate failed: gauge at r*direction is {g_edge:.9f}",
-            best=r, residual=g_edge - 1.0, iterations=0)
-    if not g_out > 1.0 - tol:
-        raise ConvergenceFailure(
-            "radius certificate failed: direction is not extremal",
-            best=r, residual=1.0 - g_out, iterations=0)
-    probe = (1.0 - tol) * r * direction
-    dec = greedy_decompose(probe, C, r, max_steps=20, tol=min(tol, 1e-9))
+def _certified(C, rr: RadiusResult, margin: float) -> RadiusResult:
+    # the greedy doubling run of the paper's construction, from the
+    # relative margin inside the radius along its worst direction
+    probe = (1.0 - margin) * rr.r * rr.direction
+    dec = greedy_decompose(probe, C, rr.r, max_steps=20, tol=min(rr.tol, 1e-9))
     if not isinstance(dec.outcome, Member):
         raise ConvergenceFailure(
             f"radius membership run did not close ({type(dec.outcome).__name__})",
-            best=r, residual=np.nan, iterations=len(dec.steps))
-    return RadiusResult(r=r, direction=direction, method=method, tol=tol)
+            best=rr.r, residual=np.nan, iterations=len(dec.steps))
+    return rr
 
 
 def open_map_radius(T, tol: float = 1e-6,
@@ -271,12 +270,6 @@ def open_map_radius(T, tol: float = 1e-6,
             "it is not onto its target")
     r = float(np.sqrt(max(float(lams[-1]), 0.0)))
     u_min = _lex_smaller(U[:, -1])
-    C = located.linear_image_ball(T, 1.0)
-    probe = (1.0 - 10.0 * tol) * r * u_min
-    dec = greedy_decompose(probe, C, r, max_steps=20, tol=min(tol, 1e-9))
-    if not isinstance(dec.outcome, Member):
-        raise ConvergenceFailure(
-            f"open-mapping membership run did not close "
-            f"({type(dec.outcome).__name__})",
-            best=r, residual=np.nan, iterations=len(dec.steps))
-    return RadiusResult(r=r, direction=u_min, method="sigma-min", tol=tol)
+    return _certified(located.linear_image_ball(T, 1.0),
+                      RadiusResult(r, u_min, "sigma-min", tol, floor=r),
+                      10.0 * tol)

@@ -32,6 +32,7 @@ class ProjectionCertificate:
     P: np.ndarray
     rank: int
     r: float
+    floor: float
     per_y_trace: tuple
     note: str = ""
 
@@ -64,9 +65,9 @@ def _inner_radius_in_span(subspace: operators.OperatorSubspace, x,
 
 def span_inner_radius(subspace: operators.OperatorSubspace, x,
                       tol: float = TOL):
-    """Inner radius of the unit orbit ball inside its own span, with the
-    tightest direction and the scan method that produced it. Refuses on a
-    rank-0 orbit, where the ball is {0} and no radius is meaningful."""
+    """Inner radius of the unit orbit ball inside its own span, with its
+    floor, tightest direction and method. Refuses on a rank-0 orbit, where
+    the ball is {0} and no radius is meaningful."""
     ctx = located.OrbitBallContext(subspace, x)
     if ctx.rank == 0:
         raise PipelineRefusal(
@@ -81,13 +82,13 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
                       radius: float | None = None) -> tuple:
     """Distance from y to the full orbit, via one truncated ball query.
 
-    Computes r = inner radius of the unit orbit ball inside the orbit
-    span, truncates at N = truncation_index(y, r), and returns
-    (ball_distance(y, N), N). Refuses when r <= tol: with a vanishing
-    inner radius no truncation level can be trusted, which is exactly the
-    obstruction the scaled-axis family exhibits, and the level sweep of
-    the nested module is the honest fallback. The result is cross-checked
-    against the projector value ||y - Py||.
+    Takes r = `radius`, or the floor of the inner radius of the unit orbit
+    ball inside the orbit span, truncates at N = truncation_index(y, r),
+    and returns (ball_distance(y, N), N). Refuses when r <= tol: with a
+    vanishing inner radius no truncation level can be trusted, which is
+    exactly the obstruction the scaled-axis family exhibits, and the level
+    sweep of the nested module is the honest fallback. The result is
+    cross-checked against the projector value ||y - Py||.
     """
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
@@ -98,7 +99,7 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
                 "orbit rank is 0: inner radius collapses; use the level "
                 "sweep instead", radius=0.0)
         rr, ctx = _inner_radius_in_span(subspace, x, tol, ctx)
-        radius = rr.r
+        radius = rr.floor
     if radius <= tol:
         raise PipelineRefusal(
             f"inner radius {radius:.3e} is not distinguishable from 0 at "
@@ -131,7 +132,7 @@ def build_projection(subspace: operators.OperatorSubspace, x,
     dim = ctx.x.size
     if ctx.rank == 0:
         return ProjectionCertificate(
-            P=np.zeros((dim, dim)), rank=0, r=0.0, per_y_trace=(),
+            P=np.zeros((dim, dim)), rank=0, r=0.0, floor=0.0, per_y_trace=(),
             note="rank-0 orbit: projector is 0 and no probes apply")
     rr, ctx = _inner_radius_in_span(subspace, x, tol, ctx)
     P = ctx.geo.P
@@ -144,17 +145,17 @@ def build_projection(subspace: operators.OperatorSubspace, x,
         probe_list.append(v * rng.uniform(0.2, 2.0))
     for y in probe_list:
         d_oracle = float(np.linalg.norm(y - P @ y))
-        if rr.r <= tol:
+        if rr.floor <= tol:
             rows.append(ProbeRow(y=y, N=0, d_pipeline=float("nan"),
                                  d_oracle=d_oracle))
             continue
         d, N = pipeline_distance(subspace, x, y, tol,
-                                 ctx=ctx, radius=rr.r)
+                                 ctx=ctx, radius=rr.floor)
         rows.append(ProbeRow(y=y, N=N, d_pipeline=d, d_oracle=d_oracle))
     note = f"probe seed {PROBE_SEED}"
-    if rr.r <= tol:
+    if rr.floor <= tol:
         note += "; inner radius at tolerance floor, pipeline skipped"
-    return ProjectionCertificate(P=P, rank=ctx.rank, r=rr.r,
+    return ProjectionCertificate(P=P, rank=ctx.rank, r=rr.r, floor=rr.floor,
                                  per_y_trace=tuple(rows), note=note)
 
 

@@ -66,13 +66,17 @@ def test_project_projects_on_first_axis(tmp_path, capsys):
     report = json.loads(out)
     assert np.allclose(report["P"], [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
     assert report["rank"] == 1
+    assert report["floor"] == report["r"]  # a line: its one gauge is exact
 
 
 def test_radius_and_refusal(tmp_path, capsys):
     path = diag_problem(tmp_path)
     code, out, _ = run_cli(capsys, ["radius", path, "--validate"])
     assert code == 0
-    assert abs(json.loads(out)["r"] - 0.1) <= 1e-8
+    report = json.loads(out)
+    assert abs(report["r"] - 0.1) <= 1e-8
+    # the box [-1, 1] x [-0.1, 0.1]: its inner radius is exactly 0.1
+    assert report["r"] * (1.0 - 2e-9) <= report["floor"] <= 0.1
     zero = write_problem(tmp_path, name="z.json", dim=2, basis=DIAG_BASIS,
                          x=[0.0, 0.0])
     code2, out2, _ = run_cli(capsys, ["radius", zero])

@@ -3,10 +3,10 @@ import pytest
 
 from orbit_locator import (DimensionError, DistanceResult, LocatedSet,
                            Member, Witness, euclidean_ball, greedy_decompose,
-                           inner_radius, linear_image_ball, open_map_radius,
-                           orbit_ball)
+                           inner_radius, linear_image_ball, make_subspace,
+                           open_map_radius, orbit_ball)
+from orbit_locator import open_mapping
 from orbit_locator.open_mapping import Undecided as DeadBand
-from orbit_locator.open_mapping import _argmax_lex, _lex_smaller
 from conftest import svd_sigma, svd_values
 
 
@@ -79,11 +79,14 @@ def test_inner_radius_boxes(diag_sub):
 
 
 @pytest.mark.parametrize("m, method", [(1, "axis"), (2, "circle-scan"),
-                                       (3, "sphere-scan")])
+                                       (3, "sphere-scan"), (4, "sphere-scan"),
+                                       (9, "sphere-scan")])
 def test_inner_radius_rotated_ellipsoid(m, method):
     # a rotated ellipsoid cut by a random m-dimensional span W: the worst
-    # direction falls between the scan samples, which alone miss r by
-    # about 1e-6 (m = 2) and 1e-4 (m = 3), so the refinement decides
+    # direction falls inside a cell, never on a centre the search starts
+    # from, and the exact gauge lets the floor be held to the true radius.
+    # At m = 9 every cell of the first split is wider than a quarter
+    # sphere, so only the subadditivity bound keeps the floor above 0
     rng = np.random.default_rng(100 + m)
     for _ in range(3):
         T = rng.normal(size=(m + 1, m + 1))
@@ -93,7 +96,73 @@ def test_inner_radius_rotated_ellipsoid(m, method):
         BW = np.linalg.qr(W)[0]
         r_true = 1.0 / svd_sigma(np.linalg.solve(T, BW))
         assert abs(rr.r - r_true) <= 1e-9 * r_true, (rr.r, r_true)
+        assert 0.0 < rr.floor <= r_true <= rr.r * (1.0 + 1e-12), (rr.floor, r_true, rr.r)
         assert rr.method == method
+
+
+def _quaternion_left():
+    # left multiplication by 1, i, j, k on the quaternions R^4
+    def L(a, b, c, d):
+        return np.array([[a, -b, -c, -d], [b, a, -d, c],
+                         [c, d, a, -b], [d, -c, b, a]], dtype=float)
+    return [L(1, 0, 0, 0), L(0, 1, 0, 0), L(0, 0, 1, 0), L(0, 0, 0, 1)]
+
+
+def _matrix_units(d):
+    out = []
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d))
+            E[i, j] = 1.0
+            out.append(E)
+    return out
+
+
+@pytest.mark.parametrize("basis, x", [
+    # the complex multiplication disk: span{I, J}, sigma1 = |a + ib|
+    ([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])], np.array([0.6, -0.8])),
+    (_quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2])),
+    # the full algebra M_2: the orbit map has a two-dimensional kernel
+    (_matrix_units(2), np.array([0.3, 1.1])),
+], ids=["complex", "quaternion", "M2"])
+def test_inner_radius_flat_gauge(basis, x):
+    # the gauge is |v| / |x| on every direction, so no cell is ever pruned
+    # by its value: only the width ends the search, and the cap on the
+    # cells split per round is what bounds its cost
+    ball = orbit_ball(make_subspace(basis), x, 1.0)
+    rows = []
+
+    def gauges(V, tol):
+        rows.append(len(V))
+        return ball.gauges(V, tol)
+
+    counted = LocatedSet(ball.ambient_dim, ball.locate, gauges)
+    m = x.size
+    rr = inner_radius(counted, list(np.eye(m)), tol=1e-6)
+    nx = float(np.linalg.norm(x))
+    assert abs(rr.r - nx) <= 1e-9 * nx, (rr.r, nx)
+    assert 0.0 < rr.floor <= nx
+    per_axis = {2: 16, 4: 2}[m]
+    assert rows[0] == m and len(rows) > 2
+    assert max(rows) <= 4 * per_axis ** (m - 1), rows
+
+
+def test_floor_covers_a_maximiser_the_search_drops():
+    # the gauge max_k |<a_k, u>| of a polygon: five a_k of norm 1 - 1e-6
+    # sit on the centres of second-round cells of the face {u_1 = 1}, and
+    # the longest, of norm 1, on the edge between two cells there. Those
+    # two cells rank below the five, so the cap drops them and the search
+    # never sees the maximiser: the floor must come from their bound
+    def unit(t):
+        return np.array([1.0, t]) / np.hypot(1.0, t)
+
+    A = np.array([(1.0 - 1e-6) * unit(t) for t in (1 / 16, 3 / 16, 5 / 16,
+                                                    7 / 16, 9 / 16)]
+                 + [unit(12 / 16)])
+    polygon = LocatedSet(2, None, lambda V, tol: np.abs(V @ A.T).max(axis=1))
+    best, w, top = open_mapping._branch_and_bound(polygon, np.eye(2))
+    assert best == pytest.approx(1.0 - 1e-6, rel=1e-12)
+    assert 1.0 < top < 1.01
 
 
 def test_inner_radius_segment_ambient_vs_span():
@@ -160,26 +229,3 @@ def test_open_map_radius_rank_deficient():
     assert "row rank" in str(exc.value)
     with pytest.raises(DimensionError):
         open_map_radius(np.zeros((3, 2)))  # more rows than columns
-
-
-def _argmax_lex_loop(vals, dirs):
-    # the rule written out: ties within 1e-12 max(top, 1), then the
-    # lexicographically smallest sign-normalized direction, first index
-    top = float(np.max(vals))
-    tied = [j for j in range(len(vals))
-            if vals[j] >= top - 1e-12 * max(top, 1.0)]
-    return min(tied, key=lambda j: tuple(_lex_smaller(dirs[j])))
-
-
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
-def test_argmax_lex_matches_loop_rule(scale):
-    g = np.random.default_rng(int(np.log10(scale)) + 40)
-    for _ in range(200):
-        count = int(g.integers(1, 60))
-        # exact ties in value, and one value nudged inside the tie band
-        vals = g.integers(0, 3, size=count) * 0.5 * scale
-        vals[g.integers(count)] += 4e-13 * max(float(vals.max()), 1.0)
-        # entries in {-1, 0, 1}: zero leads, sign flips and repeated
-        # directions, so the lexicographic order ties too
-        dirs = g.integers(-1, 2, size=(count, int(g.integers(1, 4)))) * 1.0
-        assert _argmax_lex(vals, dirs) == _argmax_lex_loop(vals, dirs)
