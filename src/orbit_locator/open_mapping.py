@@ -141,7 +141,7 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
 # branch and bound of inner_radius over cube-face cells
 _BB_REL = 1e-9      # a cell stays live while its bound exceeds best * (1 + _BB_REL)
 _BB_KEEP = 4        # live cells split per round (at least m); the rest bound the floor
-_BB_SPLIT_BITS = 4  # a split makes max(2, 2**(_BB_SPLIT_BITS // (m-1))) children per axis
+_BB_HALVINGS = 4    # a split halves the cell's widest side this many times
 
 
 def inner_radius(C: located.LocatedSet, W_basis,
@@ -151,17 +151,17 @@ def inner_radius(C: located.LocatedSet, W_basis,
 
     rho is 1 over the maximum gauge g on the unit sphere of W, found by a
     branch and bound (Piyavskii 1972; Shubert 1972) whose cells are
-    (m-1)-cubes on the faces {u_i = 1} of the cube, covering the sphere up
+    (m-1)-boxes on the faces {u_i = 1} of the cube, covering the sphere up
     to sign. Each round is one gauge call over its cells' centres, the axes
-    first. A computed gauge is sigma1 at a feasible preimage, so at least
-    g, and a cell of width h with centre c on face i holds no gauge above
-    the smaller of g(c/|c|) / cos delta, with delta = 2 asin(h sqrt(m-1)/4)
-    its angular radius (at the maximiser w*, g(u) >= g(w*) cos angle(u, w*)
-    by the supporting plane there), and |c| g(c/|c|) + (h/2) sum_{j != i}
+    first. A computed gauge is sigma1 at a feasible preimage, so at least g,
+    and a cell with sides h_j and centre c on face i holds no gauge above
+    the smaller of g(c/|c|) / cos delta, with delta = 2 asin(|h|/4) its
+    angular radius (at the maximiser w*, g(u) >= g(w*) cos angle(u, w*) by
+    the supporting plane there), and |c| g(c/|c|) + sum_{j != i} (h_j/2)
     g(e_j), by subadditivity, as the face has norm >= 1. A cell stays live
-    while its bound exceeds best * (1 + _BB_REL); the max(_BB_KEEP, m) live
-    cells with the largest bounds are split, the largest bound of the rest
-    is kept.
+    while its bound exceeds best * (1 + _BB_REL); the max(_BB_KEEP, m) with
+    the largest centre gauges split into 2**_BB_HALVINGS cells each, and the
+    largest bound of the rest is kept.
 
     r is 1 over the best gauge found, direction its unit vector, and floor
     1 over the larger of best * (1 + _BB_REL) and that kept bound. The line
@@ -197,14 +197,9 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
     largest gauge on the sphere the search leaves possible); the best is
     inf, with its direction, as soon as a gauge is not finite."""
     m = B.shape[1]
-    per = max(2, 2 ** (_BB_SPLIT_BITS // (m - 1)))
-    # children's centre offsets for a parent of unit width, one table per
-    # face: the face's own coordinate stays put
-    grid = (np.indices((per,) * (m - 1)).reshape(m - 1, -1).T + 0.5) / per - 0.5
-    kids = np.stack([np.insert(grid, i, 0.0, axis=1) for i in range(m)])
-    centres, faces, h = np.eye(m), np.arange(m), 2.0
-    best, w, dropped, lip = -np.inf, None, 0.0, None
-    keep_max = max(_BB_KEEP, m)
+    # every cell of a round has the side lengths h along its face's axes
+    centres, faces, h = np.eye(m), np.arange(m), np.full(m - 1, 2.0)
+    best, w, dropped, axes, keep = -np.inf, None, 0.0, None, max(_BB_KEEP, m)
     while True:
         norms = np.linalg.norm(centres, axis=1)
         dirs = centres / norms[:, None]
@@ -215,26 +210,35 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
         j = int(np.argmax(vals))
         if vals[j] > best:
             best, w = float(vals[j]), dirs[j]
-        if lip is None:
-            # round 1 gauged the axes: per face, the sum over the others
-            lip = vals.sum() - vals
+        axes = vals if axes is None else axes  # round 1 gauged the axes
         # a point of the cell has norm >= 1 and, by subadditivity, a gauge
-        # of at most g(centre) + (h/2) * lip
-        bound = norms * vals + 0.5 * h * lip[faces]
+        # of at most g(centre) + sum_j (h_j / 2) g(e_j)
+        sides = np.stack([np.insert(h, i, 0.0) for i in range(m)])
+        bound = norms * vals + 0.5 * (sides @ axes)[faces]
         # cos delta = 1 - 2 sin^2(delta / 2); nonpositive past a quarter sphere
-        cos = 1.0 - h * h * (m - 1) / 8.0
+        cos = 1.0 - (h @ h) / 8.0
         if cos > 0.0:
             bound = np.minimum(bound, vals / cos)
+        # rank by centre gauge, the angular bound's order, also where that
+        # bound is void: the subadditivity bound, largest at the corners of
+        # a face, would steer the search away from the maximiser
         live = np.flatnonzero(bound > best * (1.0 + _BB_REL))
-        live = live[np.argsort(-bound[live], kind="stable")]
-        if live.size > keep_max:
-            dropped = max(dropped, float(bound[live[keep_max]]))
-            live = live[:keep_max]
+        live = live[np.argsort(-vals[live], kind="stable")]
+        if live.size > keep:
+            dropped = max(dropped, float(bound[live[keep:]].max()))
+            live = live[:keep]
         if live.size == 0:
             return best, w, max(best * (1.0 + _BB_REL), dropped)
-        centres = (centres[live, None, :] + h * kids[faces[live]]).reshape(-1, m)
+        # halve the widest side (the first on a tie) _BB_HALVINGS times
+        parts = np.ones(m - 1, dtype=int)
+        for _ in range(_BB_HALVINGS):
+            parts[np.argmax(h / parts)] *= 2
+        offsets = [((np.arange(p) + 0.5) / p - 0.5) * s for p, s in zip(parts, h)]
+        grid = np.stack(np.meshgrid(*offsets, indexing="ij"), -1).reshape(-1, m - 1)
+        kids = np.stack([np.insert(grid, i, 0.0, axis=1) for i in range(m)])
+        centres = (centres[live, None, :] + kids[faces[live]]).reshape(-1, m)
         faces = np.repeat(faces[live], grid.shape[0])
-        h /= per
+        h = h / parts
 
 
 def _certified(C, rr: RadiusResult, margin: float) -> RadiusResult:

@@ -118,33 +118,39 @@ def _matrix_units(d):
     return out
 
 
-@pytest.mark.parametrize("basis, x", [
+def _flat_orbit_ball(basis, x):
+    return orbit_ball(make_subspace(basis), x, 1.0), float(np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("ball, r", [
     # the complex multiplication disk: span{I, J}, sigma1 = |a + ib|
-    ([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])], np.array([0.6, -0.8])),
-    (_quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2])),
+    _flat_orbit_ball([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])],
+                     np.array([0.6, -0.8])),
+    _flat_orbit_ball(_quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2])),
     # the full algebra M_2: the orbit map has a two-dimensional kernel
-    (_matrix_units(2), np.array([0.3, 1.1])),
-], ids=["complex", "quaternion", "M2"])
-def test_inner_radius_flat_gauge(basis, x):
-    # the gauge is |v| / |x| on every direction, so no cell is ever pruned
+    _flat_orbit_ball(_matrix_units(2), np.array([0.3, 1.1])),
+    # Euclidean balls at ranks where splitting every side of a cell at
+    # once would gauge 2^(m-1) children per cell
+    (euclidean_ball(np.zeros(12), 1.0), 1.0),
+    (euclidean_ball(np.zeros(16), 1.0), 1.0),
+], ids=["complex", "quaternion", "M2", "ball12", "ball16"])
+def test_inner_radius_flat_gauge(ball, r):
+    # the gauge is |v| / r on every direction, so no cell is ever pruned
     # by its value: only the width ends the search, and the cap on the
-    # cells split per round is what bounds its cost
-    ball = orbit_ball(make_subspace(basis), x, 1.0)
+    # cells split per round, each into 16 children, is what bounds its cost
     rows = []
 
     def gauges(V, tol):
         rows.append(len(V))
         return ball.gauges(V, tol)
 
-    counted = LocatedSet(ball.ambient_dim, ball.locate, gauges)
-    m = x.size
+    m = ball.ambient_dim
+    counted = LocatedSet(m, ball.locate, gauges)
     rr = inner_radius(counted, list(np.eye(m)), tol=1e-6)
-    nx = float(np.linalg.norm(x))
-    assert abs(rr.r - nx) <= 1e-9 * nx, (rr.r, nx)
-    assert 0.0 < rr.floor <= nx
-    per_axis = {2: 16, 4: 2}[m]
+    assert abs(rr.r - r) <= 1e-9 * r, (rr.r, r)
+    assert 0.0 < rr.floor <= r
     assert rows[0] == m and len(rows) > 2
-    assert max(rows) <= 4 * per_axis ** (m - 1), rows
+    assert max(rows) <= 16 * max(4, m), rows
 
 
 def test_floor_covers_a_maximiser_the_search_drops():
