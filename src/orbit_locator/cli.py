@@ -267,11 +267,11 @@ def _cmd_radius(args) -> dict:
     p = load_problem(args.file)
     sub = operators.make_subspace(p.basis)
     tol = _pick(args.tol, p.tol, TOL)
-    rr = pipeline.span_inner_radius(sub, p.x, tol=tol)
+    rr = pipeline.span_inner_radius(sub, p.x)
     return {
         "command": "radius",
         "status": "ok",
-        "tol": rr.tol,
+        "tol": tol,
         "seed": p.seed,
         "r": rr.r,
         "floor": rr.floor,
@@ -314,11 +314,11 @@ def _cmd_omt(args) -> dict:
         raise InputError(
             f"omt needs exactly one matrix in basis, got {len(p.basis)}")
     tol = _pick(args.tol, p.tol, TOL)
-    res = om.open_map_radius(p.basis[0], tol=tol)
+    res = om.open_map_radius(p.basis[0])
     return {
         "command": "omt",
         "status": "ok",
-        "tol": res.tol,
+        "tol": tol,
         "seed": p.seed,
         "r": res.r,
         "direction": res.direction,

@@ -57,7 +57,7 @@ def _row(c: float, budget: int, tol: float) -> DemoRow:
     # in the plane, and it is the ambient radius that controls truncation.
     # At c = 0 the span collapses and this radius honestly hits 0.
     ambient = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    rr = om.inner_radius(ball, ambient, tol=min(tol, 1e-8))
+    rr = om.inner_radius(ball, ambient)
     if rr.floor > tol:
         d, N = pipeline.pipeline_distance(sub, x, y, tol=tol,
                                           ctx=ctx, radius=rr.floor)

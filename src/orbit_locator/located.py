@@ -290,11 +290,12 @@ class OrbitBallContext:
         """Row-wise gauge of a stack of vectors: (values, coefficient rows),
         with value inf and a row of NaN for vectors outside the orbit span.
 
-        Without a null space the least-norm preimage is the only preimage
-        and the values come from one stacked SVD. Otherwise one lockstep
-        pattern search over the null directions runs for all rows, steered
-        by closed-form spectral norms and re-anchored on LAPACK's; each of
-        its rounds is one spectral-norm sweep spanning four step sizes."""
+        One lockstep pattern search over the null directions runs for all
+        rows from their least-norm preimages, steered by closed-form
+        spectral norms and re-anchored on LAPACK's; each of its rounds is
+        one spectral-norm sweep spanning four step sizes. Without a null
+        space the least-norm preimage is the only preimage, and the search
+        is one stacked SVD."""
         V = linalg.as_rows(V, self.dim)
         d = self.dim
         nv = np.linalg.norm(V, axis=1)
@@ -311,10 +312,6 @@ class OrbitBallContext:
             return vals, ts
         t_hat = self.min_norm_preimage(V[live])
         N = self.null_vecs
-        if N.shape[1] == 0:
-            ts[live] = t_hat
-            vals[live] = _sigma1(np.einsum("qk,kij->qij", t_hat, self.stack))
-            return vals, ts
 
         def mats(rows, P):
             return np.einsum("rpk,kij->rpij", P @ N.T + t_hat[rows, None, :],
@@ -613,8 +610,8 @@ class OrbitBallContext:
         already solved for this query, are skipped. Each level starts from
         the spectral clip U min(Sigma, n) V' of the interior route's
         representative, taken back to coefficients. The (t, iterations, f,
-        gap, tol) of each level goes to the query cache, where distance
-        takes it up; no SolverFailure is raised here."""
+        gap) of each level goes to the query cache, where distance takes it
+        up; no SolverFailure is raised here."""
         y = self._as_query(y)
         if self.rank == 0:
             return
@@ -636,7 +633,7 @@ class OrbitBallContext:
         t, iters, f, gap = self._sqp(y, n, t0, tol)
         for i, level in enumerate(todo):
             q["levels"][level] = (t[i], int(iters[i]), float(f[i]),
-                                  float(gap[i]), float(tol[i]))
+                                  float(gap[i]))
 
     def _admm(self, y, n, tol, t, f, iters):
         """ADMM on min f(s) + [sigma1(X) <= n] subject to mat(s) = X (Boyd
@@ -689,12 +686,10 @@ class OrbitBallContext:
         """Distance from y to {M x : M in the span, sigma1(M) <= n}, within
         tol, with a witness point. A boundary level takes its solve_levels
         candidate (the cached one when an earlier call solved this level
-        for y) and returns it when _certified at tol. When tol is tighter
-        than the one the candidate was solved to, the one-row _sqp first
-        resumes from it at tol; what is still open runs ADMM, and the
-        certified answer replaces the cached candidate. Raises
-        SolverFailure with honest bounds when ADMM cannot close the gap
-        within the iteration budget."""
+        for y) and returns it when _certified at tol; otherwise ADMM runs
+        from it, and the certified answer replaces the cached candidate.
+        Raises SolverFailure with honest bounds when ADMM cannot close the
+        gap within the iteration budget."""
         y = self._as_query(y)
         n = float(n)
         tol = float(tol)
@@ -714,14 +709,10 @@ class OrbitBallContext:
                 method="interior")
         if n not in q["levels"]:
             self.solve_levels(y, [n], tol)
-        t, iters, f, gap, solved = q["levels"][n]
+        t, iters, f, gap = q["levels"][n]
         if not _certified(f, gap, tol):
-            if tol < solved:
-                ts, its, fs, gaps = self._sqp(y, n, t[None], tol)
-                t, iters, f, gap = ts[0], iters + int(its[0]), fs[0], gaps[0]
-            if not _certified(f, gap, tol):
-                t, iters, f, gap = self._admm(y, n, tol, t, f, iters)
-            q["levels"][n] = (t, iters, f, gap, tol)
+            t, iters, f, gap = self._admm(y, n, tol, t, f, iters)
+            q["levels"][n] = (t, iters, f, gap)
         return DistanceResult(
             value=float(np.sqrt(self._f(t, y))), point=self.point(t),
             coeffs=self.orig_coeffs(t), tol=tol, iterations=int(iters),

@@ -5,9 +5,8 @@ For a located, bounded, balanced, convex body C and a target y with
 a series sum 2^{-i} x_i with every x_i in 2C, or runs into a residual
 vector provably bounded away from C. A branch and bound over unit
 directions for the largest gauge value gives the inner radius with a
-rigorous floor, the same doubling run certifies it, and applied to the
-image of the unit ball under a surjective matrix the machinery recovers
-the open-mapping radius sigma_min.
+rigorous floor, and the open-mapping radius of a surjective matrix is its
+smallest singular value sigma_min.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import linalg, located
 from .defaults import GAUGE_TOL, RANK_TOL
-from .errors import ConvergenceFailure, DimensionError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +44,8 @@ class Witness:
 
 @dataclass(frozen=True, eq=False)
 class Undecided:
-    """Dichotomy landed in the dead band (or the residual missed its
-    target) and a finer re-query did not separate the branches."""
+    """Dichotomy landed in the dead band, or the residual missed its
+    target."""
     residual: float
 
 
@@ -60,10 +59,14 @@ class Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class RadiusResult:
+    """An inner radius of a body along a subspace W. floor is the rigorous
+    lower end: B(0, floor) of W lies inside the body. r = 1/(largest gauge
+    found) is an estimate, at least floor, that can exceed the true radius
+    when the search misses the maximiser (seen at m >= 6). direction is the
+    unit vector of that largest gauge, and method names the route."""
     r: float
     direction: np.ndarray
     method: str
-    tol: float
     floor: float
 
 
@@ -78,14 +81,14 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
     """Run the doubling dichotomy for y against the body C.
 
     Per step, with running vector u (initially y, always of norm < r):
-    query d = dist(u, C). d < r/2 continues the decomposition with
-    x_i = 2 * nearest(u); d above max(r/4, 10*tol) stops with the witness
-    z = u, which is bounded away from C yet shorter than r. The branches
-    overlap and continuation is preferred; a query landing in the dead
-    band between them is retried at tol/100 and then given up as
-    Undecided. A full run of continuations is a Member with
-    xi = sum 2^-i x_i (last term doubled so the weights sum to 1), so
-    gauge(xi) <= 2.
+    query d = dist(u, C) at tol, once. d < r/2 continues the decomposition
+    with x_i = 2 * nearest(u); d above max(r/4, 10*tol) stops with the
+    witness z = u, which is bounded away from C yet shorter than r. The
+    branches overlap and continuation is preferred; a query landing in the
+    dead band between them, or whose doubled residual would leave the
+    radius, is given up as Undecided. A full run of continuations is a
+    Member with xi = sum 2^-i x_i (last term doubled so the weights sum to
+    1), so gauge(xi) <= 2.
     """
     y = linalg.as_vector(y)
     r = float(r)
@@ -95,23 +98,15 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
             f"decomposition needs r > ||y|| strictly, got r={r:g}, ||y||={ny:g}")
     if max_steps < 1:
         raise DimensionError("max_steps must be at least 1")
-    threshold = max(r / 4.0, 10.0 * tol)
     u = y.copy()
     acc = np.zeros_like(y)
     steps: list[DecompositionStep] = []
     last_x = np.zeros_like(y)
     for i in range(1, max_steps + 1):
-        d = None
-        for qtol in (tol, tol / 100.0):
-            res = C.locate(u, qtol)
-            d = res.value
-            # prefer continuation; the achieved doubled residual must keep
-            # the running vector strictly inside radius r
-            doubled = 2.0 * float(np.linalg.norm(u - res.point))
-            if d < 0.5 * r and doubled < r:
-                break
-            if d > threshold:
-                break
+        res = C.locate(u, tol)
+        d = res.value
+        # prefer continuation; the achieved doubled residual must keep the
+        # running vector strictly inside radius r
         if d < 0.5 * r and 2.0 * float(np.linalg.norm(u - res.point)) < r:
             x_i = 2.0 * res.point
             u = 2.0 * u - x_i
@@ -121,7 +116,7 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
                 i=i, x=x_i, lam=0,
                 residual=float(np.linalg.norm(y - acc))))
             continue
-        if d > threshold:
+        if d > max(r / 4.0, 10.0 * tol):
             steps.append(DecompositionStep(
                 i=i, x=np.zeros_like(y), lam=1, residual=d))
             return Decomposition(steps=tuple(steps),
@@ -144,10 +139,9 @@ _BB_KEEP = 4        # live cells split per round (at least m); the rest bound th
 _BB_HALVINGS = 4    # a split halves the cell's widest side this many times
 
 
-def inner_radius(C: located.LocatedSet, W_basis,
-                 tol: float = 1e-6) -> RadiusResult:
+def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     """Largest rho with the ball B(0, rho) of span(W_basis) inside C, with
-    a rigorous floor.
+    a rigorous floor; only C's gauge oracle is queried.
 
     rho is 1 over the maximum gauge g on the unit sphere of W, found by a
     branch and bound (Piyavskii 1972; Shubert 1972) whose cells are
@@ -165,8 +159,8 @@ def inner_radius(C: located.LocatedSet, W_basis,
 
     r is 1 over the best gauge found, direction its unit vector, and floor
     1 over the larger of best * (1 + _BB_REL) and that kept bound. The line
-    (m = 1) is one tight gauge, with floor = r. A greedy membership run at
-    r(1 - tol) certifies r; an infinite gauge short-circuits to r = 0.
+    (m = 1) is one tight gauge, with floor = r. An infinite gauge
+    short-circuits to r = 0.
     """
     vectors = [linalg.as_vector(w) for w in W_basis]
     for w in vectors:
@@ -184,12 +178,11 @@ def inner_radius(C: located.LocatedSet, W_basis,
         method = "circle-scan" if m == 2 else "sphere-scan"
         g, w, top = _branch_and_bound(C, B)
     if not np.isfinite(g):
-        return RadiusResult(0.0, _lex_smaller(B @ w), "unbounded-gauge", tol,
+        return RadiusResult(0.0, _lex_smaller(B @ w), "unbounded-gauge",
                             floor=0.0)
     if g <= 0.0:
         raise DimensionError("gauge vanishes along W; body is unbounded")
-    return _certified(C, RadiusResult(1.0 / g, _lex_smaller(B @ w), method,
-                                      tol, floor=1.0 / top), tol)
+    return RadiusResult(1.0 / g, _lex_smaller(B @ w), method, floor=1.0 / top)
 
 
 def _branch_and_bound(C, B: np.ndarray) -> tuple:
@@ -241,26 +234,13 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
         h = h / parts
 
 
-def _certified(C, rr: RadiusResult, margin: float) -> RadiusResult:
-    # the greedy doubling run of the paper's construction, from the
-    # relative margin inside the radius along its worst direction
-    probe = (1.0 - margin) * rr.r * rr.direction
-    dec = greedy_decompose(probe, C, rr.r, max_steps=20, tol=min(rr.tol, 1e-9))
-    if not isinstance(dec.outcome, Member):
-        raise ConvergenceFailure(
-            f"radius membership run did not close ({type(dec.outcome).__name__})",
-            best=rr.r, residual=np.nan, iterations=len(dec.steps))
-    return rr
-
-
-def open_map_radius(T, tol: float = 1e-6,
-                    rank_tol: float = RANK_TOL) -> RadiusResult:
+def open_map_radius(T, rank_tol: float = RANK_TOL) -> RadiusResult:
     """Radius r with B(0, r) inside T(closed unit ball), for T onto R^m.
 
-    Equals the m-th singular value of the m-by-n matrix T. The returned
-    direction is the corresponding left singular vector, and the value is
-    certified by a greedy membership run against the image ellipsoid just
-    inside the radius.
+    Equals the m-th singular value of the m-by-n matrix T, from the
+    eigenvalues of T T' (sym_eigh_desc checks the residual of every
+    eigenpair), with floor = r. The returned direction is the
+    corresponding left singular vector.
     """
     T = linalg.as_matrix(T)
     m, n = T.shape
@@ -274,6 +254,4 @@ def open_map_radius(T, tol: float = 1e-6,
             "it is not onto its target")
     r = float(np.sqrt(max(float(lams[-1]), 0.0)))
     u_min = _lex_smaller(U[:, -1])
-    return _certified(located.linear_image_ball(T, 1.0),
-                      RadiusResult(r, u_min, "sigma-min", tol, floor=r),
-                      10.0 * tol)
+    return RadiusResult(r, u_min, "sigma-min", floor=r)

@@ -51,20 +51,15 @@ def truncation_index(y, r: float) -> int:
     return int(math.floor(ratio * (1.0 + 1e-12))) + 1
 
 
-def _inner_radius_in_span(subspace: operators.OperatorSubspace, x,
-                          tol: float,
-                          ctx: located.OrbitBallContext | None = None) -> tuple:
-    if ctx is None:
-        ctx = located.OrbitBallContext(subspace, x)
+def _inner_radius_in_span(
+        ctx: located.OrbitBallContext) -> open_mapping.RadiusResult:
     if ctx.rank == 0:
         raise DimensionError("orbit has rank 0; the unit ball is just {0}")
-    ball = located.orbit_ball(subspace, ctx.x, 1.0, ctx=ctx)
-    rr = open_mapping.inner_radius(ball, list(ctx.geo.orbit_basis), tol)
-    return rr, ctx
+    ball = located.orbit_ball(ctx.subspace, ctx.x, 1.0, ctx=ctx)
+    return open_mapping.inner_radius(ball, list(ctx.geo.orbit_basis))
 
 
-def span_inner_radius(subspace: operators.OperatorSubspace, x,
-                      tol: float = TOL):
+def span_inner_radius(subspace: operators.OperatorSubspace, x):
     """Inner radius of the unit orbit ball inside its own span, with its
     floor, tightest direction and method. Refuses on a rank-0 orbit, where
     the ball is {0} and no radius is meaningful."""
@@ -72,8 +67,7 @@ def span_inner_radius(subspace: operators.OperatorSubspace, x,
     if ctx.rank == 0:
         raise PipelineRefusal(
             "orbit has rank 0: the unit orbit ball is {0}", radius=0.0)
-    rr, _ = _inner_radius_in_span(subspace, x, tol, ctx)
-    return rr
+    return _inner_radius_in_span(ctx)
 
 
 def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
@@ -98,8 +92,7 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
             raise PipelineRefusal(
                 "orbit rank is 0: inner radius collapses; use the level "
                 "sweep instead", radius=0.0)
-        rr, ctx = _inner_radius_in_span(subspace, x, tol, ctx)
-        radius = rr.floor
+        radius = _inner_radius_in_span(ctx).floor
     if radius <= tol:
         raise PipelineRefusal(
             f"inner radius {radius:.3e} is not distinguishable from 0 at "
@@ -123,10 +116,12 @@ def build_projection(subspace: operators.OperatorSubspace, x,
                      probes: int = 8) -> ProjectionCertificate:
     """Orthogonal projector onto the orbit span, with a probe trace.
 
-    Never raises: a rank-0 orbit yields the zero projector, radius 0 and
-    an empty trace. Otherwise each probe y (canonical basis vectors, then
-    `probes` seeded pseudo-random vectors) is pushed through the full
-    pipeline and recorded next to the ground-truth value ||y - Py||.
+    A rank-0 orbit yields the zero projector, radius 0 and an empty
+    trace. Otherwise each probe y (canonical basis vectors, then `probes`
+    seeded pseudo-random vectors) is pushed through the full pipeline and
+    recorded next to the ground-truth value ||y - Py||; pipeline_distance
+    raises ConvergenceFailure when a probe's distance disagrees with that
+    value, or SolverFailure when its solve does not close.
     """
     ctx = located.OrbitBallContext(subspace, x)
     dim = ctx.x.size
@@ -134,7 +129,7 @@ def build_projection(subspace: operators.OperatorSubspace, x,
         return ProjectionCertificate(
             P=np.zeros((dim, dim)), rank=0, r=0.0, floor=0.0, per_y_trace=(),
             note="rank-0 orbit: projector is 0 and no probes apply")
-    rr, ctx = _inner_radius_in_span(subspace, x, tol, ctx)
+    rr = _inner_radius_in_span(ctx)
     P = ctx.geo.P
     rows = []
     rng = np.random.default_rng(PROBE_SEED)
@@ -159,11 +154,13 @@ def build_projection(subspace: operators.OperatorSubspace, x,
                                  per_y_trace=tuple(rows), note=note)
 
 
-def metric_complement_distance(subspace: operators.OperatorSubspace, x,
-                               tol: float = TOL) -> float:
+def metric_complement_distance(subspace: operators.OperatorSubspace,
+                               x) -> float:
     """Distance from 0 to the within-span complement of the unit orbit
     ball: how far one can move inside the orbit span before it becomes
     possible to leave the ball. For a closed balanced convex body with
-    interior this is the inscribed-ball radius."""
-    rr, _ = _inner_radius_in_span(subspace, x, tol)
+    interior this is the inscribed-ball radius. Returns the estimate r of
+    span_inner_radius, not its rigorous floor: r can exceed the true
+    radius when the search misses the maximiser (seen at m >= 6)."""
+    rr = _inner_radius_in_span(located.OrbitBallContext(subspace, x))
     return float(rr.r)

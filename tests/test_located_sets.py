@@ -530,38 +530,20 @@ def test_cached_levels_are_certified(source, index):
         basis, x, y = family50_problem(index)
     sub = make_subspace(basis)
     ctx = OrbitBallContext(sub, x)
-    ns = range(1, 13)
-    ctx.solve_levels(y, ns, [min(1e-6, 2.0 ** -(n + 2)) for n in ns])
+    tols = {float(n): min(1e-6, 2.0 ** -(n + 2)) for n in range(1, 13)}
+    ctx.solve_levels(y, list(tols), list(tols.values()))
     levels = ctx._query(y)["levels"]
     assert len(levels) >= 3
-    left_open = {n for n, (_, _, f, gap, tol) in levels.items()
-                 if gap > tol * np.sqrt(f)}
+    left_open = {n for n, (_, _, f, gap) in levels.items()
+                 if gap > tols[n] * np.sqrt(f)}
     assert left_open == ({1.0, 2.0, 3.0} if source == "wide" else set())
     locate_distance(sub, x, y, budget=12, tol=1e-6, ctx=ctx)
-    for n, (t, _, f, gap, tol) in levels.items():
-        assert tol == min(1e-6, 2.0 ** -(n + 2))
+    for n, (t, _, f, gap) in levels.items():
+        tol = tols[n]
         assert abs(f - ctx._f(t, y)) <= 1e-15 * max(1.0, f)
         assert gap <= tol * np.sqrt(f), (n, gap, f)
         tight = OrbitBallContext(sub, x).distance(y, n, 1e-12).value
         assert abs(np.sqrt(f) - tight) <= tol, (n, np.sqrt(f), tight)
-
-
-def test_tighter_tol_resumes_the_sqp(admm_runs):
-    # levels solved at 1e-6 and asked again at 1e-9 resume their one-row
-    # _sqp from the cached point and certify there, without ADMM
-    basis, x, y = family50_problem(20)
-    sub = make_subspace(basis)
-    ctx = OrbitBallContext(sub, x)
-    ctx.solve_levels(y, [2.0, 8.0], 1e-6)
-    for n in (2.0, 8.0):
-        _, iters, f, gap, _ = ctx._query(y)["levels"][n]
-        assert 1e-9 * np.sqrt(f) < gap <= 1e-6 * np.sqrt(f)
-        res = ctx.distance(y, n, 1e-9)
-        _, _, f, gap, tol = ctx._query(y)["levels"][n]
-        assert res.method == "certified" and res.iterations > iters
-        assert tol == 1e-9 and gap <= 1e-9 * np.sqrt(f)
-        assert svd_sigma(sub.matrix(res.coeffs)) <= n * (1.0 + MEM_TOL)
-    assert admm_runs == []
 
 
 @pytest.mark.parametrize("draw,count,kinds,most", [
@@ -631,7 +613,7 @@ def test_dual_bound_is_below_every_feasible_value(shape, diag_sub):
         ctx.solve_levels(y, [n], 1e-6)
         entry = ctx._query(y)["levels"].get(n)
         if entry is not None:
-            tn, _, fn, _, _ = entry
+            tn, _, fn, _ = entry
             assert svd_sigma(ctx.mat(tn)) <= n * (1.0 + MEM_TOL)
             assert ctx._dual(W, y, n).max() <= fn
             assert ctx._dual(ctx._multiplier(tn[None], y), y, n).max() <= fn * (1.0 + 1e-13)

@@ -5,7 +5,6 @@ from orbit_locator import (DimensionError, DistanceResult, LocatedSet,
                            Member, Witness, euclidean_ball, greedy_decompose,
                            inner_radius, linear_image_ball, make_subspace,
                            open_map_radius, orbit_ball)
-from orbit_locator import open_mapping
 from orbit_locator.open_mapping import Undecided as DeadBand
 from conftest import svd_sigma, svd_values
 
@@ -73,7 +72,7 @@ def test_inner_radius_boxes(diag_sub):
     e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     for c in (0.4, 1.0, 2.5):
         ball = linear_image_ball(np.diag([1.0, c]), 1.0)
-        rr = inner_radius(ball, e, tol=1e-6)
+        rr = inner_radius(ball, e)
         assert abs(rr.r - min(1.0, c)) <= 2e-6
         assert rr.method == "circle-scan"
 
@@ -92,7 +91,7 @@ def test_inner_radius_rotated_ellipsoid(m, method):
         T = rng.normal(size=(m + 1, m + 1))
         W = rng.normal(size=(m + 1, m))
         ball = linear_image_ball(T, 1.0)
-        rr = inner_radius(ball, list(W.T), tol=1e-6)
+        rr = inner_radius(ball, list(W.T))
         BW = np.linalg.qr(W)[0]
         r_true = 1.0 / svd_sigma(np.linalg.solve(T, BW))
         assert abs(rr.r - r_true) <= 1e-9 * r_true, (rr.r, r_true)
@@ -137,7 +136,8 @@ def _flat_orbit_ball(basis, x):
 def test_inner_radius_flat_gauge(ball, r):
     # the gauge is |v| / r on every direction, so no cell is ever pruned
     # by its value: only the width ends the search, and the cap on the
-    # cells split per round, each into 16 children, is what bounds its cost
+    # cells split per round, each into 16 children, is what bounds its cost.
+    # The radius asks the gauge oracle only, never the distance oracle
     rows = []
 
     def gauges(V, tol):
@@ -145,8 +145,8 @@ def test_inner_radius_flat_gauge(ball, r):
         return ball.gauges(V, tol)
 
     m = ball.ambient_dim
-    counted = LocatedSet(m, ball.locate, gauges)
-    rr = inner_radius(counted, list(np.eye(m)), tol=1e-6)
+    counted = LocatedSet(m, None, gauges)
+    rr = inner_radius(counted, list(np.eye(m)))
     assert abs(rr.r - r) <= 1e-9 * r, (rr.r, r)
     assert 0.0 < rr.floor <= r
     assert rows[0] == m and len(rows) > 2
@@ -158,7 +158,8 @@ def test_floor_covers_a_maximiser_the_search_drops():
     # sit on the centres of second-round cells of the face {u_1 = 1}, and
     # the longest, of norm 1, on the edge between two cells there. Those
     # two cells rank below the five, so the cap drops them and the search
-    # never sees the maximiser: the floor must come from their bound
+    # never sees the maximiser: the floor must come from their bound. The
+    # polygon has no distance oracle, which the radius never asks
     def unit(t):
         return np.array([1.0, t]) / np.hypot(1.0, t)
 
@@ -166,16 +167,16 @@ def test_floor_covers_a_maximiser_the_search_drops():
                                                     7 / 16, 9 / 16)]
                  + [unit(12 / 16)])
     polygon = LocatedSet(2, None, lambda V, tol: np.abs(V @ A.T).max(axis=1))
-    best, w, top = open_mapping._branch_and_bound(polygon, np.eye(2))
-    assert best == pytest.approx(1.0 - 1e-6, rel=1e-12)
-    assert 1.0 < top < 1.01
+    rr = inner_radius(polygon, list(np.eye(2)))
+    assert 1.0 / rr.r == pytest.approx(1.0 - 1e-6, rel=1e-12)
+    assert 1.0 < 1.0 / rr.floor < 1.01
 
 
 def test_inner_radius_segment_ambient_vs_span():
     e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    rr = inner_radius(segment(), e, tol=1e-6)
+    rr = inner_radius(segment(), e)
     assert rr.r == 0.0 and rr.method == "unbounded-gauge"
-    rr_span = inner_radius(segment(), [np.array([1.0, 0.0])], tol=1e-6)
+    rr_span = inner_radius(segment(), [np.array([1.0, 0.0])])
     assert abs(rr_span.r - 1.0) <= 2e-6
     assert rr_span.method == "axis"
 
@@ -183,7 +184,7 @@ def test_inner_radius_segment_ambient_vs_span():
 def test_inner_radius_sphere_scan():
     ball = linear_image_ball(np.diag([1.0, 0.7, 0.4]), 1.0)
     e = [np.eye(3)[i] for i in range(3)]
-    rr = inner_radius(ball, e, tol=1e-4)
+    rr = inner_radius(ball, e)
     assert abs(rr.r - 0.4) <= 5e-4
     assert rr.method == "sphere-scan"
 
@@ -197,8 +198,8 @@ def test_inner_radius_rejects_wrong_length(diag_sub):
 def test_inner_radius_deterministic(diag_sub):
     e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     ball = orbit_ball(diag_sub, np.array([1.0, 0.3]), 1.0)
-    r1 = inner_radius(ball, e, tol=1e-6)
-    r2 = inner_radius(ball, e, tol=1e-6)
+    r1 = inner_radius(ball, e)
+    r2 = inner_radius(ball, e)
     assert r1.r == r2.r
     assert np.array_equal(r1.direction, r2.direction)
 
