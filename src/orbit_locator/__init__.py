@@ -11,9 +11,9 @@ from .defaults import (BUDGET, GRID_CAP, MAX_SOLVER_ITERS, MEM_TOL, NET_CAP,
 from .errors import (ConvergenceFailure, DependentBasisError, DimensionError,
                      GridOracleRefusal, NetTooLargeError, OrbitLocatorError,
                      PipelineRefusal, SolverFailure)
-from .operators import (OperatorSubspace, OrbitGeometry, ScaledBall,
-                        coefficient_box, covering_gap, epsilon_net,
-                        make_subspace, op_norm, orbit)
+from .operators import (OperatorSubspace, OrbitGeometry, coefficient_box,
+                        covering_gap, epsilon_net, make_subspace, op_norm,
+                        orbit)
 from .located import (DistanceResult, LocatedSet, OrbitBallContext,
                       ball_distance, euclidean_ball, gauge_of_orbit_ball,
                       grid_oracle_distance, linear_image_ball, orbit_ball)
@@ -37,7 +37,7 @@ __all__ = [
     "ConvergenceFailure", "DependentBasisError", "DimensionError",
     "GridOracleRefusal", "NetTooLargeError", "OrbitLocatorError",
     "PipelineRefusal", "SolverFailure",
-    "OperatorSubspace", "OrbitGeometry", "ScaledBall", "coefficient_box",
+    "OperatorSubspace", "OrbitGeometry", "coefficient_box",
     "covering_gap", "epsilon_net", "make_subspace", "op_norm", "orbit",
     "DistanceResult", "LocatedSet", "OrbitBallContext", "ball_distance",
     "euclidean_ball", "gauge_of_orbit_ball", "grid_oracle_distance",

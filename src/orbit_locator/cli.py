@@ -266,12 +266,10 @@ def _cmd_project(args) -> dict:
 def _cmd_radius(args) -> dict:
     p = load_problem(args.file)
     sub = operators.make_subspace(p.basis)
-    tol = _pick(args.tol, p.tol, TOL)
     rr = pipeline.span_inner_radius(sub, p.x)
     return {
         "command": "radius",
         "status": "ok",
-        "tol": tol,
         "seed": p.seed,
         "r": rr.r,
         "floor": rr.floor,
@@ -313,12 +311,10 @@ def _cmd_omt(args) -> dict:
     if len(p.basis) != 1:
         raise InputError(
             f"omt needs exactly one matrix in basis, got {len(p.basis)}")
-    tol = _pick(args.tol, p.tol, TOL)
     res = om.open_map_radius(p.basis[0])
     return {
         "command": "omt",
         "status": "ok",
-        "tol": tol,
         "seed": p.seed,
         "r": res.r,
         "direction": res.direction,
@@ -361,11 +357,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="orbit-locator", add_help=True)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, needs_file=True):
+    # radius and omt compute no tolerance-bound value, so take no --tol
+    def add(name, needs_file=True, tol=True):
         sp = sub.add_parser(name, add_help=True)
         if needs_file:
             sp.add_argument("file")
-        sp.add_argument("--tol", type=float, default=None)
+        if tol:
+            sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--validate", action="store_true")
         return sp
 
@@ -376,10 +374,10 @@ def _build_parser() -> _Parser:
     spb = add("balldist")
     spb.add_argument("--n", type=float, default=None)
     add("project")
-    add("radius")
+    add("radius", tol=False)
     spg = add("decompose")
     spg.add_argument("--r", type=float, default=None)
-    add("omt")
+    add("omt", tol=False)
     spm = add("demo", needs_file=False)
     spm.add_argument("--csv", default=None)
     spm.add_argument("--budget", type=int, default=None)

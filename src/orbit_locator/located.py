@@ -29,8 +29,12 @@ bounds gauge(Py) from above (it is the gauge when no span operator kills
 x), so when that bound already clears n the answer is Py, witnessed by
 the least-norm preimage; only otherwise does the gauge's pattern search
 over the null directions run. Gauges are evaluated row-wise on stacks of
-vectors, so a round of the inner-radius search over many directions
-costs one stacked SVD, or one spectral-norm sweep per pattern round.
+vectors by one kernel: a lockstep pattern search over the null
+coordinates z of sigma1(A + sum_l z_l mat(N_l)), with A the matrix of a
+row's least-norm preimage; without a null space it is one stacked SVD.
+On a fixed subspace W the kernel is compiled once (gauges_on): A is the
+combination of the matrices of W's basis vectors, so a round of the
+inner-radius search builds no preimage and makes no per-row span test.
 
 Euclidean balls and linear images of balls (ellipsoids) are provided as
 exactly-locatable companions, and a pure enumeration oracle gives two-sided
@@ -76,14 +80,18 @@ class LocatedSet:
     set supports it, applies the Minkowski functional to each row of V: the
     least s >= 0 with v in s-times-the-set (inf when no scaling reaches v).
     The gauge oracle takes (V, tol) and returns one value per row; exact
-    oracles ignore tol. gauge(v) is the one-row case.
+    oracles ignore tol. gauge(v) is the one-row case. gauges_on(B, tol)
+    is the gauge on the span of B's columns as a function of coordinates,
+    U -> gauges(U @ B.T, tol); a set may supply a form compiled once for
+    B (the factory gauges_on(B, tol) -> function of U).
     """
 
     def __init__(self, ambient_dim: int, locate: Callable, gauge=None,
-                 description: str = ""):
+                 description: str = "", gauges_on=None):
         self.ambient_dim = int(ambient_dim)
         self._locate = locate
         self._gauge = gauge
+        self._gauges_on = gauges_on
         self.description = description
 
     def locate(self, y, tol: float = TOL) -> DistanceResult:
@@ -104,6 +112,17 @@ class LocatedSet:
 
     def gauge(self, v, tol: float = GAUGE_TOL) -> float:
         return float(self.gauges(linalg.as_vector(v)[None, :], tol)[0])
+
+    def gauges_on(self, B, tol: float = GAUGE_TOL) -> Callable:
+        """The function U -> gauges(U @ B.T, tol), in the set's compiled
+        form when it has one."""
+        B = linalg.as_matrix(B)
+        if B.shape[0] != self.ambient_dim:
+            raise DimensionError(
+                f"expected columns of length {self.ambient_dim}, got shape {B.shape}")
+        if self._gauges_on is not None:
+            return self._gauges_on(B, float(tol))
+        return lambda U: self.gauges(U @ B.T, tol)
 
 
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
@@ -234,6 +253,8 @@ class OrbitBallContext:
             self.range_vecs = np.zeros((self.k, 0))
             self.range_lams = np.zeros(0)
             self.null_vecs = np.eye(self.k)
+        # the null stack mat(N_l), flattened: the gauge kernel's directions
+        self.null_mats = self.null_vecs.T @ self.stack.reshape(self.k, -1)
         self._query_cache: dict[bytes, dict] = {}
 
     # ---- coefficient/matrix bridges -------------------------------------
@@ -286,50 +307,74 @@ class OrbitBallContext:
             return np.inf, None
         return float(vals[0]), ts[0]
 
+    def _on_span(self, V, nv) -> np.ndarray:
+        """Whether each row of V, of norm nv, lies on the orbit span (the
+        zero vector only, at rank 0), up to 1e-9 max(1, |v|)."""
+        if self.rank == 0:
+            return nv == 0.0
+        resid = np.linalg.norm(V - V @ self.geo.P.T, axis=1)
+        return resid <= 1e-9 * np.maximum(nv, 1.0)
+
+    def _gauge_kernel(self, A, t_hat, tol: float):
+        """The gauge at rows whose least-norm preimages are t_hat, with
+        A = mat(t_hat) flattened (one row each): min over z of
+        sigma1(A + sum_l z_l mat(N_l)) by one lockstep pattern search from
+        z = 0, steered by closed-form spectral norms and re-anchored on
+        LAPACK's; each round is one spectral-norm sweep spanning four step
+        sizes. Without a null space it is one stacked SVD. Every value is
+        sigma1 at a preimage. Returns (values, coefficient rows)."""
+        d = self.dim
+        NM = self.null_mats
+
+        def mats(rows, P):
+            return (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)
+
+        def steer(rows, P):
+            return linalg.batch_spectral_norms(
+                mats(rows, P).reshape(-1, d, d)).reshape(P.shape[:2])
+
+        scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
+        z, g, _ = compass_min(lambda rows, P: _sigma1(mats(rows, P)),
+                              np.zeros((len(A), NM.shape[0])),
+                              init_step=scale, step_tol=tol * scale / 4.0,
+                              batch_fn=steer)
+        return g, t_hat + z @ self.null_vecs.T
+
     def gauges(self, V, tol: float = GAUGE_TOL):
         """Row-wise gauge of a stack of vectors: (values, coefficient rows),
         with value inf and a row of NaN for vectors outside the orbit span.
-
-        One lockstep pattern search over the null directions runs for all
-        rows from their least-norm preimages, steered by closed-form
-        spectral norms and re-anchored on LAPACK's; each of its rounds is
-        one spectral-norm sweep spanning four step sizes. Without a null
-        space the least-norm preimage is the only preimage, and the search
-        is one stacked SVD."""
+        Rows on the span run _gauge_kernel from their least-norm
+        preimages."""
         V = linalg.as_rows(V, self.dim)
-        d = self.dim
         nv = np.linalg.norm(V, axis=1)
-        if self.rank == 0:
-            on = nv == 0.0
-        else:
-            resid = np.linalg.norm(V - V @ self.geo.P.T, axis=1)
-            on = resid <= 1e-9 * np.maximum(nv, 1.0)
+        on = self._on_span(V, nv)
         vals = np.where(on, 0.0, np.inf)
         ts = np.zeros((V.shape[0], self.k))
         ts[~on] = np.nan
         live = np.flatnonzero(on & (nv > 0.0))
-        if live.size == 0:
-            return vals, ts
-        t_hat = self.min_norm_preimage(V[live])
-        N = self.null_vecs
-
-        def mats(rows, P):
-            return np.einsum("rpk,kij->rpij", P @ N.T + t_hat[rows, None, :],
-                             self.stack)
-
-        def steer(rows, P):
-            Ms = mats(rows, P)
-            return linalg.batch_spectral_norms(
-                Ms.reshape(-1, d, d)).reshape(Ms.shape[:2])
-
-        scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
-        z, g, _ = compass_min(lambda rows, P: _sigma1(mats(rows, P)),
-                              np.zeros((live.size, N.shape[1])),
-                              init_step=scale, step_tol=tol * scale / 4.0,
-                              batch_fn=steer)
-        vals[live] = g
-        ts[live] = t_hat + z @ N.T
+        if live.size:
+            t_hat = self.min_norm_preimage(V[live])
+            vals[live], ts[live] = self._gauge_kernel(
+                self.mat(t_hat).reshape(live.size, -1), t_hat, tol)
         return vals, ts
+
+    def gauges_on(self, B, tol: float = GAUGE_TOL):
+        """gauges(U @ B.T, tol) as a function of U, for the columns b_j of
+        B, compiled once: with T_j = t_hat(b_j) and G_j = mat(T_j), a row u
+        has the least-norm preimage u T and its matrix u G by linearity, so
+        it runs _gauge_kernel with no preimage or mat of its own. The span
+        test is made once, on the columns, and by linearity covers every
+        row; when a column is off the orbit span, the function is gauges
+        on U @ B.T with its per-row test."""
+        B = linalg.as_matrix(B)
+        if B.shape[0] != self.dim:
+            raise DimensionError(
+                f"expected columns of length {self.dim}, got shape {B.shape}")
+        if not self._on_span(B.T, np.linalg.norm(B, axis=0)).all():
+            return lambda U: self.gauges(U @ B.T, tol)
+        T = self.min_norm_preimage(B.T)
+        G = self.mat(T).reshape(len(T), -1)
+        return lambda U: self._gauge_kernel(U @ G, U @ T, tol)
 
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
@@ -596,11 +641,22 @@ class OrbitBallContext:
         bound that clears n decides it exactly as the gauge would;
         otherwise the gauge's search runs, once per query."""
         g, t_rep = q["ub"], q["t_hat"]
-        if not g <= n - 5e-10 * max(1.0, g):
+        inside = _clears(g, n)
+        if not inside:
             if "gauge" not in q:
                 q["gauge"] = self.gauge(q["Py"])
             g, t_rep = q["gauge"]
-        return g <= n - 5e-10 * max(1.0, g), g, t_rep
+            inside = _clears(g, n)
+        return inside, g, t_rep
+
+    def interior_rows(self, Y, ns) -> np.ndarray:
+        """For a stack of queries Y at levels ns (one per row), whether
+        sigma1 of the least-norm preimage of Py already clears the level:
+        those rows take the interior route, and distance returns ||y - Py||
+        for them. A row outside may still be interior by the gauge's
+        search, which only distance runs."""
+        Py = Y @ self.geo.P.T
+        return _clears(_sigma1(self.mat(self.min_norm_preimage(Py))), ns)
 
     def solve_levels(self, y, ns, tols) -> None:
         """Boundary candidates for the query y at every level in ns, from
@@ -746,6 +802,12 @@ def _sigma1(Ms) -> np.ndarray:
     return np.linalg.svd(Ms, compute_uv=False)[..., 0]
 
 
+def _clears(g, n):
+    """The interior route's test, elementwise: the gauge bound g clears
+    the level n by the margin 5e-10 max(1, g)."""
+    return g <= n - 5e-10 * np.maximum(1.0, g)
+
+
 def _top_multiplier(grad, g):
     """The least-squares KKT multiplier of the top singular pair, row-wise:
     max(0, -<grad, g> / ||g||^2) with g the gradient of sigma1."""
@@ -788,8 +850,13 @@ def orbit_ball(subspace, x, n: float,
     def gg(V, tol):
         return ctx.gauges(V, tol)[0] / n
 
+    def gg_on(B, tol):
+        gauge = ctx.gauges_on(B, tol)
+        return lambda U: gauge(U)[0] / n
+
     return LocatedSet(subspace.dim, loc, gg,
-                      description=f"orbit ball at level {n:g}")
+                      description=f"orbit ball at level {n:g}",
+                      gauges_on=gg_on)
 
 
 def euclidean_ball(center, radius: float) -> LocatedSet:

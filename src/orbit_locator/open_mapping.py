@@ -146,13 +146,14 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     rho is 1 over the maximum gauge g on the unit sphere of W, found by a
     branch and bound (Piyavskii 1972; Shubert 1972) whose cells are
     (m-1)-boxes on the faces {u_i = 1} of the cube, covering the sphere up
-    to sign. Each round is one gauge call over its cells' centres, the axes
-    first. A computed gauge is sigma1 at a feasible preimage, so at least g,
-    and a cell with sides h_j and centre c on face i holds no gauge above
-    the smaller of g(c/|c|) / cos delta, with delta = 2 asin(|h|/4) its
-    angular radius (at the maximiser w*, g(u) >= g(w*) cos angle(u, w*) by
-    the supporting plane there), and |c| g(c/|c|) + sum_{j != i} (h_j/2)
-    g(e_j), by subadditivity, as the face has norm >= 1. A cell stays live
+    to sign. C.gauges_on(W's basis) is built once, and each round is one
+    call of it over the cells' centres, the axes first. A computed gauge is
+    sigma1 at a feasible preimage, so at least g, and a cell with sides h_j
+    and centre c on face i holds no gauge above the smaller of
+    g(c/|c|) / cos delta, with delta = 2 asin(|h|/4) its angular radius (at
+    the maximiser w*, g(u) >= g(w*) cos angle(u, w*) by the supporting
+    plane there), and |c| g(c/|c|) + sum_{j != i} (h_j/2) g(e_j), by
+    subadditivity, as the face has norm >= 1. A cell stays live
     while its bound exceeds best * (1 + _BB_REL); the max(_BB_KEEP, m) with
     the largest centre gauges split into 2**_BB_HALVINGS cells each, and the
     largest bound of the rest is kept.
@@ -190,13 +191,16 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
     largest gauge on the sphere the search leaves possible); the best is
     inf, with its direction, as soon as a gauge is not finite."""
     m = B.shape[1]
+    gauges = C.gauges_on(B, GAUGE_TOL)
+    # others[i]: the in-face axes of face i, in order
+    others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
     # every cell of a round has the side lengths h along its face's axes
     centres, faces, h = np.eye(m), np.arange(m), np.full(m - 1, 2.0)
     best, w, dropped, axes, keep = -np.inf, None, 0.0, None, max(_BB_KEEP, m)
     while True:
         norms = np.linalg.norm(centres, axis=1)
         dirs = centres / norms[:, None]
-        vals = C.gauges(dirs @ B.T, GAUGE_TOL)
+        vals = gauges(dirs)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             return np.inf, dirs[int(np.argmax(bad))], np.inf
@@ -206,8 +210,7 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
         axes = vals if axes is None else axes  # round 1 gauged the axes
         # a point of the cell has norm >= 1 and, by subadditivity, a gauge
         # of at most g(centre) + sum_j (h_j / 2) g(e_j)
-        sides = np.stack([np.insert(h, i, 0.0) for i in range(m)])
-        bound = norms * vals + 0.5 * (sides @ axes)[faces]
+        bound = norms * vals + 0.5 * (axes[others] @ h)[faces]
         # cos delta = 1 - 2 sin^2(delta / 2); nonpositive past a quarter sphere
         cos = 1.0 - (h @ h) / 8.0
         if cos > 0.0:
@@ -226,9 +229,12 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
         parts = np.ones(m - 1, dtype=int)
         for _ in range(_BB_HALVINGS):
             parts[np.argmax(h / parts)] *= 2
-        offsets = [((np.arange(p) + 0.5) / p - 0.5) * s for p, s in zip(parts, h)]
-        grid = np.stack(np.meshgrid(*offsets, indexing="ij"), -1).reshape(-1, m - 1)
-        kids = np.stack([np.insert(grid, i, 0.0, axis=1) for i in range(m)])
+        # the children's offsets from the centre, one row per child
+        cells = np.indices(parts).reshape(m - 1, -1).T
+        grid = ((cells + 0.5) / parts - 0.5) * h
+        kids = np.zeros((m, len(grid), m))
+        kids[np.arange(m)[:, None, None], np.arange(len(grid))[:, None],
+             others[:, None, :]] = grid
         centres = (centres[live, None, :] + kids[faces[live]]).reshape(-1, m)
         faces = np.repeat(faces[live], grid.shape[0])
         h = h / parts

@@ -1,10 +1,9 @@
 """Finite-dimensional operator subspaces, their orbits through a point, and
-scaled operator-norm balls.
+finite nets of the images of scaled operator-norm balls.
 
 A subspace is spanned by k linearly independent matrices B_1..B_k. The orbit
 of x is {M x : M in the span}; the scaled ball at level n keeps only
-operators with spectral norm at most n. Membership uses the relative band
-sigma1(M) <= n * (1 + mem_tol).
+operators with spectral norm at most n.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .defaults import MEM_TOL, NET_CAP, RANK_TOL
+from .defaults import NET_CAP, RANK_TOL
 from .errors import DependentBasisError, DimensionError, NetTooLargeError
 
 
@@ -61,22 +60,6 @@ class OrbitGeometry:
     Q: tuple[np.ndarray, ...]
     P: np.ndarray
     rank: int
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledBall:
-    """The level-n ball of a subspace: operators in the span with
-    spectral norm at most n."""
-
-    subspace: OperatorSubspace
-    n: float
-
-    def contains_coeffs(self, coeffs, mem_tol: float = MEM_TOL) -> bool:
-        sigma = linalg.spectral_norm(self.subspace.matrix(coeffs))
-        return sigma <= self.n * (1.0 + mem_tol)
-
-    def contains(self, M, mem_tol: float = MEM_TOL) -> bool:
-        return linalg.spectral_norm(np.asarray(M, dtype=float)) <= self.n * (1.0 + mem_tol)
 
 
 def make_subspace(basis, rank_tol: float = RANK_TOL) -> OperatorSubspace:

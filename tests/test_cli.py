@@ -74,6 +74,7 @@ def test_radius_and_refusal(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["radius", path, "--validate"])
     assert code == 0
     report = json.loads(out)
+    assert "tol" not in report
     assert abs(report["r"] - 0.1) <= 1e-8
     # the box [-1, 1] x [-0.1, 0.1]: its inner radius is exactly 0.1
     assert report["r"] * (1.0 - 2e-9) <= report["floor"] <= 0.1
@@ -103,7 +104,8 @@ def test_omt(tmp_path, capsys):
                          x=[0.0, 0.0])
     code, out, _ = run_cli(capsys, ["omt", path, "--validate"])
     assert code == 0
-    assert abs(json.loads(out)["r"] - 0.5) <= 1e-9
+    report = json.loads(out)
+    assert abs(report["r"] - 0.5) <= 1e-9 and "tol" not in report
     sing = write_problem(tmp_path, name="s.json", dim=2,
                          basis=[[[1.0, 0.0], [2.0, 0.0]]], x=[0.0, 0.0])
     code2, _, err2 = run_cli(capsys, ["omt", sing])
@@ -144,6 +146,13 @@ def test_input_errors(tmp_path, capsys):
     bad_tol = diag_problem(tmp_path, name="t.json", tol=[1])
     code4, out4, err4 = run_cli(capsys, ["balldist", bad_tol, "--n", "2"])
     assert code4 == 1 and out4 == "" and "'tol'" in err4
+    # radius and omt read no tolerance: the flag is rejected, while the
+    # file key stays valid because every command shares the schema
+    with_tol = diag_problem(tmp_path, name="r.json", tol=1e-3)
+    for cmd in ("radius", "omt"):
+        code5, out5, err5 = run_cli(capsys, [cmd, with_tol, "--tol", "1e-6"])
+        assert code5 == 1 and out5 == "" and "--tol" in err5
+    assert run_cli(capsys, ["radius", with_tol])[0] == 0
 
 
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -361,15 +361,19 @@ def rank_one_pair(g, dim):
     return [B1, 0.7 * B1 + g.normal(size=(dim, dim)) @ kill_x], x
 
 
+def shaped_problem(g, shape):
+    """A (basis, x) of the shape "d<dim>k<k>r<orbit rank>": d3k2r1 is a
+    rank_one_pair, the others are random (k > dim gives a null space)."""
+    if shape == "d3k2r1":
+        return rank_one_pair(g, 3)
+    dim, k = int(shape[1]), int(shape[3])
+    return [g.normal(size=(dim, dim)) for _ in range(k)], g.normal(size=dim)
+
+
 @pytest.mark.parametrize("shape", ["d3k2r1", "d3k2r2", "d2k3r2"])
 def test_batched_gauges_match_one_row(shape):
     g = np.random.default_rng(11)
-    if shape == "d3k2r1":
-        basis, x = rank_one_pair(g, 3)
-    else:
-        dim, k = int(shape[1]), int(shape[3])
-        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
-        x = g.normal(size=dim)
+    basis, x = shaped_problem(g, shape)
     sub = make_subspace(basis)
     ctx = OrbitBallContext(sub, x)
     assert ctx.rank == int(shape[5])
@@ -397,6 +401,29 @@ def test_batched_gauges_match_one_row(shape):
               linear_image_ball(basis[0][:, :2], 1.5)):
         batch = S.gauges(V)
         assert np.allclose(batch, [S.gauge(v) for v in V], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", ["d3k2r1", "d3k2r2", "d2k3r2", "d3k3r3"])
+def test_gauges_on_matches_gauges(shape):
+    # the compiled form combines the generators mat(t_hat(b_j)) where
+    # gauges builds each row's preimage: the same search up to rounding
+    g = np.random.default_rng(12)
+    basis, x = shaped_problem(g, shape)
+    sub = make_subspace(basis)
+    ctx = OrbitBallContext(sub, x)
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (int(shape[5]), len(basis) - int(shape[5]))
+    B = np.stack(ctx.geo.Q, axis=1)
+    U = np.concatenate([g.normal(size=(12, ctx.rank)), np.eye(ctx.rank)])
+    want, _ = ctx.gauges(U @ B.T)
+    got, ts = ctx.gauges_on(B)(U)
+    assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
+    assert np.allclose(ctx.point(ts), U @ B.T, atol=1e-12)
+    assert np.allclose(svd_sigmas(ctx.mat(ts)), got, rtol=1e-12, atol=0.0)
+    ball = orbit_ball(sub, x, 2.0, ctx=ctx)
+    assert np.array_equal(ball.gauges_on(B)(U), got / 2.0)
+    # a set without a compiled form applies its gauges to U @ B.T
+    S = linear_image_ball(basis[0][:, :2], 1.5)
+    assert np.array_equal(S.gauges_on(B)(U), S.gauges(U @ B.T))
 
 
 def test_interior_witness_is_feasible():

@@ -181,6 +181,19 @@ def test_inner_radius_segment_ambient_vs_span():
     assert rr_span.method == "axis"
 
 
+def test_inner_radius_off_the_orbit_span():
+    # the demo at c = 0: the orbit span of x = (1, 0) is the first axis,
+    # so the ambient plane's second axis has no preimage. The compiled
+    # gauge falls back to the per-row span test and the radius collapses
+    ball = orbit_ball(make_subspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+                      np.array([1.0, 0.0]), 1.0)
+    U = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    assert np.array_equal(ball.gauges_on(np.eye(2))(U), [1.0, np.inf, np.inf])
+    rr = inner_radius(ball, list(np.eye(2)))
+    assert rr.method == "unbounded-gauge"
+    assert rr.r == 0.0 and rr.floor == 0.0
+
+
 def test_inner_radius_sphere_scan():
     ball = linear_image_ball(np.diag([1.0, 0.7, 0.4]), 1.0)
     e = [np.eye(3)[i] for i in range(3)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_locator import (DependentBasisError, DimensionError,
-                           NetTooLargeError, ScaledBall, coefficient_box,
+                           NetTooLargeError, coefficient_box,
                            covering_gap, epsilon_net, make_subspace, op_norm,
                            orbit)
 from conftest import svd_sigma
@@ -91,13 +91,6 @@ def test_coefficient_box_bounds(diag_sub, rng):
         sigma = svd_sigma(sub.matrix(c))
         c_scaled = c * (1.5 / sigma)
         assert np.all(np.abs(c_scaled) <= box * (1.0 + 1e-9))
-
-
-def test_scaled_ball_membership(diag_sub):
-    ball = ScaledBall(diag_sub, 1.0)
-    assert ball.contains_coeffs([1.0, -1.0])
-    assert not ball.contains_coeffs([1.1, 0.0])
-    assert ball.contains(np.diag([0.5, 0.99]))
 
 
 def test_epsilon_net_covers(diag_sub):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from orbit_locator import (ConvergenceFailure, DimensionError,
-                           PipelineRefusal, build_projection, make_subspace,
+                           OrbitBallContext, PipelineRefusal,
+                           build_projection, make_subspace,
                            metric_complement_distance, orbit,
                            pipeline_distance, span_inner_radius,
                            truncation_index)
+from orbit_locator import pipeline
 
 
 def test_truncation_index_values():
@@ -127,3 +129,51 @@ def test_projector_algebra_everywhere(diag_sub, ptp, rng):
         for B in sub.basis:
             bx = B @ x
             assert np.linalg.norm(P @ bx - bx) <= 1e-10
+
+
+def stretched_null_problem():
+    """Diagonal generators M and K in dimension 12 whose orbit through
+    x = 0.05 e_12 is the last axis, with K spanning the null space. M is
+    Frobenius-orthogonal to K when S (S - 1) = 10/4, so M / 0.05 is the
+    least-norm preimage of e_12, while (M - K) / 0.05 = I / 0.05 is a
+    preimage of sigma1 20: sigma1 of the least-norm preimage is S = 2.16
+    times the gauge."""
+    S = 0.5 * (1.0 + np.sqrt(11.0))
+    M = np.diag([S] + [0.5] * 10 + [1.0])
+    K = np.diag([S - 1.0] + [-0.5] * 10 + [0.0])
+    return make_subspace([M, K]), 0.05 * np.eye(12)[11]
+
+
+@pytest.mark.parametrize("problem", ["block", "random", "stretched"])
+def test_build_projection_rows_equal_pipeline_distance(problem, ptp, monkeypatch):
+    # the stacked interior test settles a probe only where distance would
+    # return ||y - Py|| by the interior route; the rest run
+    # pipeline_distance. Each row is the one pipeline_distance returns
+    if problem == "block":
+        sub, x, _ = ptp
+    elif problem == "random":
+        g = np.random.default_rng(5)
+        sub, x = make_subspace([g.normal(size=(3, 3)) for _ in range(3)]), g.normal(size=3)
+    else:
+        sub, x = stretched_null_problem()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return pipeline_distance(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "pipeline_distance", counted)
+    cert = build_projection(sub, x)
+    ctx = OrbitBallContext(sub, x)
+    for row in cert.per_y_trace:
+        d, N = pipeline_distance(sub, x, row.y, ctx=ctx, radius=cert.floor)
+        assert row.N == N
+        assert abs(row.d_pipeline - d) <= 1e-15 * d
+        assert row.d_oracle == pytest.approx(d, abs=2e-6)
+    if problem == "stretched":
+        # the gauge (20) is below N = 41 but sigma1 of the least-norm
+        # preimage of e_12 (43.2) is not: that probe takes the fallback
+        assert cert.floor == pytest.approx(0.05, rel=1e-9)
+        assert len(calls) == 1 and calls[0][11] == 1.0
+    else:
+        assert calls == []
