@@ -357,7 +357,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="orbit-locator", add_help=True)
     sub = parser.add_subparsers(dest="command")
 
-    # radius and omt compute no tolerance-bound value, so take no --tol
+    # radius, decompose and omt read no tolerance, so take no --tol
     def add(name, needs_file=True, tol=True):
         sp = sub.add_parser(name, add_help=True)
         if needs_file:
@@ -375,7 +375,7 @@ def _build_parser() -> _Parser:
     spb.add_argument("--n", type=float, default=None)
     add("project")
     add("radius", tol=False)
-    spg = add("decompose")
+    spg = add("decompose", tol=False)
     spg.add_argument("--r", type=float, default=None)
     add("omt", tol=False)
     spm = add("demo", needs_file=False)

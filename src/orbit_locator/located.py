@@ -35,6 +35,8 @@ row's least-norm preimage; without a null space it is one stacked SVD.
 On a fixed subspace W the kernel is compiled once (gauges_on): A is the
 combination of the matrices of W's basis vectors, so a round of the
 inner-radius search builds no preimage and makes no per-row span test.
+The same generators give a gauge ceiling on W from one top eigenvalue of
+their Gram (gauge_ceiling), which lets that search stop.
 
 Euclidean balls and linear images of balls (ellipsoids) are provided as
 exactly-locatable companions, and a pure enumeration oracle gives two-sided
@@ -83,15 +85,20 @@ class LocatedSet:
     oracles ignore tol. gauge(v) is the one-row case. gauges_on(B, tol)
     is the gauge on the span of B's columns as a function of coordinates,
     U -> gauges(U @ B.T, tol); a set may supply a form compiled once for
-    B (the factory gauges_on(B, tol) -> function of U).
+    B (the factory gauges_on(B, tol) -> function of U). gauge_ceiling(B)
+    is an upper bound on gauges(u @ B.T) over unit vectors u, the unit
+    sphere of span(B) when B's columns are orthonormal: a set may supply
+    the oracle gauge_ceiling(B) -> float, and without one, or when the
+    set has no bound, it is inf.
     """
 
     def __init__(self, ambient_dim: int, locate: Callable, gauge=None,
-                 description: str = "", gauges_on=None):
+                 description: str = "", gauges_on=None, gauge_ceiling=None):
         self.ambient_dim = int(ambient_dim)
         self._locate = locate
         self._gauge = gauge
         self._gauges_on = gauges_on
+        self._gauge_ceiling = gauge_ceiling
         self.description = description
 
     def locate(self, y, tol: float = TOL) -> DistanceResult:
@@ -116,13 +123,25 @@ class LocatedSet:
     def gauges_on(self, B, tol: float = GAUGE_TOL) -> Callable:
         """The function U -> gauges(U @ B.T, tol), in the set's compiled
         form when it has one."""
+        B = self._columns(B)
+        if self._gauges_on is not None:
+            return self._gauges_on(B, float(tol))
+        return lambda U: self.gauges(U @ B.T, tol)
+
+    def gauge_ceiling(self, B) -> float:
+        """An upper bound on the gauge of u @ B.T over unit u; inf when the
+        set supplies none."""
+        B = self._columns(B)
+        if self._gauge_ceiling is None:
+            return np.inf
+        return float(self._gauge_ceiling(B))
+
+    def _columns(self, B) -> np.ndarray:
         B = linalg.as_matrix(B)
         if B.shape[0] != self.ambient_dim:
             raise DimensionError(
                 f"expected columns of length {self.ambient_dim}, got shape {B.shape}")
-        if self._gauges_on is not None:
-            return self._gauges_on(B, float(tol))
-        return lambda U: self.gauges(U @ B.T, tol)
+        return B
 
 
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
@@ -256,6 +275,7 @@ class OrbitBallContext:
         # the null stack mat(N_l), flattened: the gauge kernel's directions
         self.null_mats = self.null_vecs.T @ self.stack.reshape(self.k, -1)
         self._query_cache: dict[bytes, dict] = {}
+        self._generators_of = (None, None)
 
     # ---- coefficient/matrix bridges -------------------------------------
 
@@ -358,23 +378,76 @@ class OrbitBallContext:
                 self.mat(t_hat).reshape(live.size, -1), t_hat, tol)
         return vals, ts
 
+    def _generators(self, B):
+        """(T, G) for the columns b_j of B: the rows T_j = t_hat(b_j) and
+        G_j = mat(T_j), flattened one per row; None when a column is off the
+        orbit span. The span test is made once, on the columns. The last B
+        asked is remembered, so gauges_on and gauge_ceiling on one basis
+        build the generators once."""
+        B = linalg.as_matrix(B)
+        if B.shape[0] != self.dim:
+            raise DimensionError(
+                f"expected columns of length {self.dim}, got shape {B.shape}")
+        key = (B.shape, B.tobytes())
+        if self._generators_of[0] != key:
+            gen = None
+            if self._on_span(B.T, np.linalg.norm(B, axis=0)).all():
+                T = self.min_norm_preimage(B.T)
+                gen = (T, self.mat(T).reshape(len(T), -1))
+            self._generators_of = (key, gen)
+        return self._generators_of[1]
+
     def gauges_on(self, B, tol: float = GAUGE_TOL):
         """gauges(U @ B.T, tol) as a function of U, for the columns b_j of
         B, compiled once: with T_j = t_hat(b_j) and G_j = mat(T_j), a row u
         has the least-norm preimage u T and its matrix u G by linearity, so
         it runs _gauge_kernel with no preimage or mat of its own. The span
-        test is made once, on the columns, and by linearity covers every
-        row; when a column is off the orbit span, the function is gauges
-        on U @ B.T with its per-row test."""
+        test on the columns covers every row by linearity; when a column is
+        off the orbit span, the function is gauges on U @ B.T with its
+        per-row test."""
         B = linalg.as_matrix(B)
-        if B.shape[0] != self.dim:
-            raise DimensionError(
-                f"expected columns of length {self.dim}, got shape {B.shape}")
-        if not self._on_span(B.T, np.linalg.norm(B, axis=0)).all():
+        gen = self._generators(B)
+        if gen is None:
             return lambda U: self.gauges(U @ B.T, tol)
-        T = self.min_norm_preimage(B.T)
-        G = self.mat(T).reshape(len(T), -1)
+        T, G = gen
         return lambda U: self._gauge_kernel(U @ G, U @ T, tol)
+
+    def gauge_ceiling(self, B) -> float:
+        """An upper bound on gauge(B u) over unit u, from the generators
+        G_j of gauges_on: L = sqrt(min(lmax sum_j G_j G_j',
+        lmax sum_j G_j' G_j)); inf when a column is off the orbit span.
+
+        sum_j u_j G_j sends x to B u, so g(B u) <= sigma1(sum_j u_j G_j),
+        also with a null space, as the gauge is the least sigma1 over all
+        preimages. For unit a, b and u, sum_j u_j a'G_j b is at most
+        (sum_j (a'G_j b)^2)^(1/2) <= (a' sum_j G_j G_j' a)^(1/2), and the
+        same holds on the b side, so sigma1(sum_j u_j G_j) <= L.
+
+        Rounding margin, with eps the machine epsilon, d the dimension, m
+        the number of columns and t = sum_j ||G_j||_F^2, the trace of both
+        Grams, which bounds their norms: a Gram sums m d products per entry,
+        so it is off by at most m d eps t in norm (the entrywise bound
+        gamma_md sum_j |G_j||G_j|', whose norm is at most its trace t), and
+        eigvalsh is backward stable, off by at most d eps t more; 2 d eps t
+        covers t's own rounding. The gauge kernel's value at z = 0, which
+        its search only lowers, is LAPACK's sigma1 of the rounded u G, at
+        most (m + d) eps sqrt(t) above sigma1(u G). So the ceiling is
+        sqrt(lam + (m + 2) d eps t) + (m + d) eps sqrt(t), with lam the
+        smaller computed top eigenvalue."""
+        gen = self._generators(B)
+        if gen is None:
+            return np.inf
+        d = self.dim
+        G = gen[1].reshape(-1, d, d)
+        m = G.shape[0]
+        rows = G.transpose(1, 0, 2).reshape(d, m * d)   # [G_1 ... G_m]
+        cols = G.transpose(2, 0, 1).reshape(d, m * d)   # [G_1' ... G_m']
+        lam = min(np.linalg.eigvalsh(rows @ rows.T)[-1],
+                  np.linalg.eigvalsh(cols @ cols.T)[-1])
+        t = float(np.sum(G * G))
+        eps = np.finfo(float).eps
+        return float(np.sqrt(max(float(lam), 0.0) + (m + 2) * d * eps * t)
+                     + (m + d) * eps * np.sqrt(t))
 
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
@@ -839,7 +912,9 @@ def gauge_of_orbit_ball(subspace, x, v, tol: float = GAUGE_TOL) -> float:
 
 def orbit_ball(subspace, x, n: float,
                ctx: Optional[OrbitBallContext] = None) -> LocatedSet:
-    """LocatedSet view of the level-n orbit ball through x."""
+    """LocatedSet view of the level-n orbit ball through x: the context's
+    distance, gauges, compiled gauges_on and one-eigenvalue gauge_ceiling,
+    gauges and ceiling divided by n."""
     if ctx is None:
         ctx = OrbitBallContext(subspace, x)
     n = float(n)
@@ -856,7 +931,8 @@ def orbit_ball(subspace, x, n: float,
 
     return LocatedSet(subspace.dim, loc, gg,
                       description=f"orbit ball at level {n:g}",
-                      gauges_on=gg_on)
+                      gauges_on=gg_on,
+                      gauge_ceiling=lambda B: ctx.gauge_ceiling(B) / n)
 
 
 def euclidean_ball(center, radius: float) -> LocatedSet:
@@ -888,6 +964,12 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
     Nearest points come from the least-squares solution when it is feasible
     and otherwise from the boundary multiplier equation, solved by
     bisection; the gauge is the norm of the least-norm preimage over n.
+    The gauge ceiling on span(B) is exact, sigma1(T^+ B) / n (inf when a
+    column of B is off the range of T), times 1 + (d + m) eps kappa^2 for
+    the rounding of the preimages, which solve the normal equations: with
+    kappa^2 the ratio of the extreme kept eigenvalues of T'T, their
+    relative error is of order eps kappa^2 (at most 1.5 eps kappa^2 against
+    40-digit references on random T with kappa^2 up to 1e6).
     """
     T = linalg.as_matrix(T)
     d, m = T.shape
@@ -933,13 +1015,26 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
         return DistanceResult(float(np.linalg.norm(y - point)), point,
                               None, 0.0, its, "ellipsoid-kkt")
 
-    def gauge(V, tol):
+    def preimages(V):
+        # the least-norm preimage of each row, and whether it is off range
         U = min_norm_preimage(V)
         resid = np.linalg.norm(V - U @ T.T, axis=1)
-        off = resid > 1e-9 * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+        return U, resid > 1e-9 * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+
+    def gauge(V, tol):
+        U, off = preimages(V)
         return np.where(off, np.inf, np.linalg.norm(U, axis=1) / n)
 
-    return LocatedSet(d, loc, gauge, description="linear image of a ball")
+    def ceiling(B):
+        U, off = preimages(B.T)
+        if off.any():
+            return np.inf
+        kappa2 = top / float(lr[-1]) if r else 1.0
+        slack = 1.0 + (d + m) * np.finfo(float).eps * kappa2
+        return float(np.linalg.svd(U, compute_uv=False)[0]) * slack / n
+
+    return LocatedSet(d, loc, gauge, description="linear image of a ball",
+                      gauge_ceiling=ceiling)
 
 
 def grid_oracle_distance(subspace, x, n: float, y, eps: float,

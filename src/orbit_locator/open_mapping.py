@@ -3,10 +3,11 @@
 For a located, bounded, balanced, convex body C and a target y with
 ||y|| < r, the doubling recursion u_i = 2 u_{i-1} - x_i either writes y as
 a series sum 2^{-i} x_i with every x_i in 2C, or runs into a residual
-vector provably bounded away from C. A branch and bound over unit
-directions for the largest gauge value gives the inner radius with a
-rigorous floor, and the open-mapping radius of a surjective matrix is its
-smallest singular value sigma_min.
+vector provably bounded away from C; it stops once the residual meets the
+precision target. A branch and bound over unit directions for the largest
+gauge value gives the inner radius with a rigorous floor, and stops once
+its best gauge reaches the body's gauge ceiling. The open-mapping radius
+of a surjective matrix is its smallest singular value sigma_min.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class DecompositionStep:
 
 @dataclass(frozen=True, eq=False)
 class Member:
+    """y is certified in 2C: xi = sum_{j<=i} 2^-j x_j over the steps taken,
+    which lies in 2C, with ||y - xi|| <= 2^-max_steps r + 4 tol."""
     xi: np.ndarray
 
 
@@ -60,10 +63,13 @@ class Decomposition:
 @dataclass(frozen=True, eq=False)
 class RadiusResult:
     """An inner radius of a body along a subspace W. floor is the rigorous
-    lower end: B(0, floor) of W lies inside the body. r = 1/(largest gauge
-    found) is an estimate, at least floor, that can exceed the true radius
-    when the search misses the maximiser (seen at m >= 6). direction is the
-    unit vector of that largest gauge, and method names the route."""
+    lower end: B(0, floor) of W lies inside the body. It is the larger of
+    the search's own floor and 1 over the body's gauge ceiling. r =
+    1/(largest gauge found) is an estimate, at least floor, that can exceed
+    the true radius when the search misses the maximiser (seen at m >= 6),
+    and within a factor 1 + _BB_REL of floor when the search stopped at the
+    ceiling. direction is the unit vector of that largest gauge, and method
+    names the route."""
     r: float
     direction: np.ndarray
     method: str
@@ -86,9 +92,14 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
     witness z = u, which is bounded away from C yet shorter than r. The
     branches overlap and continuation is preferred; a query landing in the
     dead band between them, or whose doubled residual would leave the
-    radius, is given up as Undecided. A full run of continuations is a
-    Member with xi = sum 2^-i x_i (last term doubled so the weights sum to
-    1), so gauge(xi) <= 2.
+    radius, is given up as Undecided. The run stops as a Member as soon as
+    a continuation's residual ||y - acc|| is at most 2^-max_steps r + 4 tol,
+    the target a full run of max_steps continuations must meet, with
+    xi = acc = sum_{j<=i} 2^-j x_j. So gauge(xi) <= 2: the x_j lie in 2C,
+    and the missing weight 2^-i sits on 0, which lies in 2C as C is
+    balanced and convex. An exact oracle meets the target at step 1; an
+    inexact one only near step max_steps, and a full run that misses it is
+    Undecided.
     """
     y = linalg.as_vector(y)
     r = float(r)
@@ -101,7 +112,7 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
     u = y.copy()
     acc = np.zeros_like(y)
     steps: list[DecompositionStep] = []
-    last_x = np.zeros_like(y)
+    target = (2.0 ** -max_steps) * r + 4.0 * tol
     for i in range(1, max_steps + 1):
         res = C.locate(u, tol)
         d = res.value
@@ -111,10 +122,12 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
             x_i = 2.0 * res.point
             u = 2.0 * u - x_i
             acc = acc + (2.0 ** -i) * x_i
-            last_x = x_i
-            steps.append(DecompositionStep(
-                i=i, x=x_i, lam=0,
-                residual=float(np.linalg.norm(y - acc))))
+            residual = float(np.linalg.norm(y - acc))
+            steps.append(DecompositionStep(i=i, x=x_i, lam=0,
+                                           residual=residual))
+            if residual <= target:
+                return Decomposition(steps=tuple(steps),
+                                     outcome=Member(xi=acc), r=r, y=y)
             continue
         if d > max(r / 4.0, 10.0 * tol):
             steps.append(DecompositionStep(
@@ -124,13 +137,9 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
                                  r=r, y=y)
         return Decomposition(steps=tuple(steps),
                              outcome=Undecided(residual=d), r=r, y=y)
-    n = max_steps
-    final = float(np.linalg.norm(y - acc))
-    if final > (2.0 ** -n) * r + 4.0 * tol:
-        return Decomposition(steps=tuple(steps),
-                             outcome=Undecided(residual=final), r=r, y=y)
-    xi = acc + (2.0 ** -n) * last_x
-    return Decomposition(steps=tuple(steps), outcome=Member(xi=xi), r=r, y=y)
+    return Decomposition(steps=tuple(steps),
+                         outcome=Undecided(residual=steps[-1].residual),
+                         r=r, y=y)
 
 
 # branch and bound of inner_radius over cube-face cells
@@ -158,8 +167,14 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     the largest centre gauges split into 2**_BB_HALVINGS cells each, and the
     largest bound of the rest is kept.
 
+    The search also stops at the set's gauge ceiling (C.gauge_ceiling, an
+    upper bound on every gauge of the sphere, read once): after a round
+    whose best * (1 + _BB_REL) reaches it, no cell can beat the best found
+    by more than that factor, the tolerance the cells are pruned at.
+
     r is 1 over the best gauge found, direction its unit vector, and floor
-    1 over the larger of best * (1 + _BB_REL) and that kept bound. The line
+    1 over the smaller of the ceiling and the larger of best * (1 + _BB_REL)
+    and that kept bound, so it is at least 1 over the ceiling. The line
     (m = 1) is one tight gauge, with floor = r. An infinite gauge
     short-circuits to r = 0.
     """
@@ -188,10 +203,14 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
 
 def _branch_and_bound(C, B: np.ndarray) -> tuple:
     """(best gauge found, its unit direction in the coordinates of B, the
-    largest gauge on the sphere the search leaves possible); the best is
-    inf, with its direction, as soon as a gauge is not finite."""
+    largest gauge on the sphere the search leaves possible, at most C's
+    gauge ceiling); the best is inf, with its direction, as soon as a gauge
+    is not finite. It returns after the first round whose best gauge is
+    within a factor 1 + _BB_REL of the ceiling, with the ceiling as the
+    largest possible gauge."""
     m = B.shape[1]
     gauges = C.gauges_on(B, GAUGE_TOL)
+    ceiling = C.gauge_ceiling(B)
     # others[i]: the in-face axes of face i, in order
     others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
     # every cell of a round has the side lengths h along its face's axes
@@ -207,6 +226,8 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
         j = int(np.argmax(vals))
         if vals[j] > best:
             best, w = float(vals[j]), dirs[j]
+        if best * (1.0 + _BB_REL) >= ceiling:
+            return best, w, ceiling
         axes = vals if axes is None else axes  # round 1 gauged the axes
         # a point of the cell has norm >= 1 and, by subadditivity, a gauge
         # of at most g(centre) + sum_j (h_j / 2) g(e_j)
@@ -224,7 +245,7 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
             dropped = max(dropped, float(bound[live[keep:]].max()))
             live = live[:keep]
         if live.size == 0:
-            return best, w, max(best * (1.0 + _BB_REL), dropped)
+            return best, w, min(ceiling, max(best * (1.0 + _BB_REL), dropped))
         # halve the widest side (the first on a tie) _BB_HALVINGS times
         parts = np.ones(m - 1, dtype=int)
         for _ in range(_BB_HALVINGS):

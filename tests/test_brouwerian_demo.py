@@ -91,3 +91,25 @@ def test_table_shape(default_rows):
     assert len(lines) == len(default_rows) + 1
     assert lines[0].split() == ["c", "r", "N", "d", "levels", "verdict"]
 
+
+
+# the demo table is a report: its text must not move between releases, or
+# between reruns, unless a change means it to
+_GOLDEN_TABLE = """\
+     c      r     N  d  levels     verdict
+     0      0   n/a  1       2  stabilized
+     1      1     3  0       0    pipeline
+    -1      1     3  0       0    pipeline
+   0.5    0.5     5  0       0    pipeline
+  -0.5    0.5     5  0       0    pipeline
+   0.1    0.1    21  0       0    pipeline
+  -0.1    0.1    21  0       0    pipeline
+  0.01   0.01   201  0       0    pipeline
+ -0.01   0.01   201  0       0    pipeline
+ 0.001  0.001  2001  0       0    pipeline
+-0.001  0.001  2001  0       0    pipeline
+"""
+
+
+def test_table_golden(default_rows):
+    assert format_table(default_rows) == _GOLDEN_TABLE

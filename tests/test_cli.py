@@ -99,6 +99,17 @@ def test_decompose(tmp_path, capsys):
     assert code2 == 1 and "--r" in err2
 
 
+def test_decompose_rejects_tol(tmp_path, capsys):
+    # the decomposition runs at its own tolerance and reads none, so --tol
+    # is a bad flag: a usage message on stderr, no report, no traceback
+    path = write_problem(tmp_path, dim=2, basis=DIAG_BASIS, x=[1.0, 1.0],
+                         y=[0.3, 0.1])
+    code, out, err = run_cli(capsys, ["decompose", path, "--r", "1.0",
+                                      "--tol", "1e-3"])
+    assert code == 1 and out == ""
+    assert "--tol" in err and "Traceback" not in err
+
+
 def test_omt(tmp_path, capsys):
     path = write_problem(tmp_path, dim=2, basis=[[[2.0, 0.0], [0.0, 0.5]]],
                          x=[0.0, 0.0])

@@ -426,6 +426,71 @@ def test_gauges_on_matches_gauges(shape):
     assert np.array_equal(S.gauges_on(B)(U), S.gauges(U @ B.T))
 
 
+def ceiling_problems():
+    """Random orbit balls for the gauge ceiling: dim 2-5, k 1-6, drawn
+    from default_rng(0..4), each once as drawn and once with its last
+    operator remade to send x into the span of the other images, which
+    gives the orbit map a null space."""
+    out = []
+    for seed in range(5):
+        g = np.random.default_rng(seed)
+        dim, k = int(g.integers(2, 6)), int(g.integers(1, 7))
+        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
+        x = g.normal(size=dim)
+        out.append((basis, x))
+        if k >= 2:
+            kill_x = np.eye(dim) - np.outer(x, x) / float(x @ x)
+            mix = g.normal(size=k - 1)
+            last = (sum(a * B for a, B in zip(mix, basis[:-1]))
+                    + g.normal(size=(dim, dim)) @ kill_x)
+            out.append((basis[:-1] + [last], x))
+    return out
+
+
+@pytest.mark.parametrize("basis, x", ceiling_problems())
+def test_gauge_ceiling_covers_a_dense_scan(basis, x):
+    # every gauge on the unit sphere of the orbit span is at most the
+    # one-eigenvalue ceiling, with and without a null space; the ceiling
+    # of the level-n ball is the unit ball's over n
+    sub = make_subspace(basis)
+    ctx = OrbitBallContext(sub, x)
+    B = np.stack(ctx.geo.Q, axis=1)
+    m = B.shape[1]
+    g = np.random.default_rng(7)
+    U = np.concatenate([np.eye(m), g.normal(size=(64, m))])
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    vals, _ = ctx.gauges(U @ B.T)
+    ceiling = ctx.gauge_ceiling(B)
+    assert np.isfinite(ceiling) and vals.max() <= ceiling, (vals.max(), ceiling)
+    ball = orbit_ball(sub, x, 1.5, ctx=ctx)
+    assert ball.gauge_ceiling(B) == ceiling / 1.5
+    if m < x.size:
+        # a column off the orbit span has an infinite gauge
+        off = np.concatenate([B, (np.eye(x.size) - ctx.geo.P)[:, :1]], axis=1)
+        assert ctx.gauge_ceiling(off) == np.inf
+
+
+def test_ellipsoid_gauge_ceiling_is_sigma1():
+    # the ellipsoid's ceiling on span(B) is sigma1(T^+ B) / n, up to its
+    # rounding margin, which grows with the condition of T'T: the maps
+    # here have singular values in [1, 2], so it stays near 1e-14. Sets
+    # without a ceiling report inf
+    g = np.random.default_rng(3)
+    for d, m, k in ((3, 2, 2), (5, 3, 2), (6, 6, 4), (4, 4, 1)):
+        left = np.linalg.qr(g.normal(size=(d, m)))[0]
+        right = np.linalg.qr(g.normal(size=(m, m)))[0]
+        T = (left * np.linspace(1.0, 2.0, m)) @ right
+        B = np.linalg.qr(T @ g.normal(size=(m, k)))[0]
+        S = linear_image_ball(T, 1.7)
+        want = svd_sigma(np.linalg.pinv(T) @ B) / 1.7
+        assert abs(S.gauge_ceiling(B) - want) <= 1e-12 * want, (S.gauge_ceiling(B), want)
+    flat = linear_image_ball(np.array([[1.0], [0.0]]), 1.0)
+    assert flat.gauge_ceiling(np.eye(2)) == np.inf
+    assert euclidean_ball(np.zeros(2), 1.0).gauge_ceiling(np.eye(2)) == np.inf
+    with pytest.raises(DimensionError):
+        flat.gauge_ceiling(np.eye(3))
+
+
 def test_interior_witness_is_feasible():
     # wide-draw problem 55 (dim 3, k 4, orbit rank 3): sigma1 of the
     # least-norm preimage of Py sits above gauge(Py), so levels between the

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from orbit_locator import (DimensionError, DistanceResult, LocatedSet,
-                           Member, Witness, euclidean_ball, greedy_decompose,
-                           inner_radius, linear_image_ball, make_subspace,
-                           open_map_radius, orbit_ball)
+from orbit_locator import (DEFAULT_C_VALUES, DimensionError,
+                           DistanceResult, LocatedSet, Member,
+                           OrbitBallContext, Witness, diag_subspace,
+                           euclidean_ball, greedy_decompose, inner_radius,
+                           linear_image_ball, make_subspace, open_map_radius,
+                           orbit_ball, truncation_index)
 from orbit_locator.open_mapping import Undecided as DeadBand
 from conftest import svd_sigma, svd_values
 
@@ -68,6 +70,78 @@ def test_decompose_orbit_ball(diag_sub):
     assert np.linalg.norm(xi - [0.4, 0.1]) <= 1e-6
 
 
+_SPAN_SHAPES = ((2, 1, 1), (3, 1, 1), (4, 1, 1), (3, 2, 1),
+                (2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 3, 2))
+
+
+def span_problem(i):
+    """(basis, x, y, r) of problem i of the span corpus (generator seed
+    1729, shapes (dim, k, orbit rank), unscaled): operators past the orbit
+    rank send x into the span of the first images, so the orbit map has a
+    null space, and the target is y = 0.9 r along B_0 x with r the least
+    nonzero singular value of Phi, a floor on the inner radius."""
+    g = np.random.default_rng(1729)
+    for dim, k, rank in _SPAN_SHAPES[:i + 1]:
+        x = g.normal(size=dim)
+        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
+        kill_x = np.eye(dim) - np.outer(x, x) / float(x @ x)
+        for j in range(rank, k):
+            mix = g.normal(size=rank)
+            basis[j] = (sum(a * basis[b] for b, a in enumerate(mix))
+                        + g.normal(size=(dim, dim)) @ kill_x)
+    sv = np.linalg.svd(OrbitBallContext(make_subspace(basis), x).Phi,
+                       compute_uv=False)
+    r = float(sv[sv > 1e-10 * sv[0]][-1])
+    w = basis[0] @ x
+    return basis, x, 0.9 * r * w / float(np.linalg.norm(w)), r
+
+
+def _member_checks(dec, C, max_steps=40, tol=1e-9):
+    assert isinstance(dec.outcome, Member)
+    xi = dec.outcome.xi
+    assert np.linalg.norm(dec.y - xi) <= 2.0 ** -max_steps * dec.r + 4.0 * tol
+    assert C.gauge(xi, 1e-10) <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("case", ["disc", "diag", "span03", "span07"])
+def test_exact_oracles_decompose_in_one_step(case):
+    # an exact oracle returns u itself for every u inside C, so the first
+    # residual is rounding and already meets the full run's target
+    if case == "disc":
+        C, y, r = unit_disc(), np.array([0.3, 0.1]), 1.0
+    elif case == "diag":
+        C = orbit_ball(make_subspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+                       np.array([1.0, 0.5]), 1.0)
+        y, r = np.array([0.4, 0.1]), 0.5
+    else:
+        basis, x, y, r = span_problem(int(case[4:]))
+        C = orbit_ball(make_subspace(basis), x, 1.0)
+    dec = greedy_decompose(y, C, r)
+    assert len(dec.steps) == 1 and dec.steps[0].lam == 0
+    _member_checks(dec, C)
+
+
+def test_inexact_oracle_runs_to_its_target():
+    # a disc oracle whose point for u falls short of u by 1e-6 along u:
+    # every continuation leaves a running vector of norm 2e-6, so the
+    # residual 2^(1-i) 1e-6 reaches 2^-40 + 4e-9 at step 9, not step 1
+    def loc(y, tol):
+        y = np.asarray(y, dtype=float)
+        ny = float(np.linalg.norm(y))
+        near = y * max(0.0, 1.0 - 1e-6 / ny) if ny > 0.0 else y
+        if ny > 1.0:
+            near = y / ny
+        return DistanceResult(max(0.0, ny - 1.0), near, None, 0.0, 0, "short")
+
+    disc = unit_disc()
+    S = LocatedSet(2, loc, lambda V, tol: disc.gauges(V, tol))
+    dec = greedy_decompose([0.3, 0.1], S, 1.0)
+    assert len(dec.steps) == 9
+    for step in dec.steps:
+        assert step.residual <= 2.0 ** -step.i + 4e-9
+    _member_checks(dec, S)
+
+
 def test_inner_radius_boxes(diag_sub):
     e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     for c in (0.4, 1.0, 2.5):
@@ -97,6 +171,21 @@ def test_inner_radius_rotated_ellipsoid(m, method):
         assert abs(rr.r - r_true) <= 1e-9 * r_true, (rr.r, r_true)
         assert 0.0 < rr.floor <= r_true <= rr.r * (1.0 + 1e-12), (rr.floor, r_true, rr.r)
         assert rr.method == method
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_ellipsoid_floor_from_the_ceiling(m):
+    # the ellipsoid's exact gauge ceiling holds the floor to the true radius
+    # at every rank, where the search's own floor falls to a third of it
+    # by m = 9; the estimate r may miss the maximiser, the floor may not
+    rng = np.random.default_rng(100 + m)
+    for _ in range(3):
+        T = rng.normal(size=(m + 1, m + 1))
+        W = rng.normal(size=(m + 1, m))
+        rr = inner_radius(linear_image_ball(T, 1.0), list(W.T))
+        r_true = 1.0 / svd_sigma(np.linalg.solve(T, np.linalg.qr(W)[0]))
+        assert r_true * (1.0 - 1e-6) <= rr.floor <= r_true, (rr.floor, r_true)
+        assert r_true <= rr.r * (1.0 + 1e-12)
 
 
 def _quaternion_left():
@@ -153,6 +242,53 @@ def test_inner_radius_flat_gauge(ball, r):
     assert max(rows) <= 16 * max(4, m), rows
 
 
+def counting(S):
+    """S with its gauge ceiling, whose gauges_on functions record the rows
+    of every call: one call per branch-and-bound round."""
+    rows = []
+
+    def gauges_on(B, tol):
+        gauge = S.gauges_on(B, tol)
+
+        def counted(U):
+            rows.append(len(U))
+            return gauge(U)
+        return counted
+
+    return LocatedSet(S.ambient_dim, None, lambda V, tol: S.gauges(V, tol),
+                      gauges_on=gauges_on, gauge_ceiling=S.gauge_ceiling), rows
+
+
+@pytest.mark.parametrize("ball, r, exact", [
+    _flat_orbit_ball([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])],
+                     np.array([0.6, -0.8])) + (False,),
+    _flat_orbit_ball(_quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2]))
+    + (False,),
+    _flat_orbit_ball(_matrix_units(2), np.array([0.3, 1.1])) + (True,),
+    _flat_orbit_ball(_matrix_units(3), np.array([0.6, -0.3, 0.9])) + (True,),
+], ids=["complex", "quaternion", "M2", "M3"])
+def test_flat_orbit_balls_with_their_ceiling(ball, r, exact):
+    # the floor stays at most the radius with the one-eigenvalue ceiling in
+    # play. On M_2 and M_3 the least-norm generators are v x'/|x|^2, so
+    # the ceiling is the flat value 1/r, also with their null spaces, and
+    # the first round (the axes) reaches it: one gauge call, and a floor
+    # within rounding of r. On the complex and quaternion balls the
+    # generators are orthogonal matrices over |x|, so the ceiling is
+    # sqrt(m)/|x| and the search runs its course
+    counted, rows = counting(ball)
+    m = ball.ambient_dim
+    rr = inner_radius(counted, list(np.eye(m)))
+    assert abs(rr.r - r) <= 1e-9 * r, (rr.r, r)
+    assert 0.0 < rr.floor <= r, (rr.floor, r)
+    assert counted.gauge_ceiling(np.eye(m)) * r == pytest.approx(
+        1.0 if exact else np.sqrt(m), rel=1e-12)
+    if exact:
+        assert rows == [m]
+        assert rr.floor >= r * (1.0 - 1e-12), (rr.floor, r)
+    else:
+        assert len(rows) > 2
+
+
 def test_floor_covers_a_maximiser_the_search_drops():
     # the gauge max_k |<a_k, u>| of a polygon: five a_k of norm 1 - 1e-6
     # sit on the centres of second-round cells of the face {u_1 = 1}, and
@@ -166,10 +302,40 @@ def test_floor_covers_a_maximiser_the_search_drops():
     A = np.array([(1.0 - 1e-6) * unit(t) for t in (1 / 16, 3 / 16, 5 / 16,
                                                     7 / 16, 9 / 16)]
                  + [unit(12 / 16)])
-    polygon = LocatedSet(2, None, lambda V, tol: np.abs(V @ A.T).max(axis=1))
-    rr = inner_radius(polygon, list(np.eye(2)))
+    gauge = lambda V, tol: np.abs(V @ A.T).max(axis=1)
+    rr = inner_radius(LocatedSet(2, None, gauge), list(np.eye(2)))
     assert 1.0 / rr.r == pytest.approx(1.0 - 1e-6, rel=1e-12)
     assert 1.0 < 1.0 / rr.floor < 1.01
+    # a ceiling 1.001, above the largest gauge 1: no round reaches it, so
+    # the search runs as before and its floor is 1 over the smaller of the
+    # ceiling and the dropped cells' bound
+    capped = inner_radius(LocatedSet(2, None, gauge,
+                                     gauge_ceiling=lambda B: 1.001),
+                          list(np.eye(2)))
+    assert capped.r == rr.r and np.array_equal(capped.direction, rr.direction)
+    assert capped.floor == 1.0 / 1.001
+
+
+# r of the demo family's unit orbit balls before the ceiling existed, by |c|
+_DEMO_R = {0.0: "0x0.0p+0", 1.0: "0x1.0000000000000p+0",
+           0.5: "0x1.0000000000000p-1", 0.1: "0x1.999999999999bp-4",
+           0.01: "0x1.47ae147ae147bp-7", 0.001: "0x1.0624dd2f1a9fbp-10"}
+_DEMO_N = {1.0: 3, 0.5: 5, 0.1: 21, 0.01: 201, 0.001: 2001}
+
+
+@pytest.mark.parametrize("c", DEFAULT_C_VALUES)
+def test_demo_radius_is_one_round(c):
+    # on the demo family the ceiling equals the largest gauge, on an axis,
+    # so each radius is one gauges_on round (c = 0 stops on the infinite
+    # gauge of the second axis); r keeps its bits and N its value
+    ball = orbit_ball(diag_subspace(), np.array([1.0, c]), 1.0)
+    counted, rows = counting(ball)
+    rr = inner_radius(counted, list(np.eye(2)))
+    assert rows == [2]
+    assert rr.r == float.fromhex(_DEMO_R[abs(c)])
+    if c != 0.0:
+        assert rr.floor <= rr.r
+        assert truncation_index(np.array([0.0, 1.0]), rr.floor) == _DEMO_N[abs(c)]
 
 
 def test_inner_radius_segment_ambient_vs_span():
