@@ -11,7 +11,7 @@ TOL = 1e-6        # distance / gauge tolerance
 GAUGE_TOL = 1e-10  # step floor of the orbit-ball gauge pattern search
 STAB_TOL = 1e-7   # plateau test for the nested-limit stabilisation shortcut
 BUDGET = 30       # nested-limit level budget
-RANK_TOL = 1e-9   # rank decisions in Gram-Schmidt and basis validation
+RANK_TOL = 1e-9   # rank cuts: SVD of Phi (orbit rank), Gram-Schmidt, basis validation
 MEM_TOL = 1e-9    # relative spectral-norm membership band: sigma1 <= n*(1+MEM_TOL)
 RANK_MARGIN = 100.0  # a singular value this close (as a factor) to the rank cut makes the rank marginal
 
@@ -19,7 +19,7 @@ NET_CAP = 200_000       # epsilon-net size cap before refusing
 GRID_CAP = 40_000_000   # grid-oracle enumeration cap
 PROBE_SEED = 1729       # seed for the random probes of build_projection
 
-# ADMM iteration budget (SQP iterations count against it): 13 times the
-# 1500 the hardest level of the test corpora needs (see README)
+# ADMM iteration budget (SQP iterations count against it): 12.6 times the
+# 1583 the hardest level of the test corpora needs (see README)
 MAX_SOLVER_ITERS = 20_000
 

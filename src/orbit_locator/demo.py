@@ -47,8 +47,8 @@ def diag_subspace() -> operators.OperatorSubspace:
                                     np.diag([0.0, 1.0])])
 
 
-def _row(c: float, budget: int, tol: float) -> DemoRow:
-    sub = diag_subspace()
+def _row(sub: operators.OperatorSubspace, c: float, budget: int,
+         tol: float) -> DemoRow:
     x = np.array([1.0, float(c)])
     y = np.array([0.0, 1.0])
     ctx = OrbitBallContext(sub, x)
@@ -81,7 +81,8 @@ def demo_table(c_values: Sequence[float] = DEFAULT_C_VALUES,
             raise DimensionError(f"family parameter must satisfy |c| <= 1, got {c:g}")
     if budget < 1:
         raise DimensionError("budget must be at least 1")
-    return [_row(c, budget, tol) for c in cs]
+    sub = diag_subspace()
+    return [_row(sub, c, budget, tol) for c in cs]
 
 
 def _fmt(v: float) -> str:

@@ -1,12 +1,12 @@
 """Dense real linear algebra on desk-scale problems.
 
 Eigen- and singular values come from LAPACK through numpy. The symmetric
-eigensolver checks every returned pair after the fact: for a symmetric
-matrix the residual norm ||S v - lam v|| bounds the distance from lam to the
-spectrum, so a pair that does not meet its bound raises ConvergenceFailure
-instead of passing as certified. Small stacks of matrices get closed-form
-spectral norms (d <= 3), which the enumeration oracles use as a route
-independent of LAPACK.
+eigensolver and the checked SVD check every returned pair after the fact:
+for a symmetric matrix the residual norm ||S v - lam v|| bounds the
+distance from lam to the spectrum, so a pair that does not meet its bound
+raises ConvergenceFailure instead of passing as certified. Small stacks
+of matrices get closed-form spectral norms (d <= 3), which the
+enumeration oracles use as a route independent of LAPACK.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError("vector entries must be finite")
     return arr
 
@@ -101,6 +101,40 @@ def sym_eigh_desc(S, tol: float = 1e-12):
             f"eigenpair residual {worst:.3e} exceeds {bound:.3e}",
             best=lams, residual=worst)
     return lams, V
+
+
+def checked_svd(M, tol: float = 1e-14):
+    """Full SVD (U, s, Vt) of a finite 2-d array M, s descending, with
+    every pair checked.
+
+    LAPACK's SVD, then each column pair of the full factors is checked
+    after the fact, with s padded by zeros: M v_i = s_i u_i and
+    M' u_i = s_i v_i. These are the eigenpairs (s_i, [u_i; v_i] / sqrt 2)
+    of the symmetric dilation [[0, M], [M', 0]], so the residual bounds the
+    distance from s_i to the singular values as in sym_eigh_desc. Raises
+    ConvergenceFailure when LAPACK fails or a residual exceeds
+    50 * tol * ||M||_F * max(1, d, k) for M of shape (d, k).
+    """
+    M = np.asarray(M, dtype=float)
+    try:
+        U, s, Vt = np.linalg.svd(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"svd failed: {exc}") from exc
+    p = s.size
+    # pair i: column i of M V - U S and row i of U'M - S V', S padded
+    left = M @ Vt.T
+    left[:, :p] -= U[:, :p] * s
+    right = U.T @ M
+    right[:p] -= s[:, None] * Vt[:p]
+    worst = float(np.sqrt(max(np.einsum("ij,ij->j", left, left).max(),
+                              np.einsum("ij,ij->i", right, right).max())))
+    scale = float(np.sqrt(np.vdot(M, M)))
+    bound = 50.0 * max(tol, 1e-14) * scale * max(1, *M.shape)
+    if not worst <= bound:
+        raise ConvergenceFailure(
+            f"singular pair residual {worst:.3e} exceeds {bound:.3e}",
+            best=s, residual=worst)
+    return U, s, Vt
 
 
 def singular_values(M) -> np.ndarray:

@@ -245,35 +245,43 @@ class OrbitBallContext:
     Internally works in coefficients of the Frobenius-orthonormal basis, so
     coefficient Euclidean distance equals matrix Frobenius distance and the
     spectral-ball projection is metrically faithful.
+
+    The geometry is factored once, by the one checked SVD
+    Phi = U diag(sv) V' that operators.orbit makes (rank
+    r = #{sv_i > rank_tol sv_1}), and everything else comes from that
+    factor: P = U_r U_r'; range_vecs V_r with range_lams sv_r^2, the
+    eigenpairs of Phi'Phi on its range; null_vecs the other columns of V;
+    H_inv the pseudo-inverse of H = 2 Phi'Phi from V and sv^2; rank_margin
+    from sv; and the least-norm preimage V_r (U_r'v / sv_r).
     """
 
     def __init__(self, subspace: operators.OperatorSubspace, x,
                  rank_tol: float = RANK_TOL):
         self.subspace = subspace
         self.rank_tol = float(rank_tol)
-        self.geo = operators.orbit(subspace, x, rank_tol)
-        self.x = self.geo.x
-        self.k = subspace.k
+        self.geo = geo = operators.orbit(subspace, x, rank_tol)
+        self.x = geo.x
+        self.k = k = subspace.k
         self.dim = subspace.dim
-        self.stack = np.stack(subspace.ortho)
-        self.Phi = np.stack([Q @ self.x for Q in subspace.ortho], axis=1)
-        self.rank = self.geo.rank
+        self.stack = subspace.ortho_stack
+        self.Phi = geo.Phi
+        self.rank = r = geo.rank
         self.H = 2.0 * (self.Phi.T @ self.Phi)
+        V = geo.Vt.T
+        lams = np.zeros(k)
+        lams[:geo.sv.size] = geo.sv * geo.sv
+        self.range_U = geo.U[:, :r]
+        self.range_sv = geo.sv[:r]
+        self.range_vecs = V[:, :r]
+        self.range_lams = np.maximum(lams[:r], 1e-300)
+        self.null_vecs = V[:, r:]
         # H_inv is pinv(H) with pinv's own cut: drop 2 lam <= eps k 2 lam_max
-        self.H_inv = np.zeros((self.k, self.k))
-        if self.rank > 0:
-            lams, V = linalg.sym_eigh_desc(0.5 * self.H, 1e-14)
-            self.range_vecs = V[:, :self.rank]
-            self.range_lams = np.clip(lams[:self.rank], 1e-300, None)
-            self.null_vecs = V[:, self.rank:]
-            kept = V[:, lams > np.finfo(float).eps * self.k * lams[0]]
-            self.H_inv = (kept / (2.0 * lams[:kept.shape[1]])) @ kept.T
-        else:
-            self.range_vecs = np.zeros((self.k, 0))
-            self.range_lams = np.zeros(0)
-            self.null_vecs = np.eye(self.k)
+        # (lams descend, so the kept ones lead)
+        kept = V[:, :np.count_nonzero(lams > np.finfo(float).eps * k * lams[0])]
+        self.H_inv = (kept / (2.0 * lams[:kept.shape[1]])) @ kept.T
         # the null stack mat(N_l), flattened: the gauge kernel's directions
-        self.null_mats = self.null_vecs.T @ self.stack.reshape(self.k, -1)
+        self._flat = self.stack.reshape(k, -1)
+        self.null_mats = self.null_vecs.T @ self._flat
         self._query_cache: dict[bytes, dict] = {}
         self._generators_of = (None, None)
 
@@ -282,29 +290,38 @@ class OrbitBallContext:
     # mat, tcoords, point, feasify, _f and _grad are row-wise on stacks
 
     def mat(self, t) -> np.ndarray:
-        return np.einsum("...k,kij->...ij", t, self.stack)
+        t = np.asarray(t)
+        return (t @ self._flat).reshape(t.shape[:-1] + (self.dim, self.dim))
 
     def tcoords(self, M) -> np.ndarray:
-        return np.einsum("...ij,kij->...k", M, self.stack)
+        M = np.asarray(M)
+        return M.reshape(M.shape[:-2] + (-1,)) @ self._flat.T
 
     def point(self, t) -> np.ndarray:
         return t @ self.Phi.T
 
     def orig_coeffs(self, t) -> np.ndarray:
-        return np.linalg.solve(self.subspace.upper_tri, t)
+        """Coefficients in the original basis of the coefficient rows t:
+        the inverse change of basis, inverted once per context."""
+        return t @ self._from_ortho.T
+
+    @functools.cached_property
+    def _from_ortho(self) -> np.ndarray:
+        return np.linalg.inv(self.subspace.upper_tri)
 
     def min_norm_preimage(self, v) -> np.ndarray:
-        """Least-norm t with Phi t = projection of v onto the orbit span;
-        row-wise for a stack of vectors."""
-        b = (v @ self.Phi) @ self.range_vecs
-        return (b / self.range_lams) @ self.range_vecs.T
+        """Least-norm t with Phi t = projection of v onto the orbit span,
+        V_r (U_r'v / sv_r) from the SVD of Phi, with no normal equations
+        (their error grows with kappa(Phi)^2); row-wise for a stack of
+        vectors."""
+        return ((v @ self.range_U) / self.range_sv) @ self.range_vecs.T
 
     def rank_margin(self) -> float:
         """The factor by which the singular values of Phi clear the rank
         cut rank_tol * sigma_max(Phi), on whichever side they fall (inf
-        when Phi is zero). A small factor means the rank decision, and with
-        it P, is marginal."""
-        sv = np.linalg.svd(self.Phi, compute_uv=False)
+        when Phi is zero), from the stored SVD. A small factor means the
+        rank decision, and with it P, is marginal."""
+        sv = self.geo.sv
         cut = self.rank_tol * sv[0]
         if cut == 0.0:
             return np.inf
@@ -433,13 +450,17 @@ class OrbitBallContext:
         its search only lowers, is LAPACK's sigma1 of the rounded u G, at
         most (m + d) eps sqrt(t) above sigma1(u G). So the ceiling is
         sqrt(lam + (m + 2) d eps t) + (m + d) eps sqrt(t), with lam the
-        smaller computed top eigenvalue."""
+        smaller computed top eigenvalue. With one column the bound is
+        sigma1(G_1) itself, and it is taken as the kernel takes its value
+        at z = 0, so it needs no margin against the kernel's values."""
         gen = self._generators(B)
         if gen is None:
             return np.inf
         d = self.dim
         G = gen[1].reshape(-1, d, d)
         m = G.shape[0]
+        if m == 1:
+            return float(_sigma1(G)[0])
         rows = G.transpose(1, 0, 2).reshape(d, m * d)   # [G_1 ... G_m]
         cols = G.transpose(2, 0, 1).reshape(d, m * d)   # [G_1' ... G_m']
         lam = min(np.linalg.eigvalsh(rows @ rows.T)[-1],
@@ -506,6 +527,16 @@ class OrbitBallContext:
     def _grad(self, t, y):
         return 2.0 * ((self.point(t) - y) @ self.Phi)
 
+    def _turn(self, t, y):
+        """The factors one SQP turn needs at each row t of a stack, from one
+        stacked SVD of mat(t): (U, sig, Vt, grad, outer, G, top), with grad
+        the gradient of f, (outer, G) the _top_pairs and top the
+        _top_multiplier of the top pair."""
+        U, sig, Vt = np.linalg.svd(self.mat(t))
+        grad = self._grad(t, y)
+        outer, G = self._top_pairs(U, Vt)
+        return U, sig, Vt, grad, outer, G, _top_multiplier(grad, G[:, :, 0])
+
     def _top_pairs(self, U, Vt):
         """For stacked SVD factors of mat(t), with p = min(d, 3): the top p
         pairs' outer products u_i v_i', shape (rows, p, d, d), and G[r, k,
@@ -514,26 +545,26 @@ class OrbitBallContext:
         outer = np.swapaxes(U[:, :, :p], 1, 2)[..., None] * Vt[:, :p, None, :]
         return outer, np.swapaxes(self.tcoords(outer), 1, 2)
 
-    def _multiplier(self, t, y, svd=None) -> np.ndarray:
-        """Two KKT multipliers for each row t of a stack, shape (rows, 2, d,
-        d), from the SVD of mat(t) (svd, when the caller has it). The first
-        is the single pair W1 = mu u1 v1', mu = max(0, -<grad, g> /
-        ||g||^2) with g the gradient of the top singular value. The second
-        is the band W = sum mu_i u_i v_i' over the leading pairs within 5% of
-        the top, mu >= 0 the nonnegative least-squares fit of -grad by their
-        gradients, found by trying every support; it is W1 when the band is
-        one pair. Where the top value ties, the subgradient spreads over the
-        cluster (Overton, SIAM J. Matrix Anal. Appl. 1988) and only the band
-        W can match it. Both are 0 where sigma1 <= 1e-14."""
-        grad = self._grad(t, y)
-        U, sig, Vt = np.linalg.svd(self.mat(t)) if svd is None else svd
-        outer, G = self._top_pairs(U, Vt)
+    def _fit(self, turn) -> np.ndarray:
+        """The weights mu, shape (rows, 2, p), of two KKT multipliers
+        W = sum_i mu_i u_i v_i' over the top p pairs of each row, from the
+        factors of its _turn. The first is the single pair W1 = mu u1 v1',
+        mu = max(0, -<grad, g> / ||g||^2) with g the gradient of the top
+        singular value. The second is the band W over the leading pairs
+        within 5% of the top, mu >= 0 the nonnegative least-squares fit of
+        -grad by their gradients, found by trying every support; it is W1
+        when the band is one pair. Where the top value ties, the subgradient
+        spreads over the cluster (Overton, SIAM J. Matrix Anal. Appl. 1988)
+        and only the band W can match it. Both are 0 where
+        sigma1 <= 1e-14, and every weight is >= 0."""
+        _, sig, _, grad, _, G, top = turn
         p = G.shape[2]
-        band = np.cumprod((sig[:, :p] >= 0.95 * sig[:, :1])
-                          & (sig[:, :p] > 1e-300), axis=1).astype(bool)
+        # the values are sorted, so the band is a leading run of pairs
+        band = sig[:, :p] >= 0.95 * sig[:, :1]
+        live = sig[:, 0] > 1e-14
         mu = np.zeros((len(G), 2, p))
-        mu[:, :, 0] = _top_multiplier(grad, G[:, :, 0])[:, None]
-        multi = np.flatnonzero(band.sum(axis=1) > 1)
+        mu[:, :, 0] = (top * live)[:, None]
+        multi = np.flatnonzero(band[:, 1:2] & live[:, None])
         if multi.size:
             # least squares on each support S (a row of bits) by the masked
             # normal equations; the fit is the nonnegative one, inside the
@@ -542,51 +573,80 @@ class OrbitBallContext:
             S =((np.arange(2 ** p)[:, None] >> np.arange(p)) & 1).astype(bool)
             A = np.swapaxes(G, 1, 2) @ G
             b = -np.einsum("rkp,rk->rp", G, grad)
-            fit = (np.linalg.pinv(A[:, None] * (S[:, :, None] & S[:, None, :]))
-                   @ (b[:, None] * S)[..., None])[..., 0]
+            fit = _sym_solve(A[:, None] * (S[:, :, None] & S[:, None, :]),
+                             b[:, None] * S, 1e-15)
             ok = ~(S & ~band[multi, None]).any(axis=2) & (fit >= 0.0).all(axis=2)
             res = np.linalg.norm(grad[:, None] + fit @ np.swapaxes(G, 1, 2), axis=2)
             mu[multi, 1] = fit[np.arange(multi.size),
                                np.where(ok, res, np.inf).argmin(axis=1)]
-        mu *= (sig[:, :1] > 1e-14)[:, :, None]
-        return np.einsum("rwp,rpij->rwij", mu, outer)
+        return mu
 
-    def _dual(self, W, y, n) -> np.ndarray:
-        """Lower bound on min f over the level-n feasible region from any
-        d x d multiplier W; row-wise for a stack of W (n a scalar or one
-        level per row).
+    def _multiplier(self, t, y) -> np.ndarray:
+        """The two _fit multipliers of each row t of a stack, formed as
+        d x d matrices: shape (rows, 2, d, d)."""
+        turn = self._turn(t, y)
+        return np.einsum("rwp,rpij->rwij", self._fit(turn), turn[4])
 
-        With c = tcoords(W), its null part cut off (c' = c - N N'c,
-        W' = W - mat(N N'c)), every feasible t has
+    def _cut(self, W, c=None):
+        """(c', ||W'||_*) for a stack of formed multipliers W with
+        coordinates c = tcoords(W) (computed when not given): the null part
+        cut off, c' = c - N N'c and W' = W - mat(N N'c), and the nuclear
+        norm of W' by one stacked SVD. These are what _dual takes."""
+        N = self.null_vecs
+        if c is None:
+            c = self.tcoords(W)
+        cn = (c @ N) @ N.T
+        return c - cn, np.linalg.svd(W - self.mat(cn), compute_uv=False).sum(axis=-1)
+
+    def _dual(self, c, nuc, y, n, leak) -> np.ndarray:
+        """Lower bound on min f over the level-n feasible region from a
+        d x d multiplier W, given by its coordinates c = tcoords(W') and
+        nuc = ||W'||_* with W' the null-cut multiplier of _cut, and the
+        query's leak term; row-wise for stacks (n a scalar or one level per
+        row). The one bound formula: ADMM feeds it from a formed W through
+        _cut, and _cert_gap from the weights of the top pairs.
+
+        With N'c = 0, every feasible t has
         <W', mat(t)> = c't <= ||W'||_* sigma1 <= n ||W'||_*, so
         f(t) >= f(t) + c't - n ||W'||_*. On the range of Phi the right
-        side is least at t* = R (R'(2 Phi'y - c') / 2 Lambda). Along the
+        side is least at t* = R (R'(2 Phi'y - c) / 2 Lambda). Along the
         null directions Phi R is orthogonal to Phi N, and f can fall below
         its range part only through -2 <N'Phi'y, N't>, with ||N't|| <=
-        ||t|| <= n sqrt(d): that term keeps the bound valid when the rank
-        cut drops a nonzero eigenvalue of Phi'Phi."""
-        N, R = self.null_vecs, self.range_vecs
+        ||t|| <= n sqrt(d): the term leak = 2 sqrt(d) ||N'Phi'y|| (_query)
+        keeps the bound valid when the rank cut drops a nonzero singular
+        value of Phi."""
+        R = self.range_vecs
         b = y @ self.Phi
-        c = self.tcoords(W)
-        cn = (c @ N) @ N.T
-        c = c - cn
         t = (((2.0 * b - c) @ R) / (2.0 * self.range_lams)) @ R.T
-        nuc = np.linalg.svd(W - self.mat(cn), compute_uv=False).sum(axis=-1)
-        leak = 2.0 * np.sqrt(self.dim) * np.linalg.norm(b @ N)
         return (self._f(t, y) + np.einsum("...k,...k->...", c, t)
                 - n * (nuc + leak))
 
-    def _cert_gap(self, t, y, n, svd=None) -> np.ndarray:
+    def _cert_gap(self, t, y, n, f=None, turn=None) -> np.ndarray:
         """Upper bound f(t) - max _dual(W) on f(t) - min f over the level-n
         feasible region for each feasible row t of a stack (n a scalar or
-        one level per row), over the row's two _multiplier W (svd, when
-        given, is the SVD of mat(t)). Any W gives a valid bound, so W only
-        affects tightness: at an optimum whose top singular value is simple,
-        or whose tied top values admit a nonnegative multiplier fit, the
-        gap is 0 up to rounding."""
+        one level per row), over the row's two _fit multipliers W; f = f(t)
+        and turn = _turn(t, y) are computed when the caller does not have
+        them. No W is formed for the bound's coordinates: with weights mu
+        on the top pairs, tcoords(W) = G mu. Without a null space W' = W,
+        and ||W||_* = sum mu_i, as the pairs are orthonormal and mu >= 0;
+        only with one is W formed and W' = W - mat(N N'c) factored. Any W
+        gives a valid bound, so W only affects tightness: at an optimum
+        whose top singular value is simple, or whose tied top values admit
+        a nonnegative multiplier fit, the gap is 0 up to rounding."""
         t = np.asarray(t, dtype=float)
+        if f is None:
+            f = self._f(t, y)
+        if turn is None:
+            turn = self._turn(t, y)
+        outer, G = turn[4:6]
+        mu = self._fit(turn)
+        c = np.einsum("rkp,rwp->rwk", G, mu)
+        if self.null_vecs.shape[1]:
+            c, nuc = self._cut(np.einsum("rwp,rpij->rwij", mu, outer), c)
+        else:
+            nuc = mu.sum(axis=-1)
         n = np.asarray(n, dtype=float)[..., None]
-        return self._f(t, y) - self._dual(self._multiplier(t, y, svd), y, n).max(axis=-1)
+        return f - self._dual(c, nuc, y, n, self._query(y)["leak"]).max(axis=-1)
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
@@ -613,15 +673,20 @@ class OrbitBallContext:
         """Candidates on the active boundary sigma1(mat(t)) = n, one search
         per row of t0 (n and tol: scalars or one value per row) in
         lockstep; a row leaves when its search ends. Each iteration makes
-        one stacked mat and one stacked SVD, and first takes every row's
-        duality gap (_cert_gap) from that SVD: a row stops once _certified
-        at its tol. The others share one batched Newton step on the KKT
-        system whose one constraint is the top pair's, sigma1 = n, with the
-        Lagrangian's Hessian H + mu sigma1'' and mu the least-squares
-        multiplier of the gradient; where mu is 0 or the top value ties
-        exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is undefined)
-        the Hessian is H. A row whose KKT multiplier comes out below -1e-12
-        takes the unconstrained step -H+ grad. Each row moves by the first
+        one _turn (one stacked SVD, one gradient and one _top_pairs), and
+        the certificate and the Newton step share it. First every row's
+        duality gap (_cert_gap) is taken from it, with f from the line
+        search: a row stops once _certified at its tol. The others share
+        one batched Newton step on the KKT system whose one constraint is
+        the top pair's, sigma1 = n, with the Lagrangian's Hessian
+        H + mu sigma1'' and mu the least-squares multiplier of the gradient
+        (the turn's, which the certificate's first multiplier also uses);
+        where mu is 0 or the top value ties exactly
+        (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is undefined) the
+        Hessian is H. The step is pinv(K) of the KKT right side with pinv's
+        cut, from the eigenpairs of the symmetric K (_sym_solve). A row
+        whose KKT multiplier comes out below -1e-12 takes the
+        unconstrained step -H+ grad. Each row moves by the first
         alpha in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as
         one stacked trial, the halvings of rejected rows as one more) and
         otherwise stops on a step below 1e-13 max(1, ||t||), on |f| <
@@ -644,21 +709,19 @@ class OrbitBallContext:
             if not act.size:
                 break
             ta, na, fa = t[act], n[act], f[act]
-            U, sig, Vt = svd = np.linalg.svd(self.mat(ta))
-            gap[act] = self._cert_gap(ta, y, na, svd)
+            turn = self._turn(ta, y)
+            gap[act] = self._cert_gap(ta, y, na, fa, turn)
             shut = _certified(fa, gap[act], tol[act])
             done[act] = shut
-            if shut.any():
-                act, ta, na, fa, U, sig, Vt = (
-                    a[~shut] for a in (act, ta, na, fa, U, sig, Vt))
-                if not act.size:
-                    break
-            iters[act] += 1
-            grad = self._grad(ta, y)
+            if shut.all():
+                break
+            U, sig, Vt, grad, _, G, mu = turn
+            # every row takes the step's stacked algebra; the certified
+            # ones neither move nor stay
+            iters[act[~shut]] += 1
             # the optimum sits on the boundary (the caller ruled out the
             # interior), so the top pair is the one constraint
-            g = self._top_pairs(U, Vt)[1][:, :, 0]
-            mu = _top_multiplier(grad, g)
+            g = G[:, :, 0]
             K = np.zeros((act.size, k + 1, k + 1))
             K[:, :k, :k] = self.H
             # sigma1 is smooth wherever its value is simple, however close
@@ -670,12 +733,12 @@ class OrbitBallContext:
                                     * self._sigma1_hessian(U[bent], sig[bent], Vt[bent]))
             K[:, :k, k] = K[:, k, :k] = g
             rhs = np.concatenate([-grad, (na - sig[:, 0])[:, None]], axis=1)
-            sol = (np.linalg.pinv(K, rcond=eps * (k + 1)) @ rhs[..., None])[..., 0]
+            sol = _sym_solve(K, rhs, eps * (k + 1))
             # a pruned multiplier leaves the unconstrained step
             delta = np.where((sol[:, k] >= -1e-12)[:, None], sol[:, :k],
                              -grad @ self.H_inv.T)
-            moving = (np.linalg.norm(delta, axis=1)
-                      > 1e-13 * np.maximum(1.0, np.linalg.norm(ta, axis=1)))
+            moving = ~shut & (np.einsum("rk,rk->r", delta, delta)
+                              > 1e-26 * np.maximum(1.0, np.einsum("rk,rk->r", ta, ta)))
             live = np.flatnonzero(moving)
             tc = self.feasify(ta[live] + delta[live], na[live])
             fc = self._f(tc, y)
@@ -696,7 +759,7 @@ class OrbitBallContext:
             act = act[~(ended | (np.abs(fa) < 1e-30))]
         rest = np.flatnonzero(~done)
         if rest.size:
-            gap[rest] = self._cert_gap(t[rest], y, n[rest])
+            gap[rest] = self._cert_gap(t[rest], y, n[rest], f[rest])
         return t, iters, f, gap
 
     # ---- public distance query --------------------------------------------
@@ -716,11 +779,16 @@ class OrbitBallContext:
         g, t_rep = q["ub"], q["t_hat"]
         inside = _clears(g, n)
         if not inside:
-            if "gauge" not in q:
-                q["gauge"] = self.gauge(q["Py"])
-            g, t_rep = q["gauge"]
+            g, t_rep = self._query_gauge(q)
             inside = _clears(g, n)
         return inside, g, t_rep
+
+    def _query_gauge(self, q: dict):
+        """(gauge(Py), its coefficients) for the query data q, computed on
+        first need and kept."""
+        if "gauge" not in q:
+            q["gauge"] = self.gauge(q["Py"])
+        return q["gauge"]
 
     def interior_rows(self, Y, ns) -> np.ndarray:
         """For a stack of queries Y at levels ns (one per row), whether
@@ -746,21 +814,26 @@ class OrbitBallContext:
             return
         q = self._query(y)
         ns = [float(n) for n in ns]
+        tols = np.broadcast_to(np.asarray(tols, dtype=float), len(ns)).tolist()
         todo = {}
-        for n, tol in zip(ns, np.broadcast_to(np.asarray(tols, dtype=float), len(ns))):
-            if n <= 0.0 or n in q["levels"] or n in todo:
-                continue
-            inside, _, t_rep = self._interior(q, n)
-            if not inside:
-                todo[n] = (t_rep, tol)
-        if not todo:
+        for n, tol in zip(ns, tols):
+            if n > 0.0 and n not in q["levels"]:
+                todo.setdefault(n, tol)
+        n, tol = np.array(list(todo)), np.array(list(todo.values()))
+        out = ~_clears(q["ub"], n)
+        if not out.any():
             return
-        n = np.array(list(todo))
-        t_rep, tol = (np.array(v) for v in zip(*todo.values()))
+        # a level the bound does not clear is interior or not by the gauge,
+        # and every boundary level starts from the gauge's representative
+        g, t_rep = self._query_gauge(q)
+        out &= ~_clears(g, n)
+        if not out.any():
+            return
+        n, tol = n[out], tol[out]
         U, sig, Vt = np.linalg.svd(self.mat(t_rep))
         t0 = self.tcoords((U * np.minimum(sig, n[:, None])[:, None]) @ Vt)
         t, iters, f, gap = self._sqp(y, n, t0, tol)
-        for i, level in enumerate(todo):
+        for i, level in enumerate(n.tolist()):
             q["levels"][level] = (t[i], int(iters[i]), float(f[i]),
                                   float(gap[i]))
 
@@ -783,6 +856,7 @@ class OrbitBallContext:
         b = 2.0 * (y @ self.Phi)
         X = self.mat(t)
         W = self._multiplier(t[None], y)[0, 1]
+        leak = self._query(y)["leak"]
         lower = -np.inf
         start = iters
         while iters < MAX_SOLVER_ITERS:
@@ -795,7 +869,7 @@ class OrbitBallContext:
             fs = float(self._f(ts, y))
             if fs < f:
                 t, f = ts, fs
-            lower = max(lower, float(self._dual(W, y, n)))
+            lower = max(lower, float(self._dual(*self._cut(W), y, n, leak)))
             if _certified(f, f - lower, tol):
                 return t, iters, f, f - lower
             if (iters - start) % _BALANCE_EVERY == 0:
@@ -849,10 +923,11 @@ class OrbitBallContext:
 
     def _query(self, y) -> dict:
         """Per-query data kept across levels: Py, ||y - Py||, the least-norm
-        preimage t_hat of Py and ub = sigma1(mat(t_hat)) >= gauge(Py). The
-        gauge with its coefficients, under "gauge", is ub and t_hat when
-        there is no null space and is otherwise filled in on first need.
-        "levels" maps a boundary level to its solve_levels candidate."""
+        preimage t_hat of Py, ub = sigma1(mat(t_hat)) >= gauge(Py) and the
+        dual bound's leak term 2 sqrt(d) ||N'Phi'y|| (_dual). The gauge with
+        its coefficients, under "gauge", is ub and t_hat when there is no
+        null space and is otherwise filled in on first need. "levels" maps
+        a boundary level to its solve_levels candidate."""
         key = y.tobytes()
         hit = self._query_cache.get(key)
         if hit is not None:
@@ -861,7 +936,9 @@ class OrbitBallContext:
         base = float(np.linalg.norm(y - Py))
         t_hat = self.min_norm_preimage(Py)
         ub = linalg.spectral_norm(self.mat(t_hat))
-        out = {"Py": Py, "base": base, "t_hat": t_hat, "ub": ub, "levels": {}}
+        leak = 2.0 * np.sqrt(self.dim) * np.linalg.norm((y @ self.Phi) @ self.null_vecs)
+        out = {"Py": Py, "base": base, "t_hat": t_hat, "ub": ub, "leak": leak,
+               "levels": {}}
         if self.null_vecs.shape[1] == 0:
             out["gauge"] = (ub, t_hat)
         if len(self._query_cache) > 128:
@@ -886,6 +963,17 @@ def _top_multiplier(grad, g):
     max(0, -<grad, g> / ||g||^2) with g the gradient of sigma1."""
     return np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
                       / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
+
+
+def _sym_solve(A, b, rcond):
+    """pinv(A) b for a stack of symmetric A, one right side b per matrix,
+    with pinv's cut: from the eigenpairs of A, dropping the eigenvalues of
+    size at most rcond times the largest."""
+    lam, Z = np.linalg.eigh(A)
+    size = np.abs(lam)
+    kept = size > rcond * size.max(axis=-1, keepdims=True)
+    w = (b[..., None, :] @ Z)[..., 0, :] / np.where(kept, lam, np.inf)
+    return (Z @ w[..., None])[..., 0]
 
 
 def _certified(f, gap, tol):
@@ -961,30 +1049,35 @@ def euclidean_ball(center, radius: float) -> LocatedSet:
 def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
     """The ellipsoid {T u : ||u|| <= n} as an exactly locatable set.
 
-    Nearest points come from the least-squares solution when it is feasible
-    and otherwise from the boundary multiplier equation, solved by
+    Everything comes from one checked SVD T = U diag(s) V', keeping the r
+    singular values above 1e-13 s_1. The least-norm preimage of y is
+    V_r (U_r'y / s_r), with no normal equations (whose error grows with
+    kappa^2, so that at kappa = 1e4 a vector on the range already failed
+    its own range test). Nearest points come from the least-squares
+    solution when it is feasible and otherwise from the boundary
+    multiplier equation in the eigenvalues s_r^2 of T'T, solved by
     bisection; the gauge is the norm of the least-norm preimage over n.
     The gauge ceiling on span(B) is exact, sigma1(T^+ B) / n (inf when a
     column of B is off the range of T), times 1 + (d + m) eps kappa^2 for
-    the rounding of the preimages, which solve the normal equations: with
-    kappa^2 the ratio of the extreme kept eigenvalues of T'T, their
-    relative error is of order eps kappa^2 (at most 1.5 eps kappa^2 against
-    40-digit references on random T with kappa^2 up to 1e6).
+    the rounding of the preimages, with kappa = s_1 / s_r. That margin was
+    measured for the normal equations (at most 1.5 eps kappa^2 against
+    40-digit references on random T with kappa^2 up to 1e6); it is kept
+    for the SVD route (whose gauge was off by 1.3e-10 relative at
+    kappa = 1e6, far inside it), as no margin of order eps kappa is
+    derived here.
     """
     T = linalg.as_matrix(T)
     d, m = T.shape
     n = float(n)
-    G = T.T @ T
-    lams, V = linalg.sym_eigh_desc(G, 1e-14)
-    top = float(lams[0]) if m else 0.0
-    cut = max(top * 1e-26, 1e-300)
-    r = int(np.sum(lams > cut))
-    Vr = V[:, :r]
-    lr = lams[:r]
+    U, s, Vt = linalg.checked_svd(T)
+    top = float(s[0])
+    r = int(np.count_nonzero(s > max(top * 1e-13, 1e-150)))
+    Ur, sr, Vr = U[:, :r], s[:r], Vt[:r].T
+    lr = sr * sr
 
     def min_norm_preimage(y):
         # row-wise for a stack; with r = 0 the products are all zeros
-        return (((y @ T) @ Vr) / lr) @ Vr.T
+        return ((y @ Ur) / sr) @ Vr.T
 
     def loc(y, tol):
         u = min_norm_preimage(y)
@@ -993,7 +1086,7 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
             point = T @ u
             return DistanceResult(float(np.linalg.norm(y - point)), point,
                                   None, 0.0, 0, "ellipsoid-ls")
-        b = Vr.T @ (T.T @ y)
+        b = sr * (Ur.T @ y)   # V_r'T'y
         lo, hi = 0.0, float(np.linalg.norm(b)) / n
         its = 0
         for _ in range(200):
@@ -1029,7 +1122,7 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
         U, off = preimages(B.T)
         if off.any():
             return np.inf
-        kappa2 = top / float(lr[-1]) if r else 1.0
+        kappa2 = (top / float(sr[-1])) ** 2 if r else 1.0
         slack = 1.0 + (d + m) * np.finfo(float).eps * kappa2
         return float(np.linalg.svd(U, compute_uv=False)[0]) * slack / n
 

@@ -175,8 +175,10 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     r is 1 over the best gauge found, direction its unit vector, and floor
     1 over the smaller of the ceiling and the larger of best * (1 + _BB_REL)
     and that kept bound, so it is at least 1 over the ceiling. The line
-    (m = 1) is one tight gauge, with floor = r. An infinite gauge
-    short-circuits to r = 0.
+    (m = 1) is one tight gauge g, with floor 1 / g = r, except where the
+    ceiling lies above g within a factor 1 + _BB_REL: then the floor is 1
+    over the ceiling, which carries the rounding margin an exact gauge (an
+    ellipsoid's) lacks. An infinite gauge short-circuits to r = 0.
     """
     vectors = [linalg.as_vector(w) for w in W_basis]
     for w in vectors:
@@ -190,6 +192,9 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     if m == 1:
         method, w = "axis", np.ones(1)
         g = top = C.gauge(B[:, 0], GAUGE_TOL)
+        ceiling = C.gauge_ceiling(B)
+        if ceiling <= g * (1.0 + _BB_REL):
+            top = max(g, ceiling)
     else:
         method = "circle-scan" if m == 2 else "sphere-scan"
         g, w, top = _branch_and_bound(C, B)

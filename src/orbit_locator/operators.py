@@ -8,6 +8,7 @@ operators with spectral norm at most n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,15 @@ class OperatorSubspace:
 
     def ortho_matrix(self, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=float)
-        return np.einsum("k,kij->ij", c, np.stack(self.ortho))
+        return np.einsum("k,kij->ij", c, self.ortho_stack)
+
+    @functools.cached_property
+    def ortho_stack(self) -> np.ndarray:
+        """The Frobenius-orthonormal basis as one read-only (k, dim, dim)
+        array, stacked once per subspace."""
+        stack = np.stack(self.ortho)
+        stack.flags.writeable = False
+        return stack
 
     def to_ortho_coeffs(self, coeffs) -> np.ndarray:
         return self.upper_tri @ np.asarray(coeffs, dtype=float)
@@ -53,13 +62,19 @@ class OperatorSubspace:
 @dataclass(frozen=True, eq=False)
 class OrbitGeometry:
     """Orbit data of a subspace through x: images of the basis, an
-    orthonormal basis Q of their span W, and the orthogonal projector P."""
+    orthonormal basis Q of their span W, the orthogonal projector P and
+    the rank, all from the full SVD U diag(sv) Vt of Phi = [Q_k x], the
+    images of the Frobenius-orthonormal basis, which is kept."""
 
     x: np.ndarray
     orbit_basis: tuple[np.ndarray, ...]
     Q: tuple[np.ndarray, ...]
     P: np.ndarray
     rank: int
+    Phi: np.ndarray
+    U: np.ndarray
+    sv: np.ndarray
+    Vt: np.ndarray
 
 
 def make_subspace(basis, rank_tol: float = RANK_TOL) -> OperatorSubspace:
@@ -106,17 +121,21 @@ def make_subspace(basis, rank_tol: float = RANK_TOL) -> OperatorSubspace:
 
 
 def orbit(subspace: OperatorSubspace, x, rank_tol: float = RANK_TOL) -> OrbitGeometry:
-    """Orbit geometry of the subspace through x: basis images B_i x, an
-    orthonormal basis of their span and the orthogonal projector onto it."""
+    """Orbit geometry of the subspace through x from one checked SVD
+    U diag(sv) Vt of Phi = [Q_k x]. The Q_k recombine the basis
+    invertibly, so Phi spans the basis images B_i x. The rank is
+    r = #{sv_i > rank_tol sv_1}, the orbit span's orthonormal basis is U_r
+    (the first r columns of U) and its projector P = U_r U_r'."""
     xv = linalg.as_vector(x)
     if xv.shape != (subspace.dim,):
         raise DimensionError(f"x has shape {xv.shape}, expected ({subspace.dim},)")
     images = [B @ xv for B in subspace.basis]
-    Q, rank = linalg.orthonormalize(images, rank_tol)
-    P = np.zeros((subspace.dim, subspace.dim))
-    for q in Q:
-        P += np.outer(q, q)
-    return OrbitGeometry(x=xv.copy(), orbit_basis=tuple(images), Q=tuple(Q), P=P, rank=rank)
+    Phi = (subspace.ortho_stack @ xv).T
+    U, sv, Vt = linalg.checked_svd(Phi)
+    rank = int(np.count_nonzero(sv > rank_tol * sv[0]))
+    Ur = U[:, :rank]
+    return OrbitGeometry(x=xv.copy(), orbit_basis=tuple(images), Q=tuple(Ur.T),
+                         P=Ur @ Ur.T, rank=rank, Phi=Phi, U=U, sv=sv, Vt=Vt)
 
 
 def op_norm(subspace: OperatorSubspace, coeffs) -> float:

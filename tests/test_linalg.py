@@ -88,6 +88,41 @@ def test_sym_eigh_desc_rejects_bad_eigenpair(rng, monkeypatch):
         linalg.sym_eigh_desc(S)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 2), (4, 1)])
+def test_checked_svd_matches_numpy(rng, shape):
+    M = rng.normal(size=shape)
+    U, s, Vt = linalg.checked_svd(M)
+    assert U.shape == (shape[0], shape[0]) and Vt.shape == (shape[1], shape[1])
+    assert np.allclose(s, svd_values(M), rtol=1e-13, atol=0.0)
+    S = np.zeros(shape)
+    S[np.arange(s.size), np.arange(s.size)] = s
+    assert np.allclose(U @ S @ Vt, M, atol=1e-13)
+    # a zero matrix passes with zero singular values
+    assert np.all(linalg.checked_svd(np.zeros(shape))[1] == 0.0)
+
+
+@pytest.mark.parametrize("corrupt", ["value", "left", "right"])
+def test_checked_svd_rejects_bad_pair(rng, monkeypatch, corrupt):
+    # a singular value off by 1e-6, or a left or right vector turned by
+    # 1e-6, must be refused
+    M = rng.normal(size=(4, 3))
+    svd = np.linalg.svd
+
+    def perturbed(A, *args, **kwargs):
+        U, s, Vt = (a.copy() for a in svd(A, *args, **kwargs))
+        if corrupt == "value":
+            s[1] *= 1.0 + 1e-6
+        elif corrupt == "left":
+            U[:, 0] += 1e-6 * U[:, 3]
+        else:
+            Vt[2] += 1e-6 * Vt[0]
+        return U, s, Vt
+
+    monkeypatch.setattr(np.linalg, "svd", perturbed)
+    with pytest.raises(ConvergenceFailure):
+        linalg.checked_svd(M)
+
+
 def test_singular_values_rectangular(rng):
     for shape in [(2, 5), (5, 2), (3, 3), (1, 4)]:
         M = rng.normal(size=shape)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_locator import (MEM_TOL, DimensionError, GridOracleRefusal,
+from orbit_locator import (MEM_TOL, RANK_TOL, ConvergenceFailure,
+                           DimensionError, GridOracleRefusal,
                            LocatedSet, OrbitBallContext, OrbitLocatorError,
                            SolverFailure, Stabilized, ball_distance,
                            euclidean_ball, gauge_of_orbit_ball,
@@ -125,6 +126,20 @@ def test_linear_image_ball_gauge():
     Tth = np.array([[1.0], [0.0]])
     seg = linear_image_ball(Tth, 1.0)
     assert seg.gauge([0.0, 1.0]) == np.inf
+
+
+@pytest.mark.parametrize("s_min", [1e-4, 1e-6])
+def test_linear_image_ball_gauge_at_high_condition(s_min):
+    # T = U diag(1, 0.3, 0.01, s_min) V': the gauge of U's last column is
+    # 1 / s_min; a preimage from the normal equations of T'T fails its own
+    # range test here and reports inf
+    for seed in range(20):
+        g = np.random.default_rng(seed)
+        U = np.linalg.qr(g.normal(size=(4, 4)))[0]
+        V = np.linalg.qr(g.normal(size=(4, 4)))[0]
+        T = U @ np.diag([1.0, 0.3, 0.01, s_min]) @ V.T
+        val = linear_image_ball(T, 1.0).gauge(U[:, -1])
+        assert abs(val * s_min - 1.0) <= 1e-8, (seed, val)
 
 
 def test_grid_oracle_brackets_solver(diag_sub):
@@ -667,6 +682,140 @@ def marginal_rank_x():
     return np.array([1.0, 5e-10])
 
 
+def conditioned_problem(seed, kappa):
+    """A (basis, x) in dimension 4 with k = 4 whose Phi = [Q_k x] has
+    singular values 1, 1/kappa^(1/3), 1/kappa^(2/3), 1/kappa: the
+    Frobenius-orthonormal units R e_i e_i' S' mixed by a random matrix,
+    and x = S s. Phi is R diag(s) times an orthogonal matrix."""
+    g = np.random.default_rng(seed)
+    R = np.linalg.qr(g.normal(size=(4, 4)))[0]
+    S = np.linalg.qr(g.normal(size=(4, 4)))[0]
+    units = np.stack([np.outer(R[:, i], S[:, i]) for i in range(4)])
+    basis = list(np.einsum("ji,iab->jab", g.normal(size=(4, 4)), units))
+    return basis, S @ kappa ** -(np.arange(4) / 3.0)
+
+
+def test_context_factors_phi_once(monkeypatch):
+    # one checked SVD of Phi builds the context: no eigensolver, no
+    # Gram-Schmidt, and rank_margin reads the stored singular values
+    basis, x, _ = wide_draw_problem(2)     # dim 3, k 4, orbit rank 3
+    sub = make_subspace(basis)
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("the context factors Phi once")
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(located.linalg, "sym_eigh_desc", banned)
+    monkeypatch.setattr(located.linalg, "orthonormalize", banned)
+    ctx = OrbitBallContext(sub, x)
+    assert calls == [(3, 4)]
+    margin = ctx.rank_margin()
+    assert calls == [(3, 4)]
+    sv = svd(ctx.Phi, compute_uv=False)
+    assert ctx.rank == int(np.sum(sv > RANK_TOL * sv[0])) == 3
+    assert margin == pytest.approx(min(sv / (RANK_TOL * sv[0])), rel=1e-12)
+    assert np.allclose(ctx.range_lams, sv ** 2, rtol=1e-13, atol=0.0)
+    # the factor's pieces: P, H_inv and the null vectors
+    assert np.allclose(ctx.geo.P, ctx.Phi @ np.linalg.pinv(ctx.Phi), atol=1e-12)
+    assert np.allclose(ctx.H_inv, np.linalg.pinv(ctx.H), atol=1e-10)
+    assert np.linalg.norm(ctx.Phi @ ctx.null_vecs) <= 1e-12
+    # a corrupted factor is refused
+    def corrupt(*args, **kwargs):
+        U, s, Vt = (a.copy() for a in svd(*args, **kwargs))
+        s[0] *= 1.0 + 1e-6
+        return U, s, Vt
+
+    monkeypatch.setattr(np.linalg, "svd", corrupt)
+    with pytest.raises(ConvergenceFailure):
+        OrbitBallContext(sub, x)
+
+
+def test_preimage_at_kappa_1e6():
+    # the least-norm preimage hits its target at kappa(Phi) = 1e6, where
+    # the normal equations of Phi'Phi miss it by up to 6.6e-5 ||v||
+    for seed in range(5):
+        basis, x = conditioned_problem(seed, 1e6)
+        ctx = OrbitBallContext(make_subspace(basis), x)
+        sv = svd_values(ctx.Phi)
+        assert ctx.rank == 4 and sv[0] / sv[-1] == pytest.approx(1e6, rel=1e-6)
+        V = np.random.default_rng(seed).normal(size=(8, 4))
+        miss = ctx.min_norm_preimage(V) @ ctx.Phi.T - V @ ctx.geo.P.T
+        assert np.all(np.linalg.norm(miss, axis=1)
+                      <= 1e-9 * np.linalg.norm(V, axis=1)), seed
+
+
+def certificate_cases():
+    """(ctx, y, n, rows t) for the certificate test: random rows on a
+    problem with and one without a null space, and rows whose top
+    singular values tie or lie within 5% of each other."""
+    g = np.random.default_rng(3)
+    diag = make_subspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    full = make_subspace([g.normal(size=(2, 2)) for _ in range(4)])  # all of M_2
+    basis, x, _ = wide_draw_problem(2)   # dim 3, k 4: a null space
+    cases = []
+    for sub, xv, ties in ((diag, np.array([1.0, 0.3]), True),
+                          (full, g.normal(size=2), True),
+                          (make_subspace(basis), x, False)):
+        ctx = OrbitBallContext(sub, xv)
+        t = g.normal(size=(24, ctx.k)) * g.uniform(0.1, 3.0, size=(24, 1))
+        if ties:
+            # mat(t) = U diag(1, s2) V' with s2 in the 5% band, and exact ties
+            U = np.linalg.qr(g.normal(size=(2, 2)))[0]
+            V = np.linalg.qr(g.normal(size=(2, 2)))[0]
+            s2 = np.array([1.0, 1.0, 0.99, 0.96])
+            M = np.einsum("ai,ri,bi->rab", U, np.stack([np.ones(4), s2], 1), V)
+            if sub is diag:
+                M = np.array([np.diag(np.diag(m)) for m in M])
+                M[:, 0, 0], M[:, 1, 1] = 1.0, s2 * [1.0, -1.0, 1.0, -1.0]
+            t = np.concatenate([t, ctx.tcoords(M)])
+        cases.append((ctx, g.normal(size=xv.size) * 2.0, 1.0, t))
+    return cases
+
+
+def test_certificate_from_multiplier_coordinates():
+    # the gap from the coordinates G mu (and sum mu as the nuclear norm
+    # without a null space) equals f - max _dual on the formed multipliers
+    # W, fed as ADMM feeds _dual; the tied rows use the band fit
+    banded = spread = 0
+    for ctx, y, n, t in certificate_cases():
+        f = ctx._f(t, y)
+        W = ctx._multiplier(t, y)
+        duals = dual_of(ctx, W.reshape(-1, ctx.dim, ctx.dim), y, n)
+        want = f - duals.reshape(len(t), 2).max(axis=1)
+        gap = ctx._cert_gap(t, y, n)
+        assert np.all(np.abs(gap - want) <= 1e-12 * np.maximum(1.0, f))
+        sig = np.linalg.svd(ctx.mat(t), compute_uv=False)
+        banded += np.count_nonzero(sig[:, 1] >= 0.95 * sig[:, 0])
+        spread += np.count_nonzero(np.abs(W[:, 1] - W[:, 0]).max(axis=(1, 2)) > 1e-9)
+    assert banded >= 8 and spread >= 1, (banded, spread)
+
+
+def test_sym_solve_is_pinv():
+    # pinv(A) b from the eigenpairs of symmetric A, singular stacks and
+    # the masked matrices of the band fit included, against numpy's pinv
+    g = np.random.default_rng(9)
+    X = g.normal(size=(6, 4, 4))
+    A = X + np.swapaxes(X, 1, 2)
+    A[3:] = X[3:, :, :2] @ np.swapaxes(X[3:, :, :2], 1, 2)     # rank 2
+    mask = np.array([True, False, True, True])
+    A[5] *= mask[:, None] & mask[None, :]
+    b = g.normal(size=(6, 4))
+    want = (np.linalg.pinv(A, rcond=1e-12) @ b[..., None])[..., 0]
+    got = located._sym_solve(A, b, 1e-12)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+def dual_of(ctx, W, y, n):
+    """_dual at a stack of formed multipliers W, fed as ADMM feeds it."""
+    return ctx._dual(*ctx._cut(W), y, n, ctx._query(y)["leak"])
+
+
 @pytest.mark.parametrize("shape", ["diag", "d3k2r1", "wide2", "marginal"])
 def test_dual_bound_is_below_every_feasible_value(shape, diag_sub):
     # weak duality: _dual(W) <= f(t) for every d x d W and feasible t
@@ -701,14 +850,14 @@ def test_dual_bound_is_below_every_feasible_value(shape, diag_sub):
         W = np.concatenate([
             g.normal(size=(64, d, d)) * g.uniform(0.0, 3.0, size=(64, 1, 1)),
             1e-6 * g.normal(size=(8, d, d)), band.reshape(-1, d, d)])
-        assert ctx._dual(W, y, n).max() <= f.min()
+        assert dual_of(ctx, W, y, n).max() <= f.min()
         ctx.solve_levels(y, [n], 1e-6)
         entry = ctx._query(y)["levels"].get(n)
         if entry is not None:
             tn, _, fn, _ = entry
             assert svd_sigma(ctx.mat(tn)) <= n * (1.0 + MEM_TOL)
-            assert ctx._dual(W, y, n).max() <= fn
-            assert ctx._dual(ctx._multiplier(tn[None], y), y, n).max() <= fn * (1.0 + 1e-13)
+            assert dual_of(ctx, W, y, n).max() <= fn
+            assert dual_of(ctx, ctx._multiplier(tn[None], y), y, n).max() <= fn * (1.0 + 1e-13)
     assert spread > 0 or shape != "diag"
 
 
@@ -725,7 +874,7 @@ def test_dual_bound_pays_for_the_dropped_eigenvalue(diag_sub, n):
     t = ctx.feasify(g.normal(size=(32, 2)) * n, n)
     W = np.concatenate([np.zeros((1, 2, 2)), ctx._multiplier(t, y).reshape(-1, 2, 2),
                         1e-3 * g.normal(size=(32, 2, 2))])
-    bound = ctx._dual(W, y, n)
+    bound = dual_of(ctx, W, y, n)
     assert bound[0] > exact - 1e-8
     assert np.all(bound <= exact)
 

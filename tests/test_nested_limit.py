@@ -97,7 +97,7 @@ def test_stabilized_needs_the_span_lower_bound(diag_sub):
     assert report.verdict.N == 1 and abs(report.verdict.d - 1.0) <= 1e-6
 
 
-def test_stabilized_at_a_marginal_rank(diag_sub):
+def test_stabilized_at_a_marginal_rank(diag_sub, monkeypatch):
     # x = (1, 5e-10): the singular value 5e-10 of Phi falls a factor 2
     # below the rank cut, so the span is taken to be the first axis and
     # ||y - Py|| = 1 = d_1, but in exact arithmetic the distance is 0; a
@@ -115,6 +115,22 @@ def test_stabilized_at_a_marginal_rank(diag_sub):
     assert OrbitBallContext(diag_sub, [1.0, 1e-6]).rank_margin() > 100.0
     assert OrbitBallContext(diag_sub, [1.0, 0.0]).rank_margin() > 1e8
     assert OrbitBallContext(diag_sub, [0.0, 0.0]).rank_margin() == np.inf
+    # the margin comes from the singular values the context stored: the
+    # same number, with no SVD per call
+    contexts = [OrbitBallContext(diag_sub, v) for v in
+                ([1.0, 5e-10], [1.0, 1e-8], [1.0, 1e-6], [1.0, 0.0], [0.0, 0.0])]
+    sv = [np.linalg.svd(c.Phi)[1] for c in contexts]
+
+    def banned(*args, **kwargs):
+        raise AssertionError("rank_margin makes no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", banned)
+    for c, s in zip(contexts, sv):
+        assert np.array_equal(c.geo.sv, s)
+        cut = c.rank_tol * s[0]
+        with np.errstate(divide="ignore"):
+            want = np.inf if cut == 0.0 else float(np.min(np.maximum(s / cut, cut / s)))
+        assert c.rank_margin() == want
 
 
 def test_report_certificates_hold(diag_sub):

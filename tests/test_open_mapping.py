@@ -316,10 +316,12 @@ def test_floor_covers_a_maximiser_the_search_drops():
     assert capped.floor == 1.0 / 1.001
 
 
-# r of the demo family's unit orbit balls before the ceiling existed, by |c|
+# r of the demo family's unit orbit balls, by |c|: the double nearest the
+# true radius |c| (the normal-equation preimage missed 0.1 and 0.001 by an
+# ulp, 0x1.999999999999bp-4 and 0x1.0624dd2f1a9fbp-10)
 _DEMO_R = {0.0: "0x0.0p+0", 1.0: "0x1.0000000000000p+0",
-           0.5: "0x1.0000000000000p-1", 0.1: "0x1.999999999999bp-4",
-           0.01: "0x1.47ae147ae147bp-7", 0.001: "0x1.0624dd2f1a9fbp-10"}
+           0.5: "0x1.0000000000000p-1", 0.1: "0x1.999999999999ap-4",
+           0.01: "0x1.47ae147ae147bp-7", 0.001: "0x1.0624dd2f1a9fcp-10"}
 _DEMO_N = {1.0: 3, 0.5: 5, 0.1: 21, 0.01: 201, 0.001: 2001}
 
 
@@ -327,7 +329,7 @@ _DEMO_N = {1.0: 3, 0.5: 5, 0.1: 21, 0.01: 201, 0.001: 2001}
 def test_demo_radius_is_one_round(c):
     # on the demo family the ceiling equals the largest gauge, on an axis,
     # so each radius is one gauges_on round (c = 0 stops on the infinite
-    # gauge of the second axis); r keeps its bits and N its value
+    # gauge of the second axis); r is the pinned double and N keeps its value
     ball = orbit_ball(diag_subspace(), np.array([1.0, c]), 1.0)
     counted, rows = counting(ball)
     rr = inner_radius(counted, list(np.eye(2)))
