@@ -103,7 +103,7 @@ def sym_eigh_desc(S, tol: float = 1e-12):
     return lams, V
 
 
-def checked_svd(M, tol: float = 1e-14):
+def checked_svd(M):
     """Full SVD (U, s, Vt) of a finite 2-d array M, s descending, with
     every pair checked.
 
@@ -113,7 +113,7 @@ def checked_svd(M, tol: float = 1e-14):
     of the symmetric dilation [[0, M], [M', 0]], so the residual bounds the
     distance from s_i to the singular values as in sym_eigh_desc. Raises
     ConvergenceFailure when LAPACK fails or a residual exceeds
-    50 * tol * ||M||_F * max(1, d, k) for M of shape (d, k).
+    50 * 1e-14 * ||M||_F * max(1, d, k) for M of shape (d, k).
     """
     M = np.asarray(M, dtype=float)
     try:
@@ -129,7 +129,7 @@ def checked_svd(M, tol: float = 1e-14):
     worst = float(np.sqrt(max(np.einsum("ij,ij->j", left, left).max(),
                               np.einsum("ij,ij->i", right, right).max())))
     scale = float(np.sqrt(np.vdot(M, M)))
-    bound = 50.0 * max(tol, 1e-14) * scale * max(1, *M.shape)
+    bound = 50.0 * 1e-14 * scale * max(1, *M.shape)
     if not worst <= bound:
         raise ConvergenceFailure(
             f"singular pair residual {worst:.3e} exceeds {bound:.3e}",

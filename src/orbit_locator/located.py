@@ -301,13 +301,7 @@ class OrbitBallContext:
         return t @ self.Phi.T
 
     def orig_coeffs(self, t) -> np.ndarray:
-        """Coefficients in the original basis of the coefficient rows t:
-        the inverse change of basis, inverted once per context."""
-        return t @ self._from_ortho.T
-
-    @functools.cached_property
-    def _from_ortho(self) -> np.ndarray:
-        return np.linalg.inv(self.subspace.upper_tri)
+        return np.linalg.solve(self.subspace.upper_tri, t)
 
     def min_norm_preimage(self, v) -> np.ndarray:
         """Least-norm t with Phi t = projection of v onto the orbit span,
@@ -450,17 +444,13 @@ class OrbitBallContext:
         its search only lowers, is LAPACK's sigma1 of the rounded u G, at
         most (m + d) eps sqrt(t) above sigma1(u G). So the ceiling is
         sqrt(lam + (m + 2) d eps t) + (m + d) eps sqrt(t), with lam the
-        smaller computed top eigenvalue. With one column the bound is
-        sigma1(G_1) itself, and it is taken as the kernel takes its value
-        at z = 0, so it needs no margin against the kernel's values."""
+        smaller computed top eigenvalue."""
         gen = self._generators(B)
         if gen is None:
             return np.inf
         d = self.dim
         G = gen[1].reshape(-1, d, d)
         m = G.shape[0]
-        if m == 1:
-            return float(_sigma1(G)[0])
         rows = G.transpose(1, 0, 2).reshape(d, m * d)   # [G_1 ... G_m]
         cols = G.transpose(2, 0, 1).reshape(d, m * d)   # [G_1' ... G_m']
         lam = min(np.linalg.eigvalsh(rows @ rows.T)[-1],

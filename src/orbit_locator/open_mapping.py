@@ -175,10 +175,13 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     r is 1 over the best gauge found, direction its unit vector, and floor
     1 over the smaller of the ceiling and the larger of best * (1 + _BB_REL)
     and that kept bound, so it is at least 1 over the ceiling. The line
-    (m = 1) is one tight gauge g, with floor 1 / g = r, except where the
-    ceiling lies above g within a factor 1 + _BB_REL: then the floor is 1
-    over the ceiling, which carries the rounding margin an exact gauge (an
-    ellipsoid's) lacks. An infinite gauge short-circuits to r = 0.
+    (m = 1) is one gauge g, r = 1 / g, and its floor is 1 over the ceiling
+    where that lies within a factor 1 + _BB_REL of g: the ceiling carries
+    the rounding margin a computed gauge lacks. Elsewhere (a ceiling from
+    generators that are not least-sigma1 preimages, or an ellipsoid's
+    kappa^2 margin beyond _BB_REL) the floor is 1 / g = r, which rounding
+    can leave just above the true radius. An infinite gauge
+    short-circuits to r = 0.
     """
     vectors = [linalg.as_vector(w) for w in W_basis]
     for w in vectors:

@@ -61,14 +61,14 @@ class OperatorSubspace:
 
 @dataclass(frozen=True, eq=False)
 class OrbitGeometry:
-    """Orbit data of a subspace through x: images of the basis, an
-    orthonormal basis Q of their span W, the orthogonal projector P and
-    the rank, all from the full SVD U diag(sv) Vt of Phi = [Q_k x], the
-    images of the Frobenius-orthonormal basis, which is kept."""
+    """Orbit data of a subspace through x: images of the basis, the
+    orthogonal projector P onto their span W and the rank, all from the
+    full SVD U diag(sv) Vt of Phi = [Q_k x], the images of the
+    Frobenius-orthonormal basis, which is kept; U[:, :rank] is an
+    orthonormal basis of W."""
 
     x: np.ndarray
     orbit_basis: tuple[np.ndarray, ...]
-    Q: tuple[np.ndarray, ...]
     P: np.ndarray
     rank: int
     Phi: np.ndarray
@@ -134,7 +134,7 @@ def orbit(subspace: OperatorSubspace, x, rank_tol: float = RANK_TOL) -> OrbitGeo
     U, sv, Vt = linalg.checked_svd(Phi)
     rank = int(np.count_nonzero(sv > rank_tol * sv[0]))
     Ur = U[:, :rank]
-    return OrbitGeometry(x=xv.copy(), orbit_basis=tuple(images), Q=tuple(Ur.T),
+    return OrbitGeometry(x=xv.copy(), orbit_basis=tuple(images),
                          P=Ur @ Ur.T, rank=rank, Phi=Phi, U=U, sv=sv, Vt=Vt)
 
 

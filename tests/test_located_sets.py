@@ -427,7 +427,7 @@ def test_gauges_on_matches_gauges(shape):
     sub = make_subspace(basis)
     ctx = OrbitBallContext(sub, x)
     assert (ctx.rank, ctx.null_vecs.shape[1]) == (int(shape[5]), len(basis) - int(shape[5]))
-    B = np.stack(ctx.geo.Q, axis=1)
+    B = ctx.geo.U[:, :ctx.geo.rank]
     U = np.concatenate([g.normal(size=(12, ctx.rank)), np.eye(ctx.rank)])
     want, _ = ctx.gauges(U @ B.T)
     got, ts = ctx.gauges_on(B)(U)
@@ -469,7 +469,7 @@ def test_gauge_ceiling_covers_a_dense_scan(basis, x):
     # of the level-n ball is the unit ball's over n
     sub = make_subspace(basis)
     ctx = OrbitBallContext(sub, x)
-    B = np.stack(ctx.geo.Q, axis=1)
+    B = ctx.geo.U[:, :ctx.geo.rank]
     m = B.shape[1]
     g = np.random.default_rng(7)
     U = np.concatenate([np.eye(m), g.normal(size=(64, m))])
