@@ -7,7 +7,7 @@ projection pipeline tying them together.
 """
 
 from .defaults import (BUDGET, GRID_CAP, MAX_SOLVER_ITERS, MEM_TOL, NET_CAP,
-                       PROBE_SEED, RANK_TOL, STAB_TOL, TOL)
+                       PROBE_SEED, RANK_TOL, TOL)
 from .errors import (ConvergenceFailure, DependentBasisError, DimensionError,
                      GridOracleRefusal, NetTooLargeError, OrbitLocatorError,
                      PipelineRefusal, SolverFailure)
@@ -18,8 +18,7 @@ from .located import (DistanceResult, LocatedSet, OrbitBallContext,
                       ball_distance, euclidean_ball, gauge_of_orbit_ball,
                       grid_oracle_distance, linear_image_ball, orbit_ball)
 from .nested import (DistanceReport, Level, Located, Stabilized, Undecided,
-                     cauchy_bound, locate_distance, stabilize_check,
-                     strict_excess, tail_bound)
+                     cauchy_bound, locate_distance, strict_excess, tail_bound)
 from .open_mapping import (Decomposition, DecompositionStep, Member,
                            RadiusResult, Witness, greedy_decompose,
                            inner_radius, open_map_radius)
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUDGET", "GRID_CAP", "MAX_SOLVER_ITERS", "MEM_TOL", "NET_CAP",
-    "PROBE_SEED", "RANK_TOL", "STAB_TOL", "TOL",
+    "PROBE_SEED", "RANK_TOL", "TOL",
     "ConvergenceFailure", "DependentBasisError", "DimensionError",
     "GridOracleRefusal", "NetTooLargeError", "OrbitLocatorError",
     "PipelineRefusal", "SolverFailure",
@@ -43,8 +42,7 @@ __all__ = [
     "euclidean_ball", "gauge_of_orbit_ball", "grid_oracle_distance",
     "linear_image_ball", "orbit_ball",
     "DistanceReport", "Level", "Located", "Stabilized", "Undecided",
-    "cauchy_bound", "locate_distance", "stabilize_check", "strict_excess",
-    "tail_bound",
+    "cauchy_bound", "locate_distance", "strict_excess", "tail_bound",
     "Decomposition", "DecompositionStep", "Member", "RadiusResult",
     "Witness", "greedy_decompose", "inner_radius", "open_map_radius",
     "ProbeRow", "ProjectionCertificate", "build_projection",

@@ -21,7 +21,7 @@ import numpy as np
 from . import demo as demo_mod
 from . import nested, operators, pipeline
 from . import open_mapping as om
-from .defaults import BUDGET, STAB_TOL, TOL
+from .defaults import BUDGET, TOL
 from .errors import (ConvergenceFailure, GridOracleRefusal, NetTooLargeError,
                      OrbitLocatorError, PipelineRefusal, SolverFailure)
 from .located import ball_distance, orbit_ball
@@ -197,8 +197,7 @@ def _cmd_distance(args) -> dict:
     sub = operators.make_subspace(p.basis)
     tol = _pick(args.tol, p.tol, TOL)
     budget = _pick(args.budget, p.budget, BUDGET)
-    rep = nested.locate_distance(sub, p.x, p.y, budget=budget, tol=tol,
-                                 stab_tol=args.stab_tol)
+    rep = nested.locate_distance(sub, p.x, p.y, budget=budget, tol=tol)
     v = rep.verdict
     if isinstance(v, nested.Located):
         verdict = {"kind": "Located", "d": v.d, "y_inf": v.y_inf}
@@ -369,8 +368,6 @@ def _build_parser() -> _Parser:
 
     spd = add("distance")
     spd.add_argument("--budget", type=int, default=None)
-    spd.add_argument("--stab-tol", dest="stab_tol", type=float,
-                     default=STAB_TOL)
     spb = add("balldist")
     spb.add_argument("--n", type=float, default=None)
     add("project")

@@ -9,7 +9,6 @@ suite in agreement.
 
 TOL = 1e-6        # distance / gauge tolerance
 GAUGE_TOL = 1e-10  # step floor of the orbit-ball gauge pattern search
-STAB_TOL = 1e-7   # plateau test for the nested-limit stabilisation shortcut
 BUDGET = 30       # nested-limit level budget
 RANK_TOL = 1e-9   # rank cuts: SVD of Phi (orbit rank), Gram-Schmidt, basis validation
 MEM_TOL = 1e-9    # relative spectral-norm membership band: sigma1 <= n*(1+MEM_TOL)

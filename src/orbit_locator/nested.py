@@ -6,7 +6,8 @@ n * (unit ball) as n grows, so the global distance from y is the limit of
 the per-level distances d_n. Each level's near-minimizer y_n is pinned to
 the next by a parallelogram-law bound, which yields an explicit Cauchy
 certificate for the sequence (y_n) and, when it collapses fast enough, a
-certified limit point.
+certified limit point. The distance ||y - Py|| to the orbit span bounds
+every d_n from below, so a level that meets it certifies the distance.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, located, operators
-from .defaults import BUDGET, RANK_MARGIN, STAB_TOL, TOL
+from .defaults import BUDGET, RANK_MARGIN, TOL
 from .errors import DimensionError, OrbitLocatorError, SolverFailure
 
 
@@ -43,17 +44,17 @@ class Stabilized:
     tolerance plus the level-N solver tolerance. Certified by a lower
     bound: every level distance is at least ||y - Py||, the distance to
     the orbit span, and d_N came within those tolerances of it (0 stands
-    in for ||y - Py|| when the rank decision is marginal). Levels N and
-    N + 1 also agreed within stab_tol."""
+    in for ||y - Py|| when the rank decision is marginal)."""
     N: int
     d: float
 
 
 @dataclass(frozen=True, eq=False)
 class Undecided:
-    """Budget exhausted without a certificate. No positive lower bound on
-    the global distance is available from finitely many levels, so the
-    bracket is [0, d_budget]."""
+    """Budget exhausted without a certificate. The global distance lies in
+    [lower, upper]: lower is the span lower bound ||y - Py|| (0 when the
+    rank decision is marginal) and upper is d_budget, and the two are
+    further apart than the tolerances."""
     budget: int
     lower: float
     upper: float
@@ -97,13 +98,6 @@ def tail_bound(N: int, d_N: float) -> float:
     return 2.0 * (2.0 * d_N * eN + eN * eN) + 2.0 * (d_N + eN) ** 2
 
 
-def stabilize_check(d_N: float, d_N1: float, stab_tol: float = STAB_TOL) -> bool:
-    """True when consecutive level distances agree within stab_tol; the
-    caller may then report d_N as the global distance with error bar
-    stab_tol plus the solver tolerance."""
-    return abs(d_N - d_N1) <= stab_tol
-
-
 def strict_excess(d: float, y_inf, v, y, tol: float = 1e-8) -> float:
     """Excess ||y - v||^2 - d^2 of an orbit point v over the best distance.
 
@@ -125,7 +119,6 @@ def strict_excess(d: float, y_inf, v, y, tol: float = 1e-8) -> float:
 
 def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
                     budget: int = BUDGET, tol: float = TOL,
-                    stab_tol: float = STAB_TOL,
                     ctx: located.OrbitBallContext | None = None) -> DistanceReport:
     """Run the level sweep n = 1..budget and report the first certificate.
 
@@ -135,16 +128,14 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
 
     * Located: tail_bound(n, d_n) <= tol^2, meaning all later minimizers
       stay within about tol of y_n; then y_inf = y_n, d = ||y - y_inf||.
-    * Stabilized: d_{n-1} and d_n agree within stab_tol, and d_{n-1} is
-      within tol + tol_{n-1} of the exact lower bound ||y - Py|| on every
-      level distance; the global distance is d_{n-1}. Agreement alone
-      proves nothing about the limit, so the lower bound is the
-      certificate. When a singular value of Phi lies within a factor
-      RANK_MARGIN of the rank cut, on either side, the rank decision behind
-      P is marginal and the lower bound drops to 0.
+    * Stabilized: d_n is within tol + tol_n of the exact lower bound
+      ||y - Py|| on every level distance; since y_n lies in the orbit, the
+      global distance is d_n. When a singular value of Phi lies within a
+      factor RANK_MARGIN of the rank cut, on either side, the rank
+      decision behind P is marginal and the lower bound drops to 0.
 
-    Otherwise the verdict is Undecided with bracket [0, d_budget]: no
-    finite sweep can certify a positive global lower bound.
+    Otherwise the verdict is Undecided with bracket [||y - Py||, d_budget]
+    (or [0, d_budget] at a marginal rank).
 
     One ctx.solve_levels call first finds every level's boundary
     candidate in lockstep, each stopped once its duality gap meets the
@@ -160,6 +151,7 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
     y = linalg.as_vector(y)
+    lb = _lower_bound(ctx, y)
     tols = [min(tol, 2.0 ** -(n + 2)) for n in range(1, budget + 1)]
     ctx.solve_levels(y, range(1, budget + 1), tols)
     levels: list[Level] = []
@@ -178,14 +170,11 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
         if tail_bound(n, d_n) <= tol * tol:
             verdict = Located(d=d_n, y_inf=res.point)
             break
-        # the level n - 1 answer came with solver tolerance 2^-(n+1) or tol
-        if (len(levels) >= 2 and stabilize_check(levels[-2].d, d_n, stab_tol)
-                and levels[-2].d - _lower_bound(ctx, y)
-                <= tol + min(tol, 2.0 ** -(n + 1))):
-            verdict = Stabilized(N=n - 1, d=levels[-2].d)
+        if d_n - lb <= tol + tol_n:
+            verdict = Stabilized(N=n, d=d_n)
             break
     if verdict is None:
-        verdict = Undecided(budget=budget, lower=0.0, upper=levels[-1].d)
+        verdict = Undecided(budget=budget, lower=lb, upper=levels[-1].d)
     return _close_report(levels, verdict, tol)
 
 

@@ -272,21 +272,17 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
 def open_map_radius(T, rank_tol: float = RANK_TOL) -> RadiusResult:
     """Radius r with B(0, r) inside T(closed unit ball), for T onto R^m.
 
-    Equals the m-th singular value of the m-by-n matrix T, from the
-    eigenvalues of T T' (sym_eigh_desc checks the residual of every
-    eigenpair), with floor = r. The returned direction is the
+    Equals the m-th singular value of the m-by-n matrix T, from one
+    checked SVD of T, with floor = r. The returned direction is the
     corresponding left singular vector.
     """
     T = linalg.as_matrix(T)
     m, n = T.shape
-    G = T @ T.T
-    lams, U = linalg.sym_eigh_desc(G, 1e-14)
-    lam_top = float(lams[0])
-    row_rank = int(np.sum(lams > (rank_tol ** 2) * max(lam_top, 1e-300)))
+    U, s, _ = linalg.checked_svd(T)
+    row_rank = int(np.count_nonzero(s > rank_tol * s[0]))
     if row_rank < m:
         raise DimensionError(
             f"matrix with shape {m}x{n} has row rank {row_rank} < {m}; "
             "it is not onto its target")
-    r = float(np.sqrt(max(float(lams[-1]), 0.0)))
-    u_min = _lex_smaller(U[:, -1])
-    return RadiusResult(r, u_min, "sigma-min", floor=r)
+    r = float(s[m - 1])
+    return RadiusResult(r, _lex_smaller(U[:, m - 1]), "sigma-min", floor=r)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from orbit_locator import (MEM_TOL, GridOracleRefusal, Located, Member,
-                           OrbitBallContext, Stabilized, Witness,
+                           OrbitBallContext, Stabilized, Undecided, Witness,
                            ball_distance, cauchy_bound, demo_table,
                            diag_subspace, euclidean_ball, greedy_decompose,
                            grid_oracle_distance, linear_image_ball,
@@ -152,6 +152,29 @@ def test_criterion_05_family50_verdicts_pinned(family50):
                 checked += 1
     print(f"\n[criterion 5] family50: 43 Stabilized, 7 Undecided, "
           f"{checked} certified level witnesses feasible: PASS")
+
+
+def test_criterion_05_undecided_bracket(family50):
+    # an Undecided verdict brackets the distance between the span lower
+    # bound ||y - Py|| and the budget level's distance
+    instances, reports, _ = family50
+    sub, x, y = instances[37]
+    v = reports[37].verdict
+    assert sub.dim == 2 and sub.k == 1
+    assert isinstance(v, Undecided), v
+    assert v.lower == OrbitBallContext(sub, x).span_distance(y)
+    assert abs(v.lower - 1.65013) <= 1e-5 and abs(v.upper - 1.66025) <= 1e-5
+    undecided = 0
+    for (sub, x, y), report in zip(instances, reports):
+        v = report.verdict
+        if isinstance(v, Undecided):
+            P = orbit(sub, x).P
+            want = float(np.linalg.norm(y - P @ y))
+            assert v.lower <= want + 1e-12 and want <= v.upper, (v.lower, want, v.upper)
+            undecided += 1
+    assert undecided == 7
+    print(f"\n[criterion 5] family50: {undecided} Undecided brackets "
+          f"hold the projection distance: PASS")
 
 
 def test_criterion_06_open_map_radius():

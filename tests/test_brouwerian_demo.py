@@ -48,7 +48,7 @@ def test_dichotomy_ground_truth(default_rows):
             assert abs(row.d - 1.0) <= 1e-6
             assert row.N is None
             assert row.verdict == "stabilized"
-            assert row.levels_to_locate == 2
+            assert row.levels_to_locate == 1
         else:
             assert abs(row.d) <= 1e-6
             assert row.verdict == "pipeline"
@@ -57,11 +57,20 @@ def test_dichotomy_ground_truth(default_rows):
 def test_sweep_cost_at_small_c():
     sub = diag_subspace()
     y = np.array([0.0, 1.0])
-    report = locate_distance(sub, np.array([1.0, 0.1]), y,
+    # at c = 0.1 level 10 reaches y, and the span lower bound 0 certifies
+    # it at either tolerance
+    for tol in (1e-6, 1e-3):
+        report = locate_distance(sub, np.array([1.0, 0.1]), y,
+                                 budget=12, tol=tol)
+        assert isinstance(report.verdict, Stabilized)
+        assert report.verdict.N == 10 and len(report.levels) == 10
+    # at c = 0.095 no level reaches y: the tight sweep certifies level 11
+    # against the lower bound, the loose one locates it by the Cauchy test
+    report = locate_distance(sub, np.array([1.0, 0.095]), y,
                              budget=12, tol=1e-6)
     assert isinstance(report.verdict, Stabilized)
     assert len(report.levels) == 11
-    loose = locate_distance(sub, np.array([1.0, 0.1]), y,
+    loose = locate_distance(sub, np.array([1.0, 0.095]), y,
                             budget=12, tol=1e-3)
     assert isinstance(loose.verdict, Located)
 
@@ -78,7 +87,7 @@ def test_csv_shape(default_rows):
     lines = csv.strip().split("\n")
     assert lines[0] == "c,r,N,d,levels,verdict"
     assert len(lines) == len(default_rows) + 1
-    assert lines[1] == "0,0,n/a,1,2,stabilized"
+    assert lines[1] == "0,0,n/a,1,1,stabilized"
     for line in lines[1:]:
         assert len(line.split(",")) == 6
     # deterministic
@@ -97,7 +106,7 @@ def test_table_shape(default_rows):
 # between reruns, unless a change means it to
 _GOLDEN_TABLE = """\
      c      r     N  d  levels     verdict
-     0      0   n/a  1       2  stabilized
+     0      0   n/a  1       1  stabilized
      1      1     3  0       0    pipeline
     -1      1     3  0       0    pipeline
    0.5    0.5     5  0       0    pipeline

@@ -112,6 +112,17 @@ def test_decompose_rejects_tol(tmp_path, capsys):
     assert "--tol" in err and "Traceback" not in err
 
 
+def test_distance_rejects_plateau_flag(tmp_path, capsys):
+    # the sweep certifies on the span lower bound alone and takes no
+    # plateau tolerance: a usage message on stderr, no report, no traceback
+    path = diag_problem(tmp_path, budget=12)
+    argv = ["distance", path, "--stab-tol", "1e-7"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {argv[2]}" in err
+    assert "Traceback" not in err
+
+
 def test_omt(tmp_path, capsys):
     path = write_problem(tmp_path, dim=2, basis=[[[2.0, 0.0], [0.0, 0.5]]],
                          x=[0.0, 0.0])
@@ -182,11 +193,18 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_flag_overrides_file_tol(tmp_path, capsys):
-    path = diag_problem(tmp_path, tol=1e-3, budget=12)
+    path = diag_problem(tmp_path, x=[1.0, 0.095], tol=1e-3, budget=12)
     _, out, _ = run_cli(capsys, ["distance", path])
     assert json.loads(out)["verdict"]["kind"] == "Located"
     _, out2, _ = run_cli(capsys, ["distance", path, "--tol", "1e-6"])
     assert json.loads(out2)["verdict"]["kind"] == "Stabilized"
+    # at x = (1, 0.1) level 10 reaches y, so both tolerances stabilize there
+    path = diag_problem(tmp_path, tol=1e-3, budget=12)
+    for argv in (["distance", path], ["distance", path, "--tol", "1e-6"]):
+        _, out3, _ = run_cli(capsys, argv)
+        report = json.loads(out3)
+        assert report["verdict"]["kind"] == "Stabilized"
+        assert report["verdict"]["N"] == 10 and len(report["levels"]) == 10
 
 
 def test_cached_parser_matches_fresh_parser(tmp_path, capsys):

@@ -654,14 +654,16 @@ def test_cached_levels_are_certified(source, index):
 
 
 @pytest.mark.parametrize("draw,count,kinds,most", [
-    ({}, 200, {"Stabilized": 180, "Undecided": 20}, 1000),
+    ({}, 200, {"Stabilized": 182, "Undecided": 18}, 1000),
     (SEED17, 30, {"Stabilized": 25, "Undecided": 5}, 3000),
 ], ids=["seed7", "seed17"])
 def test_wide_draw_sweeps_certify(admm_runs, draw, count, kinds, most):
     # a whole draw, swept as in the benchmark: no SolverFailure, the
     # verdict split pinned, and no ADMM run above `most` iterations (on the
     # wide draw the most was 6105 before ADMM balanced its residuals, on
-    # the seed-17 draw 6657 before every row took the Newton step)
+    # the seed-17 draw 6657 before every row took the Newton step). Wide
+    # problems 13 and 96 reach the span lower bound at level 12, the last
+    # level, and were Undecided while a level N + 1 had to agree with N
     found = {}
     for basis, x, y in wide_draw(count, **draw):
         try:

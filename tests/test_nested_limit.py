@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from orbit_locator import (DimensionError, Located, OrbitBallContext,
                            OrbitLocatorError, SolverFailure, Stabilized,
                            Undecided, cauchy_bound, locate_distance,
-                           make_subspace, orbit, stabilize_check,
-                           strict_excess, tail_bound)
+                           make_subspace, orbit, strict_excess, tail_bound)
 
 
 def test_cauchy_bound_frozen_values():
@@ -32,12 +31,6 @@ def test_tail_bound_values():
     assert tail_bound(30, 0.0) < 1e-12
 
 
-def test_stabilize_check():
-    assert stabilize_check(0.5, 0.5)
-    assert stabilize_check(0.5, 0.5 - 5e-8)
-    assert not stabilize_check(0.5, 0.4)
-
-
 def test_strict_excess():
     y = np.array([0.0, 1.0])
     y_inf = np.array([0.0, 0.0])
@@ -58,18 +51,28 @@ def test_sweep_stabilizes_on_diag(diag_sub):
     assert isinstance(report.verdict, Stabilized)
     assert report.verdict.N == 10
     assert abs(report.verdict.d) <= 1e-6
-    assert len(report.levels) == 11
+    assert len(report.levels) == 10
     for lv in report.levels:
         assert abs(lv.d - max(0.0, 1.0 - 0.1 * lv.n)) <= 2.0 ** -lv.n + 1e-6
 
 
 def test_sweep_locates_at_loose_tol(diag_sub):
-    x = np.array([1.0, 0.1])
+    # at c = 0.095 no level reaches the distance 0 before the Cauchy test
+    # settles it: level 11 is Located
+    x = np.array([1.0, 0.095])
     y = np.array([0.0, 1.0])
     report = locate_distance(diag_sub, x, y, budget=12, tol=1e-3)
     assert isinstance(report.verdict, Located)
+    assert len(report.levels) == 11
     assert report.verdict.d <= 2e-3
     assert np.linalg.norm(report.verdict.y_inf - y) <= 5e-3
+    # at c = 0.1 level 10 reaches y itself, and the span lower bound 0
+    # certifies it before the Cauchy test can
+    report = locate_distance(diag_sub, np.array([1.0, 0.1]), y,
+                             budget=12, tol=1e-3)
+    assert isinstance(report.verdict, Stabilized)
+    assert report.verdict.N == 10 and len(report.levels) == 10
+    assert abs(report.verdict.d) <= 1e-3
 
 
 def test_sweep_undecided_within_budget(diag_sub):
@@ -84,8 +87,8 @@ def test_sweep_undecided_within_budget(diag_sub):
 
 def test_stabilized_needs_the_span_lower_bound(diag_sub):
     # x = (1, 1e-8): the orbit span is the whole plane, so the distance from
-    # y = (0, 1) is 0, while the level distances 1 - 1e-8 n agree within
-    # stab_tol; agreement alone must not settle the sweep
+    # y = (0, 1) is 0, while the level distances 1 - 1e-8 n barely move;
+    # near-equal levels must not settle the sweep
     y = np.array([0.0, 1.0])
     report = locate_distance(diag_sub, np.array([1.0, 1e-8]), y, budget=12)
     v = report.verdict

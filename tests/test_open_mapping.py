@@ -404,6 +404,21 @@ def test_open_map_radius_random(rng):
         assert abs(res.r - sig[-1]) / sig[-1] <= 0.02
 
 
+def test_open_map_radius_small_sigma():
+    # T = U diag(1, 0.3, s) V': sigma_min comes from an SVD of T, accurate
+    # to about eps relative to sigma_1; through the eigenvalues of T T' it
+    # carried an error of order eps / s and could refuse T as not onto
+    for s in (1e-6, 1e-8):
+        for seed in range(20):
+            g = np.random.default_rng(seed)
+            U = np.linalg.qr(g.normal(size=(3, 3)))[0]
+            V = np.linalg.qr(g.normal(size=(3, 3)))[0]
+            res = open_map_radius(U @ np.diag([1.0, 0.3, s]) @ V.T)
+            assert abs(res.r - s) <= 1e-7 * s, (s, seed, res.r)
+            assert res.floor == res.r
+            assert abs(abs(res.direction @ U[:, 2]) - 1.0) <= 1e-6
+
+
 def test_open_map_radius_rectangular(rng):
     T = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0]])
     res = open_map_radius(T)
