@@ -662,8 +662,8 @@ def test_wide_draw_sweeps_certify(admm_runs, draw, count, kinds, most):
     # verdict split pinned, and no ADMM run above `most` iterations (on the
     # wide draw the most was 6105 before ADMM balanced its residuals, on
     # the seed-17 draw 6657 before every row took the Newton step). Wide
-    # problems 13 and 96 reach the span lower bound at level 12, the last
-    # level, and were Undecided while a level N + 1 had to agree with N
+    # problems 13 and 96 reach the span lower bound only at level 12, the
+    # last level of the budget
     found = {}
     for basis, x, y in wide_draw(count, **draw):
         try:
