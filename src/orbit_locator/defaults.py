@@ -1,13 +1,13 @@
 """Central table of numeric defaults.
 
 Most entries are defaults that can be overridden per call (keyword
-argument) or per run (CLI flag / problem-file field). PROBE_SEED,
-MAX_SOLVER_ITERS and RANK_MARGIN are fixed: nothing takes them as an
-argument. Keeping them in one place keeps the library, the CLI and the test
-suite in agreement.
+argument) or per run (CLI flag / problem-file field). GAUGE_TOL,
+PROBE_SEED, MAX_SOLVER_ITERS and RANK_MARGIN are fixed: nothing takes them
+as an argument. Keeping them in one place keeps the library, the CLI and
+the test suite in agreement.
 """
 
-TOL = 1e-6        # distance / gauge tolerance
+TOL = 1e-6        # distance tolerance
 GAUGE_TOL = 1e-10  # step floor of the orbit-ball gauge pattern search
 BUDGET = 30       # nested-limit level budget
 RANK_TOL = 1e-9   # rank cuts: SVD of Phi (orbit rank), Gram-Schmidt, basis validation

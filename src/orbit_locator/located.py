@@ -32,11 +32,12 @@ over the null directions run. Gauges are evaluated row-wise on stacks of
 vectors by one kernel: a lockstep pattern search over the null
 coordinates z of sigma1(A + sum_l z_l mat(N_l)), with A the matrix of a
 row's least-norm preimage; without a null space it is one stacked SVD.
-On a fixed subspace W the kernel is compiled once (gauges_on): A is the
+On a fixed subspace W the kernel is compiled once (gauge_on): A is the
 combination of the matrices of W's basis vectors, so a round of the
 inner-radius search builds no preimage and makes no per-row span test.
-The same generators give a gauge ceiling on W from one top eigenvalue of
-their Gram (gauge_ceiling), which lets that search stop.
+The same generators, built once, also give the gauge ceiling on W that
+gauge_on returns with the compiled gauge: one top eigenvalue of their
+Gram, which lets that search stop.
 
 Euclidean balls and linear images of balls (ellipsoids) are provided as
 exactly-locatable companions, and a pure enumeration oracle gives two-sided
@@ -78,27 +79,25 @@ class LocatedSet:
     """A set with a certified distance oracle.
 
     locate(y, tol) returns a DistanceResult whose value is within tol of the
-    true distance; dist and nearest are shorthands. gauges(V, tol), when the
+    true distance; dist and nearest are shorthands. gauges(V), when the
     set supports it, applies the Minkowski functional to each row of V: the
     least s >= 0 with v in s-times-the-set (inf when no scaling reaches v).
-    The gauge oracle takes (V, tol) and returns one value per row; exact
-    oracles ignore tol. gauge(v) is the one-row case. gauges_on(B, tol)
-    is the gauge on the span of B's columns as a function of coordinates,
-    U -> gauges(U @ B.T, tol); a set may supply a form compiled once for
-    B (the factory gauges_on(B, tol) -> function of U). gauge_ceiling(B)
-    is an upper bound on gauges(u @ B.T) over unit vectors u, the unit
-    sphere of span(B) when B's columns are orthonormal: a set may supply
-    the oracle gauge_ceiling(B) -> float, and without one, or when the
-    set has no bound, it is inf.
+    The gauge oracle takes V and returns one value per row; gauge(v) is the
+    one-row case. gauge_on(B) is the one question the inner radius asks:
+    the pair (U -> gauges(U @ B.T), ceiling), the gauge on the span of B's
+    columns as a function of coordinates and an upper bound on it over
+    unit u, the unit sphere of span(B) when B's columns are orthonormal. A
+    set may supply the factory gauge_on(B) -> (function of U, ceiling),
+    compiled once for B; without one the function is gauges on U @ B.T
+    and the ceiling inf.
     """
 
     def __init__(self, ambient_dim: int, locate: Callable, gauge=None,
-                 description: str = "", gauges_on=None, gauge_ceiling=None):
+                 description: str = "", gauge_on=None):
         self.ambient_dim = int(ambient_dim)
         self._locate = locate
         self._gauge = gauge
-        self._gauges_on = gauges_on
-        self._gauge_ceiling = gauge_ceiling
+        self._gauge_on = gauge_on
         self.description = description
 
     def locate(self, y, tol: float = TOL) -> DistanceResult:
@@ -110,41 +109,33 @@ class LocatedSet:
     def nearest(self, y, tol: float = TOL) -> np.ndarray:
         return self.locate(y, tol).point
 
-    def gauges(self, V, tol: float = GAUGE_TOL) -> np.ndarray:
+    def gauges(self, V) -> np.ndarray:
         if self._gauge is None:
             raise OrbitLocatorError(
                 f"{self.description or 'this set'} has no gauge oracle")
         V = linalg.as_rows(V, self.ambient_dim)
-        return np.asarray(self._gauge(V, float(tol)), dtype=float)
+        return np.asarray(self._gauge(V), dtype=float)
 
-    def gauge(self, v, tol: float = GAUGE_TOL) -> float:
-        return float(self.gauges(linalg.as_vector(v)[None, :], tol)[0])
+    def gauge(self, v) -> float:
+        return float(self.gauges(linalg.as_vector(v)[None, :])[0])
 
-    def gauges_on(self, B, tol: float = GAUGE_TOL) -> Callable:
-        """The function U -> gauges(U @ B.T, tol), in the set's compiled
-        form when it has one."""
-        B = self._columns(B)
-        if self._gauges_on is not None:
-            return self._gauges_on(B, float(tol))
-        return lambda U: self.gauges(U @ B.T, tol)
-
-    def gauge_ceiling(self, B) -> float:
-        """An upper bound on the gauge of u @ B.T over unit u; inf when the
-        set supplies none."""
-        B = self._columns(B)
-        if self._gauge_ceiling is None:
-            return np.inf
-        return float(self._gauge_ceiling(B))
-
-    def _columns(self, B) -> np.ndarray:
+    def gauge_on(self, B) -> tuple:
+        """(U -> gauges(U @ B.T), an upper bound on it over unit u), in the
+        set's compiled form when it has one; the bound is inf when the set
+        supplies none."""
         B = linalg.as_matrix(B)
         if B.shape[0] != self.ambient_dim:
             raise DimensionError(
                 f"expected columns of length {self.ambient_dim}, got shape {B.shape}")
-        return B
+        if self._gauge_on is None:
+            return (lambda U: self.gauges(U @ B.T)), np.inf
+        gauge, ceiling = self._gauge_on(B)
+        return gauge, float(ceiling)
 
 
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
+_MAX_EVALS = 50_000    # compass_min's per-search cap on probes
+_MAX_OUTER = 80        # _sqp's iteration cap
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
 
@@ -174,8 +165,7 @@ def _pattern(m: int) -> np.ndarray:
     return D
 
 
-def compass_min(fn, z0, *, init_step, step_tol, max_evals: int = 50_000,
-                batch_fn=None):
+def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
     """Derivative-free coordinate/diagonal pattern descent, one search per
     row of z0, all run in lockstep.
 
@@ -192,7 +182,7 @@ def compass_min(fn, z0, *, init_step, step_tol, max_evals: int = 50_000,
     more cheaply; it only steers the searches, and the returned values are
     re-anchored on fn. Returns (z, fn(z), evaluations) with z of the shape
     of z0, one value per search and the total number of evaluations;
-    evaluations and max_evals (a per-search cap) count probes.
+    evaluations and _MAX_EVALS (a per-search cap) count probes.
     """
     z = np.array(z0, dtype=float)
     S, m = z.shape
@@ -210,7 +200,7 @@ def compass_min(fn, z0, *, init_step, step_tol, max_evals: int = 50_000,
         za, fa, sa, la = z[act], f[act], step[act], floor[act]
         rows = np.arange(act.size)
         per_search = 1
-        while act.size and per_search < max_evals:
+        while act.size and per_search < _MAX_EVALS:
             cand = za[:, None, :] + sa[:, None, None] * D
             vals = np.asarray(steer(act, cand), dtype=float)
             evals += vals.size
@@ -283,7 +273,6 @@ class OrbitBallContext:
         self._flat = self.stack.reshape(k, -1)
         self.null_mats = self.null_vecs.T @ self._flat
         self._query_cache: dict[bytes, dict] = {}
-        self._generators_of = (None, None)
 
     # ---- coefficient/matrix bridges -------------------------------------
 
@@ -299,9 +288,6 @@ class OrbitBallContext:
 
     def point(self, t) -> np.ndarray:
         return t @ self.Phi.T
-
-    def orig_coeffs(self, t) -> np.ndarray:
-        return np.linalg.solve(self.subspace.upper_tri, t)
 
     def min_norm_preimage(self, v) -> np.ndarray:
         """Least-norm t with Phi t = projection of v onto the orbit span,
@@ -329,11 +315,11 @@ class OrbitBallContext:
 
     # ---- gauge ------------------------------------------------------------
 
-    def gauge(self, v, tol: float = GAUGE_TOL):
+    def gauge(self, v):
         """Least sigma1 over operators in the span sending x to v, with the
         coefficients of one such operator; (inf, None) when v is outside
         the orbit span."""
-        vals, ts = self.gauges(linalg.as_vector(v)[None, :], tol)
+        vals, ts = self.gauges(linalg.as_vector(v)[None, :])
         if not np.isfinite(vals[0]):
             return np.inf, None
         return float(vals[0]), ts[0]
@@ -346,14 +332,15 @@ class OrbitBallContext:
         resid = np.linalg.norm(V - V @ self.geo.P.T, axis=1)
         return resid <= 1e-9 * np.maximum(nv, 1.0)
 
-    def _gauge_kernel(self, A, t_hat, tol: float):
+    def _gauge_kernel(self, A, t_hat):
         """The gauge at rows whose least-norm preimages are t_hat, with
         A = mat(t_hat) flattened (one row each): min over z of
         sigma1(A + sum_l z_l mat(N_l)) by one lockstep pattern search from
-        z = 0, steered by closed-form spectral norms and re-anchored on
-        LAPACK's; each round is one spectral-norm sweep spanning four step
-        sizes. Without a null space it is one stacked SVD. Every value is
-        sigma1 at a preimage. Returns (values, coefficient rows)."""
+        z = 0 down to the step GAUGE_TOL max(1, |t_hat|) / 4, steered by
+        closed-form spectral norms and re-anchored on LAPACK's; each round
+        is one spectral-norm sweep spanning four step sizes. Without a null
+        space it is one stacked SVD. Every value is sigma1 at a preimage.
+        Returns (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
 
@@ -367,11 +354,11 @@ class OrbitBallContext:
         scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
         z, g, _ = compass_min(lambda rows, P: _sigma1(mats(rows, P)),
                               np.zeros((len(A), NM.shape[0])),
-                              init_step=scale, step_tol=tol * scale / 4.0,
+                              init_step=scale, step_tol=GAUGE_TOL * scale / 4.0,
                               batch_fn=steer)
         return g, t_hat + z @ self.null_vecs.T
 
-    def gauges(self, V, tol: float = GAUGE_TOL):
+    def gauges(self, V):
         """Row-wise gauge of a stack of vectors: (values, coefficient rows),
         with value inf and a row of NaN for vectors outside the orbit span.
         Rows on the span run _gauge_kernel from their least-norm
@@ -386,48 +373,20 @@ class OrbitBallContext:
         if live.size:
             t_hat = self.min_norm_preimage(V[live])
             vals[live], ts[live] = self._gauge_kernel(
-                self.mat(t_hat).reshape(live.size, -1), t_hat, tol)
+                self.mat(t_hat).reshape(live.size, -1), t_hat)
         return vals, ts
 
-    def _generators(self, B):
-        """(T, G) for the columns b_j of B: the rows T_j = t_hat(b_j) and
-        G_j = mat(T_j), flattened one per row; None when a column is off the
-        orbit span. The span test is made once, on the columns. The last B
-        asked is remembered, so gauges_on and gauge_ceiling on one basis
-        build the generators once."""
-        B = linalg.as_matrix(B)
-        if B.shape[0] != self.dim:
-            raise DimensionError(
-                f"expected columns of length {self.dim}, got shape {B.shape}")
-        key = (B.shape, B.tobytes())
-        if self._generators_of[0] != key:
-            gen = None
-            if self._on_span(B.T, np.linalg.norm(B, axis=0)).all():
-                T = self.min_norm_preimage(B.T)
-                gen = (T, self.mat(T).reshape(len(T), -1))
-            self._generators_of = (key, gen)
-        return self._generators_of[1]
+    def gauge_on(self, B):
+        """(gauges(U @ B.T) as a function of U, an upper bound on it over
+        unit u) for the columns b_j of B, with the generators T_j = t_hat(b_j)
+        and G_j = mat(T_j) built once. A row u has the least-norm preimage
+        u T and its matrix u G by linearity, so the function runs
+        _gauge_kernel with no preimage or mat of its own. The span test is
+        made once, on the columns, and covers every row by linearity; when
+        a column is off the orbit span, the function is gauges on U @ B.T
+        with its per-row test and the bound is inf.
 
-    def gauges_on(self, B, tol: float = GAUGE_TOL):
-        """gauges(U @ B.T, tol) as a function of U, for the columns b_j of
-        B, compiled once: with T_j = t_hat(b_j) and G_j = mat(T_j), a row u
-        has the least-norm preimage u T and its matrix u G by linearity, so
-        it runs _gauge_kernel with no preimage or mat of its own. The span
-        test on the columns covers every row by linearity; when a column is
-        off the orbit span, the function is gauges on U @ B.T with its
-        per-row test."""
-        B = linalg.as_matrix(B)
-        gen = self._generators(B)
-        if gen is None:
-            return lambda U: self.gauges(U @ B.T, tol)
-        T, G = gen
-        return lambda U: self._gauge_kernel(U @ G, U @ T, tol)
-
-    def gauge_ceiling(self, B) -> float:
-        """An upper bound on gauge(B u) over unit u, from the generators
-        G_j of gauges_on: L = sqrt(min(lmax sum_j G_j G_j',
-        lmax sum_j G_j' G_j)); inf when a column is off the orbit span.
-
+        The bound is L = sqrt(min(lmax sum_j G_j G_j', lmax sum_j G_j' G_j)).
         sum_j u_j G_j sends x to B u, so g(B u) <= sigma1(sum_j u_j G_j),
         also with a null space, as the gauge is the least sigma1 over all
         preimages. For unit a, b and u, sum_j u_j a'G_j b is at most
@@ -442,23 +401,29 @@ class OrbitBallContext:
         eigvalsh is backward stable, off by at most d eps t more; 2 d eps t
         covers t's own rounding. The gauge kernel's value at z = 0, which
         its search only lowers, is LAPACK's sigma1 of the rounded u G, at
-        most (m + d) eps sqrt(t) above sigma1(u G). So the ceiling is
+        most (m + d) eps sqrt(t) above sigma1(u G). So the bound is
         sqrt(lam + (m + 2) d eps t) + (m + d) eps sqrt(t), with lam the
         smaller computed top eigenvalue."""
-        gen = self._generators(B)
-        if gen is None:
-            return np.inf
+        B = linalg.as_matrix(B)
         d = self.dim
-        G = gen[1].reshape(-1, d, d)
-        m = G.shape[0]
+        if B.shape[0] != d:
+            raise DimensionError(
+                f"expected columns of length {d}, got shape {B.shape}")
+        if not self._on_span(B.T, np.linalg.norm(B, axis=0)).all():
+            return (lambda U: self.gauges(U @ B.T)), np.inf
+        T = self.min_norm_preimage(B.T)
+        m = len(T)
+        G = self.mat(T)
         rows = G.transpose(1, 0, 2).reshape(d, m * d)   # [G_1 ... G_m]
         cols = G.transpose(2, 0, 1).reshape(d, m * d)   # [G_1' ... G_m']
         lam = min(np.linalg.eigvalsh(rows @ rows.T)[-1],
                   np.linalg.eigvalsh(cols @ cols.T)[-1])
         t = float(np.sum(G * G))
         eps = np.finfo(float).eps
-        return float(np.sqrt(max(float(lam), 0.0) + (m + 2) * d * eps * t)
-                     + (m + d) * eps * np.sqrt(t))
+        ceiling = float(np.sqrt(max(float(lam), 0.0) + (m + 2) * d * eps * t)
+                        + (m + d) * eps * np.sqrt(t))
+        G = G.reshape(m, -1)
+        return (lambda U: self._gauge_kernel(U @ G, U @ T)), ceiling
 
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
@@ -659,7 +624,7 @@ class OrbitBallContext:
         return (s1 * (outer(a / den, a) + outer(b / den, b))
                 + cross + np.swapaxes(cross, -1, -2))
 
-    def _sqp(self, y, n, t0, tol, max_outer: int = 80):
+    def _sqp(self, y, n, t0, tol):
         """Candidates on the active boundary sigma1(mat(t)) = n, one search
         per row of t0 (n and tol: scalars or one value per row) in
         lockstep; a row leaves when its search ends. Each iteration makes
@@ -680,7 +645,7 @@ class OrbitBallContext:
         alpha in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as
         one stacked trial, the halvings of rejected rows as one more) and
         otherwise stops on a step below 1e-13 max(1, ||t||), on |f| <
-        1e-30, on a stall or after max_outer iterations; such a row takes
+        1e-30, on a stall or after _MAX_OUTER iterations; such a row takes
         its gap at its final point. t0 is scaled onto the ball first.
         Returns (t, steps taken, f, gap), one per row."""
         t = np.array(t0, dtype=float)
@@ -695,7 +660,7 @@ class OrbitBallContext:
         eps = np.finfo(float).eps
         halves = 0.5 ** np.arange(1, 12)
         act = np.arange(len(t))
-        for _ in range(max_outer):
+        for _ in range(_MAX_OUTER):
             if not act.size:
                 break
             ta, na, fa = t[act], n[act], f[act]
@@ -898,7 +863,7 @@ class OrbitBallContext:
         if inside:
             return DistanceResult(
                 value=q["base"], point=q["Py"].copy(),
-                coeffs=self.orig_coeffs(t_rep), tol=tol, iterations=0,
+                coeffs=self.subspace.from_ortho_coeffs(t_rep), tol=tol, iterations=0,
                 method="interior")
         if n not in q["levels"]:
             self.solve_levels(y, [n], tol)
@@ -908,7 +873,7 @@ class OrbitBallContext:
             q["levels"][n] = (t, iters, f, gap)
         return DistanceResult(
             value=float(np.sqrt(self._f(t, y))), point=self.point(t),
-            coeffs=self.orig_coeffs(t), tol=tol, iterations=int(iters),
+            coeffs=self.subspace.from_ortho_coeffs(t), tol=tol, iterations=int(iters),
             method="certified")
 
     def _query(self, y) -> dict:
@@ -982,17 +947,17 @@ def ball_distance(subspace, x, n: float, y, tol: float = TOL,
     return ctx.distance(y, n, tol)
 
 
-def gauge_of_orbit_ball(subspace, x, v, tol: float = GAUGE_TOL) -> float:
+def gauge_of_orbit_ball(subspace, x, v) -> float:
     """Least sigma1 over span operators sending x to v (inf outside the span)."""
-    val, _ = OrbitBallContext(subspace, x).gauge(v, tol)
+    val, _ = OrbitBallContext(subspace, x).gauge(v)
     return val
 
 
 def orbit_ball(subspace, x, n: float,
                ctx: Optional[OrbitBallContext] = None) -> LocatedSet:
     """LocatedSet view of the level-n orbit ball through x: the context's
-    distance, gauges, compiled gauges_on and one-eigenvalue gauge_ceiling,
-    gauges and ceiling divided by n."""
+    distance, gauges and gauge_on (the compiled gauge with its
+    one-eigenvalue ceiling), gauges and ceiling divided by n."""
     if ctx is None:
         ctx = OrbitBallContext(subspace, x)
     n = float(n)
@@ -1000,17 +965,15 @@ def orbit_ball(subspace, x, n: float,
     def loc(y, tol):
         return ctx.distance(y, n, tol)
 
-    def gg(V, tol):
-        return ctx.gauges(V, tol)[0] / n
+    def gg(V):
+        return ctx.gauges(V)[0] / n
 
-    def gg_on(B, tol):
-        gauge = ctx.gauges_on(B, tol)
-        return lambda U: gauge(U)[0] / n
+    def gg_on(B):
+        gauge, ceiling = ctx.gauge_on(B)
+        return (lambda U: gauge(U)[0] / n), ceiling / n
 
     return LocatedSet(subspace.dim, loc, gg,
-                      description=f"orbit ball at level {n:g}",
-                      gauges_on=gg_on,
-                      gauge_ceiling=lambda B: ctx.gauge_ceiling(B) / n)
+                      description=f"orbit ball at level {n:g}", gauge_on=gg_on)
 
 
 def euclidean_ball(center, radius: float) -> LocatedSet:
@@ -1030,7 +993,7 @@ def euclidean_ball(center, radius: float) -> LocatedSet:
 
     gauge = None
     if float(np.linalg.norm(c)) == 0.0 and r > 0:
-        def gauge(V, tol):
+        def gauge(V):
             return np.linalg.norm(V, axis=1) / r
 
     return LocatedSet(c.size, loc, gauge, description=f"ball radius {r:g}")
@@ -1047,7 +1010,7 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
     solution when it is feasible and otherwise from the boundary
     multiplier equation in the eigenvalues s_r^2 of T'T, solved by
     bisection; the gauge is the norm of the least-norm preimage over n.
-    The gauge ceiling on span(B) is exact, sigma1(T^+ B) / n (inf when a
+    The ceiling gauge_on(B) returns is exact, sigma1(T^+ B) / n (inf when a
     column of B is off the range of T), times 1 + (d + m) eps kappa^2 for
     the rounding of the preimages, with kappa = s_1 / s_r. That margin was
     measured for the normal equations (at most 1.5 eps kappa^2 against
@@ -1104,20 +1067,21 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
         resid = np.linalg.norm(V - U @ T.T, axis=1)
         return U, resid > 1e-9 * np.maximum(np.linalg.norm(V, axis=1), 1.0)
 
-    def gauge(V, tol):
+    def gauge(V):
         U, off = preimages(V)
         return np.where(off, np.inf, np.linalg.norm(U, axis=1) / n)
 
-    def ceiling(B):
+    def gauge_on(B):
         U, off = preimages(B.T)
-        if off.any():
-            return np.inf
-        kappa2 = (top / float(sr[-1])) ** 2 if r else 1.0
-        slack = 1.0 + (d + m) * np.finfo(float).eps * kappa2
-        return float(np.linalg.svd(U, compute_uv=False)[0]) * slack / n
+        ceiling = np.inf
+        if not off.any():
+            kappa2 = (top / float(sr[-1])) ** 2 if r else 1.0
+            slack = 1.0 + (d + m) * np.finfo(float).eps * kappa2
+            ceiling = float(np.linalg.svd(U, compute_uv=False)[0]) * slack / n
+        return (lambda C: gauge(C @ B.T)), ceiling
 
     return LocatedSet(d, loc, gauge, description="linear image of a ball",
-                      gauge_ceiling=ceiling)
+                      gauge_on=gauge_on)
 
 
 def grid_oracle_distance(subspace, x, n: float, y, eps: float,

@@ -44,7 +44,8 @@ class Stabilized:
     tolerance plus the level-N solver tolerance. Certified by a lower
     bound: every level distance is at least ||y - Py||, the distance to
     the orbit span, and d_N came within those tolerances of it (0 stands
-    in for ||y - Py|| when the rank decision is marginal)."""
+    in for ||y - Py|| when the rank decision is marginal or the orbit
+    span is the whole space)."""
     N: int
     d: float
 
@@ -53,8 +54,9 @@ class Stabilized:
 class Undecided:
     """Budget exhausted without a certificate. The global distance lies in
     [lower, upper]: lower is the span lower bound ||y - Py|| (0 when the
-    rank decision is marginal) and upper is d_budget, and the two are
-    further apart than the tolerances."""
+    rank decision is marginal or the orbit span is the whole space) and
+    upper is d_budget, and the two are further apart than the
+    tolerances."""
     budget: int
     lower: float
     upper: float
@@ -132,10 +134,11 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
       ||y - Py|| on every level distance; since y_n lies in the orbit, the
       global distance is d_n. When a singular value of Phi lies within a
       factor RANK_MARGIN of the rank cut, on either side, the rank
-      decision behind P is marginal and the lower bound drops to 0.
+      decision behind P is marginal and the lower bound drops to 0. At
+      full rank (the orbit span is the whole space) it is 0 too.
 
     Otherwise the verdict is Undecided with bracket [||y - Py||, d_budget]
-    (or [0, d_budget] at a marginal rank).
+    (or [0, d_budget] at a marginal or full rank).
 
     One ctx.solve_levels call first finds every level's boundary
     candidate in lockstep, each stopped once its duality gap meets the
@@ -180,8 +183,11 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
 
 def _lower_bound(ctx: located.OrbitBallContext, y) -> float:
     """Exact lower bound on the global distance: ||y - Py||, or 0 when the
-    rank decision behind P is marginal."""
-    return 0.0 if ctx.rank_margin() <= RANK_MARGIN else ctx.span_distance(y)
+    rank decision behind P is marginal or the orbit span is the whole
+    space (there ||y - Py|| is rounding residue above the true 0)."""
+    if ctx.rank == ctx.dim or ctx.rank_margin() <= RANK_MARGIN:
+        return 0.0
+    return ctx.span_distance(y)
 
 
 def _close_report(levels, verdict, tol: float) -> DistanceReport:

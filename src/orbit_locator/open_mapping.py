@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, located
-from .defaults import GAUGE_TOL, RANK_TOL
+from .defaults import RANK_TOL
 from .errors import DimensionError
 
 
@@ -155,8 +155,10 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     rho is 1 over the maximum gauge g on the unit sphere of W, found by a
     branch and bound (Piyavskii 1972; Shubert 1972) whose cells are
     (m-1)-boxes on the faces {u_i = 1} of the cube, covering the sphere up
-    to sign. C.gauges_on(W's basis) is built once, and each round is one
-    call of it over the cells' centres, the axes first. A computed gauge is
+    to sign. C.gauge_on(W's basis) is asked once, for the gauge as a
+    function of coordinates and the set's gauge ceiling, an upper bound on
+    every gauge of the sphere; each round is one call of that function
+    over the cells' centres, the axes first. A computed gauge is
     sigma1 at a feasible preimage, so at least g, and a cell with sides h_j
     and centre c on face i holds no gauge above the smaller of
     g(c/|c|) / cos delta, with delta = 2 asin(|h|/4) its angular radius (at
@@ -167,21 +169,15 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     the largest centre gauges split into 2**_BB_HALVINGS cells each, and the
     largest bound of the rest is kept.
 
-    The search also stops at the set's gauge ceiling (C.gauge_ceiling, an
-    upper bound on every gauge of the sphere, read once): after a round
-    whose best * (1 + _BB_REL) reaches it, no cell can beat the best found
-    by more than that factor, the tolerance the cells are pruned at.
+    The search also stops at the ceiling: after a round whose
+    best * (1 + _BB_REL) reaches it, no cell can beat the best found by
+    more than that factor, the tolerance the cells are pruned at.
 
     r is 1 over the best gauge found, direction its unit vector, and floor
     1 over the smaller of the ceiling and the larger of best * (1 + _BB_REL)
-    and that kept bound, so it is at least 1 over the ceiling. The line
-    (m = 1) is one gauge g, r = 1 / g, and its floor is 1 over the ceiling
-    where that lies within a factor 1 + _BB_REL of g: the ceiling carries
-    the rounding margin a computed gauge lacks. Elsewhere (a ceiling from
-    generators that are not least-sigma1 preimages, or an ellipsoid's
-    kappa^2 margin beyond _BB_REL) the floor is 1 / g = r, which rounding
-    can leave just above the true radius. An infinite gauge
-    short-circuits to r = 0.
+    and that kept bound, so it is at least 1 over the ceiling. Every rank
+    runs this search; the line (m = 1) is one cell, its axis. An infinite
+    gauge short-circuits to r = 0.
     """
     vectors = [linalg.as_vector(w) for w in W_basis]
     for w in vectors:
@@ -192,15 +188,8 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     if m == 0:
         raise DimensionError("W_basis spans nothing; no inner radius")
     B = np.stack(basis, axis=1)
-    if m == 1:
-        method, w = "axis", np.ones(1)
-        g = top = C.gauge(B[:, 0], GAUGE_TOL)
-        ceiling = C.gauge_ceiling(B)
-        if ceiling <= g * (1.0 + _BB_REL):
-            top = max(g, ceiling)
-    else:
-        method = "circle-scan" if m == 2 else "sphere-scan"
-        g, w, top = _branch_and_bound(C, B)
+    method = "axis" if m == 1 else "circle-scan" if m == 2 else "sphere-scan"
+    g, w, top = _branch_and_bound(C, B)
     if not np.isfinite(g):
         return RadiusResult(0.0, _lex_smaller(B @ w), "unbounded-gauge",
                             floor=0.0)
@@ -217,8 +206,7 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
     within a factor 1 + _BB_REL of the ceiling, with the ceiling as the
     largest possible gauge."""
     m = B.shape[1]
-    gauges = C.gauges_on(B, GAUGE_TOL)
-    ceiling = C.gauge_ceiling(B)
+    gauges, ceiling = C.gauge_on(B)
     # others[i]: the in-face axes of face i, in order
     others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
     # every cell of a round has the side lengths h along its face's axes

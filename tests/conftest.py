@@ -68,6 +68,19 @@ def svd_sigmas(Ms) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(D)[..., -1], 0.0, None)
 
 
+def stretched_null_problem():
+    """Diagonal generators M and K in dimension 12 whose orbit through
+    x = 0.05 e_12 is the last axis, with K spanning the null space. M is
+    Frobenius-orthogonal to K when S (S - 1) = 10/4, so M / 0.05 is the
+    least-norm preimage of e_12, while (M - K) / 0.05 = I / 0.05 is a
+    preimage of sigma1 20: sigma1 of the least-norm preimage is S = 2.16
+    times the gauge."""
+    S = 0.5 * (1.0 + np.sqrt(11.0))
+    M = np.diag([S] + [0.5] * 10 + [1.0])
+    K = np.diag([S - 1.0] + [-0.5] * 10 + [0.0])
+    return make_subspace([M, K]), 0.05 * np.eye(12)[11]
+
+
 @pytest.fixture
 def diag_sub():
     """Span of the two diagonal matrix units in dimension 2."""

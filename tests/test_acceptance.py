@@ -177,6 +177,26 @@ def test_criterion_05_undecided_bracket(family50):
           f"hold the projection distance: PASS")
 
 
+def test_full_rank_undecided_lower_is_zero(family50):
+    # where the orbit span is the whole space the distance to the orbit
+    # closure is 0, and the bracket's lower end is 0, not the rounding
+    # residue ||y - Py|| of a computed P = U U' (problems 20, 27 and 38
+    # reported 5.98e-16, 9.9e-16 and 2.0e-16); the upper end, d_12, does
+    # not move
+    instances, reports, _ = family50
+    uppers = {20: 0.09668981584610711, 27: 0.1935786925403116,
+              38: 0.33135627095863757}
+    full = [i for i, (sub, x, _) in enumerate(instances)
+            if isinstance(reports[i].verdict, Undecided)
+            and OrbitBallContext(sub, x).rank == sub.dim]
+    assert set(uppers) <= set(full)
+    for i in full:
+        assert reports[i].verdict.lower == 0.0, (i, reports[i].verdict.lower)
+    for i, upper in uppers.items():
+        v = reports[i].verdict
+        assert v.upper == pytest.approx(upper, rel=1e-12), (i, v.upper)
+
+
 def test_criterion_06_open_map_radius():
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
@@ -212,7 +232,7 @@ def test_criterion_07_greedy_decomposition():
         assert isinstance(dec.outcome, Member)
         for step in dec.steps:
             assert step.residual <= 2.0 ** -step.i * r + 2.0 * oracle_tol
-        assert float(C.gauge(dec.outcome.xi, 1e-10)) <= 2.0 + 1e-6
+        assert float(C.gauge(dec.outcome.xi)) <= 2.0 + 1e-6
     seg = linear_image_ball(np.array([[1.0], [0.0]]), 1.0)
     dec = greedy_decompose(np.array([0.1, 0.15]), seg, 0.5, tol=oracle_tol)
     assert isinstance(dec.outcome, Witness)

@@ -7,7 +7,6 @@ import pytest
 
 from orbit_locator import (OrbitBallContext, located, make_subspace,
                            span_inner_radius)
-from orbit_locator.defaults import GAUGE_TOL
 from conftest import svd_sigma, svd_sigmas
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -157,7 +156,7 @@ def test_tight_gauge_search_rounds(monkeypatch):
                       batch_fn=batch_fn and count(batch_fn))
 
     monkeypatch.setattr(located, "compass_min", counting_search)
-    val, _ = ctx.gauge(v, GAUGE_TOL)
+    val, _ = ctx.gauge(v)
     ref = float(reference_gauges(basis, x, v[None])[0])
     assert abs(val - ref) <= 1e-9 * ref, (val, ref)
     # calls to fn and batch_fn, the start and the re-anchoring included;

@@ -9,8 +9,9 @@ from orbit_locator import (MEM_TOL, RANK_TOL, ConvergenceFailure,
                            LocatedSet, OrbitBallContext, OrbitLocatorError,
                            SolverFailure, Stabilized, ball_distance,
                            euclidean_ball, gauge_of_orbit_ball,
-                           grid_oracle_distance, linear_image_ball,
-                           locate_distance, make_subspace, orbit_ball)
+                           grid_oracle_distance, inner_radius,
+                           linear_image_ball, locate_distance,
+                           make_subspace, orbit_ball)
 from orbit_locator import located
 from orbit_locator.operators import GRID_CHUNK
 from conftest import svd_sigma, svd_sigmas, svd_values
@@ -355,16 +356,17 @@ def test_gauge_rejects_wrong_length(diag_sub):
 
 
 def test_gauge_oracle_type_error_propagates():
-    # an oracle that fails at a non-default tolerance must not be rerun
-    # silently at its default one
-    def broken(V, tol=1e-10):
-        if tol != 1e-10:
-            raise TypeError("oracle bug")
-        return np.linalg.norm(V, axis=1)
+    # an oracle's own TypeError is not taken for a signature mismatch and
+    # retried another way: it reaches the caller of gauges and of the
+    # inner radius, whose compiled gauge falls back to the oracle
+    def broken(V):
+        raise TypeError("oracle bug")
 
     S = LocatedSet(2, lambda y, tol: None, broken, description="broken")
     with pytest.raises(TypeError, match="oracle bug"):
-        S.gauge([1.0, 0.0], 1e-6)
+        S.gauges(np.eye(2))
+    with pytest.raises(TypeError, match="oracle bug"):
+        inner_radius(S, list(np.eye(2)))
 
 
 def rank_one_pair(g, dim):
@@ -397,21 +399,20 @@ def test_batched_gauges_match_one_row(shape):
     if ctx.rank < x.size:
         rows.append(g.normal(size=x.size))      # off the orbit span
     V = np.stack(rows)
-    for tol in (1e-10, 1e-6):
-        vals, ts = ctx.gauges(V, tol)
-        assert vals[10] == 0.0 and np.all(ts[10] == 0.0)
-        if ctx.rank < x.size:
-            assert vals[11] == np.inf and np.all(np.isnan(ts[11]))
-        for v, val, t in zip(V, vals, ts):
-            one, t_one = ctx.gauge(v, tol)
-            if not np.isfinite(one):
-                assert t_one is None and val == np.inf
-                continue
-            assert abs(val - one) <= tol * max(1.0, one), (val, one)
-            assert np.allclose(ctx.point(t), v, atol=1e-9)
-            assert abs(svd_sigma(ctx.mat(t)) - val) <= 1e-9 * max(1.0, val)
-        ball = orbit_ball(sub, x, 2.0, ctx=ctx)
-        assert np.array_equal(ball.gauges(V, tol), vals / 2.0)
+    vals, ts = ctx.gauges(V)
+    assert vals[10] == 0.0 and np.all(ts[10] == 0.0)
+    if ctx.rank < x.size:
+        assert vals[11] == np.inf and np.all(np.isnan(ts[11]))
+    for v, val, t in zip(V, vals, ts):
+        one, t_one = ctx.gauge(v)
+        if not np.isfinite(one):
+            assert t_one is None and val == np.inf
+            continue
+        assert abs(val - one) <= 1e-10 * max(1.0, one), (val, one)
+        assert np.allclose(ctx.point(t), v, atol=1e-9)
+        assert abs(svd_sigma(ctx.mat(t)) - val) <= 1e-9 * max(1.0, val)
+    ball = orbit_ball(sub, x, 2.0, ctx=ctx)
+    assert np.array_equal(ball.gauges(V), vals / 2.0)
     for S in (euclidean_ball(np.zeros(x.size), 2.0),
               linear_image_ball(basis[0][:, :2], 1.5)):
         batch = S.gauges(V)
@@ -430,15 +431,15 @@ def test_gauges_on_matches_gauges(shape):
     B = ctx.geo.U[:, :ctx.geo.rank]
     U = np.concatenate([g.normal(size=(12, ctx.rank)), np.eye(ctx.rank)])
     want, _ = ctx.gauges(U @ B.T)
-    got, ts = ctx.gauges_on(B)(U)
+    got, ts = ctx.gauge_on(B)[0](U)
     assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
     assert np.allclose(ctx.point(ts), U @ B.T, atol=1e-12)
     assert np.allclose(svd_sigmas(ctx.mat(ts)), got, rtol=1e-12, atol=0.0)
     ball = orbit_ball(sub, x, 2.0, ctx=ctx)
-    assert np.array_equal(ball.gauges_on(B)(U), got / 2.0)
+    assert np.array_equal(ball.gauge_on(B)[0](U), got / 2.0)
     # a set without a compiled form applies its gauges to U @ B.T
     S = linear_image_ball(basis[0][:, :2], 1.5)
-    assert np.array_equal(S.gauges_on(B)(U), S.gauges(U @ B.T))
+    assert np.array_equal(S.gauge_on(B)[0](U), S.gauges(U @ B.T))
 
 
 def ceiling_problems():
@@ -475,14 +476,14 @@ def test_gauge_ceiling_covers_a_dense_scan(basis, x):
     U = np.concatenate([np.eye(m), g.normal(size=(64, m))])
     U /= np.linalg.norm(U, axis=1)[:, None]
     vals, _ = ctx.gauges(U @ B.T)
-    ceiling = ctx.gauge_ceiling(B)
+    ceiling = ctx.gauge_on(B)[1]
     assert np.isfinite(ceiling) and vals.max() <= ceiling, (vals.max(), ceiling)
     ball = orbit_ball(sub, x, 1.5, ctx=ctx)
-    assert ball.gauge_ceiling(B) == ceiling / 1.5
+    assert ball.gauge_on(B)[1] == ceiling / 1.5
     if m < x.size:
         # a column off the orbit span has an infinite gauge
         off = np.concatenate([B, (np.eye(x.size) - ctx.geo.P)[:, :1]], axis=1)
-        assert ctx.gauge_ceiling(off) == np.inf
+        assert ctx.gauge_on(off)[1] == np.inf
 
 
 def test_ellipsoid_gauge_ceiling_is_sigma1():
@@ -498,12 +499,13 @@ def test_ellipsoid_gauge_ceiling_is_sigma1():
         B = np.linalg.qr(T @ g.normal(size=(m, k)))[0]
         S = linear_image_ball(T, 1.7)
         want = svd_sigma(np.linalg.pinv(T) @ B) / 1.7
-        assert abs(S.gauge_ceiling(B) - want) <= 1e-12 * want, (S.gauge_ceiling(B), want)
+        ceiling = S.gauge_on(B)[1]
+        assert abs(ceiling - want) <= 1e-12 * want, (ceiling, want)
     flat = linear_image_ball(np.array([[1.0], [0.0]]), 1.0)
-    assert flat.gauge_ceiling(np.eye(2)) == np.inf
-    assert euclidean_ball(np.zeros(2), 1.0).gauge_ceiling(np.eye(2)) == np.inf
+    assert flat.gauge_on(np.eye(2))[1] == np.inf
+    assert euclidean_ball(np.zeros(2), 1.0).gauge_on(np.eye(2))[1] == np.inf
     with pytest.raises(DimensionError):
-        flat.gauge_ceiling(np.eye(3))
+        flat.gauge_on(np.eye(3))
 
 
 def test_interior_witness_is_feasible():

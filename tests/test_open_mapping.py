@@ -8,7 +8,7 @@ from orbit_locator import (DEFAULT_C_VALUES, DimensionError,
                            linear_image_ball, make_subspace, open_map_radius,
                            orbit_ball, truncation_index)
 from orbit_locator.open_mapping import Undecided as DeadBand
-from conftest import svd_sigma, svd_values
+from conftest import stretched_null_problem, svd_sigma, svd_values
 
 
 def unit_disc():
@@ -66,7 +66,7 @@ def test_decompose_orbit_ball(diag_sub):
     dec = greedy_decompose([0.4, 0.1], ball, 0.5)
     assert isinstance(dec.outcome, Member)
     xi = dec.outcome.xi
-    assert float(ball.gauge(xi, 1e-10)) <= 2.0 + 1e-6
+    assert float(ball.gauge(xi)) <= 2.0 + 1e-6
     assert np.linalg.norm(xi - [0.4, 0.1]) <= 1e-6
 
 
@@ -100,7 +100,7 @@ def _member_checks(dec, C, max_steps=40, tol=1e-9):
     assert isinstance(dec.outcome, Member)
     xi = dec.outcome.xi
     assert np.linalg.norm(dec.y - xi) <= 2.0 ** -max_steps * dec.r + 4.0 * tol
-    assert C.gauge(xi, 1e-10) <= 2.0 + 1e-9
+    assert C.gauge(xi) <= 2.0 + 1e-9
 
 
 @pytest.mark.parametrize("case", ["disc", "diag", "span03", "span07"])
@@ -134,7 +134,7 @@ def test_inexact_oracle_runs_to_its_target():
         return DistanceResult(max(0.0, ny - 1.0), near, None, 0.0, 0, "short")
 
     disc = unit_disc()
-    S = LocatedSet(2, loc, lambda V, tol: disc.gauges(V, tol))
+    S = LocatedSet(2, loc, disc.gauges)
     dec = greedy_decompose([0.3, 0.1], S, 1.0)
     assert len(dec.steps) == 9
     for step in dec.steps:
@@ -229,9 +229,9 @@ def test_inner_radius_flat_gauge(ball, r):
     # The radius asks the gauge oracle only, never the distance oracle
     rows = []
 
-    def gauges(V, tol):
+    def gauges(V):
         rows.append(len(V))
-        return ball.gauges(V, tol)
+        return ball.gauges(V)
 
     m = ball.ambient_dim
     counted = LocatedSet(m, None, gauges)
@@ -243,20 +243,19 @@ def test_inner_radius_flat_gauge(ball, r):
 
 
 def counting(S):
-    """S with its gauge ceiling, whose gauges_on functions record the rows
+    """S with its gauge ceiling, whose gauge_on functions record the rows
     of every call: one call per branch-and-bound round."""
     rows = []
 
-    def gauges_on(B, tol):
-        gauge = S.gauges_on(B, tol)
+    def gauge_on(B):
+        gauge, ceiling = S.gauge_on(B)
 
         def counted(U):
             rows.append(len(U))
             return gauge(U)
-        return counted
+        return counted, ceiling
 
-    return LocatedSet(S.ambient_dim, None, lambda V, tol: S.gauges(V, tol),
-                      gauges_on=gauges_on, gauge_ceiling=S.gauge_ceiling), rows
+    return LocatedSet(S.ambient_dim, None, S.gauges, gauge_on=gauge_on), rows
 
 
 @pytest.mark.parametrize("ball, r, exact", [
@@ -280,7 +279,7 @@ def test_flat_orbit_balls_with_their_ceiling(ball, r, exact):
     rr = inner_radius(counted, list(np.eye(m)))
     assert abs(rr.r - r) <= 1e-9 * r, (rr.r, r)
     assert 0.0 < rr.floor <= r, (rr.floor, r)
-    assert counted.gauge_ceiling(np.eye(m)) * r == pytest.approx(
+    assert counted.gauge_on(np.eye(m))[1] * r == pytest.approx(
         1.0 if exact else np.sqrt(m), rel=1e-12)
     if exact:
         assert rows == [m]
@@ -302,16 +301,15 @@ def test_floor_covers_a_maximiser_the_search_drops():
     A = np.array([(1.0 - 1e-6) * unit(t) for t in (1 / 16, 3 / 16, 5 / 16,
                                                     7 / 16, 9 / 16)]
                  + [unit(12 / 16)])
-    gauge = lambda V, tol: np.abs(V @ A.T).max(axis=1)
+    gauge = lambda V: np.abs(V @ A.T).max(axis=1)
     rr = inner_radius(LocatedSet(2, None, gauge), list(np.eye(2)))
     assert 1.0 / rr.r == pytest.approx(1.0 - 1e-6, rel=1e-12)
     assert 1.0 < 1.0 / rr.floor < 1.01
     # a ceiling 1.001, above the largest gauge 1: no round reaches it, so
     # the search runs as before and its floor is 1 over the smaller of the
     # ceiling and the dropped cells' bound
-    capped = inner_radius(LocatedSet(2, None, gauge,
-                                     gauge_ceiling=lambda B: 1.001),
-                          list(np.eye(2)))
+    capped = inner_radius(LocatedSet(2, None, gauge, gauge_on=lambda B: (
+        lambda U: gauge(U @ B.T), 1.001)), list(np.eye(2)))
     assert capped.r == rr.r and np.array_equal(capped.direction, rr.direction)
     assert capped.floor == 1.0 / 1.001
 
@@ -328,7 +326,7 @@ _DEMO_N = {1.0: 3, 0.5: 5, 0.1: 21, 0.01: 201, 0.001: 2001}
 @pytest.mark.parametrize("c", DEFAULT_C_VALUES)
 def test_demo_radius_is_one_round(c):
     # on the demo family the ceiling equals the largest gauge, on an axis,
-    # so each radius is one gauges_on round (c = 0 stops on the infinite
+    # so each radius is one gauge_on round (c = 0 stops on the infinite
     # gauge of the second axis); r is the pinned double and N keeps its value
     ball = orbit_ball(diag_subspace(), np.array([1.0, c]), 1.0)
     counted, rows = counting(ball)
@@ -338,6 +336,77 @@ def test_demo_radius_is_one_round(c):
     if c != 0.0:
         assert rr.floor <= rr.r
         assert truncation_index(np.array([0.0, 1.0]), rr.floor) == _DEMO_N[abs(c)]
+
+
+def _body(kind, m):
+    """An orbit ball (dim 3, k 3: the orbit span is R^3) or an ellipsoid
+    (T of size m + 1) with a random m-dimensional W inside its span."""
+    rng = np.random.default_rng(40 + m)
+    if kind == "orbit ball":
+        basis = [rng.normal(size=(3, 3)) for _ in range(3)]
+        S = orbit_ball(make_subspace(basis), rng.normal(size=3), 1.0)
+    else:
+        S = linear_image_ball(rng.normal(size=(m + 1, m + 1)), 1.0)
+    return S, rng.normal(size=(S.ambient_dim, m))
+
+
+@pytest.mark.parametrize("kind", ["orbit ball", "ellipsoid"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_inner_radius_asks_gauge_on_once(kind, m):
+    # the radius asks the body one question, gauge_on(W's basis), at every
+    # rank, the line included, and no gauge outside the function it returns
+    S, W = _body(kind, m)
+    asked = []
+
+    def gauges(V):
+        asked.append("gauges")
+        return S.gauges(V)
+
+    def gauge_on(B):
+        asked.append("gauge_on")
+        return S.gauge_on(B)
+
+    spy = LocatedSet(S.ambient_dim, None, gauges, gauge_on=gauge_on)
+    rr = inner_radius(spy, list(W.T))
+    assert asked == ["gauge_on"]
+    assert rr.method == {1: "axis", 2: "circle-scan", 3: "sphere-scan"}[m]
+    plain = inner_radius(S, list(W.T))
+    assert (rr.r, rr.floor) == (plain.r, plain.floor)
+    assert 0.0 < rr.floor <= rr.r
+
+
+def _rotated_line(kappa):
+    # the 1-axis ellipsoid T = Q1 diag(1, 1/kappa) Q2' cut by a random line
+    rng = np.random.default_rng(7)
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(2))
+    T = Q1 @ np.diag([1.0, 1.0 / kappa]) @ Q2.T
+    w = rng.normal(size=2)
+    w /= np.linalg.norm(w)
+    return linear_image_ball(T, 1.0), w, 1.0 / np.linalg.norm(np.linalg.solve(T, w))
+
+
+@pytest.mark.parametrize("line", ["stretched", "ellipsoid"])
+def test_line_floor_carries_the_margin(line):
+    # a line whose ceiling is not within 1 + 1e-9 of its gauge g: the
+    # stretched orbit ball (ceiling 43.2, sigma1 of the least-norm
+    # preimage, against g = 20) and an ellipsoid with kappa = 1e6, whose
+    # kappa^2 rounding slack is 9e-4. Its floor is 1 / (g (1 + 1e-9)), not
+    # 1 / g = r, which rounding in the gauge can leave above the true
+    # radius (the SVD gauge was off by 1.3e-10 relative at kappa = 1e6);
+    # one ulp covers the rounding of the product
+    if line == "stretched":
+        sub, x = stretched_null_problem()
+        S, w = orbit_ball(sub, x, 1.0), np.eye(12)[11]
+        r_true = 0.05
+    else:
+        S, w, r_true = _rotated_line(1e6)
+    g = S.gauge(w)
+    assert S.gauge_on(w[:, None])[1] > g * (1.0 + 1e-9)
+    rr = inner_radius(S, [w])
+    assert rr.method == "axis" and rr.r == 1.0 / g
+    eps = np.finfo(float).eps
+    assert rr.floor * g <= (1.0 + eps) / (1.0 + 1e-9), rr.floor * g
+    assert rr.floor <= r_true, (rr.floor, r_true)
 
 
 def test_inner_radius_segment_ambient_vs_span():
@@ -356,7 +425,7 @@ def test_inner_radius_off_the_orbit_span():
     ball = orbit_ball(make_subspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
                       np.array([1.0, 0.0]), 1.0)
     U = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    assert np.array_equal(ball.gauges_on(np.eye(2))(U), [1.0, np.inf, np.inf])
+    assert np.array_equal(ball.gauge_on(np.eye(2))[0](U), [1.0, np.inf, np.inf])
     rr = inner_radius(ball, list(np.eye(2)))
     assert rr.method == "unbounded-gauge"
     assert rr.r == 0.0 and rr.floor == 0.0

@@ -8,6 +8,7 @@ from orbit_locator import (ConvergenceFailure, DimensionError,
                            pipeline_distance, span_inner_radius,
                            truncation_index)
 from orbit_locator import pipeline
+from conftest import stretched_null_problem
 
 
 def test_truncation_index_values():
@@ -131,19 +132,6 @@ def test_projector_algebra_everywhere(diag_sub, ptp, rng):
             assert np.linalg.norm(P @ bx - bx) <= 1e-10
 
 
-def stretched_null_problem():
-    """Diagonal generators M and K in dimension 12 whose orbit through
-    x = 0.05 e_12 is the last axis, with K spanning the null space. M is
-    Frobenius-orthogonal to K when S (S - 1) = 10/4, so M / 0.05 is the
-    least-norm preimage of e_12, while (M - K) / 0.05 = I / 0.05 is a
-    preimage of sigma1 20: sigma1 of the least-norm preimage is S = 2.16
-    times the gauge."""
-    S = 0.5 * (1.0 + np.sqrt(11.0))
-    M = np.diag([S] + [0.5] * 10 + [1.0])
-    K = np.diag([S - 1.0] + [-0.5] * 10 + [0.0])
-    return make_subspace([M, K]), 0.05 * np.eye(12)[11]
-
-
 @pytest.mark.parametrize("problem", ["block", "random", "stretched"])
 def test_build_projection_rows_equal_pipeline_distance(problem, ptp, monkeypatch):
     # the stacked interior test settles a probe only where distance would
@@ -172,8 +160,10 @@ def test_build_projection_rows_equal_pipeline_distance(problem, ptp, monkeypatch
         assert row.d_oracle == pytest.approx(d, abs=2e-6)
     if problem == "stretched":
         # the gauge (20) is below N = 41 but sigma1 of the least-norm
-        # preimage of e_12 (43.2) is not: that probe takes the fallback
-        assert cert.floor == pytest.approx(0.05, rel=1e-9)
+        # preimage of e_12 (43.2) is not: that probe takes the fallback.
+        # The ceiling (43.2 / 0.05) is far above the gauge, so the line's
+        # floor carries the branch and bound's rounding margin 1 + 1e-9
+        assert cert.floor == pytest.approx(0.05 / (1.0 + 1e-9), rel=1e-12)
         assert len(calls) == 1 and calls[0][11] == 1.0
     else:
         assert calls == []
