@@ -29,15 +29,20 @@ bounds gauge(Py) from above (it is the gauge when no span operator kills
 x), so when that bound already clears n the answer is Py, witnessed by
 the least-norm preimage; only otherwise does the gauge's pattern search
 over the null directions run. Gauges are evaluated row-wise on stacks of
-vectors by one kernel: a lockstep pattern search over the null
-coordinates z of sigma1(A + sum_l z_l mat(N_l)), with A the matrix of a
-row's least-norm preimage; without a null space it is one stacked SVD.
-On a fixed subspace W the kernel is compiled once (gauge_on): A is the
-combination of the matrices of W's basis vectors, so a round of the
-inner-radius search builds no preimage and makes no per-row span test.
-The same generators, built once, also give the gauge ceiling on W that
-gauge_on returns with the compiled gauge: one top eigenvalue of their
-Gram, which lets that search stop.
+vectors by one kernel, whose every value is sigma1 of a preimage taken
+as the root of the top eigenvalue of its Gram, from one stacked eigvalsh.
+With A the matrix of a row's least-norm preimage, that value at A is the
+whole kernel without a null space; with one, a lockstep pattern search
+over the null coordinates z of sigma1(A + sum_l z_l mat(N_l)) takes
+those values, steered by the closed-form spectral norms where they cost
+less. On a fixed
+subspace W the kernel is compiled once (gauge_on): A is the combination
+of the matrices of W's basis vectors, so a round of the inner-radius
+search builds no preimage and makes no per-row span test. The same
+generators, built once, also give the gauge ceiling on W that gauge_on
+returns with the compiled gauge: one top eigenvalue of their Gram, which
+lets that search stop, and the slack by which the rounding of the
+generators can leave a value below the exact gauge.
 
 Euclidean balls and linear images of balls (ellipsoids) are provided as
 exactly-locatable companions, and a pure enumeration oracle gives two-sided
@@ -84,12 +89,15 @@ class LocatedSet:
     least s >= 0 with v in s-times-the-set (inf when no scaling reaches v).
     The gauge oracle takes V and returns one value per row; gauge(v) is the
     one-row case. gauge_on(B) is the one question the inner radius asks:
-    the pair (U -> gauges(U @ B.T), ceiling), the gauge on the span of B's
-    columns as a function of coordinates and an upper bound on it over
-    unit u, the unit sphere of span(B) when B's columns are orthonormal. A
-    set may supply the factory gauge_on(B) -> (function of U, ceiling),
-    compiled once for B; without one the function is gauges on U @ B.T
-    and the ceiling inf.
+    the triple (U -> gauges(U @ B.T), ceiling, slack), the gauge on the
+    span of B's columns as a function of coordinates, an upper bound on it
+    over unit u (the unit sphere of span(B) when B's columns are
+    orthonormal), and how far below the exact gauge a value of the
+    function at a unit u can fall through rounding. The ceiling bounds
+    both the exact gauge and every value of the function. A set may
+    supply the factory gauge_on(B) -> (function of U, ceiling, slack),
+    compiled once for B; without one the function is gauges on U @ B.T,
+    the ceiling inf and the slack 0.
     """
 
     def __init__(self, ambient_dim: int, locate: Callable, gauge=None,
@@ -120,17 +128,18 @@ class LocatedSet:
         return float(self.gauges(linalg.as_vector(v)[None, :])[0])
 
     def gauge_on(self, B) -> tuple:
-        """(U -> gauges(U @ B.T), an upper bound on it over unit u), in the
-        set's compiled form when it has one; the bound is inf when the set
-        supplies none."""
+        """(U -> gauges(U @ B.T), an upper bound on it over unit u, the
+        rounding slack of its values), in the set's compiled form when it
+        has one; the bound is inf and the slack 0 when the set supplies
+        none."""
         B = linalg.as_matrix(B)
         if B.shape[0] != self.ambient_dim:
             raise DimensionError(
                 f"expected columns of length {self.ambient_dim}, got shape {B.shape}")
         if self._gauge_on is None:
-            return (lambda U: self.gauges(U @ B.T)), np.inf
-        gauge, ceiling = self._gauge_on(B)
-        return gauge, float(ceiling)
+            return (lambda U: self.gauges(U @ B.T)), np.inf, 0.0
+        gauge, ceiling, slack = self._gauge_on(B)
+        return gauge, float(ceiling), float(slack)
 
 
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
@@ -138,6 +147,11 @@ _MAX_EVALS = 50_000    # compass_min's per-search cap on probes
 _MAX_OUTER = 80        # _sqp's iteration cap
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
+# matrices the first round of a gauge search sweeps from which the 3x3
+# closed form steers it: a call of it cost about 50 us + 0.2 us a matrix,
+# one of eigvalsh of the Grams 13 us + 1.2 us a matrix (2-core Xeon,
+# numpy 2.4: 50 against 23 us at 8 matrices, 59 against 87 us at 64)
+_CLOSED_3X3 = 40
 
 
 @functools.lru_cache(maxsize=16)
@@ -180,15 +194,18 @@ def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
     (len(rows), p); each round makes one call covering every search still
     active. batch_fn, when given, has the same form and approximates fn
     more cheaply; it only steers the searches, and the returned values are
-    re-anchored on fn. Returns (z, fn(z), evaluations) with z of the shape
-    of z0, one value per search and the total number of evaluations;
-    evaluations and _MAX_EVALS (a per-search cap) count probes.
+    re-anchored on fn, where a search whose end fn puts above its start
+    keeps its start. So no returned value exceeds fn(z0). Returns
+    (z, fn(z), evaluations) with z of the shape of z0, one value per
+    search and the total number of evaluations; evaluations and
+    _MAX_EVALS (a per-search cap) count probes.
     """
     z = np.array(z0, dtype=float)
     S, m = z.shape
     D = _pattern(m)
     every = np.arange(S)
     f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
+    z_start, f_start = z.copy(), f.copy()
     evals = S
     if m:
         steer = fn if batch_fn is None else batch_fn
@@ -223,8 +240,11 @@ def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
                 rows = rows[:act.size]
         z[act], f[act] = za, fa
         if batch_fn is not None:
-            f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
+            end = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
             evals += S
+            back = end > f_start
+            z[back] = z_start[back]
+            f = np.where(back, f_start, end)
     return z, f, evals
 
 
@@ -335,14 +355,19 @@ class OrbitBallContext:
     def _gauge_kernel(self, A, t_hat):
         """The gauge at rows whose least-norm preimages are t_hat, with
         A = mat(t_hat) flattened (one row each): min over z of
-        sigma1(A + sum_l z_l mat(N_l)) by one lockstep pattern search from
-        z = 0 down to the step GAUGE_TOL max(1, |t_hat|) / 4, steered by
-        closed-form spectral norms and re-anchored on LAPACK's; each round
-        is one spectral-norm sweep spanning four step sizes. Without a null
-        space it is one stacked SVD. Every value is sigma1 at a preimage.
-        Returns (values, coefficient rows)."""
+        sigma1(A + sum_l z_l mat(N_l)), every value _gram_sigma1 of a
+        preimage. Without a null space that is one _gram_sigma1 call on A.
+        With one, a lockstep pattern search runs from z = 0 down to the step
+        GAUGE_TOL max(1, |t_hat|) / 4, each round one sweep spanning four
+        step sizes. Where they cost less than eigvalsh, at d = 2 and at
+        d = 3 when its first round sweeps _CLOSED_3X3 matrices or more, the
+        closed-form spectral norms steer it and the values are re-anchored;
+        elsewhere the Gram values steer it too. No value exceeds the one at
+        z = 0. Returns (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
+        if not NM.shape[0]:
+            return _gram_sigma1(A.reshape(-1, d, d)), t_hat
 
         def mats(rows, P):
             return (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)
@@ -351,11 +376,12 @@ class OrbitBallContext:
             return linalg.batch_spectral_norms(
                 mats(rows, P).reshape(-1, d, d)).reshape(P.shape[:2])
 
+        closed = d == 2 or (d == 3 and len(A) * len(_pattern(len(NM))) >= _CLOSED_3X3)
         scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
-        z, g, _ = compass_min(lambda rows, P: _sigma1(mats(rows, P)),
+        z, g, _ = compass_min(lambda rows, P: _gram_sigma1(mats(rows, P)),
                               np.zeros((len(A), NM.shape[0])),
                               init_step=scale, step_tol=GAUGE_TOL * scale / 4.0,
-                              batch_fn=steer)
+                              batch_fn=steer if closed else None)
         return g, t_hat + z @ self.null_vecs.T
 
     def gauges(self, V):
@@ -378,13 +404,14 @@ class OrbitBallContext:
 
     def gauge_on(self, B):
         """(gauges(U @ B.T) as a function of U, an upper bound on it over
-        unit u) for the columns b_j of B, with the generators T_j = t_hat(b_j)
-        and G_j = mat(T_j) built once. A row u has the least-norm preimage
-        u T and its matrix u G by linearity, so the function runs
-        _gauge_kernel with no preimage or mat of its own. The span test is
-        made once, on the columns, and covers every row by linearity; when
-        a column is off the orbit span, the function is gauges on U @ B.T
-        with its per-row test and the bound is inf.
+        unit u, the rounding slack of its values) for the columns b_j of
+        B, with the generators T_j = t_hat(b_j) and G_j = mat(T_j) built
+        once. A row u has the least-norm preimage u T and its matrix u G by
+        linearity, so the function runs _gauge_kernel with no preimage or
+        mat of its own. The span test is made once, on the columns, and
+        covers every row by linearity; when a column is off the orbit span,
+        the function is gauges on U @ B.T with its per-row test, the bound
+        inf and the slack 0.
 
         The bound is L = sqrt(min(lmax sum_j G_j G_j', lmax sum_j G_j' G_j)).
         sum_j u_j G_j sends x to B u, so g(B u) <= sigma1(sum_j u_j G_j),
@@ -393,37 +420,62 @@ class OrbitBallContext:
         (sum_j (a'G_j b)^2)^(1/2) <= (a' sum_j G_j G_j' a)^(1/2), and the
         same holds on the b side, so sigma1(sum_j u_j G_j) <= L.
 
-        Rounding margin, with eps the machine epsilon, d the dimension, m
-        the number of columns and t = sum_j ||G_j||_F^2, the trace of both
-        Grams, which bounds their norms: a Gram sums m d products per entry,
-        so it is off by at most m d eps t in norm (the entrywise bound
-        gamma_md sum_j |G_j||G_j|', whose norm is at most its trace t), and
-        eigvalsh is backward stable, off by at most d eps t more; 2 d eps t
-        covers t's own rounding. The gauge kernel's value at z = 0, which
-        its search only lowers, is LAPACK's sigma1 of the rounded u G, at
-        most (m + d) eps sqrt(t) above sigma1(u G). So the bound is
-        sqrt(lam + (m + 2) d eps t) + (m + d) eps sqrt(t), with lam the
-        smaller computed top eigenvalue."""
+        Rounding, to first order, with eps the machine epsilon, d the
+        dimension, m the number of columns and t = sum_j ||G_j||_F^2, the
+        trace of both Grams, which bounds their norms. A Gram sums m d
+        products per entry, so it is off by at most m d eps t in norm (the
+        entrywise bound gamma_md sum_j |G_j||G_j|', whose norm is at most
+        its trace t), and eigvalsh is backward stable, off by at most
+        d eps t more; 2 d eps t covers t's own rounding. So L is at most
+        L' = sqrt(lam + (m + 2) d eps t), with lam the smaller computed top
+        eigenvalue. The kernel's value at a unit u, which its search only
+        lowers from z = 0, is _gram_sigma1 of the rounded u G, within
+        m eps sqrt(t) of u G in Frobenius norm, so it is at most
+        (L' + m eps sqrt(t)) (1 + d (d + 1) eps).
+
+        The generators carry the rounding of the preimage: t_hat comes
+        from the SVD of the computed Phi, which is off from Phi by at most
+        (d + k) eps s_1 (the SVD's backward error) plus d sqrt(k) eps |x|
+        (forming Phi = [Q_l x]), with s_1 >= ... >= s_r the kept singular
+        values. That moves a least-norm preimage by at most 2 ||Phi^+||
+        times that error, relative, and the products of t_hat's formula
+        add (d + k)(1 + 2 sqrt(r)) eps kappa, kappa = s_1 / s_r, so each
+        G_j is within delta ||G_j||_F of the exact one, with
+        delta = (d + k)(3 + 2 sqrt(r)) eps kappa + 2 d sqrt(k) eps |x| / s_r
+        (the frame Q_l itself is taken as exact). So the exact L is at most
+        L' + delta sqrt(t), and the ceiling, which bounds both it and every
+        value, is (L' + m eps sqrt(t)) (1 + d (d + 1) eps) + delta sqrt(t).
+        On the other side, u G is within delta sqrt(t) of an exact preimage
+        of B u, and a search point u G + mat(N z), with |z| at most its
+        Frobenius norm sqrt(d) sqrt(t), within (1 + sqrt(d)) delta sqrt(t),
+        the computed null directions being off by delta as well; with the
+        kernel's own rounding the exact gauge exceeds a value by at most
+        the slack ((1 + sqrt(d)) delta + (m + d (d + 1)) eps) sqrt(t)."""
         B = linalg.as_matrix(B)
         d = self.dim
         if B.shape[0] != d:
             raise DimensionError(
                 f"expected columns of length {d}, got shape {B.shape}")
         if not self._on_span(B.T, np.linalg.norm(B, axis=0)).all():
-            return (lambda U: self.gauges(U @ B.T)), np.inf
+            return (lambda U: self.gauges(U @ B.T)), np.inf, 0.0
         T = self.min_norm_preimage(B.T)
         m = len(T)
         G = self.mat(T)
         rows = G.transpose(1, 0, 2).reshape(d, m * d)   # [G_1 ... G_m]
         cols = G.transpose(2, 0, 1).reshape(d, m * d)   # [G_1' ... G_m']
-        lam = min(np.linalg.eigvalsh(rows @ rows.T)[-1],
-                  np.linalg.eigvalsh(cols @ cols.T)[-1])
-        t = float(np.sum(G * G))
+        lam = np.linalg.eigvalsh(np.stack([rows @ rows.T, cols @ cols.T]))[:, -1].min()
+        root = float(np.sqrt(np.sum(G * G)))
         eps = np.finfo(float).eps
-        ceiling = float(np.sqrt(max(float(lam), 0.0) + (m + 2) * d * eps * t)
-                        + (m + d) * eps * np.sqrt(t))
+        k, r, sv = self.k, self.rank, self.range_sv
+        delta = 0.0   # at rank 0 only zero columns pass the span test: G = 0
+        if r:
+            delta = float((d + k) * (3.0 + 2.0 * np.sqrt(r)) * eps * sv[0] / sv[-1]
+                          + 2.0 * d * np.sqrt(k) * eps * np.linalg.norm(self.x) / sv[-1])
+        ceiling = ((np.sqrt(max(float(lam), 0.0) + (m + 2) * d * eps * root * root)
+                    + m * eps * root) * (1.0 + d * (d + 1) * eps) + delta * root)
+        slack = ((1.0 + np.sqrt(d)) * delta + (m + d * (d + 1)) * eps) * root
         G = G.reshape(m, -1)
-        return (lambda U: self._gauge_kernel(U @ G, U @ T)), ceiling
+        return (lambda U: self._gauge_kernel(U @ G, U @ T)), float(ceiling), float(slack)
 
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
@@ -907,6 +959,17 @@ def _sigma1(Ms) -> np.ndarray:
     return np.linalg.svd(Ms, compute_uv=False)[..., 0]
 
 
+def _gram_sigma1(Ms) -> np.ndarray:
+    """Largest singular value of each d x d matrix X in a stack as
+    sqrt(lmax(X'X)), from one stacked eigvalsh of the Grams. sigma1 is
+    well conditioned there: with |X'X - fl(X'X)| <= d eps |X|'|X|, whose
+    norm is at most d eps ||X||_F^2 <= d^2 eps sigma1^2, and eigvalsh
+    backward stable (d eps more), the value is within a factor
+    1 + d (d + 1) eps of sigma1 of X."""
+    lam = np.linalg.eigvalsh(np.swapaxes(Ms, -1, -2) @ Ms)[..., -1]
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
 def _clears(g, n):
     """The interior route's test, elementwise: the gauge bound g clears
     the level n by the margin 5e-10 max(1, g)."""
@@ -957,7 +1020,8 @@ def orbit_ball(subspace, x, n: float,
                ctx: Optional[OrbitBallContext] = None) -> LocatedSet:
     """LocatedSet view of the level-n orbit ball through x: the context's
     distance, gauges and gauge_on (the compiled gauge with its
-    one-eigenvalue ceiling), gauges and ceiling divided by n."""
+    one-eigenvalue ceiling and its slack), gauges, ceiling and slack
+    divided by n."""
     if ctx is None:
         ctx = OrbitBallContext(subspace, x)
     n = float(n)
@@ -969,8 +1033,8 @@ def orbit_ball(subspace, x, n: float,
         return ctx.gauges(V)[0] / n
 
     def gg_on(B):
-        gauge, ceiling = ctx.gauge_on(B)
-        return (lambda U: gauge(U)[0] / n), ceiling / n
+        gauge, ceiling, slack = ctx.gauge_on(B)
+        return (lambda U: gauge(U)[0] / n), ceiling / n, slack / n
 
     return LocatedSet(subspace.dim, loc, gg,
                       description=f"orbit ball at level {n:g}", gauge_on=gg_on)
@@ -1010,14 +1074,24 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
     solution when it is feasible and otherwise from the boundary
     multiplier equation in the eigenvalues s_r^2 of T'T, solved by
     bisection; the gauge is the norm of the least-norm preimage over n.
-    The ceiling gauge_on(B) returns is exact, sigma1(T^+ B) / n (inf when a
-    column of B is off the range of T), times 1 + (d + m) eps kappa^2 for
-    the rounding of the preimages, with kappa = s_1 / s_r. That margin was
-    measured for the normal equations (at most 1.5 eps kappa^2 against
-    40-digit references on random T with kappa^2 up to 1e6); it is kept
-    for the SVD route (whose gauge was off by 1.3e-10 relative at
-    kappa = 1e6, far inside it), as no margin of order eps kappa is
-    derived here.
+
+    gauge_on(B) returns that gauge on U @ B.T with the ceiling
+    sigma1(T^+ B) / n and a slack, both widened by the rounding of the
+    preimages (inf and 0 when a column of B is off the range of T).
+    Rounding, to first order, with eps the machine epsilon, kappa =
+    s_1 / s_r and k the number of columns of B: the SVD is exact for a
+    T + E with ||E|| <= (d + m) eps s_1, which moves T^+ v by at most
+    2 ||T^+|| ||E|| |T^+ v| for v on the range, and the three products of
+    the preimage add (d + m)(1 + 2 sqrt(r)) eps kappa more, so a computed
+    gauge is within a relative delta = (d + m)(3 + 2 sqrt(r)) eps kappa
+    of the exact one. Rounding B u moves it by at most
+    e_B = k eps ||B||_F / (s_r n). The computed sigma1(T^+ B) is then
+    within (1 + sqrt(k)) delta of the exact one, relative (the columns of
+    T^+ B are each within delta), so the ceiling
+    (sigma1 (1 + (1 + sqrt(k)) delta) / n + e_B)(1 + delta) bounds both
+    the exact gauge and every computed value on the unit sphere, and the
+    exact gauge exceeds a computed value by at most the slack
+    2 delta ceiling + e_B.
     """
     T = linalg.as_matrix(T)
     d, m = T.shape
@@ -1073,12 +1147,15 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
 
     def gauge_on(B):
         U, off = preimages(B.T)
-        ceiling = np.inf
-        if not off.any():
-            kappa2 = (top / float(sr[-1])) ** 2 if r else 1.0
-            slack = 1.0 + (d + m) * np.finfo(float).eps * kappa2
-            ceiling = float(np.linalg.svd(U, compute_uv=False)[0]) * slack / n
-        return (lambda C: gauge(C @ B.T)), ceiling
+        if off.any() or not r:
+            return (lambda C: gauge(C @ B.T)), np.inf, 0.0
+        eps = np.finfo(float).eps
+        k = B.shape[1]
+        delta = (d + m) * (3.0 + 2.0 * np.sqrt(r)) * eps * top / float(sr[-1])
+        e_B = k * eps * float(np.linalg.norm(B)) / (float(sr[-1]) * n)
+        sigma = float(np.linalg.svd(U, compute_uv=False)[0])
+        ceiling = (sigma * (1.0 + (1.0 + np.sqrt(k)) * delta) / n + e_B) * (1.0 + delta)
+        return (lambda C: gauge(C @ B.T)), ceiling, 2.0 * delta * ceiling + e_B
 
     return LocatedSet(d, loc, gauge, description="linear image of a ball",
                       gauge_on=gauge_on)

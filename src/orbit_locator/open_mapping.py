@@ -12,6 +12,7 @@ of a surjective matrix is its smallest singular value sigma_min.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
 
 
 # branch and bound of inner_radius over cube-face cells
-_BB_REL = 1e-9      # a cell stays live while its bound exceeds best * (1 + _BB_REL)
+_BB_REL = 1e-9      # a cell stays live while its bound exceeds (best + slack) * (1 + _BB_REL)
 _BB_KEEP = 4        # live cells split per round (at least m); the rest bound the floor
 _BB_HALVINGS = 4    # a split halves the cell's widest side this many times
 
@@ -156,26 +157,29 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     branch and bound (Piyavskii 1972; Shubert 1972) whose cells are
     (m-1)-boxes on the faces {u_i = 1} of the cube, covering the sphere up
     to sign. C.gauge_on(W's basis) is asked once, for the gauge as a
-    function of coordinates and the set's gauge ceiling, an upper bound on
-    every gauge of the sphere; each round is one call of that function
-    over the cells' centres, the axes first. A computed gauge is
-    sigma1 at a feasible preimage, so at least g, and a cell with sides h_j
-    and centre c on face i holds no gauge above the smaller of
-    g(c/|c|) / cos delta, with delta = 2 asin(|h|/4) its angular radius (at
-    the maximiser w*, g(u) >= g(w*) cos angle(u, w*) by the supporting
-    plane there), and |c| g(c/|c|) + sum_{j != i} (h_j/2) g(e_j), by
-    subadditivity, as the face has norm >= 1. A cell stays live
-    while its bound exceeds best * (1 + _BB_REL); the max(_BB_KEEP, m) with
-    the largest centre gauges split into 2**_BB_HALVINGS cells each, and the
-    largest bound of the rest is kept.
+    function of coordinates, the set's gauge ceiling, an upper bound on
+    every gauge of the sphere, and its slack, by which rounding can leave
+    a computed gauge below the exact one g; each round is one call of that
+    function over the cells' centres, the axes first. A computed gauge plus
+    the slack, G, is at least g, and a cell with sides h_j and centre c on
+    face i holds no gauge above the smaller of G(c/|c|) / cos delta, with
+    delta = 2 asin(|h|/4) its angular radius (at the maximiser w*,
+    g(u) >= g(w*) cos angle(u, w*) by the supporting plane there), and
+    |c| G(c/|c|) + sum_{j != i} (h_j/2) G(e_j), by subadditivity, as the
+    face has norm >= 1. A cell stays live while its bound exceeds
+    (best + slack) * (1 + _BB_REL); the max(_BB_KEEP, m) with the largest
+    centre gauges split into 2**_BB_HALVINGS cells each, and the largest
+    bound of the rest is kept. Every cell of a round has the same sides,
+    so a round's child offsets are built once per (m, round) (_children).
 
     The search also stops at the ceiling: after a round whose
-    best * (1 + _BB_REL) reaches it, no cell can beat the best found by
-    more than that factor, the tolerance the cells are pruned at.
+    (best + slack) * (1 + _BB_REL) reaches it, no cell can beat the best
+    found by more than that factor, the tolerance the cells are pruned at.
 
     r is 1 over the best gauge found, direction its unit vector, and floor
-    1 over the smaller of the ceiling and the larger of best * (1 + _BB_REL)
-    and that kept bound, so it is at least 1 over the ceiling. Every rank
+    1 over the smaller of the ceiling and the larger of
+    (best + slack) * (1 + _BB_REL) and that kept bound, so it is at least 1
+    over the ceiling, and at most 1 over the largest exact gauge. Every rank
     runs this search; the line (m = 1) is one cell, its axis. An infinite
     gauge short-circuits to r = 0.
     """
@@ -198,63 +202,84 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     return RadiusResult(1.0 / g, _lex_smaller(B @ w), method, floor=1.0 / top)
 
 
+@functools.lru_cache(maxsize=256)
+def _children(m: int, depth: int) -> tuple:
+    """How _branch_and_bound splits a cell of round `depth` (counted from
+    0) in R^m, m >= 2: (kids, h), with kids[i] the offsets from a face-i
+    cell's centre to its children's centres, one row per child, and h the
+    side lengths every child has along its face's axes. Every cell of a
+    round has the same sides, 2 at round 0, and a split halves the widest
+    (the first on a tie) _BB_HALVINGS times, so both depend on (m, depth)
+    alone. Shared, so read-only."""
+    h = np.full(m - 1, 2.0) if depth == 0 else _children(m, depth - 1)[1]
+    parts = np.ones(m - 1, dtype=int)
+    for _ in range(_BB_HALVINGS):
+        parts[np.argmax(h / parts)] *= 2
+    grid = ((np.indices(parts).reshape(m - 1, -1).T + 0.5) / parts - 0.5) * h
+    kids = np.zeros((m, len(grid), m))
+    kids[np.arange(m)[:, None, None], np.arange(len(grid))[:, None],
+         _others(m)[:, None, :]] = grid
+    h = h / parts
+    kids.flags.writeable = h.flags.writeable = False
+    return kids, h
+
+
+def _others(m: int) -> np.ndarray:
+    # others[i]: the in-face axes of face i, in order
+    return np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+
+
 def _branch_and_bound(C, B: np.ndarray) -> tuple:
     """(best gauge found, its unit direction in the coordinates of B, the
     largest gauge on the sphere the search leaves possible, at most C's
     gauge ceiling); the best is inf, with its direction, as soon as a gauge
-    is not finite. It returns after the first round whose best gauge is
+    is not finite. The bounds and the stop work on the values plus C's
+    slack, upper bounds of the exact gauge; the best is a value as
+    computed. It returns after the first round whose best plus slack is
     within a factor 1 + _BB_REL of the ceiling, with the ceiling as the
     largest possible gauge."""
     m = B.shape[1]
-    gauges, ceiling = C.gauge_on(B)
-    # others[i]: the in-face axes of face i, in order
-    others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+    gauges, ceiling, slack = C.gauge_on(B)
+    others = _others(m)
     # every cell of a round has the side lengths h along its face's axes
-    centres, faces, h = np.eye(m), np.arange(m), np.full(m - 1, 2.0)
+    centres, faces, h, depth = np.eye(m), np.arange(m), np.full(m - 1, 2.0), 0
     best, w, dropped, axes, keep = -np.inf, None, 0.0, None, max(_BB_KEEP, m)
     while True:
         norms = np.linalg.norm(centres, axis=1)
         dirs = centres / norms[:, None]
         vals = gauges(dirs)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            return np.inf, dirs[int(np.argmax(bad))], np.inf
+        # argmax stops on the first nan, and otherwise on the first inf
         j = int(np.argmax(vals))
+        if not np.isfinite(vals[j]):
+            return np.inf, dirs[j], np.inf
         if vals[j] > best:
             best, w = float(vals[j]), dirs[j]
-        if best * (1.0 + _BB_REL) >= ceiling:
+        cut = (best + slack) * (1.0 + _BB_REL)
+        if cut >= ceiling:
             return best, w, ceiling
-        axes = vals if axes is None else axes  # round 1 gauged the axes
+        hi = vals + slack
+        axes = hi if axes is None else axes  # round 1 gauged the axes
         # a point of the cell has norm >= 1 and, by subadditivity, a gauge
         # of at most g(centre) + sum_j (h_j / 2) g(e_j)
-        bound = norms * vals + 0.5 * (axes[others] @ h)[faces]
+        bound = norms * hi + 0.5 * (axes[others] @ h)[faces]
         # cos delta = 1 - 2 sin^2(delta / 2); nonpositive past a quarter sphere
         cos = 1.0 - (h @ h) / 8.0
         if cos > 0.0:
-            bound = np.minimum(bound, vals / cos)
+            bound = np.minimum(bound, hi / cos)
         # rank by centre gauge, the angular bound's order, also where that
         # bound is void: the subadditivity bound, largest at the corners of
         # a face, would steer the search away from the maximiser
-        live = np.flatnonzero(bound > best * (1.0 + _BB_REL))
+        live = np.flatnonzero(bound > cut)
         live = live[np.argsort(-vals[live], kind="stable")]
         if live.size > keep:
             dropped = max(dropped, float(bound[live[keep:]].max()))
             live = live[:keep]
         if live.size == 0:
-            return best, w, min(ceiling, max(best * (1.0 + _BB_REL), dropped))
-        # halve the widest side (the first on a tie) _BB_HALVINGS times
-        parts = np.ones(m - 1, dtype=int)
-        for _ in range(_BB_HALVINGS):
-            parts[np.argmax(h / parts)] *= 2
-        # the children's offsets from the centre, one row per child
-        cells = np.indices(parts).reshape(m - 1, -1).T
-        grid = ((cells + 0.5) / parts - 0.5) * h
-        kids = np.zeros((m, len(grid), m))
-        kids[np.arange(m)[:, None, None], np.arange(len(grid))[:, None],
-             others[:, None, :]] = grid
+            return best, w, min(ceiling, max(cut, dropped))
+        kids, h = _children(m, depth)
+        depth += 1
         centres = (centres[live, None, :] + kids[faces[live]]).reshape(-1, m)
-        faces = np.repeat(faces[live], grid.shape[0])
-        h = h / parts
+        faces = np.repeat(faces[live], kids.shape[1])
 
 
 def open_map_radius(T, rank_tol: float = RANK_TOL) -> RadiusResult:

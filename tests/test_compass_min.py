@@ -99,6 +99,26 @@ def test_lockstep_rows_equal_one_row_runs():
     assert evals == total
 
 
+def test_steered_search_keeps_its_start_when_fn_disagrees():
+    # the steer leads search 0 to z = -1, where fn is 4 against 1 at its
+    # start z = 0, so that search keeps its start; search 1 starts at 2,
+    # and the steer's minimiser is better on fn too, so it keeps its end
+    target = np.array([1.0, -1.0])   # fn's minimiser, per search
+
+    def fn(rows, P):
+        return (P[..., 0] - target[rows, None]) ** 2
+
+    def steer(rows, P):
+        return (P[..., 0] + 1.0) ** 2
+
+    z0 = np.array([[0.0], [2.0]])
+    z, f, _ = located.compass_min(fn, z0, init_step=1.0, step_tol=1e-9,
+                                  batch_fn=steer)
+    assert z[0, 0] == 0.0 and f[0] == 1.0
+    assert abs(z[1, 0] + 1.0) <= 1e-8 and f[1] <= 1e-16
+    assert np.array_equal(f, fn(np.arange(2), z[:, None, :])[:, 0])
+
+
 def null_space_problem(seed):
     """A dimension-2 subspace of three operators whose orbit has rank 2,
     built like the span corpus shape (2, 3, 2): the third operator sends x

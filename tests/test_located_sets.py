@@ -486,11 +486,21 @@ def test_gauge_ceiling_covers_a_dense_scan(basis, x):
         assert ctx.gauge_on(off)[1] == np.inf
 
 
+def test_gauge_on_at_rank_zero():
+    # x = 0 kills every operator: the orbit span is {0}, whose only
+    # direction, the zero column, has gauge, ceiling and slack 0
+    ctx = OrbitBallContext(make_subspace([np.eye(2)]), np.zeros(2))
+    assert ctx.rank == 0
+    gauge, ceiling, slack = ctx.gauge_on(np.zeros((2, 1)))
+    assert (ceiling, slack) == (0.0, 0.0)
+    assert np.array_equal(gauge(np.ones((1, 1)))[0], [0.0])
+
+
 def test_ellipsoid_gauge_ceiling_is_sigma1():
     # the ellipsoid's ceiling on span(B) is sigma1(T^+ B) / n, up to its
-    # rounding margin, which grows with the condition of T'T: the maps
-    # here have singular values in [1, 2], so it stays near 1e-14. Sets
-    # without a ceiling report inf
+    # rounding margin, which grows with the condition of T: the maps here
+    # have singular values in [1, 2], so it stays near 1e-13. Sets without
+    # a ceiling report inf
     g = np.random.default_rng(3)
     for d, m, k in ((3, 2, 2), (5, 3, 2), (6, 6, 4), (4, 4, 1)):
         left = np.linalg.qr(g.normal(size=(d, m)))[0]
@@ -738,6 +748,51 @@ def test_context_factors_phi_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", corrupt)
     with pytest.raises(ConvergenceFailure):
         OrbitBallContext(sub, x)
+
+
+def gram_kernel_problems():
+    """Orbit balls without a null space: random ones at dim 2, 3 and 5
+    (default_rng(0..2), k = dim), and conditioned_problem at kappa(Phi)
+    = 1, 1e4 and 1e8, whose least-norm generators spread over kappa."""
+    out = []
+    for dim in (2, 3, 5):
+        for seed in range(3):
+            g = np.random.default_rng(seed)
+            out.append(([g.normal(size=(dim, dim)) for _ in range(dim)],
+                        g.normal(size=dim)))
+    for kappa in (1.0, 1e4, 1e8):
+        out.extend(conditioned_problem(seed, kappa) for seed in range(3))
+    return out
+
+
+@pytest.mark.parametrize("basis, x", gram_kernel_problems())
+def test_gram_kernel_matches_svd_below_its_ceiling(basis, x, monkeypatch):
+    # without a null space the compiled gauge is sigma1 of X = u G, the
+    # combination of the generators, as the root of the top eigenvalue of
+    # X'X: on unit rows it is within d^2 eps of LAPACK's sigma1 of the same
+    # X, relative, and never above the ceiling. It runs no SVD and no
+    # pattern search
+    ctx = OrbitBallContext(make_subspace(basis), x)
+    assert ctx.rank == ctx.k and not ctx.null_vecs.shape[1]
+    B = ctx.geo.U[:, :ctx.rank]
+    d, m = ctx.dim, ctx.rank
+    g = np.random.default_rng(9)
+    U = np.concatenate([np.eye(m), g.normal(size=(200, m))])
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    gauge, ceiling, slack = ctx.gauge_on(B)
+    X = (U @ ctx.mat(ctx.min_norm_preimage(B.T)).reshape(m, -1)).reshape(-1, d, d)
+    want = np.linalg.svd(X, compute_uv=False)[:, 0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the kernel ran an SVD or a pattern search")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(located, "compass_min", refused)
+    got, _ = gauge(U)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= d * d * eps * want), np.max(np.abs(got - want) / want)
+    assert got.max() <= ceiling, (got.max(), ceiling)
+    assert 0.0 < slack < ceiling
 
 
 def test_preimage_at_kappa_1e6():

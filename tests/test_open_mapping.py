@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from orbit_locator import (DEFAULT_C_VALUES, DimensionError,
                            euclidean_ball, greedy_decompose, inner_radius,
                            linear_image_ball, make_subspace, open_map_radius,
                            orbit_ball, truncation_index)
+from orbit_locator import open_mapping as om
 from orbit_locator.open_mapping import Undecided as DeadBand
 from conftest import stretched_null_problem, svd_sigma, svd_values
 
@@ -243,17 +246,17 @@ def test_inner_radius_flat_gauge(ball, r):
 
 
 def counting(S):
-    """S with its gauge ceiling, whose gauge_on functions record the rows
-    of every call: one call per branch-and-bound round."""
+    """S with its gauge ceiling and slack, whose gauge_on functions record
+    the rows of every call: one call per branch-and-bound round."""
     rows = []
 
     def gauge_on(B):
-        gauge, ceiling = S.gauge_on(B)
+        gauge, ceiling, slack = S.gauge_on(B)
 
         def counted(U):
             rows.append(len(U))
             return gauge(U)
-        return counted, ceiling
+        return counted, ceiling, slack
 
     return LocatedSet(S.ambient_dim, None, S.gauges, gauge_on=gauge_on), rows
 
@@ -306,10 +309,10 @@ def test_floor_covers_a_maximiser_the_search_drops():
     assert 1.0 / rr.r == pytest.approx(1.0 - 1e-6, rel=1e-12)
     assert 1.0 < 1.0 / rr.floor < 1.01
     # a ceiling 1.001, above the largest gauge 1: no round reaches it, so
-    # the search runs as before and its floor is 1 over the smaller of the
-    # ceiling and the dropped cells' bound
+    # the search runs as before (the slack 0 of an exact gauge) and its
+    # floor is 1 over the smaller of the ceiling and the dropped cells' bound
     capped = inner_radius(LocatedSet(2, None, gauge, gauge_on=lambda B: (
-        lambda U: gauge(U @ B.T), 1.001)), list(np.eye(2)))
+        lambda U: gauge(U @ B.T), 1.001, 0.0)), list(np.eye(2)))
     assert capped.r == rr.r and np.array_equal(capped.direction, rr.direction)
     assert capped.floor == 1.0 / 1.001
 
@@ -390,10 +393,10 @@ def test_line_floor_carries_the_margin(line):
     # a line whose ceiling is not within 1 + 1e-9 of its gauge g: the
     # stretched orbit ball (ceiling 43.2, sigma1 of the least-norm
     # preimage, against g = 20) and an ellipsoid with kappa = 1e6, whose
-    # kappa^2 rounding slack is 9e-4. Its floor is 1 / (g (1 + 1e-9)), not
-    # 1 / g = r, which rounding in the gauge can leave above the true
-    # radius (the SVD gauge was off by 1.3e-10 relative at kappa = 1e6);
-    # one ulp covers the rounding of the product
+    # eps kappa rounding margin is about 1.6e-8. Its floor is at most
+    # 1 / (g (1 + 1e-9)), not 1 / g = r, which rounding in the gauge can
+    # leave above the true radius (the SVD gauge was off by 1.3e-10
+    # relative at kappa = 1e6); one ulp covers the rounding of the product
     if line == "stretched":
         sub, x = stretched_null_problem()
         S, w = orbit_ball(sub, x, 1.0), np.eye(12)[11]
@@ -407,6 +410,89 @@ def test_line_floor_carries_the_margin(line):
     eps = np.finfo(float).eps
     assert rr.floor * g <= (1.0 + eps) / (1.0 + 1e-9), rr.floor * g
     assert rr.floor <= r_true, (rr.floor, r_true)
+
+
+def _conditioned_line(seed, kappa=1e8):
+    """T = Q1 diag(1, 1/kappa) Q2' with Q1, Q2 from the QR of
+    default_rng(seed) normals, and a unit normal draw w."""
+    rng = np.random.default_rng(seed)
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(2))
+    w = rng.normal(size=2)
+    return Q1 @ np.diag([1.0, 1.0 / kappa]) @ Q2.T, w / np.linalg.norm(w)
+
+
+def _exact_solve(M, w):
+    """M^-1 w for a 2 x 2 M in rationals, from the doubles as given."""
+    (a, b), (c, d) = [[Fraction(float(v)) for v in row] for row in M]
+    p, q = (Fraction(float(v)) for v in w)
+    det = a * d - b * c
+    return [(d * p - b * q) / det, (a * q - c * p) / det]
+
+
+def test_ellipsoid_line_floor_holds_at_kappa_1e8():
+    # the ellipsoid line of _conditioned_line: 1 / |T^-1 w| is the exact
+    # radius, and floor^2 |T^-1 w|^2 <= 1 in rationals. The gauge's
+    # rounding slack carries it: with the bare 1 + 1e-9 margin seeds 1 and
+    # 8 came out 2.4e-9 and 1.7e-9 above
+    for seed in range(40):
+        T, w = _conditioned_line(seed)
+        rr = inner_radius(linear_image_ball(T, 1.0), [w])
+        u = _exact_solve(T, w)
+        below = Fraction(rr.floor) ** 2 * (u[0] ** 2 + u[1] ** 2) <= 1
+        assert below, seed
+        assert rr.floor <= rr.r
+
+
+def test_orbit_line_floor_holds_at_kappa_1e8():
+    # the same line on an orbit ball: x = e_1 and two Frobenius-orthonormal
+    # operators whose first columns are those of Phi = T / 2, so
+    # kappa(Phi) = 1e8 and the orbit span is the plane. The exact gauge of
+    # w is sigma1 of the one M = c_1 B_1 + c_2 B_2 with M x = w, and
+    # floor^2 lmax(M'M) <= 1 in rationals. Without the generators' slack
+    # 20 of the 40 floors came out above, by up to 5e-8
+    for seed in range(40):
+        T, w = _conditioned_line(seed)
+        Phi = 0.5 * T
+        lam, Z = np.linalg.eigh(np.eye(2) - Phi.T @ Phi)
+        A = (Z * np.sqrt(lam)) @ Z.T
+        basis = [np.column_stack([Phi[:, j], A[:, j]]) for j in range(2)]
+        rr = inner_radius(orbit_ball(make_subspace(basis), np.eye(2)[0], 1.0), [w])
+        c = _exact_solve(Phi, w)
+        M = [[c[0] * Fraction(float(basis[0][i, j])) + c[1] * Fraction(float(basis[1][i, j]))
+              for j in range(2)] for i in range(2)]
+        G = [[M[0][i] * M[0][j] + M[1][i] * M[1][j] for j in range(2)] for i in range(2)]
+        trace, det = G[0][0] + G[1][1], G[0][0] * G[1][1] - G[0][1] ** 2
+        # floor^2 (trace + sqrt(trace^2 - 4 det)) / 2 <= 1
+        room = 2 / Fraction(rr.floor) ** 2 - trace
+        below = room >= 0 and trace ** 2 - 4 * det <= room ** 2
+        assert below, seed
+        assert rr.floor <= rr.r
+
+
+def test_cell_templates_are_shared_and_read_only():
+    # a round's child offsets and sides are built once per (m, round) and
+    # shared by every search: read-only, and no search leaves state in
+    # them, so two searches give bit-identical results in either order
+    kids, h = om._children(3, 1)
+    assert om._children(3, 1)[0] is kids
+    assert not kids.flags.writeable and not h.flags.writeable
+    with pytest.raises(ValueError):
+        kids[0, 0, 0] = 1.0
+    rng = np.random.default_rng(21)
+    bodies = []
+    for dim in (3, 4):
+        sub = make_subspace([rng.normal(size=(dim, dim)) for _ in range(3)])
+        ctx = OrbitBallContext(sub, rng.normal(size=dim))
+        bodies.append((orbit_ball(sub, ctx.x, 1.0, ctx=ctx), ctx.geo.U[:, :3]))
+
+    def run(order):
+        om._children.cache_clear()
+        return [om._branch_and_bound(*bodies[i]) for i in order]
+
+    forward, backward = run([0, 1]), run([1, 0])[::-1]
+    assert om._children.cache_info().currsize > 1   # both split cells
+    for (g1, w1, top1), (g2, w2, top2) in zip(forward, backward):
+        assert g1 == g2 and top1 == top2 and np.array_equal(w1, w2)
 
 
 def test_inner_radius_segment_ambient_vs_span():
