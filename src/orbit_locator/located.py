@@ -34,8 +34,8 @@ as the root of the top eigenvalue of its Gram, from one stacked eigvalsh.
 With A the matrix of a row's least-norm preimage, that value at A is the
 whole kernel without a null space; with one, a lockstep pattern search
 over the null coordinates z of sigma1(A + sum_l z_l mat(N_l)) takes
-those values, steered by the closed-form spectral norms where they cost
-less. On a fixed
+those values, steered by the closed-form spectral norms at d = 2, where
+they cost less. On a fixed
 subspace W the kernel is compiled once (gauge_on): A is the combination
 of the matrices of W's basis vectors, so a round of the inner-radius
 search builds no preimage and makes no per-row span test. The same
@@ -147,11 +147,6 @@ _MAX_EVALS = 50_000    # compass_min's per-search cap on probes
 _MAX_OUTER = 80        # _sqp's iteration cap
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
-# matrices the first round of a gauge search sweeps from which the 3x3
-# closed form steers it: a call of it cost about 50 us + 0.2 us a matrix,
-# one of eigvalsh of the Grams 13 us + 1.2 us a matrix (2-core Xeon,
-# numpy 2.4: 50 against 23 us at 8 matrices, 59 against 87 us at 64)
-_CLOSED_3X3 = 40
 
 
 @functools.lru_cache(maxsize=16)
@@ -359,10 +354,9 @@ class OrbitBallContext:
         preimage. Without a null space that is one _gram_sigma1 call on A.
         With one, a lockstep pattern search runs from z = 0 down to the step
         GAUGE_TOL max(1, |t_hat|) / 4, each round one sweep spanning four
-        step sizes. Where they cost less than eigvalsh, at d = 2 and at
-        d = 3 when its first round sweeps _CLOSED_3X3 matrices or more, the
+        step sizes. At d = 2, where they cost less than eigvalsh, the
         closed-form spectral norms steer it and the values are re-anchored;
-        elsewhere the Gram values steer it too. No value exceeds the one at
+        at d >= 3 the Gram values steer it too. No value exceeds the one at
         z = 0. Returns (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
@@ -376,12 +370,11 @@ class OrbitBallContext:
             return linalg.batch_spectral_norms(
                 mats(rows, P).reshape(-1, d, d)).reshape(P.shape[:2])
 
-        closed = d == 2 or (d == 3 and len(A) * len(_pattern(len(NM))) >= _CLOSED_3X3)
         scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
         z, g, _ = compass_min(lambda rows, P: _gram_sigma1(mats(rows, P)),
                               np.zeros((len(A), NM.shape[0])),
                               init_step=scale, step_tol=GAUGE_TOL * scale / 4.0,
-                              batch_fn=steer if closed else None)
+                              batch_fn=steer if d == 2 else None)
         return g, t_hat + z @ self.null_vecs.T
 
     def gauges(self, V):
@@ -442,7 +435,8 @@ class OrbitBallContext:
         add (d + k)(1 + 2 sqrt(r)) eps kappa, kappa = s_1 / s_r, so each
         G_j is within delta ||G_j||_F of the exact one, with
         delta = (d + k)(3 + 2 sqrt(r)) eps kappa + 2 d sqrt(k) eps |x| / s_r
-        (the frame Q_l itself is taken as exact). So the exact L is at most
+        (the frame Q_l itself is taken as exact, and its rounding is left
+        out of both bounds). So the exact L is at most
         L' + delta sqrt(t), and the ceiling, which bounds both it and every
         value, is (L' + m eps sqrt(t)) (1 + d (d + 1) eps) + delta sqrt(t).
         On the other side, u G is within delta sqrt(t) of an exact preimage
