@@ -1,7 +1,10 @@
 """Command-line front door: problem files in, JSON or table reports out.
 
 Problem files are JSON objects with fields dim, basis, x and optionally
-y, n, tol, budget, seed. Numbers in reports carry 17 significant digits
+y, n, tol, budget, seed. n, tol and budget set the parameters of the same
+name (flags override them); seed is only echoed into the report, and
+project draws its probes from the fixed PROBE_SEED (1729) whatever the
+file says. Numbers in reports carry 17 significant digits
 so a report re-read from disk reproduces the doubles exactly; identical
 input and flags produce byte-identical output. Exit codes: 0 success,
 1 input error, 2 refusal, 3 solver failure.

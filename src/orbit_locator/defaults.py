@@ -8,7 +8,7 @@ the test suite in agreement.
 """
 
 TOL = 1e-6        # distance tolerance
-GAUGE_TOL = 1e-10  # step floor of the orbit-ball gauge pattern search
+GAUGE_TOL = 1e-10  # orbit-ball gauge stop: dual gap at one null coordinate, step floor at more
 BUDGET = 30       # nested-limit level budget
 RANK_TOL = 1e-9   # rank cuts: SVD of Phi (orbit rank), Gram-Schmidt, basis validation
 MEM_TOL = 1e-9    # relative spectral-norm membership band: sigma1 <= n*(1+MEM_TOL)

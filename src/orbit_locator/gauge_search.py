@@ -1,0 +1,237 @@
+"""Minimisers of sigma1 over the null coordinates of an orbit-ball gauge.
+
+With A the matrix of a vector's least-norm preimage and N_1..N_p the
+matrices of the span operators that kill x, the gauge is the least
+sigma1(A + sum_l z_l N_l) over z in R^p, a convex function of z. At
+p = 1 it is a function of one variable, and sigma1_newton minimises it by
+bracketed Newton steps that stop on a dual gap; line_derivs supplies its
+value, slope and curvature. At p >= 2 the optimum generically ties the
+top singular values, where those derivatives do not exist, and the
+derivative-free pattern search compass_min runs instead. Both run many
+searches in lockstep, one per row, as the gauge kernel evaluates whole
+stacks of vectors.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+_LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
+_MAX_EVALS = 50_000      # compass_min's per-search cap on probes
+_NEWTON_ROUNDS = 50      # sigma1_newton's cap on lockstep rounds
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern(m: int) -> np.ndarray:
+    """The probes of one compass_min round in R^m for a unit step, in probe
+    order: +-e_i, then (+-e_i +- e_j) / sqrt(2) for i < j, at each of the
+    _LEVELS step scales 1, 1/2, ..., largest first. Shared, so read-only."""
+    dirs = []
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = 1.0
+        dirs.append(e)
+        dirs.append(-e)
+    for i in range(m):
+        for j in range(i + 1, m):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    e = np.zeros(m)
+                    e[i] = si
+                    e[j] = sj
+                    dirs.append(e / np.sqrt(2.0))
+    D = np.stack(dirs) if dirs else np.zeros((0, m))
+    D = np.concatenate([D * 0.5 ** i for i in range(_LEVELS)])
+    D.flags.writeable = False
+    return D
+
+
+def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
+    """Derivative-free coordinate/diagonal pattern descent, one search per
+    row of z0, all run in lockstep.
+
+    Search i minimizes its own objective over R^m from z0[i] (init_step
+    and step_tol are scalars or one value per search). Each round probes
+    every pattern direction at the four step sizes s, s/2, s/4 and s/8 at
+    once and moves to the best improving probe, keeping s; when no probe
+    improves, s shrinks by 16, and the search stops once s is at most
+    step_tol. On convex objectives the final value is within O(step) of
+    the minimum. fn(rows, P) evaluates the objectives of the searches
+    rows[j] at the points P[j], shape (len(rows), p, m), and returns shape
+    (len(rows), p); each round makes one call covering every search still
+    active. batch_fn, when given, has the same form and approximates fn
+    more cheaply; it only steers the searches, and the returned values are
+    re-anchored on fn, where a search whose end fn puts above its start
+    keeps its start. So no returned value exceeds fn(z0). Returns
+    (z, fn(z), evaluations) with z of the shape of z0, one value per
+    search and the total number of evaluations; evaluations and
+    _MAX_EVALS (a per-search cap) count probes.
+    """
+    z = np.array(z0, dtype=float)
+    S, m = z.shape
+    D = _pattern(m)
+    every = np.arange(S)
+    f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
+    z_start, f_start = z.copy(), f.copy()
+    evals = S
+    if m:
+        steer = fn if batch_fn is None else batch_fn
+        step = np.full(S, init_step, dtype=float)
+        floor = np.full(S, step_tol, dtype=float)
+        # the active searches are kept compacted and written back only when
+        # one stops; all of them have made the same number of evaluations
+        act = every[step > floor]
+        za, fa, sa, la = z[act], f[act], step[act], floor[act]
+        rows = np.arange(act.size)
+        per_search = 1
+        while act.size and per_search < _MAX_EVALS:
+            cand = za[:, None, :] + sa[:, None, None] * D
+            vals = np.asarray(steer(act, cand), dtype=float)
+            evals += vals.size
+            per_search += D.shape[0]
+            j = vals.argmin(axis=1)
+            low = vals[rows, j]
+            better = low < fa - 1e-18
+            moved = np.count_nonzero(better)
+            if moved:
+                np.copyto(za, cand[rows, j], where=better[:, None])
+                np.copyto(fa, low, where=better)
+            if moved == act.size:
+                continue
+            np.multiply(sa, 0.5 ** _LEVELS, out=sa, where=~better)
+            keep = sa > la
+            if np.count_nonzero(keep) < act.size:
+                z[act], f[act] = za, fa
+                act, za, fa, sa, la = (act[keep], za[keep], fa[keep],
+                                       sa[keep], la[keep])
+                rows = rows[:act.size]
+        z[act], f[act] = za, fa
+        if batch_fn is not None:
+            end = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
+            evals += S
+            back = end > f_start
+            z[back] = z_start[back]
+            f = np.where(back, f_start, end)
+    return z, f, evals
+
+
+def sigma1_newton(derivs, c, tol, width):
+    """Bracketed Newton minimisation of phi(z) = sigma1(A + z N) over one
+    real z, for a d x d matrix N of unit Frobenius norm, one search per
+    row, all run in lockstep from z = 0.
+
+    derivs(z) returns (phi, phi', phi'') of every search at its point in
+    z, shape (S,) each: phi' any subgradient where phi has a kink, and
+    phi'' inf or nan where it is undefined. phi is convex, so the sign of
+    phi' says on which side of a point the minimum lies: each search keeps
+    the last point on either side as the ends of its bracket, and since
+    every new point falls inside the bracket, the ends also hold its least
+    values. Until a side has a point, its end is that of the box
+    |z + c| <= width phi(0), c = <N, A> and width = sqrt(d), which holds
+    the minimum: phi(z) >= ||A + z N||_F / width >= |z + c| / width, and
+    the minimum is at most phi(0). The next point is the Newton step
+    z - phi'/phi'' when it falls strictly inside the bracket, otherwise the
+    crossing of the tangents at the bracket's ends, or, before the search
+    has points on both sides, the box's end.
+
+    Every point gives the dual lower bound (phi - phi'(c + z)) /
+    (1 + width |phi'|), from W = u1 v1' - phi' N: <W, N> = 0, so
+    <W, A + w N> = <W, A> <= ||W||_* phi(w) for every w, and
+    ||W||_* <= 1 + sqrt(d) |phi'|. With points on both sides the value at
+    the tangents' crossing bounds the minimum from below too, by
+    convexity; it is the bound that closes at a kink. Every search takes
+    a step each round, a search whose least value is within its tol (a
+    scalar or one per row) of its best lower bound too, as that can only
+    tighten both, until all of them are, or for _NEWTON_ROUNDS rounds.
+    Returns (z, phi(z), lower, rounds): the point of the least value found
+    per search, that value, the best lower bound (at least 0) and the
+    number of rounds."""
+    c = np.asarray(c, dtype=float)
+    z = np.zeros(c.size)
+    f, g, h = derivs(z)
+    # the bracket's ends (z, phi, phi'); a box end has phi = inf
+    lo = np.stack([-c - width * f, np.full(c.size, np.inf), np.zeros(c.size)])
+    hi = np.stack([-c + width * f, lo[1], lo[2]])
+    low = np.zeros(c.size)
+    rounds = 1
+    # box ends make the crossing inf or nan; only rows with both ends use it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            # a point with phi' = 0 is a minimum: it closes its gap as lo
+            left = g <= 0.0
+            pt = np.stack([z, f, g])
+            np.copyto(lo, pt, where=left)
+            np.copyto(hi, pt, where=~left)
+            (zl, fl, gl), (zh, fh, gh) = lo, hi
+            np.maximum(low, (f - g * (c + z)) / (1.0 + width * np.abs(g)), out=low)
+            both = np.isfinite(fl + fh)
+            cross = (fh - fl + gl * zl - gh * zh) / (gl - gh)
+            np.maximum(low, fl + gl * (cross - zl), out=low, where=both)
+            if rounds == _NEWTON_ROUNDS or np.all(np.minimum(fl, fh) - low <= tol):
+                at_lo = fl <= fh
+                return np.where(at_lo, zl, zh), np.where(at_lo, fl, fh), low, rounds
+            # z is an end now, so a Newton step strictly inside the bracket
+            # heads for the minimum, which takes phi'' > 0
+            newton = z - g / h
+            z = np.where((newton > zl) & (newton < zh), newton,
+                         np.where(both, cross, np.where(left, zh, zl)))
+            f, g, h = derivs(z)
+            rounds += 1
+
+
+def line_derivs(A, N, d):
+    """sigma1_newton's derivs for phi_i(z) = sigma1(A_i + z N), with A a
+    stack of flattened d x d rows and N one flattened d x d matrix.
+
+    At d = 2 in closed form, from the complex pair of
+    linalg.batch_spectral_norms: [[a, b], [c, e]] has sigma1 = |w_1| +
+    |w_2| with w_1 = ((a + e) + i(c - b)) / 2 and
+    w_2 = ((a - e) + i(c + b)) / 2. Along the line w = p + z q, so
+    |w|' = Re(w q*) / |w| and |w|'' = Im(p q*)^2 / |w|^3; where w = 0
+    the kink takes the subgradient 0 and the curvature inf. At d >= 3
+    from one stacked eigh of the Grams X'X, X = A_i + z N, with eigenpairs
+    (lam_j, v_j) and lam_1 the top: lam_1' = 2 <X v_1, N v_1> and
+    lam_1'' = 2 |N v_1|^2 + 2 sum_j w_j^2 / (lam_1 - lam_j),
+    w_j = <X v_j, N v_1> + <N v_j, X v_1> (second-order perturbation of
+    X'X + z (X'N + N'X) + z^2 N'N), and phi = sqrt(lam_1),
+    phi' = lam_1' / 2 phi, phi'' = lam_1'' / 2 phi - lam_1'^2 / 4 phi^3;
+    a top eigenvalue tied with the next leaves the curvature undefined
+    (inf or nan)."""
+    if d == 2:
+        def pair(M):
+            a, b, c, e = M[..., 0], M[..., 1], M[..., 2], M[..., 3]
+            return 0.5 * np.stack([(a + e) + 1j * (c - b), (a - e) + 1j * (c + b)], axis=-1)
+
+        P, q = pair(A), pair(N)
+        qc = q.conj()
+        bend = (P * qc).imag ** 2
+
+        def derivs(z):
+            w = P + z[:, None] * q
+            h = np.abs(w)
+            pos = h > 0.0
+            dh = np.divide((w * qc).real, h, out=np.zeros_like(h), where=pos)
+            ddh = np.divide(bend, h * h * h, out=np.full_like(h, np.inf), where=pos)
+            return h.sum(axis=1), dh.sum(axis=1), ddh.sum(axis=1)
+        return derivs
+
+    Nm = N.reshape(d, d)
+
+    def derivs(z):
+        X = (A + z[:, None] * N).reshape(-1, d, d)
+        lam, V = np.linalg.eigh(np.swapaxes(X, 1, 2) @ X)
+        XV, NV = X @ V, Nm @ V
+        xv, nv = XV[..., -1], NV[..., -1]
+        dlam = 2.0 * np.einsum("si,si->s", xv, nv)
+        w = (np.einsum("sij,si->sj", XV[..., :-1], nv)
+             + np.einsum("sij,si->sj", NV[..., :-1], xv))
+        f = np.sqrt(np.maximum(lam[:, -1], 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ddlam = 2.0 * (np.einsum("si,si->s", nv, nv)
+                           + np.sum(w * w / (lam[:, -1:] - lam[:, :-1]), axis=1))
+            g = np.where(f > 0.0, dlam / (2.0 * f), 0.0)
+            h = ddlam / (2.0 * f) - dlam * dlam / (4.0 * f ** 3)
+        return f, g, h
+    return derivs

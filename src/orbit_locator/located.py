@@ -27,15 +27,16 @@ the query cache; a single level is the one-row case.
 The shortcut is decided lazily. sigma1 of the least-norm preimage of Py
 bounds gauge(Py) from above (it is the gauge when no span operator kills
 x), so when that bound already clears n the answer is Py, witnessed by
-the least-norm preimage; only otherwise does the gauge's pattern search
-over the null directions run. Gauges are evaluated row-wise on stacks of
-vectors by one kernel, whose every value is sigma1 of a preimage taken
+the least-norm preimage; only otherwise does the gauge's search over the
+null directions run. Gauges are evaluated row-wise on stacks of vectors
+by one kernel, whose every returned value is sigma1 of a preimage taken
 as the root of the top eigenvalue of its Gram, from one stacked eigvalsh.
 With A the matrix of a row's least-norm preimage, that value at A is the
-whole kernel without a null space; with one, a lockstep pattern search
-over the null coordinates z of sigma1(A + sum_l z_l mat(N_l)) takes
-those values, steered by the closed-form spectral norms at d = 2, where
-they cost less. On a fixed
+whole kernel without a null space. With one, the kernel minimises
+sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by one of the
+lockstep searches of gauge_search: at one null coordinate bracketed
+Newton steps that stop on a dual gap, at two or more the pattern search
+compass_min. On a fixed
 subspace W the kernel is compiled once (gauge_on): A is the combination
 of the matrices of W's basis vectors, so a round of the inner-radius
 search builds no preimage and makes no per-row span test. The same
@@ -51,7 +52,6 @@ distance brackets for small coefficient counts.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -61,6 +61,7 @@ from . import linalg, operators
 from .defaults import GAUGE_TOL, GRID_CAP, MAX_SOLVER_ITERS, RANK_TOL, TOL
 from .errors import (DimensionError, GridOracleRefusal, OrbitLocatorError,
                      SolverFailure)
+from .gauge_search import compass_min, line_derivs, sigma1_newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,105 +143,9 @@ class LocatedSet:
         return gauge, float(ceiling), float(slack)
 
 
-_LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
-_MAX_EVALS = 50_000    # compass_min's per-search cap on probes
 _MAX_OUTER = 80        # _sqp's iteration cap
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
-
-
-@functools.lru_cache(maxsize=16)
-def _pattern(m: int) -> np.ndarray:
-    """The probes of one compass_min round in R^m for a unit step, in probe
-    order: +-e_i, then (+-e_i +- e_j) / sqrt(2) for i < j, at each of the
-    _LEVELS step scales 1, 1/2, ..., largest first. Shared, so read-only."""
-    dirs = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        dirs.append(e)
-        dirs.append(-e)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    e = np.zeros(m)
-                    e[i] = si
-                    e[j] = sj
-                    dirs.append(e / np.sqrt(2.0))
-    D = np.stack(dirs) if dirs else np.zeros((0, m))
-    D = np.concatenate([D * 0.5 ** i for i in range(_LEVELS)])
-    D.flags.writeable = False
-    return D
-
-
-def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
-    """Derivative-free coordinate/diagonal pattern descent, one search per
-    row of z0, all run in lockstep.
-
-    Search i minimizes its own objective over R^m from z0[i] (init_step
-    and step_tol are scalars or one value per search). Each round probes
-    every pattern direction at the four step sizes s, s/2, s/4 and s/8 at
-    once and moves to the best improving probe, keeping s; when no probe
-    improves, s shrinks by 16, and the search stops once s is at most
-    step_tol. On convex objectives the final value is within O(step) of
-    the minimum. fn(rows, P) evaluates the objectives of the searches
-    rows[j] at the points P[j], shape (len(rows), p, m), and returns shape
-    (len(rows), p); each round makes one call covering every search still
-    active. batch_fn, when given, has the same form and approximates fn
-    more cheaply; it only steers the searches, and the returned values are
-    re-anchored on fn, where a search whose end fn puts above its start
-    keeps its start. So no returned value exceeds fn(z0). Returns
-    (z, fn(z), evaluations) with z of the shape of z0, one value per
-    search and the total number of evaluations; evaluations and
-    _MAX_EVALS (a per-search cap) count probes.
-    """
-    z = np.array(z0, dtype=float)
-    S, m = z.shape
-    D = _pattern(m)
-    every = np.arange(S)
-    f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
-    z_start, f_start = z.copy(), f.copy()
-    evals = S
-    if m:
-        steer = fn if batch_fn is None else batch_fn
-        step = np.full(S, init_step, dtype=float)
-        floor = np.full(S, step_tol, dtype=float)
-        # the active searches are kept compacted and written back only when
-        # one stops; all of them have made the same number of evaluations
-        act = every[step > floor]
-        za, fa, sa, la = z[act], f[act], step[act], floor[act]
-        rows = np.arange(act.size)
-        per_search = 1
-        while act.size and per_search < _MAX_EVALS:
-            cand = za[:, None, :] + sa[:, None, None] * D
-            vals = np.asarray(steer(act, cand), dtype=float)
-            evals += vals.size
-            per_search += D.shape[0]
-            j = vals.argmin(axis=1)
-            low = vals[rows, j]
-            better = low < fa - 1e-18
-            moved = np.count_nonzero(better)
-            if moved:
-                np.copyto(za, cand[rows, j], where=better[:, None])
-                np.copyto(fa, low, where=better)
-            if moved == act.size:
-                continue
-            np.multiply(sa, 0.5 ** _LEVELS, out=sa, where=~better)
-            keep = sa > la
-            if np.count_nonzero(keep) < act.size:
-                z[act], f[act] = za, fa
-                act, za, fa, sa, la = (act[keep], za[keep], fa[keep],
-                                       sa[keep], la[keep])
-                rows = rows[:act.size]
-        z[act], f[act] = za, fa
-        if batch_fn is not None:
-            end = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
-            evals += S
-            back = end > f_start
-            z[back] = z_start[back]
-            f = np.where(back, f_start, end)
-    return z, f, evals
 
 
 class OrbitBallContext:
@@ -352,30 +257,40 @@ class OrbitBallContext:
         A = mat(t_hat) flattened (one row each): min over z of
         sigma1(A + sum_l z_l mat(N_l)), every value _gram_sigma1 of a
         preimage. Without a null space that is one _gram_sigma1 call on A.
-        With one, a lockstep pattern search runs from z = 0 down to the step
-        GAUGE_TOL max(1, |t_hat|) / 4, each round one sweep spanning four
-        step sizes. At d = 2, where they cost less than eigvalsh, the
-        closed-form spectral norms steer it and the values are re-anchored;
-        at d >= 3 the Gram values steer it too. No value exceeds the one at
-        z = 0. Returns (values, coefficient rows)."""
+        Both searches take the tolerance GAUGE_TOL max(1, |t_hat|) / 4.
+        With one null coordinate sigma1_newton runs on the derivatives of
+        line_derivs (closed form at d = 2, one stacked eigh at d >= 3) and
+        stops once its dual gap is within it; its end is re-anchored on
+        _gram_sigma1, and a row whose end that puts above its value at
+        z = 0 keeps z = 0. With two or more a lockstep pattern search runs
+        from z = 0 down to that step, each round one sweep spanning four
+        step sizes, steered at d = 2 by the closed-form spectral norms,
+        which cost less than eigvalsh there, and then re-anchored the same
+        way by compass_min. So no value exceeds the one at z = 0. Returns
+        (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
         if not NM.shape[0]:
             return _gram_sigma1(A.reshape(-1, d, d)), t_hat
-
-        def mats(rows, P):
-            return (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)
-
-        def steer(rows, P):
-            return linalg.batch_spectral_norms(
-                mats(rows, P).reshape(-1, d, d)).reshape(P.shape[:2])
-
         scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
-        z, g, _ = compass_min(lambda rows, P: _gram_sigma1(mats(rows, P)),
-                              np.zeros((len(A), NM.shape[0])),
-                              init_step=scale, step_tol=GAUGE_TOL * scale / 4.0,
-                              batch_fn=steer if d == 2 else None)
-        return g, t_hat + z @ self.null_vecs.T
+        tol = GAUGE_TOL * scale / 4.0
+        if NM.shape[0] > 1:
+            def mats(rows, P):
+                return (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)
+
+            def steer(rows, P):
+                return linalg.batch_spectral_norms(
+                    mats(rows, P).reshape(-1, d, d)).reshape(P.shape[:2])
+
+            z, g, _ = compass_min(lambda rows, P: _gram_sigma1(mats(rows, P)),
+                                  np.zeros((len(A), NM.shape[0])), init_step=scale,
+                                  step_tol=tol, batch_fn=steer if d == 2 else None)
+            return g, t_hat + z @ self.null_vecs.T
+        z = sigma1_newton(line_derivs(A, NM[0], d), A @ NM[0], tol, np.sqrt(d))[0]
+        g = _gram_sigma1(np.stack([A, A + z[:, None] * NM[0]]).reshape(2, -1, d, d))
+        back = g[1] > g[0]
+        z[back] = 0.0
+        return np.where(back, g[0], g[1]), t_hat + z[:, None] * self.null_vecs[:, 0]
 
     def gauges(self, V):
         """Row-wise gauge of a stack of vectors: (values, coefficient rows),
@@ -426,17 +341,20 @@ class OrbitBallContext:
         m eps sqrt(t) of u G in Frobenius norm, so it is at most
         (L' + m eps sqrt(t)) (1 + d (d + 1) eps).
 
-        The generators carry the rounding of the preimage: t_hat comes
-        from the SVD of the computed Phi, which is off from Phi by at most
-        (d + k) eps s_1 (the SVD's backward error) plus d sqrt(k) eps |x|
-        (forming Phi = [Q_l x]), with s_1 >= ... >= s_r the kept singular
-        values. That moves a least-norm preimage by at most 2 ||Phi^+||
-        times that error, relative, and the products of t_hat's formula
-        add (d + k)(1 + 2 sqrt(r)) eps kappa, kappa = s_1 / s_r, so each
-        G_j is within delta ||G_j||_F of the exact one, with
-        delta = (d + k)(3 + 2 sqrt(r)) eps kappa + 2 d sqrt(k) eps |x| / s_r
-        (the frame Q_l itself is taken as exact, and its rounding is left
-        out of both bounds). So the exact L is at most
+        The generators carry the rounding of the preimage and of the frame.
+        The computed frame Q_l is within e_Q = subspace.frame_error of
+        matrices Q''_l of the exact span (in the Frobenius norm of the
+        whole stack). t_hat comes from the SVD of the computed Phi, which
+        is off from Phi'' = [Q''_l x] by at most (d + k) eps s_1 (the SVD's
+        backward error) plus (d sqrt(k) eps + e_Q) |x| (forming
+        Phi = [Q_l x], and the frame), with s_1 >= ... >= s_r the kept
+        singular values. That moves a least-norm preimage by at most
+        2 ||Phi^+|| times that error, relative, and the products of t_hat's
+        formula add (d + k)(1 + 2 sqrt(r)) eps kappa, kappa = s_1 / s_r;
+        taking mat over Q''_l instead of Q_l moves G_j by e_Q |T_j| more.
+        So each G_j is within delta ||G_j||_F of an exact preimage in the
+        span, with delta = (d + k)(3 + 2 sqrt(r)) eps kappa
+        + 2 (d sqrt(k) eps + e_Q) |x| / s_r + e_Q. So the exact L is at most
         L' + delta sqrt(t), and the ceiling, which bounds both it and every
         value, is (L' + m eps sqrt(t)) (1 + d (d + 1) eps) + delta sqrt(t).
         On the other side, u G is within delta sqrt(t) of an exact preimage
@@ -463,8 +381,10 @@ class OrbitBallContext:
         k, r, sv = self.k, self.rank, self.range_sv
         delta = 0.0   # at rank 0 only zero columns pass the span test: G = 0
         if r:
+            e_Q = self.subspace.frame_error
             delta = float((d + k) * (3.0 + 2.0 * np.sqrt(r)) * eps * sv[0] / sv[-1]
-                          + 2.0 * d * np.sqrt(k) * eps * np.linalg.norm(self.x) / sv[-1])
+                          + 2.0 * (d * np.sqrt(k) * eps + e_Q) * np.linalg.norm(self.x) / sv[-1]
+                          + e_Q)
         ceiling = ((np.sqrt(max(float(lam), 0.0) + (m + 2) * d * eps * root * root)
                     + m * eps * root) * (1.0 + d * (d + 1) * eps) + delta * root)
         slack = ((1.0 + np.sqrt(d)) * delta + (m + d * (d + 1)) * eps) * root

@@ -52,6 +52,27 @@ class OperatorSubspace:
         stack.flags.writeable = False
         return stack
 
+    @functools.cached_property
+    def frame_error(self) -> float:
+        """A first-order bound e_Q on the distance of the computed ortho
+        frame from a frame of the exact span of the basis: some matrices
+        Q''_l of the span have sum_l ||ortho_l - Q''_l||_F^2 <= e_Q^2.
+        make_subspace takes the frame from the Householder QR of the
+        flattened basis B (d^2 x k), which is backward stable column by
+        column (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., Thm 19.4 and (19.13)): with gamma = d^2 k eps, B + dB = Q'R
+        for a Q' with orthonormal columns within sqrt(k) gamma of the
+        computed frame in Frobenius norm, and |dB_j| <= gamma |B_j|. So
+        Q'' = B R^-1, which lies in the span, is within
+        ||dB D^-1||_F ||D R^-1|| <= sqrt(k) gamma / s_min(R D^-1) of Q',
+        with D the column norms of B (those of R), and
+        e_Q = sqrt(k) gamma (1 + 1 / s_min(R D^-1)). It grows with the
+        condition of the column-scaled basis."""
+        R = self.upper_tri
+        gamma = self.dim ** 2 * self.k * np.finfo(float).eps
+        s_min = np.linalg.svd(R / np.linalg.norm(R, axis=0), compute_uv=False)[-1]
+        return float(np.sqrt(self.k) * gamma * (1.0 + 1.0 / s_min))
+
     def to_ortho_coeffs(self, coeffs) -> np.ndarray:
         return self.upper_tri @ np.asarray(coeffs, dtype=float)
 

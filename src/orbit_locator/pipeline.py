@@ -9,7 +9,7 @@ needed to locate orbits and certify the result against ||y - Py||.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +37,10 @@ class ProjectionCertificate:
     note: str = ""
 
 
-def truncation_index(y, r: float) -> int:
-    """Smallest integer N with N > 2||y||/r.
+def truncation_index(y, r: float):
+    """Smallest integer N with N > 2||y||/r, for a vector y or a scalar
+    ||y||; for a stack of vectors (2-d y), one N per row as an int64
+    array, each equal to the N of that row alone.
 
     The comparison carries a 1+1e-12 safety factor so values that are
     integers up to roundoff still satisfy the strict inequality.
@@ -46,9 +48,18 @@ def truncation_index(y, r: float) -> int:
     r = float(r)
     if r <= 0.0:
         raise DimensionError("truncation needs a positive inner radius")
-    ny = float(np.linalg.norm(linalg.as_vector(y))) if np.ndim(y) else float(abs(y))
-    ratio = 2.0 * ny / r
-    return int(math.floor(ratio * (1.0 + 1e-12))) + 1
+    arr = np.asarray(y, dtype=float)
+    if arr.ndim == 0:
+        ny = np.abs(arr)[None]
+    else:
+        rows = linalg.as_matrix(arr) if arr.ndim == 2 else linalg.as_vector(arr)[None]
+        ny = np.linalg.norm(rows, axis=1)
+    below = np.floor(2.0 * ny / r * (1.0 + 1e-12))
+    if arr.ndim < 2:
+        return int(below[0]) + 1
+    if not below.max() < 2.0 ** 62:
+        raise DimensionError("truncation index beyond the int64 range")
+    return below.astype(np.int64) + 1
 
 
 def _inner_radius_in_span(
@@ -113,6 +124,23 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
     return d, N
 
 
+@functools.lru_cache(maxsize=16)
+def _probe_set(dim: int, probes: int) -> np.ndarray:
+    """The probes of build_projection in R^dim, one per row: the canonical
+    basis vectors, then `probes` draws from default_rng(PROBE_SEED), each a
+    normal vector scaled to a uniform length in [0.2, 2). Drawn once per
+    (dim, probes) and shared, so read-only."""
+    rng = np.random.default_rng(PROBE_SEED)
+    rows = list(np.eye(dim))
+    for _ in range(probes):
+        v = rng.standard_normal(dim)
+        v /= max(float(np.linalg.norm(v)), 1e-300)
+        rows.append(v * rng.uniform(0.2, 2.0))
+    Y = np.stack(rows)
+    Y.flags.writeable = False
+    return Y
+
+
 def build_projection(subspace: operators.OperatorSubspace, x,
                      tol: float = TOL, *,
                      probes: int = 8) -> ProjectionCertificate:
@@ -120,9 +148,11 @@ def build_projection(subspace: operators.OperatorSubspace, x,
 
     A rank-0 orbit yields the zero projector, radius 0 and an empty
     trace. Otherwise each probe y (canonical basis vectors, then `probes`
-    seeded pseudo-random vectors) is recorded with the truncation index N
-    of the radius floor, the distance pipeline_distance returns at that
-    floor, and the ground-truth value ||y - Py||. One stacked test settles
+    seeded pseudo-random vectors, the read-only rows of _probe_set) is
+    recorded with the truncation index N of the radius floor, taken for
+    all probes in one row-wise call, the distance pipeline_distance
+    returns at that floor, and the ground-truth value ||y - Py||, by the
+    per-row formula of the context's query. One stacked test settles
     the probes whose least-norm preimage of Py already lies in the level-N
     ball: their distance is ||y - Py|| by the interior route, so for them
     the recorded agreement holds by construction. Only the others run
@@ -138,22 +168,16 @@ def build_projection(subspace: operators.OperatorSubspace, x,
             note="rank-0 orbit: projector is 0 and no probes apply")
     rr = _inner_radius_in_span(ctx)
     P = ctx.geo.P
-    rng = np.random.default_rng(PROBE_SEED)
-    probe_list = [np.eye(dim)[i] for i in range(dim)]
-    for _ in range(probes):
-        v = rng.standard_normal(dim)
-        v /= max(float(np.linalg.norm(v)), 1e-300)
-        probe_list.append(v * rng.uniform(0.2, 2.0))
-    d_oracle = [float(np.linalg.norm(y - P @ y)) for y in probe_list]
+    Y = _probe_set(dim, probes)
+    d_oracle = [float(np.linalg.norm(y - P @ y)) for y in Y]
     if rr.floor <= tol:
         rows = [ProbeRow(y=y, N=0, d_pipeline=float("nan"), d_oracle=d)
-                for y, d in zip(probe_list, d_oracle)]
+                for y, d in zip(Y, d_oracle)]
     else:
-        Ns = [truncation_index(y, rr.floor) for y in probe_list]
-        inside = ctx.interior_rows(np.stack(probe_list),
-                                   np.array(Ns, dtype=float))
+        Ns = truncation_index(Y, rr.floor)
+        inside = ctx.interior_rows(Y, Ns.astype(float))
         rows = []
-        for y, N, d, ok in zip(probe_list, Ns, d_oracle, inside):
+        for y, N, d, ok in zip(Y, Ns.tolist(), d_oracle, inside):
             d_pipe = d if ok else pipeline_distance(
                 subspace, x, y, tol, ctx=ctx, radius=rr.floor)[0]
             rows.append(ProbeRow(y=y, N=N, d_pipeline=d_pipe, d_oracle=d))

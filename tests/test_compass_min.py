@@ -1,13 +1,15 @@
-"""compass_min, the lockstep pattern search behind every gauge with a null
-space and every inner radius, against references that do not use it:
-dense grids and golden section on the dilation oracle of conftest."""
+"""The lockstep searches behind every gauge with a null space and every
+inner radius, against references that do not use them: dense grids and
+golden section on the dilation oracle of conftest. sigma1_newton runs at
+one null coordinate, compass_min at two or more."""
 
 import numpy as np
 import pytest
 
-from orbit_locator import (OrbitBallContext, located, make_subspace,
-                           span_inner_radius)
-from conftest import svd_sigma, svd_sigmas
+from orbit_locator import (OrbitBallContext, diag_subspace, located,
+                           make_subspace, span_inner_radius)
+from orbit_locator.defaults import GAUGE_TOL
+from conftest import stretched_null_problem, svd_sigma, svd_sigmas
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -119,18 +121,18 @@ def test_steered_search_keeps_its_start_when_fn_disagrees():
     assert np.array_equal(f, fn(np.arange(2), z[:, None, :])[:, 0])
 
 
-def null_space_problem(seed):
-    """A dimension-2 subspace of three operators whose orbit has rank 2,
-    built like the span corpus shape (2, 3, 2): the third operator sends x
-    into the span of the first two images, so the orbit map has a
-    one-dimensional kernel and every gauge runs a pattern search."""
+def null_space_problem(seed, dim=2):
+    """dim + 1 operators on R^dim whose orbit has rank dim, built like the
+    span corpus shape (2, 3, 2): the last operator sends x into the span
+    of the other images, so the orbit map has a one-dimensional kernel and
+    every gauge runs a search over one null coordinate."""
     g = np.random.default_rng(seed)
-    x = g.normal(size=2)
-    basis = [g.normal(size=(2, 2)) for _ in range(2)]
-    kill_x = np.eye(2) - np.outer(x, x) / float(x @ x)
-    mix = g.normal(size=2)
-    basis.append(mix[0] * basis[0] + mix[1] * basis[1]
-                 + g.normal(size=(2, 2)) @ kill_x)
+    x = g.normal(size=dim)
+    basis = [g.normal(size=(dim, dim)) for _ in range(dim)]
+    kill_x = np.eye(dim) - np.outer(x, x) / float(x @ x)
+    mix = g.normal(size=dim)
+    basis.append(sum(m * B for m, B in zip(mix, basis))
+                 + g.normal(size=(dim, dim)) @ kill_x)
     return basis, x
 
 
@@ -142,8 +144,7 @@ def reference_gauges(basis, x, V):
     B = np.stack(basis)
     Phi = np.stack([Bi @ x for Bi in basis])            # rows B_i x
     C0 = np.linalg.solve(Phi.T @ Phi, V.T).T @ Phi.T    # least-norm c
-    ker = np.cross(Phi[:, 0], Phi[:, 1])
-    ker /= np.linalg.norm(ker)
+    ker = np.linalg.svd(Phi.T)[2][-1]
 
     def mats(C):
         return np.einsum("qk,kij->qij", C, B)
@@ -154,34 +155,110 @@ def reference_gauges(basis, x, V):
                       -span, span)[0]
 
 
+def record_newton(monkeypatch):
+    """Route the kernel's sigma1_newton through a recorder: a list that
+    gets (tol, (z, f, lower, rounds)) for each call."""
+    calls = []
+    newton = located.sigma1_newton
+
+    def recorded(derivs, c, tol, width):
+        out = newton(derivs, c, tol, width)
+        calls.append((np.broadcast_to(tol, np.shape(c)), out))
+        return out
+
+    monkeypatch.setattr(located, "sigma1_newton", recorded)
+    return calls
+
+
+def check_gauge_rows(ctx, V, vals, ts):
+    """What the inner radius's floor rests on, row by row: each value is
+    sigma1 of mat of its coefficients, that operator sends x to v, and no
+    value exceeds sigma1 of the least-norm preimage (the search's start)."""
+    M = ctx.mat(ts)
+    assert np.allclose(vals, svd_sigmas(M), rtol=1e-12, atol=0.0)
+    miss = np.linalg.norm(M @ ctx.x - V, axis=1)
+    assert np.all(miss <= 1e-9 * np.linalg.norm(V, axis=1)), miss.max()
+    start = located._gram_sigma1(ctx.mat(ctx.min_norm_preimage(V)))
+    assert np.all(vals <= start)
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (2, 7), (3, 0), (3, 1),
+                                       (4, 0), (4, 1)])
+def test_newton_gauges_match_golden_section(dim, seed, monkeypatch):
+    # one null coordinate: every row closes its dual gap at the kernel's
+    # tolerance and lands on the golden-section minimum of the line
+    basis, x = null_space_problem(seed, dim)
+    ctx = OrbitBallContext(make_subspace(basis), x)
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (dim, 1)
+    V = np.random.default_rng(100 + seed).normal(size=(32, dim))
+    calls = record_newton(monkeypatch)
+    monkeypatch.setattr(located, "compass_min", None)
+    vals, ts = ctx.gauges(V)
+    (tol, (_, f, lower, _)), = calls
+    assert np.all(f - lower <= tol), np.max(f - lower - tol)
+    assert np.allclose(tol, GAUGE_TOL * np.maximum(
+        1.0, np.linalg.norm(ctx.min_norm_preimage(V), axis=1)) / 4.0)
+    ref = reference_gauges(basis, x, V)
+    assert np.all(np.abs(vals - ref) <= 1e-10 * ref), np.max(np.abs(vals - ref) / ref)
+    check_gauge_rows(ctx, V, vals, ts)
+
+
+def test_newton_gauges_flat_and_kinked_minima(monkeypatch):
+    # the diagonal family at c = 0, x = e_1: the null coordinate is the
+    # diag(0, 1) direction and sigma1 = max(|s|, |z|) is flat around z = 0,
+    # where the search starts. The stretched problem's line
+    # (sigma1 = max(|S + z'(S - 1)|, |1/2 - z'/2|, 1) / 0.05 at z' the
+    # coefficient of K) has its minimum 20 at a kink where all twelve
+    # singular values tie
+    calls = record_newton(monkeypatch)
+    ctx = OrbitBallContext(diag_subspace(), [1.0, 0.0])
+    V = np.array([[1.0, 0.0], [-0.3, 0.0], [2.5, 0.0]])
+    vals, ts = ctx.gauges(V)
+    assert np.array_equal(vals, np.abs(V[:, 0]))
+    check_gauge_rows(ctx, V, vals, ts)
+    sub, x = stretched_null_problem()
+    ctx = OrbitBallContext(sub, x)
+    V = np.eye(12)[11][None]
+    vals, ts = ctx.gauges(V)
+    assert vals[0] == pytest.approx(20.0, rel=1e-14)
+    check_gauge_rows(ctx, V, vals, ts)
+    for tol, (_, f, lower, rounds) in calls:
+        assert np.all(f - lower <= tol) and rounds <= 3, (f - lower, rounds)
+    assert calls[0][1][3] == 1
+
+
+@pytest.mark.parametrize("dim, k", [(3, 6), (3, 7), (3, 8)])
+def test_pattern_search_gauges_with_3_to_5_null_coordinates(dim, k, monkeypatch):
+    # two or more null coordinates stay on compass_min; its values still
+    # carry what the branch and bound's floor rests on
+    g = np.random.default_rng(k)
+    ctx = OrbitBallContext(make_subspace([g.normal(size=(dim, dim)) for _ in range(k)]),
+                           g.normal(size=dim))
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (dim, k - dim)
+    monkeypatch.setattr(located, "sigma1_newton", None)
+    V = g.normal(size=(6, dim))
+    vals, ts = ctx.gauges(V)
+    check_gauge_rows(ctx, V, vals, ts)
+
+
 def test_tight_gauge_search_rounds(monkeypatch):
     # one tight gauge on a null-space ball: the rounds are sequential and
-    # each costs one spectral-norm sweep, so their number sets the cost of
-    # every inner radius
+    # each costs one stacked derivative evaluation, so their number sets
+    # the cost of every inner radius with one null coordinate
     basis, x = null_space_problem(7)
     ctx = OrbitBallContext(make_subspace(basis), x)
     assert (ctx.rank, ctx.null_vecs.shape[1]) == (2, 1)
     v = np.array([np.cos(0.3), np.sin(0.3)])
-    calls = []
-    search = located.compass_min
-
-    def count(f):
-        def counted(rows, P):
-            calls.append(len(rows))
-            return f(rows, P)
-        return counted
-
-    def counting_search(fn, z0, *, batch_fn=None, **kw):
-        return search(count(fn), z0, **kw,
-                      batch_fn=batch_fn and count(batch_fn))
-
-    monkeypatch.setattr(located, "compass_min", counting_search)
+    calls = record_newton(monkeypatch)
+    monkeypatch.setattr(located, "compass_min", None)
     val, _ = ctx.gauge(v)
     ref = float(reference_gauges(basis, x, v[None])[0])
     assert abs(val - ref) <= 1e-9 * ref, (val, ref)
-    # calls to fn and batch_fn, the start and the re-anchoring included;
-    # with four step sizes probed per round the search makes about 20
-    assert len(calls) <= 25, len(calls)
+    (tol, (_, f, lower, rounds)), = calls
+    assert f[0] - lower[0] <= tol[0]
+    # Newton takes 4; the pattern search took about 20 rounds of four
+    # step sizes each
+    assert rounds <= 6, rounds
 
 
 def test_null_space_inner_radius():

@@ -443,29 +443,53 @@ def test_ellipsoid_line_floor_holds_at_kappa_1e8():
         assert rr.floor <= rr.r
 
 
+def _orbit_line_basis(seed, kappa=1e8):
+    """x = e_1 and two Frobenius-orthonormal operators whose first columns
+    are those of Phi = T / 2 for the T of _conditioned_line, so
+    kappa(Phi) = kappa and the orbit span is the plane; with the unit w."""
+    T, w = _conditioned_line(seed, kappa)
+    Phi = 0.5 * T
+    lam, Z = np.linalg.eigh(np.eye(2) - Phi.T @ Phi)
+    A = (Z * np.sqrt(lam)) @ Z.T
+    return [np.column_stack([Phi[:, j], A[:, j]]) for j in range(2)], w
+
+
+def _floor_below_line_radius(basis, w, floor):
+    """Whether floor <= 1 / g(w) in rationals, for x = e_1 and a basis of
+    two operators: the exact gauge of w is sigma1 of the one
+    M = c_1 B_1 + c_2 B_2 with M x = w, so the test is
+    floor^2 lmax(M'M) <= 1, that is floor^2 (trace + sqrt(trace^2 - 4 det)) / 2 <= 1."""
+    c = _exact_solve(np.column_stack([B[:, 0] for B in basis]), w)
+    M = [[c[0] * Fraction(float(basis[0][i, j])) + c[1] * Fraction(float(basis[1][i, j]))
+          for j in range(2)] for i in range(2)]
+    G = [[M[0][i] * M[0][j] + M[1][i] * M[1][j] for j in range(2)] for i in range(2)]
+    trace, det = G[0][0] + G[1][1], G[0][0] * G[1][1] - G[0][1] ** 2
+    room = 2 / Fraction(floor) ** 2 - trace
+    return room >= 0 and trace ** 2 - 4 * det <= room ** 2
+
+
 def test_orbit_line_floor_holds_at_kappa_1e8():
-    # the same line on an orbit ball: x = e_1 and two Frobenius-orthonormal
-    # operators whose first columns are those of Phi = T / 2, so
-    # kappa(Phi) = 1e8 and the orbit span is the plane. The exact gauge of
-    # w is sigma1 of the one M = c_1 B_1 + c_2 B_2 with M x = w, and
-    # floor^2 lmax(M'M) <= 1 in rationals. Without the generators' slack
-    # 20 of the 40 floors came out above, by up to 5e-8
+    # the same line on an orbit ball, with kappa(Phi) = 1e8. Without the
+    # generators' slack 20 of the 40 floors came out above, by up to 5e-8
     for seed in range(40):
-        T, w = _conditioned_line(seed)
-        Phi = 0.5 * T
-        lam, Z = np.linalg.eigh(np.eye(2) - Phi.T @ Phi)
-        A = (Z * np.sqrt(lam)) @ Z.T
-        basis = [np.column_stack([Phi[:, j], A[:, j]]) for j in range(2)]
+        basis, w = _orbit_line_basis(seed)
         rr = inner_radius(orbit_ball(make_subspace(basis), np.eye(2)[0], 1.0), [w])
-        c = _exact_solve(Phi, w)
-        M = [[c[0] * Fraction(float(basis[0][i, j])) + c[1] * Fraction(float(basis[1][i, j]))
-              for j in range(2)] for i in range(2)]
-        G = [[M[0][i] * M[0][j] + M[1][i] * M[1][j] for j in range(2)] for i in range(2)]
-        trace, det = G[0][0] + G[1][1], G[0][0] * G[1][1] - G[0][1] ** 2
-        # floor^2 (trace + sqrt(trace^2 - 4 det)) / 2 <= 1
-        room = 2 / Fraction(rr.floor) ** 2 - trace
-        below = room >= 0 and trace ** 2 - 4 * det <= room ** 2
-        assert below, seed
+        assert _floor_below_line_radius(basis, w, rr.floor), seed
+        assert rr.floor <= rr.r
+
+
+@pytest.mark.parametrize("s", [2e-4, 2e-6, 2e-8])
+def test_orbit_line_floor_holds_on_an_ill_conditioned_basis(s):
+    # the line of an orthogonal Phi, spanned by B_1 and B_1 + s B_2: the
+    # basis is not Frobenius-orthonormal and has kappa about 2 / s, up to
+    # 1e8, so the QR frame of make_subspace is off from the span by about
+    # eps / s. Without the frame's rounding in the slack 17 to 22 of the
+    # 40 floors came out above, by up to 3e-12, 3e-10 and 6e-8
+    for seed in range(40):
+        (B1, B2), w = _orbit_line_basis(seed, kappa=1.0)
+        basis = [B1, B1 + s * B2]
+        rr = inner_radius(orbit_ball(make_subspace(basis), np.eye(2)[0], 1.0), [w])
+        assert _floor_below_line_radius(basis, w, rr.floor), seed
         assert rr.floor <= rr.r
 
 

@@ -8,6 +8,7 @@ from orbit_locator import (ConvergenceFailure, DimensionError,
                            pipeline_distance, span_inner_radius,
                            truncation_index)
 from orbit_locator import pipeline
+from orbit_locator.defaults import PROBE_SEED
 from conftest import stretched_null_problem
 
 
@@ -17,6 +18,41 @@ def test_truncation_index_values():
     assert truncation_index([0.0, 0.0], 0.5) == 1
     with pytest.raises(DimensionError):
         truncation_index([1.0], 0.0)
+
+
+def test_truncation_index_on_a_stack_equals_each_row():
+    # rows with ratios 2||y||/r that are integers up to roundoff, then
+    # random rows: the stack's N is the scalar N of each row
+    g = np.random.default_rng(3)
+    Y = np.concatenate([[[0.0, 1.0], [0.0, 0.0], [3.0, 4.0], [0.6, 0.8]],
+                        g.normal(size=(40, 2))])
+    assert truncation_index(Y[:4], 0.1).tolist() == [21, 1, 101, 21]
+    for r in (0.1, 0.5, 1.0, 0.37):
+        Ns = truncation_index(Y, r)
+        assert Ns.dtype == np.int64
+        assert Ns.tolist() == [truncation_index(y, r) for y in Y], r
+
+
+def test_probe_set_is_the_seeded_draw_and_read_only(ptp):
+    # the probe set is drawn once per (dim, probes), bit for bit the
+    # per-probe draw of the PROBE_SEED stream, and shared read-only
+    for dim, probes in [(1, 0), (2, 8), (3, 8), (5, 3)]:
+        rng = np.random.default_rng(PROBE_SEED)
+        want = [np.eye(dim)[i] for i in range(dim)]
+        for _ in range(probes):
+            v = rng.standard_normal(dim)
+            v /= max(float(np.linalg.norm(v)), 1e-300)
+            want.append(v * rng.uniform(0.2, 2.0))
+        Y = pipeline._probe_set(dim, probes)
+        assert np.array_equal(Y, np.stack(want))
+        assert pipeline._probe_set(dim, probes) is Y
+        assert not Y.flags.writeable
+        with pytest.raises(ValueError):
+            Y[0, 0] = 2.0
+    sub, x, _ = ptp
+    cert = build_projection(sub, x)
+    assert np.array_equal(np.stack([row.y for row in cert.per_y_trace]),
+                          pipeline._probe_set(3, 8))
 
 
 def test_span_inner_radius(diag_sub, ptp):
