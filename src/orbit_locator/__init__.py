@@ -6,7 +6,7 @@ decomposition and inner radii of balanced convex bodies, and the
 projection pipeline tying them together.
 """
 
-from .defaults import (BUDGET, GRID_CAP, MAX_SOLVER_ITERS, MEM_TOL, NET_CAP,
+from .defaults import (BUDGET, GRID_CAP, MAX_SOLVER_ITERS, NET_CAP,
                        PROBE_SEED, RANK_TOL, TOL)
 from .errors import (ConvergenceFailure, DependentBasisError, DimensionError,
                      GridOracleRefusal, NetTooLargeError, OrbitLocatorError,
@@ -31,7 +31,7 @@ from .demo import (DEFAULT_C_VALUES, DemoRow, demo_table, diag_subspace,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUDGET", "GRID_CAP", "MAX_SOLVER_ITERS", "MEM_TOL", "NET_CAP",
+    "BUDGET", "GRID_CAP", "MAX_SOLVER_ITERS", "NET_CAP",
     "PROBE_SEED", "RANK_TOL", "TOL",
     "ConvergenceFailure", "DependentBasisError", "DimensionError",
     "GridOracleRefusal", "NetTooLargeError", "OrbitLocatorError",

@@ -2,10 +2,10 @@
 
 Problem files are JSON objects with fields dim, basis, x and optionally
 y, n, tol, budget, seed. n, tol and budget set the parameters of the same
-name (flags override them); seed is only echoed into the report, and
-project draws its probes from the fixed PROBE_SEED (1729) whatever the
-file says. Numbers in reports carry 17 significant digits
-so a report re-read from disk reproduces the doubles exactly; identical
+name (flags override them, and both pass one check); seed is only echoed
+into the report, and project draws its probes from the fixed PROBE_SEED
+(1729) whatever the file says. Numbers in reports carry 17 significant
+digits so a report re-read from disk reproduces the doubles exactly; identical
 input and flags produce byte-identical output. Exit codes: 0 success,
 1 input error, 2 refusal, 3 solver failure.
 """
@@ -61,11 +61,26 @@ def _as_vec(raw, dim: int, name: str) -> np.ndarray:
     return v
 
 
-def _as_float(raw, path: str, name: str) -> float:
+def _param(name: str, raw, where: str):
+    """The parameter n, tol or budget from a problem file or a flag, with
+    one check for both sources: n a nonnegative number, tol a positive
+    finite number and budget a positive integer. None stays None; where
+    names the field or flag in the error."""
+    if raw is None:
+        return None
+    if name == "budget":
+        if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+            raise InputError(f"{where} must be a positive integer")
+        return raw
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: field {name!r} is not a number: {exc}") from exc
+        raise InputError(f"{where} is not a number: {exc}") from exc
+    if name == "n" and not value >= 0.0:
+        raise InputError(f"{where} must be nonnegative, got {value}")
+    if name == "tol" and not 0.0 < value < np.inf:
+        raise InputError(f"{where} must be positive and finite, got {value}")
+    return value
 
 
 def load_problem(path: str) -> Problem:
@@ -101,20 +116,8 @@ def load_problem(path: str) -> Problem:
         basis.append(B)
     x = _as_vec(raw["x"], dim, "x")
     y = _as_vec(raw["y"], dim, "y") if raw.get("y") is not None else None
-    n = raw.get("n")
-    if n is not None:
-        n = _as_float(n, path, "n")
-        if not n >= 0.0:
-            raise InputError(f"{path}: n must be nonnegative")
-    tol = raw.get("tol")
-    if tol is not None:
-        tol = _as_float(tol, path, "tol")
-        if not tol > 0.0:
-            raise InputError(f"{path}: tol must be positive")
-    budget = raw.get("budget")
-    if budget is not None:
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-            raise InputError(f"{path}: budget must be a positive integer")
+    n, tol, budget = (_param(key, raw.get(key), f"{path}: field {key!r}")
+                      for key in ("n", "tol", "budget"))
     seed = raw.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise InputError(f"{path}: seed must be an integer")
@@ -158,39 +161,13 @@ def render_report(payload: dict) -> str:
     return _dump(payload) + "\n"
 
 
-_REQUIRED = {
-    "distance": ("levels", "cauchy_bounds", "verdict"),
-    "balldist": ("n", "d", "point"),
-    "project": ("P", "rank", "r", "probes"),
-    "radius": ("r", "floor", "direction", "method"),
-    "decompose": ("r", "outcome", "steps"),
-    "omt": ("r", "direction", "method"),
-}
-
-
-def check_schema(obj, command: str) -> None:
-    """Minimal self-schema: reports are objects naming their command and
-    status, with the command's required payload keys present."""
-    if not isinstance(obj, dict):
-        raise InputError("report is not a JSON object")
-    if obj.get("command") != command:
-        raise InputError("report command field mismatch")
-    if obj.get("status") not in ("ok", "refused", "solver-failure"):
-        raise InputError("report status field invalid")
-    if obj["status"] == "ok":
-        for key in _REQUIRED.get(command, ()):
-            if key not in obj:
-                raise InputError(f"report missing field {key!r}")
-
-
 # ---- subcommands -----------------------------------------------------------
 
-def _pick(flag, field, default):
-    if flag is not None:
-        return flag
-    if field is not None:
-        return field
-    return default
+def _pick(args, p: Optional[Problem], name: str, default):
+    """The flag --name, checked by _param as the file's fields are, else
+    the problem file's field, else the default."""
+    flag, field = _param(name, getattr(args, name), f"--{name}"), getattr(p, name, None)
+    return flag if flag is not None else field if field is not None else default
 
 
 def _cmd_distance(args) -> dict:
@@ -198,8 +175,8 @@ def _cmd_distance(args) -> dict:
     if p.y is None:
         raise InputError("distance needs a target vector y in the problem file")
     sub = operators.make_subspace(p.basis)
-    tol = _pick(args.tol, p.tol, TOL)
-    budget = _pick(args.budget, p.budget, BUDGET)
+    tol = _pick(args, p, "tol", TOL)
+    budget = _pick(args, p, "budget", BUDGET)
     rep = nested.locate_distance(sub, p.x, p.y, budget=budget, tol=tol)
     v = rep.verdict
     if isinstance(v, nested.Located):
@@ -225,11 +202,11 @@ def _cmd_balldist(args) -> dict:
     p = load_problem(args.file)
     if p.y is None:
         raise InputError("balldist needs a target vector y in the problem file")
-    n = _pick(args.n, p.n, None)
+    n = _pick(args, p, "n", None)
     if n is None:
         raise InputError("balldist needs a ball level: --n or the file's n field")
     sub = operators.make_subspace(p.basis)
-    tol = _pick(args.tol, p.tol, TOL)
+    tol = _pick(args, p, "tol", TOL)
     res = ball_distance(sub, p.x, float(n), p.y, tol=tol)
     return {
         "command": "balldist",
@@ -248,7 +225,7 @@ def _cmd_balldist(args) -> dict:
 def _cmd_project(args) -> dict:
     p = load_problem(args.file)
     sub = operators.make_subspace(p.basis)
-    tol = _pick(args.tol, p.tol, TOL)
+    tol = _pick(args, p, "tol", TOL)
     cert = pipeline.build_projection(sub, p.x, tol=tol)
     return {
         "command": "project",
@@ -325,17 +302,9 @@ def _cmd_omt(args) -> dict:
 
 
 def _cmd_demo(args) -> str:
-    tol = args.tol if args.tol is not None else TOL
-    budget = args.budget if args.budget is not None else BUDGET
-    rows = demo_mod.demo_table(budget=budget, tol=tol)
+    rows = demo_mod.demo_table(budget=_pick(args, None, "budget", BUDGET),
+                               tol=_pick(args, None, "tol", TOL))
     csv_text = demo_mod.rows_to_csv(rows)
-    if args.validate:
-        lines = csv_text.strip().split("\n")
-        if lines[0] != "c,r,N,d,levels,verdict":
-            raise InputError("demo CSV header mismatch")
-        for line in lines[1:]:
-            if len(line.split(",")) != 6:
-                raise InputError("demo CSV row width mismatch")
     if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -366,7 +335,6 @@ def _build_parser() -> _Parser:
             sp.add_argument("file")
         if tol:
             sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--validate", action="store_true")
         return sp
 
     spd = add("distance")
@@ -405,10 +373,7 @@ def run(argv=None) -> int:
         if command == "demo":
             text = _cmd_demo(args)
         else:
-            payload = _HANDLERS[command](args)
-            text = render_report(payload)
-            if args.validate:
-                check_schema(json.loads(text), command)
+            text = render_report(_HANDLERS[command](args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,9 +7,9 @@ p = 1 it is a function of one variable, and sigma1_newton minimises it by
 bracketed Newton steps that stop on a dual gap; line_derivs supplies its
 value, slope and curvature. At p >= 2 the optimum generically ties the
 top singular values, where those derivatives do not exist, and the
-derivative-free pattern search compass_min runs instead. Both run many
-searches in lockstep, one per row, as the gauge kernel evaluates whole
-stacks of vectors.
+derivative-free pattern search compass_min runs instead, probing the
+objective itself. Both run many searches in lockstep, one per row, as the
+gauge kernel evaluates whole stacks of vectors.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _pattern(m: int) -> np.ndarray:
     return D
 
 
-def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
+def compass_min(fn, z0, *, init_step, step_tol):
     """Derivative-free coordinate/diagonal pattern descent, one search per
     row of z0, all run in lockstep.
 
@@ -61,23 +61,18 @@ def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
     the minimum. fn(rows, P) evaluates the objectives of the searches
     rows[j] at the points P[j], shape (len(rows), p, m), and returns shape
     (len(rows), p); each round makes one call covering every search still
-    active. batch_fn, when given, has the same form and approximates fn
-    more cheaply; it only steers the searches, and the returned values are
-    re-anchored on fn, where a search whose end fn puts above its start
-    keeps its start. So no returned value exceeds fn(z0). Returns
-    (z, fn(z), evaluations) with z of the shape of z0, one value per
-    search and the total number of evaluations; evaluations and
-    _MAX_EVALS (a per-search cap) count probes.
+    active. A search moves only to a lower value, so no returned value
+    exceeds fn(z0). Returns (z, fn(z), evaluations) with z of the shape of
+    z0, one value per search and the total number of evaluations;
+    evaluations and _MAX_EVALS (a per-search cap) count probes.
     """
     z = np.array(z0, dtype=float)
     S, m = z.shape
     D = _pattern(m)
     every = np.arange(S)
     f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
-    z_start, f_start = z.copy(), f.copy()
     evals = S
     if m:
-        steer = fn if batch_fn is None else batch_fn
         step = np.full(S, init_step, dtype=float)
         floor = np.full(S, step_tol, dtype=float)
         # the active searches are kept compacted and written back only when
@@ -88,7 +83,7 @@ def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
         per_search = 1
         while act.size and per_search < _MAX_EVALS:
             cand = za[:, None, :] + sa[:, None, None] * D
-            vals = np.asarray(steer(act, cand), dtype=float)
+            vals = np.asarray(fn(act, cand), dtype=float)
             evals += vals.size
             per_search += D.shape[0]
             j = vals.argmin(axis=1)
@@ -108,12 +103,6 @@ def compass_min(fn, z0, *, init_step, step_tol, batch_fn=None):
                                        sa[keep], la[keep])
                 rows = rows[:act.size]
         z[act], f[act] = za, fa
-        if batch_fn is not None:
-            end = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
-            evals += S
-            back = end > f_start
-            z[back] = z_start[back]
-            f = np.where(back, f_start, end)
     return z, f, evals
 
 

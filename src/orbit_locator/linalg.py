@@ -48,11 +48,20 @@ def as_rows(V, width: int) -> np.ndarray:
     return arr
 
 
-def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> tuple[list[np.ndarray], int]:
+def as_tol(tol) -> float:
+    """A tolerance as a float, raising DimensionError unless it is positive
+    and finite (NaN fails too)."""
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise DimensionError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
+def orthonormalize(vectors) -> tuple[list[np.ndarray], int]:
     """Modified Gram-Schmidt with a drop rule.
 
     Vectors whose residual after projection onto the previously accepted ones
-    has norm <= rank_tol * (max input norm) are dropped. Returns the
+    has norm <= RANK_TOL * (max input norm) are dropped. Returns the
     orthonormal list and its length (the numerical rank of the input span).
     """
     vs = [as_vector(v) for v in vectors]
@@ -61,7 +70,7 @@ def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> tuple[list[np.ndarray
     max_norm = max(float(np.linalg.norm(v)) for v in vs)
     if max_norm == 0.0:
         return [], 0
-    threshold = rank_tol * max_norm
+    threshold = RANK_TOL * max_norm
     basis: list[np.ndarray] = []
     for v in vs:
         w = v.astype(float, copy=True)

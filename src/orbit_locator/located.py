@@ -36,7 +36,7 @@ whole kernel without a null space. With one, the kernel minimises
 sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by one of the
 lockstep searches of gauge_search: at one null coordinate bracketed
 Newton steps that stop on a dual gap, at two or more the pattern search
-compass_min. On a fixed
+compass_min on those same Gram values, at every dimension. On a fixed
 subspace W the kernel is compiled once (gauge_on): A is the combination
 of the matrices of W's basis vectors, so a round of the inner-radius
 search builds no preimage and makes no per-row span test. The same
@@ -85,16 +85,15 @@ class LocatedSet:
     """A set with a certified distance oracle.
 
     locate(y, tol) returns a DistanceResult whose value is within tol of the
-    true distance; dist and nearest are shorthands. gauges(V), when the
-    set supports it, applies the Minkowski functional to each row of V: the
-    least s >= 0 with v in s-times-the-set (inf when no scaling reaches v).
-    The gauge oracle takes V and returns one value per row; gauge(v) is the
-    one-row case. gauge_on(B) is the one question the inner radius asks:
-    the triple (U -> gauges(U @ B.T), ceiling, slack), the gauge on the
-    span of B's columns as a function of coordinates, an upper bound on it
-    over unit u (the unit sphere of span(B) when B's columns are
-    orthonormal), and how far below the exact gauge a value of the
-    function at a unit u can fall through rounding. The ceiling bounds
+    true distance. gauges(V), when the set supports it, applies the
+    Minkowski functional to each row of V: the least s >= 0 with v in
+    s-times-the-set (inf when no scaling reaches v), one value per row;
+    gauge(v) is the one-row case. gauge_on(B) is the one question the
+    inner radius asks: the triple (U -> gauges(U @ B.T), ceiling, slack),
+    the gauge on the span of B's columns as a function of coordinates, an
+    upper bound on it over unit u (the unit sphere of span(B) when B's
+    columns are orthonormal), and how far below the exact gauge a value of
+    the function at a unit u can fall through rounding. The ceiling bounds
     both the exact gauge and every value of the function. A set may
     supply the factory gauge_on(B) -> (function of U, ceiling, slack),
     compiled once for B; without one the function is gauges on U @ B.T,
@@ -111,12 +110,6 @@ class LocatedSet:
 
     def locate(self, y, tol: float = TOL) -> DistanceResult:
         return self._locate(linalg.as_vector(y), float(tol))
-
-    def dist(self, y, tol: float = TOL) -> float:
-        return self.locate(y, tol).value
-
-    def nearest(self, y, tol: float = TOL) -> np.ndarray:
-        return self.locate(y, tol).point
 
     def gauges(self, V) -> np.ndarray:
         if self._gauge is None:
@@ -158,18 +151,16 @@ class OrbitBallContext:
 
     The geometry is factored once, by the one checked SVD
     Phi = U diag(sv) V' that operators.orbit makes (rank
-    r = #{sv_i > rank_tol sv_1}), and everything else comes from that
+    r = #{sv_i > RANK_TOL sv_1}), and everything else comes from that
     factor: P = U_r U_r'; range_vecs V_r with range_lams sv_r^2, the
     eigenpairs of Phi'Phi on its range; null_vecs the other columns of V;
     H_inv the pseudo-inverse of H = 2 Phi'Phi from V and sv^2; rank_margin
     from sv; and the least-norm preimage V_r (U_r'v / sv_r).
     """
 
-    def __init__(self, subspace: operators.OperatorSubspace, x,
-                 rank_tol: float = RANK_TOL):
+    def __init__(self, subspace: operators.OperatorSubspace, x):
         self.subspace = subspace
-        self.rank_tol = float(rank_tol)
-        self.geo = geo = operators.orbit(subspace, x, rank_tol)
+        self.geo = geo = operators.orbit(subspace, x)
         self.x = geo.x
         self.k = k = subspace.k
         self.dim = subspace.dim
@@ -218,11 +209,11 @@ class OrbitBallContext:
 
     def rank_margin(self) -> float:
         """The factor by which the singular values of Phi clear the rank
-        cut rank_tol * sigma_max(Phi), on whichever side they fall (inf
+        cut RANK_TOL * sigma_max(Phi), on whichever side they fall (inf
         when Phi is zero), from the stored SVD. A small factor means the
         rank decision, and with it P, is marginal."""
         sv = self.geo.sv
-        cut = self.rank_tol * sv[0]
+        cut = RANK_TOL * sv[0]
         if cut == 0.0:
             return np.inf
         with np.errstate(divide="ignore"):
@@ -262,12 +253,11 @@ class OrbitBallContext:
         line_derivs (closed form at d = 2, one stacked eigh at d >= 3) and
         stops once its dual gap is within it; its end is re-anchored on
         _gram_sigma1, and a row whose end that puts above its value at
-        z = 0 keeps z = 0. With two or more a lockstep pattern search runs
-        from z = 0 down to that step, each round one sweep spanning four
-        step sizes, steered at d = 2 by the closed-form spectral norms,
-        which cost less than eigvalsh there, and then re-anchored the same
-        way by compass_min. So no value exceeds the one at z = 0. Returns
-        (values, coefficient rows)."""
+        z = 0 keeps z = 0. With two or more a lockstep pattern search on
+        _gram_sigma1 runs from z = 0 down to that step, each round one
+        sweep spanning four step sizes, and moves only to lower values. So
+        no value exceeds the one at z = 0. Returns (values, coefficient
+        rows)."""
         d = self.dim
         NM = self.null_mats
         if not NM.shape[0]:
@@ -275,16 +265,10 @@ class OrbitBallContext:
         scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
         tol = GAUGE_TOL * scale / 4.0
         if NM.shape[0] > 1:
-            def mats(rows, P):
-                return (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)
-
-            def steer(rows, P):
-                return linalg.batch_spectral_norms(
-                    mats(rows, P).reshape(-1, d, d)).reshape(P.shape[:2])
-
-            z, g, _ = compass_min(lambda rows, P: _gram_sigma1(mats(rows, P)),
-                                  np.zeros((len(A), NM.shape[0])), init_step=scale,
-                                  step_tol=tol, batch_fn=steer if d == 2 else None)
+            z, g, _ = compass_min(
+                lambda rows, P: _gram_sigma1(
+                    (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)),
+                np.zeros((len(A), NM.shape[0])), init_step=scale, step_tol=tol)
             return g, t_hat + z @ self.null_vecs.T
         z = sigma1_newton(line_derivs(A, NM[0], d), A @ NM[0], tol, np.sqrt(d))[0]
         g = _gram_sigma1(np.stack([A, A + z[:, None] * NM[0]]).reshape(2, -1, d, d))
@@ -816,9 +800,9 @@ class OrbitBallContext:
         gap within the iteration budget."""
         y = self._as_query(y)
         n = float(n)
-        tol = float(tol)
-        if n < 0.0:
-            raise DimensionError("scale n must be nonnegative")
+        tol = linalg.as_tol(tol)
+        if not n >= 0.0:
+            raise DimensionError(f"scale n must be nonnegative, got {n}")
         if n == 0.0 or self.rank == 0:
             return DistanceResult(
                 value=float(np.linalg.norm(y)), point=np.zeros(self.dim),
@@ -958,7 +942,7 @@ def euclidean_ball(center, radius: float) -> LocatedSet:
     """Closed Euclidean ball as an exactly locatable set."""
     c = linalg.as_vector(center)
     r = float(radius)
-    if r < 0:
+    if not r >= 0:
         raise DimensionError("radius must be nonnegative")
 
     def loc(y, tol):
@@ -1089,7 +1073,7 @@ def grid_oracle_distance(subspace, x, n: float, y, eps: float,
     y = linalg.as_vector(y)
     n = float(n)
     eps = float(eps)
-    if eps <= 0:
+    if not eps > 0:
         raise DimensionError("eps must be positive")
     k = subspace.k
     if k > 4:

@@ -149,8 +149,7 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     """
     if budget < 1:
         raise DimensionError("budget must be at least 1")
-    if tol <= 0:
-        raise DimensionError("tol must be positive")
+    tol = linalg.as_tol(tol)
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
     y = linalg.as_vector(y)

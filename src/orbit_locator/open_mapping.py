@@ -105,9 +105,9 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
     y = linalg.as_vector(y)
     r = float(r)
     ny = float(np.linalg.norm(y))
-    if not ny < r:
+    if not ny < r < np.inf:
         raise DimensionError(
-            f"decomposition needs r > ||y|| strictly, got r={r:g}, ||y||={ny:g}")
+            f"decomposition needs a finite r > ||y|| strictly, got r={r:g}, ||y||={ny:g}")
     if max_steps < 1:
         raise DimensionError("max_steps must be at least 1")
     u = y.copy()
@@ -282,17 +282,18 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
         faces = np.repeat(faces[live], kids.shape[1])
 
 
-def open_map_radius(T, rank_tol: float = RANK_TOL) -> RadiusResult:
+def open_map_radius(T) -> RadiusResult:
     """Radius r with B(0, r) inside T(closed unit ball), for T onto R^m.
 
     Equals the m-th singular value of the m-by-n matrix T, from one
-    checked SVD of T, with floor = r. The returned direction is the
-    corresponding left singular vector.
+    checked SVD of T, with floor = r; T is onto when its row rank, the
+    count of singular values above RANK_TOL s_1, is m. The returned
+    direction is the corresponding left singular vector.
     """
     T = linalg.as_matrix(T)
     m, n = T.shape
     U, s, _ = linalg.checked_svd(T)
-    row_rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    row_rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     if row_rank < m:
         raise DimensionError(
             f"matrix with shape {m}x{n} has row rank {row_rank} < {m}; "

@@ -82,14 +82,12 @@ class OperatorSubspace:
 
 @dataclass(frozen=True, eq=False)
 class OrbitGeometry:
-    """Orbit data of a subspace through x: images of the basis, the
-    orthogonal projector P onto their span W and the rank, all from the
-    full SVD U diag(sv) Vt of Phi = [Q_k x], the images of the
-    Frobenius-orthonormal basis, which is kept; U[:, :rank] is an
-    orthonormal basis of W."""
+    """Orbit data of a subspace through x: the orthogonal projector P onto
+    the span W of the basis images and the rank, all from the full SVD
+    U diag(sv) Vt of Phi = [Q_k x], the images of the Frobenius-orthonormal
+    basis, which is kept; U[:, :rank] is an orthonormal basis of W."""
 
     x: np.ndarray
-    orbit_basis: tuple[np.ndarray, ...]
     P: np.ndarray
     rank: int
     Phi: np.ndarray
@@ -98,10 +96,11 @@ class OrbitGeometry:
     Vt: np.ndarray
 
 
-def make_subspace(basis, rank_tol: float = RANK_TOL) -> OperatorSubspace:
+def make_subspace(basis) -> OperatorSubspace:
     """Validate a matrix basis and build an OperatorSubspace.
 
-    Rejects dimension mismatches and linearly dependent bases; the error
+    Rejects dimension mismatches and linearly dependent bases (a QR
+    residual at most RANK_TOL times the largest Frobenius norm); the error
     names the first offending basis index.
     """
     mats = [linalg.as_matrix(B, square=True) for B in basis]
@@ -124,7 +123,7 @@ def make_subspace(basis, rank_tol: float = RANK_TOL) -> OperatorSubspace:
     signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
     Q = Q * signs
     R = R * signs[:, None]
-    threshold = rank_tol * max(norms)
+    threshold = RANK_TOL * max(norms)
     k = len(mats)
     for i in range(min(k, dim * dim)):
         if R[i, i] <= threshold:
@@ -141,22 +140,21 @@ def make_subspace(basis, rank_tol: float = RANK_TOL) -> OperatorSubspace:
         ortho=tuple(Q[:, i].reshape(dim, dim) for i in range(k)), upper_tri=R)
 
 
-def orbit(subspace: OperatorSubspace, x, rank_tol: float = RANK_TOL) -> OrbitGeometry:
+def orbit(subspace: OperatorSubspace, x) -> OrbitGeometry:
     """Orbit geometry of the subspace through x from one checked SVD
     U diag(sv) Vt of Phi = [Q_k x]. The Q_k recombine the basis
     invertibly, so Phi spans the basis images B_i x. The rank is
-    r = #{sv_i > rank_tol sv_1}, the orbit span's orthonormal basis is U_r
+    r = #{sv_i > RANK_TOL sv_1}, the orbit span's orthonormal basis is U_r
     (the first r columns of U) and its projector P = U_r U_r'."""
     xv = linalg.as_vector(x)
     if xv.shape != (subspace.dim,):
         raise DimensionError(f"x has shape {xv.shape}, expected ({subspace.dim},)")
-    images = [B @ xv for B in subspace.basis]
     Phi = (subspace.ortho_stack @ xv).T
     U, sv, Vt = linalg.checked_svd(Phi)
-    rank = int(np.count_nonzero(sv > rank_tol * sv[0]))
+    rank = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
     Ur = U[:, :rank]
-    return OrbitGeometry(x=xv.copy(), orbit_basis=tuple(images),
-                         P=Ur @ Ur.T, rank=rank, Phi=Phi, U=U, sv=sv, Vt=Vt)
+    return OrbitGeometry(x=xv.copy(), P=Ur @ Ur.T, rank=rank, Phi=Phi, U=U,
+                         sv=sv, Vt=Vt)
 
 
 def op_norm(subspace: OperatorSubspace, coeffs) -> float:
@@ -233,7 +231,7 @@ def epsilon_net(subspace: OperatorSubspace, x, n: float, eps: float,
     grid would exceed the cap.
     """
     xv = linalg.as_vector(x)
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DimensionError("eps must be positive")
     image_norms = np.array([float(np.linalg.norm(B @ xv)) for B in subspace.basis])
     lmax = float(image_norms.max())

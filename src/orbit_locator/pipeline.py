@@ -38,23 +38,19 @@ class ProjectionCertificate:
 
 
 def truncation_index(y, r: float):
-    """Smallest integer N with N > 2||y||/r, for a vector y or a scalar
-    ||y||; for a stack of vectors (2-d y), one N per row as an int64
-    array, each equal to the N of that row alone.
+    """Smallest integer N with N > 2||y||/r for a vector y; for a stack of
+    vectors (2-d y), one N per row as an int64 array, each equal to the N
+    of that row alone.
 
     The comparison carries a 1+1e-12 safety factor so values that are
     integers up to roundoff still satisfy the strict inequality.
     """
     r = float(r)
-    if r <= 0.0:
+    if not r > 0.0:
         raise DimensionError("truncation needs a positive inner radius")
     arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        ny = np.abs(arr)[None]
-    else:
-        rows = linalg.as_matrix(arr) if arr.ndim == 2 else linalg.as_vector(arr)[None]
-        ny = np.linalg.norm(rows, axis=1)
-    below = np.floor(2.0 * ny / r * (1.0 + 1e-12))
+    rows = linalg.as_matrix(arr) if arr.ndim == 2 else linalg.as_vector(arr)[None]
+    below = np.floor(2.0 * np.linalg.norm(rows, axis=1) / r * (1.0 + 1e-12))
     if arr.ndim < 2:
         return int(below[0]) + 1
     if not below.max() < 2.0 ** 62:
@@ -67,7 +63,8 @@ def _inner_radius_in_span(
     if ctx.rank == 0:
         raise DimensionError("orbit has rank 0; the unit ball is just {0}")
     ball = located.orbit_ball(ctx.subspace, ctx.x, 1.0, ctx=ctx)
-    return open_mapping.inner_radius(ball, list(ctx.geo.orbit_basis))
+    # U_r from the checked SVD of Phi: an orthonormal basis of the span
+    return open_mapping.inner_radius(ball, list(ctx.range_U.T))
 
 
 def span_inner_radius(subspace: operators.OperatorSubspace, x):
@@ -97,6 +94,7 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
     itself; on the certified route it is the ball solve's, and raises
     ConvergenceFailure when it disagrees with ||y - Py|| beyond 2 tol.
     """
+    tol = linalg.as_tol(tol)
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
     y = linalg.as_vector(y)
@@ -124,15 +122,18 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
     return d, N
 
 
+_PROBES = 8   # seeded random probes of build_projection, after the basis vectors
+
+
 @functools.lru_cache(maxsize=16)
-def _probe_set(dim: int, probes: int) -> np.ndarray:
+def _probe_set(dim: int) -> np.ndarray:
     """The probes of build_projection in R^dim, one per row: the canonical
-    basis vectors, then `probes` draws from default_rng(PROBE_SEED), each a
+    basis vectors, then _PROBES draws from default_rng(PROBE_SEED), each a
     normal vector scaled to a uniform length in [0.2, 2). Drawn once per
-    (dim, probes) and shared, so read-only."""
+    dim and shared, so read-only."""
     rng = np.random.default_rng(PROBE_SEED)
     rows = list(np.eye(dim))
-    for _ in range(probes):
+    for _ in range(_PROBES):
         v = rng.standard_normal(dim)
         v /= max(float(np.linalg.norm(v)), 1e-300)
         rows.append(v * rng.uniform(0.2, 2.0))
@@ -142,12 +143,11 @@ def _probe_set(dim: int, probes: int) -> np.ndarray:
 
 
 def build_projection(subspace: operators.OperatorSubspace, x,
-                     tol: float = TOL, *,
-                     probes: int = 8) -> ProjectionCertificate:
+                     tol: float = TOL) -> ProjectionCertificate:
     """Orthogonal projector onto the orbit span, with a probe trace.
 
     A rank-0 orbit yields the zero projector, radius 0 and an empty
-    trace. Otherwise each probe y (canonical basis vectors, then `probes`
+    trace. Otherwise each probe y (canonical basis vectors, then _PROBES
     seeded pseudo-random vectors, the read-only rows of _probe_set) is
     recorded with the truncation index N of the radius floor, taken for
     all probes in one row-wise call, the distance pipeline_distance
@@ -160,6 +160,7 @@ def build_projection(subspace: operators.OperatorSubspace, x,
     distance disagrees with ||y - Py||, or SolverFailure when its solve
     does not close.
     """
+    tol = linalg.as_tol(tol)
     ctx = located.OrbitBallContext(subspace, x)
     dim = ctx.x.size
     if ctx.rank == 0:
@@ -168,7 +169,7 @@ def build_projection(subspace: operators.OperatorSubspace, x,
             note="rank-0 orbit: projector is 0 and no probes apply")
     rr = _inner_radius_in_span(ctx)
     P = ctx.geo.P
-    Y = _probe_set(dim, probes)
+    Y = _probe_set(dim)
     d_oracle = [float(np.linalg.norm(y - P @ y)) for y in Y]
     if rr.floor <= tol:
         rows = [ProbeRow(y=y, N=0, d_pipeline=float("nan"), d_oracle=d)

@@ -11,6 +11,9 @@ import pytest
 
 from orbit_locator import make_subspace
 
+# relative spectral-norm band of a membership check: sigma1 <= n (1 + MEM_TOL)
+MEM_TOL = 1e-9
+
 
 def gauss_rank(vectors, tol: float = 1e-9) -> int:
     """Rank by row echelon with partial pivoting."""

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from orbit_locator import (MEM_TOL, GridOracleRefusal, Located, Member,
+from orbit_locator import (GridOracleRefusal, Located, Member,
                            OrbitBallContext, Stabilized, Undecided, Witness,
                            ball_distance, cauchy_bound, demo_table,
                            diag_subspace, euclidean_ball, greedy_decompose,
@@ -17,7 +17,7 @@ from orbit_locator import (MEM_TOL, GridOracleRefusal, Located, Member,
                            locate_distance, make_subspace,
                            metric_complement_distance, op_norm, orbit,
                            orbit_ball, open_map_radius, pipeline_distance)
-from conftest import svd_sigma
+from conftest import MEM_TOL, svd_sigma
 
 
 def _diag():

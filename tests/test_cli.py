@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from orbit_locator import SolverFailure, cli
+from orbit_locator import SolverFailure, cli, located
 
 
 DIAG_BASIS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
@@ -30,7 +30,7 @@ def run_cli(capsys, argv):
 
 def test_distance_roundtrip(tmp_path, capsys):
     path = diag_problem(tmp_path, budget=12, seed=7)
-    code, out, err = run_cli(capsys, ["distance", path, "--validate"])
+    code, out, err = run_cli(capsys, ["distance", path])
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["status"] == "ok"
@@ -50,8 +50,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 def test_balldist(tmp_path, capsys):
     path = diag_problem(tmp_path)
-    code, out, _ = run_cli(capsys, ["balldist", path, "--n", "21",
-                                    "--validate"])
+    code, out, _ = run_cli(capsys, ["balldist", path, "--n", "21"])
     assert code == 0
     report = json.loads(out)
     assert abs(report["d"]) <= 1e-6
@@ -61,7 +60,7 @@ def test_balldist(tmp_path, capsys):
 
 def test_project_projects_on_first_axis(tmp_path, capsys):
     path = write_problem(tmp_path, dim=2, basis=DIAG_BASIS, x=[1.0, 0.0])
-    code, out, _ = run_cli(capsys, ["project", path, "--validate"])
+    code, out, _ = run_cli(capsys, ["project", path])
     assert code == 0
     report = json.loads(out)
     assert np.allclose(report["P"], [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
@@ -74,7 +73,7 @@ def test_project_projects_on_first_axis(tmp_path, capsys):
 
 def test_radius_and_refusal(tmp_path, capsys):
     path = diag_problem(tmp_path)
-    code, out, _ = run_cli(capsys, ["radius", path, "--validate"])
+    code, out, _ = run_cli(capsys, ["radius", path])
     assert code == 0
     report = json.loads(out)
     assert "tol" not in report
@@ -92,8 +91,7 @@ def test_radius_and_refusal(tmp_path, capsys):
 def test_decompose(tmp_path, capsys):
     path = write_problem(tmp_path, dim=2, basis=DIAG_BASIS, x=[1.0, 1.0],
                          y=[0.3, 0.1])
-    code, out, _ = run_cli(capsys, ["decompose", path, "--r", "1.0",
-                                    "--validate"])
+    code, out, _ = run_cli(capsys, ["decompose", path, "--r", "1.0"])
     assert code == 0
     report = json.loads(out)
     assert report["outcome"]["kind"] == "Member"
@@ -127,7 +125,7 @@ def test_distance_rejects_plateau_flag(tmp_path, capsys):
 def test_omt(tmp_path, capsys):
     path = write_problem(tmp_path, dim=2, basis=[[[2.0, 0.0], [0.0, 0.5]]],
                          x=[0.0, 0.0])
-    code, out, _ = run_cli(capsys, ["omt", path, "--validate"])
+    code, out, _ = run_cli(capsys, ["omt", path])
     assert code == 0
     report = json.loads(out)
     assert abs(report["r"] - 0.5) <= 1e-9 and "tol" not in report
@@ -139,8 +137,7 @@ def test_omt(tmp_path, capsys):
 
 def test_demo_csv(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
-    code, out, _ = run_cli(capsys, ["demo", "--csv", str(csv_path),
-                                    "--validate"])
+    code, out, _ = run_cli(capsys, ["demo", "--csv", str(csv_path)])
     assert code == 0
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "c,r,N,d,levels,verdict"
@@ -178,6 +175,32 @@ def test_input_errors(tmp_path, capsys):
         code5, out5, err5 = run_cli(capsys, [cmd, with_tol, "--tol", "1e-6"])
         assert code5 == 1 and out5 == "" and "--tol" in err5
     assert run_cli(capsys, ["radius", with_tol])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["balldist", "DISK", "--n", "nan"],
+    ["distance", "DISK", "--tol", "nan"],
+    ["demo", "--tol", "nan"],
+    ["project", "DISK", "--tol", "nan"],
+    ["distance", "DISK", "--tol", "inf"],
+    ["distance", "INF_TOL"],
+    ["decompose", "DISK", "--r", "inf"],
+])
+def test_nan_and_inf_parameters_fail_fast(argv, tmp_path, capsys, monkeypatch):
+    # a flag is checked by the rule of the problem file's field of the same
+    # name, and --r by the decomposition, before any solve starts: exit 1,
+    # no report, no traceback
+    for owner, name in [(cli.nested, "locate_distance"), (cli, "ball_distance"),
+                        (cli.pipeline, "build_projection"), (cli.demo_mod, "demo_table"),
+                        (located.OrbitBallContext, "distance")]:
+        monkeypatch.setattr(owner, name, None)
+    files = {"DISK": write_problem(tmp_path, dim=2, x=[0.6, -0.8], y=[0.0, 1.0],
+                                   basis=[[[1, 0], [0, 1]], [[0, -1], [1, 0]]]),
+             "INF_TOL": diag_problem(tmp_path, name="inf.json", tol=float("inf"))}
+    code, out, err = run_cli(capsys, [files.get(a, a) for a in argv])
+    assert code == 1 and out == "" and "Traceback" not in err
+    want = {"--n": "must be nonnegative", "--r": "needs a finite r"}
+    assert want.get(argv[-2], "must be positive and finite") in err
 
 
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -101,26 +101,6 @@ def test_lockstep_rows_equal_one_row_runs():
     assert evals == total
 
 
-def test_steered_search_keeps_its_start_when_fn_disagrees():
-    # the steer leads search 0 to z = -1, where fn is 4 against 1 at its
-    # start z = 0, so that search keeps its start; search 1 starts at 2,
-    # and the steer's minimiser is better on fn too, so it keeps its end
-    target = np.array([1.0, -1.0])   # fn's minimiser, per search
-
-    def fn(rows, P):
-        return (P[..., 0] - target[rows, None]) ** 2
-
-    def steer(rows, P):
-        return (P[..., 0] + 1.0) ** 2
-
-    z0 = np.array([[0.0], [2.0]])
-    z, f, _ = located.compass_min(fn, z0, init_step=1.0, step_tol=1e-9,
-                                  batch_fn=steer)
-    assert z[0, 0] == 0.0 and f[0] == 1.0
-    assert abs(z[1, 0] + 1.0) <= 1e-8 and f[1] <= 1e-16
-    assert np.array_equal(f, fn(np.arange(2), z[:, None, :])[:, 0])
-
-
 def null_space_problem(seed, dim=2):
     """dim + 1 operators on R^dim whose orbit has rank dim, built like the
     span corpus shape (2, 3, 2): the last operator sends x into the span
@@ -238,6 +218,32 @@ def test_pattern_search_gauges_with_3_to_5_null_coordinates(dim, k, monkeypatch)
     monkeypatch.setattr(located, "sigma1_newton", None)
     V = g.normal(size=(6, dim))
     vals, ts = ctx.gauges(V)
+    check_gauge_rows(ctx, V, vals, ts)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_pattern_search_gauges_at_dimension_2(seed, monkeypatch):
+    # two null coordinates at d = 2: compass_min probes the Gram values
+    # alone, and every row lands on the golden-section minimum over the
+    # null plane. seed None is the full M_2, where the gauge is |v| / |x|
+    g = np.random.default_rng(seed)
+    basis = (list(np.eye(4).reshape(4, 2, 2)) if seed is None
+             else [g.normal(size=(2, 2)) for _ in range(4)])
+    x = g.normal(size=2)
+    ctx = OrbitBallContext(make_subspace(basis), x)
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (2, 2)
+    monkeypatch.setattr(located, "sigma1_newton", None)
+    V = g.normal(size=(3, 2))
+    vals, ts = ctx.gauges(V)
+    # the null matrices are Frobenius-orthonormal, so the minimiser has
+    # |z| <= sqrt(2) sigma1(A) + |A|_F, inside the box of half-width R
+    Ns = list(ctx.null_mats.reshape(2, 2, 2))
+    ref = np.array([reference_min(A, Ns, R=2.0 * np.sqrt(2.0) * np.linalg.norm(A))
+                    for A in ctx.mat(ctx.min_norm_preimage(V))])
+    assert np.all(np.abs(vals - ref) <= 1e-10 * ref), np.max(np.abs(vals - ref) / ref)
+    if seed is None:
+        assert np.allclose(vals, np.linalg.norm(V, axis=1) / np.linalg.norm(x),
+                           rtol=1e-12, atol=0.0)
     check_gauge_rows(ctx, V, vals, ts)
 
 

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_locator import (MEM_TOL, RANK_TOL, ConvergenceFailure,
+from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            DimensionError, GridOracleRefusal,
                            LocatedSet, OrbitBallContext, OrbitLocatorError,
                            SolverFailure, Stabilized, ball_distance,
-                           euclidean_ball, gauge_of_orbit_ball,
+                           epsilon_net, euclidean_ball, gauge_of_orbit_ball,
                            grid_oracle_distance, inner_radius,
                            linear_image_ball, locate_distance,
                            make_subspace, orbit_ball)
 from orbit_locator import located
 from orbit_locator.operators import GRID_CHUNK
-from conftest import svd_sigma, svd_sigmas, svd_values
+from conftest import MEM_TOL, svd_sigma, svd_sigmas, svd_values
 
 
 def diag_formula(n, c=0.1):
@@ -345,6 +345,27 @@ def test_near_tie_level_takes_no_admm(admm_runs):
     assert res.iterations <= 10, res.iterations
     assert svd_sigma(sub.matrix(res.coeffs)) <= 12.0 * (1.0 + MEM_TOL)
     assert admm_runs == []
+
+
+@pytest.mark.parametrize("n, tol", [(np.nan, 1e-6), (1.0, np.nan), (1.0, np.inf)])
+def test_distance_rejects_nan_level_and_nan_or_inf_tol(diag_sub, n, tol, monkeypatch):
+    # refused with a typed error before any candidate is solved
+    monkeypatch.setattr(OrbitBallContext, "solve_levels", None)
+    ctx = OrbitBallContext(diag_sub, [1.0, 0.1])
+    with pytest.raises(DimensionError):
+        ctx.distance([0.0, 1.0], n, tol)
+
+
+@pytest.mark.parametrize("make", [
+    lambda sub: grid_oracle_distance(sub, [1.0, 0.5], 1.0, [0.0, 1.0], eps=np.nan),
+    lambda sub: epsilon_net(sub, [1.0, 0.5], 1.0, eps=np.nan),
+    lambda sub: euclidean_ball([0.0, 0.0], np.nan),
+])
+def test_nan_eps_and_radius_are_refused(diag_sub, make):
+    # NaN fails the positivity checks instead of reaching int(NaN) in the
+    # grid or a NaN distance
+    with pytest.raises(DimensionError):
+        make(diag_sub)
 
 
 def test_gauge_rejects_wrong_length(diag_sub):

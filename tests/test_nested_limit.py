@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_locator import (DimensionError, Located, OrbitBallContext,
-                           OrbitLocatorError, SolverFailure, Stabilized,
-                           Undecided, cauchy_bound, locate_distance,
+from orbit_locator import (RANK_TOL, DimensionError, Located,
+                           OrbitBallContext, OrbitLocatorError, SolverFailure,
+                           Stabilized, Undecided, cauchy_bound, locate_distance,
                            make_subspace, orbit, strict_excess, tail_bound)
 
 
@@ -130,7 +130,7 @@ def test_stabilized_at_a_marginal_rank(diag_sub, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", banned)
     for c, s in zip(contexts, sv):
         assert np.array_equal(c.geo.sv, s)
-        cut = c.rank_tol * s[0]
+        cut = RANK_TOL * s[0]
         with np.errstate(divide="ignore"):
             want = np.inf if cut == 0.0 else float(np.min(np.maximum(s / cut, cut / s)))
         assert c.rank_margin() == want
@@ -191,6 +191,15 @@ def test_input_validation(diag_sub):
         locate_distance(diag_sub, [1.0, 0.0], [0.0, 1.0], budget=0)
     with pytest.raises(DimensionError):
         locate_distance(diag_sub, [1.0, 0.0], [0.0, 1.0], tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_sweep_rejects_nan_and_inf_tol(diag_sub, tol, monkeypatch):
+    # a NaN tolerance closes no gap and an infinite one closes every gap:
+    # both are refused before the sweep solves a level
+    monkeypatch.setattr(OrbitBallContext, "solve_levels", None)
+    with pytest.raises(DimensionError, match="tol must be positive and finite"):
+        locate_distance(diag_sub, [1.0, 0.1], [0.0, 1.0], tol=tol)
 
 
 @settings(max_examples=30, deadline=None)

@@ -37,6 +37,10 @@ def test_decompose_needs_strict_inclusion():
         greedy_decompose([1.0, 0.0], unit_disc(), 1.0)
     with pytest.raises(DimensionError):
         greedy_decompose([0.1, 0.0], unit_disc(), 1.0, max_steps=0)
+    # an infinite radius would make the Member target, 2^-max_steps r, vacuous
+    for r in (np.inf, np.nan):
+        with pytest.raises(DimensionError):
+            greedy_decompose([5.0, 7.0], unit_disc(), r)
 
 
 def test_decompose_segment_witness():

@@ -20,6 +20,15 @@ def test_truncation_index_values():
         truncation_index([1.0], 0.0)
 
 
+def test_truncation_index_rejects_nan_radius_and_scalar_norm():
+    # a NaN radius fails the positivity check instead of reaching int(NaN);
+    # the index takes vectors, not a bare ||y||
+    with pytest.raises(DimensionError, match="positive inner radius"):
+        truncation_index([1.0, 0.0], np.nan)
+    with pytest.raises(DimensionError):
+        truncation_index(1.0, 0.5)
+
+
 def test_truncation_index_on_a_stack_equals_each_row():
     # rows with ratios 2||y||/r that are integers up to roundoff, then
     # random rows: the stack's N is the scalar N of each row
@@ -34,25 +43,25 @@ def test_truncation_index_on_a_stack_equals_each_row():
 
 
 def test_probe_set_is_the_seeded_draw_and_read_only(ptp):
-    # the probe set is drawn once per (dim, probes), bit for bit the
-    # per-probe draw of the PROBE_SEED stream, and shared read-only
-    for dim, probes in [(1, 0), (2, 8), (3, 8), (5, 3)]:
+    # the probe set is drawn once per dim, bit for bit the per-probe draw
+    # of the PROBE_SEED stream, and shared read-only
+    for dim in [1, 2, 3, 5]:
         rng = np.random.default_rng(PROBE_SEED)
         want = [np.eye(dim)[i] for i in range(dim)]
-        for _ in range(probes):
+        for _ in range(8):
             v = rng.standard_normal(dim)
             v /= max(float(np.linalg.norm(v)), 1e-300)
             want.append(v * rng.uniform(0.2, 2.0))
-        Y = pipeline._probe_set(dim, probes)
+        Y = pipeline._probe_set(dim)
         assert np.array_equal(Y, np.stack(want))
-        assert pipeline._probe_set(dim, probes) is Y
+        assert pipeline._probe_set(dim) is Y
         assert not Y.flags.writeable
         with pytest.raises(ValueError):
             Y[0, 0] = 2.0
     sub, x, _ = ptp
     cert = build_projection(sub, x)
     assert np.array_equal(np.stack([row.y for row in cert.per_y_trace]),
-                          pipeline._probe_set(3, 8))
+                          pipeline._probe_set(3))
 
 
 def test_span_inner_radius(diag_sub, ptp):
