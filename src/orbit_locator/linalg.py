@@ -57,6 +57,14 @@ def as_tol(tol) -> float:
     return tol
 
 
+def as_level(n) -> float:
+    """A ball level as a float, raising DimensionError unless n >= 0."""
+    n = float(n)
+    if not n >= 0.0:
+        raise DimensionError(f"scale n must be nonnegative, got {n}")
+    return n
+
+
 def orthonormalize(vectors) -> tuple[list[np.ndarray], int]:
     """Modified Gram-Schmidt with a drop rule.
 

@@ -12,17 +12,16 @@ the second; only an exact tie drops it. Every boundary answer is certified
 by a duality gap: the Lagrangian dual has a closed form at any d x d
 multiplier W, so the SQP candidate is checked at two KKT multipliers, the
 single top pair's and a nonnegative fit over the pairs within 5% of the
-top, which covers the exact ties,
-and ADMM, balancing its penalty against its residuals, stops once the best
-of its iterates scaled onto the ball meets the best dual bound of its
-multipliers. The gap is also the SQP's stop rule: every iteration takes it
-from the SVD it already makes, and a level leaves the search on the
-iteration it is certified at its tolerance. No alternating projection
-(Dykstra) runs. The SQP and the certificate run row-wise over levels:
-solve_levels finds and checks the boundary candidates of one query at many
-levels in one lockstep search, each started from the spectral clip of the
-interior representative, and distance picks its level's candidate up from
-the query cache; a single level is the one-row case.
+top, which covers the exact ties, and ADMM, balancing its penalty against
+its residuals, stops once the best of its iterates scaled onto the ball
+meets the best dual bound of its multipliers. The gap is also the SQP's
+stop rule, taken from the SVD each iteration already makes. Both run
+row-wise over levels: solve_levels finds and checks the boundary
+candidates of one query at many levels in one lockstep search, each
+started from the spectral clip of the interior representative, into the
+query's table, and distances reads the levels from it in order, running
+ADMM only for a level still open when the caller reaches it; distance is
+the one-level case.
 
 The shortcut is decided lazily. sigma1 of the least-norm preimage of Py
 bounds gauge(Py) from above (it is the gauge when no span operator kills
@@ -53,6 +52,7 @@ distance brackets for small coefficient counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,6 +137,7 @@ class LocatedSet:
 
 
 _MAX_OUTER = 80        # _sqp's iteration cap
+_HALVES = 0.5 ** np.arange(1, 12)   # _sqp's backtracking steps
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
 
@@ -167,23 +168,28 @@ class OrbitBallContext:
         self.stack = subspace.ortho_stack
         self.Phi = geo.Phi
         self.rank = r = geo.rank
-        self.H = 2.0 * (self.Phi.T @ self.Phi)
         V = geo.Vt.T
-        lams = np.zeros(k)
+        self._lams = lams = np.zeros(k)
         lams[:geo.sv.size] = geo.sv * geo.sv
         self.range_U = geo.U[:, :r]
         self.range_sv = geo.sv[:r]
         self.range_vecs = V[:, :r]
         self.range_lams = np.maximum(lams[:r], 1e-300)
         self.null_vecs = V[:, r:]
-        # H_inv is pinv(H) with pinv's own cut: drop 2 lam <= eps k 2 lam_max
-        # (lams descend, so the kept ones lead)
-        kept = V[:, :np.count_nonzero(lams > np.finfo(float).eps * k * lams[0])]
-        self.H_inv = (kept / (2.0 * lams[:kept.shape[1]])) @ kept.T
-        # the null stack mat(N_l), flattened: the gauge kernel's directions
         self._flat = self.stack.reshape(k, -1)
-        self.null_mats = self.null_vecs.T @ self._flat
         self._query_cache: dict[bytes, dict] = {}
+
+    @cached_property
+    def H_inv(self) -> np.ndarray:
+        # pinv(H) with pinv's own cut: drop 2 lam <= eps k 2 lam_max
+        lams = self._lams
+        kept = self.geo.Vt[:np.count_nonzero(lams > np.finfo(float).eps * self.k * lams[0])].T
+        return (kept / (2.0 * lams[:kept.shape[1]])) @ kept.T
+
+    # the Hessian 2 Phi'Phi of f; the null stack mat(N_l), flattened: the
+    # gauge kernel's directions
+    H = cached_property(lambda self: 2.0 * (self.Phi.T @ self.Phi))
+    null_mats = cached_property(lambda self: self.null_vecs.T @ self._flat)
 
     # ---- coefficient/matrix bridges -------------------------------------
 
@@ -216,8 +222,7 @@ class OrbitBallContext:
         cut = RANK_TOL * sv[0]
         if cut == 0.0:
             return np.inf
-        with np.errstate(divide="ignore"):
-            return float(np.min(np.maximum(sv / cut, cut / sv)))
+        return min(max(s / cut, cut / s) if s else np.inf for s in sv.tolist())
 
     def span_distance(self, y) -> float:
         """||y - Py||, the distance to the orbit span: an exact lower bound
@@ -378,12 +383,10 @@ class OrbitBallContext:
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
     def feasify(self, t, n) -> np.ndarray:
-        """t scaled down by n / sigma1(mat(t)) when that is below 1; n is a
-        scalar or broadcasts against the rows of a stack."""
+        """t scaled down by n / sigma1(mat(t)) when that is below 1; n > 0 is
+        a scalar or broadcasts against the rows of a stack."""
         t = np.asarray(t, dtype=float)
-        sig = _sigma1(self.mat(t))
-        over = (sig > n) & (sig > 0.0)
-        return t * np.where(over, n / np.where(over, sig, 1.0), 1.0)[..., None]
+        return t * (n / np.maximum(_sigma1(self.mat(t)), n))[..., None]
 
     def project(self, w, n: float, dyk_tol: float, max_sweeps: int = 400):
         """Euclidean projection of coefficient vector w onto
@@ -432,12 +435,12 @@ class OrbitBallContext:
     def _grad(self, t, y):
         return 2.0 * ((self.point(t) - y) @ self.Phi)
 
-    def _turn(self, t, y):
-        """The factors one SQP turn needs at each row t of a stack, from one
-        stacked SVD of mat(t): (U, sig, Vt, grad, outer, G, top), with grad
-        the gradient of f, (outer, G) the _top_pairs and top the
-        _top_multiplier of the top pair."""
-        U, sig, Vt = np.linalg.svd(self.mat(t))
+    def _turn(self, t, y, usv=None):
+        """The factors one SQP turn needs at each row t of a stack, from the
+        stacked SVD usv of mat(t) (made when not given): (U, sig, Vt, grad,
+        outer, G, top), with grad the gradient of f, (outer, G) the
+        _top_pairs and top the _top_multiplier of the top pair."""
+        U, sig, Vt = np.linalg.svd(self.mat(t)) if usv is None else usv
         grad = self._grad(t, y)
         outer, G = self._top_pairs(U, Vt)
         return U, sig, Vt, grad, outer, G, _top_multiplier(grad, G[:, :, 0])
@@ -457,33 +460,22 @@ class OrbitBallContext:
         mu = max(0, -<grad, g> / ||g||^2) with g the gradient of the top
         singular value. The second is the band W over the leading pairs
         within 5% of the top, mu >= 0 the nonnegative least-squares fit of
-        -grad by their gradients, found by trying every support; it is W1
-        when the band is one pair. Where the top value ties, the subgradient
+        -grad by their gradients, in closed form (_nnls); it is W1 when the
+        band is one pair. Where the top value ties, the subgradient
         spreads over the cluster (Overton, SIAM J. Matrix Anal. Appl. 1988)
         and only the band W can match it. Both are 0 where
         sigma1 <= 1e-14, and every weight is >= 0."""
         _, sig, _, grad, _, G, top = turn
         p = G.shape[2]
-        # the values are sorted, so the band is a leading run of pairs
-        band = sig[:, :p] >= 0.95 * sig[:, :1]
         live = sig[:, 0] > 1e-14
         mu = np.zeros((len(G), 2, p))
         mu[:, :, 0] = (top * live)[:, None]
-        multi = np.flatnonzero(band[:, 1:2] & live[:, None])
-        if multi.size:
-            # least squares on each support S (a row of bits) by the masked
-            # normal equations; the fit is the nonnegative one, inside the
-            # band, of least residual
-            G, grad = G[multi], grad[multi]
-            S =((np.arange(2 ** p)[:, None] >> np.arange(p)) & 1).astype(bool)
-            A = np.swapaxes(G, 1, 2) @ G
-            b = -np.einsum("rkp,rk->rp", G, grad)
-            fit = _sym_solve(A[:, None] * (S[:, :, None] & S[:, None, :]),
-                             b[:, None] * S, 1e-15)
-            ok = ~(S & ~band[multi, None]).any(axis=2) & (fit >= 0.0).all(axis=2)
-            res = np.linalg.norm(grad[:, None] + fit @ np.swapaxes(G, 1, 2), axis=2)
-            mu[multi, 1] = fit[np.arange(multi.size),
-                               np.where(ok, res, np.inf).argmin(axis=1)]
+        # the values are sorted, so the band is a leading run of pairs
+        multi = np.flatnonzero((sig[:, 1:2] >= 0.95 * sig[:, :1]) & live[:, None])
+        for r in multi.tolist():
+            m = 3 if p > 2 and sig[r, 2] >= 0.95 * sig[r, 0] else 2
+            X = G[r, :, :m]   # the band's gradients: Gram X'X, right side -X'grad
+            mu[r, 1, :m] = _nnls((X.T @ X).tolist(), (-(grad[r] @ X)).tolist(), (0, 1, 2)[:m])
         return mu
 
     def _multiplier(self, t, y) -> np.ndarray:
@@ -521,8 +513,8 @@ class OrbitBallContext:
         keeps the bound valid when the rank cut drops a nonzero singular
         value of Phi."""
         R = self.range_vecs
-        b = y @ self.Phi
-        t = (((2.0 * b - c) @ R) / (2.0 * self.range_lams)) @ R.T
+        b = self._query(y)["two_Phi_y"]
+        t = (((b - c) @ R) / (2.0 * self.range_lams)) @ R.T
         return (self._f(t, y) + np.einsum("...k,...k->...", c, t)
                 - n * (nuc + leak))
 
@@ -576,45 +568,42 @@ class OrbitBallContext:
 
     def _sqp(self, y, n, t0, tol):
         """Candidates on the active boundary sigma1(mat(t)) = n, one search
-        per row of t0 (n and tol: scalars or one value per row) in
-        lockstep; a row leaves when its search ends. Each iteration makes
-        one _turn (one stacked SVD, one gradient and one _top_pairs), and
-        the certificate and the Newton step share it. First every row's
-        duality gap (_cert_gap) is taken from it, with f from the line
-        search: a row stops once _certified at its tol. The others share
-        one batched Newton step on the KKT system whose one constraint is
-        the top pair's, sigma1 = n, with the Lagrangian's Hessian
-        H + mu sigma1'' and mu the least-squares multiplier of the gradient
-        (the turn's, which the certificate's first multiplier also uses);
-        where mu is 0 or the top value ties exactly
-        (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is undefined) the
+        per row of t0 (n and tol: scalars or one value per row) in lockstep;
+        t0 is first scaled onto the ball by the one SVD that also gives the
+        first _turn its factors. Each iteration makes one _turn (one stacked
+        SVD, one gradient and one _top_pairs), shared by the certificate and
+        the Newton step. First every row's duality gap (_cert_gap) is taken
+        from it, with f from the line search: a row stops once _certified at
+        its tol. The others share one batched Newton step on the KKT system
+        whose one constraint is the top pair's, sigma1 = n, with the
+        Lagrangian's Hessian H + mu sigma1'' and mu the turn's least-squares
+        multiplier of the gradient; where mu is 0 or the top value ties
+        exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is undefined) the
         Hessian is H. The step is pinv(K) of the KKT right side with pinv's
-        cut, from the eigenpairs of the symmetric K (_sym_solve). A row
-        whose KKT multiplier comes out below -1e-12 takes the
-        unconstrained step -H+ grad. Each row moves by the first
-        alpha in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as
-        one stacked trial, the halvings of rejected rows as one more) and
-        otherwise stops on a step below 1e-13 max(1, ||t||), on |f| <
-        1e-30, on a stall or after _MAX_OUTER iterations; such a row takes
-        its gap at its final point. t0 is scaled onto the ball first.
+        cut (_sym_solve); a row whose KKT multiplier falls below -1e-12 takes
+        the unconstrained step -H+ grad. Each row moves by the first alpha in
+        1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as one stacked
+        trial, the halvings of rejected rows as one more) and otherwise stops
+        on a step below 1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or
+        after _MAX_OUTER iterations, taking its gap at its final point.
         Returns (t, steps taken, f, gap), one per row."""
         t = np.array(t0, dtype=float)
-        n = np.broadcast_to(np.asarray(n, dtype=float), t.shape[:1])
-        tol = np.broadcast_to(np.asarray(tol, dtype=float), t.shape[:1])
-        t = self.feasify(t, n)
+        n, tol = np.full(len(t), n, dtype=float), np.full(len(t), tol, dtype=float)
+        U, sig, Vt = np.linalg.svd(self.mat(t))
+        scale = n[:, None] / np.maximum(sig[:, :1], n[:, None])
+        t, usv = t * scale, (U, sig * scale, Vt)
         f = self._f(t, y)
         gap = np.zeros(len(t))
         done = np.zeros(len(t), dtype=bool)
         iters = np.zeros(len(t), dtype=int)
         k = self.k
         eps = np.finfo(float).eps
-        halves = 0.5 ** np.arange(1, 12)
         act = np.arange(len(t))
         for _ in range(_MAX_OUTER):
             if not act.size:
                 break
             ta, na, fa = t[act], n[act], f[act]
-            turn = self._turn(ta, y)
+            turn, usv = self._turn(ta, y, usv), None
             gap[act] = self._cert_gap(ta, y, na, fa, turn)
             shut = _certified(fa, gap[act], tol[act])
             done[act] = shut
@@ -640,8 +629,9 @@ class OrbitBallContext:
             rhs = np.concatenate([-grad, (na - sig[:, 0])[:, None]], axis=1)
             sol = _sym_solve(K, rhs, eps * (k + 1))
             # a pruned multiplier leaves the unconstrained step
-            delta = np.where((sol[:, k] >= -1e-12)[:, None], sol[:, :k],
-                             -grad @ self.H_inv.T)
+            delta, pruned = sol[:, :k], np.flatnonzero(~(sol[:, k] >= -1e-12))
+            if pruned.size:
+                delta[pruned] = -grad[pruned] @ self.H_inv.T
             moving = ~shut & (np.einsum("rk,rk->r", delta, delta)
                               > 1e-26 * np.maximum(1.0, np.einsum("rk,rk->r", ta, ta)))
             live = np.flatnonzero(moving)
@@ -652,7 +642,7 @@ class OrbitBallContext:
             lost = live[~won]
             ended = ~moving
             if lost.size:
-                tc = self.feasify(ta[lost, None] + halves[:, None] * delta[lost, None],
+                tc = self.feasify(ta[lost, None] + _HALVES[:, None] * delta[lost, None],
                                   na[lost, None])
                 fc = self._f(tc, y)
                 ok = fc < fa[lost, None] - 1e-18
@@ -706,20 +696,18 @@ class OrbitBallContext:
 
     def solve_levels(self, y, ns, tols) -> None:
         """Boundary candidates for the query y at every level in ns, from
-        one lockstep _sqp; tols is a scalar or one tolerance per level, and
-        each row of the search stops once its duality gap meets its level's
-        tolerance. Levels whose route is interior or degenerate, and levels
-        already solved for this query, are skipped. Each level starts from
-        the spectral clip U min(Sigma, n) V' of the interior route's
-        representative, taken back to coefficients. The (t, iterations, f,
-        gap) of each level goes to the query cache, where distance takes it
-        up; no SolverFailure is raised here."""
+        one lockstep _sqp whose rows stop once their duality gap meets the
+        level's tolerance (tols: one, or one per level); interior,
+        degenerate and already solved levels are skipped. Each starts from
+        the spectral clip U min(Sigma, n) V' of the interior representative
+        (from _query's SVD when that is t_hat), and its (t, iterations, f,
+        gap) goes to the query's table; no SolverFailure is raised here."""
         y = self._as_query(y)
+        ns = [float(n) for n in ns]
+        tols = _per_level(tols, len(ns))
         if self.rank == 0:
             return
         q = self._query(y)
-        ns = [float(n) for n in ns]
-        tols = np.broadcast_to(np.asarray(tols, dtype=float), len(ns)).tolist()
         todo = {}
         for n, tol in zip(ns, tols):
             if n > 0.0 and n not in q["levels"]:
@@ -731,16 +719,15 @@ class OrbitBallContext:
         # a level the bound does not clear is interior or not by the gauge,
         # and every boundary level starts from the gauge's representative
         g, t_rep = self._query_gauge(q)
-        out &= ~_clears(g, n)
-        if not out.any():
-            return
+        if g is not q["ub"]:   # without a null space the gauge is ub, tested above
+            out &= ~_clears(g, n)
+            if not out.any():
+                return
         n, tol = n[out], tol[out]
-        U, sig, Vt = np.linalg.svd(self.mat(t_rep))
+        U, sig, Vt = q["svd"] if t_rep is q["t_hat"] else np.linalg.svd(self.mat(t_rep))
         t0 = self.tcoords((U * np.minimum(sig, n[:, None])[:, None]) @ Vt)
         t, iters, f, gap = self._sqp(y, n, t0, tol)
-        for i, level in enumerate(n.tolist()):
-            q["levels"][level] = (t[i], int(iters[i]), float(f[i]),
-                                  float(gap[i]))
+        q["levels"].update(zip(n.tolist(), zip(t, iters.tolist(), f.tolist(), gap.tolist())))
 
     def _admm(self, y, n, tol, t, f, iters):
         """ADMM on min f(s) + [sigma1(X) <= n] subject to mat(s) = X (Boyd
@@ -758,10 +745,10 @@ class OrbitBallContext:
         raises SolverFailure."""
         rho = 2.0 * np.sqrt(self.range_lams[0] * self.range_lams[-1])
         inv = np.linalg.inv(self.H + rho * np.eye(self.k))
-        b = 2.0 * (y @ self.Phi)
+        q = self._query(y)
+        b, leak = q["two_Phi_y"], q["leak"]
         X = self.mat(t)
         W = self._multiplier(t[None], y)[0, 1]
-        leak = self._query(y)["leak"]
         lower = -np.inf
         start = iters
         while iters < MAX_SOLVER_ITERS:
@@ -790,49 +777,46 @@ class OrbitBallContext:
             lower=float(np.sqrt(max(lower, 0.0))), upper=float(np.sqrt(f)),
             iterations=iters, partial=self.point(t))
 
-    def distance(self, y, n: float, tol: float = TOL) -> DistanceResult:
-        """Distance from y to {M x : M in the span, sigma1(M) <= n}, within
-        tol, with a witness point. A boundary level takes its solve_levels
-        candidate (the cached one when an earlier call solved this level
-        for y) and returns it when _certified at tol; otherwise ADMM runs
-        from it, and the certified answer replaces the cached candidate.
-        Raises SolverFailure with honest bounds when ADMM cannot close the
-        gap within the iteration budget."""
+    def distances(self, y, ns, tols):
+        """Yields (distance, point, t, tol, iterations, method) for each
+        level of ns in order (tols: one, or one per level; t in orthonormal
+        coefficients), read from the query's table after one solve_levels:
+        the origin at n = 0 or rank 0 (tol 0), Py at an interior level, a
+        boundary level's candidate once _certified, ADMM closing its gap
+        first, and replacing it, when the caller reaches the level. Raises
+        SolverFailure, with honest bounds, at the first level it fails."""
         y = self._as_query(y)
-        n = float(n)
-        tol = linalg.as_tol(tol)
-        if not n >= 0.0:
-            raise DimensionError(f"scale n must be nonnegative, got {n}")
-        if n == 0.0 or self.rank == 0:
-            return DistanceResult(
-                value=float(np.linalg.norm(y)), point=np.zeros(self.dim),
-                coeffs=np.zeros(self.k), tol=0.0, iterations=0,
-                method="degenerate")
+        ns = [linalg.as_level(n) for n in ns]
+        tols = [linalg.as_tol(tol) for tol in _per_level(tols, len(ns))]
+        self.solve_levels(y, ns, tols)
         q = self._query(y)
-        inside, _, t_rep = self._interior(q, n)
-        if inside:
-            return DistanceResult(
-                value=q["base"], point=q["Py"].copy(),
-                coeffs=self.subspace.from_ortho_coeffs(t_rep), tol=tol, iterations=0,
-                method="interior")
-        if n not in q["levels"]:
-            self.solve_levels(y, [n], tol)
-        t, iters, f, gap = q["levels"][n]
-        if not _certified(f, gap, tol):
-            t, iters, f, gap = self._admm(y, n, tol, t, f, iters)
-            q["levels"][n] = (t, iters, f, gap)
-        return DistanceResult(
-            value=float(np.sqrt(self._f(t, y))), point=self.point(t),
-            coeffs=self.subspace.from_ortho_coeffs(t), tol=tol, iterations=int(iters),
-            method="certified")
+        for n, tol in zip(ns, tols):
+            if n == 0.0 or self.rank == 0:
+                yield (float(np.linalg.norm(y)), np.zeros(self.dim), np.zeros(self.k), 0.0, 0,
+                       "degenerate")
+            elif n not in q["levels"]:
+                # solve_levels tabled every boundary level
+                yield q["base"], q["Py"].copy(), self._interior(q, n)[2], tol, 0, "interior"
+            else:
+                t, iters, f, gap = q["levels"][n]
+                if not _certified(f, gap, tol):
+                    t, iters, f, gap = q["levels"][n] = self._admm(y, n, tol, t, f, iters)
+                r = y - (point := self.point(t))
+                yield float(np.sqrt(r @ r)), point, t, tol, iters, "certified"
+
+    def distance(self, y, n: float, tol: float = TOL) -> DistanceResult:
+        """Distance from y to {M x : M in the span, sigma1(M) <= n} within
+        tol, with witness point and coefficients: distances at one level."""
+        d, point, t, tol, iters, how = next(self.distances(y, [n], tol))
+        return DistanceResult(d, point, self.subspace.from_ortho_coeffs(t), tol, iters, how)
 
     def _query(self, y) -> dict:
         """Per-query data kept across levels: Py, ||y - Py||, the least-norm
-        preimage t_hat of Py, ub = sigma1(mat(t_hat)) >= gauge(Py) and the
-        dual bound's leak term 2 sqrt(d) ||N'Phi'y|| (_dual). The gauge with
-        its coefficients, under "gauge", is ub and t_hat when there is no
-        null space and is otherwise filled in on first need. "levels" maps
-        a boundary level to its solve_levels candidate."""
+        preimage t_hat of Py, the SVD of mat(t_hat) with ub = sigma1 >=
+        gauge(Py), 2 Phi'y and the leak term 2 sqrt(d) ||N'Phi'y|| (_dual).
+        "gauge", the gauge with its coefficients, is (ub, t_hat) without a
+        null space and is otherwise filled in on first need; "levels", the
+        query's table, maps a boundary level to its solve_levels candidate."""
         key = y.tobytes()
         hit = self._query_cache.get(key)
         if hit is not None:
@@ -840,12 +824,14 @@ class OrbitBallContext:
         Py = self.geo.P @ y
         base = float(np.linalg.norm(y - Py))
         t_hat = self.min_norm_preimage(Py)
-        ub = linalg.spectral_norm(self.mat(t_hat))
-        leak = 2.0 * np.sqrt(self.dim) * np.linalg.norm((y @ self.Phi) @ self.null_vecs)
-        out = {"Py": Py, "base": base, "t_hat": t_hat, "ub": ub, "leak": leak,
-               "levels": {}}
+        svd = np.linalg.svd(self.mat(t_hat))
+        two_Phi_y = 2.0 * (y @ self.Phi)
+        leak = (np.sqrt(self.dim) * np.linalg.norm(two_Phi_y @ self.null_vecs)
+                if self.k > self.rank else 0.0)
+        out = {"Py": Py, "base": base, "t_hat": t_hat, "svd": svd, "ub": float(svd[1][0]),
+               "two_Phi_y": two_Phi_y, "leak": leak, "levels": {}}
         if self.null_vecs.shape[1] == 0:
-            out["gauge"] = (ub, t_hat)
+            out["gauge"] = (out["ub"], t_hat)
         if len(self._query_cache) > 128:
             self._query_cache.clear()
         self._query_cache[key] = out
@@ -866,6 +852,14 @@ def _gram_sigma1(Ms) -> np.ndarray:
     1 + d (d + 1) eps of sigma1 of X."""
     lam = np.linalg.eigvalsh(np.swapaxes(Ms, -1, -2) @ Ms)[..., -1]
     return np.sqrt(np.maximum(lam, 0.0))
+
+
+def _per_level(tols, count) -> list:
+    """tols, one tolerance or count of them, as a list of count floats."""
+    tols = np.asarray(tols, dtype=float)
+    if tols.ndim and tols.shape != (count,):
+        raise DimensionError(f"expected one tolerance or {count}, got shape {tols.shape}")
+    return tols.tolist() if tols.ndim else [float(tols)] * count
 
 
 def _clears(g, n):
@@ -890,6 +884,34 @@ def _sym_solve(A, b, rcond):
     kept = size > rcond * size.max(axis=-1, keepdims=True)
     w = (b[..., None, :] @ Z)[..., 0, :] / np.where(kept, lam, np.inf)
     return (Z @ w[..., None])[..., 0]
+
+
+def _nnls(A, b, S):
+    """The nonnegative least-squares weights w, 0 off the pairs S, that fit
+    b best, from the pairs' Gram A (lists): the free fit on S when A_S is
+    regular and the fit nonnegative, else the best fit leaving one pair
+    out, as the optimum then has a zero weight. The best has the largest
+    gain b'w, the fall of the squared residual; ties go to the first."""
+    d = [A[i][i] for i in S]
+    x = [-1.0]   # no fit
+    if len(S) == 3 and np.linalg.det(A) > 1e-15 * d[0] * d[1] * d[2]:
+        x = np.linalg.solve(A, b).tolist()
+    elif len(S) == 2:
+        (i, j), c = S, A[S[0]][S[1]]
+        det = d[0] * d[1] - c * c
+        if det > 1e-15 * d[0] * d[1]:
+            x = [(d[1] * b[i] - c * b[j]) / det, (d[0] * b[j] - c * b[i]) / det]
+    elif len(S) == 1 and d[0] > 0.0:
+        x = [b[S[0]] / d[0]]
+    if min(x) >= 0.0:
+        if len(S) == len(A):
+            return x
+        w = [0.0] * len(A)
+        for i, v in zip(S, x):
+            w[i] = v
+        return w
+    return max([_nnls(A, b, S[:j] + S[j + 1:]) for j in reversed(range(len(S)))],
+               key=lambda w: sum(v * c for v, c in zip(w, b)), default=[0.0] * len(A))
 
 
 def _certified(f, gap, tol):
@@ -920,9 +942,9 @@ def orbit_ball(subspace, x, n: float,
     distance, gauges and gauge_on (the compiled gauge with its
     one-eigenvalue ceiling and its slack), gauges, ceiling and slack
     divided by n."""
+    n = linalg.as_level(n)
     if ctx is None:
         ctx = OrbitBallContext(subspace, x)
-    n = float(n)
 
     def loc(y, tol):
         return ctx.distance(y, n, tol)
@@ -993,7 +1015,7 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
     """
     T = linalg.as_matrix(T)
     d, m = T.shape
-    n = float(n)
+    n = linalg.as_level(n)
     U, s, Vt = linalg.checked_svd(T)
     top = float(s[0])
     r = int(np.count_nonzero(s > max(top * 1e-13, 1e-150)))
@@ -1071,7 +1093,7 @@ def grid_oracle_distance(subspace, x, n: float, y, eps: float,
     """
     xv = linalg.as_vector(x)
     y = linalg.as_vector(y)
-    n = float(n)
+    n = linalg.as_level(n)
     eps = float(eps)
     if not eps > 0:
         raise DimensionError("eps must be positive")

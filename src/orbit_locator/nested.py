@@ -140,12 +140,12 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     Otherwise the verdict is Undecided with bracket [||y - Py||, d_budget]
     (or [0, d_budget] at a marginal or full rank).
 
-    One ctx.solve_levels call first finds every level's boundary
-    candidate in lockstep, each stopped once its duality gap meets the
-    level's tolerance; ctx.distance then takes them up level by level and
-    runs ADMM only where the search could not close a candidate's gap, so
-    a level past the verdict never runs it and a SolverFailure comes from
-    the first failing level the loop reaches.
+    The levels are read in order from one ctx.distances call, whose one
+    solve_levels finds every boundary candidate in lockstep: an interior
+    level is Py, a certified one its candidate, and ADMM runs only for a
+    level whose gap is still open, when the sweep reaches it. So a level
+    past the verdict never runs it, and a SolverFailure comes from the
+    first failing level, with the levels before it as the partial report.
     """
     if budget < 1:
         raise DimensionError("budget must be at least 1")
@@ -154,27 +154,24 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
         ctx = located.OrbitBallContext(subspace, x)
     y = linalg.as_vector(y)
     lb = _lower_bound(ctx, y)
-    tols = [min(tol, 2.0 ** -(n + 2)) for n in range(1, budget + 1)]
-    ctx.solve_levels(y, range(1, budget + 1), tols)
+    ns = range(1, budget + 1)
+    tols = [min(tol, 2.0 ** -(n + 2)) for n in ns]
     levels: list[Level] = []
     verdict: object = None
-    for n, tol_n in enumerate(tols, start=1):
-        try:
-            res = ctx.distance(y, float(n), tol=tol_n)
-        except SolverFailure as exc:
-            report = _close_report(levels, None, tol)
-            raise SolverFailure(
-                f"level {n} of the sweep failed: {exc}",
-                lower=exc.lower, upper=exc.upper,
-                iterations=exc.iterations, partial=report) from exc
-        d_n = float(np.linalg.norm(y - res.point))
-        levels.append(Level(n=n, d=d_n, y=res.point))
-        if tail_bound(n, d_n) <= tol * tol:
-            verdict = Located(d=d_n, y_inf=res.point)
-            break
-        if d_n - lb <= tol + tol_n:
-            verdict = Stabilized(N=n, d=d_n)
-            break
+    try:
+        for n, tol_n, (d_n, point, *_) in zip(ns, tols, ctx.distances(y, ns, tols)):
+            levels.append(Level(n=n, d=d_n, y=point))
+            if tail_bound(n, d_n) <= tol * tol:
+                verdict = Located(d=d_n, y_inf=point)
+                break
+            if d_n - lb <= tol + tol_n:
+                verdict = Stabilized(N=n, d=d_n)
+                break
+    except SolverFailure as exc:
+        raise SolverFailure(
+            f"level {len(levels) + 1} of the sweep failed: {exc}",
+            lower=exc.lower, upper=exc.upper, iterations=exc.iterations,
+            partial=_close_report(levels, None, tol)) from exc
     if verdict is None:
         verdict = Undecided(budget=budget, lower=lb, upper=levels[-1].d)
     return _close_report(levels, verdict, tol)

@@ -231,6 +231,7 @@ def epsilon_net(subspace: OperatorSubspace, x, n: float, eps: float,
     grid would exceed the cap.
     """
     xv = linalg.as_vector(x)
+    n = linalg.as_level(n)
     if not eps > 0.0:
         raise DimensionError("eps must be positive")
     image_norms = np.array([float(np.linalg.norm(B @ xv)) for B in subspace.basis])

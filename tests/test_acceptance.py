@@ -154,6 +154,31 @@ def test_criterion_05_family50_verdicts_pinned(family50):
           f"{checked} certified level witnesses feasible: PASS")
 
 
+def test_table_route_matches_distance_per_level(family50):
+    # the sweep reads its levels from the query's table: on a context that
+    # ran the sweep, each level's (d, point) read by distances is the
+    # sweep's, is bit for bit what ctx.distance returns for that level, and
+    # is within 1e-12 of a fresh context that solves the level alone
+    instances, reports, _ = family50
+    count = 0
+    for (sub, x, y), report in zip(instances, reports):
+        ctx = OrbitBallContext(sub, x)
+        locate_distance(sub, x, y, budget=12, tol=1e-6, ctx=ctx)
+        ns = [level.n for level in report.levels]
+        tols = [min(1e-6, 2.0 ** -(n + 2)) for n in ns]
+        for level, tol, (d, point, *_, method) in zip(report.levels, tols,
+                                                       ctx.distances(y, ns, tols)):
+            assert d == level.d and np.array_equal(point, level.y)
+            res = ctx.distance(y, level.n, tol)
+            assert res.value == d and np.array_equal(res.point, point)
+            alone = OrbitBallContext(sub, x).distance(y, level.n, tol)
+            assert alone.method == res.method == method
+            assert abs(alone.value - d) <= 1e-12, (level.n, alone.value, d)
+            assert np.abs(alone.point - point).max() <= 1e-12
+            count += 1
+    assert count == 225
+
+
 def test_criterion_05_undecided_bracket(family50):
     # an Undecided verdict brackets the distance between the span lower
     # bound ||y - Py|| and the budget level's distance

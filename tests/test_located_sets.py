@@ -368,6 +368,30 @@ def test_nan_eps_and_radius_are_refused(diag_sub, make):
         make(diag_sub)
 
 
+@pytest.mark.parametrize("make", [
+    lambda sub, n: epsilon_net(sub, [1.0, 0.5], n, eps=0.1),
+    lambda sub, n: grid_oracle_distance(sub, [1.0, 0.5], n, [0.0, 1.0], eps=0.1),
+    lambda sub, n: linear_image_ball(np.eye(2), n).locate([3.0, 4.0]),
+    lambda sub, n: orbit_ball(sub, [1.0, 0.5], n).gauge([1.0, 0.0]),
+], ids=["epsilon_net", "grid_oracle_distance", "linear_image_ball", "orbit_ball"])
+@pytest.mark.parametrize("n", [np.nan, -1.0], ids=["nan", "negative"])
+def test_nan_and_negative_level_are_refused(diag_sub, make, n):
+    # a NaN level reached int(NaN) in the grid sizing or gave NaN distances
+    # and gauges, and the ellipsoid at n = -1 put (3, 4) at distance 4.0:
+    # every entry point refuses such a level with the one typed error
+    with pytest.raises(DimensionError, match="scale n must be nonnegative"):
+        make(diag_sub, n)
+
+
+def test_solve_levels_rejects_tolerances_of_the_wrong_length(diag_sub):
+    # numpy's broadcast raised a bare ValueError here
+    ctx = OrbitBallContext(diag_sub, [1.0, 0.1])
+    with pytest.raises(DimensionError, match="expected one tolerance or 3"):
+        ctx.solve_levels([0.0, 1.0], range(1, 4), [1e-6] * 30)
+    with pytest.raises(DimensionError):
+        ctx.distance([0.0, 1.0], 1.0, [1e-6, 1e-6])
+
+
 def test_gauge_rejects_wrong_length(diag_sub):
     with pytest.raises(DimensionError):
         gauge_of_orbit_ball(diag_sub, [1.0, 0.5], [1.0, 2.0, 3.0])
@@ -575,7 +599,8 @@ def test_interior_witness_is_feasible():
 def family50_diag_problem(index):
     """Problem `index` (below 20) of the acceptance family50 draw: the
     diagonal subspace with x = (1, c) and the index-th query of the draw."""
-    cs = [0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1, 0.75]
+    cs = [0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1, 0.75,
+          0.33, -0.33, 0.6, -0.6, 0.9, -0.9, 0.45, -0.45, 0.05, -0.05]
     g = np.random.default_rng(424242)
     for _ in range(index + 1):
         y = g.normal(size=2) * 1.2
@@ -656,6 +681,81 @@ def test_band_multiplier_closes_the_tied_corner(diag_sub):
     t = np.array([[1.0, 1.0]])
     assert abs(ctx._f(t, y)[0] - 1.81) <= 1e-12
     assert 0.0 <= ctx._cert_gap(t, y, 1.0)[0] <= 1e-12
+
+
+def band_fit_by_every_support(turn):
+    """The band multiplier's weights as the search over supports found
+    them: least squares of -grad on every support inside each row's band,
+    the nonnegative fit of least residual, the first on a tie."""
+    _, sig, _, grad, _, G, _ = turn
+    p = G.shape[2]
+    fits = np.zeros((len(G), p))
+    for r in range(len(G)):
+        m, best = int(np.sum(sig[r, :p] >= 0.95 * sig[r, 0])), np.inf
+        for bits in range(2 ** m):
+            S = [i for i in range(m) if bits >> i & 1]
+            x = np.zeros(p)
+            if S:
+                x[S] = np.linalg.lstsq(G[r][:, S], -grad[r], rcond=None)[0]
+            res = np.linalg.norm(grad[r] + G[r] @ x)
+            if (x >= 0.0).all() and res < best:
+                best, fits[r] = res, x
+    return fits
+
+
+def assert_band_fit_as_every_support(ctx, turn):
+    new, want = ctx._fit(turn)[:, 1], band_fit_by_every_support(turn)
+    assert np.array_equal(new > 0.0, want > 0.0), (new, want)
+    assert np.abs(new - want).max() <= 1e-12, (new, want)
+
+
+@pytest.mark.parametrize("index", [9, 12])
+def test_band_fit_picks_the_support_search_fit(index, monkeypatch):
+    # diag c = 0.75 and c = -0.33: the sweep's turns whose top pairs lie
+    # within 5% take the closed-form band fit, which picks the support
+    # and weights of the search over every support
+    basis, x, y = family50_diag_problem(index)
+    turns = []
+    turn_of = OrbitBallContext._turn
+
+    def kept(self, t, yy, usv=None):
+        turn = turn_of(self, t, yy, usv)
+        turns.append(turn)
+        return turn
+
+    monkeypatch.setattr(OrbitBallContext, "_turn", kept)
+    ctx = OrbitBallContext(make_subspace(basis), x)
+    locate_distance(ctx.subspace, x, y, budget=12, tol=1e-6, ctx=ctx)
+    banded = [turn for turn in turns if (turn[1][:, 1] >= 0.95 * turn[1][:, 0]).any()]
+    assert banded
+    for turn in banded:
+        assert_band_fit_as_every_support(ctx, turn)
+
+
+def test_band_fit_at_a_random_exact_tie():
+    # mat(t) = U diag(2, 2, 0.5) V' with random orthogonal U, V lies in a
+    # random 3 x 3 span, so its top value ties exactly. Queries y put -grad
+    # at a g1 + b g2 plus noise, with g_i the tied pairs' gradients, so the
+    # best support is both pairs, then the first, then the second alone;
+    # each time the band fit matches the search over every support
+    g = np.random.default_rng(31)
+    U, V = (np.linalg.qr(g.normal(size=(3, 3)))[0] for _ in range(2))
+    M = U @ np.diag([2.0, 2.0, 0.5]) @ V.T
+    sub = make_subspace([M, g.normal(size=(3, 3)), g.normal(size=(3, 3))])
+    ctx = OrbitBallContext(sub, g.normal(size=3))
+    t = ctx.tcoords(M)[None]
+    G = ctx._turn(t, np.zeros(3))[5][0]
+    supports = []
+    for a, b in [(1.0, 0.5), (0.3, 1.2), (1.0, -0.2), (-0.3, 1.0)]:
+        w = a * G[:, 0] + b * G[:, 1] + 0.05 * g.normal(size=3)
+        # 2 Phi'(y - Phi t) = w, so -grad = w
+        y = ctx.point(t[0]) + np.linalg.solve(ctx.Phi.T, w / 2.0)
+        turn = ctx._turn(t, y)
+        assert abs(turn[1][0, 1] / turn[1][0, 0] - 1.0) <= 1e-14
+        assert turn[1][0, 2] < 0.95 * turn[1][0, 0]
+        assert_band_fit_as_every_support(ctx, turn)
+        supports.append(tuple(np.flatnonzero(ctx._fit(turn)[0, 1])))
+    assert supports == [(0, 1), (0, 1), (0,), (1,)]
 
 
 @pytest.mark.parametrize("source,index", [("family50", 20), ("wide", 35)])

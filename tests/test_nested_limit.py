@@ -165,25 +165,63 @@ def test_verdict_matches_projection(diag_sub, ptp):
 
 
 def test_solver_failure_carries_partial(diag_sub, monkeypatch):
+    # level 3, a boundary level, is left open after the lockstep search
+    # and its ADMM fails: levels 1 and 2 are the partial report
     x = np.array([1.0, 0.1])
     y = np.array([0.0, 1.0])
-    real = OrbitBallContext.distance
-    calls = {"n": 0}
+    solve = OrbitBallContext.solve_levels
 
-    def flaky(self, yy, n, tol=1e-6):
-        calls["n"] += 1
-        if calls["n"] >= 3:
-            raise SolverFailure("stalled", lower=0.1, upper=0.9,
-                                iterations=7)
-        return real(self, yy, n, tol=tol)
+    def open_level_3(self, yy, ns, tols):
+        solve(self, yy, ns, tols)
+        table = self._query(np.asarray(yy, dtype=float))["levels"]
+        t, iters, f, _ = table[3.0]
+        table[3.0] = (t, iters, f, np.inf)
 
-    monkeypatch.setattr(OrbitBallContext, "distance", flaky)
+    def stalled(self, yy, n, tol, t, f, iters):
+        raise SolverFailure("stalled", lower=0.1, upper=0.9, iterations=7)
+
+    monkeypatch.setattr(OrbitBallContext, "solve_levels", open_level_3)
+    monkeypatch.setattr(OrbitBallContext, "_admm", stalled)
     with pytest.raises(SolverFailure) as exc:
         locate_distance(diag_sub, x, y, budget=12, tol=1e-6)
     partial = exc.value.partial
     assert partial is not None
     assert len(partial.levels) == 2
     assert exc.value.lower == 0.1 and exc.value.upper == 0.9
+
+
+def test_open_levels_run_admm_in_level_order_up_to_the_verdict(diag_sub, monkeypatch):
+    # every boundary level (1-10, as gauge(Py) = 10) is left open after the
+    # lockstep search: ADMM closes them one at a time, in level order, as
+    # the sweep reaches them, and the sweep stops at its verdict, level 7,
+    # so the open levels 8-10 never run it
+    x = np.array([1.0, 0.1])
+    y = np.array([0.0, 1.0])
+    want = locate_distance(diag_sub, x, y, budget=12, tol=0.3)
+    solve, admm = OrbitBallContext.solve_levels, OrbitBallContext._admm
+    tabled, ran = [], []
+
+    def all_open(self, yy, ns, tols):
+        solve(self, yy, ns, tols)
+        table = self._query(np.asarray(yy, dtype=float))["levels"]
+        tabled.extend(sorted(table))
+        for n, (t, iters, f, _) in table.items():
+            table[n] = (t, iters, f, np.inf)
+
+    def counted(self, yy, n, tol, t, f, iters):
+        ran.append(n)
+        return admm(self, yy, n, tol, t, f, iters)
+
+    monkeypatch.setattr(OrbitBallContext, "solve_levels", all_open)
+    monkeypatch.setattr(OrbitBallContext, "_admm", counted)
+    report = locate_distance(diag_sub, x, y, budget=12, tol=0.3)
+    assert tabled == [float(n) for n in range(1, 11)]
+    assert ran == [float(n) for n in range(1, 8)]
+    for rep in (want, report):
+        assert isinstance(rep.verdict, Stabilized) and rep.verdict.N == 7
+        assert len(rep.levels) == 7
+    for level, ref in zip(report.levels, want.levels):
+        assert abs(level.d - ref.d) <= 2.0 ** -(level.n + 2), (level.n, level.d, ref.d)
 
 
 def test_input_validation(diag_sub):
