@@ -16,12 +16,15 @@ top, which covers the exact ties, and ADMM, balancing its penalty against
 its residuals, stops once the best of its iterates scaled onto the ball
 meets the best dual bound of its multipliers. The gap is also the SQP's
 stop rule, taken from the SVD each iteration already makes. Both run
-row-wise over levels: solve_levels finds and checks the boundary
-candidates of one query at many levels in one lockstep search, each
-started from the spectral clip of the interior representative, into the
-query's table, and distances reads the levels from it in order, running
-ADMM only for a level still open when the caller reaches it; distance is
-the one-level case.
+row-wise over levels. distances is the one door for a query: it checks y,
+the levels and the tolerances once and builds the query's record (_query),
+which every solver step below it takes in place of y; _solve_levels finds
+and checks the boundary candidates of all the levels in one lockstep
+search, each started from the spectral clip of the interior
+representative, and distances reads the levels in order, running ADMM
+only for a level still open when the caller reaches it; distance is the
+one-level case. The context holds only the geometry: no record outlives
+its call, so a repeated query is solved again.
 
 The shortcut is decided lazily. sigma1 of the least-norm preimage of Py
 bounds gauge(Py) from above (it is the gauge when no span operator kills
@@ -177,7 +180,6 @@ class OrbitBallContext:
         self.range_lams = np.maximum(lams[:r], 1e-300)
         self.null_vecs = V[:, r:]
         self._flat = self.stack.reshape(k, -1)
-        self._query_cache: dict[bytes, dict] = {}
 
     @cached_property
     def H_inv(self) -> np.ndarray:
@@ -227,7 +229,8 @@ class OrbitBallContext:
     def span_distance(self, y) -> float:
         """||y - Py||, the distance to the orbit span: an exact lower bound
         on the distance to every orbit ball."""
-        return self._query(linalg.as_vector(y))["base"]
+        y = self._as_query(y)
+        return float(np.linalg.norm(y - self.geo.P @ y))
 
     # ---- gauge ------------------------------------------------------------
 
@@ -495,13 +498,13 @@ class OrbitBallContext:
         cn = (c @ N) @ N.T
         return c - cn, np.linalg.svd(W - self.mat(cn), compute_uv=False).sum(axis=-1)
 
-    def _dual(self, c, nuc, y, n, leak) -> np.ndarray:
-        """Lower bound on min f over the level-n feasible region from a
-        d x d multiplier W, given by its coordinates c = tcoords(W') and
-        nuc = ||W'||_* with W' the null-cut multiplier of _cut, and the
-        query's leak term; row-wise for stacks (n a scalar or one level per
-        row). The one bound formula: ADMM feeds it from a formed W through
-        _cut, and _cert_gap from the weights of the top pairs.
+    def _dual(self, c, nuc, q, n) -> np.ndarray:
+        """Lower bound on min f over the level-n feasible region for the
+        query record q from a d x d multiplier W, given by its coordinates
+        c = tcoords(W') and nuc = ||W'||_* with W' the null-cut multiplier
+        of _cut; row-wise for stacks (n a scalar or one level per row). The
+        one bound formula: ADMM feeds it from a formed W through _cut, and
+        _cert_gap from the weights of the top pairs.
 
         With N'c = 0, every feasible t has
         <W', mat(t)> = c't <= ||W'||_* sigma1 <= n ||W'||_*, so
@@ -513,28 +516,28 @@ class OrbitBallContext:
         keeps the bound valid when the rank cut drops a nonzero singular
         value of Phi."""
         R = self.range_vecs
-        b = self._query(y)["two_Phi_y"]
-        t = (((b - c) @ R) / (2.0 * self.range_lams)) @ R.T
-        return (self._f(t, y) + np.einsum("...k,...k->...", c, t)
-                - n * (nuc + leak))
+        t = (((q["two_Phi_y"] - c) @ R) / (2.0 * self.range_lams)) @ R.T
+        return (self._f(t, q["y"]) + np.einsum("...k,...k->...", c, t)
+                - n * (nuc + q["leak"]))
 
-    def _cert_gap(self, t, y, n, f=None, turn=None) -> np.ndarray:
+    def _cert_gap(self, t, q, n, f=None, turn=None) -> np.ndarray:
         """Upper bound f(t) - max _dual(W) on f(t) - min f over the level-n
         feasible region for each feasible row t of a stack (n a scalar or
-        one level per row), over the row's two _fit multipliers W; f = f(t)
-        and turn = _turn(t, y) are computed when the caller does not have
-        them. No W is formed for the bound's coordinates: with weights mu
-        on the top pairs, tcoords(W) = G mu. Without a null space W' = W,
-        and ||W||_* = sum mu_i, as the pairs are orthonormal and mu >= 0;
-        only with one is W formed and W' = W - mat(N N'c) factored. Any W
-        gives a valid bound, so W only affects tightness: at an optimum
-        whose top singular value is simple, or whose tied top values admit
-        a nonnegative multiplier fit, the gap is 0 up to rounding."""
+        one level per row) and the query record q, over the row's two _fit
+        multipliers W; f = f(t) and turn = _turn(t, y) are computed when
+        the caller does not have them. No W is formed for the bound's
+        coordinates: with weights mu on the top pairs, tcoords(W) = G mu.
+        Without a null space W' = W, and ||W||_* = sum mu_i, as the pairs
+        are orthonormal and mu >= 0; only with one is W formed and
+        W' = W - mat(N N'c) factored. Any W gives a valid bound, so W only
+        affects tightness: at an optimum whose top singular value is simple,
+        or whose tied top values admit a nonnegative multiplier fit, the gap
+        is 0 up to rounding."""
         t = np.asarray(t, dtype=float)
         if f is None:
-            f = self._f(t, y)
+            f = self._f(t, q["y"])
         if turn is None:
-            turn = self._turn(t, y)
+            turn = self._turn(t, q["y"])
         outer, G = turn[4:6]
         mu = self._fit(turn)
         c = np.einsum("rkp,rwp->rwk", G, mu)
@@ -543,7 +546,7 @@ class OrbitBallContext:
         else:
             nuc = mu.sum(axis=-1)
         n = np.asarray(n, dtype=float)[..., None]
-        return f - self._dual(c, nuc, y, n, self._query(y)["leak"]).max(axis=-1)
+        return f - self._dual(c, nuc, q, n).max(axis=-1)
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
@@ -566,27 +569,28 @@ class OrbitBallContext:
         return (s1 * (outer(a / den, a) + outer(b / den, b))
                 + cross + np.swapaxes(cross, -1, -2))
 
-    def _sqp(self, y, n, t0, tol):
-        """Candidates on the active boundary sigma1(mat(t)) = n, one search
-        per row of t0 (n and tol: scalars or one value per row) in lockstep;
-        t0 is first scaled onto the ball by the one SVD that also gives the
-        first _turn its factors. Each iteration makes one _turn (one stacked
-        SVD, one gradient and one _top_pairs), shared by the certificate and
-        the Newton step. First every row's duality gap (_cert_gap) is taken
-        from it, with f from the line search: a row stops once _certified at
-        its tol. The others share one batched Newton step on the KKT system
-        whose one constraint is the top pair's, sigma1 = n, with the
-        Lagrangian's Hessian H + mu sigma1'' and mu the turn's least-squares
-        multiplier of the gradient; where mu is 0 or the top value ties
-        exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is undefined) the
-        Hessian is H. The step is pinv(K) of the KKT right side with pinv's
-        cut (_sym_solve); a row whose KKT multiplier falls below -1e-12 takes
-        the unconstrained step -H+ grad. Each row moves by the first alpha in
-        1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as one stacked
-        trial, the halvings of rejected rows as one more) and otherwise stops
-        on a step below 1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or
-        after _MAX_OUTER iterations, taking its gap at its final point.
-        Returns (t, steps taken, f, gap), one per row."""
+    def _sqp(self, q, n, t0, tol):
+        """Candidates on the active boundary sigma1(mat(t)) = n for the query
+        record q, one search per row of t0 (n and tol: scalars or one value per
+        row) in lockstep; t0 is first scaled onto the ball by the one SVD that
+        also gives the first _turn its factors. Each iteration makes one _turn
+        (one stacked SVD, one gradient and one _top_pairs), shared by the
+        certificate and the Newton step. First every row's duality gap
+        (_cert_gap) is taken from it, with f from the line search: a row stops
+        once _certified at its tol. The others share one batched Newton step on
+        the KKT system whose one constraint is the top pair's, sigma1 = n, with
+        the Lagrangian's Hessian H + mu sigma1'' and mu the turn's
+        least-squares multiplier of the gradient; where mu is 0 or the top
+        value ties exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is
+        undefined) the Hessian is H. The step is pinv(K) of the KKT right side
+        with pinv's cut (_sym_solve); a row whose KKT multiplier falls below
+        -1e-12 takes the unconstrained step -H+ grad. Each row moves by the
+        first alpha in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps
+        as one stacked trial, the halvings of rejected rows as one more) and
+        otherwise stops on a step below 1e-13 max(1, ||t||), on |f| < 1e-30, on
+        a stall or after _MAX_OUTER iterations, taking its gap at its final
+        point. Returns (t, steps taken, f, gap), one per row."""
+        y = q["y"]
         t = np.array(t0, dtype=float)
         n, tol = np.full(len(t), n, dtype=float), np.full(len(t), tol, dtype=float)
         U, sig, Vt = np.linalg.svd(self.mat(t))
@@ -604,7 +608,7 @@ class OrbitBallContext:
                 break
             ta, na, fa = t[act], n[act], f[act]
             turn, usv = self._turn(ta, y, usv), None
-            gap[act] = self._cert_gap(ta, y, na, fa, turn)
+            gap[act] = self._cert_gap(ta, q, na, fa, turn)
             shut = _certified(fa, gap[act], tol[act])
             done[act] = shut
             if shut.all():
@@ -654,7 +658,7 @@ class OrbitBallContext:
             act = act[~(ended | (np.abs(fa) < 1e-30))]
         rest = np.flatnonzero(~done)
         if rest.size:
-            gap[rest] = self._cert_gap(t[rest], y, n[rest], f[rest])
+            gap[rest] = self._cert_gap(t[rest], q, n[rest], f[rest])
         return t, iters, f, gap
 
     # ---- public distance query --------------------------------------------
@@ -665,24 +669,32 @@ class OrbitBallContext:
             raise DimensionError(f"query has shape {y.shape}, expected ({self.dim},)")
         return y
 
-    def _interior(self, q: dict, n: float):
-        """(inside, g, t_rep) for the query data q at level n: whether Py
-        lies in the level-n ball, with g >= gauge(Py) and coefficients t_rep
-        of an operator of sigma1 g sending x to Py. gauge(Py) <= ub, so a
-        bound that clears n decides it exactly as the gauge would;
-        otherwise the gauge's search runs, once per query."""
-        g, t_rep = q["ub"], q["t_hat"]
-        inside = _clears(g, n)
-        if not inside:
-            g, t_rep = self._query_gauge(q)
-            inside = _clears(g, n)
-        return inside, g, t_rep
+    def _query(self, y) -> dict:
+        """The record of the checked query y that one distances call builds
+        and passes down: y, Py, ||y - Py||, the least-norm preimage t_hat
+        of Py, the SVD of mat(t_hat) with ub = sigma1 >= gauge(Py), 2 Phi'y
+        and the leak term 2 sqrt(d) ||N'Phi'y|| (_dual). "gauge", the gauge
+        of Py with its coefficients, is (ub, t_hat) without a null space and
+        is otherwise filled in on first need (_query_gauge)."""
+        Py = self.geo.P @ y
+        t_hat = self.min_norm_preimage(Py)
+        svd = np.linalg.svd(self.mat(t_hat))
+        two_Phi_y = 2.0 * (y @ self.Phi)
+        leak = (np.sqrt(self.dim) * np.linalg.norm(two_Phi_y @ self.null_vecs)
+                if self.k > self.rank else 0.0)
+        q = {"y": y, "Py": Py, "base": float(np.linalg.norm(y - Py)), "t_hat": t_hat,
+             "svd": svd, "ub": float(svd[1][0]), "two_Phi_y": two_Phi_y, "leak": leak}
+        if not self.null_vecs.shape[1]:
+            q["gauge"] = (q["ub"], t_hat)
+        return q
 
     def _query_gauge(self, q: dict):
-        """(gauge(Py), its coefficients) for the query data q, computed on
-        first need and kept."""
+        """(gauge(Py), its coefficients) for the query record q: the gauge
+        kernel run from q's t_hat on first need, and kept in q."""
         if "gauge" not in q:
-            q["gauge"] = self.gauge(q["Py"])
+            t_hat = q["t_hat"][None]
+            g, t = self._gauge_kernel(self.mat(t_hat).reshape(1, -1), t_hat)
+            q["gauge"] = float(g[0]), t[0]
         return q["gauge"]
 
     def interior_rows(self, Y, ns) -> np.ndarray:
@@ -694,59 +706,53 @@ class OrbitBallContext:
         Py = Y @ self.geo.P.T
         return _clears(_sigma1(self.mat(self.min_norm_preimage(Py))), ns)
 
-    def solve_levels(self, y, ns, tols) -> None:
-        """Boundary candidates for the query y at every level in ns, from
-        one lockstep _sqp whose rows stop once their duality gap meets the
-        level's tolerance (tols: one, or one per level); interior,
-        degenerate and already solved levels are skipped. Each starts from
-        the spectral clip U min(Sigma, n) V' of the interior representative
-        (from _query's SVD when that is t_hat), and its (t, iterations, f,
-        gap) goes to the query's table; no SolverFailure is raised here."""
-        y = self._as_query(y)
-        ns = [float(n) for n in ns]
-        tols = _per_level(tols, len(ns))
-        if self.rank == 0:
-            return
-        q = self._query(y)
+    def _solve_levels(self, q: dict, ns, tols) -> dict:
+        """The boundary candidates of the query record q, {n: (t,
+        iterations, f, gap)} over the levels n > 0 of ns that neither ub nor
+        the gauge of Py clears, from one lockstep _sqp whose rows stop once
+        their duality gap meets the level's tolerance (tols: one per level;
+        the first one for a level given twice). Each starts from the
+        spectral clip U min(Sigma, n) V' of the interior representative
+        (from _query's SVD when that is t_hat); no SolverFailure is raised
+        here."""
         todo = {}
         for n, tol in zip(ns, tols):
-            if n > 0.0 and n not in q["levels"]:
+            if n > 0.0:
                 todo.setdefault(n, tol)
         n, tol = np.array(list(todo)), np.array(list(todo.values()))
         out = ~_clears(q["ub"], n)
         if not out.any():
-            return
+            return {}
         # a level the bound does not clear is interior or not by the gauge,
         # and every boundary level starts from the gauge's representative
         g, t_rep = self._query_gauge(q)
-        if g is not q["ub"]:   # without a null space the gauge is ub, tested above
+        if self.null_vecs.shape[1]:   # without one the gauge is ub, tested above
             out &= ~_clears(g, n)
             if not out.any():
-                return
+                return {}
         n, tol = n[out], tol[out]
         U, sig, Vt = q["svd"] if t_rep is q["t_hat"] else np.linalg.svd(self.mat(t_rep))
         t0 = self.tcoords((U * np.minimum(sig, n[:, None])[:, None]) @ Vt)
-        t, iters, f, gap = self._sqp(y, n, t0, tol)
-        q["levels"].update(zip(n.tolist(), zip(t, iters.tolist(), f.tolist(), gap.tolist())))
+        t, iters, f, gap = self._sqp(q, n, t0, tol)
+        return dict(zip(n.tolist(), zip(t, iters.tolist(), f.tolist(), gap.tolist())))
 
-    def _admm(self, y, n, tol, t, f, iters):
+    def _admm(self, q, n, tol, t, f, iters):
         """ADMM on min f(s) + [sigma1(X) <= n] subject to mat(s) = X (Boyd
         et al., Distributed Optimization and Statistical Learning via the
-        Alternating Direction Method of Multipliers, FnT ML 2011) from the
-        candidate t with f = f(t), iters iterations already spent, and W
-        from the band multiplier of t. rho starts at 2 sqrt(lam_max
-        lam_min) of Phi'Phi and is balanced every _BALANCE_EVERY iterations
-        (ibid. 3.4.1): doubled when the primal residual ||S - X|| exceeds
-        _BALANCE_RATIO times the dual one rho ||X - X_prev||, halved in
-        the opposite case. W is unscaled, so it needs no rescale. The best
-        f(feasify(s)) is the upper bound and the largest _dual(W) the lower
-        one. Returns (t, iterations, f, gap) once _certified at tol. There
-        is no stall exit: after MAX_SOLVER_ITERS iterations in all it
-        raises SolverFailure."""
+        Alternating Direction Method of Multipliers, FnT ML 2011) for the
+        query record q from the candidate t with f = f(t), iters iterations
+        already spent, and W from the band multiplier of t. rho starts at
+        2 sqrt(lam_max lam_min) of Phi'Phi and is balanced every
+        _BALANCE_EVERY iterations (ibid. 3.4.1): doubled when the primal
+        residual ||S - X|| exceeds _BALANCE_RATIO times the dual one
+        rho ||X - X_prev||, halved in the opposite case. W is unscaled, so
+        it needs no rescale. The best f(feasify(s)) is the upper bound and
+        the largest _dual(W) the lower one. Returns (t, iterations, f, gap)
+        once _certified at tol. There is no stall exit: after
+        MAX_SOLVER_ITERS iterations in all it raises SolverFailure."""
         rho = 2.0 * np.sqrt(self.range_lams[0] * self.range_lams[-1])
         inv = np.linalg.inv(self.H + rho * np.eye(self.k))
-        q = self._query(y)
-        b, leak = q["two_Phi_y"], q["leak"]
+        y, b = q["y"], q["two_Phi_y"]
         X = self.mat(t)
         W = self._multiplier(t[None], y)[0, 1]
         lower = -np.inf
@@ -761,7 +767,7 @@ class OrbitBallContext:
             fs = float(self._f(ts, y))
             if fs < f:
                 t, f = ts, fs
-            lower = max(lower, float(self._dual(*self._cut(W), y, n, leak)))
+            lower = max(lower, float(self._dual(*self._cut(W), q, n)))
             if _certified(f, f - lower, tol):
                 return t, iters, f, f - lower
             if (iters - start) % _BALANCE_EVERY == 0:
@@ -780,27 +786,32 @@ class OrbitBallContext:
     def distances(self, y, ns, tols):
         """Yields (distance, point, t, tol, iterations, method) for each
         level of ns in order (tols: one, or one per level; t in orthonormal
-        coefficients), read from the query's table after one solve_levels:
-        the origin at n = 0 or rank 0 (tol 0), Py at an interior level, a
-        boundary level's candidate once _certified, ADMM closing its gap
-        first, and replacing it, when the caller reaches the level. Raises
-        SolverFailure, with honest bounds, at the first level it fails."""
+        coefficients). y, the levels and the tolerances are checked here
+        once; the query's record (_query) is built once and passed down,
+        and _solve_levels finds every boundary candidate. A level yields the
+        origin at n = 0 or rank 0 (tol 0), Py when interior, and otherwise
+        its candidate once _certified, ADMM closing its gap first when the
+        caller reaches the level. Raises SolverFailure, with honest bounds,
+        at the first level it fails."""
         y = self._as_query(y)
         ns = [linalg.as_level(n) for n in ns]
-        tols = [linalg.as_tol(tol) for tol in _per_level(tols, len(ns))]
-        self.solve_levels(y, ns, tols)
+        tols = np.asarray(tols, dtype=float)
+        if tols.ndim and tols.shape != (len(ns),):
+            raise DimensionError(f"expected one tolerance or {len(ns)}, got shape {tols.shape}")
+        tols = [linalg.as_tol(tol) for tol in (tols.tolist() if tols.ndim else [tols] * len(ns))]
         q = self._query(y)
+        table = self._solve_levels(q, ns, tols) if self.rank else {}
         for n, tol in zip(ns, tols):
             if n == 0.0 or self.rank == 0:
                 yield (float(np.linalg.norm(y)), np.zeros(self.dim), np.zeros(self.k), 0.0, 0,
                        "degenerate")
-            elif n not in q["levels"]:
-                # solve_levels tabled every boundary level
-                yield q["base"], q["Py"].copy(), self._interior(q, n)[2], tol, 0, "interior"
+            elif n not in table:
+                t = q["t_hat"] if _clears(q["ub"], n) else self._query_gauge(q)[1]
+                yield q["base"], q["Py"].copy(), t, tol, 0, "interior"
             else:
-                t, iters, f, gap = q["levels"][n]
+                t, iters, f, gap = table[n]
                 if not _certified(f, gap, tol):
-                    t, iters, f, gap = q["levels"][n] = self._admm(y, n, tol, t, f, iters)
+                    t, iters, f, gap = self._admm(q, n, tol, t, f, iters)
                 r = y - (point := self.point(t))
                 yield float(np.sqrt(r @ r)), point, t, tol, iters, "certified"
 
@@ -809,33 +820,6 @@ class OrbitBallContext:
         tol, with witness point and coefficients: distances at one level."""
         d, point, t, tol, iters, how = next(self.distances(y, [n], tol))
         return DistanceResult(d, point, self.subspace.from_ortho_coeffs(t), tol, iters, how)
-
-    def _query(self, y) -> dict:
-        """Per-query data kept across levels: Py, ||y - Py||, the least-norm
-        preimage t_hat of Py, the SVD of mat(t_hat) with ub = sigma1 >=
-        gauge(Py), 2 Phi'y and the leak term 2 sqrt(d) ||N'Phi'y|| (_dual).
-        "gauge", the gauge with its coefficients, is (ub, t_hat) without a
-        null space and is otherwise filled in on first need; "levels", the
-        query's table, maps a boundary level to its solve_levels candidate."""
-        key = y.tobytes()
-        hit = self._query_cache.get(key)
-        if hit is not None:
-            return hit
-        Py = self.geo.P @ y
-        base = float(np.linalg.norm(y - Py))
-        t_hat = self.min_norm_preimage(Py)
-        svd = np.linalg.svd(self.mat(t_hat))
-        two_Phi_y = 2.0 * (y @ self.Phi)
-        leak = (np.sqrt(self.dim) * np.linalg.norm(two_Phi_y @ self.null_vecs)
-                if self.k > self.rank else 0.0)
-        out = {"Py": Py, "base": base, "t_hat": t_hat, "svd": svd, "ub": float(svd[1][0]),
-               "two_Phi_y": two_Phi_y, "leak": leak, "levels": {}}
-        if self.null_vecs.shape[1] == 0:
-            out["gauge"] = (out["ub"], t_hat)
-        if len(self._query_cache) > 128:
-            self._query_cache.clear()
-        self._query_cache[key] = out
-        return out
 
 
 def _sigma1(Ms) -> np.ndarray:
@@ -852,14 +836,6 @@ def _gram_sigma1(Ms) -> np.ndarray:
     1 + d (d + 1) eps of sigma1 of X."""
     lam = np.linalg.eigvalsh(np.swapaxes(Ms, -1, -2) @ Ms)[..., -1]
     return np.sqrt(np.maximum(lam, 0.0))
-
-
-def _per_level(tols, count) -> list:
-    """tols, one tolerance or count of them, as a list of count floats."""
-    tols = np.asarray(tols, dtype=float)
-    if tols.ndim and tols.shape != (count,):
-        raise DimensionError(f"expected one tolerance or {count}, got shape {tols.shape}")
-    return tols.tolist() if tols.ndim else [float(tols)] * count
 
 
 def _clears(g, n):

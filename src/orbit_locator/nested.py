@@ -20,6 +20,8 @@ from . import linalg, located, operators
 from .defaults import BUDGET, RANK_MARGIN, TOL
 from .errors import DimensionError, OrbitLocatorError, SolverFailure
 
+_ROUNDING = float(np.finfo(float).eps)   # of a level's certificate (locate_distance)
+
 
 @dataclass(frozen=True, eq=False)
 class Level:
@@ -52,11 +54,12 @@ class Stabilized:
 
 @dataclass(frozen=True, eq=False)
 class Undecided:
-    """Budget exhausted without a certificate. The global distance lies in
-    [lower, upper]: lower is the span lower bound ||y - Py|| (0 when the
-    rank decision is marginal or the orbit span is the whole space) and
-    upper is d_budget, and the two are further apart than the
-    tolerances."""
+    """No certificate up to the last level read, `budget` (below the
+    sweep's budget where the tolerances pass the rounding). The global
+    distance lies in [lower, upper]: lower is the span lower bound
+    ||y - Py|| (0 when the rank decision is marginal or the orbit span is
+    the whole space) and upper is d_budget (d_0 = ||y||, the distance to
+    {0}, when no level is read), further apart than the tolerances."""
     budget: int
     lower: float
     upper: float
@@ -137,25 +140,45 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
       decision behind P is marginal and the lower bound drops to 0. At
       full rank (the orbit span is the whole space) it is 0 too.
 
-    Otherwise the verdict is Undecided with bracket [||y - Py||, d_budget]
-    (or [0, d_budget] at a marginal or full rank).
+    The sweep stops before the first level whose tolerance is below the
+    rounding of its own certificate. That certificate tests gap <= tol_n d_n,
+    the gap being f = d_n^2 less the dual bound f(t*) + c't* - n ||W'||_* of
+    located.OrbitBallContext._dual, in which c't* is about n ||W'||_*: so
+    the gap carries a rounding of order eps (f + 2 n ||W'||_*), eps the
+    machine epsilon. As W fits the gradient 2 Phi'(Phi t - y),
+    ||W'||_* <= sqrt(dim) ||c|| <= 2 sqrt(dim) sigma1(Phi) d_n, and as the
+    origin lies in every ball, d_n <= ||y||: the test resolves tol_n only
+    if tol_n >= _ROUNDING (||y|| + 4 sqrt(dim) n sigma1(Phi)), _ROUNDING =
+    eps. Past that a certificate passes or fails on rounding, and ADMM runs
+    out of iterations (2^-(n+2) even underflows to 0 at n = 1073).
 
-    The levels are read in order from one ctx.distances call, whose one
-    solve_levels finds every boundary candidate in lockstep: an interior
-    level is Py, a certified one its candidate, and ADMM runs only for a
-    level whose gap is still open, when the sweep reaches it. So a level
-    past the verdict never runs it, and a SolverFailure comes from the
-    first failing level, with the levels before it as the partial report.
+    Otherwise the verdict is Undecided with bracket [||y - Py||, d_N]
+    (or [0, d_N] at a marginal or full rank), N the last level read.
+
+    The levels are read in order from one ctx.distances call, which finds
+    every boundary candidate in lockstep: an interior level is Py, a
+    certified one its candidate, and ADMM runs only for a level whose gap
+    is still open, when the sweep reaches it. So a level past the verdict
+    never runs it, and a SolverFailure comes from the first failing level,
+    with the levels before it as the partial report.
     """
     if budget < 1:
         raise DimensionError("budget must be at least 1")
     tol = linalg.as_tol(tol)
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
-    y = linalg.as_vector(y)
-    lb = _lower_bound(ctx, y)
-    ns = range(1, budget + 1)
-    tols = [min(tol, 2.0 ** -(n + 2)) for n in ns]
+    lb = ctx.span_distance(y)   # y is checked here, before any level is solved
+    if ctx.rank == ctx.dim or ctx.rank_margin() <= RANK_MARGIN:
+        lb = 0.0   # ||y - Py|| is rounding residue above the true 0
+    norm_y = float(np.linalg.norm(y))
+    step = 4.0 * float(np.sqrt(ctx.dim) * ctx.geo.sv[0])
+    tols = []
+    for n in range(1, budget + 1):
+        tol_n = min(tol, 2.0 ** -(n + 2))
+        if tol_n < _ROUNDING * (norm_y + n * step):
+            break
+        tols.append(tol_n)
+    ns = range(1, len(tols) + 1)
     levels: list[Level] = []
     verdict: object = None
     try:
@@ -173,17 +196,9 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
             lower=exc.lower, upper=exc.upper, iterations=exc.iterations,
             partial=_close_report(levels, None, tol)) from exc
     if verdict is None:
-        verdict = Undecided(budget=budget, lower=lb, upper=levels[-1].d)
+        verdict = Undecided(budget=len(levels), lower=lb,
+                            upper=levels[-1].d if levels else norm_y)
     return _close_report(levels, verdict, tol)
-
-
-def _lower_bound(ctx: located.OrbitBallContext, y) -> float:
-    """Exact lower bound on the global distance: ||y - Py||, or 0 when the
-    rank decision behind P is marginal or the orbit span is the whole
-    space (there ||y - Py|| is rounding residue above the true 0)."""
-    if ctx.rank == ctx.dim or ctx.rank_margin() <= RANK_MARGIN:
-        return 0.0
-    return ctx.span_distance(y)
 
 
 def _close_report(levels, verdict, tol: float) -> DistanceReport:

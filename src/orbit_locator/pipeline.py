@@ -113,7 +113,7 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
     N = truncation_index(y, radius)
     res = ctx.distance(y, float(N), tol=tol)
     d = float(res.value)
-    base = float(np.linalg.norm(y - ctx.geo.P @ y))
+    base = ctx.span_distance(y)
     if abs(d - base) > 2.0 * tol:
         raise ConvergenceFailure(
             f"pipeline distance {d:.12g} disagrees with the projector "
@@ -151,8 +151,8 @@ def build_projection(subspace: operators.OperatorSubspace, x,
     seeded pseudo-random vectors, the read-only rows of _probe_set) is
     recorded with the truncation index N of the radius floor, taken for
     all probes in one row-wise call, the distance pipeline_distance
-    returns at that floor, and the ground-truth value ||y - Py||, by the
-    per-row formula of the context's query. One stacked test settles
+    returns at that floor, and the ground-truth value ||y - Py|| of the
+    context's span_distance. One stacked test settles
     the probes whose least-norm preimage of Py already lies in the level-N
     ball: their distance is ||y - Py|| by the interior route, so for them
     the recorded agreement holds by construction. Only the others run
@@ -168,9 +168,8 @@ def build_projection(subspace: operators.OperatorSubspace, x,
             P=np.zeros((dim, dim)), rank=0, r=0.0, floor=0.0, per_y_trace=(),
             note="rank-0 orbit: projector is 0 and no probes apply")
     rr = _inner_radius_in_span(ctx)
-    P = ctx.geo.P
     Y = _probe_set(dim)
-    d_oracle = [float(np.linalg.norm(y - P @ y)) for y in Y]
+    d_oracle = [ctx.span_distance(y) for y in Y]
     if rr.floor <= tol:
         rows = [ProbeRow(y=y, N=0, d_pipeline=float("nan"), d_oracle=d)
                 for y, d in zip(Y, d_oracle)]
@@ -185,7 +184,7 @@ def build_projection(subspace: operators.OperatorSubspace, x,
     note = f"probe seed {PROBE_SEED}"
     if rr.floor <= tol:
         note += "; inner radius at tolerance floor, pipeline skipped"
-    return ProjectionCertificate(P=P, rank=ctx.rank, r=rr.r, floor=rr.floor,
+    return ProjectionCertificate(P=ctx.geo.P, rank=ctx.rank, r=rr.r, floor=rr.floor,
                                  per_y_trace=tuple(rows), note=note)
 
 

@@ -136,7 +136,8 @@ def test_criterion_05_family50_verdicts_pinned(family50):
     kinds = Counter(type(report.verdict).__name__ for report in reports)
     assert kinds == {"Stabilized": 43, "Undecided": 7}, kinds
     # every certified level witness is in its ball by the dilation oracle;
-    # asking a level again returns the sweep's answer from the query cache
+    # a level solved alone on the sweep's context, which keeps nothing of
+    # the query, is within 1e-12 of the sweep's answer
     checked = 0
     for (sub, x, y), report in zip(instances, reports):
         ctx = OrbitBallContext(sub, x)
@@ -145,7 +146,7 @@ def test_criterion_05_family50_verdicts_pinned(family50):
         for level in again.levels:
             res = ctx.distance(y, float(level.n),
                                tol=min(1e-6, 2.0 ** -(level.n + 2)))
-            assert np.array_equal(res.point, level.y)
+            assert np.abs(res.point - level.y).max() <= 1e-12, level.n
             if res.method == "certified":
                 sigma = svd_sigma(sub.matrix(res.coeffs))
                 assert sigma <= level.n * (1.0 + MEM_TOL), (level.n, sigma)
@@ -155,10 +156,9 @@ def test_criterion_05_family50_verdicts_pinned(family50):
 
 
 def test_table_route_matches_distance_per_level(family50):
-    # the sweep reads its levels from the query's table: on a context that
-    # ran the sweep, each level's (d, point) read by distances is the
-    # sweep's, is bit for bit what ctx.distance returns for that level, and
-    # is within 1e-12 of a fresh context that solves the level alone
+    # on a context that ran the sweep, each level's (d, point) read by
+    # distances is the sweep's, and ctx.distance for that level, like a
+    # fresh context that solves the level alone, is within 1e-12 of it
     instances, reports, _ = family50
     count = 0
     for (sub, x, y), report in zip(instances, reports):
@@ -170,11 +170,11 @@ def test_table_route_matches_distance_per_level(family50):
                                                        ctx.distances(y, ns, tols)):
             assert d == level.d and np.array_equal(point, level.y)
             res = ctx.distance(y, level.n, tol)
-            assert res.value == d and np.array_equal(res.point, point)
             alone = OrbitBallContext(sub, x).distance(y, level.n, tol)
             assert alone.method == res.method == method
-            assert abs(alone.value - d) <= 1e-12, (level.n, alone.value, d)
-            assert np.abs(alone.point - point).max() <= 1e-12
+            for got in (res, alone):
+                assert abs(got.value - d) <= 1e-12, (level.n, got.value, d)
+                assert np.abs(got.point - point).max() <= 1e-12
             count += 1
     assert count == 225
 

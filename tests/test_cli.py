@@ -48,6 +48,22 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("c,budget", [(0.01, 1073), (0.01, 60), (0.001, 200)])
+def test_large_budget_distance_is_undecided(tmp_path, capsys, c, budget):
+    # budget 1073 exited 1 on a level tolerance that underflowed to 0, and
+    # budgets 60 and 200 exited 3 on ADMM failing at levels 52 and 61: the
+    # sweep stops before the levels whose tolerance is rounding
+    path = diag_problem(tmp_path, x=[1.0, c])
+    code, out, err = run_cli(capsys, ["distance", path, "--budget", str(budget)])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["budget"] == budget
+    verdict = report["verdict"]
+    assert verdict["kind"] == "Undecided"
+    assert verdict["budget"] == len(report["levels"]) < budget
+    assert verdict["upper"] == report["levels"][-1]["d"]
+
+
 def test_balldist(tmp_path, capsys):
     path = diag_problem(tmp_path)
     code, out, _ = run_cli(capsys, ["balldist", path, "--n", "21"])

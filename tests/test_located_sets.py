@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -231,8 +232,8 @@ def admm_runs(monkeypatch):
     runs = []
     admm = OrbitBallContext._admm
 
-    def counted(self, y, n, tol, t, f, iters):
-        out = admm(self, y, n, tol, t, f, iters)
+    def counted(self, q, n, tol, t, f, iters):
+        out = admm(self, q, n, tol, t, f, iters)
         runs.append(out[1] - iters)
         return out
 
@@ -350,7 +351,7 @@ def test_near_tie_level_takes_no_admm(admm_runs):
 @pytest.mark.parametrize("n, tol", [(np.nan, 1e-6), (1.0, np.nan), (1.0, np.inf)])
 def test_distance_rejects_nan_level_and_nan_or_inf_tol(diag_sub, n, tol, monkeypatch):
     # refused with a typed error before any candidate is solved
-    monkeypatch.setattr(OrbitBallContext, "solve_levels", None)
+    monkeypatch.setattr(OrbitBallContext, "_solve_levels", None)
     ctx = OrbitBallContext(diag_sub, [1.0, 0.1])
     with pytest.raises(DimensionError):
         ctx.distance([0.0, 1.0], n, tol)
@@ -383,11 +384,11 @@ def test_nan_and_negative_level_are_refused(diag_sub, make, n):
         make(diag_sub, n)
 
 
-def test_solve_levels_rejects_tolerances_of_the_wrong_length(diag_sub):
+def test_distances_rejects_tolerances_of_the_wrong_length(diag_sub):
     # numpy's broadcast raised a bare ValueError here
     ctx = OrbitBallContext(diag_sub, [1.0, 0.1])
     with pytest.raises(DimensionError, match="expected one tolerance or 3"):
-        ctx.solve_levels([0.0, 1.0], range(1, 4), [1e-6] * 30)
+        next(ctx.distances([0.0, 1.0], range(1, 4), [1e-6] * 30))
     with pytest.raises(DimensionError):
         ctx.distance([0.0, 1.0], 1.0, [1e-6, 1e-6])
 
@@ -622,18 +623,15 @@ def test_lockstep_sqp_rows_match_one_row_solves(source, index):
         basis, x, y = family50_problem(index)
     ctx = OrbitBallContext(make_subspace(basis), x)
     q = ctx._query(y)
-    ns, starts = [], []
-    for n in range(1, 13):
-        inside, g, t_rep = ctx._interior(q, float(n))
-        if not inside:
-            ns.append(float(n))
-            starts.append(t_rep * min(1.0, n * (1.0 - 1e-12) / g))
+    g, t_rep = ctx._query_gauge(q)
+    ns = [float(n) for n in range(1, 13) if not located._clears(g, float(n))]
+    starts = [t_rep * min(1.0, n * (1.0 - 1e-12) / g) for n in ns]
     assert len(ns) >= 2
     tols = [min(1e-6, 2.0 ** -(n + 2)) for n in ns]
-    ts, iters, _, _ = ctx._sqp(y, ns, starts, tols)
+    ts, iters, _, _ = ctx._sqp(q, ns, starts, tols)
     assert iters.shape == (len(ns),)
     for n, tol, t0, t in zip(ns, tols, starts, ts):
-        t1 = ctx._sqp(y, n, [t0], tol)[0]
+        t1 = ctx._sqp(q, n, [t0], tol)[0]
         d = float(np.linalg.norm(ctx.point(t) - y))
         d1 = float(np.linalg.norm(ctx.point(t1[0]) - y))
         assert abs(d - d1) <= 1e-12, (n, d, d1)
@@ -658,15 +656,14 @@ def test_cert_gap_is_a_valid_bound(diag_sub):
     basis, x, y = wide_draw_problem(35)
     sub = make_subspace(basis)
     ctx = OrbitBallContext(sub, x)
-    ctx.solve_levels(y, [1, 2, 3], 1e-6)
-    for n, entry in ctx._query(y)["levels"].items():
+    for n, entry in ctx._solve_levels(ctx._query(y), [1.0, 2.0, 3.0], [1e-6] * 3).items():
         _, hi = grid_oracle_distance(sub, x, n, y, eps=0.5)
         cases.append((ctx, y, n, entry[0][None], hi))
     assert len(cases) == 4
     for ctx, y, n, ts, hi in cases:
         assert np.all(svd_sigmas(ctx.mat(ts)) <= n * (1.0 + MEM_TOL))
         f = ctx._f(ts, y)
-        gap = ctx._cert_gap(ts, y, n)
+        gap = ctx._cert_gap(ts, ctx._query(y), n)
         assert np.all(gap >= 0.0)
         assert np.all(np.sqrt(np.maximum(f - gap, 0.0)) <= hi + 1e-12)
 
@@ -680,7 +677,7 @@ def test_band_multiplier_closes_the_tied_corner(diag_sub):
     y = np.array([2.0, 1.0])
     t = np.array([[1.0, 1.0]])
     assert abs(ctx._f(t, y)[0] - 1.81) <= 1e-12
-    assert 0.0 <= ctx._cert_gap(t, y, 1.0)[0] <= 1e-12
+    assert 0.0 <= ctx._cert_gap(t, ctx._query(y), 1.0)[0] <= 1e-12
 
 
 def band_fit_by_every_support(turn):
@@ -759,11 +756,11 @@ def test_band_fit_at_a_random_exact_tie():
 
 
 @pytest.mark.parametrize("source,index", [("family50", 20), ("wide", 35)])
-def test_cached_levels_are_certified(source, index):
+def test_tabled_levels_are_certified(source, index, monkeypatch):
     # _sqp stops each level once its gap meets the level's tolerance; on
-    # wide-draw 35 it cannot close levels 1-3, which ADMM then closes. After
-    # the sweep every level in the query cache is certified at its own
-    # tolerance and lies within it of a solve at 1e-12
+    # wide-draw 35 it cannot close levels 1-3, which the sweep's ADMM then
+    # closes. With those closed every level of the table is certified at
+    # its own tolerance and lies within it of a solve at 1e-12
     if source == "wide":
         basis, x, y = wide_draw_problem(index)
     else:
@@ -771,13 +768,22 @@ def test_cached_levels_are_certified(source, index):
     sub = make_subspace(basis)
     ctx = OrbitBallContext(sub, x)
     tols = {float(n): min(1e-6, 2.0 ** -(n + 2)) for n in range(1, 13)}
-    ctx.solve_levels(y, list(tols), list(tols.values()))
-    levels = ctx._query(y)["levels"]
+    levels = ctx._solve_levels(ctx._query(y), list(tols), list(tols.values()))
     assert len(levels) >= 3
     left_open = {n for n, (_, _, f, gap) in levels.items()
                  if gap > tols[n] * np.sqrt(f)}
     assert left_open == ({1.0, 2.0, 3.0} if source == "wide" else set())
+    closed = {}
+    admm = OrbitBallContext._admm
+
+    def kept(self, q, n, *args):
+        closed[n] = out = admm(self, q, n, *args)
+        return out
+
+    monkeypatch.setattr(OrbitBallContext, "_admm", kept)
     locate_distance(sub, x, y, budget=12, tol=1e-6, ctx=ctx)
+    assert set(closed) == left_open
+    levels.update(closed)
     for n, (t, _, f, gap) in levels.items():
         tol = tols[n]
         assert abs(f - ctx._f(t, y)) <= 1e-15 * max(1.0, f)
@@ -968,7 +974,7 @@ def test_certificate_from_multiplier_coordinates():
         W = ctx._multiplier(t, y)
         duals = dual_of(ctx, W.reshape(-1, ctx.dim, ctx.dim), y, n)
         want = f - duals.reshape(len(t), 2).max(axis=1)
-        gap = ctx._cert_gap(t, y, n)
+        gap = ctx._cert_gap(t, ctx._query(y), n)
         assert np.all(np.abs(gap - want) <= 1e-12 * np.maximum(1.0, f))
         sig = np.linalg.svd(ctx.mat(t), compute_uv=False)
         banded += np.count_nonzero(sig[:, 1] >= 0.95 * sig[:, 0])
@@ -993,7 +999,7 @@ def test_sym_solve_is_pinv():
 
 def dual_of(ctx, W, y, n):
     """_dual at a stack of formed multipliers W, fed as ADMM feeds it."""
-    return ctx._dual(*ctx._cut(W), y, n, ctx._query(y)["leak"])
+    return ctx._dual(*ctx._cut(W), ctx._query(y), n)
 
 
 @pytest.mark.parametrize("shape", ["diag", "d3k2r1", "wide2", "marginal"])
@@ -1031,8 +1037,7 @@ def test_dual_bound_is_below_every_feasible_value(shape, diag_sub):
             g.normal(size=(64, d, d)) * g.uniform(0.0, 3.0, size=(64, 1, 1)),
             1e-6 * g.normal(size=(8, d, d)), band.reshape(-1, d, d)])
         assert dual_of(ctx, W, y, n).max() <= f.min()
-        ctx.solve_levels(y, [n], 1e-6)
-        entry = ctx._query(y)["levels"].get(n)
+        entry = ctx._solve_levels(ctx._query(y), [n], [1e-6]).get(n)
         if entry is not None:
             tn, _, fn, _ = entry
             assert svd_sigma(ctx.mat(tn)) <= n * (1.0 + MEM_TOL)
@@ -1105,6 +1110,26 @@ def test_seed1_family50_problem_44_stabilizes():
         assert svd_sigma(sub.matrix(res.coeffs)) <= level.n * (1.0 + MEM_TOL)
     assert methods[0] == "certified"
     assert 2.578556899114269 <= report.levels[0].d <= 2.5785918990323826
+
+
+def test_context_keeps_nothing_of_a_query():
+    # the context holds only its geometry: sweeps, distances, span
+    # distances and gauges of new queries leave its attributes as they
+    # were (a value-keyed query cache grew here). rand47 has a null
+    # coordinate, so the query gauge's search runs too
+    basis, x, y = family50_problem(47)
+    sub = make_subspace(basis)
+    ctx = OrbitBallContext(sub, x)
+    assert ctx.null_vecs.shape[1] == 1
+    # the first query builds the geometry the solvers read on first use
+    locate_distance(sub, x, y, budget=12, tol=1e-6, ctx=ctx)
+    before = pickle.dumps(vars(ctx))
+    for v in [y] + list(np.random.default_rng(4).normal(size=(3, 2)) * 1.5):
+        locate_distance(sub, x, v, budget=12, tol=1e-6, ctx=ctx)
+        ctx.distance(v, 2.0, 1e-6)
+        ctx.span_distance(v)
+        ctx.gauge(ctx.geo.P @ v)
+    assert pickle.dumps(vars(ctx)) == before
 
 
 def test_admm_failure_bracket_is_honest(monkeypatch):

@@ -85,6 +85,37 @@ def test_sweep_undecided_within_budget(diag_sub):
     assert abs(v.upper - 0.5) <= 1e-6
 
 
+@pytest.mark.parametrize("c,budget", [(0.01, 1073), (0.01, 60), (0.001, 200)])
+def test_sweep_stops_before_levels_finer_than_rounding(diag_sub, c, budget):
+    # x = (1, c), y = (0, 1): d_n = 1 - c n. The level tolerance 2^-(n+2)
+    # underflowed to 0 at n = 1073, and budget 60 (c = 0.01) and 200
+    # (c = 0.001) ran ADMM out of iterations at levels 52 and 61. The sweep
+    # reads level n only while 2^-(n+2) >= eps (||y|| + 4 sqrt(2) n
+    # sigma1(Phi)), here sigma1(Phi) = 1, and brackets the distance by the
+    # last level read
+    y = np.array([0.0, 1.0])
+    report = locate_distance(diag_sub, np.array([1.0, c]), y, budget=budget, tol=1e-6)
+    v = report.verdict
+    assert isinstance(v, Undecided), v
+    N = len(report.levels)
+    eps = np.finfo(float).eps
+    assert 2.0 ** -(N + 2) >= eps * (1.0 + 4.0 * np.sqrt(2.0) * N)
+    assert 2.0 ** -(N + 3) < eps * (1.0 + 4.0 * np.sqrt(2.0) * (N + 1))
+    assert v.budget == N == 42
+    assert v.lower == 0.0 and v.upper == report.levels[-1].d
+    assert abs(v.upper - (1.0 - c * N)) <= 2.0 ** -(N + 2)
+
+
+def test_sweep_reads_no_level_below_rounding(diag_sub):
+    # a tolerance below the rounding of level 1's certificate reads no
+    # level: the bracket is [lower bound, ||y||], ||y|| the distance to the
+    # level-0 ball {0}
+    report = locate_distance(diag_sub, [1.0, 0.1], [0.0, 2.0], budget=12, tol=1e-17)
+    v = report.verdict
+    assert report.levels == () and report.cauchy_bounds == ()
+    assert isinstance(v, Undecided) and (v.budget, v.lower, v.upper) == (0, 0.0, 2.0)
+
+
 def test_stabilized_needs_the_span_lower_bound(diag_sub):
     # x = (1, 1e-8): the orbit span is the whole plane, so the distance from
     # y = (0, 1) is 0, while the level distances 1 - 1e-8 n barely move;
@@ -169,18 +200,18 @@ def test_solver_failure_carries_partial(diag_sub, monkeypatch):
     # and its ADMM fails: levels 1 and 2 are the partial report
     x = np.array([1.0, 0.1])
     y = np.array([0.0, 1.0])
-    solve = OrbitBallContext.solve_levels
+    solve = OrbitBallContext._solve_levels
 
-    def open_level_3(self, yy, ns, tols):
-        solve(self, yy, ns, tols)
-        table = self._query(np.asarray(yy, dtype=float))["levels"]
+    def open_level_3(self, q, ns, tols):
+        table = solve(self, q, ns, tols)
         t, iters, f, _ = table[3.0]
         table[3.0] = (t, iters, f, np.inf)
+        return table
 
-    def stalled(self, yy, n, tol, t, f, iters):
+    def stalled(self, q, n, tol, t, f, iters):
         raise SolverFailure("stalled", lower=0.1, upper=0.9, iterations=7)
 
-    monkeypatch.setattr(OrbitBallContext, "solve_levels", open_level_3)
+    monkeypatch.setattr(OrbitBallContext, "_solve_levels", open_level_3)
     monkeypatch.setattr(OrbitBallContext, "_admm", stalled)
     with pytest.raises(SolverFailure) as exc:
         locate_distance(diag_sub, x, y, budget=12, tol=1e-6)
@@ -198,21 +229,19 @@ def test_open_levels_run_admm_in_level_order_up_to_the_verdict(diag_sub, monkeyp
     x = np.array([1.0, 0.1])
     y = np.array([0.0, 1.0])
     want = locate_distance(diag_sub, x, y, budget=12, tol=0.3)
-    solve, admm = OrbitBallContext.solve_levels, OrbitBallContext._admm
+    solve, admm = OrbitBallContext._solve_levels, OrbitBallContext._admm
     tabled, ran = [], []
 
-    def all_open(self, yy, ns, tols):
-        solve(self, yy, ns, tols)
-        table = self._query(np.asarray(yy, dtype=float))["levels"]
+    def all_open(self, q, ns, tols):
+        table = solve(self, q, ns, tols)
         tabled.extend(sorted(table))
-        for n, (t, iters, f, _) in table.items():
-            table[n] = (t, iters, f, np.inf)
+        return {n: (t, iters, f, np.inf) for n, (t, iters, f, _) in table.items()}
 
-    def counted(self, yy, n, tol, t, f, iters):
+    def counted(self, q, n, tol, t, f, iters):
         ran.append(n)
-        return admm(self, yy, n, tol, t, f, iters)
+        return admm(self, q, n, tol, t, f, iters)
 
-    monkeypatch.setattr(OrbitBallContext, "solve_levels", all_open)
+    monkeypatch.setattr(OrbitBallContext, "_solve_levels", all_open)
     monkeypatch.setattr(OrbitBallContext, "_admm", counted)
     report = locate_distance(diag_sub, x, y, budget=12, tol=0.3)
     assert tabled == [float(n) for n in range(1, 11)]
@@ -235,7 +264,7 @@ def test_input_validation(diag_sub):
 def test_sweep_rejects_nan_and_inf_tol(diag_sub, tol, monkeypatch):
     # a NaN tolerance closes no gap and an infinite one closes every gap:
     # both are refused before the sweep solves a level
-    monkeypatch.setattr(OrbitBallContext, "solve_levels", None)
+    monkeypatch.setattr(OrbitBallContext, "_solve_levels", None)
     with pytest.raises(DimensionError, match="tol must be positive and finite"):
         locate_distance(diag_sub, [1.0, 0.1], [0.0, 1.0], tol=tol)
 
