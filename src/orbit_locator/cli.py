@@ -179,22 +179,15 @@ def _cmd_distance(args) -> dict:
     budget = _pick(args, p, "budget", BUDGET)
     rep = nested.locate_distance(sub, p.x, p.y, budget=budget, tol=tol)
     v = rep.verdict
-    if isinstance(v, nested.Located):
-        verdict = {"kind": "Located", "d": v.d, "y_inf": v.y_inf}
-    elif isinstance(v, nested.Stabilized):
-        verdict = {"kind": "Stabilized", "N": v.N, "d": v.d}
-    else:
-        verdict = {"kind": "Undecided", "budget": v.budget,
-                   "lower": v.lower, "upper": v.upper}
     return {
         "command": "distance",
         "status": "ok",
         "tol": tol,
         "budget": budget,
         "seed": p.seed,
-        "levels": [{"n": lv.n, "d": lv.d, "y": lv.y} for lv in rep.levels],
+        "levels": [vars(lv) for lv in rep.levels],
         "cauchy_bounds": list(rep.cauchy_bounds),
-        "verdict": verdict,
+        "verdict": {"kind": type(v).__name__, **vars(v)},
     }
 
 
@@ -237,8 +230,7 @@ def _cmd_project(args) -> dict:
         "r": cert.r,
         "floor": cert.floor,
         "note": cert.note,
-        "probes": [{"y": row.y, "N": row.N, "d_pipeline": row.d_pipeline,
-                    "d_oracle": row.d_oracle} for row in cert.per_y_trace],
+        "probes": [vars(row) for row in cert.per_y_trace],
     }
 
 
@@ -267,21 +259,14 @@ def _cmd_decompose(args) -> dict:
     ball = orbit_ball(sub, p.x, 1.0)
     dec = om.greedy_decompose(p.y, ball, float(args.r))
     out = dec.outcome
-    if isinstance(out, om.Member):
-        outcome = {"kind": "Member", "xi": out.xi}
-    elif isinstance(out, om.Witness):
-        outcome = {"kind": "Witness", "z": out.z, "dist_z": out.dist_z}
-    else:
-        outcome = {"kind": "Undecided", "residual": out.residual}
     return {
         "command": "decompose",
         "status": "ok",
         "r": float(args.r),
         "seed": p.seed,
         "y": p.y,
-        "outcome": outcome,
-        "steps": [{"i": s.i, "x": s.x, "lam": s.lam, "residual": s.residual}
-                  for s in dec.steps],
+        "outcome": {"kind": type(out).__name__, **vars(out)},
+        "steps": [vars(s) for s in dec.steps],
     }
 
 

@@ -61,7 +61,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg, operators
-from .defaults import GAUGE_TOL, GRID_CAP, MAX_SOLVER_ITERS, RANK_TOL, TOL
+from .defaults import (GAUGE_TOL, GRID_CAP, MAX_SOLVER_ITERS, RANK_MARGIN,
+                       RANK_TOL, TOL)
 from .errors import (DimensionError, GridOracleRefusal, OrbitLocatorError,
                      SolverFailure)
 from .gauge_search import compass_min, line_derivs, sigma1_newton
@@ -143,6 +144,7 @@ _MAX_OUTER = 80        # _sqp's iteration cap
 _HALVES = 0.5 ** np.arange(1, 12)   # _sqp's backtracking steps
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
+_EPS = float(np.finfo(float).eps)   # machine epsilon
 
 
 class OrbitBallContext:
@@ -158,8 +160,8 @@ class OrbitBallContext:
     r = #{sv_i > RANK_TOL sv_1}), and everything else comes from that
     factor: P = U_r U_r'; range_vecs V_r with range_lams sv_r^2, the
     eigenpairs of Phi'Phi on its range; null_vecs the other columns of V;
-    H_inv the pseudo-inverse of H = 2 Phi'Phi from V and sv^2; rank_margin
-    from sv; and the least-norm preimage V_r (U_r'v / sv_r).
+    rank_margin and rounding_floor from sv; and the least-norm preimage
+    V_r (U_r'v / sv_r), the one pseudo-inverse of Phi.
     """
 
     def __init__(self, subspace: operators.OperatorSubspace, x):
@@ -172,21 +174,13 @@ class OrbitBallContext:
         self.Phi = geo.Phi
         self.rank = r = geo.rank
         V = geo.Vt.T
-        self._lams = lams = np.zeros(k)
-        lams[:geo.sv.size] = geo.sv * geo.sv
         self.range_U = geo.U[:, :r]
-        self.range_sv = geo.sv[:r]
+        self.range_sv = sv = geo.sv[:r]
         self.range_vecs = V[:, :r]
-        self.range_lams = np.maximum(lams[:r], 1e-300)
+        self.range_lams = np.maximum(sv * sv, 1e-300)
         self.null_vecs = V[:, r:]
         self._flat = self.stack.reshape(k, -1)
-
-    @cached_property
-    def H_inv(self) -> np.ndarray:
-        # pinv(H) with pinv's own cut: drop 2 lam <= eps k 2 lam_max
-        lams = self._lams
-        kept = self.geo.Vt[:np.count_nonzero(lams > np.finfo(float).eps * self.k * lams[0])].T
-        return (kept / (2.0 * lams[:kept.shape[1]])) @ kept.T
+        self._floor_step = 4.0 * float(np.sqrt(self.dim) * geo.sv[0])   # rounding_floor
 
     # the Hessian 2 Phi'Phi of f; the null stack mat(N_l), flattened: the
     # gauge kernel's directions
@@ -231,6 +225,16 @@ class OrbitBallContext:
         on the distance to every orbit ball."""
         y = self._as_query(y)
         return float(np.linalg.norm(y - self.geo.P @ y))
+
+    def lower_bound(self, y) -> float:
+        """The sweep's lower bound on every level distance of the query y,
+        which is checked in every case: span_distance(y), or 0 at full rank,
+        where ||y - Py|| is rounding residue above the true 0, and when
+        rank_margin() <= RANK_MARGIN, as a singular value of Phi that close
+        to the rank cut, on either side, makes the rank decision behind P
+        marginal."""
+        lb = self.span_distance(y)
+        return 0.0 if self.rank == self.dim or self.rank_margin() <= RANK_MARGIN else lb
 
     # ---- gauge ------------------------------------------------------------
 
@@ -369,7 +373,7 @@ class OrbitBallContext:
         cols = G.transpose(2, 0, 1).reshape(d, m * d)   # [G_1' ... G_m']
         lam = np.linalg.eigvalsh(np.stack([rows @ rows.T, cols @ cols.T]))[:, -1].min()
         root = float(np.sqrt(np.sum(G * G)))
-        eps = np.finfo(float).eps
+        eps = _EPS
         k, r, sv = self.k, self.rank, self.range_sv
         delta = 0.0   # at rank 0 only zero columns pass the span test: G = 0
         if r:
@@ -520,6 +524,22 @@ class OrbitBallContext:
         return (self._f(t, q["y"]) + np.einsum("...k,...k->...", c, t)
                 - n * (nuc + q["leak"]))
 
+    def rounding_floor(self, norm_y: float, n: float) -> float:
+        """The least tolerance a level-n certificate resolves for a query
+        of norm norm_y: eps (||y|| + 4 sqrt(dim) n sigma1(Phi)), eps the
+        machine epsilon, in plain float arithmetic. distances refuses a
+        tolerance below it, and the sweep stops before such a level.
+
+        _certified tests gap <= tol d, the gap being f = d^2 less the _dual
+        bound f(t*) + c't* - n ||W'||_*, in which c't* is about n ||W'||_*:
+        so the gap carries a rounding of order eps (f + 2 n ||W'||_*). As W
+        fits the gradient 2 Phi'(Phi t - y), ||W'||_* <= sqrt(dim) ||c|| <=
+        2 sqrt(dim) sigma1(Phi) d, and as the origin lies in every ball,
+        d <= ||y||: the test resolves tol only at or above the floor. Below
+        it a certificate passes or fails on rounding, and ADMM runs out of
+        iterations."""
+        return _EPS * (norm_y + n * self._floor_step)
+
     def _cert_gap(self, t, q, n, f=None, turn=None) -> np.ndarray:
         """Upper bound f(t) - max _dual(W) on f(t) - min f over the level-n
         feasible region for each feasible row t of a stack (n a scalar or
@@ -584,12 +604,12 @@ class OrbitBallContext:
         value ties exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is
         undefined) the Hessian is H. The step is pinv(K) of the KKT right side
         with pinv's cut (_sym_solve); a row whose KKT multiplier falls below
-        -1e-12 takes the unconstrained step -H+ grad. Each row moves by the
-        first alpha in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps
-        as one stacked trial, the halvings of rejected rows as one more) and
-        otherwise stops on a step below 1e-13 max(1, ||t||), on |f| < 1e-30, on
-        a stall or after _MAX_OUTER iterations, taking its gap at its final
-        point. Returns (t, steps taken, f, gap), one per row."""
+        -1e-12 takes the unconstrained step -H+ grad, the least-norm
+        preimage of y - Phi t. Each row moves by the first alpha in 1, 1/2,
+        ..., 2^-11 with f < f_prev - 1e-18 (full steps as one stacked trial,
+        the halvings of rejected rows as one more) and otherwise stops on a
+        step below 1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after
+        _MAX_OUTER iterations, taking its gap at its final point. Returns (t, steps taken, f, gap), one per row."""
         y = q["y"]
         t = np.array(t0, dtype=float)
         n, tol = np.full(len(t), n, dtype=float), np.full(len(t), tol, dtype=float)
@@ -601,7 +621,6 @@ class OrbitBallContext:
         done = np.zeros(len(t), dtype=bool)
         iters = np.zeros(len(t), dtype=int)
         k = self.k
-        eps = np.finfo(float).eps
         act = np.arange(len(t))
         for _ in range(_MAX_OUTER):
             if not act.size:
@@ -631,11 +650,11 @@ class OrbitBallContext:
                                     * self._sigma1_hessian(U[bent], sig[bent], Vt[bent]))
             K[:, :k, k] = K[:, k, :k] = g
             rhs = np.concatenate([-grad, (na - sig[:, 0])[:, None]], axis=1)
-            sol = _sym_solve(K, rhs, eps * (k + 1))
+            sol = _sym_solve(K, rhs, _EPS * (k + 1))
             # a pruned multiplier leaves the unconstrained step
             delta, pruned = sol[:, :k], np.flatnonzero(~(sol[:, k] >= -1e-12))
             if pruned.size:
-                delta[pruned] = -grad[pruned] @ self.H_inv.T
+                delta[pruned] = self.min_norm_preimage(y - self.point(ta[pruned]))
             moving = ~shut & (np.einsum("rk,rk->r", delta, delta)
                               > 1e-26 * np.maximum(1.0, np.einsum("rk,rk->r", ta, ta)))
             live = np.flatnonzero(moving)
@@ -761,7 +780,8 @@ class OrbitBallContext:
             iters += 1
             s = inv @ (b - self.tcoords(W) + rho * self.tcoords(X))
             S = self.mat(s)
-            X_prev, X = X, linalg.clip_spectral(S + W / rho, n)
+            U, sig, Vt = np.linalg.svd(S + W / rho)
+            X_prev, X = X, (U * np.minimum(sig, n)) @ Vt
             W = W + rho * (S - X)
             ts = self.feasify(s, n)
             fs = float(self._f(ts, y))
@@ -787,24 +807,30 @@ class OrbitBallContext:
         """Yields (distance, point, t, tol, iterations, method) for each
         level of ns in order (tols: one, or one per level; t in orthonormal
         coefficients). y, the levels and the tolerances are checked here
-        once; the query's record (_query) is built once and passed down,
-        and _solve_levels finds every boundary candidate. A level yields the
-        origin at n = 0 or rank 0 (tol 0), Py when interior, and otherwise
-        its candidate once _certified, ADMM closing its gap first when the
-        caller reaches the level. Raises SolverFailure, with honest bounds,
-        at the first level it fails."""
+        once, before any solve: a level n > 0 whose tolerance is below its
+        rounding_floor raises DimensionError. The query's record (_query)
+        is built once and passed down, and _solve_levels finds every
+        boundary candidate. A level yields the origin at n = 0 or rank 0
+        (tol 0), Py when interior, and otherwise its candidate once
+        _certified, ADMM closing its gap first when the caller reaches the
+        level. Raises SolverFailure, with honest bounds, at the first level
+        it fails."""
         y = self._as_query(y)
         ns = [linalg.as_level(n) for n in ns]
         tols = np.asarray(tols, dtype=float)
         if tols.ndim and tols.shape != (len(ns),):
             raise DimensionError(f"expected one tolerance or {len(ns)}, got shape {tols.shape}")
         tols = [linalg.as_tol(tol) for tol in (tols.tolist() if tols.ndim else [tols] * len(ns))]
+        norm_y = float(np.linalg.norm(y))
+        for n, tol in zip(ns, tols):
+            if n > 0.0 and tol < (floor := self.rounding_floor(norm_y, n)):
+                raise DimensionError(f"tolerance {tol:.3g} at level {n:g} is below the "
+                                     f"rounding floor {floor:.3g} of its certificate")
         q = self._query(y)
         table = self._solve_levels(q, ns, tols) if self.rank else {}
         for n, tol in zip(ns, tols):
             if n == 0.0 or self.rank == 0:
-                yield (float(np.linalg.norm(y)), np.zeros(self.dim), np.zeros(self.k), 0.0, 0,
-                       "degenerate")
+                yield norm_y, np.zeros(self.dim), np.zeros(self.k), 0.0, 0, "degenerate"
             elif n not in table:
                 t = q["t_hat"] if _clears(q["ub"], n) else self._query_gauge(q)[1]
                 yield q["base"], q["Py"].copy(), t, tol, 0, "interior"
@@ -1045,7 +1071,7 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
         U, off = preimages(B.T)
         if off.any() or not r:
             return (lambda C: gauge(C @ B.T)), np.inf, 0.0
-        eps = np.finfo(float).eps
+        eps = _EPS
         k = B.shape[1]
         delta = (d + m) * (3.0 + 2.0 * np.sqrt(r)) * eps * top / float(sr[-1])
         e_B = k * eps * float(np.linalg.norm(B)) / (float(sr[-1]) * n)

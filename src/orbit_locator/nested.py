@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, located, operators
-from .defaults import BUDGET, RANK_MARGIN, TOL
+from .defaults import BUDGET, TOL
 from .errors import DimensionError, OrbitLocatorError, SolverFailure
-
-_ROUNDING = float(np.finfo(float).eps)   # of a level's certificate (locate_distance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,27 +131,17 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
 
     * Located: tail_bound(n, d_n) <= tol^2, meaning all later minimizers
       stay within about tol of y_n; then y_inf = y_n, d = ||y - y_inf||.
-    * Stabilized: d_n is within tol + tol_n of the exact lower bound
-      ||y - Py|| on every level distance; since y_n lies in the orbit, the
-      global distance is d_n. When a singular value of Phi lies within a
-      factor RANK_MARGIN of the rank cut, on either side, the rank
-      decision behind P is marginal and the lower bound drops to 0. At
-      full rank (the orbit span is the whole space) it is 0 too.
+    * Stabilized: d_n is within tol + tol_n of ctx.lower_bound(y), a
+      lower bound on every level distance (||y - Py||, or 0 where the
+      rank decision behind P is marginal or the rank is full); since y_n
+      lies in the orbit, the global distance is d_n.
 
-    The sweep stops before the first level whose tolerance is below the
-    rounding of its own certificate. That certificate tests gap <= tol_n d_n,
-    the gap being f = d_n^2 less the dual bound f(t*) + c't* - n ||W'||_* of
-    located.OrbitBallContext._dual, in which c't* is about n ||W'||_*: so
-    the gap carries a rounding of order eps (f + 2 n ||W'||_*), eps the
-    machine epsilon. As W fits the gradient 2 Phi'(Phi t - y),
-    ||W'||_* <= sqrt(dim) ||c|| <= 2 sqrt(dim) sigma1(Phi) d_n, and as the
-    origin lies in every ball, d_n <= ||y||: the test resolves tol_n only
-    if tol_n >= _ROUNDING (||y|| + 4 sqrt(dim) n sigma1(Phi)), _ROUNDING =
-    eps. Past that a certificate passes or fails on rounding, and ADMM runs
-    out of iterations (2^-(n+2) even underflows to 0 at n = 1073).
+    The sweep stops before the first level whose tolerance is below
+    ctx.rounding_floor, the least tolerance its certificate resolves
+    (2^-(n+2) even underflows to 0 at n = 1073).
 
-    Otherwise the verdict is Undecided with bracket [||y - Py||, d_N]
-    (or [0, d_N] at a marginal or full rank), N the last level read.
+    Otherwise the verdict is Undecided with bracket [lower bound, d_N],
+    N the last level read.
 
     The levels are read in order from one ctx.distances call, which finds
     every boundary candidate in lockstep: an interior level is Py, a
@@ -167,15 +155,12 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     tol = linalg.as_tol(tol)
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
-    lb = ctx.span_distance(y)   # y is checked here, before any level is solved
-    if ctx.rank == ctx.dim or ctx.rank_margin() <= RANK_MARGIN:
-        lb = 0.0   # ||y - Py|| is rounding residue above the true 0
+    lb = ctx.lower_bound(y)   # y is checked here, before any level is solved
     norm_y = float(np.linalg.norm(y))
-    step = 4.0 * float(np.sqrt(ctx.dim) * ctx.geo.sv[0])
     tols = []
     for n in range(1, budget + 1):
         tol_n = min(tol, 2.0 ** -(n + 2))
-        if tol_n < _ROUNDING * (norm_y + n * step):
+        if tol_n < ctx.rounding_floor(norm_y, n):
             break
         tols.append(tol_n)
     ns = range(1, len(tols) + 1)

@@ -6,6 +6,8 @@ eigenvalues of the Hermitian dilation [[0, M], [M^T, 0]] (the library takes
 them from LAPACK's SVD). Tests compare library output against these routes.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,58 @@ def stretched_null_problem():
     M = np.diag([S] + [0.5] * 10 + [1.0])
     K = np.diag([S - 1.0] + [-0.5] * 10 + [0.0])
     return make_subspace([M, K]), 0.05 * np.eye(12)[11]
+
+
+# the x = (1, c) of family50's 20 diagonal-family problems, in draw order
+FAMILY50_CS = [0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1, 0.75,
+               0.33, -0.33, 0.6, -0.6, 0.9, -0.9, 0.45, -0.45, 0.05, -0.05]
+
+
+def family50_draw(seed=424242):
+    """The 50 problems (basis, x, y) of the acceptance family50 draw, with
+    generator `seed`: first the diagonal units with x = (1, c), c from
+    FAMILY50_CS, and y scaled by 1.2, then dim 2..4, k 1..3 and y scaled
+    by 1.5, drawn in the order dim, k, basis, x, y."""
+    g = np.random.default_rng(seed)
+    for c in FAMILY50_CS:
+        yield [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.array([1.0, c]), g.normal(size=2) * 1.2
+    for _ in range(50 - len(FAMILY50_CS)):
+        dim = int(g.integers(2, 5))
+        k = int(g.integers(1, 4))
+        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
+        x = g.normal(size=dim)
+        y = g.normal(size=dim) * 1.5
+        yield basis, x, y
+
+
+def family50_problem(index, seed=424242):
+    """Problem `index` of the family50 draw with generator `seed`."""
+    return next(islice(family50_draw(seed), index, None))
+
+
+def wide_draw(count, seed=7, dims=(2, 6), ks=(1, 5)):
+    """The first `count` problems (basis, x, y) of a random draw with
+    generator `seed`, dim `integers(*dims)`, k `integers(*ks)` and y scaled
+    by 1.5, drawn in the order dim, k, basis, x, y. The defaults give the
+    wide draw (generator seed 7, dim 2..5, k 1..4)."""
+    g = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(g.integers(*dims))
+        k = int(g.integers(*ks))
+        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
+        x = g.normal(size=dim)
+        y = g.normal(size=dim) * 1.5
+        yield basis, x, y
+
+
+# the seed-17 draw: larger problems, dim 8..12 and k 4..12
+SEED17 = {"seed": 17, "dims": (8, 13), "ks": (4, 13)}
+
+
+def wide_draw_problem(index, **draw):
+    """Problem `index` of the wide draw, or of the draw `wide_draw` makes
+    from the keywords `draw`."""
+    return list(wide_draw(index + 1, **draw))[-1]
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from orbit_locator import (GridOracleRefusal, Located, Member,
                            locate_distance, make_subspace,
                            metric_complement_distance, op_norm, orbit,
                            orbit_ball, open_map_radius, pipeline_distance)
-from conftest import MEM_TOL, svd_sigma
+from conftest import MEM_TOL, family50_draw, svd_sigma
 
 
 def _diag():
@@ -26,26 +26,11 @@ def _diag():
 
 @pytest.fixture(scope="module")
 def family50():
-    """20 diagonal-family and 30 random-basis instances with their level
-    sweeps (budget 12, tol 1e-6), plus the wall time spent building them."""
+    """The 20 diagonal-family and 30 random-basis instances of the family50
+    draw with their level sweeps (budget 12, tol 1e-6), plus the wall time
+    spent building them."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(424242)
-    instances = []
-    cs = [0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1, 0.75,
-          0.33, -0.33, 0.6, -0.6, 0.9, -0.9, 0.45, -0.45, 0.05, -0.05]
-    for c in cs:
-        sub = _diag()
-        x = np.array([1.0, c])
-        y = rng.normal(size=2) * 1.2
-        instances.append((sub, x, y))
-    while len(instances) < 50:
-        dim = int(rng.integers(2, 5))
-        k = int(rng.integers(1, 4))
-        basis = [rng.normal(size=(dim, dim)) for _ in range(k)]
-        sub = make_subspace(basis)
-        x = rng.normal(size=dim)
-        y = rng.normal(size=dim) * 1.5
-        instances.append((sub, x, y))
+    instances = [(make_subspace(basis), x, y) for basis, x, y in family50_draw()]
     reports = [locate_distance(sub, x, y, budget=12, tol=1e-6)
                for (sub, x, y) in instances]
     elapsed = time.perf_counter() - t0

@@ -219,6 +219,16 @@ def test_nan_and_inf_parameters_fail_fast(argv, tmp_path, capsys, monkeypatch):
     assert want.get(argv[-2], "must be positive and finite") in err
 
 
+def test_balldist_refuses_a_tolerance_below_the_rounding_floor(tmp_path, capsys):
+    # level 5 of the diagonal problem resolves no tolerance below 6.5e-15:
+    # exit 1 with the floor on stderr, no report and no traceback (it
+    # printed "certified" on rounding before)
+    path = diag_problem(tmp_path)
+    code, out, err = run_cli(capsys, ["balldist", path, "--n", "5", "--tol", "1e-17"])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "rounding floor 6.5e-15" in err
+
+
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverFailure("stalled", lower=0.1, upper=0.2, iterations=9)

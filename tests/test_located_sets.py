@@ -15,7 +15,8 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            make_subspace, orbit_ball)
 from orbit_locator import located
 from orbit_locator.operators import GRID_CHUNK
-from conftest import MEM_TOL, svd_sigma, svd_sigmas, svd_values
+from conftest import (MEM_TOL, SEED17, family50_problem, svd_sigma, svd_sigmas,
+                      svd_values, wide_draw, wide_draw_problem)
 
 
 def diag_formula(n, c=0.1):
@@ -201,31 +202,6 @@ def test_distance_is_lipschitz(seed):
     assert abs(d1 - d2) <= np.linalg.norm(y1 - y2) + 1e-6
 
 
-def wide_draw(count, seed=7, dims=(2, 6), ks=(1, 5)):
-    """The first `count` problems (basis, x, y) of a random draw with
-    generator `seed`, dim `integers(*dims)`, k `integers(*ks)` and y scaled
-    by 1.5, drawn in the order dim, k, basis, x, y. The defaults give the
-    wide draw (generator seed 7, dim 2..5, k 1..4)."""
-    g = np.random.default_rng(seed)
-    for _ in range(count):
-        dim = int(g.integers(*dims))
-        k = int(g.integers(*ks))
-        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
-        x = g.normal(size=dim)
-        y = g.normal(size=dim) * 1.5
-        yield basis, x, y
-
-
-# the seed-17 draw: larger problems, dim 8..12 and k 4..12
-SEED17 = {"seed": 17, "dims": (8, 13), "ks": (4, 13)}
-
-
-def wide_draw_problem(index, **draw):
-    """Problem `index` of the wide draw, or of the draw `wide_draw` makes
-    from the keywords `draw`."""
-    return list(wide_draw(index + 1, **draw))[-1]
-
-
 @pytest.fixture
 def admm_runs(monkeypatch):
     """The ADMM iterations of each _admm call the test makes, in order."""
@@ -239,22 +215,6 @@ def admm_runs(monkeypatch):
 
     monkeypatch.setattr(OrbitBallContext, "_admm", counted)
     return runs
-
-
-def family50_problem(index, seed=424242):
-    """Problem `index` (from 20 on) of the acceptance family50 draw
-    (generator seed 424242, or `seed`): 20 diagonal-family queries come
-    first, then dim 2..4, k 1..3, drawn in the order dim, k, basis, x, y."""
-    g = np.random.default_rng(seed)
-    for _ in range(20):
-        g.normal(size=2)
-    for _ in range(index - 19):
-        dim = int(g.integers(2, 5))
-        k = int(g.integers(1, 4))
-        basis = [g.normal(size=(dim, dim)) for _ in range(k)]
-        x = g.normal(size=dim)
-        y = g.normal(size=dim) * 1.5
-    return basis, x, y
 
 
 @pytest.mark.parametrize("dim,k", [(2, 3), (3, 2), (4, 3), (5, 4)])
@@ -382,6 +342,41 @@ def test_nan_and_negative_level_are_refused(diag_sub, make, n):
     # every entry point refuses such a level with the one typed error
     with pytest.raises(DimensionError, match="scale n must be nonnegative"):
         make(diag_sub, n)
+
+
+@pytest.mark.parametrize("n", [5.0, 40.0])
+def test_distance_refuses_a_tolerance_below_the_rounding_floor(n, monkeypatch):
+    # wide-draw problem 20 at tol 1e-17 (floors 1.4e-15 at n = 5, 6.4e-15
+    # at n = 40): n = 5 came back "certified" on rounding after 173
+    # iterations and n = 40 raised SolverFailure after seconds of ADMM;
+    # both are refused before the query's record is built
+    basis, x, y = wide_draw_problem(20)
+    ctx = OrbitBallContext(make_subspace(basis), x)
+
+    def unreached(self, y):
+        raise AssertionError("a refused tolerance builds no query record")
+
+    monkeypatch.setattr(OrbitBallContext, "_query", unreached)
+    with pytest.raises(DimensionError, match="rounding floor"):
+        ctx.distance(y, n, 1e-17)
+    with pytest.raises(DimensionError, match="rounding floor"):
+        next(ctx.distances(y, [1.0, n], [1e-6, 1e-17]))
+
+
+def test_rounding_floor_is_the_edge_of_distance(diag_sub):
+    # eps (||y|| + 4 sqrt(dim) n sigma1(Phi)), with sigma1 from the dilation:
+    # a tolerance at the floor is solved, the next double below is refused,
+    # and level 0 has no floor
+    x, y = np.array([1.0, 0.1]), np.array([0.0, 1.0])
+    ctx = OrbitBallContext(diag_sub, x)
+    floor = ctx.rounding_floor(1.0, 5.0)
+    sigma1 = svd_sigma(ctx.Phi)
+    assert floor == pytest.approx(np.finfo(float).eps * (1.0 + 4.0 * np.sqrt(2.0) * 5.0 * sigma1),
+                                  rel=1e-12)
+    assert abs(ctx.distance(y, 5.0, floor).value - 0.5) <= 1e-12
+    with pytest.raises(DimensionError, match="rounding floor"):
+        ctx.distance(y, 5.0, np.nextafter(floor, 0.0))
+    assert ctx.distance(y, 0.0, 1e-300).method == "degenerate"
 
 
 def test_distances_rejects_tolerances_of_the_wrong_length(diag_sub):
@@ -597,17 +592,6 @@ def test_interior_witness_is_feasible():
     assert through_search >= 4
 
 
-def family50_diag_problem(index):
-    """Problem `index` (below 20) of the acceptance family50 draw: the
-    diagonal subspace with x = (1, c) and the index-th query of the draw."""
-    cs = [0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1, 0.75,
-          0.33, -0.33, 0.6, -0.6, 0.9, -0.9, 0.45, -0.45, 0.05, -0.05]
-    g = np.random.default_rng(424242)
-    for _ in range(index + 1):
-        y = g.normal(size=2) * 1.2
-    return [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.array([1.0, cs[index]]), y
-
-
 @pytest.mark.parametrize("source,index", [
     ("family50", 7),    # diag c = 0.1: a clustered corner at level 1
     ("family50", 20),
@@ -615,12 +599,8 @@ def family50_diag_problem(index):
     ("wide", 35),       # the top pair nearly ties at level 1
 ])
 def test_lockstep_sqp_rows_match_one_row_solves(source, index):
-    if source == "wide":
-        basis, x, y = wide_draw_problem(index)
-    elif index < 20:
-        basis, x, y = family50_diag_problem(index)
-    else:
-        basis, x, y = family50_problem(index)
+    draw = wide_draw_problem if source == "wide" else family50_problem
+    basis, x, y = draw(index)
     ctx = OrbitBallContext(make_subspace(basis), x)
     q = ctx._query(y)
     g, t_rep = ctx._query_gauge(q)
@@ -711,7 +691,7 @@ def test_band_fit_picks_the_support_search_fit(index, monkeypatch):
     # diag c = 0.75 and c = -0.33: the sweep's turns whose top pairs lie
     # within 5% take the closed-form band fit, which picks the support
     # and weights of the search over every support
-    basis, x, y = family50_diag_problem(index)
+    basis, x, y = family50_problem(index)
     turns = []
     turn_of = OrbitBallContext._turn
 
@@ -862,9 +842,12 @@ def test_context_factors_phi_once(monkeypatch):
     assert ctx.rank == int(np.sum(sv > RANK_TOL * sv[0])) == 3
     assert margin == pytest.approx(min(sv / (RANK_TOL * sv[0])), rel=1e-12)
     assert np.allclose(ctx.range_lams, sv ** 2, rtol=1e-13, atol=0.0)
-    # the factor's pieces: P, H_inv and the null vectors
+    # the factor's pieces: P, the least-norm preimage, which gives _sqp's
+    # unconstrained step -pinv(H) grad, and the null vectors
     assert np.allclose(ctx.geo.P, ctx.Phi @ np.linalg.pinv(ctx.Phi), atol=1e-12)
-    assert np.allclose(ctx.H_inv, np.linalg.pinv(ctx.H), atol=1e-10)
+    t, v = (np.random.default_rng(2).normal(size=m) for m in (ctx.k, ctx.dim))
+    assert np.allclose(ctx.min_norm_preimage(v - ctx.point(t)),
+                       -np.linalg.pinv(ctx.H) @ ctx._grad(t, v), atol=1e-10)
     assert np.linalg.norm(ctx.Phi @ ctx.null_vecs) <= 1e-12
     # a corrupted factor is refused
     def corrupt(*args, **kwargs):

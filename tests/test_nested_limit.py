@@ -116,6 +116,44 @@ def test_sweep_reads_no_level_below_rounding(diag_sub):
     assert isinstance(v, Undecided) and (v.budget, v.lower, v.upper) == (0, 0.0, 2.0)
 
 
+def test_located_implies_stabilized(diag_sub):
+    # x = (1, 0.1), y = (0, 2.05): Py = y lies in the level-21 ball, so d_21
+    # = 0 and the sweep ends Located there; the Stabilized test holds at the
+    # same level
+    x, y = np.array([1.0, 0.1]), np.array([0.0, 2.05])
+    report = locate_distance(diag_sub, x, y, budget=30, tol=1e-6)
+    v = report.verdict
+    assert isinstance(v, Located) and len(report.levels) == 21 and v.d == 0.0
+    N, d = report.levels[-1].n, report.levels[-1].d
+    lb = OrbitBallContext(diag_sub, x).lower_bound(y)
+    assert d - lb <= 1e-6 + min(1e-6, 2.0 ** -(N + 2))
+    # tail_bound(N, d) >= 2 d^2, so the Located test forces d <= tol / sqrt(2)
+    # (up to one rounding of tail_bound) and with it the Stabilized test,
+    # whatever the lower bound lb >= 0
+    eps = np.finfo(float).eps
+    for tol in np.logspace(-15, 1, 33):
+        edge = tol / np.sqrt(2.0)
+        ds = np.concatenate([[0.0], np.logspace(-14, 1, 61) * tol,
+                             edge * (1.0 + np.arange(-8, 9) * eps)])
+        for N in range(1, 80):
+            for d in ds:
+                if tail_bound(N, d) <= tol * tol:
+                    assert d <= edge * (1.0 + 2.0 * eps) and d <= tol, (N, d, tol)
+
+
+def test_lower_bound_checks_y_in_every_case(diag_sub):
+    # the sweep's lower bound: ||y - Py|| at a clear rank below full, 0 at a
+    # marginal rank (5e-10 sits a factor 2 below the rank cut) and at full
+    # rank; a bad y is refused in all three
+    y = np.array([0.3, -0.4])
+    for x, want in [([1.0, 0.0], 0.4), ([1.0, 5e-10], 0.0), ([1.0, 0.1], 0.0)]:
+        ctx = OrbitBallContext(diag_sub, x)
+        assert ctx.lower_bound(y) == want
+        for bad in ([0.3, np.nan], [0.3, -0.4, 0.0]):
+            with pytest.raises(DimensionError):
+                ctx.lower_bound(bad)
+
+
 def test_stabilized_needs_the_span_lower_bound(diag_sub):
     # x = (1, 1e-8): the orbit span is the whole plane, so the distance from
     # y = (0, 1) is 0, while the level distances 1 - 1e-8 n barely move;
