@@ -3,13 +3,16 @@
 With A the matrix of a vector's least-norm preimage and N_1..N_p the
 matrices of the span operators that kill x, the gauge is the least
 sigma1(A + sum_l z_l N_l) over z in R^p, a convex function of z. At
-p = 1 it is a function of one variable, and sigma1_newton minimises it by
-bracketed Newton steps that stop on a dual gap; line_derivs supplies its
-value, slope and curvature. At p >= 2 the optimum generically ties the
-top singular values, where those derivatives do not exist, and the
-derivative-free pattern search compass_min runs instead, probing the
-objective itself. Both run many searches in lockstep, one per row, as the
-gauge kernel evaluates whole stacks of vectors.
+p = 1 it is a function of one variable. At dimension 2 it is a weighted
+sum of the distances from z to two fixed complex points, and
+pair_line_min finds its minimum in closed form, by Heron's reflection; at
+3 and more sigma1_newton minimises it by bracketed Newton steps that stop
+on a dual gap, with line_derivs supplying its value, slope and curvature.
+At p >= 2 the optimum generically ties the top singular values, where
+those derivatives do not exist, and the derivative-free pattern search
+compass_min runs instead, probing the objective itself. All three work on
+many rows at once, the searches in lockstep, as the gauge kernel
+evaluates whole stacks of vectors.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
 _MAX_EVALS = 50_000      # compass_min's per-search cap on probes
 _NEWTON_ROUNDS = 50      # sigma1_newton's cap on lockstep rounds
+_HALVINGS = 64           # pair_line_min's cap on halvings of its bracket
 
 
 @functools.lru_cache(maxsize=16)
@@ -170,42 +174,82 @@ def sigma1_newton(derivs, c, tol, width):
             rounds += 1
 
 
+def pair_line_min(A, N, tol):
+    """Minimiser of phi_i(z) = sigma1(A_i + z N) over real z, within tol
+    (a scalar or one per row) of the least value, for a stack A of
+    flattened 2 x 2 rows and one flattened 2 x 2 matrix N, in closed form.
+
+    [[a, b], [c, e]] has sigma1 = |w_1| + |w_2| with
+    w_1 = ((a + e) + i(c - b)) / 2 and w_2 = ((a - e) + i(c + b)) / 2, as
+    in linalg.batch_spectral_norms. With p_j the pair of A_i and q_j that
+    of N, phi(z) = |q_1| |z - zeta_1| + |q_2| |z - zeta_2| with
+    zeta_j = -p_j / q_j, and |q_1|^2 - |q_2|^2 = det N. An N that kills x
+    has rank one, so the weights are equal and phi is a sum of distances
+    from a real point to two fixed complex points: Heron's reflection
+    puts its minimum at
+    z* = (Re zeta_1 |Im zeta_2| + Re zeta_2 |Im zeta_1|)
+    / (|Im zeta_1| + |Im zeta_2|), where the segment from zeta_1 to the
+    mirror image of zeta_2 across the real axis crosses it, or, when both
+    points are real, anywhere between them: the midpoint when both
+    imaginary parts come out 0.
+
+    The rank cut leaves the weights apart by up to sigma2(N), at most
+    |N x| / |x|. With zeta_h the point of the larger weight and psi the
+    sum of the distances, phi = min_j |q_j| psi + (max_j |q_j| -
+    min_j |q_j|) |z - zeta_h|, so phi(z*) is within that difference times
+    |z* - Re zeta_h| of the minimum, which lies between z* and Re zeta_h,
+    as past either end both terms rise. A row whose bound exceeds its tol
+    halves that bracket on the sign of a subgradient of phi until phi,
+    Lipschitz with constant |q_1| + |q_2|, varies by at most tol across
+    it, and takes its midpoint."""
+    a, b, c, e = N
+    q1, q2 = complex(a + e, c - b) / 2.0, complex(a - e, c + b) / 2.0
+    # zeta_j = p_j u_j with u_j = -1 / q_j is real-linear in the entries
+    # of A: the columns of L give Re zeta_1, Im zeta_1, Re zeta_2, Im zeta_2
+    u1, u2 = -1.0 / q1, -1.0 / q2
+    L = 0.5 * np.array([[u1.real, u1.imag, u2.real, u2.imag],
+                        [u1.imag, -u1.real, -u2.imag, u2.real],
+                        [-u1.imag, u1.real, -u2.imag, u2.real],
+                        [u1.real, u1.imag, -u2.real, -u2.imag]])
+    Z = A @ L
+    re, im = Z[:, 0::2], np.abs(Z[:, 1::2])
+    height = im[:, 0] + im[:, 1]
+    z = np.divide(re[:, 0] * im[:, 1] + re[:, 1] * im[:, 0], height,
+                  out=0.5 * (re[:, 0] + re[:, 1]), where=height > 0.0)
+    w = np.array([abs(q1), abs(q2)])
+    h = int(w[1] > w[0])
+    far = re[:, h]
+    rows = np.flatnonzero((w[h] - w[1 - h]) * np.abs(z - far) > tol)
+    if rows.size:
+        lo, hi = np.minimum(z, far)[rows], np.maximum(z, far)[rows]
+        re, im = re[rows], im[rows]
+        width = np.broadcast_to(tol, z.shape)[rows] / (w[0] + w[1])
+        for _ in range(_HALVINGS):
+            if np.all(hi - lo <= width):
+                break
+            mid = 0.5 * (lo + hi)
+            dx = mid[:, None] - re
+            r = np.hypot(dx, im)
+            # a subgradient: the kink at a real zeta_j takes 0 for its term
+            slope = (w * np.divide(dx, r, out=np.zeros_like(r), where=r > 0.0)).sum(axis=1)
+            lo = np.where(slope <= 0.0, mid, lo)
+            hi = np.where(slope >= 0.0, mid, hi)
+        z[rows] = 0.5 * (lo + hi)
+    return z
+
+
 def line_derivs(A, N, d):
     """sigma1_newton's derivs for phi_i(z) = sigma1(A_i + z N), with A a
-    stack of flattened d x d rows and N one flattened d x d matrix.
-
-    At d = 2 in closed form, from the complex pair of
-    linalg.batch_spectral_norms: [[a, b], [c, e]] has sigma1 = |w_1| +
-    |w_2| with w_1 = ((a + e) + i(c - b)) / 2 and
-    w_2 = ((a - e) + i(c + b)) / 2. Along the line w = p + z q, so
-    |w|' = Re(w q*) / |w| and |w|'' = Im(p q*)^2 / |w|^3; where w = 0
-    the kink takes the subgradient 0 and the curvature inf. At d >= 3
-    from one stacked eigh of the Grams X'X, X = A_i + z N, with eigenpairs
-    (lam_j, v_j) and lam_1 the top: lam_1' = 2 <X v_1, N v_1> and
+    stack of flattened d x d rows and N one flattened d x d matrix, d >= 3
+    (pair_line_min takes d = 2), from one stacked eigh of the Grams X'X,
+    X = A_i + z N, with eigenpairs (lam_j, v_j) and lam_1 the top:
+    lam_1' = 2 <X v_1, N v_1> and
     lam_1'' = 2 |N v_1|^2 + 2 sum_j w_j^2 / (lam_1 - lam_j),
     w_j = <X v_j, N v_1> + <N v_j, X v_1> (second-order perturbation of
     X'X + z (X'N + N'X) + z^2 N'N), and phi = sqrt(lam_1),
     phi' = lam_1' / 2 phi, phi'' = lam_1'' / 2 phi - lam_1'^2 / 4 phi^3;
     a top eigenvalue tied with the next leaves the curvature undefined
     (inf or nan)."""
-    if d == 2:
-        def pair(M):
-            a, b, c, e = M[..., 0], M[..., 1], M[..., 2], M[..., 3]
-            return 0.5 * np.stack([(a + e) + 1j * (c - b), (a - e) + 1j * (c + b)], axis=-1)
-
-        P, q = pair(A), pair(N)
-        qc = q.conj()
-        bend = (P * qc).imag ** 2
-
-        def derivs(z):
-            w = P + z[:, None] * q
-            h = np.abs(w)
-            pos = h > 0.0
-            dh = np.divide((w * qc).real, h, out=np.zeros_like(h), where=pos)
-            ddh = np.divide(bend, h * h * h, out=np.full_like(h, np.inf), where=pos)
-            return h.sum(axis=1), dh.sum(axis=1), ddh.sum(axis=1)
-        return derivs
-
     Nm = N.reshape(d, d)
 
     def derivs(z):

@@ -36,9 +36,10 @@ as the root of the top eigenvalue of its Gram, from one stacked eigvalsh.
 With A the matrix of a row's least-norm preimage, that value at A is the
 whole kernel without a null space. With one, the kernel minimises
 sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by one of the
-lockstep searches of gauge_search: at one null coordinate bracketed
-Newton steps that stop on a dual gap, at two or more the pattern search
-compass_min on those same Gram values, at every dimension. On a fixed
+routes of gauge_search: at one null coordinate the closed form of Heron's
+reflection at dimension 2 and bracketed Newton steps that stop on a dual
+gap at 3 and more, at two or more the pattern search compass_min on
+those same Gram values, at every dimension. On a fixed
 subspace W the kernel is compiled once (gauge_on): A is the combination
 of the matrices of W's basis vectors, so a round of the inner-radius
 search builds no preimage and makes no per-row span test. The same
@@ -54,6 +55,7 @@ distance brackets for small coefficient counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -65,7 +67,7 @@ from .defaults import (GAUGE_TOL, GRID_CAP, MAX_SOLVER_ITERS, RANK_MARGIN,
                        RANK_TOL, TOL)
 from .errors import (DimensionError, GridOracleRefusal, OrbitLocatorError,
                      SolverFailure)
-from .gauge_search import compass_min, line_derivs, sigma1_newton
+from .gauge_search import compass_min, line_derivs, pair_line_min, sigma1_newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,24 +254,25 @@ class OrbitBallContext:
         zero vector only, at rank 0), up to 1e-9 max(1, |v|)."""
         if self.rank == 0:
             return nv == 0.0
-        resid = np.linalg.norm(V - V @ self.geo.P.T, axis=1)
-        return resid <= 1e-9 * np.maximum(nv, 1.0)
+        R = V - V @ self.geo.P.T
+        return np.sqrt((R * R).sum(axis=1)) <= 1e-9 * np.maximum(nv, 1.0)
 
     def _gauge_kernel(self, A, t_hat):
         """The gauge at rows whose least-norm preimages are t_hat, with
         A = mat(t_hat) flattened (one row each): min over z of
         sigma1(A + sum_l z_l mat(N_l)), every value _gram_sigma1 of a
         preimage. Without a null space that is one _gram_sigma1 call on A.
-        Both searches take the tolerance GAUGE_TOL max(1, |t_hat|) / 4.
-        With one null coordinate sigma1_newton runs on the derivatives of
-        line_derivs (closed form at d = 2, one stacked eigh at d >= 3) and
-        stops once its dual gap is within it; its end is re-anchored on
-        _gram_sigma1, and a row whose end that puts above its value at
-        z = 0 keeps z = 0. With two or more a lockstep pattern search on
-        _gram_sigma1 runs from z = 0 down to that step, each round one
-        sweep spanning four step sizes, and moves only to lower values. So
-        no value exceeds the one at z = 0. Returns (values, coefficient
-        rows)."""
+        Every route takes the tolerance GAUGE_TOL max(1, |t_hat|) / 4.
+        With one null coordinate pair_line_min puts z within it of the
+        line's minimum in closed form at d = 2, and at d >= 3
+        sigma1_newton runs on the derivatives of line_derivs (one stacked
+        eigh) and stops once its dual gap is within it; either end is
+        re-anchored on _gram_sigma1, and a row whose end that puts above
+        its value at z = 0 keeps z = 0. With two or more a lockstep
+        pattern search on _gram_sigma1 runs from z = 0 down to that step,
+        each round one sweep spanning four step sizes, and moves only to
+        lower values. So no value exceeds the one at z = 0. Returns
+        (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
         if not NM.shape[0]:
@@ -282,7 +285,10 @@ class OrbitBallContext:
                     (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)),
                 np.zeros((len(A), NM.shape[0])), init_step=scale, step_tol=tol)
             return g, t_hat + z @ self.null_vecs.T
-        z = sigma1_newton(line_derivs(A, NM[0], d), A @ NM[0], tol, np.sqrt(d))[0]
+        if d == 2:
+            z = pair_line_min(A, NM[0], tol)
+        else:
+            z = sigma1_newton(line_derivs(A, NM[0], d), A @ NM[0], tol, np.sqrt(d))[0]
         g = _gram_sigma1(np.stack([A, A + z[:, None] * NM[0]]).reshape(2, -1, d, d))
         back = g[1] > g[0]
         z[back] = 0.0
@@ -364,28 +370,29 @@ class OrbitBallContext:
         if B.shape[0] != d:
             raise DimensionError(
                 f"expected columns of length {d}, got shape {B.shape}")
-        if not self._on_span(B.T, np.linalg.norm(B, axis=0)).all():
-            return (lambda U: self.gauges(U @ B.T)), np.inf, 0.0
-        T = self.min_norm_preimage(B.T)
+        Bt = B.T
+        if not self._on_span(Bt, np.sqrt((B * B).sum(axis=0))).all():
+            return (lambda U: self.gauges(U @ Bt)), np.inf, 0.0
+        T = self.min_norm_preimage(Bt)
         m = len(T)
         G = self.mat(T)
         rows = G.transpose(1, 0, 2).reshape(d, m * d)   # [G_1 ... G_m]
         cols = G.transpose(2, 0, 1).reshape(d, m * d)   # [G_1' ... G_m']
-        lam = np.linalg.eigvalsh(np.stack([rows @ rows.T, cols @ cols.T]))[:, -1].min()
-        root = float(np.sqrt(np.sum(G * G)))
+        lam = float(np.linalg.eigvalsh(np.stack([rows @ rows.T, cols @ cols.T]))[:, -1].min())
+        G = G.reshape(m, -1)
+        root = math.sqrt((G * G).sum())
         eps = _EPS
         k, r, sv = self.k, self.rank, self.range_sv
         delta = 0.0   # at rank 0 only zero columns pass the span test: G = 0
         if r:
             e_Q = self.subspace.frame_error
-            delta = float((d + k) * (3.0 + 2.0 * np.sqrt(r)) * eps * sv[0] / sv[-1]
-                          + 2.0 * (d * np.sqrt(k) * eps + e_Q) * np.linalg.norm(self.x) / sv[-1]
+            delta = float((d + k) * (3.0 + 2.0 * math.sqrt(r)) * eps * sv[0] / sv[-1]
+                          + 2.0 * (d * math.sqrt(k) * eps + e_Q) * np.linalg.norm(self.x) / sv[-1]
                           + e_Q)
-        ceiling = ((np.sqrt(max(float(lam), 0.0) + (m + 2) * d * eps * root * root)
+        ceiling = ((math.sqrt(max(lam, 0.0) + (m + 2) * d * eps * root * root)
                     + m * eps * root) * (1.0 + d * (d + 1) * eps) + delta * root)
-        slack = ((1.0 + np.sqrt(d)) * delta + (m + d * (d + 1)) * eps) * root
-        G = G.reshape(m, -1)
-        return (lambda U: self._gauge_kernel(U @ G, U @ T)), float(ceiling), float(slack)
+        slack = ((1.0 + math.sqrt(d)) * delta + (m + d * (d + 1)) * eps) * root
+        return (lambda U: self._gauge_kernel(U @ G, U @ T)), ceiling, slack
 
     # ---- feasible-region projection (span <-> spectral ball) -------------
 

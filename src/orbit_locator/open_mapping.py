@@ -240,16 +240,15 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
     largest possible gauge."""
     m = B.shape[1]
     gauges, ceiling, slack = C.gauge_on(B)
-    others = _others(m)
     # every cell of a round has the side lengths h along its face's axes
     centres, faces, h, depth = np.eye(m), np.arange(m), np.full(m - 1, 2.0), 0
-    best, w, dropped, axes, keep = -np.inf, None, 0.0, None, max(_BB_KEEP, m)
+    best, w, dropped, spread, keep = -np.inf, None, 0.0, None, max(_BB_KEEP, m)
     while True:
-        norms = np.linalg.norm(centres, axis=1)
+        norms = np.sqrt((centres * centres).sum(axis=1))
         dirs = centres / norms[:, None]
         vals = gauges(dirs)
         # argmax stops on the first nan, and otherwise on the first inf
-        j = int(np.argmax(vals))
+        j = vals.argmax()
         if not np.isfinite(vals[j]):
             return np.inf, dirs[j], np.inf
         if vals[j] > best:
@@ -258,19 +257,23 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
         if cut >= ceiling:
             return best, w, ceiling
         hi = vals + slack
-        axes = hi if axes is None else axes  # round 1 gauged the axes
+        if spread is None:
+            # round 1 gauged the axes: spread[i] holds the values at the
+            # in-face axes of face i
+            spread = hi[_others(m)]
         # a point of the cell has norm >= 1 and, by subadditivity, a gauge
         # of at most g(centre) + sum_j (h_j / 2) g(e_j)
-        bound = norms * hi + 0.5 * (axes[others] @ h)[faces]
+        bound = norms * hi
+        bound += 0.5 * (spread @ h)[faces]
         # cos delta = 1 - 2 sin^2(delta / 2); nonpositive past a quarter sphere
         cos = 1.0 - (h @ h) / 8.0
         if cos > 0.0:
-            bound = np.minimum(bound, hi / cos)
+            np.minimum(bound, hi / cos, out=bound)
         # rank by centre gauge, the angular bound's order, also where that
         # bound is void: the subadditivity bound, largest at the corners of
         # a face, would steer the search away from the maximiser
-        live = np.flatnonzero(bound > cut)
-        live = live[np.argsort(-vals[live], kind="stable")]
+        live = (bound > cut).nonzero()[0]
+        live = live[(-vals[live]).argsort(kind="stable")]
         if live.size > keep:
             dropped = max(dropped, float(bound[live[keep:]].max()))
             live = live[:keep]
@@ -278,8 +281,9 @@ def _branch_and_bound(C, B: np.ndarray) -> tuple:
             return best, w, min(ceiling, max(cut, dropped))
         kids, h = _children(m, depth)
         depth += 1
-        centres = (centres[live, None, :] + kids[faces[live]]).reshape(-1, m)
-        faces = np.repeat(faces[live], kids.shape[1])
+        faces = faces[live]
+        centres = (centres[live, None, :] + kids[faces]).reshape(-1, m)
+        faces = faces.repeat(kids.shape[1])
 
 
 def open_map_radius(T) -> RadiusResult:

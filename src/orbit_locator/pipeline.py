@@ -10,6 +10,7 @@ needed to locate orbits and certify the result against ||y - Py||.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,14 +152,14 @@ def build_projection(subspace: operators.OperatorSubspace, x,
     seeded pseudo-random vectors, the read-only rows of _probe_set) is
     recorded with the truncation index N of the radius floor, taken for
     all probes in one row-wise call, the distance pipeline_distance
-    returns at that floor, and the ground-truth value ||y - Py|| of the
-    context's span_distance. One stacked test settles
-    the probes whose least-norm preimage of Py already lies in the level-N
-    ball: their distance is ||y - Py|| by the interior route, so for them
-    the recorded agreement holds by construction. Only the others run
-    pipeline_distance, which raises ConvergenceFailure when a certified
-    distance disagrees with ||y - Py||, or SolverFailure when its solve
-    does not close.
+    returns at that floor, and the ground-truth value ||y - Py||, as the
+    context's span_distance computes it, without its check of y. One
+    stacked test settles the probes whose least-norm preimage of Py
+    already lies in the level-N ball: their distance is ||y - Py|| by the
+    interior route, so for them the recorded agreement holds by
+    construction. Only the others run pipeline_distance, which raises
+    ConvergenceFailure when a certified distance disagrees with
+    ||y - Py||, or SolverFailure when its solve does not close.
     """
     tol = linalg.as_tol(tol)
     ctx = located.OrbitBallContext(subspace, x)
@@ -169,7 +170,8 @@ def build_projection(subspace: operators.OperatorSubspace, x,
             note="rank-0 orbit: projector is 0 and no probes apply")
     rr = _inner_radius_in_span(ctx)
     Y = _probe_set(dim)
-    d_oracle = [ctx.span_distance(y) for y in Y]
+    P = ctx.geo.P
+    d_oracle = [math.sqrt(r.dot(r)) for r in (y - P @ y for y in Y)]
     if rr.floor <= tol:
         rows = [ProbeRow(y=y, N=0, d_pipeline=float("nan"), d_oracle=d)
                 for y, d in zip(Y, d_oracle)]

@@ -1,7 +1,8 @@
-"""The lockstep searches behind every gauge with a null space and every
-inner radius, against references that do not use them: dense grids and
-golden section on the dilation oracle of conftest. sigma1_newton runs at
-one null coordinate, compass_min at two or more."""
+"""The searches behind every gauge with a null space and every inner
+radius, against references that do not use them: dense grids and golden
+section on the dilation oracle of conftest. At one null coordinate the
+closed form pair_line_min runs at dimension 2 and sigma1_newton at 3 and
+more; compass_min runs at two or more null coordinates."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from orbit_locator import (OrbitBallContext, diag_subspace, located,
                            make_subspace, span_inner_radius)
 from orbit_locator.defaults import GAUGE_TOL
-from conftest import stretched_null_problem, svd_sigma, svd_sigmas
+from orbit_locator.gauge_search import pair_line_min
+from conftest import stretched_null_problem, svd_sigma, svd_sigmas, svd_values
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -165,8 +167,10 @@ def check_gauge_rows(ctx, V, vals, ts):
 @pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (2, 7), (3, 0), (3, 1),
                                        (4, 0), (4, 1)])
 def test_newton_gauges_match_golden_section(dim, seed, monkeypatch):
-    # one null coordinate: every row closes its dual gap at the kernel's
-    # tolerance and lands on the golden-section minimum of the line
+    # one null coordinate: every row lands on the golden-section minimum of
+    # the line. At d = 2 the closed form runs and no Newton search; at
+    # d >= 3 one Newton search closes every row's dual gap at the kernel's
+    # tolerance
     basis, x = null_space_problem(seed, dim)
     ctx = OrbitBallContext(make_subspace(basis), x)
     assert (ctx.rank, ctx.null_vecs.shape[1]) == (dim, 1)
@@ -174,10 +178,13 @@ def test_newton_gauges_match_golden_section(dim, seed, monkeypatch):
     calls = record_newton(monkeypatch)
     monkeypatch.setattr(located, "compass_min", None)
     vals, ts = ctx.gauges(V)
-    (tol, (_, f, lower, _)), = calls
-    assert np.all(f - lower <= tol), np.max(f - lower - tol)
-    assert np.allclose(tol, GAUGE_TOL * np.maximum(
-        1.0, np.linalg.norm(ctx.min_norm_preimage(V), axis=1)) / 4.0)
+    if dim == 2:
+        assert calls == []
+    else:
+        (tol, (_, f, lower, _)), = calls
+        assert np.all(f - lower <= tol), np.max(f - lower - tol)
+        assert np.allclose(tol, GAUGE_TOL * np.maximum(
+            1.0, np.linalg.norm(ctx.min_norm_preimage(V), axis=1)) / 4.0)
     ref = reference_gauges(basis, x, V)
     assert np.all(np.abs(vals - ref) <= 1e-10 * ref), np.max(np.abs(vals - ref) / ref)
     check_gauge_rows(ctx, V, vals, ts)
@@ -186,7 +193,8 @@ def test_newton_gauges_match_golden_section(dim, seed, monkeypatch):
 def test_newton_gauges_flat_and_kinked_minima(monkeypatch):
     # the diagonal family at c = 0, x = e_1: the null coordinate is the
     # diag(0, 1) direction and sigma1 = max(|s|, |z|) is flat around z = 0,
-    # where the search starts. The stretched problem's line
+    # where the closed form of d = 2 puts the midpoint of its two real
+    # points -s and s, with no Newton search. The stretched problem's line
     # (sigma1 = max(|S + z'(S - 1)|, |1/2 - z'/2|, 1) / 0.05 at z' the
     # coefficient of K) has its minimum 20 at a kink where all twelve
     # singular values tie
@@ -196,15 +204,80 @@ def test_newton_gauges_flat_and_kinked_minima(monkeypatch):
     vals, ts = ctx.gauges(V)
     assert np.array_equal(vals, np.abs(V[:, 0]))
     check_gauge_rows(ctx, V, vals, ts)
+    assert calls == []
     sub, x = stretched_null_problem()
     ctx = OrbitBallContext(sub, x)
     V = np.eye(12)[11][None]
     vals, ts = ctx.gauges(V)
     assert vals[0] == pytest.approx(20.0, rel=1e-14)
     check_gauge_rows(ctx, V, vals, ts)
-    for tol, (_, f, lower, rounds) in calls:
-        assert np.all(f - lower <= tol) and rounds <= 3, (f - lower, rounds)
-    assert calls[0][1][3] == 1
+    (tol, (_, f, lower, rounds)), = calls
+    assert np.all(f - lower <= tol) and rounds <= 3, (f - lower, rounds)
+
+
+def pair_rows(p):
+    """Flattened 2 x 2 rows [a, b, c, e] with the complex pairs p (one row
+    per row of p): w_1 = ((a + e) + i(c - b)) / 2 and
+    w_2 = ((a - e) + i(c + b)) / 2 solved for the entries."""
+    p = np.atleast_2d(p)
+    a, e = (p[:, 0] + p[:, 1]).real, (p[:, 0] - p[:, 1]).real
+    c, b = (p[:, 0] + p[:, 1]).imag, (p[:, 1] - p[:, 0]).imag
+    return np.stack([a, b, c, e], axis=1)
+
+
+def test_closed_form_gauges_at_dimension_2(monkeypatch):
+    # the line sigma1(A + z N) = |q_1| |z - zeta_1| + |q_2| |z - zeta_2|,
+    # built from chosen points zeta_j and weights |q_j| (p_j = -zeta_j q_j):
+    # every row of pair_line_min lands within its tol of the golden-section
+    # minimum, and within 1e-10 of it relative
+    def check(zetas, q, tol):
+        zetas = np.asarray(zetas, dtype=complex)
+        A, N = pair_rows(-zetas * q), pair_rows(q)[0]
+        M, Nm = A.reshape(-1, 2, 2), N.reshape(2, 2)
+        z = pair_line_min(A, N, tol)
+        got = svd_sigmas(M + z[:, None, None] * Nm)
+        R = 2.0 * np.abs(zetas).max(axis=1) + 1.0
+        ref, _ = golden_min(lambda s: svd_sigmas(M + s[:, None, None] * Nm), -R, R, 120)
+        assert np.all(got - ref <= tol), np.max(got - ref - tol)
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref), np.max(np.abs(got - ref) / ref)
+        return z
+
+    tol = GAUGE_TOL / 4.0
+    # N of rank one (|q_1| = |q_2|): a flat minimum between two real points
+    # (any point between them; the rounding of zeta's imaginary parts
+    # picks one), a kink at a real point, both points on one side of the
+    # real axis and on opposite sides
+    q = 0.5 * np.exp(1j * np.array([0.4, -1.1]))
+    z = check([[-1.0, 1.0], [-1.0, 1.0 + 1.0j], [-1.0 + 0.5j, 2.0 + 1.5j],
+               [-1.0 + 0.5j, 2.0 - 1.5j]], q, tol)
+    assert -1.0 <= z[0] <= 1.0
+    assert np.allclose(z[1:], [-1.0, -0.25, -0.25], rtol=0.0, atol=1e-12)
+    # weights apart by 1e-9, the rank cut's reach: with both points real
+    # the minimum is at the heavier one, 1e-9 below the midpoint's value
+    q = np.array([0.5 + 5e-10, -0.5 + 5e-10]) * np.exp(0.7j)
+    z = check([[-1.0, 1.0], [3.0, -2.0], [-1.0 + 0.5j, 2.0 + 1e-6j]], q, tol)
+    assert abs(z[0] + 1.0) <= 2.0 * tol and abs(z[1] - 3.0) <= 2.0 * tol
+    # a null matrix that kills x only up to the rank cut: the orbit of
+    # x = e_1 has the singular values 1 and 5e-10, so rank 1, and the null
+    # matrix [[0, 0.6], [eps, 0.8]] has sigma2 = 3e-10; every gauge is |s|
+    # at v = (s, 0), where z = 0
+    calls = record_newton(monkeypatch)
+    eps = 5e-10
+    ctx = OrbitBallContext(make_subspace([np.diag([1.0, 0.0]),
+                                          np.array([[0.0, 0.6], [eps, 0.8]])]), [1.0, 0.0])
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (1, 1)
+    assert svd_values(ctx.null_mats[0].reshape(2, 2))[1] == pytest.approx(3e-10, rel=1e-6)
+    V = np.array([[1.0, 0.0], [-0.3, 0.0], [2.5, 0.0], [40.0, 0.0]])
+    vals, ts = ctx.gauges(V)
+    assert calls == []
+    t_hat = ctx.min_norm_preimage(V)
+    tol = GAUGE_TOL * np.maximum(1.0, np.linalg.norm(t_hat, axis=1)) / 4.0
+    A, N = ctx.mat(t_hat), ctx.null_mats[0].reshape(2, 2)
+    R = 2.0 * np.abs(V[:, 0]) + 1.0
+    ref, _ = golden_min(lambda s: svd_sigmas(A + s[:, None, None] * N), -R, R, 120)
+    assert np.all(vals - ref <= tol), np.max(vals - ref - tol)
+    assert np.allclose(vals, np.abs(V[:, 0]), rtol=1e-15, atol=0.0)
+    check_gauge_rows(ctx, V, vals, ts)
 
 
 @pytest.mark.parametrize("dim, k", [(3, 6), (3, 7), (3, 8)])
@@ -248,13 +321,14 @@ def test_pattern_search_gauges_at_dimension_2(seed, monkeypatch):
 
 
 def test_tight_gauge_search_rounds(monkeypatch):
-    # one tight gauge on a null-space ball: the rounds are sequential and
-    # each costs one stacked derivative evaluation, so their number sets
-    # the cost of every inner radius with one null coordinate
-    basis, x = null_space_problem(7)
+    # one tight gauge on a null-space ball at d = 3: the Newton rounds are
+    # sequential and each costs one stacked derivative evaluation, so their
+    # number sets the cost of every inner radius with one null coordinate
+    # there
+    basis, x = null_space_problem(7, dim=3)
     ctx = OrbitBallContext(make_subspace(basis), x)
-    assert (ctx.rank, ctx.null_vecs.shape[1]) == (2, 1)
-    v = np.array([np.cos(0.3), np.sin(0.3)])
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (3, 1)
+    v = np.array([np.cos(0.3), np.sin(0.3), 0.0])
     calls = record_newton(monkeypatch)
     monkeypatch.setattr(located, "compass_min", None)
     val, _ = ctx.gauge(v)
@@ -262,9 +336,8 @@ def test_tight_gauge_search_rounds(monkeypatch):
     assert abs(val - ref) <= 1e-9 * ref, (val, ref)
     (tol, (_, f, lower, rounds)), = calls
     assert f[0] - lower[0] <= tol[0]
-    # Newton takes 4; the pattern search took about 20 rounds of four
-    # step sizes each
-    assert rounds <= 6, rounds
+    # Newton takes 9 here
+    assert rounds <= 11, rounds
 
 
 def test_null_space_inner_radius():
