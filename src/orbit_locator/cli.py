@@ -6,8 +6,10 @@ name (flags override them, and both pass one check); seed is only echoed
 into the report, and project draws its probes from the fixed PROBE_SEED
 (1729) whatever the file says. Numbers in reports carry 17 significant
 digits so a report re-read from disk reproduces the doubles exactly; identical
-input and flags produce byte-identical output. Exit codes: 0 success,
-1 input error, 2 refusal, 3 solver failure.
+input and flags produce byte-identical output. _COMMANDS declares each
+subcommand once (handler, flags, whether it reads a file that must carry
+y); the parser, the file checks and the report header are built from it.
+Exit codes: 0 success, 1 input error, 2 refusal, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -162,6 +164,9 @@ def render_report(payload: dict) -> str:
 
 
 # ---- subcommands -----------------------------------------------------------
+# A handler gets the parsed flags and the problem file (None for demo),
+# already checked by run's prologue, and returns its report's fields after
+# the shared header, or, for demo, the finished table.
 
 def _pick(args, p: Optional[Problem], name: str, default):
     """The flag --name, checked by _param as the file's fields are, else
@@ -170,133 +175,105 @@ def _pick(args, p: Optional[Problem], name: str, default):
     return flag if flag is not None else field if field is not None else default
 
 
-def _cmd_distance(args) -> dict:
-    p = load_problem(args.file)
-    if p.y is None:
-        raise InputError("distance needs a target vector y in the problem file")
+def _cmd_distance(args, p: Problem) -> dict:
     sub = operators.make_subspace(p.basis)
     tol = _pick(args, p, "tol", TOL)
     budget = _pick(args, p, "budget", BUDGET)
     rep = nested.locate_distance(sub, p.x, p.y, budget=budget, tol=tol)
     v = rep.verdict
-    return {
-        "command": "distance",
-        "status": "ok",
-        "tol": tol,
-        "budget": budget,
-        "seed": p.seed,
-        "levels": [vars(lv) for lv in rep.levels],
-        "cauchy_bounds": list(rep.cauchy_bounds),
-        "verdict": {"kind": type(v).__name__, **vars(v)},
-    }
+    return {"tol": tol, "budget": budget, "seed": p.seed,
+            "levels": [vars(lv) for lv in rep.levels],
+            "cauchy_bounds": list(rep.cauchy_bounds),
+            "verdict": {"kind": type(v).__name__, **vars(v)}}
 
 
-def _cmd_balldist(args) -> dict:
-    p = load_problem(args.file)
-    if p.y is None:
-        raise InputError("balldist needs a target vector y in the problem file")
+def _cmd_balldist(args, p: Problem) -> dict:
     n = _pick(args, p, "n", None)
     if n is None:
         raise InputError("balldist needs a ball level: --n or the file's n field")
     sub = operators.make_subspace(p.basis)
     tol = _pick(args, p, "tol", TOL)
-    res = ball_distance(sub, p.x, float(n), p.y, tol=tol)
-    return {
-        "command": "balldist",
-        "status": "ok",
-        "n": float(n),
-        "tol": tol,
-        "seed": p.seed,
-        "d": res.value,
-        "point": res.point,
-        "coeffs": res.coeffs,
-        "iterations": res.iterations,
-        "method": res.method,
-    }
+    res = ball_distance(sub, p.x, n, p.y, tol=tol)
+    return {"n": n, "tol": tol, "seed": p.seed, "d": res.value,
+            "point": res.point, "coeffs": res.coeffs,
+            "iterations": res.iterations, "method": res.method}
 
 
-def _cmd_project(args) -> dict:
-    p = load_problem(args.file)
+def _cmd_project(args, p: Problem) -> dict:
     sub = operators.make_subspace(p.basis)
     tol = _pick(args, p, "tol", TOL)
     cert = pipeline.build_projection(sub, p.x, tol=tol)
-    return {
-        "command": "project",
-        "status": "ok",
-        "tol": tol,
-        "seed": p.seed,
-        "P": cert.P,
-        "rank": cert.rank,
-        "r": cert.r,
-        "floor": cert.floor,
-        "note": cert.note,
-        "probes": [vars(row) for row in cert.per_y_trace],
-    }
+    return {"tol": tol, "seed": p.seed, "P": cert.P, "rank": cert.rank,
+            "r": cert.r, "floor": cert.floor, "note": cert.note,
+            "probes": [vars(row) for row in cert.per_y_trace]}
 
 
-def _cmd_radius(args) -> dict:
-    p = load_problem(args.file)
-    sub = operators.make_subspace(p.basis)
-    rr = pipeline.span_inner_radius(sub, p.x)
-    return {
-        "command": "radius",
-        "status": "ok",
-        "seed": p.seed,
-        "r": rr.r,
-        "floor": rr.floor,
-        "direction": rr.direction,
-        "method": rr.method,
-    }
+def _cmd_radius(args, p: Problem) -> dict:
+    rr = pipeline.span_inner_radius(operators.make_subspace(p.basis), p.x)
+    return {"seed": p.seed, "r": rr.r, "floor": rr.floor,
+            "direction": rr.direction, "method": rr.method}
 
 
-def _cmd_decompose(args) -> dict:
-    p = load_problem(args.file)
-    if p.y is None:
-        raise InputError("decompose needs a target vector y in the problem file")
+def _cmd_decompose(args, p: Problem) -> dict:
     if args.r is None:
         raise InputError("decompose needs a claimed radius: --r")
-    sub = operators.make_subspace(p.basis)
-    ball = orbit_ball(sub, p.x, 1.0)
-    dec = om.greedy_decompose(p.y, ball, float(args.r))
+    ball = orbit_ball(operators.make_subspace(p.basis), p.x, 1.0)
+    dec = om.greedy_decompose(p.y, ball, args.r)
     out = dec.outcome
-    return {
-        "command": "decompose",
-        "status": "ok",
-        "r": float(args.r),
-        "seed": p.seed,
-        "y": p.y,
-        "outcome": {"kind": type(out).__name__, **vars(out)},
-        "steps": [vars(s) for s in dec.steps],
-    }
+    return {"r": args.r, "seed": p.seed, "y": p.y,
+            "outcome": {"kind": type(out).__name__, **vars(out)},
+            "steps": [vars(s) for s in dec.steps]}
 
 
-def _cmd_omt(args) -> dict:
-    p = load_problem(args.file)
+def _cmd_omt(args, p: Problem) -> dict:
     if len(p.basis) != 1:
-        raise InputError(
-            f"omt needs exactly one matrix in basis, got {len(p.basis)}")
+        raise InputError(f"omt needs exactly one matrix in basis, got {len(p.basis)}")
     res = om.open_map_radius(p.basis[0])
-    return {
-        "command": "omt",
-        "status": "ok",
-        "seed": p.seed,
-        "r": res.r,
-        "direction": res.direction,
-        "method": res.method,
-    }
+    return {"seed": p.seed, "r": res.r, "direction": res.direction,
+            "method": res.method}
 
 
-def _cmd_demo(args) -> str:
-    rows = demo_mod.demo_table(budget=_pick(args, None, "budget", BUDGET),
-                               tol=_pick(args, None, "tol", TOL))
-    csv_text = demo_mod.rows_to_csv(rows)
+def _cmd_demo(args, p) -> str:
+    rows = demo_mod.demo_table(budget=_pick(args, p, "budget", BUDGET),
+                               tol=_pick(args, p, "tol", TOL))
     if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+                fh.write(demo_mod.rows_to_csv(rows))
         except OSError as exc:
             raise InputError(f"cannot write {args.csv}: {exc}") from exc
     return demo_mod.format_table(rows)
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its handler, its flags in --help order, whether it
+    reads a problem file and whether that file must carry y."""
+    handler: Callable
+    flags: tuple = ()
+    reads_file: bool = True
+    needs_y: bool = False
+
+
+_FLAG_TYPES = {"tol": float, "budget": int, "n": float, "r": float}   # --csv: a path
+
+# radius, decompose and omt read no tolerance, so take no --tol
+_COMMANDS = {
+    "distance": _Command(_cmd_distance, ("tol", "budget"), needs_y=True),
+    "balldist": _Command(_cmd_balldist, ("tol", "n"), needs_y=True),
+    "project": _Command(_cmd_project, ("tol",)),
+    "radius": _Command(_cmd_radius),
+    "decompose": _Command(_cmd_decompose, ("r",), needs_y=True),
+    "omt": _Command(_cmd_omt),
+    "demo": _Command(_cmd_demo, ("tol", "csv", "budget"), reads_file=False),
+}
+
+# typed failures reported on stdout: the exit code, the report's status
+# and the exception's attributes the report carries when it has them
+_FAILURES = (
+    ((PipelineRefusal, GridOracleRefusal, NetTooLargeError), 2, "refused", ("radius",)),
+    ((SolverFailure, ConvergenceFailure), 3, "solver-failure", ("lower", "upper")),
+)
 
 
 # ---- driver ----------------------------------------------------------------
@@ -312,79 +289,41 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="orbit-locator", add_help=True)
     sub = parser.add_subparsers(dest="command")
-
-    # radius, decompose and omt read no tolerance, so take no --tol
-    def add(name, needs_file=True, tol=True):
+    for name, spec in _COMMANDS.items():
         sp = sub.add_parser(name, add_help=True)
-        if needs_file:
+        if spec.reads_file:
             sp.add_argument("file")
-        if tol:
-            sp.add_argument("--tol", type=float, default=None)
-        return sp
-
-    spd = add("distance")
-    spd.add_argument("--budget", type=int, default=None)
-    spb = add("balldist")
-    spb.add_argument("--n", type=float, default=None)
-    add("project")
-    add("radius", tol=False)
-    spg = add("decompose", tol=False)
-    spg.add_argument("--r", type=float, default=None)
-    add("omt", tol=False)
-    spm = add("demo", needs_file=False)
-    spm.add_argument("--csv", default=None)
-    spm.add_argument("--budget", type=int, default=None)
+        for flag in spec.flags:
+            sp.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag), default=None)
     return parser
-
-
-_HANDLERS = {
-    "distance": _cmd_distance,
-    "balldist": _cmd_balldist,
-    "project": _cmd_project,
-    "radius": _cmd_radius,
-    "decompose": _cmd_decompose,
-    "omt": _cmd_omt,
-}
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    command = None
+    command, code = None, 0
     try:
         args = _build_parser().parse_args(argv)
         command = args.command
         if command is None:
             raise InputError("missing subcommand (try --help)")
-        if command == "demo":
-            text = _cmd_demo(args)
-        else:
-            text = render_report(_HANDLERS[command](args))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PipelineRefusal, GridOracleRefusal, NetTooLargeError) as exc:
-        payload = {"command": command, "status": "refused",
-                   "reason": str(exc)}
-        if isinstance(exc, PipelineRefusal):
-            payload["radius"] = exc.radius
-        sys.stdout.write(render_report(payload))
-        sys.stdout.flush()
-        return 2
-    except (SolverFailure, ConvergenceFailure) as exc:
-        payload = {"command": command, "status": "solver-failure",
-                   "reason": str(exc)}
-        if isinstance(exc, SolverFailure):
-            payload["lower"] = exc.lower
-            payload["upper"] = exc.upper
-        sys.stdout.write(render_report(payload))
-        sys.stdout.flush()
-        return 3
-    except OrbitLocatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        spec = _COMMANDS[command]
+        p = load_problem(args.file) if spec.reads_file else None
+        if spec.needs_y and p.y is None:
+            raise InputError(f"{command} needs a target vector y in the problem file")
+        out = spec.handler(args, p)
+        text = out if isinstance(out, str) else render_report(
+            {"command": command, "status": "ok", **out})
+    except (InputError, OrbitLocatorError) as exc:
+        failure = next((f for f in _FAILURES if isinstance(exc, f[0])), None)
+        if failure is None:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        _, code, status, attrs = failure
+        text = render_report({"command": command, "status": status, "reason": str(exc),
+                              **{a: getattr(exc, a) for a in attrs if hasattr(exc, a)}})
     sys.stdout.write(text)
     sys.stdout.flush()
-    return 0
+    return code
 
 
 def main() -> None:

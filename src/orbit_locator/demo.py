@@ -89,26 +89,23 @@ def _fmt(v: float) -> str:
     return f"{float(v):.9g}"
 
 
+_HEADER = ("c", "r", "N", "d", "levels", "verdict")
+
+
+def _cells(row: DemoRow) -> tuple:
+    """The row's six cells, as the CSV and the table print them."""
+    return (_fmt(row.c), _fmt(row.r), "n/a" if row.N is None else str(row.N),
+            _fmt(row.d), str(row.levels_to_locate), row.verdict)
+
+
 def rows_to_csv(rows) -> str:
-    lines = ["c,r,N,d,levels,verdict"]
-    for row in rows:
-        n_col = "n/a" if row.N is None else str(row.N)
-        lines.append(",".join([_fmt(row.c), _fmt(row.r), n_col,
-                               _fmt(row.d), str(row.levels_to_locate),
-                               row.verdict]))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(cells) + "\n"
+                   for cells in [_HEADER, *map(_cells, rows)])
 
 
 def format_table(rows) -> str:
-    header = ("c", "r", "N", "d", "levels", "verdict")
-    body = []
-    for row in rows:
-        n_col = "n/a" if row.N is None else str(row.N)
-        body.append((_fmt(row.c), _fmt(row.r), n_col, _fmt(row.d),
-                     str(row.levels_to_locate), row.verdict))
-    widths = [max(len(header[j]), *(len(b[j]) for b in body)) if body
-              else len(header[j]) for j in range(6)]
-    out = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for b in body:
-        out.append("  ".join(v.rjust(w) for v, w in zip(b, widths)))
-    return "\n".join(out) + "\n"
+    body = [_cells(row) for row in rows]
+    widths = [max(len(h), *(len(b[j]) for b in body)) if body else len(h)
+              for j, h in enumerate(_HEADER)]
+    return "".join("  ".join(v.rjust(w) for v, w in zip(cells, widths)) + "\n"
+                   for cells in [_HEADER, *body])

@@ -945,13 +945,23 @@ def gauge_of_orbit_ball(subspace, x, v) -> float:
     return val
 
 
+def _view_level(n) -> float:
+    """The level of a LocatedSet view, which divides its gauges by it: as
+    as_level checks it, and refused at 0, where the ball is {0}."""
+    n = linalg.as_level(n)
+    if n == 0.0:
+        raise DimensionError("the level-0 ball is {0}: it has no gauge, so "
+                             "a view needs a level n > 0")
+    return n
+
+
 def orbit_ball(subspace, x, n: float,
                ctx: Optional[OrbitBallContext] = None) -> LocatedSet:
-    """LocatedSet view of the level-n orbit ball through x: the context's
-    distance, gauges and gauge_on (the compiled gauge with its
+    """LocatedSet view of the level-n orbit ball through x, n > 0: the
+    context's distance, gauges and gauge_on (the compiled gauge with its
     one-eigenvalue ceiling and its slack), gauges, ceiling and slack
-    divided by n."""
-    n = linalg.as_level(n)
+    divided by n. Level 0 is ball_distance's, through the context."""
+    n = _view_level(n)
     if ctx is None:
         ctx = OrbitBallContext(subspace, x)
 
@@ -993,7 +1003,7 @@ def euclidean_ball(center, radius: float) -> LocatedSet:
 
 
 def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
-    """The ellipsoid {T u : ||u|| <= n} as an exactly locatable set.
+    """The ellipsoid {T u : ||u|| <= n}, n > 0, as an exactly locatable set.
 
     Everything comes from one checked SVD T = U diag(s) V', keeping the r
     singular values above 1e-13 s_1. The least-norm preimage of y is
@@ -1024,7 +1034,7 @@ def linear_image_ball(T, n: float = 1.0) -> LocatedSet:
     """
     T = linalg.as_matrix(T)
     d, m = T.shape
-    n = linalg.as_level(n)
+    n = _view_level(n)
     U, s, Vt = linalg.checked_svd(T)
     top = float(s[0])
     r = int(np.count_nonzero(s > max(top * 1e-13, 1e-150)))

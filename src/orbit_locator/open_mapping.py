@@ -127,20 +127,19 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
             steps.append(DecompositionStep(i=i, x=x_i, lam=0,
                                            residual=residual))
             if residual <= target:
-                return Decomposition(steps=tuple(steps),
-                                     outcome=Member(xi=acc), r=r, y=y)
-            continue
-        if d > max(r / 4.0, 10.0 * tol):
+                outcome = Member(xi=acc)
+                break
+        elif d > max(r / 4.0, 10.0 * tol):
             steps.append(DecompositionStep(
                 i=i, x=np.zeros_like(y), lam=1, residual=d))
-            return Decomposition(steps=tuple(steps),
-                                 outcome=Witness(z=u.copy(), dist_z=d),
-                                 r=r, y=y)
-        return Decomposition(steps=tuple(steps),
-                             outcome=Undecided(residual=d), r=r, y=y)
-    return Decomposition(steps=tuple(steps),
-                         outcome=Undecided(residual=steps[-1].residual),
-                         r=r, y=y)
+            outcome = Witness(z=u.copy(), dist_z=d)
+            break
+        else:
+            outcome = Undecided(residual=d)
+            break
+    else:
+        outcome = Undecided(residual=steps[-1].residual)
+    return Decomposition(steps=tuple(steps), outcome=outcome, r=r, y=y)
 
 
 # branch and bound of inner_radius over cube-face cells

@@ -193,6 +193,34 @@ def test_input_errors(tmp_path, capsys):
     assert run_cli(capsys, ["radius", with_tol])[0] == 0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["distance", "NO_Y"], "distance needs a target vector y in the problem file"),
+    (["balldist", "NO_Y", "--n", "2"], "balldist needs a target vector y in the problem file"),
+    # the missing y is named before the missing level and the missing radius
+    (["balldist", "NO_Y"], "balldist needs a target vector y in the problem file"),
+    (["decompose", "NO_Y"], "decompose needs a target vector y in the problem file"),
+    (["omt", "TWO"], "omt needs exactly one matrix in basis, got 2"),
+    ([], "missing subcommand (try --help)"),
+    (["demo", "--csv", "NO_DIR/rows.csv"], "cannot write NO_DIR/rows.csv: "),
+])
+def test_input_error_messages(argv, message, tmp_path, capsys):
+    # each input error exits 1 with its one-line message on stderr, no
+    # report and no traceback
+    names = {"NO_Y": write_problem(tmp_path, dim=2, basis=DIAG_BASIS, x=[1.0, 0.1]),
+             "TWO": diag_problem(tmp_path, name="two.json"),
+             "NO_DIR": str(tmp_path / "no-such-dir")}
+
+    def fill(text):
+        for key, value in names.items():
+            text = text.replace(key, value)
+        return text
+
+    code, out, err = run_cli(capsys, [fill(a) for a in argv])
+    message = fill(message)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["balldist", "DISK", "--n", "nan"],
     ["distance", "DISK", "--tol", "nan"],

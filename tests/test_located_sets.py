@@ -344,6 +344,21 @@ def test_nan_and_negative_level_are_refused(diag_sub, make, n):
         make(diag_sub, n)
 
 
+@pytest.mark.parametrize("make", [
+    lambda sub: linear_image_ball(np.eye(2), 0.0),
+    lambda sub: orbit_ball(sub, [1.0, 0.5], 0),
+], ids=["linear_image_ball", "orbit_ball"])
+def test_level_zero_view_is_refused(diag_sub, make):
+    # both views divide their gauges, ceilings and slacks by n: at n = 0 the
+    # ellipsoid's locate and the orbit ball's inner radius raised a bare
+    # ZeroDivisionError and its gauge of 0 came back NaN
+    with pytest.raises(DimensionError, match=r"level-0 ball is \{0\}"):
+        make(diag_sub)
+    # the distance to the level-0 ball stays answered, by the degenerate route
+    res = ball_distance(diag_sub, [1.0, 0.5], 0.0, [3.0, 4.0])
+    assert (res.value, res.method) == (5.0, "degenerate")
+
+
 @pytest.mark.parametrize("n", [5.0, 40.0])
 def test_distance_refuses_a_tolerance_below_the_rounding_floor(n, monkeypatch):
     # wide-draw problem 20 at tol 1e-17 (floors 1.4e-15 at n = 5, 6.4e-15
