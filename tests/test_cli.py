@@ -202,7 +202,8 @@ def test_input_errors(tmp_path, capsys):
     (["omt", "TWO"], "omt needs exactly one matrix in basis, got 2"),
     ([], "missing subcommand (try --help)"),
     (["demo", "--csv", "NO_DIR/rows.csv"], "cannot write NO_DIR/rows.csv: "),
-])
+], ids=["distance-no-y", "balldist-no-y", "balldist-no-y-no-n", "decompose-no-y-no-r",
+        "omt-two-matrices", "no-subcommand", "demo-csv-no-dir"])
 def test_input_error_messages(argv, message, tmp_path, capsys):
     # each input error exits 1 with its one-line message on stderr, no
     # report and no traceback
