@@ -2,13 +2,13 @@
 
 Problem files are JSON objects with fields dim, basis, x and optionally
 y, n, tol, budget, seed. n, tol and budget set the parameters of the same
-name (flags override them, and both pass one check); seed is only echoed
-into the report, and project draws its probes from the fixed PROBE_SEED
-(1729) whatever the file says. Numbers in reports carry 17 significant
-digits so a report re-read from disk reproduces the doubles exactly; identical
-input and flags produce byte-identical output. _COMMANDS declares each
-subcommand once (handler, flags, whether it reads a file that must carry
-y); the parser, the file checks and the report header are built from it.
+name (flags override them; _PARAMS gives flag and field one rule); seed is
+only echoed into the report, and project draws its probes from the fixed
+PROBE_SEED (1729) whatever the file says. Numbers in reports carry 17
+significant digits so a report re-read from disk reproduces the doubles
+exactly; identical input and flags produce byte-identical output. _COMMANDS
+declares each subcommand once (handler, flags, whether it reads a file that
+must carry y); the parser, the file checks and the report header come from it.
 Exit codes: 0 success, 1 input error, 2 refusal, 3 solver failure.
 """
 
@@ -24,11 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import demo as demo_mod
-from . import nested, operators, pipeline
+from . import defaults, linalg, nested, operators, pipeline
 from . import open_mapping as om
-from .defaults import BUDGET, TOL
-from .errors import (ConvergenceFailure, GridOracleRefusal, NetTooLargeError,
-                     OrbitLocatorError, PipelineRefusal, SolverFailure)
+from .errors import (ConvergenceFailure, DimensionError, GridOracleRefusal,
+                     NetTooLargeError, OrbitLocatorError, PipelineRefusal,
+                     SolverFailure)
 from .located import ball_distance, orbit_ball
 
 
@@ -63,26 +63,27 @@ def _as_vec(raw, dim: int, name: str) -> np.ndarray:
     return v
 
 
+def _as_budget(raw) -> int:
+    """A level budget: a positive integer, read by int() from the value's
+    spelling, so a file's 1.5 or true fails as the flag's string does."""
+    budget = int(str(raw))
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget}")
+    return budget
+
+
+# each numeric parameter once: the rule that turns a flag's string or a file's
+# value into it (the library's own for n and tol), and its default
+_PARAMS = {"n": (linalg.as_level, None), "tol": (linalg.as_tol, defaults.TOL),
+           "budget": (_as_budget, defaults.BUDGET), "r": (float, None)}
+
+
 def _param(name: str, raw, where: str):
-    """The parameter n, tol or budget from a problem file or a flag, with
-    one check for both sources: n a nonnegative number, tol a positive
-    finite number and budget a positive integer. None stays None; where
-    names the field or flag in the error."""
-    if raw is None:
-        return None
-    if name == "budget":
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-            raise InputError(f"{where} must be a positive integer")
-        return raw
+    """Parameter name from a flag or file value by its _PARAMS rule; None stays None."""
     try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where} is not a number: {exc}") from exc
-    if name == "n" and not value >= 0.0:
-        raise InputError(f"{where} must be nonnegative, got {value}")
-    if name == "tol" and not 0.0 < value < np.inf:
-        raise InputError(f"{where} must be positive and finite, got {value}")
-    return value
+        return None if raw is None else _PARAMS[name][0](raw)
+    except (TypeError, ValueError, OverflowError, DimensionError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def load_problem(path: str) -> Problem:
@@ -146,14 +147,8 @@ def _dump(obj, ind: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if f != f:
-            return "NaN"
-        if f == float("inf"):
-            return "Infinity"
-        if f == float("-inf"):
-            return "-Infinity"
-        return f"{f:.17g}"
+        f = float(obj)   # json.dumps: NaN, Infinity, -Infinity, as json.loads reads them
+        return f"{f:.17g}" if np.isfinite(f) else json.dumps(f)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -168,17 +163,17 @@ def render_report(payload: dict) -> str:
 # already checked by run's prologue, and returns its report's fields after
 # the shared header, or, for demo, the finished table.
 
-def _pick(args, p: Optional[Problem], name: str, default):
+def _pick(args, p: Optional[Problem], name: str):
     """The flag --name, checked by _param as the file's fields are, else
-    the problem file's field, else the default."""
+    the problem file's field, else the parameter's default."""
     flag, field = _param(name, getattr(args, name), f"--{name}"), getattr(p, name, None)
-    return flag if flag is not None else field if field is not None else default
+    return flag if flag is not None else field if field is not None else _PARAMS[name][1]
 
 
 def _cmd_distance(args, p: Problem) -> dict:
     sub = operators.make_subspace(p.basis)
-    tol = _pick(args, p, "tol", TOL)
-    budget = _pick(args, p, "budget", BUDGET)
+    tol = _pick(args, p, "tol")
+    budget = _pick(args, p, "budget")
     rep = nested.locate_distance(sub, p.x, p.y, budget=budget, tol=tol)
     v = rep.verdict
     return {"tol": tol, "budget": budget, "seed": p.seed,
@@ -188,11 +183,11 @@ def _cmd_distance(args, p: Problem) -> dict:
 
 
 def _cmd_balldist(args, p: Problem) -> dict:
-    n = _pick(args, p, "n", None)
+    n = _pick(args, p, "n")
     if n is None:
         raise InputError("balldist needs a ball level: --n or the file's n field")
     sub = operators.make_subspace(p.basis)
-    tol = _pick(args, p, "tol", TOL)
+    tol = _pick(args, p, "tol")
     res = ball_distance(sub, p.x, n, p.y, tol=tol)
     return {"n": n, "tol": tol, "seed": p.seed, "d": res.value,
             "point": res.point, "coeffs": res.coeffs,
@@ -201,7 +196,7 @@ def _cmd_balldist(args, p: Problem) -> dict:
 
 def _cmd_project(args, p: Problem) -> dict:
     sub = operators.make_subspace(p.basis)
-    tol = _pick(args, p, "tol", TOL)
+    tol = _pick(args, p, "tol")
     cert = pipeline.build_projection(sub, p.x, tol=tol)
     return {"tol": tol, "seed": p.seed, "P": cert.P, "rank": cert.rank,
             "r": cert.r, "floor": cert.floor, "note": cert.note,
@@ -215,12 +210,13 @@ def _cmd_radius(args, p: Problem) -> dict:
 
 
 def _cmd_decompose(args, p: Problem) -> dict:
-    if args.r is None:
+    r = _pick(args, p, "r")
+    if r is None:
         raise InputError("decompose needs a claimed radius: --r")
     ball = orbit_ball(operators.make_subspace(p.basis), p.x, 1.0)
-    dec = om.greedy_decompose(p.y, ball, args.r)
+    dec = om.greedy_decompose(p.y, ball, r)
     out = dec.outcome
-    return {"r": args.r, "seed": p.seed, "y": p.y,
+    return {"r": r, "seed": p.seed, "y": p.y,
             "outcome": {"kind": type(out).__name__, **vars(out)},
             "steps": [vars(s) for s in dec.steps]}
 
@@ -234,8 +230,8 @@ def _cmd_omt(args, p: Problem) -> dict:
 
 
 def _cmd_demo(args, p) -> str:
-    rows = demo_mod.demo_table(budget=_pick(args, p, "budget", BUDGET),
-                               tol=_pick(args, p, "tol", TOL))
+    rows = demo_mod.demo_table(budget=_pick(args, p, "budget"),
+                               tol=_pick(args, p, "tol"))
     if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -254,8 +250,6 @@ class _Command:
     reads_file: bool = True
     needs_y: bool = False
 
-
-_FLAG_TYPES = {"tol": float, "budget": int, "n": float, "r": float}   # --csv: a path
 
 # radius, decompose and omt read no tolerance, so take no --tol
 _COMMANDS = {
@@ -294,7 +288,7 @@ def _build_parser() -> _Parser:
         if spec.reads_file:
             sp.add_argument("file")
         for flag in spec.flags:
-            sp.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag), default=None)
+            sp.add_argument(f"--{flag}")   # a string: _param converts it
     return parser
 
 
@@ -302,7 +296,12 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     command, code = None, 0
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except InputError:   # argparse reads a flag's value as the subcommand
+            if not argv[0].startswith("-"):
+                raise
+            raise InputError(f"flags follow the subcommand: {argv[0]} came first") from None
         command = args.command
         if command is None:
             raise InputError("missing subcommand (try --help)")

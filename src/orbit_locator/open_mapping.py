@@ -70,7 +70,10 @@ class RadiusResult:
     the true radius when the search misses the maximiser (seen at m >= 6),
     and within a factor 1 + _BB_REL of floor when the search stopped at the
     ceiling. direction is the unit vector of that largest gauge, and method
-    names the route."""
+    names the route. r and direction follow the ranking of computed gauges,
+    so where maximisers nearly tie, gauges that move in their last bits can
+    switch them (wide-draw problem 181: r 1.04448 instead of 1.04476) while
+    floor, the certified value, stays a floor (there it did not move)."""
     r: float
     direction: np.ndarray
     method: str
@@ -178,7 +181,9 @@ def inner_radius(C: located.LocatedSet, W_basis) -> RadiusResult:
     r is 1 over the best gauge found, direction its unit vector, and floor
     1 over the smaller of the ceiling and the larger of
     (best + slack) * (1 + _BB_REL) and that kept bound, so it is at least 1
-    over the ceiling, and at most 1 over the largest exact gauge. Every rank
+    over the ceiling, and at most 1 over the largest exact gauge. The live
+    cells are ranked by their computed gauges, so r and direction can
+    switch between near-tied maximisers (see RadiusResult). Every rank
     runs this search; the line (m = 1) is one cell, its axis. An infinite
     gauge short-circuits to r = 0.
     """

@@ -197,6 +197,7 @@ def metric_complement_distance(subspace: operators.OperatorSubspace,
     possible to leave the ball. For a closed balanced convex body with
     interior this is the inscribed-ball radius. Returns the estimate r of
     span_inner_radius, not its rigorous floor: r can exceed the true
-    radius when the search misses the maximiser (seen at m >= 6)."""
+    radius when the search misses the maximiser (seen at m >= 6), and it
+    can switch between near-tied maximisers (see open_mapping.RadiusResult)."""
     rr = _inner_radius_in_span(located.OrbitBallContext(subspace, x))
     return float(rr.r)

@@ -202,14 +202,20 @@ def test_input_errors(tmp_path, capsys):
     (["omt", "TWO"], "omt needs exactly one matrix in basis, got 2"),
     ([], "missing subcommand (try --help)"),
     (["demo", "--csv", "NO_DIR/rows.csv"], "cannot write NO_DIR/rows.csv: "),
+    # argparse would read 1e-6 as the subcommand
+    (["--tol", "1e-6", "distance", "TWO"], "flags follow the subcommand: --tol came first"),
+    # a JSON integer beyond the doubles' range: float() raises OverflowError
+    (["balldist", "HUGE"], "HUGE: field 'n': int too large to convert to float"),
 ], ids=["distance-no-y", "balldist-no-y", "balldist-no-y-no-n", "decompose-no-y-no-r",
-        "omt-two-matrices", "no-subcommand", "demo-csv-no-dir"])
+        "omt-two-matrices", "no-subcommand", "demo-csv-no-dir", "flag-before-subcommand",
+        "huge-integer-n"])
 def test_input_error_messages(argv, message, tmp_path, capsys):
     # each input error exits 1 with its one-line message on stderr, no
     # report and no traceback
     names = {"NO_Y": write_problem(tmp_path, dim=2, basis=DIAG_BASIS, x=[1.0, 0.1]),
              "TWO": diag_problem(tmp_path, name="two.json"),
-             "NO_DIR": str(tmp_path / "no-such-dir")}
+             "NO_DIR": str(tmp_path / "no-such-dir"),
+             "HUGE": diag_problem(tmp_path, name="huge.json", n=10 ** 400)}
 
     def fill(text):
         for key, value in names.items():
@@ -246,6 +252,32 @@ def test_nan_and_inf_parameters_fail_fast(argv, tmp_path, capsys, monkeypatch):
     assert code == 1 and out == "" and "Traceback" not in err
     want = {"--n": "must be nonnegative", "--r": "needs a finite r"}
     assert want.get(argv[-2], "must be positive and finite") in err
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n", "abc"), ("n", -1), ("tol", 0), ("tol", "nan"), ("budget", 1.5), ("budget", 0),
+    ("r", "abc"),
+])
+def test_flag_and_field_share_one_check(name, value, tmp_path, capsys, monkeypatch):
+    # a malformed value fails one check whether a flag or the problem
+    # file's field of the same name gives it (r is a flag only): exit 1, no
+    # report, no traceback and the same text after the flag's or the
+    # field's name, before any solve starts
+    for owner, attr in [(cli.nested, "locate_distance"), (cli, "ball_distance"),
+                        (cli.om, "greedy_decompose")]:
+        monkeypatch.setattr(owner, attr, None)
+    cmd = {"n": "balldist", "r": "decompose"}.get(name, "distance")
+    runs = [([cmd, diag_problem(tmp_path), f"--{name}", str(value)], f"--{name}")]
+    if name != "r":
+        runs.append(([cmd, diag_problem(tmp_path, name="f.json", **{name: value})],
+                     f"field {name!r}"))
+    tails = set()
+    for argv, where in runs:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and where in err and err.count("\n") == 1
+        tails.add(err.split(where, 1)[1])
+    assert len(tails) == 1
 
 
 def test_balldist_refuses_a_tolerance_below_the_rounding_floor(tmp_path, capsys):
