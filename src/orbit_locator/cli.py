@@ -63,26 +63,27 @@ def _as_vec(raw, dim: int, name: str) -> np.ndarray:
     return v
 
 
-def _as_budget(raw) -> int:
-    """A level budget: a positive integer, read by int() from the value's
+def _as_budget(raw: str) -> int:
+    """A level budget: a positive integer, read by int() from a value's
     spelling, so a file's 1.5 or true fails as the flag's string does."""
-    budget = int(str(raw))
+    budget = int(raw)
     if budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget}")
     return budget
 
 
-# each numeric parameter once: the rule that turns a flag's string or a file's
-# value into it (the library's own for n and tol), and its default
+# each numeric parameter once: the rule that turns the spelling of a flag's or
+# a file's value into it (the library's own for n and tol), and its default
 _PARAMS = {"n": (linalg.as_level, None), "tol": (linalg.as_tol, defaults.TOL),
            "budget": (_as_budget, defaults.BUDGET), "r": (float, None)}
 
 
 def _param(name: str, raw, where: str):
-    """Parameter name from a flag or file value by its _PARAMS rule; None stays None."""
+    """Parameter name by its _PARAMS rule from the spelling str(raw) of a
+    flag or file value, so both read or fail alike; None stays None."""
     try:
-        return None if raw is None else _PARAMS[name][0](raw)
-    except (TypeError, ValueError, OverflowError, DimensionError) as exc:
+        return None if raw is None else _PARAMS[name][0](str(raw))
+    except (ValueError, DimensionError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 

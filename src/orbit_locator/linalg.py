@@ -58,10 +58,13 @@ def as_tol(tol) -> float:
 
 
 def as_level(n) -> float:
-    """A ball level as a float, raising DimensionError unless n >= 0."""
+    """A ball level as a float, raising DimensionError unless it is
+    nonnegative (NaN fails here) and finite."""
     n = float(n)
     if not n >= 0.0:
         raise DimensionError(f"scale n must be nonnegative, got {n}")
+    if n == np.inf:
+        raise DimensionError(f"scale n must be finite, got {n}")
     return n
 
 

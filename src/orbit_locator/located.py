@@ -10,11 +10,12 @@ system of the top singular pair, with the curvature of sigma1 in the
 Lagrangian Hessian wherever the top singular value is simple, however close
 the second; only an exact tie drops it. Every boundary answer is certified
 by a duality gap: the Lagrangian dual has a closed form at any d x d
-multiplier W, so the SQP candidate is checked at two KKT multipliers, the
-single top pair's and a nonnegative fit over the pairs within 5% of the
-top, which covers the exact ties, and ADMM, balancing its penalty against
-its residuals, stops once the best of its iterates scaled onto the ball
-meets the best dual bound of its multipliers. The gap is also the SQP's
+multiplier W, so the SQP candidate is checked at one KKT multiplier over
+its top two singular pairs, the nonnegative fit over both where the second
+value lies within 5% of the top, which covers the exact ties, and the top
+pair's weight elsewhere, and ADMM, balancing its penalty against its
+residuals, stops once the best of its iterates scaled onto the ball meets
+the best dual bound of its multipliers. The gap is also the SQP's
 stop rule, taken from the SVD each iteration already makes. Both run
 row-wise over levels. distances is the one door for a query: it checks y,
 the levels and the tolerances once and builds the query's record (_query),
@@ -460,43 +461,57 @@ class OrbitBallContext:
         return U, sig, Vt, grad, outer, G, _top_multiplier(grad, G[:, :, 0])
 
     def _top_pairs(self, U, Vt):
-        """For stacked SVD factors of mat(t), with p = min(d, 3): the top p
+        """For stacked SVD factors of mat(t), with p = min(d, 2): the top p
         pairs' outer products u_i v_i', shape (rows, p, d, d), and G[r, k,
         i] = u_i' Q_k v_i, the gradients of their singular values."""
-        p = min(self.dim, 3)
+        p = min(self.dim, 2)
         outer = np.swapaxes(U[:, :, :p], 1, 2)[..., None] * Vt[:, :p, None, :]
         return outer, np.swapaxes(self.tcoords(outer), 1, 2)
 
     def _fit(self, turn) -> np.ndarray:
-        """The weights mu, shape (rows, 2, p), of two KKT multipliers
-        W = sum_i mu_i u_i v_i' over the top p pairs of each row, from the
-        factors of its _turn. The first is the single pair W1 = mu u1 v1',
-        mu = max(0, -<grad, g> / ||g||^2) with g the gradient of the top
-        singular value. The second is the band W over the leading pairs
-        within 5% of the top, mu >= 0 the nonnegative least-squares fit of
-        -grad by their gradients, in closed form (_nnls); it is W1 when the
-        band is one pair. Where the top value ties, the subgradient
-        spreads over the cluster (Overton, SIAM J. Matrix Anal. Appl. 1988)
-        and only the band W can match it. Both are 0 where
+        """The weights mu, shape (rows, p), of the KKT multiplier
+        W = sum_i mu_i u_i v_i' over the top p <= 2 pairs of each row, from
+        the factors of its _turn. Where sigma2 >= 0.95 sigma1 (the band) mu
+        is the nonnegative least-squares fit of -grad by the two pairs'
+        gradients g_i, in closed form for every band row at once: the free
+        fit of the 2 x 2 normal equations when their determinant clears
+        1e-15 d_1 d_2 (d_i = ||g_i||^2) and both weights are >= 0, else the
+        one pair of the larger gain b'w (b = -G'grad), the fall of the
+        squared residual, ties going to the top pair. Elsewhere it is the
+        top pair's weight (top). Where the top value ties, the subgradient
+        spreads over the tied pairs (Overton, SIAM J. Matrix Anal. Appl.
+        1988) and only the band fit can match it. mu is 0 where
         sigma1 <= 1e-14, and every weight is >= 0."""
         _, sig, _, grad, _, G, top = turn
-        p = G.shape[2]
         live = sig[:, 0] > 1e-14
-        mu = np.zeros((len(G), 2, p))
-        mu[:, :, 0] = (top * live)[:, None]
-        # the values are sorted, so the band is a leading run of pairs
-        multi = np.flatnonzero((sig[:, 1:2] >= 0.95 * sig[:, :1]) & live[:, None])
-        for r in multi.tolist():
-            m = 3 if p > 2 and sig[r, 2] >= 0.95 * sig[r, 0] else 2
-            X = G[r, :, :m]   # the band's gradients: Gram X'X, right side -X'grad
-            mu[r, 1, :m] = _nnls((X.T @ X).tolist(), (-(grad[r] @ X)).tolist(), (0, 1, 2)[:m])
+        mu = np.zeros((len(G), G.shape[2]))
+        mu[:, 0] = top * live
+        if G.shape[2] < 2:
+            return mu
+        band = np.flatnonzero((sig[:, 1] >= 0.95 * sig[:, 0]) & live)
+        if band.size:
+            X = G[band]
+            d0, c, _, d1 = (np.swapaxes(X, 1, 2) @ X).reshape(-1, 4).T
+            e0, e1 = (grad[band, None] @ X).reshape(-1, 2).T   # e = -b
+            det = d0 * d1 - c * c
+            w0, w1 = c * e1 - d1 * e0, c * e0 - d0 * e1   # det times the free fit
+            ok = (det > 1e-15 * d0 * d1) & (w0 >= 0.0) & (w1 >= 0.0)
+            if not ok.all():
+                # there the one-pair fit max(0, b_i) / d_i of the larger gain
+                u0 = np.maximum(-e0, 0.0) / np.maximum(d0, 1e-300)
+                u1 = np.maximum(-e1, 0.0) / np.maximum(d1, 1e-300)
+                second = u1 * e1 < u0 * e0
+                w0 = np.where(ok, w0, np.where(second, 0.0, u0))
+                w1 = np.where(ok, w1, np.where(second, u1, 0.0))
+                det = np.where(ok, det, 1.0)
+            mu[band, 0], mu[band, 1] = w0 / det, w1 / det
         return mu
 
     def _multiplier(self, t, y) -> np.ndarray:
-        """The two _fit multipliers of each row t of a stack, formed as
-        d x d matrices: shape (rows, 2, d, d)."""
+        """The _fit multiplier of each row t of a stack, formed as a d x d
+        matrix: shape (rows, d, d)."""
         turn = self._turn(t, y)
-        return np.einsum("rwp,rpij->rwij", self._fit(turn), turn[4])
+        return np.einsum("rp,rpij->rij", self._fit(turn), turn[4])
 
     def _cut(self, W, c=None):
         """(c', ||W'||_*) for a stack of formed multipliers W with
@@ -548,18 +563,18 @@ class OrbitBallContext:
         return _EPS * (norm_y + n * self._floor_step)
 
     def _cert_gap(self, t, q, n, f=None, turn=None) -> np.ndarray:
-        """Upper bound f(t) - max _dual(W) on f(t) - min f over the level-n
+        """Upper bound f(t) - _dual(W) on f(t) - min f over the level-n
         feasible region for each feasible row t of a stack (n a scalar or
-        one level per row) and the query record q, over the row's two _fit
-        multipliers W; f = f(t) and turn = _turn(t, y) are computed when
-        the caller does not have them. No W is formed for the bound's
+        one level per row) and the query record q, at the row's one _fit
+        multiplier W; f = f(t) and turn = _turn(t, y) are computed when the
+        caller does not have them. No W is formed for the bound's
         coordinates: with weights mu on the top pairs, tcoords(W) = G mu.
         Without a null space W' = W, and ||W||_* = sum mu_i, as the pairs
         are orthonormal and mu >= 0; only with one is W formed and
         W' = W - mat(N N'c) factored. Any W gives a valid bound, so W only
         affects tightness: at an optimum whose top singular value is simple,
-        or whose tied top values admit a nonnegative multiplier fit, the gap
-        is 0 up to rounding."""
+        or whose top two tied values admit a nonnegative multiplier fit, the
+        gap is 0 up to rounding."""
         t = np.asarray(t, dtype=float)
         if f is None:
             f = self._f(t, q["y"])
@@ -567,13 +582,12 @@ class OrbitBallContext:
             turn = self._turn(t, q["y"])
         outer, G = turn[4:6]
         mu = self._fit(turn)
-        c = np.einsum("rkp,rwp->rwk", G, mu)
+        c = np.einsum("rkp,rp->rk", G, mu)
         if self.null_vecs.shape[1]:
-            c, nuc = self._cut(np.einsum("rwp,rpij->rwij", mu, outer), c)
+            c, nuc = self._cut(np.einsum("rp,rpij->rij", mu, outer), c)
         else:
             nuc = mu.sum(axis=-1)
-        n = np.asarray(n, dtype=float)[..., None]
-        return f - self._dual(c, nuc, q, n).max(axis=-1)
+        return f - self._dual(c, nuc, q, n)
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
@@ -780,7 +794,7 @@ class OrbitBallContext:
         inv = np.linalg.inv(self.H + rho * np.eye(self.k))
         y, b = q["y"], q["two_Phi_y"]
         X = self.mat(t)
-        W = self._multiplier(t[None], y)[0, 1]
+        W = self._multiplier(t[None], y)[0]
         lower = -np.inf
         start = iters
         while iters < MAX_SOLVER_ITERS:
@@ -893,34 +907,6 @@ def _sym_solve(A, b, rcond):
     kept = size > rcond * size.max(axis=-1, keepdims=True)
     w = (b[..., None, :] @ Z)[..., 0, :] / np.where(kept, lam, np.inf)
     return (Z @ w[..., None])[..., 0]
-
-
-def _nnls(A, b, S):
-    """The nonnegative least-squares weights w, 0 off the pairs S, that fit
-    b best, from the pairs' Gram A (lists): the free fit on S when A_S is
-    regular and the fit nonnegative, else the best fit leaving one pair
-    out, as the optimum then has a zero weight. The best has the largest
-    gain b'w, the fall of the squared residual; ties go to the first."""
-    d = [A[i][i] for i in S]
-    x = [-1.0]   # no fit
-    if len(S) == 3 and np.linalg.det(A) > 1e-15 * d[0] * d[1] * d[2]:
-        x = np.linalg.solve(A, b).tolist()
-    elif len(S) == 2:
-        (i, j), c = S, A[S[0]][S[1]]
-        det = d[0] * d[1] - c * c
-        if det > 1e-15 * d[0] * d[1]:
-            x = [(d[1] * b[i] - c * b[j]) / det, (d[0] * b[j] - c * b[i]) / det]
-    elif len(S) == 1 and d[0] > 0.0:
-        x = [b[S[0]] / d[0]]
-    if min(x) >= 0.0:
-        if len(S) == len(A):
-            return x
-        w = [0.0] * len(A)
-        for i, v in zip(S, x):
-            w[i] = v
-        return w
-    return max([_nnls(A, b, S[:j] + S[j + 1:]) for j in reversed(range(len(S)))],
-               key=lambda w: sum(v * c for v, c in zip(w, b)), default=[0.0] * len(A))
 
 
 def _certified(f, gap, tol):

@@ -86,6 +86,27 @@ def stretched_null_problem():
     return make_subspace([M, K]), 0.05 * np.eye(12)[11]
 
 
+def quaternion_left():
+    """Left multiplication by 1, i, j, k on the quaternions R^4: every
+    operator of their span is a scaled orthogonal matrix."""
+    def L(a, b, c, d):
+        return np.array([[a, -b, -c, -d], [b, a, -d, c],
+                         [c, d, a, -b], [d, -c, b, a]], dtype=float)
+    return [L(1, 0, 0, 0), L(0, 1, 0, 0), L(0, 0, 1, 0), L(0, 0, 0, 1)]
+
+
+def matrix_units(d):
+    """The d^2 matrix units E_ij of dimension d: a basis of the full
+    algebra M_d."""
+    out = []
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d))
+            E[i, j] = 1.0
+            out.append(E)
+    return out
+
+
 # the x = (1, c) of family50's 20 diagonal-family problems, in draw order
 FAMILY50_CS = [0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.1, -0.1, 0.75,
                0.33, -0.33, 0.6, -0.6, 0.9, -0.9, 0.45, -0.45, 0.05, -0.05]

@@ -204,8 +204,9 @@ def test_input_errors(tmp_path, capsys):
     (["demo", "--csv", "NO_DIR/rows.csv"], "cannot write NO_DIR/rows.csv: "),
     # argparse would read 1e-6 as the subcommand
     (["--tol", "1e-6", "distance", "TWO"], "flags follow the subcommand: --tol came first"),
-    # a JSON integer beyond the doubles' range: float() raises OverflowError
-    (["balldist", "HUGE"], "HUGE: field 'n': int too large to convert to float"),
+    # a JSON integer beyond the doubles' range reads from its spelling as
+    # the flag's string does: inf, refused as a level
+    (["balldist", "HUGE"], "HUGE: field 'n': scale n must be finite, got inf"),
 ], ids=["distance-no-y", "balldist-no-y", "balldist-no-y-no-n", "decompose-no-y-no-r",
         "omt-two-matrices", "no-subcommand", "demo-csv-no-dir", "flag-before-subcommand",
         "huge-integer-n"])

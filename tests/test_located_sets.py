@@ -15,8 +15,9 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            make_subspace, orbit_ball)
 from orbit_locator import located
 from orbit_locator.operators import GRID_CHUNK
-from conftest import (MEM_TOL, SEED17, family50_problem, svd_sigma, svd_sigmas,
-                      svd_values, wide_draw, wide_draw_problem)
+from conftest import (MEM_TOL, SEED17, family50_problem, matrix_units,
+                      quaternion_left, svd_sigma, svd_sigmas, svd_values,
+                      wide_draw, wide_draw_problem)
 
 
 def diag_formula(n, c=0.1):
@@ -308,12 +309,17 @@ def test_near_tie_level_takes_no_admm(admm_runs):
     assert admm_runs == []
 
 
-@pytest.mark.parametrize("n, tol", [(np.nan, 1e-6), (1.0, np.nan), (1.0, np.inf)])
+@pytest.mark.parametrize("n, tol", [(np.nan, 1e-6), (1.0, np.nan), (1.0, np.inf),
+                                    (np.inf, 1e-6)])
 def test_distance_rejects_nan_level_and_nan_or_inf_tol(diag_sub, n, tol, monkeypatch):
-    # refused with a typed error before any candidate is solved
+    # refused with a typed error naming the bad value before any candidate
+    # is solved: an infinite level is refused as a level, not by the
+    # rounding floor its tolerance then falls below
     monkeypatch.setattr(OrbitBallContext, "_solve_levels", None)
     ctx = OrbitBallContext(diag_sub, [1.0, 0.1])
-    with pytest.raises(DimensionError):
+    message = ("scale n must be finite" if n == np.inf else "scale n must be nonnegative"
+               if np.isnan(n) else "tol must be positive and finite")
+    with pytest.raises(DimensionError, match=message):
         ctx.distance([0.0, 1.0], n, tol)
 
 
@@ -676,9 +682,10 @@ def test_band_multiplier_closes_the_tied_corner(diag_sub):
 
 
 def band_fit_by_every_support(turn):
-    """The band multiplier's weights as the search over supports found
-    them: least squares of -grad on every support inside each row's band,
-    the nonnegative fit of least residual, the first on a tie."""
+    """The band multiplier's weights as a search over supports finds
+    them: least squares of -grad on every support inside each row's band
+    (at most its top two pairs), the nonnegative fit of least residual,
+    the first on a tie."""
     _, sig, _, grad, _, G, _ = turn
     p = G.shape[2]
     fits = np.zeros((len(G), p))
@@ -696,9 +703,32 @@ def band_fit_by_every_support(turn):
 
 
 def assert_band_fit_as_every_support(ctx, turn):
-    new, want = ctx._fit(turn)[:, 1], band_fit_by_every_support(turn)
+    new, want = ctx._fit(turn), band_fit_by_every_support(turn)
     assert np.array_equal(new > 0.0, want > 0.0), (new, want)
     assert np.abs(new - want).max() <= 1e-12, (new, want)
+
+
+@pytest.mark.parametrize("basis, x", [
+    (quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2])),
+    ([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])], np.array([0.6, -0.8])),
+    (matrix_units(3), np.array([0.6, -0.3, 0.9])),
+], ids=["quaternion", "complex", "M3"])
+def test_tied_spectra_certify_in_the_sqp(basis, x, admm_runs):
+    # every operator of the quaternion ball and of the complex disk
+    # span{I, J} is a scaled orthogonal matrix, so all its singular values
+    # tie, and the full algebra M_3 holds every operator. Each ball is the
+    # Euclidean ball of radius n |x|, so a level's distance is
+    # |y| - n |x| off it. The band multiplier over the top two pairs
+    # certifies every boundary level of the sweep in the SQP: no ADMM run
+    g = np.random.default_rng(3)
+    y = g.normal(size=x.size)
+    y *= 5.5 * np.linalg.norm(x) / np.linalg.norm(y)
+    rep = locate_distance(make_subspace(basis), x, y, budget=12, tol=1e-6)
+    assert isinstance(rep.verdict, Stabilized) and len(rep.levels) == 6
+    for lv in rep.levels:
+        want = max(0.0, np.linalg.norm(y) - lv.n * np.linalg.norm(x))
+        assert abs(lv.d - want) <= min(1e-6, 2.0 ** -(lv.n + 2)), (lv.n, lv.d, want)
+    assert admm_runs == []
 
 
 @pytest.mark.parametrize("index", [9, 12])
@@ -746,7 +776,7 @@ def test_band_fit_at_a_random_exact_tie():
         assert abs(turn[1][0, 1] / turn[1][0, 0] - 1.0) <= 1e-14
         assert turn[1][0, 2] < 0.95 * turn[1][0, 0]
         assert_band_fit_as_every_support(ctx, turn)
-        supports.append(tuple(np.flatnonzero(ctx._fit(turn)[0, 1])))
+        supports.append(tuple(np.flatnonzero(ctx._fit(turn)[0])))
     assert supports == [(0, 1), (0, 1), (0,), (1,)]
 
 
@@ -964,19 +994,19 @@ def certificate_cases():
 
 def test_certificate_from_multiplier_coordinates():
     # the gap from the coordinates G mu (and sum mu as the nuclear norm
-    # without a null space) equals f - max _dual on the formed multipliers
-    # W, fed as ADMM feeds _dual; the tied rows use the band fit
+    # without a null space) equals f - _dual on the formed multiplier W,
+    # fed as ADMM feeds _dual; the tied rows use the band fit
     banded = spread = 0
     for ctx, y, n, t in certificate_cases():
         f = ctx._f(t, y)
         W = ctx._multiplier(t, y)
-        duals = dual_of(ctx, W.reshape(-1, ctx.dim, ctx.dim), y, n)
-        want = f - duals.reshape(len(t), 2).max(axis=1)
+        want = f - dual_of(ctx, W, y, n)
         gap = ctx._cert_gap(t, ctx._query(y), n)
         assert np.all(np.abs(gap - want) <= 1e-12 * np.maximum(1.0, f))
         sig = np.linalg.svd(ctx.mat(t), compute_uv=False)
         banded += np.count_nonzero(sig[:, 1] >= 0.95 * sig[:, 0])
-        spread += np.count_nonzero(np.abs(W[:, 1] - W[:, 0]).max(axis=(1, 2)) > 1e-9)
+        spread += np.count_nonzero(
+            np.abs(W - top_pair_multiplier(ctx, t, y)).max(axis=(1, 2)) > 1e-9)
     assert banded >= 8 and spread >= 1, (banded, spread)
 
 
@@ -998,6 +1028,13 @@ def test_sym_solve_is_pinv():
 def dual_of(ctx, W, y, n):
     """_dual at a stack of formed multipliers W, fed as ADMM feeds it."""
     return ctx._dual(*ctx._cut(W), ctx._query(y), n)
+
+
+def top_pair_multiplier(ctx, t, y):
+    """The top pair's multiplier mu u1 v1' of each row t of a stack,
+    formed: what the band multiplier is outside the band."""
+    turn = ctx._turn(t, y)
+    return turn[6][:, None, None] * turn[4][:, 0]
 
 
 @pytest.mark.parametrize("shape", ["diag", "d3k2r1", "wide2", "marginal"])
@@ -1027,13 +1064,14 @@ def test_dual_bound_is_below_every_feasible_value(shape, diag_sub):
             t = np.concatenate([t, n * np.array([[1.0, 1.0], np.sign(y)])])
         assert np.all(svd_sigmas(ctx.mat(t)) <= n * (1.0 + 1e-12))
         f = ctx._f(t, y)
-        # random multipliers of every size, and the single-pair and band
-        # multipliers of the feasible points and of the level's candidate
-        band = ctx._multiplier(t, y)
-        spread += np.count_nonzero(np.abs(band[:, 1] - band[:, 0]).max(axis=(1, 2)) > 1e-3)
+        # random multipliers of every size, the band and single-pair
+        # multipliers of the feasible points, and the band multiplier of
+        # the level's candidate
+        band, single = ctx._multiplier(t, y), top_pair_multiplier(ctx, t, y)
+        spread += np.count_nonzero(np.abs(band - single).max(axis=(1, 2)) > 1e-3)
         W = np.concatenate([
             g.normal(size=(64, d, d)) * g.uniform(0.0, 3.0, size=(64, 1, 1)),
-            1e-6 * g.normal(size=(8, d, d)), band.reshape(-1, d, d)])
+            1e-6 * g.normal(size=(8, d, d)), band, single])
         assert dual_of(ctx, W, y, n).max() <= f.min()
         entry = ctx._solve_levels(ctx._query(y), [n], [1e-6]).get(n)
         if entry is not None:
@@ -1055,7 +1093,8 @@ def test_dual_bound_pays_for_the_dropped_eigenvalue(diag_sub, n):
     exact = (1.0 - 5e-10 * n) ** 2
     g = np.random.default_rng(int(n))
     t = ctx.feasify(g.normal(size=(32, 2)) * n, n)
-    W = np.concatenate([np.zeros((1, 2, 2)), ctx._multiplier(t, y).reshape(-1, 2, 2),
+    W = np.concatenate([np.zeros((1, 2, 2)), ctx._multiplier(t, y),
+                        top_pair_multiplier(ctx, t, y),
                         1e-3 * g.normal(size=(32, 2, 2))])
     bound = dual_of(ctx, W, y, n)
     assert bound[0] > exact - 1e-8

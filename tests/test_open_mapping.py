@@ -11,7 +11,8 @@ from orbit_locator import (DEFAULT_C_VALUES, DimensionError,
                            orbit_ball, truncation_index)
 from orbit_locator import open_mapping as om
 from orbit_locator.open_mapping import Undecided as DeadBand
-from conftest import stretched_null_problem, svd_sigma, svd_values
+from conftest import (matrix_units, quaternion_left, stretched_null_problem,
+                      svd_sigma, svd_values)
 
 
 def unit_disc():
@@ -195,24 +196,6 @@ def test_ellipsoid_floor_from_the_ceiling(m):
         assert r_true <= rr.r * (1.0 + 1e-12)
 
 
-def _quaternion_left():
-    # left multiplication by 1, i, j, k on the quaternions R^4
-    def L(a, b, c, d):
-        return np.array([[a, -b, -c, -d], [b, a, -d, c],
-                         [c, d, a, -b], [d, -c, b, a]], dtype=float)
-    return [L(1, 0, 0, 0), L(0, 1, 0, 0), L(0, 0, 1, 0), L(0, 0, 0, 1)]
-
-
-def _matrix_units(d):
-    out = []
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d))
-            E[i, j] = 1.0
-            out.append(E)
-    return out
-
-
 def _flat_orbit_ball(basis, x):
     return orbit_ball(make_subspace(basis), x, 1.0), float(np.linalg.norm(x))
 
@@ -221,9 +204,9 @@ def _flat_orbit_ball(basis, x):
     # the complex multiplication disk: span{I, J}, sigma1 = |a + ib|
     _flat_orbit_ball([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])],
                      np.array([0.6, -0.8])),
-    _flat_orbit_ball(_quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2])),
+    _flat_orbit_ball(quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2])),
     # the full algebra M_2: the orbit map has a two-dimensional kernel
-    _flat_orbit_ball(_matrix_units(2), np.array([0.3, 1.1])),
+    _flat_orbit_ball(matrix_units(2), np.array([0.3, 1.1])),
     # Euclidean balls at ranks where splitting every side of a cell at
     # once would gauge 2^(m-1) children per cell
     (euclidean_ball(np.zeros(12), 1.0), 1.0),
@@ -268,10 +251,10 @@ def counting(S):
 @pytest.mark.parametrize("ball, r, exact", [
     _flat_orbit_ball([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])],
                      np.array([0.6, -0.8])) + (False,),
-    _flat_orbit_ball(_quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2]))
+    _flat_orbit_ball(quaternion_left(), np.array([0.5, -0.1, 0.7, 0.2]))
     + (False,),
-    _flat_orbit_ball(_matrix_units(2), np.array([0.3, 1.1])) + (True,),
-    _flat_orbit_ball(_matrix_units(3), np.array([0.6, -0.3, 0.9])) + (True,),
+    _flat_orbit_ball(matrix_units(2), np.array([0.3, 1.1])) + (True,),
+    _flat_orbit_ball(matrix_units(3), np.array([0.6, -0.3, 0.9])) + (True,),
 ], ids=["complex", "quaternion", "M2", "M3"])
 def test_flat_orbit_balls_with_their_ceiling(ball, r, exact):
     # the floor stays at most the radius with the one-eigenvalue ceiling in
