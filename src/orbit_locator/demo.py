@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import nested, operators, pipeline
+from . import linalg, nested, operators, pipeline
 from . import open_mapping as om
 from .defaults import BUDGET, TOL
 from .errors import DimensionError
@@ -79,8 +79,7 @@ def demo_table(c_values: Sequence[float] = DEFAULT_C_VALUES,
     for c in cs:
         if abs(c) > 1.0:
             raise DimensionError(f"family parameter must satisfy |c| <= 1, got {c:g}")
-    if budget < 1:
-        raise DimensionError("budget must be at least 1")
+    budget = linalg.as_budget(budget)
     sub = diag_subspace()
     return [_row(sub, c, budget, tol) for c in cs]
 

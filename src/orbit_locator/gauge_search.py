@@ -5,9 +5,11 @@ matrices of the span operators that kill x, the gauge is the least
 sigma1(A + sum_l z_l N_l) over z in R^p, a convex function of z. At
 p = 1 it is a function of one variable. At dimension 2 it is a weighted
 sum of the distances from z to two fixed complex points, and
-pair_line_min finds its minimum in closed form, by Heron's reflection; at
-3 and more sigma1_newton minimises it by bracketed Newton steps that stop
-on a dual gap, with line_derivs supplying its value, slope and curvature.
+pair_line_min finds its minimum in closed form, by Heron's reflection,
+where the rank cut keeps the two weights close enough; its other rows and
+every row at 3 and more go to sigma1_newton, bracketed Newton steps that
+stop on a dual gap, with line_derivs taking value, slope and curvature
+(linalg.sigma1_curvature, as in the boundary SQP) from one SVD.
 At p >= 2 the optimum generically ties the top singular values, where
 those derivatives do not exist, and the derivative-free pattern search
 compass_min runs instead, probing the objective itself. All three work on
@@ -21,10 +23,11 @@ import functools
 
 import numpy as np
 
+from . import linalg
+
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
 _MAX_EVALS = 50_000      # compass_min's per-search cap on probes
 _NEWTON_ROUNDS = 50      # sigma1_newton's cap on lockstep rounds
-_HALVINGS = 64           # pair_line_min's cap on halvings of its bracket
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,11 +200,8 @@ def pair_line_min(A, N, tol):
     |N x| / |x|. With zeta_h the point of the larger weight and psi the
     sum of the distances, phi = min_j |q_j| psi + (max_j |q_j| -
     min_j |q_j|) |z - zeta_h|, so phi(z*) is within that difference times
-    |z* - Re zeta_h| of the minimum, which lies between z* and Re zeta_h,
-    as past either end both terms rise. A row whose bound exceeds its tol
-    halves that bracket on the sign of a subgradient of phi until phi,
-    Lipschitz with constant |q_1| + |q_2|, varies by at most tol across
-    it, and takes its midpoint."""
+    |z* - Re zeta_h| of the minimum. Returns (z, open): z* per row and the
+    rows whose bound exceeds their tol, left for sigma1_newton."""
     a, b, c, e = N
     q1, q2 = complex(a + e, c - b) / 2.0, complex(a - e, c + b) / 2.0
     # zeta_j = p_j u_j with u_j = -1 / q_j is real-linear in the entries
@@ -216,55 +216,21 @@ def pair_line_min(A, N, tol):
     height = im[:, 0] + im[:, 1]
     z = np.divide(re[:, 0] * im[:, 1] + re[:, 1] * im[:, 0], height,
                   out=0.5 * (re[:, 0] + re[:, 1]), where=height > 0.0)
-    w = np.array([abs(q1), abs(q2)])
-    h = int(w[1] > w[0])
-    far = re[:, h]
-    rows = np.flatnonzero((w[h] - w[1 - h]) * np.abs(z - far) > tol)
-    if rows.size:
-        lo, hi = np.minimum(z, far)[rows], np.maximum(z, far)[rows]
-        re, im = re[rows], im[rows]
-        width = np.broadcast_to(tol, z.shape)[rows] / (w[0] + w[1])
-        for _ in range(_HALVINGS):
-            if np.all(hi - lo <= width):
-                break
-            mid = 0.5 * (lo + hi)
-            dx = mid[:, None] - re
-            r = np.hypot(dx, im)
-            # a subgradient: the kink at a real zeta_j takes 0 for its term
-            slope = (w * np.divide(dx, r, out=np.zeros_like(r), where=r > 0.0)).sum(axis=1)
-            lo = np.where(slope <= 0.0, mid, lo)
-            hi = np.where(slope >= 0.0, mid, hi)
-        z[rows] = 0.5 * (lo + hi)
-    return z
+    w1, w2 = abs(q1), abs(q2)
+    far = re[:, int(w2 > w1)]
+    return z, np.flatnonzero(abs(w1 - w2) * np.abs(z - far) > tol)
 
 
 def line_derivs(A, N, d):
     """sigma1_newton's derivs for phi_i(z) = sigma1(A_i + z N), with A a
-    stack of flattened d x d rows and N one flattened d x d matrix, d >= 3
-    (pair_line_min takes d = 2), from one stacked eigh of the Grams X'X,
-    X = A_i + z N, with eigenpairs (lam_j, v_j) and lam_1 the top:
-    lam_1' = 2 <X v_1, N v_1> and
-    lam_1'' = 2 |N v_1|^2 + 2 sum_j w_j^2 / (lam_1 - lam_j),
-    w_j = <X v_j, N v_1> + <N v_j, X v_1> (second-order perturbation of
-    X'X + z (X'N + N'X) + z^2 N'N), and phi = sqrt(lam_1),
-    phi' = lam_1' / 2 phi, phi'' = lam_1'' / 2 phi - lam_1'^2 / 4 phi^3;
-    a top eigenvalue tied with the next leaves the curvature undefined
-    (inf or nan)."""
-    Nm = N.reshape(d, d)
+    stack of flattened d x d rows and N one flattened d x d matrix, from
+    one stacked SVD of X = A_i + z N: phi = s_1, phi' = u_1'N v_1 and
+    phi'' = linalg.sigma1_curvature along N, undefined (inf or nan) where
+    s_1 ties s_2."""
+    Nm = N.reshape(1, d, d)
 
     def derivs(z):
-        X = (A + z[:, None] * N).reshape(-1, d, d)
-        lam, V = np.linalg.eigh(np.swapaxes(X, 1, 2) @ X)
-        XV, NV = X @ V, Nm @ V
-        xv, nv = XV[..., -1], NV[..., -1]
-        dlam = 2.0 * np.einsum("si,si->s", xv, nv)
-        w = (np.einsum("sij,si->sj", XV[..., :-1], nv)
-             + np.einsum("sij,si->sj", NV[..., :-1], xv))
-        f = np.sqrt(np.maximum(lam[:, -1], 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ddlam = 2.0 * (np.einsum("si,si->s", nv, nv)
-                           + np.sum(w * w / (lam[:, -1:] - lam[:, :-1]), axis=1))
-            g = np.where(f > 0.0, dlam / (2.0 * f), 0.0)
-            h = ddlam / (2.0 * f) - dlam * dlam / (4.0 * f ** 3)
-        return f, g, h
+        U, s, Vt = np.linalg.svd((A + z[:, None] * N).reshape(-1, d, d))
+        g = np.einsum("si,si->s", U[:, :, 0] @ Nm[0], Vt[:, 0])
+        return s[:, 0], g, linalg.sigma1_curvature(U, s, Vt, Nm)[:, 0, 0]
     return derivs

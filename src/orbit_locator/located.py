@@ -38,9 +38,10 @@ With A the matrix of a row's least-norm preimage, that value at A is the
 whole kernel without a null space. With one, the kernel minimises
 sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by one of the
 routes of gauge_search: at one null coordinate the closed form of Heron's
-reflection at dimension 2 and bracketed Newton steps that stop on a dual
-gap at 3 and more, at two or more the pattern search compass_min on
-those same Gram values, at every dimension. On a fixed
+reflection at dimension 2 where the rank cut keeps it within tolerance,
+else Newton steps on the SQP's curvature of sigma1 that stop on a dual
+gap; at two or more the pattern search compass_min on the Gram values,
+at every dimension. On a fixed
 subspace W the kernel is compiled once (gauge_on): A is the combination
 of the matrices of W's basis vectors, so a round of the inner-radius
 search builds no preimage and makes no per-row span test. The same
@@ -265,15 +266,16 @@ class OrbitBallContext:
         preimage. Without a null space that is one _gram_sigma1 call on A.
         Every route takes the tolerance GAUGE_TOL max(1, |t_hat|) / 4.
         With one null coordinate pair_line_min puts z within it of the
-        line's minimum in closed form at d = 2, and at d >= 3
-        sigma1_newton runs on the derivatives of line_derivs (one stacked
-        eigh) and stops once its dual gap is within it; either end is
-        re-anchored on _gram_sigma1, and a row whose end that puts above
-        its value at z = 0 keeps z = 0. With two or more a lockstep
-        pattern search on _gram_sigma1 runs from z = 0 down to that step,
-        each round one sweep spanning four step sizes, and moves only to
-        lower values. So no value exceeds the one at z = 0. Returns
-        (values, coefficient rows)."""
+        line's minimum in closed form at d = 2, except on rows where the
+        rank cut leaves its error bound above it; those rows and every row
+        at d >= 3 go to one sigma1_newton search on the derivatives of
+        line_derivs (one stacked SVD), which stops once its dual gap is
+        within it. Either end is re-anchored on _gram_sigma1, and a row
+        whose end that puts above its value at z = 0 keeps z = 0. With two
+        or more a lockstep pattern search on _gram_sigma1 runs from z = 0
+        down to that step, each round one sweep spanning four step sizes,
+        and moves only to lower values. So no value exceeds the one at
+        z = 0. Returns (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
         if not NM.shape[0]:
@@ -286,11 +288,12 @@ class OrbitBallContext:
                     (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)),
                 np.zeros((len(A), NM.shape[0])), init_step=scale, step_tol=tol)
             return g, t_hat + z @ self.null_vecs.T
-        if d == 2:
-            z = pair_line_min(A, NM[0], tol)
-        else:
-            z = sigma1_newton(line_derivs(A, NM[0], d), A @ NM[0], tol, np.sqrt(d))[0]
-        g = _gram_sigma1(np.stack([A, A + z[:, None] * NM[0]]).reshape(2, -1, d, d))
+        N = NM[0]
+        z, rows = pair_line_min(A, N, tol) if d == 2 else (np.zeros(len(A)), np.arange(len(A)))
+        if rows.size:
+            z[rows] = sigma1_newton(line_derivs(A[rows], N, d), A[rows] @ N, tol[rows],
+                                    np.sqrt(d))[0]
+        g = _gram_sigma1(np.stack([A, A + z[:, None] * N]).reshape(2, -1, d, d))
         back = g[1] > g[0]
         z[back] = 0.0
         return np.where(back, g[0], g[1]), t_hat + z[:, None] * self.null_vecs[:, 0]
@@ -398,10 +401,10 @@ class OrbitBallContext:
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
     def feasify(self, t, n) -> np.ndarray:
-        """t scaled down by n / sigma1(mat(t)) when that is below 1; n > 0 is
-        a scalar or broadcasts against the rows of a stack."""
+        """t scaled down by n / sigma1(mat(t)) (_gram_sigma1) when that is
+        below 1; n > 0 is a scalar or broadcasts against a stack's rows."""
         t = np.asarray(t, dtype=float)
-        return t * (n / np.maximum(_sigma1(self.mat(t)), n))[..., None]
+        return t * (n / np.maximum(_gram_sigma1(self.mat(t)), n))[..., None]
 
     def project(self, w, n: float, dyk_tol: float, max_sweeps: int = 400):
         """Euclidean projection of coefficient vector w onto
@@ -591,25 +594,6 @@ class OrbitBallContext:
 
     # ---- boundary Newton/KKT candidate ------------------------------------
 
-    def _sigma1_hessian(self, U, sig, Vt):
-        """Hessian of t -> sigma1(mat(t)) at a matrix with SVD (U, sig, Vt)
-        whose top singular value is simple:
-        sum over j >= 2 of [s1 (a_j a_j' + b_j b_j') + s_j (a_j b_j' + b_j a_j')]
-        / (s1^2 - s_j^2), with a_jk = u_j' Q_k v1 and b_jk = u1' Q_k v_j;
-        one Hessian per matrix for stacked factors."""
-        a = np.einsum("kij,...j->...ki", self.stack, Vt[..., 0, :]) @ U[..., 1:]
-        b = (np.einsum("...i,kij->...kj", U[..., 0], self.stack)
-             @ np.swapaxes(Vt[..., 1:, :], -1, -2))
-        s1, rest = sig[..., :1, None], sig[..., None, 1:]
-        den = s1 * s1 - rest * rest
-
-        def outer(p, q):
-            return p @ np.swapaxes(q, -1, -2)
-
-        cross = outer(a * (rest / den), b)
-        return (s1 * (outer(a / den, a) + outer(b / den, b))
-                + cross + np.swapaxes(cross, -1, -2))
-
     def _sqp(self, q, n, t0, tol):
         """Candidates on the active boundary sigma1(mat(t)) = n for the query
         record q, one search per row of t0 (n and tol: scalars or one value per
@@ -623,14 +607,15 @@ class OrbitBallContext:
         the Lagrangian's Hessian H + mu sigma1'' and mu the turn's
         least-squares multiplier of the gradient; where mu is 0 or the top
         value ties exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is
-        undefined) the Hessian is H. The step is pinv(K) of the KKT right side
-        with pinv's cut (_sym_solve); a row whose KKT multiplier falls below
-        -1e-12 takes the unconstrained step -H+ grad, the least-norm
-        preimage of y - Phi t. Each row moves by the first alpha in 1, 1/2,
-        ..., 2^-11 with f < f_prev - 1e-18 (full steps as one stacked trial,
-        the halvings of rejected rows as one more) and otherwise stops on a
-        step below 1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after
-        _MAX_OUTER iterations, taking its gap at its final point. Returns (t, steps taken, f, gap), one per row."""
+        undefined) the Hessian is H; sigma1'' is linalg.sigma1_curvature
+        along the basis Q_k. The step is pinv(K) of the KKT right side with
+        pinv's cut (_sym_solve), whatever the sign of its multiplier. Each
+        row moves by the first alpha in 1, 1/2, ..., 2^-11 with
+        f < f_prev - 1e-18 (full steps as one stacked trial, the halvings of
+        rejected rows as one more) and otherwise stops on a step below
+        1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after _MAX_OUTER
+        iterations, taking its gap at its final point. Returns (t, steps
+        taken, f, gap), one per row."""
         y = q["y"]
         t = np.array(t0, dtype=float)
         n, tol = np.full(len(t), n, dtype=float), np.full(len(t), tol, dtype=float)
@@ -667,15 +652,12 @@ class OrbitBallContext:
             bent = np.flatnonzero((mu > 0.0) & np.all(
                 sig[:, 1:2] < (1.0 - 1e-12) * sig[:, :1], axis=1))
             if bent.size:
-                K[bent, :k, :k] += (mu[bent, None, None]
-                                    * self._sigma1_hessian(U[bent], sig[bent], Vt[bent]))
+                K[bent, :k, :k] += mu[bent, None, None] * linalg.sigma1_curvature(
+                    U[bent], sig[bent], Vt[bent], self.stack)
             K[:, :k, k] = K[:, k, :k] = g
             rhs = np.concatenate([-grad, (na - sig[:, 0])[:, None]], axis=1)
             sol = _sym_solve(K, rhs, _EPS * (k + 1))
-            # a pruned multiplier leaves the unconstrained step
-            delta, pruned = sol[:, :k], np.flatnonzero(~(sol[:, k] >= -1e-12))
-            if pruned.size:
-                delta[pruned] = self.min_norm_preimage(y - self.point(ta[pruned]))
+            delta = sol[:, :k]
             moving = ~shut & (np.einsum("rk,rk->r", delta, delta)
                               > 1e-26 * np.maximum(1.0, np.einsum("rk,rk->r", ta, ta)))
             live = np.flatnonzero(moving)
@@ -744,7 +726,7 @@ class OrbitBallContext:
         for them. A row outside may still be interior by the gauge's
         search, which only distance runs."""
         Py = Y @ self.geo.P.T
-        return _clears(_sigma1(self.mat(self.min_norm_preimage(Py))), ns)
+        return _clears(_gram_sigma1(self.mat(self.min_norm_preimage(Py))), ns)
 
     def _solve_levels(self, q: dict, ns, tols) -> dict:
         """The boundary candidates of the query record q, {n: (t,
@@ -867,11 +849,6 @@ class OrbitBallContext:
         tol, with witness point and coefficients: distances at one level."""
         d, point, t, tol, iters, how = next(self.distances(y, [n], tol))
         return DistanceResult(d, point, self.subspace.from_ortho_coeffs(t), tol, iters, how)
-
-
-def _sigma1(Ms) -> np.ndarray:
-    """Largest singular value of each matrix in a stack, by LAPACK."""
-    return np.linalg.svd(Ms, compute_uv=False)[..., 0]
 
 
 def _gram_sigma1(Ms) -> np.ndarray:

@@ -150,8 +150,7 @@ def locate_distance(subspace: operators.OperatorSubspace, x, y, *,
     never runs it, and a SolverFailure comes from the first failing level,
     with the levels before it as the partial report.
     """
-    if budget < 1:
-        raise DimensionError("budget must be at least 1")
+    budget = linalg.as_budget(budget)
     tol = linalg.as_tol(tol)
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)

@@ -113,6 +113,7 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
             f"decomposition needs a finite r > ||y|| strictly, got r={r:g}, ||y||={ny:g}")
     if max_steps < 1:
         raise DimensionError("max_steps must be at least 1")
+    tol = linalg.as_tol(tol)
     u = y.copy()
     acc = np.zeros_like(y)
     steps: list[DecompositionStep] = []

@@ -259,7 +259,10 @@ def epsilon_net(subspace: OperatorSubspace, x, n: float, eps: float,
 def covering_gap(subspace: OperatorSubspace, x, n: float, net,
                  samples: int = 10_000, seed: int = 0) -> float:
     """Largest distance from a sampled orbit-ball member to the net
-    (the verification half of the epsilon_net contract)."""
+    (the verification half of the epsilon_net contract), over at least
+    one sample."""
+    if not samples >= 1:
+        raise DimensionError(f"samples must be at least 1, got {samples}")
     xv = linalg.as_vector(x)
     rng = np.random.default_rng(seed)
     bounds = coefficient_box(subspace, n)

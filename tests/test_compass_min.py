@@ -1,8 +1,9 @@
 """The searches behind every gauge with a null space and every inner
 radius, against references that do not use them: dense grids and golden
 section on the dilation oracle of conftest. At one null coordinate the
-closed form pair_line_min runs at dimension 2 and sigma1_newton at 3 and
-more; compass_min runs at two or more null coordinates."""
+closed form pair_line_min runs at dimension 2 and sigma1_newton on the
+rows it leaves open and at 3 and more; compass_min runs at two or more
+null coordinates."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from orbit_locator import (OrbitBallContext, diag_subspace, located,
                            make_subspace, span_inner_radius)
 from orbit_locator.defaults import GAUGE_TOL
-from orbit_locator.gauge_search import pair_line_min
+from orbit_locator.gauge_search import line_derivs, pair_line_min, sigma1_newton
 from conftest import stretched_null_problem, svd_sigma, svd_sigmas, svd_values
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -228,39 +229,47 @@ def pair_rows(p):
 def test_closed_form_gauges_at_dimension_2(monkeypatch):
     # the line sigma1(A + z N) = |q_1| |z - zeta_1| + |q_2| |z - zeta_2|,
     # built from chosen points zeta_j and weights |q_j| (p_j = -zeta_j q_j):
-    # every row of pair_line_min lands within its tol of the golden-section
-    # minimum, and within 1e-10 of it relative
+    # every row lands within its tol of the golden-section minimum, and
+    # within 1e-10 of it relative, by pair_line_min's closed form or, on
+    # the rows it leaves open, by the kernel's Newton search
     def check(zetas, q, tol):
         zetas = np.asarray(zetas, dtype=complex)
         A, N = pair_rows(-zetas * q), pair_rows(q)[0]
         M, Nm = A.reshape(-1, 2, 2), N.reshape(2, 2)
-        z = pair_line_min(A, N, tol)
+        z, rows = pair_line_min(A, N, tol)
+        if rows.size:
+            z[rows] = sigma1_newton(line_derivs(A[rows], N, 2), A[rows] @ N, tol,
+                                    np.sqrt(2.0))[0]
         got = svd_sigmas(M + z[:, None, None] * Nm)
         R = 2.0 * np.abs(zetas).max(axis=1) + 1.0
         ref, _ = golden_min(lambda s: svd_sigmas(M + s[:, None, None] * Nm), -R, R, 120)
         assert np.all(got - ref <= tol), np.max(got - ref - tol)
         assert np.all(np.abs(got - ref) <= 1e-10 * ref), np.max(np.abs(got - ref) / ref)
-        return z
+        return z, rows
 
     tol = GAUGE_TOL / 4.0
     # N of rank one (|q_1| = |q_2|): a flat minimum between two real points
     # (any point between them; the rounding of zeta's imaginary parts
     # picks one), a kink at a real point, both points on one side of the
-    # real axis and on opposite sides
+    # real axis and on opposite sides, all in closed form
     q = 0.5 * np.exp(1j * np.array([0.4, -1.1]))
-    z = check([[-1.0, 1.0], [-1.0, 1.0 + 1.0j], [-1.0 + 0.5j, 2.0 + 1.5j],
-               [-1.0 + 0.5j, 2.0 - 1.5j]], q, tol)
-    assert -1.0 <= z[0] <= 1.0
+    z, rows = check([[-1.0, 1.0], [-1.0, 1.0 + 1.0j], [-1.0 + 0.5j, 2.0 + 1.5j],
+                     [-1.0 + 0.5j, 2.0 - 1.5j]], q, tol)
+    assert rows.size == 0 and -1.0 <= z[0] <= 1.0
     assert np.allclose(z[1:], [-1.0, -0.25, -0.25], rtol=0.0, atol=1e-12)
-    # weights apart by 1e-9, the rank cut's reach: with both points real
-    # the minimum is at the heavier one, 1e-9 below the midpoint's value
+    # weights apart by 1e-9, the rank cut's reach: the closed form's error
+    # bound exceeds tol on every row, and Newton puts the two rows whose
+    # points are real on the heavier point, where the minimum is (1e-9
+    # below the midpoint's value)
     q = np.array([0.5 + 5e-10, -0.5 + 5e-10]) * np.exp(0.7j)
-    z = check([[-1.0, 1.0], [3.0, -2.0], [-1.0 + 0.5j, 2.0 + 1e-6j]], q, tol)
+    z, rows = check([[-1.0, 1.0], [3.0, -2.0], [-1.0 + 0.5j, 2.0 + 1e-6j]], q, tol)
+    assert rows.tolist() == [0, 1, 2]
     assert abs(z[0] + 1.0) <= 2.0 * tol and abs(z[1] - 3.0) <= 2.0 * tol
     # a null matrix that kills x only up to the rank cut: the orbit of
     # x = e_1 has the singular values 1 and 5e-10, so rank 1, and the null
     # matrix [[0, 0.6], [eps, 0.8]] has sigma2 = 3e-10; every gauge is |s|
-    # at v = (s, 0), where z = 0
+    # at v = (s, 0), where z = 0. The rows the closed form leaves open go
+    # to one Newton search, which closes each dual gap within its tol
     calls = record_newton(monkeypatch)
     eps = 5e-10
     ctx = OrbitBallContext(make_subspace([np.diag([1.0, 0.0]),
@@ -269,7 +278,8 @@ def test_closed_form_gauges_at_dimension_2(monkeypatch):
     assert svd_values(ctx.null_mats[0].reshape(2, 2))[1] == pytest.approx(3e-10, rel=1e-6)
     V = np.array([[1.0, 0.0], [-0.3, 0.0], [2.5, 0.0], [40.0, 0.0]])
     vals, ts = ctx.gauges(V)
-    assert calls == []
+    (newton_tol, (_, f, lower, _)), = calls
+    assert np.all(f - lower <= newton_tol), np.max(f - lower - newton_tol)
     t_hat = ctx.min_norm_preimage(V)
     tol = GAUGE_TOL * np.maximum(1.0, np.linalg.norm(t_hat, axis=1)) / 4.0
     A, N = ctx.mat(t_hat), ctx.null_mats[0].reshape(2, 2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_locator import ConvergenceFailure, DimensionError, linalg
+from orbit_locator.gauge_search import line_derivs, sigma1_newton
 from conftest import gauss_rank, svd_sigma, svd_values
 
 
@@ -154,6 +155,44 @@ def test_top_singular_pairs_cluster():
         assert abs(s - 3.0) <= 1e-9
     vs = np.stack([p[2] for p in pairs])
     assert np.allclose(vs @ vs.T, np.eye(2), atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sigma1_curvature_matches_second_differences(d):
+    # the curvature of sigma1 along a random direction N, from the SVD
+    # alone, against central differences of the dilation oracle; the
+    # Newton line search's derivatives (its route at d = 2 is new) give
+    # the same value, sigma1 and a slope matching first differences
+    g = np.random.default_rng(d)
+    X, N = g.normal(size=(2, d, d))
+    U, s, Vt = np.linalg.svd(X)
+    assert s[1] < 0.95 * s[0]
+    curv = linalg.sigma1_curvature(U, s, Vt, N[None])
+    assert curv.shape == (1, 1)
+    h = 1e-4
+    up, mid, down = (svd_sigma(X + c * h * N) for c in (1.0, 0.0, -1.0))
+    assert abs(curv[0, 0] - (up - 2.0 * mid + down) / (h * h)) <= 1e-6 * abs(curv[0, 0])
+    f, slope, line_curv = line_derivs(X.reshape(1, -1), N.ravel(), d)(np.zeros(1))
+    assert f[0] == pytest.approx(mid, rel=1e-14)
+    assert slope[0] == pytest.approx((up - down) / (2.0 * h), rel=1e-7)
+    assert line_curv[0] == pytest.approx(curv[0, 0], rel=1e-12)
+
+
+def test_sigma1_curvature_at_an_exact_tie():
+    # sigma1 has no second derivative where s1 ties s2, and the curvature
+    # comes out non-finite there. On the line diag(1 - w, w), w = z / sqrt 2,
+    # sigma1 = max(|1 - w|, |w|) has its minimum 1/2 at such a kink; Newton
+    # steps cannot reach it, and the crossing of the bracket's tangents
+    # puts the search on it, closing the dual gap
+    U, s, Vt = np.linalg.svd(0.5 * np.eye(3))
+    N = np.random.default_rng(0).normal(size=(2, 3, 3))
+    assert not np.isfinite(linalg.sigma1_curvature(U, s, Vt, N)).any()
+    A, N = np.diag([1.0, 0.0]).ravel(), np.diag([-1.0, 1.0]).ravel() / np.sqrt(2.0)
+    derivs = line_derivs(A[None], N, 2)
+    assert not np.isfinite(derivs(np.array([np.sqrt(0.5)]))[2]).any()
+    z, f, lower, rounds = sigma1_newton(derivs, A @ N[None].T, 1e-12, np.sqrt(2.0))
+    assert f[0] - lower[0] <= 1e-12 and f[0] == pytest.approx(0.5, abs=1e-12)
+    assert z[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 def test_clip_spectral():

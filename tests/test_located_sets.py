@@ -9,11 +9,12 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            DimensionError, GridOracleRefusal,
                            LocatedSet, OrbitBallContext, OrbitLocatorError,
                            SolverFailure, Stabilized, ball_distance,
-                           epsilon_net, euclidean_ball, gauge_of_orbit_ball,
-                           grid_oracle_distance, inner_radius,
-                           linear_image_ball, locate_distance,
+                           covering_gap, demo_table, epsilon_net,
+                           euclidean_ball, gauge_of_orbit_ball,
+                           greedy_decompose, grid_oracle_distance,
+                           inner_radius, linear_image_ball, locate_distance,
                            make_subspace, orbit_ball)
-from orbit_locator import located
+from orbit_locator import linalg, located
 from orbit_locator.operators import GRID_CHUNK
 from conftest import (MEM_TOL, SEED17, family50_problem, matrix_units,
                       quaternion_left, svd_sigma, svd_sigmas, svd_values,
@@ -226,7 +227,7 @@ def test_sigma1_hessian_matches_second_differences(dim, k):
     t = g.normal(size=k)
     U, sig, Vt = np.linalg.svd(ctx.mat(t))
     assert sig[1] < 0.95 * sig[0]
-    hess = ctx._sigma1_hessian(U, sig, Vt)
+    hess = linalg.sigma1_curvature(U, sig, Vt, ctx.stack)
     # central second differences of sigma1 through the dilation oracle
     h = 1e-4
     E = h * np.eye(k)
@@ -327,10 +328,21 @@ def test_distance_rejects_nan_level_and_nan_or_inf_tol(diag_sub, n, tol, monkeyp
     lambda sub: grid_oracle_distance(sub, [1.0, 0.5], 1.0, [0.0, 1.0], eps=np.nan),
     lambda sub: epsilon_net(sub, [1.0, 0.5], 1.0, eps=np.nan),
     lambda sub: euclidean_ball([0.0, 0.0], np.nan),
+    lambda sub: locate_distance(sub, [1.0, 0.5], [0.0, 1.0], budget=1.5),
+    lambda sub: locate_distance(sub, [1.0, 0.5], [0.0, 1.0], budget=True),
+    lambda sub: demo_table([0.5], budget=2.5),
+    lambda sub: covering_gap(sub, [1.0, 0.5], 1.0, [[0.0, 0.0]], samples=0),
+    lambda sub: greedy_decompose([0.3, 0.1], euclidean_ball([0.0, 0.0], 1.0), 1.0,
+                                 tol=np.nan),
 ])
-def test_nan_eps_and_radius_are_refused(diag_sub, make):
+def test_nan_eps_and_radius_are_refused(diag_sub, make, monkeypatch):
     # NaN fails the positivity checks instead of reaching int(NaN) in the
-    # grid or a NaN distance
+    # grid or a NaN distance. The same typed error, before any level is
+    # solved, refuses a budget that is not an integer >= 1 (1.5 and 2.5
+    # ended in a bare TypeError from range(), True ran one level), a
+    # covering gap from no samples (it read 0.0, a perfect cover) and a NaN
+    # oracle tolerance (Undecided with residual 0.0 on an exact body)
+    monkeypatch.setattr(OrbitBallContext, "_solve_levels", None)
     with pytest.raises(DimensionError):
         make(diag_sub)
 

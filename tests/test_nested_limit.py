@@ -294,6 +294,8 @@ def test_open_levels_run_admm_in_level_order_up_to_the_verdict(diag_sub, monkeyp
 def test_input_validation(diag_sub):
     with pytest.raises(DimensionError):
         locate_distance(diag_sub, [1.0, 0.0], [0.0, 1.0], budget=0)
+    # a numpy integer is a budget like an int
+    assert len(locate_distance(diag_sub, [1.0, 0.1], [0.0, 1.0], budget=np.int64(2)).levels) == 2
     with pytest.raises(DimensionError):
         locate_distance(diag_sub, [1.0, 0.0], [0.0, 1.0], tol=0.0)
 
