@@ -9,7 +9,7 @@ pair_line_min finds its minimum in closed form, by Heron's reflection,
 where the rank cut keeps the two weights close enough; its other rows and
 every row at 3 and more go to sigma1_newton, bracketed Newton steps that
 stop on a dual gap, with line_derivs taking value, slope and curvature
-(linalg.sigma1_curvature, as in the boundary SQP) from one SVD.
+(linalg.sigma1_curvature, as in the boundary SQP) from one SVD and U'NV.
 At p >= 2 the optimum generically ties the top singular values, where
 those derivatives do not exist, and the derivative-free pattern search
 compass_min runs instead, probing the objective itself. All three work on
@@ -128,9 +128,10 @@ def sigma1_newton(derivs, c, tol, width):
     |z + c| <= width phi(0), c = <N, A> and width = sqrt(d), which holds
     the minimum: phi(z) >= ||A + z N||_F / width >= |z + c| / width, and
     the minimum is at most phi(0). The next point is the Newton step
-    z - phi'/phi'' when it falls strictly inside the bracket, otherwise the
-    crossing of the tangents at the bracket's ends, or, before the search
-    has points on both sides, the box's end.
+    z - phi'/phi'' when it falls strictly inside the bracket and at most
+    half as far as the step before (no creeping next to a near-kink),
+    otherwise the crossing of the tangents at the bracket's ends, or,
+    before the search has points on both sides, the box's end.
 
     Every point gives the dual lower bound (phi - phi'(c + z)) /
     (1 + width |phi'|), from W = u1 v1' - phi' N: <W, N> = 0, so
@@ -150,7 +151,7 @@ def sigma1_newton(derivs, c, tol, width):
     # the bracket's ends (z, phi, phi'); a box end has phi = inf
     lo = np.stack([-c - width * f, np.full(c.size, np.inf), np.zeros(c.size)])
     hi = np.stack([-c + width * f, lo[1], lo[2]])
-    low = np.zeros(c.size)
+    low, step = np.zeros(c.size), np.full(c.size, np.inf)
     rounds = 1
     # box ends make the crossing inf or nan; only rows with both ends use it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -171,8 +172,9 @@ def sigma1_newton(derivs, c, tol, width):
             # z is an end now, so a Newton step strictly inside the bracket
             # heads for the minimum, which takes phi'' > 0
             newton = z - g / h
-            z = np.where((newton > zl) & (newton < zh), newton,
-                         np.where(both, cross, np.where(left, zh, zl)))
+            ok = (newton > zl) & (newton < zh) & (np.abs(newton - z) <= 0.5 * step)
+            z, z_prev = np.where(ok, newton, np.where(both, cross, np.where(left, zh, zl))), z
+            step = np.abs(z - z_prev)
             f, g, h = derivs(z)
             rounds += 1
 
@@ -224,13 +226,13 @@ def pair_line_min(A, N, tol):
 def line_derivs(A, N, d):
     """sigma1_newton's derivs for phi_i(z) = sigma1(A_i + z N), with A a
     stack of flattened d x d rows and N one flattened d x d matrix, from
-    one stacked SVD of X = A_i + z N: phi = s_1, phi' = u_1'N v_1 and
-    phi'' = linalg.sigma1_curvature along N, undefined (inf or nan) where
-    s_1 ties s_2."""
-    Nm = N.reshape(1, d, d)
+    one stacked SVD U diag(s) V' of A_i + z N and T = U'N V: phi = s_1,
+    phi' = T[1, 1] = u_1'N v_1 and phi'' = linalg.sigma1_curvature(T, s),
+    undefined (inf or nan) where s_1 ties s_2."""
+    Nm = N.reshape(d, d)
 
     def derivs(z):
         U, s, Vt = np.linalg.svd((A + z[:, None] * N).reshape(-1, d, d))
-        g = np.einsum("si,si->s", U[:, :, 0] @ Nm[0], Vt[:, 0])
-        return s[:, 0], g, linalg.sigma1_curvature(U, s, Vt, Nm)[:, 0, 0]
+        T = np.swapaxes(U, 1, 2) @ Nm @ np.swapaxes(Vt, 1, 2)
+        return s[:, 0], T[:, 0, 0], linalg.sigma1_curvature(T[:, None], s)[:, 0, 0]
     return derivs

@@ -68,11 +68,12 @@ def as_level(n) -> float:
     return n
 
 
-def as_budget(budget) -> int:
-    """A level budget as an int, raising DimensionError unless it is an
-    integer of at least 1 (a numpy integer passes, a bool does not)."""
+def as_budget(budget, name: str = "budget") -> int:
+    """A level budget (or the count name) as an int, raising DimensionError
+    unless it is an integer of at least 1 (a numpy integer passes, a bool
+    does not)."""
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise DimensionError(f"budget must be an integer of at least 1, got {budget!r}")
+        raise DimensionError(f"{name} must be an integer of at least 1, got {budget!r}")
     return int(budget)
 
 
@@ -200,15 +201,15 @@ def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4):
     return out
 
 
-def sigma1_curvature(U, s, Vt, D) -> np.ndarray:
+def sigma1_curvature(T, s) -> np.ndarray:
     """Hessian of c -> sigma1(X + sum_k c_k D_k) at c = 0, shape (..., K, K),
-    for each matrix X of a stack with full SVD factors (U, s, Vt) and a
-    stack D of K direction matrices: sum over j >= 2 of
+    for each X = U diag(s) V' of a stack, from s and T = U'D_k V (..., K, d,
+    d), the K directions in the full singular frames: sum over j >= 2 of
     [s1 (a_j a_j' + b_j b_j') + s_j (a_j b_j' + b_j a_j')] / (s1^2 - s_j^2),
-    a_jk = u_j' D_k v1 and b_jk = u1' D_k v_j (Overton and Womersley, SIAM
-    J. Matrix Anal. Appl. 16, 1995); not finite where s1 ties s2."""
-    a = np.einsum("kij,...j->...ki", D, Vt[..., 0, :]) @ U[..., 1:]
-    b = np.einsum("...i,kij->...kj", U[..., 0], D) @ np.swapaxes(Vt[..., 1:, :], -1, -2)
+    a_jk = u_j' D_k v1 = T_k[j, 1] and b_jk = u1' D_k v_j = T_k[1, j] (Overton
+    and Womersley, SIAM J. Matrix Anal. Appl. 16, 1995); not finite where
+    s1 ties s2."""
+    a, b = T[..., 1:, 0], T[..., 0, 1:]
     s1, rest = s[..., :1, None], s[..., None, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         den = s1 * s1 - rest * rest

@@ -8,7 +8,9 @@ query onto the orbit span already lies in the set, a boundary SQP
 candidate, and ADMM as the one fallback. The SQP step is Newton on the KKT
 system of the top singular pair, with the curvature of sigma1 in the
 Lagrangian Hessian wherever the top singular value is simple, however close
-the second; only an exact tie drops it. Every boundary answer is certified
+the second; only an exact tie drops it. That curvature and the gradients
+of the singular values, its diagonal, read off one contraction U'Q_k V of
+the basis per SVD of mat(t). Every boundary answer is certified
 by a duality gap: the Lagrangian dual has a closed form at any d x d
 multiplier W, so the SQP candidate is checked at one KKT multiplier over
 its top two singular pairs, the nonnegative fit over both where the second
@@ -456,20 +458,18 @@ class OrbitBallContext:
     def _turn(self, t, y, usv=None):
         """The factors one SQP turn needs at each row t of a stack, from the
         stacked SVD usv of mat(t) (made when not given): (U, sig, Vt, grad,
-        outer, G, top), with grad the gradient of f, (outer, G) the
-        _top_pairs and top the _top_multiplier of the top pair."""
+        T, G, top), with grad the gradient of f, T[r, k] = U'Q_k V, G[r, k,
+        i] = u_i'Q_k v_i its diagonal for the top p = min(d, 2) pairs, the
+        gradients g_i of their singular values, and top the least-squares KKT
+        multiplier max(0, -<grad, g_1> / ||g_1||^2) of the top pair."""
         U, sig, Vt = np.linalg.svd(self.mat(t)) if usv is None else usv
         grad = self._grad(t, y)
-        outer, G = self._top_pairs(U, Vt)
-        return U, sig, Vt, grad, outer, G, _top_multiplier(grad, G[:, :, 0])
-
-    def _top_pairs(self, U, Vt):
-        """For stacked SVD factors of mat(t), with p = min(d, 2): the top p
-        pairs' outer products u_i v_i', shape (rows, p, d, d), and G[r, k,
-        i] = u_i' Q_k v_i, the gradients of their singular values."""
-        p = min(self.dim, 2)
-        outer = np.swapaxes(U[:, :, :p], 1, 2)[..., None] * Vt[:, :p, None, :]
-        return outer, np.swapaxes(self.tcoords(outer), 1, 2)
+        T = np.swapaxes(U, 1, 2)[:, None] @ self.stack @ np.swapaxes(Vt, 1, 2)[:, None]
+        G = np.diagonal(T, axis1=2, axis2=3)[:, :, :min(self.dim, 2)]
+        g = G[:, :, 0]
+        top = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
+                         / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
+        return U, sig, Vt, grad, T, G, top
 
     def _fit(self, turn) -> np.ndarray:
         """The weights mu, shape (rows, p), of the KKT multiplier
@@ -514,7 +514,7 @@ class OrbitBallContext:
         """The _fit multiplier of each row t of a stack, formed as a d x d
         matrix: shape (rows, d, d)."""
         turn = self._turn(t, y)
-        return np.einsum("rp,rpij->rij", self._fit(turn), turn[4])
+        return _pair_sum(self._fit(turn), turn[0], turn[2])
 
     def _cut(self, W, c=None):
         """(c', ||W'||_*) for a stack of formed multipliers W with
@@ -583,11 +583,10 @@ class OrbitBallContext:
             f = self._f(t, q["y"])
         if turn is None:
             turn = self._turn(t, q["y"])
-        outer, G = turn[4:6]
         mu = self._fit(turn)
-        c = np.einsum("rkp,rp->rk", G, mu)
+        c = np.einsum("rkp,rp->rk", turn[5], mu)
         if self.null_vecs.shape[1]:
-            c, nuc = self._cut(np.einsum("rp,rpij->rij", mu, outer), c)
+            c, nuc = self._cut(_pair_sum(mu, turn[0], turn[2]), c)
         else:
             nuc = mu.sum(axis=-1)
         return f - self._dual(c, nuc, q, n)
@@ -599,7 +598,7 @@ class OrbitBallContext:
         record q, one search per row of t0 (n and tol: scalars or one value per
         row) in lockstep; t0 is first scaled onto the ball by the one SVD that
         also gives the first _turn its factors. Each iteration makes one _turn
-        (one stacked SVD, one gradient and one _top_pairs), shared by the
+        (one stacked SVD, one gradient and one T = U'Q_k V), shared by the
         certificate and the Newton step. First every row's duality gap
         (_cert_gap) is taken from it, with f from the line search: a row stops
         once _certified at its tol. The others share one batched Newton step on
@@ -608,7 +607,7 @@ class OrbitBallContext:
         least-squares multiplier of the gradient; where mu is 0 or the top
         value ties exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is
         undefined) the Hessian is H; sigma1'' is linalg.sigma1_curvature
-        along the basis Q_k. The step is pinv(K) of the KKT right side with
+        read off the turn's T. The step is pinv(K) of the KKT right side with
         pinv's cut (_sym_solve), whatever the sign of its multiplier. Each
         row moves by the first alpha in 1, 1/2, ..., 2^-11 with
         f < f_prev - 1e-18 (full steps as one stacked trial, the halvings of
@@ -638,23 +637,22 @@ class OrbitBallContext:
             done[act] = shut
             if shut.all():
                 break
-            U, sig, Vt, grad, _, G, mu = turn
+            _, sig, _, grad, T, G, mu = turn
             # every row takes the step's stacked algebra; the certified
             # ones neither move nor stay
             iters[act[~shut]] += 1
             # the optimum sits on the boundary (the caller ruled out the
             # interior), so the top pair is the one constraint
-            g = G[:, :, 0]
             K = np.zeros((act.size, k + 1, k + 1))
             K[:, :k, :k] = self.H
+            K[:, :k, k] = K[:, k, :k] = G[:, :, 0]
             # sigma1 is smooth wherever its value is simple, however close
             # the second; at an exact tie sigma1'' is undefined
             bent = np.flatnonzero((mu > 0.0) & np.all(
                 sig[:, 1:2] < (1.0 - 1e-12) * sig[:, :1], axis=1))
             if bent.size:
                 K[bent, :k, :k] += mu[bent, None, None] * linalg.sigma1_curvature(
-                    U[bent], sig[bent], Vt[bent], self.stack)
-            K[:, :k, k] = K[:, k, :k] = g
+                    T[bent], sig[bent])
             rhs = np.concatenate([-grad, (na - sig[:, 0])[:, None]], axis=1)
             sol = _sym_solve(K, rhs, _EPS * (k + 1))
             delta = sol[:, :k]
@@ -868,11 +866,10 @@ def _clears(g, n):
     return g <= n - 5e-10 * np.maximum(1.0, g)
 
 
-def _top_multiplier(grad, g):
-    """The least-squares KKT multiplier of the top singular pair, row-wise:
-    max(0, -<grad, g> / ||g||^2) with g the gradient of sigma1."""
-    return np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
-                      / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
+def _pair_sum(mu, U, Vt):
+    """The multiplier sum_i mu_i u_i v_i' per row, formed from its weights
+    mu, shape (rows, p), on the top p pairs of stacked SVD factors."""
+    return (U[:, :, :mu.shape[1]] * mu[:, None, :]) @ Vt[:, :mu.shape[1]]
 
 
 def _sym_solve(A, b, rcond):

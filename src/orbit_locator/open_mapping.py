@@ -111,8 +111,7 @@ def greedy_decompose(y, C: located.LocatedSet, r: float,
     if not ny < r < np.inf:
         raise DimensionError(
             f"decomposition needs a finite r > ||y|| strictly, got r={r:g}, ||y||={ny:g}")
-    if max_steps < 1:
-        raise DimensionError("max_steps must be at least 1")
+    max_steps = linalg.as_budget(max_steps, "max_steps")
     tol = linalg.as_tol(tol)
     u = y.copy()
     acc = np.zeros_like(y)

@@ -177,6 +177,7 @@ def coefficient_box(subspace: OperatorSubspace, n: float) -> np.ndarray:
     Uses the trace-duality bound |c_i| = |<M, D_i>_F| <= sigma1(M) * ||D_i||_nuclear
     with D_i the dual basis, which is tight for orthonormal bases.
     """
+    n = linalg.as_level(n)
     duals = _dual_basis(subspace)
     return np.array([n * linalg.nuclear_norm(D) for D in duals])
 
@@ -261,8 +262,7 @@ def covering_gap(subspace: OperatorSubspace, x, n: float, net,
     """Largest distance from a sampled orbit-ball member to the net
     (the verification half of the epsilon_net contract), over at least
     one sample."""
-    if not samples >= 1:
-        raise DimensionError(f"samples must be at least 1, got {samples}")
+    samples = linalg.as_budget(samples, "samples")
     xv = linalg.as_vector(x)
     rng = np.random.default_rng(seed)
     bounds = coefficient_box(subspace, n)

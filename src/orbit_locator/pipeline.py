@@ -47,8 +47,8 @@ def truncation_index(y, r: float):
     integers up to roundoff still satisfy the strict inequality.
     """
     r = float(r)
-    if not r > 0.0:
-        raise DimensionError("truncation needs a positive inner radius")
+    if not 0.0 < r < np.inf:
+        raise DimensionError(f"truncation needs a finite positive inner radius, got {r}")
     arr = np.asarray(y, dtype=float)
     rows = linalg.as_matrix(arr) if arr.ndim == 2 else linalg.as_vector(arr)[None]
     below = np.floor(2.0 * np.linalg.norm(rows, axis=1) / r * (1.0 + 1e-12))

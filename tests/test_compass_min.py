@@ -237,15 +237,16 @@ def test_closed_form_gauges_at_dimension_2(monkeypatch):
         A, N = pair_rows(-zetas * q), pair_rows(q)[0]
         M, Nm = A.reshape(-1, 2, 2), N.reshape(2, 2)
         z, rows = pair_line_min(A, N, tol)
+        rounds = 0
         if rows.size:
-            z[rows] = sigma1_newton(line_derivs(A[rows], N, 2), A[rows] @ N, tol,
-                                    np.sqrt(2.0))[0]
+            z[rows], _, _, rounds = sigma1_newton(line_derivs(A[rows], N, 2), A[rows] @ N,
+                                                  tol, np.sqrt(2.0))
         got = svd_sigmas(M + z[:, None, None] * Nm)
         R = 2.0 * np.abs(zetas).max(axis=1) + 1.0
         ref, _ = golden_min(lambda s: svd_sigmas(M + s[:, None, None] * Nm), -R, R, 120)
         assert np.all(got - ref <= tol), np.max(got - ref - tol)
         assert np.all(np.abs(got - ref) <= 1e-10 * ref), np.max(np.abs(got - ref) / ref)
-        return z, rows
+        return z, rows, rounds
 
     tol = GAUGE_TOL / 4.0
     # N of rank one (|q_1| = |q_2|): a flat minimum between two real points
@@ -253,17 +254,20 @@ def test_closed_form_gauges_at_dimension_2(monkeypatch):
     # picks one), a kink at a real point, both points on one side of the
     # real axis and on opposite sides, all in closed form
     q = 0.5 * np.exp(1j * np.array([0.4, -1.1]))
-    z, rows = check([[-1.0, 1.0], [-1.0, 1.0 + 1.0j], [-1.0 + 0.5j, 2.0 + 1.5j],
-                     [-1.0 + 0.5j, 2.0 - 1.5j]], q, tol)
+    z, rows, _ = check([[-1.0, 1.0], [-1.0, 1.0 + 1.0j], [-1.0 + 0.5j, 2.0 + 1.5j],
+                        [-1.0 + 0.5j, 2.0 - 1.5j]], q, tol)
     assert rows.size == 0 and -1.0 <= z[0] <= 1.0
     assert np.allclose(z[1:], [-1.0, -0.25, -0.25], rtol=0.0, atol=1e-12)
     # weights apart by 1e-9, the rank cut's reach: the closed form's error
     # bound exceeds tol on every row, and Newton puts the two rows whose
     # points are real on the heavier point, where the minimum is (1e-9
-    # below the midpoint's value)
+    # below the midpoint's value). The third row's minimum lies next to the
+    # near-kink at 2 + 1e-6i, where Newton steps crept 1e-6 a round from
+    # one side for 16 rounds until a step had to halve; it sets the
+    # lockstep's count, as the other two rows close in 3
     q = np.array([0.5 + 5e-10, -0.5 + 5e-10]) * np.exp(0.7j)
-    z, rows = check([[-1.0, 1.0], [3.0, -2.0], [-1.0 + 0.5j, 2.0 + 1e-6j]], q, tol)
-    assert rows.tolist() == [0, 1, 2]
+    z, rows, rounds = check([[-1.0, 1.0], [3.0, -2.0], [-1.0 + 0.5j, 2.0 + 1e-6j]], q, tol)
+    assert rows.tolist() == [0, 1, 2] and rounds <= 9, rounds
     assert abs(z[0] + 1.0) <= 2.0 * tol and abs(z[1] - 3.0) <= 2.0 * tol
     # a null matrix that kills x only up to the rank cut: the orbit of
     # x = e_1 has the singular values 1 and 5e-10, so rank 1, and the null

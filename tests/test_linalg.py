@@ -167,7 +167,7 @@ def test_sigma1_curvature_matches_second_differences(d):
     X, N = g.normal(size=(2, d, d))
     U, s, Vt = np.linalg.svd(X)
     assert s[1] < 0.95 * s[0]
-    curv = linalg.sigma1_curvature(U, s, Vt, N[None])
+    curv = linalg.sigma1_curvature((U.T @ N @ Vt.T)[None], s)
     assert curv.shape == (1, 1)
     h = 1e-4
     up, mid, down = (svd_sigma(X + c * h * N) for c in (1.0, 0.0, -1.0))
@@ -178,6 +178,20 @@ def test_sigma1_curvature_matches_second_differences(d):
     assert line_curv[0] == pytest.approx(curv[0, 0], rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_frame_diagonal_is_the_singular_value_slopes(d):
+    # the diagonal of T = U'D V gives the slopes u_i'D v_i of the simple
+    # singular values along D, the gradients the SQP reads off its turn,
+    # against central differences of the dilation oracle
+    g = np.random.default_rng(10 + d)
+    X, D = g.normal(size=(2, d, d))
+    U, s, Vt = np.linalg.svd(X)
+    assert np.all(s[1:] < 0.95 * s[:-1])
+    h = 1e-6
+    fd = (svd_values(X + h * D) - svd_values(X - h * D)) / (2.0 * h)
+    assert np.allclose(np.diagonal(U.T @ D @ Vt.T), fd, rtol=0.0, atol=1e-8)
+
+
 def test_sigma1_curvature_at_an_exact_tie():
     # sigma1 has no second derivative where s1 ties s2, and the curvature
     # comes out non-finite there. On the line diag(1 - w, w), w = z / sqrt 2,
@@ -186,7 +200,7 @@ def test_sigma1_curvature_at_an_exact_tie():
     # puts the search on it, closing the dual gap
     U, s, Vt = np.linalg.svd(0.5 * np.eye(3))
     N = np.random.default_rng(0).normal(size=(2, 3, 3))
-    assert not np.isfinite(linalg.sigma1_curvature(U, s, Vt, N)).any()
+    assert not np.isfinite(linalg.sigma1_curvature(U.T @ N @ Vt.T, s)).any()
     A, N = np.diag([1.0, 0.0]).ravel(), np.diag([-1.0, 1.0]).ravel() / np.sqrt(2.0)
     derivs = line_derivs(A[None], N, 2)
     assert not np.isfinite(derivs(np.array([np.sqrt(0.5)]))[2]).any()

@@ -9,7 +9,7 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            DimensionError, GridOracleRefusal,
                            LocatedSet, OrbitBallContext, OrbitLocatorError,
                            SolverFailure, Stabilized, ball_distance,
-                           covering_gap, demo_table, epsilon_net,
+                           coefficient_box, covering_gap, demo_table, epsilon_net,
                            euclidean_ball, gauge_of_orbit_ball,
                            greedy_decompose, grid_oracle_distance,
                            inner_radius, linear_image_ball, locate_distance,
@@ -227,7 +227,7 @@ def test_sigma1_hessian_matches_second_differences(dim, k):
     t = g.normal(size=k)
     U, sig, Vt = np.linalg.svd(ctx.mat(t))
     assert sig[1] < 0.95 * sig[0]
-    hess = linalg.sigma1_curvature(U, sig, Vt, ctx.stack)
+    hess = linalg.sigma1_curvature(U.T @ ctx.stack @ Vt.T, sig)
     # central second differences of sigma1 through the dilation oracle
     h = 1e-4
     E = h * np.eye(k)
@@ -334,6 +334,14 @@ def test_distance_rejects_nan_level_and_nan_or_inf_tol(diag_sub, n, tol, monkeyp
     lambda sub: covering_gap(sub, [1.0, 0.5], 1.0, [[0.0, 0.0]], samples=0),
     lambda sub: greedy_decompose([0.3, 0.1], euclidean_ball([0.0, 0.0], 1.0), 1.0,
                                  tol=np.nan),
+    lambda sub: greedy_decompose([0.3, 0.1], euclidean_ball([0.0, 0.0], 1.0), 1.0,
+                                 max_steps=1.5),
+    lambda sub: greedy_decompose([0.3, 0.1], euclidean_ball([0.0, 0.0], 1.0), 1.0,
+                                 max_steps=np.nan),
+    lambda sub: greedy_decompose([0.3, 0.1], euclidean_ball([0.0, 0.0], 1.0), 1.0,
+                                 max_steps=True),
+    lambda sub: covering_gap(sub, [1.0, 0.5], 1.0, [[0.0, 0.0]], samples=1.5),
+    lambda sub: covering_gap(sub, [1.0, 0.5], 1.0, [[0.0, 0.0]], samples=True),
 ])
 def test_nan_eps_and_radius_are_refused(diag_sub, make, monkeypatch):
     # NaN fails the positivity checks instead of reaching int(NaN) in the
@@ -341,7 +349,9 @@ def test_nan_eps_and_radius_are_refused(diag_sub, make, monkeypatch):
     # solved, refuses a budget that is not an integer >= 1 (1.5 and 2.5
     # ended in a bare TypeError from range(), True ran one level), a
     # covering gap from no samples (it read 0.0, a perfect cover) and a NaN
-    # oracle tolerance (Undecided with residual 0.0 on an exact body)
+    # oracle tolerance (Undecided with residual 0.0 on an exact body). The
+    # counts max_steps and samples follow the budget's rule: 1.5 and NaN
+    # ended in a bare TypeError, and max_steps=True ran one step
     monkeypatch.setattr(OrbitBallContext, "_solve_levels", None)
     with pytest.raises(DimensionError):
         make(diag_sub)
@@ -352,11 +362,16 @@ def test_nan_eps_and_radius_are_refused(diag_sub, make, monkeypatch):
     lambda sub, n: grid_oracle_distance(sub, [1.0, 0.5], n, [0.0, 1.0], eps=0.1),
     lambda sub, n: linear_image_ball(np.eye(2), n).locate([3.0, 4.0]),
     lambda sub, n: orbit_ball(sub, [1.0, 0.5], n).gauge([1.0, 0.0]),
-], ids=["epsilon_net", "grid_oracle_distance", "linear_image_ball", "orbit_ball"])
+    lambda sub, n: covering_gap(sub, [1.0, 0.5], n, [[0.0, 0.0]]),
+    lambda sub, n: coefficient_box(sub, n),
+], ids=["epsilon_net", "grid_oracle_distance", "linear_image_ball", "orbit_ball",
+        "covering_gap", "coefficient_box"])
 @pytest.mark.parametrize("n", [np.nan, -1.0], ids=["nan", "negative"])
 def test_nan_and_negative_level_are_refused(diag_sub, make, n):
     # a NaN level reached int(NaN) in the grid sizing or gave NaN distances
-    # and gauges, and the ellipsoid at n = -1 put (3, 4) at distance 4.0:
+    # and gauges, and the ellipsoid at n = -1 put (3, 4) at distance 4.0;
+    # the covering gap read 0.0 (a perfect cover) at NaN and 1.118 at -1,
+    # and the coefficient box came out NaN or negative:
     # every entry point refuses such a level with the one typed error
     with pytest.raises(DimensionError, match="scale n must be nonnegative"):
         make(diag_sub, n)
@@ -1045,8 +1060,8 @@ def dual_of(ctx, W, y, n):
 def top_pair_multiplier(ctx, t, y):
     """The top pair's multiplier mu u1 v1' of each row t of a stack,
     formed: what the band multiplier is outside the band."""
-    turn = ctx._turn(t, y)
-    return turn[6][:, None, None] * turn[4][:, 0]
+    U, _, Vt, _, _, _, top = ctx._turn(t, y)
+    return top[:, None, None] * (U[:, :, :1] @ Vt[:, :1])
 
 
 @pytest.mark.parametrize("shape", ["diag", "d3k2r1", "wide2", "marginal"])

@@ -21,10 +21,13 @@ def test_truncation_index_values():
 
 
 def test_truncation_index_rejects_nan_radius_and_scalar_norm():
-    # a NaN radius fails the positivity check instead of reaching int(NaN);
+    # a NaN radius fails the positivity check instead of reaching int(NaN),
+    # and an infinite one, which gave N = 1 and a pipeline distance that
+    # disagreed with the projector as a ConvergenceFailure, is refused too;
     # the index takes vectors, not a bare ||y||
-    with pytest.raises(DimensionError, match="positive inner radius"):
-        truncation_index([1.0, 0.0], np.nan)
+    for r in (np.nan, np.inf):
+        with pytest.raises(DimensionError, match="positive inner radius"):
+            truncation_index([1.0, 0.0], r)
     with pytest.raises(DimensionError):
         truncation_index(1.0, 0.5)
 
