@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -63,19 +64,13 @@ def _as_vec(raw, dim: int, name: str) -> np.ndarray:
     return v
 
 
-def _as_budget(raw: str) -> int:
-    """A level budget: a positive integer, read by int() from a value's
-    spelling, so a file's 1.5 or true fails as the flag's string does."""
-    budget = int(raw)
-    if budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget}")
-    return budget
-
-
 # each numeric parameter once: the rule that turns the spelling of a flag's or
-# a file's value into it (the library's own for n and tol), and its default
+# a file's value into it (the library's own for n, tol and budget, the budget
+# read by int() first, so a file's 1.5 or true fails as the flag's string
+# does), and its default
 _PARAMS = {"n": (linalg.as_level, None), "tol": (linalg.as_tol, defaults.TOL),
-           "budget": (_as_budget, defaults.BUDGET), "r": (float, None)}
+           "budget": (lambda raw: linalg.as_budget(int(raw)), defaults.BUDGET),
+           "r": (float, None)}
 
 
 def _param(name: str, raw, where: str):
@@ -131,25 +126,34 @@ def load_problem(path: str) -> Problem:
 
 # ---- deterministic JSON with fixed float width -----------------------------
 
+def _num(f: float) -> str:
+    # json.dumps: NaN, Infinity, -Infinity, as json.loads reads them
+    return f"{f:.17g}" if math.isfinite(f) else json.dumps(f)
+
+
 def _dump(obj, ind: int = 0) -> str:
-    pad = "  " * ind
+    # the common types first: a float, a list (a list of floats in one join)
+    if type(obj) is float:
+        return _num(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(_num, obj)) + "]"
+        return "[" + ", ".join(_dump(v, ind) for v in obj) + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        pad = "  " * ind
         rows = [f'{pad}  {json.dumps(str(k))}: {_dump(v, ind + 1)}'
                 for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray):
-        return _dump(obj.tolist(), ind)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dump(v, ind) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)   # json.dumps: NaN, Infinity, -Infinity, as json.loads reads them
-        return f"{f:.17g}" if np.isfinite(f) else json.dumps(f)
+        return _num(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -2,17 +2,18 @@
 uniformly decidable.
 
 Take the span of diag(1,0) and diag(0,1), x = (1, c) and y = (0, 1). The
-orbit of x is the axis-aligned box [-n, n] x [-nc, nc] at level n, so
+orbit of x is the axis-aligned box [-n, n] x [-n|c|, n|c|] at level n, so
 d(y, orbit) is 1 when c = 0 and 0 for every c != 0. A single routine
 covering both answers would decide c = 0 against c != 0; the truncation
 index N ~ 2/|c| blowing up as c -> 0 is the computational face of that
 obstruction. Each row of the table reports which route settled the
-distance and at what cost.
+distance and at what cost; c and -c give the same box, so the table
+solves each |c| once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import linalg, nested, operators, pipeline
 from . import open_mapping as om
 from .defaults import BUDGET, TOL
-from .errors import DimensionError
+from .errors import DimensionError, PipelineRefusal
 from .located import OrbitBallContext, orbit_ball
 
 DEFAULT_C_VALUES = (0.0, 1.0, -1.0, 0.5, -0.5, 0.1, -0.1,
@@ -58,30 +59,36 @@ def _row(sub: operators.OperatorSubspace, c: float, budget: int,
     # At c = 0 the span collapses and this radius honestly hits 0.
     ambient = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     rr = om.inner_radius(ball, ambient)
-    if rr.floor > tol:
+    try:
         d, N = pipeline.pipeline_distance(sub, x, y, tol=tol,
                                           ctx=ctx, radius=rr.floor)
-        return DemoRow(c=float(c), r=rr.r, N=N, d=d,
-                       levels_to_locate=0, verdict="pipeline")
-    report = nested.locate_distance(sub, x, y, budget=budget, tol=tol,
-                                    ctx=ctx)
-    v = report.verdict
-    name = type(v).__name__.lower()
-    d = v.upper if isinstance(v, nested.Undecided) else v.d
-    return DemoRow(c=float(c), r=rr.r, N=None, d=float(d),
-                   levels_to_locate=len(report.levels), verdict=name)
+    except PipelineRefusal:   # the level sweep settles what it refuses
+        report = nested.locate_distance(sub, x, y, budget=budget, tol=tol,
+                                        ctx=ctx)
+        v = report.verdict
+        name = type(v).__name__.lower()
+        d = v.upper if isinstance(v, nested.Undecided) else v.d
+        return DemoRow(c=float(c), r=rr.r, N=None, d=float(d),
+                       levels_to_locate=len(report.levels), verdict=name)
+    return DemoRow(c=float(c), r=rr.r, N=N, d=d,
+                   levels_to_locate=0, verdict="pipeline")
 
 
 def demo_table(c_values: Sequence[float] = DEFAULT_C_VALUES,
                budget: int = BUDGET, tol: float = TOL) -> list:
-    """One DemoRow per c, in input order."""
+    """One DemoRow per c, in input order; each |c| is solved once, at its
+    first c, and its row repeated for -c with c set."""
     cs = [float(c) for c in c_values]
     for c in cs:
         if abs(c) > 1.0:
             raise DimensionError(f"family parameter must satisfy |c| <= 1, got {c:g}")
     budget = linalg.as_budget(budget)
     sub = diag_subspace()
-    return [_row(sub, c, budget, tol) for c in cs]
+    solved = {}
+    for c in cs:
+        if abs(c) not in solved:
+            solved[abs(c)] = _row(sub, c, budget, tol)
+    return [replace(solved[abs(c)], c=c) for c in cs]
 
 
 def _fmt(v: float) -> str:

@@ -61,8 +61,8 @@ class GridOracleRefusal(OrbitLocatorError):
 
 
 class PipelineRefusal(OrbitLocatorError):
-    """The projection pipeline refused: the orbit-ball inner radius is
-    numerically indistinguishable from zero, so no truncation scale exists."""
+    """The projection pipeline refused: a zero or marginal rank, or a radius
+    at the tolerance, leaves no inner radius to truncate at."""
 
     def __init__(self, message: str, *, radius: float):
         super().__init__(message)

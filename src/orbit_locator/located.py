@@ -166,8 +166,8 @@ class OrbitBallContext:
     r = #{sv_i > RANK_TOL sv_1}), and everything else comes from that
     factor: P = U_r U_r'; range_vecs V_r with range_lams sv_r^2, the
     eigenpairs of Phi'Phi on its range; null_vecs the other columns of V;
-    rank_margin and rounding_floor from sv; and the least-norm preimage
-    V_r (U_r'v / sv_r), the one pseudo-inverse of Phi.
+    rank_margin, marginal and rounding_floor from sv; and the least-norm
+    preimage V_r (U_r'v / sv_r), the one pseudo-inverse of Phi.
     """
 
     def __init__(self, subspace: operators.OperatorSubspace, x):
@@ -189,9 +189,10 @@ class OrbitBallContext:
         self._floor_step = 4.0 * float(np.sqrt(self.dim) * geo.sv[0])   # rounding_floor
 
     # the Hessian 2 Phi'Phi of f; the null stack mat(N_l), flattened: the
-    # gauge kernel's directions
+    # gauge kernel's directions; the one rank rule (lower_bound, pipeline)
     H = cached_property(lambda self: 2.0 * (self.Phi.T @ self.Phi))
     null_mats = cached_property(lambda self: self.null_vecs.T @ self._flat)
+    marginal = cached_property(lambda self: self.rank_margin() <= RANK_MARGIN)
 
     # ---- coefficient/matrix bridges -------------------------------------
 
@@ -235,12 +236,12 @@ class OrbitBallContext:
     def lower_bound(self, y) -> float:
         """The sweep's lower bound on every level distance of the query y,
         which is checked in every case: span_distance(y), or 0 at full rank,
-        where ||y - Py|| is rounding residue above the true 0, and when
-        rank_margin() <= RANK_MARGIN, as a singular value of Phi that close
-        to the rank cut, on either side, makes the rank decision behind P
-        marginal."""
+        where ||y - Py|| is rounding residue above the true 0, and at a
+        marginal rank (the context's marginal), as a singular value of Phi
+        within RANK_MARGIN of the rank cut, on either side, leaves the
+        rank decision behind P open."""
         lb = self.span_distance(y)
-        return 0.0 if self.rank == self.dim or self.rank_margin() <= RANK_MARGIN else lb
+        return 0.0 if self.rank == self.dim or self.marginal else lb
 
     # ---- gauge ------------------------------------------------------------
 

@@ -4,7 +4,8 @@ The unit orbit ball contains a ball of radius r inside the orbit span W,
 so points of the orbit at distance ||y|| from the origin are reachable at
 scale N once N > 2||y||/r: the global distance then equals the level-N
 ball distance. That, plus the orthogonal projector onto W, is everything
-needed to locate orbits and certify the result against ||y - Py||.
+needed to locate orbits and certify the result against ||y - Py||, once
+every route's one door has refused a zero or a marginal (undecided) rank.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, located, open_mapping, operators
-from .defaults import PROBE_SEED, TOL
+from .defaults import PROBE_SEED, RANK_MARGIN, TOL
 from .errors import ConvergenceFailure, DimensionError, PipelineRefusal
 
 
@@ -59,10 +60,16 @@ def truncation_index(y, r: float):
     return below.astype(np.int64) + 1
 
 
-def _inner_radius_in_span(
-        ctx: located.OrbitBallContext) -> open_mapping.RadiusResult:
-    if ctx.rank == 0:
-        raise DimensionError("orbit has rank 0; the unit ball is just {0}")
+def _inner_radius_in_span(ctx: located.OrbitBallContext, search: bool = True):
+    """The door of every pipeline route: PipelineRefusal, naming the rank
+    and its margin, at rank 0 and at a marginal rank (ctx.marginal, which
+    lower_bound reads too); past it, the inner radius in the span, if search."""
+    if ctx.rank == 0 or ctx.marginal:
+        raise PipelineRefusal(
+            f"orbit rank {ctx.rank} at rank margin {ctx.rank_margin():.3g} is zero or "
+            f"marginal (margin <= {RANK_MARGIN:g}): use the level sweep", radius=0.0)
+    if not search:
+        return None
     ball = located.orbit_ball(ctx.subspace, ctx.x, 1.0, ctx=ctx)
     # U_r from the checked SVD of Phi: an orthonormal basis of the span
     return open_mapping.inner_radius(ball, list(ctx.range_U.T))
@@ -70,13 +77,8 @@ def _inner_radius_in_span(
 
 def span_inner_radius(subspace: operators.OperatorSubspace, x):
     """Inner radius of the unit orbit ball inside its own span, with its
-    floor, tightest direction and method. Refuses on a rank-0 orbit, where
-    the ball is {0} and no radius is meaningful."""
-    ctx = located.OrbitBallContext(subspace, x)
-    if ctx.rank == 0:
-        raise PipelineRefusal(
-            "orbit has rank 0: the unit orbit ball is {0}", radius=0.0)
-    return _inner_radius_in_span(ctx)
+    floor, tightest direction and method, past _inner_radius_in_span's door."""
+    return _inner_radius_in_span(located.OrbitBallContext(subspace, x))
 
 
 def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
@@ -86,25 +88,21 @@ def pipeline_distance(subspace: operators.OperatorSubspace, x, y,
     """Distance from y to the full orbit, via one truncated ball query.
 
     Takes r = `radius`, or the floor of the inner radius of the unit orbit
-    ball inside the orbit span, truncates at N = truncation_index(y, r),
-    and returns (ball_distance(y, N), N). Refuses when r <= tol: with a
-    vanishing inner radius no truncation level can be trusted, which is
-    exactly the obstruction the scaled-axis family exhibits, and the level
-    sweep of the nested module is the honest fallback. On the interior
-    route (Py lies in the level-N ball) the returned distance is ||y - Py||
-    itself; on the certified route it is the ball solve's, and raises
+    ball inside the orbit span, truncates at N = truncation_index(y, r), and
+    returns (ball_distance(y, N), N). Refuses at the door, and when r <= tol:
+    with a vanishing inner radius no truncation level can be trusted, which
+    is exactly the obstruction the scaled-axis family exhibits, and the level
+    sweep of the nested module is the honest fallback. On the interior route
+    (Py lies in the level-N ball) the returned distance is ||y - Py|| itself;
+    on the certified route it is the ball solve's, and raises
     ConvergenceFailure when it disagrees with ||y - Py|| beyond 2 tol.
     """
     tol = linalg.as_tol(tol)
     if ctx is None:
         ctx = located.OrbitBallContext(subspace, x)
     y = linalg.as_vector(y)
-    if radius is None:
-        if ctx.rank == 0:
-            raise PipelineRefusal(
-                "orbit rank is 0: inner radius collapses; use the level "
-                "sweep instead", radius=0.0)
-        radius = _inner_radius_in_span(ctx).floor
+    rr = _inner_radius_in_span(ctx, search=radius is None)
+    radius = rr.floor if radius is None else radius
     if radius <= tol:
         raise PipelineRefusal(
             f"inner radius {radius:.3e} is not distinguishable from 0 at "
@@ -159,7 +157,8 @@ def build_projection(subspace: operators.OperatorSubspace, x,
     interior route, so for them the recorded agreement holds by
     construction. Only the others run pipeline_distance, which raises
     ConvergenceFailure when a certified distance disagrees with
-    ||y - Py||, or SolverFailure when its solve does not close.
+    ||y - Py||, or SolverFailure when its solve does not close. A
+    marginal rank is refused at the door, before any probe.
     """
     tol = linalg.as_tol(tol)
     ctx = located.OrbitBallContext(subspace, x)
@@ -172,9 +171,11 @@ def build_projection(subspace: operators.OperatorSubspace, x,
     Y = _probe_set(dim)
     P = ctx.geo.P
     d_oracle = [math.sqrt(r.dot(r)) for r in (y - P @ y for y in Y)]
+    note = f"probe seed {PROBE_SEED}"
     if rr.floor <= tol:
         rows = [ProbeRow(y=y, N=0, d_pipeline=float("nan"), d_oracle=d)
                 for y, d in zip(Y, d_oracle)]
+        note += "; inner radius at tolerance floor, pipeline skipped"
     else:
         Ns = truncation_index(Y, rr.floor)
         inside = ctx.interior_rows(Y, Ns.astype(float))
@@ -183,9 +184,6 @@ def build_projection(subspace: operators.OperatorSubspace, x,
             d_pipe = d if ok else pipeline_distance(
                 subspace, x, y, tol, ctx=ctx, radius=rr.floor)[0]
             rows.append(ProbeRow(y=y, N=N, d_pipeline=d_pipe, d_oracle=d))
-    note = f"probe seed {PROBE_SEED}"
-    if rr.floor <= tol:
-        note += "; inner radius at tolerance floor, pipeline skipped"
     return ProjectionCertificate(P=ctx.geo.P, rank=ctx.rank, r=rr.r, floor=rr.floor,
                                  per_y_trace=tuple(rows), note=note)
 
@@ -199,5 +197,4 @@ def metric_complement_distance(subspace: operators.OperatorSubspace,
     span_inner_radius, not its rigorous floor: r can exceed the true
     radius when the search misses the maximiser (seen at m >= 6), and it
     can switch between near-tied maximisers (see open_mapping.RadiusResult)."""
-    rr = _inner_radius_in_span(located.OrbitBallContext(subspace, x))
-    return float(rr.r)
+    return float(span_inner_radius(subspace, x).r)

@@ -75,6 +75,17 @@ def test_sweep_cost_at_small_c():
     assert isinstance(loose.verdict, Located)
 
 
+def test_c_and_minus_c_give_one_row():
+    # the orbit of (1, c) is the box [-n, n] x [-n|c|, n|c|], so the table
+    # solves each |c| once; solved apart, c and -c agree
+    for c in sorted({abs(c) for c in DEFAULT_C_VALUES}):
+        (plus,), (minus,) = demo_table([c]), demo_table([-c])
+        assert (plus.c, minus.c) == (c, -c)
+        assert abs(plus.r - minus.r) <= 1e-12 and abs(plus.d - minus.d) <= 1e-12
+        assert plus.N == minus.N, c
+        assert (plus.levels_to_locate, plus.verdict) == (minus.levels_to_locate, minus.verdict)
+
+
 def test_demo_rejects_large_c():
     with pytest.raises(DimensionError):
         demo_table([2.0])

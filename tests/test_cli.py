@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from orbit_locator import SolverFailure, cli, located
+from orbit_locator import (DimensionError, SolverFailure, cli, located,
+                           locate_distance, make_subspace)
 
 
 DIAG_BASIS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
@@ -102,6 +103,27 @@ def test_radius_and_refusal(tmp_path, capsys):
     assert code2 == 2
     report = json.loads(out2)
     assert report["status"] == "refused" and report["radius"] == 0.0
+
+
+@pytest.mark.parametrize("delta", [1e-9, 3e-9, 1e-8, 1e-7])
+def test_a_marginal_rank_is_refused_and_swept(delta, tmp_path, capsys):
+    # B1 = I3, B2 = diag(1, 2, 3), x = (1, delta, 0): rank margins 2.04 to
+    # 49, so project and radius refuse (exit 2, on stdout) where project
+    # once certified distance 1 from e2 at delta = 1e-9, against an exact 0;
+    # the sweep keeps its honest bracket
+    basis = [np.eye(3).tolist(), np.diag([1.0, 2.0, 3.0]).tolist()]
+    path = write_problem(tmp_path, dim=3, basis=basis, x=[1.0, delta, 0.0],
+                         y=[0.0, 1.0, 0.0])
+    for cmd in ("project", "radius"):
+        code, out, err = run_cli(capsys, [cmd, path])
+        report = json.loads(out)
+        assert code == 2 and err == "" and report["status"] == "refused"
+        assert "is zero or marginal" in report["reason"]
+    if delta == 1e-9:
+        code, out, _ = run_cli(capsys, ["distance", path])
+        verdict = json.loads(out)["verdict"]
+        assert code == 0 and verdict["kind"] == "Undecided"
+        assert verdict["lower"] == 0.0 and verdict["upper"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_decompose(tmp_path, capsys):
@@ -263,7 +285,13 @@ def test_flag_and_field_share_one_check(name, value, tmp_path, capsys, monkeypat
     # a malformed value fails one check whether a flag or the problem
     # file's field of the same name gives it (r is a flag only): exit 1, no
     # report, no traceback and the same text after the flag's or the
-    # field's name, before any solve starts
+    # field's name, before any solve starts; a budget that parses is
+    # refused by the library's own check, with its text
+    if name == "budget" and value == 0:
+        with pytest.raises(DimensionError) as exc:
+            locate_distance(make_subspace([np.array(B) for B in DIAG_BASIS]),
+                            [1.0, 0.1], [0.0, 1.0], budget=0)
+        library = f": {exc.value}\n"
     for owner, attr in [(cli.nested, "locate_distance"), (cli, "ball_distance"),
                         (cli.om, "greedy_decompose")]:
         monkeypatch.setattr(owner, attr, None)
@@ -279,6 +307,8 @@ def test_flag_and_field_share_one_check(name, value, tmp_path, capsys, monkeypat
         assert err.startswith("error: ") and where in err and err.count("\n") == 1
         tails.add(err.split(where, 1)[1])
     assert len(tails) == 1
+    if name == "budget" and value == 0:
+        assert tails == {library}
 
 
 def test_balldist_refuses_a_tolerance_below_the_rounding_floor(tmp_path, capsys):

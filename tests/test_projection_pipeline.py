@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from orbit_locator import (ConvergenceFailure, DimensionError,
                            pipeline_distance, span_inner_radius,
                            truncation_index)
 from orbit_locator import pipeline
-from orbit_locator.defaults import PROBE_SEED
+from orbit_locator.defaults import PROBE_SEED, RANK_MARGIN
 from conftest import stretched_null_problem
 
 
@@ -76,9 +79,62 @@ def test_span_inner_radius(diag_sub, ptp):
 
 
 def test_span_inner_radius_refuses_rank_zero(diag_sub):
-    with pytest.raises(PipelineRefusal) as exc:
-        span_inner_radius(diag_sub, [0.0, 0.0])
-    assert exc.value.radius == 0.0
+    # every route passes one door, which refuses rank 0 with one text;
+    # build_projection gives its rank-0 certificate first
+    x, y = [0.0, 0.0], [0.0, 1.0]
+    routes = [lambda: span_inner_radius(diag_sub, x),
+              lambda: pipeline_distance(diag_sub, x, y),
+              lambda: pipeline_distance(diag_sub, x, y, radius=1.0),
+              lambda: metric_complement_distance(diag_sub, x)]
+    texts = set()
+    for route in routes:
+        with pytest.raises(PipelineRefusal) as exc:
+            route()
+        assert exc.value.radius == 0.0
+        texts.add(str(exc.value))
+    assert texts == {"orbit rank 0 at rank margin inf is zero or marginal "
+                     "(margin <= 100): use the level sweep"}
+    assert build_projection(diag_sub, x).rank == 0
+
+
+# B1 = I3 and B2 = diag(1, 2, 3); at x = (1, delta, 0) Phi's singular values
+# are 0.913 and 0.447 delta, so the rank margin grows like delta
+DELTA_BASIS = (np.eye(3), np.diag([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("delta, margin", [(1e-9, 2.04), (3e-9, 1.47), (1e-8, 4.9),
+                                           (1e-7, 49.0), (1e-6, 490.0)])
+def test_the_pipeline_refuses_a_marginal_rank(delta, margin):
+    # in exact arithmetic on the given floats e2 lies in the span of the
+    # images a = B1 x = (1, delta, 0) and b = B2 x = (1, 2 delta, 0), whose
+    # 2 x 2 determinant is delta != 0: the distance from e2 to the orbit is 0
+    x = np.array([1.0, delta, 0.0])
+    a, b = ([Fraction(v) for v in B @ x] for B in DELTA_BASIS)
+    det = a[0] * b[1] - a[1] * b[0]
+    assert det == Fraction(delta) != 0
+    alpha, beta = -b[0] / det, a[0] / det   # Cramer's rule for alpha a + beta b = e2
+    assert [alpha * u + beta * v for u, v in zip(a, b)] == [0, 1, 0]
+    sub = make_subspace(list(DELTA_BASIS))
+    ctx = OrbitBallContext(sub, x)
+    assert ctx.rank_margin() == pytest.approx(margin, rel=0.01)
+    assert ctx.marginal == (margin <= RANK_MARGIN)
+    e2 = np.array([0.0, 1.0, 0.0])
+    if not ctx.marginal:
+        # a clear rank keeps its certificate: P carries e2
+        cert = build_projection(sub, x)
+        assert cert.rank == 2 and np.linalg.norm(cert.P @ e2 - e2) <= 1e-12
+        return
+    # at a marginal rank the rank, and with it P, is not decided (at 1e-9
+    # the computed rank 1 put e2 at distance 1): every route refuses
+    routes = [lambda: build_projection(sub, x),
+              lambda: pipeline_distance(sub, x, e2),
+              lambda: pipeline_distance(sub, x, e2, radius=1.0),
+              lambda: span_inner_radius(sub, x),
+              lambda: metric_complement_distance(sub, x)]
+    text = re.escape(f"orbit rank {ctx.rank} at rank margin {margin:.3g} is zero or marginal")
+    for route in routes:
+        with pytest.raises(PipelineRefusal, match=text):
+            route()
 
 
 def test_pipeline_distance_diag(diag_sub):
@@ -148,7 +204,9 @@ def test_build_projection_rank_zero():
 
 
 def test_build_projection_marks_refused_probes(diag_sub):
-    cert = build_projection(diag_sub, [1.0, 1e-8])
+    # x = (1, 5e-7): a clear rank (margin 500) whose in-span radius 5e-7
+    # lies below tol
+    cert = build_projection(diag_sub, [1.0, 5e-7])
     assert cert.rank == 2
     assert cert.r <= 1e-6
     assert all(np.isnan(row.d_pipeline) for row in cert.per_y_trace)
