@@ -9,7 +9,7 @@ pair_line_min finds its minimum in closed form, by Heron's reflection,
 where the rank cut keeps the two weights close enough; its other rows and
 every row at 3 and more go to sigma1_newton, bracketed Newton steps that
 stop on a dual gap, with line_derivs taking value, slope and curvature
-(linalg.sigma1_curvature, as in the boundary SQP) from one SVD and U'NV.
+(linalg.sigma1_curvature at weight [[1]], as in the SQP) from one SVD and U'NV.
 At p >= 2 the optimum generically ties the top singular values, where
 those derivatives do not exist, and the derivative-free pattern search
 compass_min runs instead, probing the objective itself. All three work on
@@ -227,12 +227,13 @@ def line_derivs(A, N, d):
     """sigma1_newton's derivs for phi_i(z) = sigma1(A_i + z N), with A a
     stack of flattened d x d rows and N one flattened d x d matrix, from
     one stacked SVD U diag(s) V' of A_i + z N and T = U'N V: phi = s_1,
-    phi' = T[1, 1] = u_1'N v_1 and phi'' = linalg.sigma1_curvature(T, s),
-    undefined (inf or nan) where s_1 ties s_2."""
+    phi' = T[1, 1] = u_1'N v_1 and phi'' = linalg.sigma1_curvature at the
+    weight [[1]], undefined (inf or nan) where s_1 ties s_2."""
     Nm = N.reshape(d, d)
 
     def derivs(z):
         U, s, Vt = np.linalg.svd((A + z[:, None] * N).reshape(-1, d, d))
         T = np.swapaxes(U, 1, 2) @ Nm @ np.swapaxes(Vt, 1, 2)
-        return s[:, 0], T[:, 0, 0], linalg.sigma1_curvature(T[:, None], s)[:, 0, 0]
+        curv = linalg.sigma1_curvature(T[:, None], s, np.ones((1, 1)))
+        return s[:, 0], T[:, 0, 0], curv[:, 0, 0]
     return derivs

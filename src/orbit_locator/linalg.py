@@ -201,21 +201,38 @@ def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4):
     return out
 
 
-def sigma1_curvature(T, s) -> np.ndarray:
-    """Hessian of c -> sigma1(X + sum_k c_k D_k) at c = 0, shape (..., K, K),
-    for each X = U diag(s) V' of a stack, from s and T = U'D_k V (..., K, d,
-    d), the K directions in the full singular frames: sum over j >= 2 of
-    [s1 (a_j a_j' + b_j b_j') + s_j (a_j b_j' + b_j a_j')] / (s1^2 - s_j^2),
-    a_jk = u_j' D_k v1 = T_k[j, 1] and b_jk = u1' D_k v_j = T_k[1, j] (Overton
-    and Womersley, SIAM J. Matrix Anal. Appl. 16, 1995); not finite where
-    s1 ties s2."""
-    a, b = T[..., 1:, 0], T[..., 0, 1:]
-    s1, rest = s[..., :1, None], s[..., None, 1:]
+def sigma1_curvature(T, s, M) -> np.ndarray:
+    """Hessian of c -> <M, E(c)> at c = 0, shape (..., K, K), with E(c)
+    the p x p block of the top p singular values of X + sum_k c_k D_k and M
+    a symmetric weight (..., p, p), p = 1 or 2, for each X = U diag(s) V'
+    of a stack, from s and T = U'D_k V (..., K, d, d), the K directions in
+    the full singular frames (Overton and Womersley, SIAM J. Matrix Anal.
+    Appl. 16, 1995, on the dilation [[0, X], [X', 0]]). The pairs j > p
+    couple with the block through the vectors a_ij = T[j, i] and
+    b_ij = T[i, j] over k: the value is the symmetric part of
+    sum_{i,l} M_il sum_{j > p} [s_i (a_ij a_lj' + b_ij b_lj')
+    + s_j (a_ij b_lj' + b_ij a_lj')] / (s_i^2 - s_j^2). At p = 1 that is M
+    times the curvature of sigma1, not finite where s1 ties s2. At p = 2
+    the block's own -s partners add tr M h h' / (2 (s1 + s2)),
+    h = T[2, 1] - T[1, 2], and the value is finite where s1 ties s2."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        den = s1 * s1 - rest * rest
-        cross = (a * (rest / den)) @ np.swapaxes(b, -1, -2)
-        return (s1 * ((a / den) @ np.swapaxes(a, -1, -2) + (b / den) @ np.swapaxes(b, -1, -2))
-                + cross + np.swapaxes(cross, -1, -2))
+        if M.shape[-1] == 1:
+            a, b = T[..., 1:, 0], T[..., 0, 1:]
+            s1, rest = s[..., :1, None], s[..., None, 1:]
+            den = s1 * s1 - rest * rest
+            at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+            cross = (a * (rest / den)) @ bt
+            return M * (s1 * ((a / den) @ at + (b / den) @ bt) + cross + np.swapaxes(cross, -1, -2))
+        a, b = T[..., 2:, :2], np.swapaxes(T[..., :2, 2:], -1, -2)   # (..., K, d - 2, 2)
+        si, sj = s[..., None, None, :2], s[..., None, 2:, None]
+        e, f = si / (si * si - sj * sj), sj / (si * si - sj * sj)
+        rows = a.shape[:-2] + (-1,)   # one flat row over (j, i) per direction
+        Ma, Mb = (np.swapaxes((v @ M[..., None, :, :]).reshape(rows), -1, -2) for v in (a, b))
+        S = (a * e + b * f).reshape(rows) @ Ma + (b * e + a * f).reshape(rows) @ Mb
+        h = T[..., 1, 0] - T[..., 0, 1]
+        w = np.trace(M, axis1=-2, axis2=-1) / (2.0 * (s[..., 0] + s[..., 1]))
+        return 0.5 * (S + np.swapaxes(S, -1, -2)) + w[..., None, None] * (h[..., :, None]
+                                                                         * h[..., None, :])
 
 
 def clip_spectral(M, bound: float) -> np.ndarray:

@@ -5,20 +5,19 @@ The main instance is the image of a scaled operator-norm ball through a
 fixed vector, {M x : M in span(B_1..B_k), sigma1(M) <= n}. Its solver has
 three routes: an exact shortcut when the orthogonal projection Py of the
 query onto the orbit span already lies in the set, a boundary SQP
-candidate, and ADMM as the one fallback. The SQP step is Newton on the KKT
-system of the top singular pair, with the curvature of sigma1 in the
-Lagrangian Hessian wherever the top singular value is simple, however close
-the second; only an exact tie drops it. That curvature and the gradients
-of the singular values, its diagonal, read off one contraction U'Q_k V of
-the basis per SVD of mat(t). Every boundary answer is certified
-by a duality gap: the Lagrangian dual has a closed form at any d x d
-multiplier W, so the SQP candidate is checked at one KKT multiplier over
-its top two singular pairs, the nonnegative fit over both where the second
-value lies within 5% of the top, which covers the exact ties, and the top
-pair's weight elsewhere, and ADMM, balancing its penalty against its
-residuals, stops once the best of its iterates scaled onto the ball meets
-the best dual bound of its multipliers. The gap is also the SQP's
-stop rule, taken from the SVD each iteration already makes. Both run
+candidate, and ADMM as the one fallback. Each SQP row carries one
+symmetric 2 x 2 KKT multiplier M on its top two singular pairs,
+W = U_2 M V_2': the top pair's weight off the band sigma2 >= (1 - _BETA)
+sigma1, the clipped least-squares fit of the gradient on it. M serves the
+step (a row whose M has two clear eigenvalues holds both pairs at the
+level, the others the top pair), the Lagrangian Hessian (the block
+curvature <M, A''>) and the certificate, all read off one contraction
+U'Q_k V of the basis per SVD of mat(t). Every boundary answer is
+certified by a duality gap, the closed-form Lagrangian dual at a d x d
+multiplier: the SQP candidate's at its W, which is also the SQP's stop
+rule, and ADMM's, which starts from W = 0, balances its penalty against
+its residuals and stops once the best of its iterates scaled onto the
+ball meets the best dual bound of its multipliers. Both run
 row-wise over levels. distances is the one door for a query: it checks y,
 the levels and the tolerances once and builds the query's record (_query),
 which every solver step below it takes in place of y; _solve_levels finds
@@ -151,6 +150,7 @@ _HALVES = 0.5 ** np.arange(1, 12)   # _sqp's backtracking steps
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
 _EPS = float(np.finfo(float).eps)   # machine epsilon
+_BETA = 1e-2           # the band sigma2 >= (1 - _BETA) sigma1, and the two-pair test
 
 
 class OrbitBallContext:
@@ -459,63 +459,34 @@ class OrbitBallContext:
     def _turn(self, t, y, usv=None):
         """The factors one SQP turn needs at each row t of a stack, from the
         stacked SVD usv of mat(t) (made when not given): (U, sig, Vt, grad,
-        T, G, top), with grad the gradient of f, T[r, k] = U'Q_k V, G[r, k,
-        i] = u_i'Q_k v_i its diagonal for the top p = min(d, 2) pairs, the
-        gradients g_i of their singular values, and top the least-squares KKT
-        multiplier max(0, -<grad, g_1> / ||g_1||^2) of the top pair."""
+        T, M, two), with grad the gradient of f, T[r, k] = U'Q_k V (its
+        diagonal holds the slopes u_i'Q_k v_i of the singular values) and M
+        the row's symmetric p x p KKT multiplier, W = U_p M V_p' with
+        p = min(d, 2). Off the band sigma2 >= (1 - _BETA) sigma1, M is the
+        top pair's least-squares weight max(0, -<grad, g> / ||g||^2),
+        g = T[0, 0]; on it, as sigma1's subdifferential at a double value is
+        {U_2 M V_2' : M >= 0} (Overton, SIAM J. Matrix Anal. Appl. 9, 1988),
+        the least-squares fit of -grad by tcoords(U_2 M V_2') (_pair_cols,
+        normal equations by _sym_solve) with its negative eigenvalues
+        clipped. two marks the band rows whose M has lam_2 > _BETA lam_1."""
         U, sig, Vt = np.linalg.svd(self.mat(t)) if usv is None else usv
         grad = self._grad(t, y)
         T = np.swapaxes(U, 1, 2)[:, None] @ self.stack @ np.swapaxes(Vt, 1, 2)[:, None]
-        G = np.diagonal(T, axis1=2, axis2=3)[:, :, :min(self.dim, 2)]
-        g = G[:, :, 0]
-        top = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
-                         / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
-        return U, sig, Vt, grad, T, G, top
-
-    def _fit(self, turn) -> np.ndarray:
-        """The weights mu, shape (rows, p), of the KKT multiplier
-        W = sum_i mu_i u_i v_i' over the top p <= 2 pairs of each row, from
-        the factors of its _turn. Where sigma2 >= 0.95 sigma1 (the band) mu
-        is the nonnegative least-squares fit of -grad by the two pairs'
-        gradients g_i, in closed form for every band row at once: the free
-        fit of the 2 x 2 normal equations when their determinant clears
-        1e-15 d_1 d_2 (d_i = ||g_i||^2) and both weights are >= 0, else the
-        one pair of the larger gain b'w (b = -G'grad), the fall of the
-        squared residual, ties going to the top pair. Elsewhere it is the
-        top pair's weight (top). Where the top value ties, the subgradient
-        spreads over the tied pairs (Overton, SIAM J. Matrix Anal. Appl.
-        1988) and only the band fit can match it. mu is 0 where
-        sigma1 <= 1e-14, and every weight is >= 0."""
-        _, sig, _, grad, _, G, top = turn
-        live = sig[:, 0] > 1e-14
-        mu = np.zeros((len(G), G.shape[2]))
-        mu[:, 0] = top * live
-        if G.shape[2] < 2:
-            return mu
-        band = np.flatnonzero((sig[:, 1] >= 0.95 * sig[:, 0]) & live)
-        if band.size:
-            X = G[band]
-            d0, c, _, d1 = (np.swapaxes(X, 1, 2) @ X).reshape(-1, 4).T
-            e0, e1 = (grad[band, None] @ X).reshape(-1, 2).T   # e = -b
-            det = d0 * d1 - c * c
-            w0, w1 = c * e1 - d1 * e0, c * e0 - d0 * e1   # det times the free fit
-            ok = (det > 1e-15 * d0 * d1) & (w0 >= 0.0) & (w1 >= 0.0)
-            if not ok.all():
-                # there the one-pair fit max(0, b_i) / d_i of the larger gain
-                u0 = np.maximum(-e0, 0.0) / np.maximum(d0, 1e-300)
-                u1 = np.maximum(-e1, 0.0) / np.maximum(d1, 1e-300)
-                second = u1 * e1 < u0 * e0
-                w0 = np.where(ok, w0, np.where(second, 0.0, u0))
-                w1 = np.where(ok, w1, np.where(second, u1, 0.0))
-                det = np.where(ok, det, 1.0)
-            mu[band, 0], mu[band, 1] = w0 / det, w1 / det
-        return mu
-
-    def _multiplier(self, t, y) -> np.ndarray:
-        """The _fit multiplier of each row t of a stack, formed as a d x d
-        matrix: shape (rows, d, d)."""
-        turn = self._turn(t, y)
-        return _pair_sum(self._fit(turn), turn[0], turn[2])
+        p = min(self.dim, 2)
+        g = T[:, :, 0, 0]
+        M = np.zeros((len(t), p, p))
+        M[:, 0, 0] = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
+                                / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
+        # the band (none at d = 1), narrowed below to M's two clear eigenvalues
+        two = (p == 2) & (sig[:, p - 1] >= (1.0 - _BETA) * sig[:, 0])
+        if two.any():
+            C = _pair_cols(T[two])
+            m = _sym_solve(np.swapaxes(C, 1, 2) @ C, -(grad[two, None] @ C)[:, 0], _EPS * 3)
+            m[:, 2] *= 0.5 ** 0.5
+            lam, Z = np.linalg.eigh(m[:, [0, 2, 2, 1]].reshape(-1, 2, 2))
+            M[two] = (Z * np.maximum(lam, 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
+            two[two] = lam[:, 0] > _BETA * lam[:, 1]
+        return U, sig, Vt, grad, T, M, two
 
     def _cut(self, W, c=None):
         """(c', ||W'||_*) for a stack of formed multipliers W with
@@ -534,7 +505,7 @@ class OrbitBallContext:
         c = tcoords(W') and nuc = ||W'||_* with W' the null-cut multiplier
         of _cut; row-wise for stacks (n a scalar or one level per row). The
         one bound formula: ADMM feeds it from a formed W through _cut, and
-        _cert_gap from the weights of the top pairs.
+        _cert_gap from the multiplier M on the top pairs.
 
         With N'c = 0, every feasible t has
         <W', mat(t)> = c't <= ||W'||_* sigma1 <= n ||W'||_*, so
@@ -569,27 +540,28 @@ class OrbitBallContext:
     def _cert_gap(self, t, q, n, f=None, turn=None) -> np.ndarray:
         """Upper bound f(t) - _dual(W) on f(t) - min f over the level-n
         feasible region for each feasible row t of a stack (n a scalar or
-        one level per row) and the query record q, at the row's one _fit
-        multiplier W; f = f(t) and turn = _turn(t, y) are computed when the
-        caller does not have them. No W is formed for the bound's
-        coordinates: with weights mu on the top pairs, tcoords(W) = G mu.
-        Without a null space W' = W, and ||W||_* = sum mu_i, as the pairs
-        are orthonormal and mu >= 0; only with one is W formed and
-        W' = W - mat(N N'c) factored. Any W gives a valid bound, so W only
-        affects tightness: at an optimum whose top singular value is simple,
-        or whose top two tied values admit a nonnegative multiplier fit, the
-        gap is 0 up to rounding."""
+        one level per row) and the query record q, at the multiplier
+        W = U_p M V_p' of the row's _turn; f = f(t) and turn = _turn(t, y)
+        are computed when the caller does not have them. No W is formed for
+        the bound's coordinates, tcoords(W)_k = <M, T_k[:p, :p]>. Without a
+        null space W' = W, and ||W||_* = tr M, as the pairs are orthonormal
+        and M >= 0; only with one is W formed and W' = W - mat(N N'c)
+        factored (_cut). Any W gives a valid bound, so W only affects
+        tightness: at an optimum whose top singular value is simple, or
+        whose top two tied values admit a multiplier M >= 0, the gap is 0
+        up to rounding."""
         t = np.asarray(t, dtype=float)
         if f is None:
             f = self._f(t, q["y"])
         if turn is None:
             turn = self._turn(t, q["y"])
-        mu = self._fit(turn)
-        c = np.einsum("rkp,rp->rk", turn[5], mu)
+        U, _, Vt, _, T, M, _ = turn
+        p = M.shape[-1]
+        c = np.einsum("rkil,ril->rk", T[:, :, :p, :p], M)
         if self.null_vecs.shape[1]:
-            c, nuc = self._cut(_pair_sum(mu, turn[0], turn[2]), c)
+            c, nuc = self._cut(U[:, :, :p] @ M @ Vt[:, :p], c)
         else:
-            nuc = mu.sum(axis=-1)
+            nuc = np.trace(M, axis1=1, axis2=2)
         return f - self._dual(c, nuc, q, n)
 
     # ---- boundary Newton/KKT candidate ------------------------------------
@@ -599,18 +571,17 @@ class OrbitBallContext:
         record q, one search per row of t0 (n and tol: scalars or one value per
         row) in lockstep; t0 is first scaled onto the ball by the one SVD that
         also gives the first _turn its factors. Each iteration makes one _turn
-        (one stacked SVD, one gradient and one T = U'Q_k V), shared by the
-        certificate and the Newton step. First every row's duality gap
-        (_cert_gap) is taken from it, with f from the line search: a row stops
-        once _certified at its tol. The others share one batched Newton step on
-        the KKT system whose one constraint is the top pair's, sigma1 = n, with
-        the Lagrangian's Hessian H + mu sigma1'' and mu the turn's
-        least-squares multiplier of the gradient; where mu is 0 or the top
-        value ties exactly (sigma2 >= sigma1 (1 - 1e-12), so sigma1'' is
-        undefined) the Hessian is H; sigma1'' is linalg.sigma1_curvature
-        read off the turn's T. The step is pinv(K) of the KKT right side with
-        pinv's cut (_sym_solve), whatever the sign of its multiplier. Each
-        row moves by the first alpha in 1, 1/2, ..., 2^-11 with
+        (one stacked SVD, one gradient, one T = U'Q_k V and the multipliers
+        M), shared by the certificate and the Newton step. First every row's
+        duality gap (_cert_gap) is taken from it, with f from the line
+        search: a row stops once _certified at its tol. The others share one
+        batched Newton step on the KKT system of their constraint: where the
+        turn marks M's two eigenvalues clear, sym(U_2' mat(t) V_2) = n I_2,
+        three rows with right side (n - sigma1, n - sigma2, 0) (_pair_cols),
+        else the top pair's sigma1 = n. The Lagrangian's Hessian is
+        H + <M, A''>, linalg.sigma1_curvature at M or, with the top pair, at
+        M_00, and H on a row where that is not finite (_kkt_step). Each row
+        moves by the first alpha in 1, 1/2, ..., 2^-11 with
         f < f_prev - 1e-18 (full steps as one stacked trial, the halvings of
         rejected rows as one more) and otherwise stops on a step below
         1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after _MAX_OUTER
@@ -638,25 +609,24 @@ class OrbitBallContext:
             done[act] = shut
             if shut.all():
                 break
-            _, sig, _, grad, T, G, mu = turn
+            _, sig, _, grad, T, M, two = turn
             # every row takes the step's stacked algebra; the certified
             # ones neither move nor stay
             iters[act[~shut]] += 1
-            # the optimum sits on the boundary (the caller ruled out the
-            # interior), so the top pair is the one constraint
-            K = np.zeros((act.size, k + 1, k + 1))
-            K[:, :k, :k] = self.H
-            K[:, :k, k] = K[:, k, :k] = G[:, :, 0]
-            # sigma1 is smooth wherever its value is simple, however close
-            # the second; at an exact tie sigma1'' is undefined
-            bent = np.flatnonzero((mu > 0.0) & np.all(
-                sig[:, 1:2] < (1.0 - 1e-12) * sig[:, :1], axis=1))
-            if bent.size:
-                K[bent, :k, :k] += mu[bent, None, None] * linalg.sigma1_curvature(
-                    T[bent], sig[bent])
-            rhs = np.concatenate([-grad, (na - sig[:, 0])[:, None]], axis=1)
-            sol = _sym_solve(K, rhs, _EPS * (k + 1))
-            delta = sol[:, :k]
+            # the Lagrangian's Hessian H + <M, A''>: M_00 sigma1'' where the
+            # top pair is the constraint, the 2 x 2 block's curvature where
+            # both are; a row where it is not finite keeps H
+            L = np.repeat(self.H[None], act.size, axis=0)
+            for rows, weight in ((np.flatnonzero(~two & (M[:, 0, 0] > 0.0)), M[:, :1, :1]),
+                                 (np.flatnonzero(two), M)):
+                if rows.size:
+                    C = linalg.sigma1_curvature(T[rows], sig[rows], weight[rows])
+                    ok = np.isfinite(C).all(axis=(1, 2))
+                    L[rows[ok]] += C[ok]
+            delta = _kkt_step(L, T[:, :, :1, 0], grad, (na - sig[:, 0])[:, None])
+            if two.any():
+                delta[two] = _kkt_step(L[two], _pair_cols(T[two]), grad[two],
+                                       np.pad(na[two, None] - sig[two, :2], ((0, 0), (0, 1))))
             moving = ~shut & (np.einsum("rk,rk->r", delta, delta)
                               > 1e-26 * np.maximum(1.0, np.einsum("rk,rk->r", ta, ta)))
             live = np.flatnonzero(moving)
@@ -762,7 +732,7 @@ class OrbitBallContext:
         et al., Distributed Optimization and Statistical Learning via the
         Alternating Direction Method of Multipliers, FnT ML 2011) for the
         query record q from the candidate t with f = f(t), iters iterations
-        already spent, and W from the band multiplier of t. rho starts at
+        already spent, and W = 0. rho starts at
         2 sqrt(lam_max lam_min) of Phi'Phi and is balanced every
         _BALANCE_EVERY iterations (ibid. 3.4.1): doubled when the primal
         residual ||S - X|| exceeds _BALANCE_RATIO times the dual one
@@ -775,7 +745,7 @@ class OrbitBallContext:
         inv = np.linalg.inv(self.H + rho * np.eye(self.k))
         y, b = q["y"], q["two_Phi_y"]
         X = self.mat(t)
-        W = self._multiplier(t[None], y)[0]
+        W = np.zeros_like(X)
         lower = -np.inf
         start = iters
         while iters < MAX_SOLVER_ITERS:
@@ -867,12 +837,6 @@ def _clears(g, n):
     return g <= n - 5e-10 * np.maximum(1.0, g)
 
 
-def _pair_sum(mu, U, Vt):
-    """The multiplier sum_i mu_i u_i v_i' per row, formed from its weights
-    mu, shape (rows, p), on the top p pairs of stacked SVD factors."""
-    return (U[:, :, :mu.shape[1]] * mu[:, None, :]) @ Vt[:, :mu.shape[1]]
-
-
 def _sym_solve(A, b, rcond):
     """pinv(A) b for a stack of symmetric A, one right side b per matrix,
     with pinv's cut: from the eigenpairs of A, dropping the eigenvalues of
@@ -882,6 +846,24 @@ def _sym_solve(A, b, rcond):
     kept = size > rcond * size.max(axis=-1, keepdims=True)
     w = (b[..., None, :] @ Z)[..., 0, :] / np.where(kept, lam, np.inf)
     return (Z @ w[..., None])[..., 0]
+
+
+def _kkt_step(L, J, g, r) -> np.ndarray:
+    """The step delta of [[L, J], [J', 0]] [delta; lam] = [-g; r] per row
+    (J: rows, k, m) by _sym_solve, cut eps (k + m), whatever lam's signs."""
+    k, m = J.shape[1:]
+    K = np.zeros((len(J), k + m, k + m))
+    K[:, :k, :k], K[:, :k, k:], K[:, k:, :k] = L, J, np.swapaxes(J, 1, 2)
+    return _sym_solve(K, np.concatenate([-g, r], axis=1), _EPS * (k + m))[:, :k]
+
+
+def _pair_cols(T) -> np.ndarray:
+    """The columns T[0, 0], T[1, 1] and (T[0, 1] + T[1, 0]) / sqrt 2 of
+    frames T (rows, k, d, d): tcoords(U_2 M V_2') in M's Frobenius
+    coordinates (M_00, M_11, sqrt 2 M_01), and the gradients of
+    sym(U_2' mat(t) V_2)'s entries, the off-diagonal one times sqrt 2."""
+    return np.stack([T[:, :, 0, 0], T[:, :, 1, 1],
+                     (T[:, :, 0, 1] + T[:, :, 1, 0]) * 0.5 ** 0.5], -1)
 
 
 def _certified(f, gap, tol):

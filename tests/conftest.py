@@ -149,6 +149,8 @@ def wide_draw(count, seed=7, dims=(2, 6), ks=(1, 5)):
         yield basis, x, y
 
 
+# the seed-13 draw: dim 6..8 and k 3..8
+SEED13 = {"seed": 13, "dims": (6, 9), "ks": (3, 9)}
 # the seed-17 draw: larger problems, dim 8..12 and k 4..12
 SEED17 = {"seed": 17, "dims": (8, 13), "ks": (4, 13)}
 

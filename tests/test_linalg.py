@@ -167,7 +167,7 @@ def test_sigma1_curvature_matches_second_differences(d):
     X, N = g.normal(size=(2, d, d))
     U, s, Vt = np.linalg.svd(X)
     assert s[1] < 0.95 * s[0]
-    curv = linalg.sigma1_curvature((U.T @ N @ Vt.T)[None], s)
+    curv = linalg.sigma1_curvature((U.T @ N @ Vt.T)[None], s, np.ones((1, 1)))
     assert curv.shape == (1, 1)
     h = 1e-4
     up, mid, down = (svd_sigma(X + c * h * N) for c in (1.0, 0.0, -1.0))
@@ -200,13 +200,68 @@ def test_sigma1_curvature_at_an_exact_tie():
     # puts the search on it, closing the dual gap
     U, s, Vt = np.linalg.svd(0.5 * np.eye(3))
     N = np.random.default_rng(0).normal(size=(2, 3, 3))
-    assert not np.isfinite(linalg.sigma1_curvature(U.T @ N @ Vt.T, s)).any()
+    assert not np.isfinite(linalg.sigma1_curvature(U.T @ N @ Vt.T, s, np.ones((1, 1)))).any()
     A, N = np.diag([1.0, 0.0]).ravel(), np.diag([-1.0, 1.0]).ravel() / np.sqrt(2.0)
     derivs = line_derivs(A[None], N, 2)
     assert not np.isfinite(derivs(np.array([np.sqrt(0.5)]))[2]).any()
     z, f, lower, rounds = sigma1_newton(derivs, A @ N[None].T, 1e-12, np.sqrt(2.0))
     assert f[0] - lower[0] <= 1e-12 and f[0] == pytest.approx(0.5, abs=1e-12)
     assert z[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+
+def exact_tie(g, d, K):
+    """X = U diag(s) V' with s = (2, 2, 1, 0.3)[:d] and random orthogonal
+    U, V, K random directions D_k, and T = U'D_k V in those frames."""
+    U, V = (np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(2))
+    s = np.array([2.0, 2.0, 1.0, 0.3][:d])
+    D = g.normal(size=(K, d, d))
+    return U @ np.diag(s) @ V.T, D, s, U.T @ D @ V
+
+
+def second_differences(fn, K, h):
+    """Central second differences of fn at 0 along the unit axes of R^K."""
+    E = h * np.eye(K)
+    return np.array([[sum(a * b * fn(a * E[i] + b * E[j]) for a in (1, -1) for b in (1, -1))
+                      for j in range(K)] for i in range(K)]) / (4.0 * h * h)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_block_curvature_at_an_exact_tie(d):
+    # at s1 = s2 the sum sigma1 + sigma2 is smooth while sigma1 is not: the
+    # block curvature at M = I_2 matches its second differences, the error
+    # falling as h^2, and at M = [[1]] the value is not finite
+    g = np.random.default_rng(40 + d)
+    X, D, s, T = exact_tie(g, d, 3)
+    curv = linalg.sigma1_curvature(T, s, np.eye(2))
+    assert np.allclose(curv, curv.T, rtol=0.0, atol=1e-14)
+
+    def top_two(c):
+        return svd_values(X + np.tensordot(c, D, 1))[:2].sum()
+
+    errs = [np.abs(curv - second_differences(top_two, 3, h)).max() for h in (1e-2, 1e-3)]
+    assert errs[1] <= 2e-2 * errs[0] and errs[1] <= 1e-5 * np.abs(curv).max(), errs
+    assert not np.isfinite(linalg.sigma1_curvature(T, s, np.ones((1, 1)))).any()
+
+
+def test_block_curvature_is_linear_in_its_weight():
+    # a 1 x 1 weight w gives w times the curvature of sigma1, the sum over
+    # the pairs j >= 2 written out here; a 2 x 2 weight is linear too
+    g = np.random.default_rng(44)
+    X, D = g.normal(size=(4, 4)), g.normal(size=(3, 4, 4))
+    U, s, Vt = np.linalg.svd(X)
+    T = U.T @ D @ Vt.T
+    want = np.zeros((3, 3))
+    for j in range(1, 4):
+        a, b = T[:, j, 0], T[:, 0, j]
+        want += (s[0] * (np.outer(a, a) + np.outer(b, b))
+                 + s[j] * (np.outer(a, b) + np.outer(b, a))) / (s[0] ** 2 - s[j] ** 2)
+    for w in (1.0, 0.37, 2.5):
+        got = linalg.sigma1_curvature(T, s, np.array([[w]]))
+        assert np.allclose(got, w * want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    A, B = (np.array([[1.0, c], [c, 0.4]]) for c in (0.3, -0.2))
+    both = linalg.sigma1_curvature(T, s, A + 2.0 * B)
+    apart = linalg.sigma1_curvature(T, s, A) + 2.0 * linalg.sigma1_curvature(T, s, B)
+    assert np.allclose(both, apart, rtol=1e-13, atol=1e-13 * np.abs(both).max())
 
 
 def test_clip_spectral():

@@ -16,7 +16,7 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            make_subspace, orbit_ball)
 from orbit_locator import linalg, located
 from orbit_locator.operators import GRID_CHUNK
-from conftest import (MEM_TOL, SEED17, family50_problem, matrix_units,
+from conftest import (MEM_TOL, SEED13, SEED17, family50_problem, matrix_units,
                       quaternion_left, svd_sigma, svd_sigmas, svd_values,
                       wide_draw, wide_draw_problem)
 
@@ -227,7 +227,7 @@ def test_sigma1_hessian_matches_second_differences(dim, k):
     t = g.normal(size=k)
     U, sig, Vt = np.linalg.svd(ctx.mat(t))
     assert sig[1] < 0.95 * sig[0]
-    hess = linalg.sigma1_curvature(U.T @ ctx.stack @ Vt.T, sig)
+    hess = linalg.sigma1_curvature(U.T @ ctx.stack @ Vt.T, sig, np.ones((1, 1)))
     # central second differences of sigma1 through the dilation oracle
     h = 1e-4
     E = h * np.eye(k)
@@ -708,31 +708,95 @@ def test_band_multiplier_closes_the_tied_corner(diag_sub):
     assert 0.0 <= ctx._cert_gap(t, ctx._query(y), 1.0)[0] <= 1e-12
 
 
-def band_fit_by_every_support(turn):
-    """The band multiplier's weights as a search over supports finds
-    them: least squares of -grad on every support inside each row's band
-    (at most its top two pairs), the nonnegative fit of least residual,
-    the first on a tie."""
-    _, sig, _, grad, _, G, _ = turn
-    p = G.shape[2]
-    fits = np.zeros((len(G), p))
-    for r in range(len(G)):
-        m, best = int(np.sum(sig[r, :p] >= 0.95 * sig[r, 0])), np.inf
-        for bits in range(2 ** m):
-            S = [i for i in range(m) if bits >> i & 1]
-            x = np.zeros(p)
-            if S:
-                x[S] = np.linalg.lstsq(G[r][:, S], -grad[r], rcond=None)[0]
-            res = np.linalg.norm(grad[r] + G[r] @ x)
-            if (x >= 0.0).all() and res < best:
-                best, fits[r] = res, x
-    return fits
+def assert_multiplier_is_the_fit(turn):
+    """The turn's M, checked row by row: M >= 0; off the band
+    sigma2 >= 0.99 sigma1 [[top, 0], [0, 0]] with top the top pair's
+    least-squares weight; on it the least-squares fit of -grad by
+    tcoords(U_2 M V_2') over symmetric M, minimum-norm in Frobenius norm,
+    with its negative eigenvalues clipped; and the turn's two marks the
+    band rows whose M has lam_2 > 0.01 lam_1."""
+    _, sig, _, grad, T, M, two = turn
+    band = sig[:, 1] >= 0.99 * sig[:, 0]
+    lam = np.linalg.eigvalsh(M)
+    assert np.all(lam[:, 0] >= -1e-15 * np.maximum(1.0, lam[:, 1])), lam
+    assert np.array_equal(two, band & (lam[:, 0] > 0.01 * lam[:, 1]))
+    g = T[:, :, 0, 0]
+    top = np.maximum(0.0, -np.sum(grad * g, axis=1) / np.sum(g * g, axis=1))
+    assert np.allclose(M[~band, 0, 0], top[~band], rtol=1e-14, atol=0.0)
+    assert not M[~band][:, [0, 1, 1], [1, 0, 1]].any()
+    for r in np.flatnonzero(band):
+        # the coordinates M_00, M_11 and sqrt 2 M_01 are Frobenius ones
+        C = np.stack([T[r, :, 0, 0], T[r, :, 1, 1],
+                      (T[r, :, 0, 1] + T[r, :, 1, 0]) / np.sqrt(2.0)], axis=1)
+        m = np.linalg.lstsq(C, -grad[r], rcond=None)[0] * [1.0, 1.0, np.sqrt(0.5)]
+        w, Z = np.linalg.eigh(m[[0, 2, 2, 1]].reshape(2, 2))
+        want = (Z * np.maximum(w, 0.0)) @ Z.T
+        assert np.abs(M[r] - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (M[r], want)
 
 
-def assert_band_fit_as_every_support(ctx, turn):
-    new, want = ctx._fit(turn), band_fit_by_every_support(turn)
-    assert np.array_equal(new > 0.0, want > 0.0), (new, want)
-    assert np.abs(new - want).max() <= 1e-12, (new, want)
+def test_multiplier_is_the_clipped_fit(monkeypatch):
+    # every turn of the sweeps of family50 problems 9 and 12 (diag c = 0.75
+    # and 0.6) and of wide-draw problem 35, whose top pairs reach the band
+    turns = []
+    turn_of = OrbitBallContext._turn
+
+    def kept(self, t, yy, usv=None):
+        turn = turn_of(self, t, yy, usv)
+        turns.append(turn)
+        return turn
+
+    monkeypatch.setattr(OrbitBallContext, "_turn", kept)
+    for basis, x, y in (family50_problem(9), family50_problem(12), wide_draw_problem(35)):
+        locate_distance(make_subspace(basis), x, y, budget=12, tol=1e-6)
+    assert sum(np.count_nonzero(turn[1][:, 1] >= 0.99 * turn[1][:, 0]) for turn in turns) >= 8
+    for turn in turns:
+        assert_multiplier_is_the_fit(turn)
+
+
+@pytest.mark.parametrize("k", [3, 2])
+def test_multiplier_follows_a_rotated_tie(k):
+    # mat(t) = U diag(2, 2, 0.5) V' (dimension 3, k = 3) or U diag(2, 2) V'
+    # (dimension 2, k = 2, where the fit has a line of solutions) with
+    # random orthogonal U, V lies in a random span, so its top value ties
+    # exactly, and U_2 R, V_2 R frame it as well for every orthogonal R.
+    # Queries y put -grad at tcoords(U_2 P V_2') for a random P >= 0 plus
+    # noise. The fit turns with the frame, M -> R'MR, so W = U_2 M V_2' is
+    # the same; c = tcoords(W) and tr M = ||W||_*, as the certificate
+    # takes them
+    d = k
+    g = np.random.default_rng(31 + k)
+    U, V = (np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(2))
+    s = np.array([2.0, 2.0, 0.5][:d])
+    X = U @ np.diag(s) @ V.T
+    sub = make_subspace([X] + [g.normal(size=(d, d)) for _ in range(k - 1)])
+    ctx = OrbitBallContext(sub, g.normal(size=d))
+    t = ctx.tcoords(X)[None]
+    spread = 0
+    for seed in range(4):
+        A = g.normal(size=(2, 2))
+        w = ctx.tcoords(U[:, :2] @ A @ A.T @ V[:, :2].T) + 0.05 * g.normal(size=k)
+        # 2 Phi'(y - Phi t) = w, so -grad = w
+        y = ctx.point(t[0]) + np.linalg.solve(ctx.Phi.T, w / 2.0)
+        turn = ctx._turn(t, y, (U[None], s[None], V.T[None]))
+        assert_multiplier_is_the_fit(turn)
+        M = turn[5][0]
+        spread += turn[6][0]
+        W = U[:, :2] @ M @ V[:, :2].T
+        c = np.einsum("kil,il->k", turn[4][0, :, :2, :2], M)
+        assert np.abs(ctx.tcoords(W) - c).max() <= 1e-13
+        assert np.trace(M) == pytest.approx(np.linalg.svd(W, compute_uv=False).sum(), rel=1e-13)
+        for R in (rotation(0.3 + seed), np.diag([1.0, -1.0]) @ rotation(seed)):
+            Q = np.eye(d)
+            Q[:2, :2] = R
+            rot = ctx._turn(t, y, ((U @ Q)[None], s[None], (V @ Q).T[None]))
+            assert np.abs(rot[5][0] - R.T @ M @ R).max() <= 1e-12 * max(1.0, np.abs(M).max())
+            Wr = (U @ Q)[:, :2] @ rot[5][0] @ (V @ Q)[:, :2].T
+            assert np.abs(Wr - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
+    assert spread >= 2
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
 
 
 @pytest.mark.parametrize("basis, x", [
@@ -758,61 +822,16 @@ def test_tied_spectra_certify_in_the_sqp(basis, x, admm_runs):
     assert admm_runs == []
 
 
-@pytest.mark.parametrize("index", [9, 12])
-def test_band_fit_picks_the_support_search_fit(index, monkeypatch):
-    # diag c = 0.75 and c = -0.33: the sweep's turns whose top pairs lie
-    # within 5% take the closed-form band fit, which picks the support
-    # and weights of the search over every support
-    basis, x, y = family50_problem(index)
-    turns = []
-    turn_of = OrbitBallContext._turn
-
-    def kept(self, t, yy, usv=None):
-        turn = turn_of(self, t, yy, usv)
-        turns.append(turn)
-        return turn
-
-    monkeypatch.setattr(OrbitBallContext, "_turn", kept)
-    ctx = OrbitBallContext(make_subspace(basis), x)
-    locate_distance(ctx.subspace, x, y, budget=12, tol=1e-6, ctx=ctx)
-    banded = [turn for turn in turns if (turn[1][:, 1] >= 0.95 * turn[1][:, 0]).any()]
-    assert banded
-    for turn in banded:
-        assert_band_fit_as_every_support(ctx, turn)
-
-
-def test_band_fit_at_a_random_exact_tie():
-    # mat(t) = U diag(2, 2, 0.5) V' with random orthogonal U, V lies in a
-    # random 3 x 3 span, so its top value ties exactly. Queries y put -grad
-    # at a g1 + b g2 plus noise, with g_i the tied pairs' gradients, so the
-    # best support is both pairs, then the first, then the second alone;
-    # each time the band fit matches the search over every support
-    g = np.random.default_rng(31)
-    U, V = (np.linalg.qr(g.normal(size=(3, 3)))[0] for _ in range(2))
-    M = U @ np.diag([2.0, 2.0, 0.5]) @ V.T
-    sub = make_subspace([M, g.normal(size=(3, 3)), g.normal(size=(3, 3))])
-    ctx = OrbitBallContext(sub, g.normal(size=3))
-    t = ctx.tcoords(M)[None]
-    G = ctx._turn(t, np.zeros(3))[5][0]
-    supports = []
-    for a, b in [(1.0, 0.5), (0.3, 1.2), (1.0, -0.2), (-0.3, 1.0)]:
-        w = a * G[:, 0] + b * G[:, 1] + 0.05 * g.normal(size=3)
-        # 2 Phi'(y - Phi t) = w, so -grad = w
-        y = ctx.point(t[0]) + np.linalg.solve(ctx.Phi.T, w / 2.0)
-        turn = ctx._turn(t, y)
-        assert abs(turn[1][0, 1] / turn[1][0, 0] - 1.0) <= 1e-14
-        assert turn[1][0, 2] < 0.95 * turn[1][0, 0]
-        assert_band_fit_as_every_support(ctx, turn)
-        supports.append(tuple(np.flatnonzero(ctx._fit(turn)[0])))
-    assert supports == [(0, 1), (0, 1), (0,), (1,)]
-
-
-@pytest.mark.parametrize("source,index", [("family50", 20), ("wide", 35)])
-def test_tabled_levels_are_certified(source, index, monkeypatch):
-    # _sqp stops each level once its gap meets the level's tolerance; on
-    # wide-draw 35 it cannot close levels 1-3, which the sweep's ADMM then
-    # closes. With those closed every level of the table is certified at
-    # its own tolerance and lies within it of a solve at 1e-12
+@pytest.mark.parametrize("source,index,count,left_open", [
+    ("family50", 20, 12, set()), ("wide", 35, 3, set()), ("wide", 181, 1, {1.0}),
+], ids=["family50-20", "wide-35", "wide-181"])
+def test_tabled_levels_are_certified(source, index, count, left_open, monkeypatch):
+    # _sqp stops each level once its gap meets the level's tolerance. On
+    # wide-draw 35, whose level 1-3 optima nearly tie, the 2 x 2 multiplier
+    # closes every level; on wide-draw 181 it cannot close level 1, where
+    # the step walks toward a tie the optimum lacks, and the sweep's ADMM
+    # closes it. With those closed every level of the table is certified
+    # at its own tolerance and lies within it of a solve at 1e-12
     if source == "wide":
         basis, x, y = wide_draw_problem(index)
     else:
@@ -821,10 +840,9 @@ def test_tabled_levels_are_certified(source, index, monkeypatch):
     ctx = OrbitBallContext(sub, x)
     tols = {float(n): min(1e-6, 2.0 ** -(n + 2)) for n in range(1, 13)}
     levels = ctx._solve_levels(ctx._query(y), list(tols), list(tols.values()))
-    assert len(levels) >= 3
-    left_open = {n for n, (_, _, f, gap) in levels.items()
-                 if gap > tols[n] * np.sqrt(f)}
-    assert left_open == ({1.0, 2.0, 3.0} if source == "wide" else set())
+    assert len(levels) == count
+    assert {n for n, (_, _, f, gap) in levels.items()
+            if gap > tols[n] * np.sqrt(f)} == left_open
     closed = {}
     admm = OrbitBallContext._admm
 
@@ -844,17 +862,22 @@ def test_tabled_levels_are_certified(source, index, monkeypatch):
         assert abs(np.sqrt(f) - tight) <= tol, (n, np.sqrt(f), tight)
 
 
-@pytest.mark.parametrize("draw,count,kinds,most", [
-    ({}, 200, {"Stabilized": 182, "Undecided": 18}, 1000),
-    (SEED17, 30, {"Stabilized": 25, "Undecided": 5}, 3000),
-], ids=["seed7", "seed17"])
-def test_wide_draw_sweeps_certify(admm_runs, draw, count, kinds, most):
+@pytest.mark.parametrize("draw,count,kinds,runs,iterations,most", [
+    ({}, 200, {"Stabilized": 182, "Undecided": 18}, 4, 764, 700),
+    (SEED13, 40, {"Stabilized": 33, "Undecided": 7}, 3, 168, 100),
+    (SEED17, 30, {"Stabilized": 25, "Undecided": 5}, 8, 1652, 450),
+], ids=["seed7", "seed13", "seed17"])
+def test_wide_draw_sweeps_certify(admm_runs, draw, count, kinds, runs, iterations, most):
     # a whole draw, swept as in the benchmark: no SolverFailure, the
-    # verdict split pinned, and no ADMM run above `most` iterations (on the
-    # wide draw the most was 6105 before ADMM balanced its residuals, on
-    # the seed-17 draw 6657 before every row took the Newton step). Wide
-    # problems 13 and 96 reach the span lower bound only at level 12, the
-    # last level of the budget
+    # verdict split and the ADMM ledger pinned, the number of levels that
+    # run ADMM and their iterations in all, and no ADMM run above `most`
+    # iterations. With a multiplier diagonal in the top two pairs and the
+    # top pair as the one constraint the draws ran ADMM on 48, 20 and 37
+    # levels for 4669, 3864 and 9805 iterations, at most 626, 522 and 1577
+    # in one run; on the wide draw the most was 6105 before ADMM balanced
+    # its residuals, on the seed-17 draw 6657 before every row took the
+    # Newton step. Wide problems 13 and 96 reach the span lower bound only
+    # at level 12, the last level of the budget
     found = {}
     for basis, x, y in wide_draw(count, **draw):
         try:
@@ -865,7 +888,8 @@ def test_wide_draw_sweeps_certify(admm_runs, draw, count, kinds, most):
             kind = "SolverFailure"
         found[kind] = found.get(kind, 0) + 1
     assert found == kinds
-    assert admm_runs and max(admm_runs) <= most, max(admm_runs)
+    assert (len(admm_runs), sum(admm_runs)) == (runs, iterations), admm_runs
+    assert max(admm_runs) <= most, max(admm_runs)
 
 
 def marginal_rank_x():
@@ -994,7 +1018,7 @@ def test_preimage_at_kappa_1e6():
 def certificate_cases():
     """(ctx, y, n, rows t) for the certificate test: random rows on a
     problem with and one without a null space, and rows whose top
-    singular values tie or lie within 5% of each other."""
+    singular values tie, lie within 1% (the band) or 4% of each other."""
     g = np.random.default_rng(3)
     diag = make_subspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     full = make_subspace([g.normal(size=(2, 2)) for _ in range(4)])  # all of M_2
@@ -1006,10 +1030,11 @@ def certificate_cases():
         ctx = OrbitBallContext(sub, xv)
         t = g.normal(size=(24, ctx.k)) * g.uniform(0.1, 3.0, size=(24, 1))
         if ties:
-            # mat(t) = U diag(1, s2) V' with s2 in the 5% band, and exact ties
+            # mat(t) = U diag(1, s2) V' with exact ties, s2 in the band and
+            # s2 just off it
             U = np.linalg.qr(g.normal(size=(2, 2)))[0]
             V = np.linalg.qr(g.normal(size=(2, 2)))[0]
-            s2 = np.array([1.0, 1.0, 0.99, 0.96])
+            s2 = np.array([1.0, 1.0, 0.995, 0.96])
             M = np.einsum("ai,ri,bi->rab", U, np.stack([np.ones(4), s2], 1), V)
             if sub is diag:
                 M = np.array([np.diag(np.diag(m)) for m in M])
@@ -1020,21 +1045,22 @@ def certificate_cases():
 
 
 def test_certificate_from_multiplier_coordinates():
-    # the gap from the coordinates G mu (and sum mu as the nuclear norm
-    # without a null space) equals f - _dual on the formed multiplier W,
-    # fed as ADMM feeds _dual; the tied rows use the band fit
+    # the gap from the coordinates <M, T_k[:2, :2]> (and tr M as the
+    # nuclear norm without a null space) equals f - _dual on the formed
+    # multiplier W = U_2 M V_2', fed as ADMM feeds _dual; the tied rows
+    # use the band fit
     banded = spread = 0
     for ctx, y, n, t in certificate_cases():
         f = ctx._f(t, y)
-        W = ctx._multiplier(t, y)
+        W = multiplier(ctx, t, y)
         want = f - dual_of(ctx, W, y, n)
         gap = ctx._cert_gap(t, ctx._query(y), n)
         assert np.all(np.abs(gap - want) <= 1e-12 * np.maximum(1.0, f))
         sig = np.linalg.svd(ctx.mat(t), compute_uv=False)
-        banded += np.count_nonzero(sig[:, 1] >= 0.95 * sig[:, 0])
+        banded += np.count_nonzero(sig[:, 1] >= 0.99 * sig[:, 0])
         spread += np.count_nonzero(
             np.abs(W - top_pair_multiplier(ctx, t, y)).max(axis=(1, 2)) > 1e-9)
-    assert banded >= 8 and spread >= 1, (banded, spread)
+    assert banded >= 6 and spread >= 1, (banded, spread)
 
 
 def test_sym_solve_is_pinv():
@@ -1057,10 +1083,21 @@ def dual_of(ctx, W, y, n):
     return ctx._dual(*ctx._cut(W), ctx._query(y), n)
 
 
+def multiplier(ctx, t, y):
+    """The KKT multiplier U_p M V_p' of each row t of a stack, formed from
+    its _turn."""
+    U, _, Vt, _, _, M, _ = ctx._turn(t, y)
+    p = M.shape[-1]
+    return U[:, :, :p] @ M @ Vt[:, :p]
+
+
 def top_pair_multiplier(ctx, t, y):
     """The top pair's multiplier mu u1 v1' of each row t of a stack,
-    formed: what the band multiplier is outside the band."""
-    U, _, Vt, _, _, _, top = ctx._turn(t, y)
+    formed, with mu = max(0, -<grad, g_1> / ||g_1||^2): what the band
+    multiplier is outside the band."""
+    U, _, Vt, grad, T, _, _ = ctx._turn(t, y)
+    g = T[:, :, 0, 0]
+    top = np.maximum(0.0, -np.sum(grad * g, axis=1) / np.sum(g * g, axis=1))
     return top[:, None, None] * (U[:, :, :1] @ Vt[:, :1])
 
 
@@ -1094,7 +1131,7 @@ def test_dual_bound_is_below_every_feasible_value(shape, diag_sub):
         # random multipliers of every size, the band and single-pair
         # multipliers of the feasible points, and the band multiplier of
         # the level's candidate
-        band, single = ctx._multiplier(t, y), top_pair_multiplier(ctx, t, y)
+        band, single = multiplier(ctx, t, y), top_pair_multiplier(ctx, t, y)
         spread += np.count_nonzero(np.abs(band - single).max(axis=(1, 2)) > 1e-3)
         W = np.concatenate([
             g.normal(size=(64, d, d)) * g.uniform(0.0, 3.0, size=(64, 1, 1)),
@@ -1105,7 +1142,7 @@ def test_dual_bound_is_below_every_feasible_value(shape, diag_sub):
             tn, _, fn, _ = entry
             assert svd_sigma(ctx.mat(tn)) <= n * (1.0 + MEM_TOL)
             assert dual_of(ctx, W, y, n).max() <= fn
-            assert dual_of(ctx, ctx._multiplier(tn[None], y), y, n).max() <= fn * (1.0 + 1e-13)
+            assert dual_of(ctx, multiplier(ctx, tn[None], y), y, n).max() <= fn * (1.0 + 1e-13)
     assert spread > 0 or shape != "diag"
 
 
@@ -1120,7 +1157,7 @@ def test_dual_bound_pays_for_the_dropped_eigenvalue(diag_sub, n):
     exact = (1.0 - 5e-10 * n) ** 2
     g = np.random.default_rng(int(n))
     t = ctx.feasify(g.normal(size=(32, 2)) * n, n)
-    W = np.concatenate([np.zeros((1, 2, 2)), ctx._multiplier(t, y),
+    W = np.concatenate([np.zeros((1, 2, 2)), multiplier(ctx, t, y),
                         top_pair_multiplier(ctx, t, y),
                         1e-3 * g.normal(size=(32, 2, 2))])
     bound = dual_of(ctx, W, y, n)
@@ -1197,10 +1234,10 @@ def test_context_keeps_nothing_of_a_query():
 
 
 def test_admm_failure_bracket_is_honest(monkeypatch):
-    # wide-draw problem 189 at level 1 needs 138 iterations, 129 of them
+    # wide-draw problem 181 at level 1 needs 662 iterations, 655 of them
     # ADMM; stopped after 100 it must fail with a bracket around the
     # distance
-    basis, x, y = wide_draw_problem(189)
+    basis, x, y = wide_draw_problem(181)
     sub = make_subspace(basis)
     d = OrbitBallContext(sub, x).distance(y, 1.0, 1e-6).value
     monkeypatch.setattr(located, "MAX_SOLVER_ITERS", 100)
