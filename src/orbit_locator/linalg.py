@@ -6,7 +6,9 @@ for a symmetric matrix the residual norm ||S v - lam v|| bounds the
 distance from lam to the spectrum, so a pair that does not meet its bound
 raises ConvergenceFailure instead of passing as certified. Small stacks
 of matrices get closed-form spectral norms (d <= 3), which the
-enumeration oracles use as a route independent of LAPACK.
+enumeration oracles use as a route independent of LAPACK. The calculus of
+sigma1 that the solvers use (Gram values, curvature, the SQP's multiplier
+and step, the gauge's searches) is in the sigma1 module.
 """
 
 from __future__ import annotations
@@ -201,40 +203,6 @@ def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4):
     return out
 
 
-def sigma1_curvature(T, s, M) -> np.ndarray:
-    """Hessian of c -> <M, E(c)> at c = 0, shape (..., K, K), with E(c)
-    the p x p block of the top p singular values of X + sum_k c_k D_k and M
-    a symmetric weight (..., p, p), p = 1 or 2, for each X = U diag(s) V'
-    of a stack, from s and T = U'D_k V (..., K, d, d), the K directions in
-    the full singular frames (Overton and Womersley, SIAM J. Matrix Anal.
-    Appl. 16, 1995, on the dilation [[0, X], [X', 0]]). The pairs j > p
-    couple with the block through the vectors a_ij = T[j, i] and
-    b_ij = T[i, j] over k: the value is the symmetric part of
-    sum_{i,l} M_il sum_{j > p} [s_i (a_ij a_lj' + b_ij b_lj')
-    + s_j (a_ij b_lj' + b_ij a_lj')] / (s_i^2 - s_j^2). At p = 1 that is M
-    times the curvature of sigma1, not finite where s1 ties s2. At p = 2
-    the block's own -s partners add tr M h h' / (2 (s1 + s2)),
-    h = T[2, 1] - T[1, 2], and the value is finite where s1 ties s2."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if M.shape[-1] == 1:
-            a, b = T[..., 1:, 0], T[..., 0, 1:]
-            s1, rest = s[..., :1, None], s[..., None, 1:]
-            den = s1 * s1 - rest * rest
-            at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
-            cross = (a * (rest / den)) @ bt
-            return M * (s1 * ((a / den) @ at + (b / den) @ bt) + cross + np.swapaxes(cross, -1, -2))
-        a, b = T[..., 2:, :2], np.swapaxes(T[..., :2, 2:], -1, -2)   # (..., K, d - 2, 2)
-        si, sj = s[..., None, None, :2], s[..., None, 2:, None]
-        e, f = si / (si * si - sj * sj), sj / (si * si - sj * sj)
-        rows = a.shape[:-2] + (-1,)   # one flat row over (j, i) per direction
-        Ma, Mb = (np.swapaxes((v @ M[..., None, :, :]).reshape(rows), -1, -2) for v in (a, b))
-        S = (a * e + b * f).reshape(rows) @ Ma + (b * e + a * f).reshape(rows) @ Mb
-        h = T[..., 1, 0] - T[..., 0, 1]
-        w = np.trace(M, axis1=-2, axis2=-1) / (2.0 * (s[..., 0] + s[..., 1]))
-        return 0.5 * (S + np.swapaxes(S, -1, -2)) + w[..., None, None] * (h[..., :, None]
-                                                                         * h[..., None, :])
-
-
 def clip_spectral(M, bound: float) -> np.ndarray:
     """Nearest matrix (Frobenius) with spectral norm <= bound: singular
     values above the bound are clipped down to it."""
@@ -256,10 +224,6 @@ def nuclear_norm(M) -> float:
 _EYE3 = np.eye(3)
 
 
-def _batch_gram(Ms: np.ndarray) -> np.ndarray:
-    return np.matmul(Ms.transpose(0, 2, 1), Ms)
-
-
 def batch_spectral_norms(Ms: np.ndarray) -> np.ndarray:
     """Spectral norms of a stack of matrices, shape (N, d, d): closed form
     for d <= 3, one stacked SVD for larger d."""
@@ -275,7 +239,7 @@ def batch_spectral_norms(Ms: np.ndarray) -> np.ndarray:
         a, b, c, e = Ms[:, 0, 0], Ms[:, 0, 1], Ms[:, 1, 0], Ms[:, 1, 1]
         return 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, c + b))
     if d == 3:
-        G = _batch_gram(Ms)
+        G = np.matmul(Ms.transpose(0, 2, 1), Ms)
         return np.sqrt(np.maximum(_batch_sym3_top_eig(G), 0.0))
     return np.linalg.svd(Ms, compute_uv=False)[:, 0]
 

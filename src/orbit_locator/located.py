@@ -7,12 +7,9 @@ three routes: an exact shortcut when the orthogonal projection Py of the
 query onto the orbit span already lies in the set, a boundary SQP
 candidate, and ADMM as the one fallback. Each SQP row carries one
 symmetric 2 x 2 KKT multiplier M on its top two singular pairs,
-W = U_2 M V_2': the top pair's weight off the band sigma2 >= (1 - _BETA)
-sigma1, the clipped least-squares fit of the gradient on it. M serves the
-step (a row whose M has two clear eigenvalues holds both pairs at the
-level, the others the top pair), the Lagrangian Hessian (the block
-curvature <M, A''>) and the certificate, all read off one contraction
-U'Q_k V of the basis per SVD of mat(t). Every boundary answer is
+W = U_2 M V_2', which serves the step, the Lagrangian Hessian and the
+certificate, all read off one contraction U'Q_k V of the basis per SVD of
+mat(t) by the sigma1 module. Every boundary answer is
 certified by a duality gap, the closed-form Lagrangian dual at a d x d
 multiplier: the SQP candidate's at its W, which is also the SQP's stop
 rule, and ADMM's, which starts from W = 0, balances its penalty against
@@ -37,12 +34,9 @@ by one kernel, whose every returned value is sigma1 of a preimage taken
 as the root of the top eigenvalue of its Gram, from one stacked eigvalsh.
 With A the matrix of a row's least-norm preimage, that value at A is the
 whole kernel without a null space. With one, the kernel minimises
-sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by one of the
-routes of gauge_search: at one null coordinate the closed form of Heron's
-reflection at dimension 2 where the rank cut keeps it within tolerance,
-else Newton steps on the SQP's curvature of sigma1 that stop on a dual
-gap; at two or more the pattern search compass_min on the Gram values,
-at every dimension. On a fixed
+sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by the
+searches of the sigma1 module: pair_line_min and sigma1_newton at one
+null coordinate, compass_min on the Gram values at two or more. On a fixed
 subspace W the kernel is compiled once (gauge_on): A is the combination
 of the matrices of W's basis vectors, so a round of the inner-radius
 search builds no preimage and makes no per-row span test. The same
@@ -65,12 +59,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import linalg, operators
+from . import linalg, operators, sigma1
 from .defaults import (GAUGE_TOL, GRID_CAP, MAX_SOLVER_ITERS, RANK_MARGIN,
                        RANK_TOL, TOL)
 from .errors import (DimensionError, GridOracleRefusal, OrbitLocatorError,
                      SolverFailure)
-from .gauge_search import compass_min, line_derivs, pair_line_min, sigma1_newton
+from .sigma1 import compass_min, line_derivs, pair_line_min, sigma1_newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +144,6 @@ _HALVES = 0.5 ** np.arange(1, 12)   # _sqp's backtracking steps
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
 _EPS = float(np.finfo(float).eps)   # machine epsilon
-_BETA = 1e-2           # the band sigma2 >= (1 - _BETA) sigma1, and the two-pair test
 
 
 class OrbitBallContext:
@@ -265,29 +258,29 @@ class OrbitBallContext:
     def _gauge_kernel(self, A, t_hat):
         """The gauge at rows whose least-norm preimages are t_hat, with
         A = mat(t_hat) flattened (one row each): min over z of
-        sigma1(A + sum_l z_l mat(N_l)), every value _gram_sigma1 of a
-        preimage. Without a null space that is one _gram_sigma1 call on A.
+        sigma1(A + sum_l z_l mat(N_l)), every value sigma1.values of a
+        preimage. Without a null space that is one sigma1.values call on A.
         Every route takes the tolerance GAUGE_TOL max(1, |t_hat|) / 4.
         With one null coordinate pair_line_min puts z within it of the
         line's minimum in closed form at d = 2, except on rows where the
         rank cut leaves its error bound above it; those rows and every row
         at d >= 3 go to one sigma1_newton search on the derivatives of
         line_derivs (one stacked SVD), which stops once its dual gap is
-        within it. Either end is re-anchored on _gram_sigma1, and a row
+        within it. Either end is re-anchored on sigma1.values, and a row
         whose end that puts above its value at z = 0 keeps z = 0. With two
-        or more a lockstep pattern search on _gram_sigma1 runs from z = 0
+        or more a lockstep pattern search on sigma1.values runs from z = 0
         down to that step, each round one sweep spanning four step sizes,
         and moves only to lower values. So no value exceeds the one at
         z = 0. Returns (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
         if not NM.shape[0]:
-            return _gram_sigma1(A.reshape(-1, d, d)), t_hat
+            return sigma1.values(A.reshape(-1, d, d)), t_hat
         scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
         tol = GAUGE_TOL * scale / 4.0
         if NM.shape[0] > 1:
             z, g, _ = compass_min(
-                lambda rows, P: _gram_sigma1(
+                lambda rows, P: sigma1.values(
                     (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)),
                 np.zeros((len(A), NM.shape[0])), init_step=scale, step_tol=tol)
             return g, t_hat + z @ self.null_vecs.T
@@ -296,7 +289,7 @@ class OrbitBallContext:
         if rows.size:
             z[rows] = sigma1_newton(line_derivs(A[rows], N, d), A[rows] @ N, tol[rows],
                                     np.sqrt(d))[0]
-        g = _gram_sigma1(np.stack([A, A + z[:, None] * N]).reshape(2, -1, d, d))
+        g = sigma1.values(np.stack([A, A + z[:, None] * N]).reshape(2, -1, d, d))
         back = g[1] > g[0]
         z[back] = 0.0
         return np.where(back, g[0], g[1]), t_hat + z[:, None] * self.null_vecs[:, 0]
@@ -346,7 +339,7 @@ class OrbitBallContext:
         d eps t more; 2 d eps t covers t's own rounding. So L is at most
         L' = sqrt(lam + (m + 2) d eps t), with lam the smaller computed top
         eigenvalue. The kernel's value at a unit u, which its search only
-        lowers from z = 0, is _gram_sigma1 of the rounded u G, within
+        lowers from z = 0, is sigma1.values of the rounded u G, within
         m eps sqrt(t) of u G in Frobenius norm, so it is at most
         (L' + m eps sqrt(t)) (1 + d (d + 1) eps).
 
@@ -404,10 +397,10 @@ class OrbitBallContext:
     # ---- feasible-region projection (span <-> spectral ball) -------------
 
     def feasify(self, t, n) -> np.ndarray:
-        """t scaled down by n / sigma1(mat(t)) (_gram_sigma1) when that is
+        """t scaled down by n / sigma1(mat(t)) (sigma1.values) when that is
         below 1; n > 0 is a scalar or broadcasts against a stack's rows."""
         t = np.asarray(t, dtype=float)
-        return t * (n / np.maximum(_gram_sigma1(self.mat(t)), n))[..., None]
+        return t * (n / np.maximum(sigma1.values(self.mat(t)), n))[..., None]
 
     def project(self, w, n: float, dyk_tol: float, max_sweeps: int = 400):
         """Euclidean projection of coefficient vector w onto
@@ -459,34 +452,12 @@ class OrbitBallContext:
     def _turn(self, t, y, usv=None):
         """The factors one SQP turn needs at each row t of a stack, from the
         stacked SVD usv of mat(t) (made when not given): (U, sig, Vt, grad,
-        T, M, two), with grad the gradient of f, T[r, k] = U'Q_k V (its
-        diagonal holds the slopes u_i'Q_k v_i of the singular values) and M
-        the row's symmetric p x p KKT multiplier, W = U_p M V_p' with
-        p = min(d, 2). Off the band sigma2 >= (1 - _BETA) sigma1, M is the
-        top pair's least-squares weight max(0, -<grad, g> / ||g||^2),
-        g = T[0, 0]; on it, as sigma1's subdifferential at a double value is
-        {U_2 M V_2' : M >= 0} (Overton, SIAM J. Matrix Anal. Appl. 9, 1988),
-        the least-squares fit of -grad by tcoords(U_2 M V_2') (_pair_cols,
-        normal equations by _sym_solve) with its negative eigenvalues
-        clipped. two marks the band rows whose M has lam_2 > _BETA lam_1."""
+        T, M, two), with grad the gradient of f, T[r, k] = U'Q_k V and
+        sigma1.multiplier's (M, two) of the row."""
         U, sig, Vt = np.linalg.svd(self.mat(t)) if usv is None else usv
         grad = self._grad(t, y)
         T = np.swapaxes(U, 1, 2)[:, None] @ self.stack @ np.swapaxes(Vt, 1, 2)[:, None]
-        p = min(self.dim, 2)
-        g = T[:, :, 0, 0]
-        M = np.zeros((len(t), p, p))
-        M[:, 0, 0] = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
-                                / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
-        # the band (none at d = 1), narrowed below to M's two clear eigenvalues
-        two = (p == 2) & (sig[:, p - 1] >= (1.0 - _BETA) * sig[:, 0])
-        if two.any():
-            C = _pair_cols(T[two])
-            m = _sym_solve(np.swapaxes(C, 1, 2) @ C, -(grad[two, None] @ C)[:, 0], _EPS * 3)
-            m[:, 2] *= 0.5 ** 0.5
-            lam, Z = np.linalg.eigh(m[:, [0, 2, 2, 1]].reshape(-1, 2, 2))
-            M[two] = (Z * np.maximum(lam, 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
-            two[two] = lam[:, 0] > _BETA * lam[:, 1]
-        return U, sig, Vt, grad, T, M, two
+        return (U, sig, Vt, grad, T) + sigma1.multiplier(T, sig, grad)
 
     def _cut(self, W, c=None):
         """(c', ||W'||_*) for a stack of formed multipliers W with
@@ -542,10 +513,9 @@ class OrbitBallContext:
         feasible region for each feasible row t of a stack (n a scalar or
         one level per row) and the query record q, at the multiplier
         W = U_p M V_p' of the row's _turn; f = f(t) and turn = _turn(t, y)
-        are computed when the caller does not have them. No W is formed for
-        the bound's coordinates, tcoords(W)_k = <M, T_k[:p, :p]>. Without a
-        null space W' = W, and ||W||_* = tr M, as the pairs are orthonormal
-        and M >= 0; only with one is W formed and W' = W - mat(N N'c)
+        are computed when the caller does not have them. sigma1.contract
+        gives tcoords(W) and ||W||_* = tr M with no W formed, W' = W without
+        a null space; only with one is W formed and W' = W - mat(N N'c)
         factored (_cut). Any W gives a valid bound, so W only affects
         tightness: at an optimum whose top singular value is simple, or
         whose top two tied values admit a multiplier M >= 0, the gap is 0
@@ -556,12 +526,10 @@ class OrbitBallContext:
         if turn is None:
             turn = self._turn(t, q["y"])
         U, _, Vt, _, T, M, _ = turn
-        p = M.shape[-1]
-        c = np.einsum("rkil,ril->rk", T[:, :, :p, :p], M)
+        c, nuc = sigma1.contract(T, M)
         if self.null_vecs.shape[1]:
+            p = M.shape[-1]
             c, nuc = self._cut(U[:, :, :p] @ M @ Vt[:, :p], c)
-        else:
-            nuc = np.trace(M, axis1=1, axis2=2)
         return f - self._dual(c, nuc, q, n)
 
     # ---- boundary Newton/KKT candidate ------------------------------------
@@ -575,18 +543,15 @@ class OrbitBallContext:
         M), shared by the certificate and the Newton step. First every row's
         duality gap (_cert_gap) is taken from it, with f from the line
         search: a row stops once _certified at its tol. The others share one
-        batched Newton step on the KKT system of their constraint: where the
-        turn marks M's two eigenvalues clear, sym(U_2' mat(t) V_2) = n I_2,
-        three rows with right side (n - sigma1, n - sigma2, 0) (_pair_cols),
-        else the top pair's sigma1 = n. The Lagrangian's Hessian is
-        H + <M, A''>, linalg.sigma1_curvature at M or, with the top pair, at
-        M_00, and H on a row where that is not finite (_kkt_step). Each row
-        moves by the first alpha in 1, 1/2, ..., 2^-11 with
-        f < f_prev - 1e-18 (full steps as one stacked trial, the halvings of
-        rejected rows as one more) and otherwise stops on a step below
-        1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after _MAX_OUTER
-        iterations, taking its gap at its final point. Returns (t, steps
-        taken, f, gap), one per row."""
+        batched Newton step, sigma1.step on the KKT system of their
+        constraint (both pairs at the level where the turn marks M's two
+        eigenvalues clear, else the top pair's sigma1 = n) with the
+        Lagrangian's Hessian H + <M, A''>. Each row moves by the first alpha
+        in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as one
+        stacked trial, the halvings of rejected rows as one more) and
+        otherwise stops on a step below 1e-13 max(1, ||t||), on |f| < 1e-30,
+        on a stall or after _MAX_OUTER iterations, taking its gap at its
+        final point. Returns (t, steps taken, f, gap), one per row."""
         y = q["y"]
         t = np.array(t0, dtype=float)
         n, tol = np.full(len(t), n, dtype=float), np.full(len(t), tol, dtype=float)
@@ -613,20 +578,7 @@ class OrbitBallContext:
             # every row takes the step's stacked algebra; the certified
             # ones neither move nor stay
             iters[act[~shut]] += 1
-            # the Lagrangian's Hessian H + <M, A''>: M_00 sigma1'' where the
-            # top pair is the constraint, the 2 x 2 block's curvature where
-            # both are; a row where it is not finite keeps H
-            L = np.repeat(self.H[None], act.size, axis=0)
-            for rows, weight in ((np.flatnonzero(~two & (M[:, 0, 0] > 0.0)), M[:, :1, :1]),
-                                 (np.flatnonzero(two), M)):
-                if rows.size:
-                    C = linalg.sigma1_curvature(T[rows], sig[rows], weight[rows])
-                    ok = np.isfinite(C).all(axis=(1, 2))
-                    L[rows[ok]] += C[ok]
-            delta = _kkt_step(L, T[:, :, :1, 0], grad, (na - sig[:, 0])[:, None])
-            if two.any():
-                delta[two] = _kkt_step(L[two], _pair_cols(T[two]), grad[two],
-                                       np.pad(na[two, None] - sig[two, :2], ((0, 0), (0, 1))))
+            delta = sigma1.step(self.H, T, sig, grad, M, two, na)
             moving = ~shut & (np.einsum("rk,rk->r", delta, delta)
                               > 1e-26 * np.maximum(1.0, np.einsum("rk,rk->r", ta, ta)))
             live = np.flatnonzero(moving)
@@ -695,7 +647,7 @@ class OrbitBallContext:
         for them. A row outside may still be interior by the gauge's
         search, which only distance runs."""
         Py = Y @ self.geo.P.T
-        return _clears(_gram_sigma1(self.mat(self.min_norm_preimage(Py))), ns)
+        return _clears(sigma1.values(self.mat(self.min_norm_preimage(Py))), ns)
 
     def _solve_levels(self, q: dict, ns, tols) -> dict:
         """The boundary candidates of the query record q, {n: (t,
@@ -820,50 +772,10 @@ class OrbitBallContext:
         return DistanceResult(d, point, self.subspace.from_ortho_coeffs(t), tol, iters, how)
 
 
-def _gram_sigma1(Ms) -> np.ndarray:
-    """Largest singular value of each d x d matrix X in a stack as
-    sqrt(lmax(X'X)), from one stacked eigvalsh of the Grams. sigma1 is
-    well conditioned there: with |X'X - fl(X'X)| <= d eps |X|'|X|, whose
-    norm is at most d eps ||X||_F^2 <= d^2 eps sigma1^2, and eigvalsh
-    backward stable (d eps more), the value is within a factor
-    1 + d (d + 1) eps of sigma1 of X."""
-    lam = np.linalg.eigvalsh(np.swapaxes(Ms, -1, -2) @ Ms)[..., -1]
-    return np.sqrt(np.maximum(lam, 0.0))
-
-
 def _clears(g, n):
     """The interior route's test, elementwise: the gauge bound g clears
     the level n by the margin 5e-10 max(1, g)."""
     return g <= n - 5e-10 * np.maximum(1.0, g)
-
-
-def _sym_solve(A, b, rcond):
-    """pinv(A) b for a stack of symmetric A, one right side b per matrix,
-    with pinv's cut: from the eigenpairs of A, dropping the eigenvalues of
-    size at most rcond times the largest."""
-    lam, Z = np.linalg.eigh(A)
-    size = np.abs(lam)
-    kept = size > rcond * size.max(axis=-1, keepdims=True)
-    w = (b[..., None, :] @ Z)[..., 0, :] / np.where(kept, lam, np.inf)
-    return (Z @ w[..., None])[..., 0]
-
-
-def _kkt_step(L, J, g, r) -> np.ndarray:
-    """The step delta of [[L, J], [J', 0]] [delta; lam] = [-g; r] per row
-    (J: rows, k, m) by _sym_solve, cut eps (k + m), whatever lam's signs."""
-    k, m = J.shape[1:]
-    K = np.zeros((len(J), k + m, k + m))
-    K[:, :k, :k], K[:, :k, k:], K[:, k:, :k] = L, J, np.swapaxes(J, 1, 2)
-    return _sym_solve(K, np.concatenate([-g, r], axis=1), _EPS * (k + m))[:, :k]
-
-
-def _pair_cols(T) -> np.ndarray:
-    """The columns T[0, 0], T[1, 1] and (T[0, 1] + T[1, 0]) / sqrt 2 of
-    frames T (rows, k, d, d): tcoords(U_2 M V_2') in M's Frobenius
-    coordinates (M_00, M_11, sqrt 2 M_01), and the gradients of
-    sym(U_2' mat(t) V_2)'s entries, the off-diagonal one times sqrt 2."""
-    return np.stack([T[:, :, 0, 0], T[:, :, 1, 1],
-                     (T[:, :, 0, 1] + T[:, :, 1, 0]) * 0.5 ** 0.5], -1)
 
 
 def _certified(f, gap, tol):

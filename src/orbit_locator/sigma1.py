@@ -1,20 +1,17 @@
-"""Minimisers of sigma1 over the null coordinates of an orbit-ball gauge.
+"""sigma1, the largest singular value, on stacks of d x d matrices.
 
-With A the matrix of a vector's least-norm preimage and N_1..N_p the
-matrices of the span operators that kill x, the gauge is the least
-sigma1(A + sum_l z_l N_l) over z in R^p, a convex function of z. At
-p = 1 it is a function of one variable. At dimension 2 it is a weighted
-sum of the distances from z to two fixed complex points, and
-pair_line_min finds its minimum in closed form, by Heron's reflection,
-where the rank cut keeps the two weights close enough; its other rows and
-every row at 3 and more go to sigma1_newton, bracketed Newton steps that
-stop on a dual gap, with line_derivs taking value, slope and curvature
-(linalg.sigma1_curvature at weight [[1]], as in the SQP) from one SVD and U'NV.
-At p >= 2 the optimum generically ties the top singular values, where
-those derivatives do not exist, and the derivative-free pattern search
-compass_min runs instead, probing the objective itself. All three work on
-many rows at once, the searches in lockstep, as the gauge kernel
-evaluates whole stacks of vectors.
+Every certificate of an orbit ball {M x : sigma1(M) <= n} is a statement
+about sigma1 of a span operator, and its calculus lives here, arrays in
+and arrays out. values takes sigma1 from the Gram. The boundary SQP reads
+the rest off one contraction T = U'D_k V of its directions D_k in the
+singular frames of X = U diag(s) V': the symmetric 2 x 2 KKT multiplier
+M on the top two pairs, W = U_2 M V_2' (multiplier; sigma1's
+subdifferential at a double value is {U_2 M V_2' : M >= 0}, Overton,
+SIAM J. Matrix Anal. Appl. 9, 1988), the certificate's coordinates of W
+(contract), the block curvature <M, E''> (curvature) and the KKT step
+(step). The gauge's searches over null coordinates, pair_line_min,
+sigma1_newton (on line_derivs) and compass_min, run their rows in
+lockstep.
 """
 
 from __future__ import annotations
@@ -23,31 +20,157 @@ import functools
 
 import numpy as np
 
-from . import linalg
-
+_EPS = float(np.finfo(float).eps)   # machine epsilon
+_BETA = 1e-2           # the band sigma2 >= (1 - _BETA) sigma1, and the two-pair test
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
 _MAX_EVALS = 50_000      # compass_min's per-search cap on probes
 _NEWTON_ROUNDS = 50      # sigma1_newton's cap on lockstep rounds
 
+
+def values(Ms) -> np.ndarray:
+    """Largest singular value of each d x d matrix X in a stack as
+    sqrt(lmax(X'X)), from one stacked eigvalsh of the Grams. sigma1 is
+    well conditioned there: with |X'X - fl(X'X)| <= d eps |X|'|X|, whose
+    norm is at most d eps ||X||_F^2 <= d^2 eps sigma1^2, and eigvalsh
+    backward stable (d eps more), the value is within a factor
+    1 + d (d + 1) eps of sigma1 of X."""
+    lam = np.linalg.eigvalsh(np.swapaxes(Ms, -1, -2) @ Ms)[..., -1]
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+def curvature(T, s, M) -> np.ndarray:
+    """Hessian of c -> <M, E(c)> at c = 0, shape (..., K, K), with E(c)
+    the p x p block of the top p singular values of X + sum_k c_k D_k and M
+    a symmetric weight (..., p, p), p = 1 or 2, for each X = U diag(s) V'
+    of a stack, from s and T = U'D_k V (..., K, d, d), the K directions in
+    the full singular frames (Overton and Womersley, SIAM J. Matrix Anal.
+    Appl. 16, 1995, on the dilation [[0, X], [X', 0]]). The pairs j > p
+    couple with the block through the vectors a_ij = T[j, i] and
+    b_ij = T[i, j] over k: the value is the symmetric part of
+    sum_{i,l} M_il sum_{j > p} [s_i (a_ij a_lj' + b_ij b_lj')
+    + s_j (a_ij b_lj' + b_ij a_lj')] / (s_i^2 - s_j^2). At p = 1 that is M
+    times the curvature of sigma1, not finite where s1 ties s2. At p = 2
+    the block's own -s partners add tr M h h' / (2 (s1 + s2)),
+    h = T[2, 1] - T[1, 2], and the value is finite where s1 ties s2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if M.shape[-1] == 1:
+            a, b = T[..., 1:, 0], T[..., 0, 1:]
+            s1, rest = s[..., :1, None], s[..., None, 1:]
+            den = s1 * s1 - rest * rest
+            at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+            cross = (a * (rest / den)) @ bt
+            return M * (s1 * ((a / den) @ at + (b / den) @ bt) + cross + np.swapaxes(cross, -1, -2))
+        a, b = T[..., 2:, :2], np.swapaxes(T[..., :2, 2:], -1, -2)   # (..., K, d - 2, 2)
+        si, sj = s[..., None, None, :2], s[..., None, 2:, None]
+        e, f = si / (si * si - sj * sj), sj / (si * si - sj * sj)
+        rows = a.shape[:-2] + (-1,)   # one flat row over (j, i) per direction
+        Ma, Mb = (np.swapaxes((v @ M[..., None, :, :]).reshape(rows), -1, -2) for v in (a, b))
+        S = (a * e + b * f).reshape(rows) @ Ma + (b * e + a * f).reshape(rows) @ Mb
+        h = T[..., 1, 0] - T[..., 0, 1]
+        w = np.trace(M, axis1=-2, axis2=-1) / (2.0 * (s[..., 0] + s[..., 1]))
+        return 0.5 * (S + np.swapaxes(S, -1, -2)) + w[..., None, None] * (h[..., :, None]
+                                                                         * h[..., None, :])
+
+
+# ---- the SQP's multiplier and step: T (rows, K, d, d), s (rows, d) and
+# grad (rows, K), the objective's gradient in the coordinates of the D_k
+
+def multiplier(T, s, grad):
+    """(M, two): each row's symmetric p x p KKT multiplier M, W = U_p M V_p'
+    with p = min(d, 2), and the rows that hold both pairs. Off the band
+    sigma2 >= (1 - _BETA) sigma1, M is the top pair's least-squares weight
+    max(0, -<grad, g> / ||g||^2), g = T[0, 0]; on it, the fit of -grad by
+    <D_k, U_2 M V_2'> (_pair_cols, normal equations by sym_solve) with its
+    negative eigenvalues clipped, and two marks lam_2 > _BETA lam_1."""
+    p = min(T.shape[-1], 2)
+    g = T[:, :, 0, 0]
+    M = np.zeros((len(T), p, p))
+    M[:, 0, 0] = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
+                            / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
+    # the band (none at d = 1), narrowed below to M's two clear eigenvalues
+    two = (p == 2) & (s[:, p - 1] >= (1.0 - _BETA) * s[:, 0])
+    if two.any():
+        C = _pair_cols(T[two])
+        m = sym_solve(np.swapaxes(C, 1, 2) @ C, -(grad[two, None] @ C)[:, 0], _EPS * 3)
+        m[:, 2] *= 0.5 ** 0.5
+        lam, Z = np.linalg.eigh(m[:, [0, 2, 2, 1]].reshape(-1, 2, 2))
+        M[two] = (Z * np.maximum(lam, 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
+        two[two] = lam[:, 0] > _BETA * lam[:, 1]
+    return M, two
+
+
+def contract(T, M):
+    """(c, tr M) for W = U_p M V_p' with no W formed: its coordinates
+    c_k = <D_k, W> = <M, T_k[:p, :p]>, and tr M, which is ||W||_* as the
+    pairs are orthonormal and M >= 0."""
+    p = M.shape[-1]
+    return np.einsum("rkil,ril->rk", T[:, :, :p, :p], M), np.trace(M, axis1=1, axis2=2)
+
+
+def step(H, T, s, grad, M, two, n) -> np.ndarray:
+    """The SQP's step per row to the level n (one per row) on the KKT system
+    of the row's constraint: sym(U_2' X V_2) = n I_2 where two marks M's
+    two eigenvalues clear, three rows with right side (n - sigma1,
+    n - sigma2, 0) (_pair_cols), else the top pair's sigma1 = n. The
+    Lagrangian's Hessian is H + <M, E''>, curvature at M or, with the top
+    pair, at M_00 > 0, and H on a row where that is not finite."""
+    L = np.repeat(H[None], len(T), axis=0)
+    for rows, weight in ((np.flatnonzero(~two & (M[:, 0, 0] > 0.0)), M[:, :1, :1]),
+                         (np.flatnonzero(two), M)):
+        if rows.size:
+            C = curvature(T[rows], s[rows], weight[rows])
+            ok = np.isfinite(C).all(axis=(1, 2))
+            L[rows[ok]] += C[ok]
+    delta = _kkt_step(L, T[:, :, :1, 0], grad, (n - s[:, 0])[:, None])
+    if two.any():
+        delta[two] = _kkt_step(L[two], _pair_cols(T[two]), grad[two],
+                               np.pad(n[two, None] - s[two, :2], ((0, 0), (0, 1))))
+    return delta
+
+
+def sym_solve(A, b, rcond):
+    """pinv(A) b for a stack of symmetric A, one right side b per matrix,
+    with pinv's cut: from the eigenpairs of A, dropping the eigenvalues of
+    size at most rcond times the largest."""
+    lam, Z = np.linalg.eigh(A)
+    size = np.abs(lam)
+    kept = size > rcond * size.max(axis=-1, keepdims=True)
+    w = (b[..., None, :] @ Z)[..., 0, :] / np.where(kept, lam, np.inf)
+    return (Z @ w[..., None])[..., 0]
+
+
+def _kkt_step(L, J, g, r) -> np.ndarray:
+    """The step delta of [[L, J], [J', 0]] [delta; lam] = [-g; r] per row
+    (J: rows, k, m) by sym_solve, cut eps (k + m), whatever lam's signs."""
+    k, m = J.shape[1:]
+    K = np.zeros((len(J), k + m, k + m))
+    K[:, :k, :k], K[:, :k, k:], K[:, k:, :k] = L, J, np.swapaxes(J, 1, 2)
+    return sym_solve(K, np.concatenate([-g, r], axis=1), _EPS * (k + m))[:, :k]
+
+
+def _pair_cols(T) -> np.ndarray:
+    """The columns T[0, 0], T[1, 1] and (T[0, 1] + T[1, 0]) / sqrt 2 of
+    frames T (rows, k, d, d): the coordinates <D_k, U_2 M V_2'> in M's
+    Frobenius coordinates (M_00, M_11, sqrt 2 M_01), and the gradients of
+    sym(U_2' X V_2)'s entries, the off-diagonal one times sqrt 2."""
+    return np.stack([T[:, :, 0, 0], T[:, :, 1, 1],
+                     (T[:, :, 0, 1] + T[:, :, 1, 0]) * 0.5 ** 0.5], -1)
+
+
+# ---- the gauge's searches over null coordinates -----------------------------
 
 @functools.lru_cache(maxsize=16)
 def _pattern(m: int) -> np.ndarray:
     """The probes of one compass_min round in R^m for a unit step, in probe
     order: +-e_i, then (+-e_i +- e_j) / sqrt(2) for i < j, at each of the
     _LEVELS step scales 1, 1/2, ..., largest first. Shared, so read-only."""
-    dirs = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        dirs.append(e)
-        dirs.append(-e)
+    dirs = [sign * e for e in np.eye(m) for sign in (1.0, -1.0)]
     for i in range(m):
         for j in range(i + 1, m):
             for si in (1.0, -1.0):
                 for sj in (1.0, -1.0):
                     e = np.zeros(m)
-                    e[i] = si
-                    e[j] = sj
+                    e[[i, j]] = si, sj
                     dirs.append(e / np.sqrt(2.0))
     D = np.stack(dirs) if dirs else np.zeros((0, m))
     D = np.concatenate([D * 0.5 ** i for i in range(_LEVELS)])
@@ -227,13 +350,13 @@ def line_derivs(A, N, d):
     """sigma1_newton's derivs for phi_i(z) = sigma1(A_i + z N), with A a
     stack of flattened d x d rows and N one flattened d x d matrix, from
     one stacked SVD U diag(s) V' of A_i + z N and T = U'N V: phi = s_1,
-    phi' = T[1, 1] = u_1'N v_1 and phi'' = linalg.sigma1_curvature at the
-    weight [[1]], undefined (inf or nan) where s_1 ties s_2."""
+    phi' = T[1, 1] = u_1'N v_1 and phi'' = curvature at the weight [[1]],
+    undefined (inf or nan) where s_1 ties s_2."""
     Nm = N.reshape(d, d)
 
     def derivs(z):
         U, s, Vt = np.linalg.svd((A + z[:, None] * N).reshape(-1, d, d))
         T = np.swapaxes(U, 1, 2) @ Nm @ np.swapaxes(Vt, 1, 2)
-        curv = linalg.sigma1_curvature(T[:, None], s, np.ones((1, 1)))
+        curv = curvature(T[:, None], s, np.ones((1, 1)))
         return s[:, 0], T[:, 0, 0], curv[:, 0, 0]
     return derivs

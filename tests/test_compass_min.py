@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from orbit_locator import (OrbitBallContext, diag_subspace, located,
-                           make_subspace, span_inner_radius)
+                           make_subspace, sigma1, span_inner_radius)
 from orbit_locator.defaults import GAUGE_TOL
-from orbit_locator.gauge_search import line_derivs, pair_line_min, sigma1_newton
+from orbit_locator.sigma1 import line_derivs, pair_line_min, sigma1_newton
 from conftest import stretched_null_problem, svd_sigma, svd_sigmas, svd_values
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -161,7 +161,7 @@ def check_gauge_rows(ctx, V, vals, ts):
     assert np.allclose(vals, svd_sigmas(M), rtol=1e-12, atol=0.0)
     miss = np.linalg.norm(M @ ctx.x - V, axis=1)
     assert np.all(miss <= 1e-9 * np.linalg.norm(V, axis=1)), miss.max()
-    start = located._gram_sigma1(ctx.mat(ctx.min_norm_preimage(V)))
+    start = sigma1.values(ctx.mat(ctx.min_norm_preimage(V)))
     assert np.all(vals <= start)
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_locator import ConvergenceFailure, DimensionError, linalg
-from orbit_locator.gauge_search import line_derivs, sigma1_newton
+from orbit_locator import ConvergenceFailure, DimensionError, linalg, sigma1
+from orbit_locator.sigma1 import line_derivs, sigma1_newton
 from conftest import gauss_rank, svd_sigma, svd_values
 
 
@@ -167,7 +167,7 @@ def test_sigma1_curvature_matches_second_differences(d):
     X, N = g.normal(size=(2, d, d))
     U, s, Vt = np.linalg.svd(X)
     assert s[1] < 0.95 * s[0]
-    curv = linalg.sigma1_curvature((U.T @ N @ Vt.T)[None], s, np.ones((1, 1)))
+    curv = sigma1.curvature((U.T @ N @ Vt.T)[None], s, np.ones((1, 1)))
     assert curv.shape == (1, 1)
     h = 1e-4
     up, mid, down = (svd_sigma(X + c * h * N) for c in (1.0, 0.0, -1.0))
@@ -200,7 +200,7 @@ def test_sigma1_curvature_at_an_exact_tie():
     # puts the search on it, closing the dual gap
     U, s, Vt = np.linalg.svd(0.5 * np.eye(3))
     N = np.random.default_rng(0).normal(size=(2, 3, 3))
-    assert not np.isfinite(linalg.sigma1_curvature(U.T @ N @ Vt.T, s, np.ones((1, 1)))).any()
+    assert not np.isfinite(sigma1.curvature(U.T @ N @ Vt.T, s, np.ones((1, 1)))).any()
     A, N = np.diag([1.0, 0.0]).ravel(), np.diag([-1.0, 1.0]).ravel() / np.sqrt(2.0)
     derivs = line_derivs(A[None], N, 2)
     assert not np.isfinite(derivs(np.array([np.sqrt(0.5)]))[2]).any()
@@ -232,7 +232,7 @@ def test_block_curvature_at_an_exact_tie(d):
     # falling as h^2, and at M = [[1]] the value is not finite
     g = np.random.default_rng(40 + d)
     X, D, s, T = exact_tie(g, d, 3)
-    curv = linalg.sigma1_curvature(T, s, np.eye(2))
+    curv = sigma1.curvature(T, s, np.eye(2))
     assert np.allclose(curv, curv.T, rtol=0.0, atol=1e-14)
 
     def top_two(c):
@@ -240,7 +240,7 @@ def test_block_curvature_at_an_exact_tie(d):
 
     errs = [np.abs(curv - second_differences(top_two, 3, h)).max() for h in (1e-2, 1e-3)]
     assert errs[1] <= 2e-2 * errs[0] and errs[1] <= 1e-5 * np.abs(curv).max(), errs
-    assert not np.isfinite(linalg.sigma1_curvature(T, s, np.ones((1, 1)))).any()
+    assert not np.isfinite(sigma1.curvature(T, s, np.ones((1, 1)))).any()
 
 
 def test_block_curvature_is_linear_in_its_weight():
@@ -256,11 +256,11 @@ def test_block_curvature_is_linear_in_its_weight():
         want += (s[0] * (np.outer(a, a) + np.outer(b, b))
                  + s[j] * (np.outer(a, b) + np.outer(b, a))) / (s[0] ** 2 - s[j] ** 2)
     for w in (1.0, 0.37, 2.5):
-        got = linalg.sigma1_curvature(T, s, np.array([[w]]))
+        got = sigma1.curvature(T, s, np.array([[w]]))
         assert np.allclose(got, w * want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     A, B = (np.array([[1.0, c], [c, 0.4]]) for c in (0.3, -0.2))
-    both = linalg.sigma1_curvature(T, s, A + 2.0 * B)
-    apart = linalg.sigma1_curvature(T, s, A) + 2.0 * linalg.sigma1_curvature(T, s, B)
+    both = sigma1.curvature(T, s, A + 2.0 * B)
+    apart = sigma1.curvature(T, s, A) + 2.0 * sigma1.curvature(T, s, B)
     assert np.allclose(both, apart, rtol=1e-13, atol=1e-13 * np.abs(both).max())
 
 

@@ -14,11 +14,11 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            greedy_decompose, grid_oracle_distance,
                            inner_radius, linear_image_ball, locate_distance,
                            make_subspace, orbit_ball)
-from orbit_locator import linalg, located
+from orbit_locator import located, sigma1
 from orbit_locator.operators import GRID_CHUNK
-from conftest import (MEM_TOL, SEED13, SEED17, family50_problem, matrix_units,
-                      quaternion_left, svd_sigma, svd_sigmas, svd_values,
-                      wide_draw, wide_draw_problem)
+from conftest import (MEM_TOL, SEED13, SEED17, family50_draw, family50_problem,
+                      matrix_units, quaternion_left, svd_sigma, svd_sigmas,
+                      svd_values, wide_draw, wide_draw_problem)
 
 
 def diag_formula(n, c=0.1):
@@ -219,6 +219,22 @@ def admm_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def sqp_rows(monkeypatch):
+    """The row iterations of each _sqp call the test makes, summed over
+    its rows, in order."""
+    rows = []
+    sqp = OrbitBallContext._sqp
+
+    def counted(self, q, n, t0, tol):
+        out = sqp(self, q, n, t0, tol)
+        rows.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(OrbitBallContext, "_sqp", counted)
+    return rows
+
+
 @pytest.mark.parametrize("dim,k", [(2, 3), (3, 2), (4, 3), (5, 4)])
 def test_sigma1_hessian_matches_second_differences(dim, k):
     g = np.random.default_rng(100 * dim + k)
@@ -227,7 +243,7 @@ def test_sigma1_hessian_matches_second_differences(dim, k):
     t = g.normal(size=k)
     U, sig, Vt = np.linalg.svd(ctx.mat(t))
     assert sig[1] < 0.95 * sig[0]
-    hess = linalg.sigma1_curvature(U.T @ ctx.stack @ Vt.T, sig, np.ones((1, 1)))
+    hess = sigma1.curvature(U.T @ ctx.stack @ Vt.T, sig, np.ones((1, 1)))
     # central second differences of sigma1 through the dilation oracle
     h = 1e-4
     E = h * np.eye(k)
@@ -708,14 +724,13 @@ def test_band_multiplier_closes_the_tied_corner(diag_sub):
     assert 0.0 <= ctx._cert_gap(t, ctx._query(y), 1.0)[0] <= 1e-12
 
 
-def assert_multiplier_is_the_fit(turn):
-    """The turn's M, checked row by row: M >= 0; off the band
-    sigma2 >= 0.99 sigma1 [[top, 0], [0, 0]] with top the top pair's
-    least-squares weight; on it the least-squares fit of -grad by
-    tcoords(U_2 M V_2') over symmetric M, minimum-norm in Frobenius norm,
-    with its negative eigenvalues clipped; and the turn's two marks the
-    band rows whose M has lam_2 > 0.01 lam_1."""
-    _, sig, _, grad, T, M, two = turn
+def assert_multiplier_is_the_fit(T, sig, grad, M, two):
+    """sigma1.multiplier's (M, two) at (T, sig, grad), checked row by row:
+    M >= 0; off the band sigma2 >= 0.99 sigma1 [[top, 0], [0, 0]] with top
+    the top pair's least-squares weight; on it the least-squares fit of
+    -grad by tcoords(U_2 M V_2') over symmetric M, minimum-norm in
+    Frobenius norm, with its negative eigenvalues clipped; and two marks
+    the band rows whose M has lam_2 > 0.01 lam_1."""
     band = sig[:, 1] >= 0.99 * sig[:, 0]
     lam = np.linalg.eigvalsh(M)
     assert np.all(lam[:, 0] >= -1e-15 * np.maximum(1.0, lam[:, 1])), lam
@@ -740,22 +755,22 @@ def assert_multiplier_is_the_fit(turn):
     ("wide", 35),
 ])
 def test_multiplier_is_the_clipped_fit(source, index, monkeypatch):
-    # every turn of the problem's sweep, whose top pairs reach the band
+    # every fit of the problem's sweep, whose top pairs reach the band
     draw = wide_draw_problem if source == "wide" else family50_problem
-    turns = []
-    turn_of = OrbitBallContext._turn
+    fits = []
+    fit = sigma1.multiplier
 
-    def kept(self, t, yy, usv=None):
-        turn = turn_of(self, t, yy, usv)
-        turns.append(turn)
-        return turn
+    def kept(T, s, grad):
+        out = fit(T, s, grad)
+        fits.append((T, s, grad) + out)
+        return out
 
-    monkeypatch.setattr(OrbitBallContext, "_turn", kept)
+    monkeypatch.setattr(sigma1, "multiplier", kept)
     basis, x, y = draw(index)
     locate_distance(make_subspace(basis), x, y, budget=12, tol=1e-6)
-    assert any((turn[1][:, 1] >= 0.99 * turn[1][:, 0]).any() for turn in turns)
-    for turn in turns:
-        assert_multiplier_is_the_fit(turn)
+    assert any((s[:, 1] >= 0.99 * s[:, 0]).any() for _, s, *_ in fits)
+    for args in fits:
+        assert_multiplier_is_the_fit(*args)
 
 
 @pytest.mark.parametrize("k", [3, 2])
@@ -782,20 +797,22 @@ def test_multiplier_follows_a_rotated_tie(k):
         w = ctx.tcoords(U[:, :2] @ A @ A.T @ V[:, :2].T) + 0.05 * g.normal(size=k)
         # 2 Phi'(y - Phi t) = w, so -grad = w
         y = ctx.point(t[0]) + np.linalg.solve(ctx.Phi.T, w / 2.0)
-        turn = ctx._turn(t, y, (U[None], s[None], V.T[None]))
-        assert_multiplier_is_the_fit(turn)
-        M = turn[5][0]
-        spread += turn[6][0]
+        grad = ctx._grad(t, y)
+        T = (U.T @ ctx.stack @ V)[None]
+        fit = sigma1.multiplier(T, s[None], grad)
+        assert_multiplier_is_the_fit(T, s[None], grad, *fit)
+        M = fit[0][0]
+        spread += fit[1][0]
         W = U[:, :2] @ M @ V[:, :2].T
-        c = np.einsum("kil,il->k", turn[4][0, :, :2, :2], M)
-        assert np.abs(ctx.tcoords(W) - c).max() <= 1e-13
-        assert np.trace(M) == pytest.approx(np.linalg.svd(W, compute_uv=False).sum(), rel=1e-13)
+        c, nuc = sigma1.contract(T, M[None])
+        assert np.abs(ctx.tcoords(W) - c[0]).max() <= 1e-13
+        assert nuc[0] == pytest.approx(np.linalg.svd(W, compute_uv=False).sum(), rel=1e-13)
         for R in (rotation(0.3 + seed), np.diag([1.0, -1.0]) @ rotation(seed)):
             Q = np.eye(d)
             Q[:2, :2] = R
-            rot = ctx._turn(t, y, ((U @ Q)[None], s[None], (V @ Q).T[None]))
-            assert np.abs(rot[5][0] - R.T @ M @ R).max() <= 1e-12 * max(1.0, np.abs(M).max())
-            Wr = (U @ Q)[:, :2] @ rot[5][0] @ (V @ Q)[:, :2].T
+            Mr = sigma1.multiplier(((U @ Q).T @ ctx.stack @ (V @ Q))[None], s[None], grad)[0][0]
+            assert np.abs(Mr - R.T @ M @ R).max() <= 1e-12 * max(1.0, np.abs(M).max())
+            Wr = (U @ Q)[:, :2] @ Mr @ (V @ Q)[:, :2].T
             assert np.abs(Wr - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
     assert spread >= 2
 
@@ -867,34 +884,38 @@ def test_tabled_levels_are_certified(source, index, count, left_open, monkeypatc
         assert abs(np.sqrt(f) - tight) <= tol, (n, np.sqrt(f), tight)
 
 
-@pytest.mark.parametrize("draw,count,kinds,runs,iterations,most", [
-    ({}, 200, {"Stabilized": 182, "Undecided": 18}, 4, 764, 700),
-    (SEED13, 40, {"Stabilized": 33, "Undecided": 7}, 3, 168, 100),
-    (SEED17, 30, {"Stabilized": 25, "Undecided": 5}, 8, 1652, 450),
-], ids=["seed7", "seed13", "seed17"])
-def test_wide_draw_sweeps_certify(admm_runs, draw, count, kinds, runs, iterations, most):
-    # a whole draw, swept as in the benchmark: no SolverFailure, the
-    # verdict split and the ADMM ledger pinned, the number of levels that
-    # run ADMM and their iterations in all, and no ADMM run above `most`
-    # iterations. With a multiplier diagonal in the top two pairs and the
-    # top pair as the one constraint the draws ran ADMM on 48, 20 and 37
-    # levels for 4669, 3864 and 9805 iterations, at most 626, 522 and 1577
-    # in one run; on the wide draw the most was 6105 before ADMM balanced
-    # its residuals, on the seed-17 draw 6657 before every row took the
-    # Newton step. Wide problems 13 and 96 reach the span lower bound only
-    # at level 12, the last level of the budget
-    found = {}
-    for basis, x, y in wide_draw(count, **draw):
+@pytest.mark.parametrize("draw,count,kinds,levels,rows,runs,iterations,most", [
+    (None, 50, {"Stabilized": 43, "Undecided": 7}, 225, 222, 0, 0, 0),
+    ({}, 200, {"Stabilized": 182, "Undecided": 18}, 820, 1655, 4, 764, 700),
+    (SEED13, 40, {"Stabilized": 33, "Undecided": 7}, 228, 786, 3, 168, 100),
+    (SEED17, 30, {"Stabilized": 25, "Undecided": 5}, 167, 764, 8, 1652, 450),
+], ids=["family50", "seed7", "seed13", "seed17"])
+def test_wide_draw_sweeps_certify(admm_runs, sqp_rows, draw, count, kinds, levels, rows,
+                                  runs, iterations, most):
+    # a whole draw (family50 for draw None), swept as in the benchmark: no
+    # SolverFailure, and the draw's ledger pinned: the verdict split, the
+    # levels of all sweeps, the SQP's row iterations in all, the number of
+    # levels that run ADMM and their iterations in all, and no ADMM run
+    # above `most` iterations. With a multiplier diagonal in the top two
+    # pairs and the top pair as the one constraint the wide draws ran ADMM
+    # on 48, 20 and 37 levels for 4669, 3864 and 9805 iterations, at most
+    # 626, 522 and 1577 in one run; on the wide draw the most was 6105
+    # before ADMM balanced its residuals, on the seed-17 draw 6657 before
+    # every row took the Newton step. Wide problems 13 and 96 reach the
+    # span lower bound only at level 12, the last level of the budget
+    found, swept = {}, 0
+    for basis, x, y in family50_draw() if draw is None else wide_draw(count, **draw):
         try:
-            verdict = locate_distance(make_subspace(basis), x, y,
-                                      budget=12, tol=1e-6).verdict
-            kind = type(verdict).__name__
+            rep = locate_distance(make_subspace(basis), x, y, budget=12, tol=1e-6)
+            kind = type(rep.verdict).__name__
+            swept += len(rep.levels)
         except SolverFailure:
             kind = "SolverFailure"
         found[kind] = found.get(kind, 0) + 1
     assert found == kinds
+    assert (swept, sum(sqp_rows)) == (levels, rows), (swept, sum(sqp_rows))
     assert (len(admm_runs), sum(admm_runs)) == (runs, iterations), admm_runs
-    assert max(admm_runs) <= most, max(admm_runs)
+    assert max(admm_runs, default=0) <= most, admm_runs
 
 
 def marginal_rank_x():
@@ -1079,7 +1100,7 @@ def test_sym_solve_is_pinv():
     A[5] *= mask[:, None] & mask[None, :]
     b = g.normal(size=(6, 4))
     want = (np.linalg.pinv(A, rcond=1e-12) @ b[..., None])[..., 0]
-    got = located._sym_solve(A, b, 1e-12)
+    got = sigma1.sym_solve(A, b, 1e-12)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
@@ -1088,10 +1109,18 @@ def dual_of(ctx, W, y, n):
     return ctx._dual(*ctx._cut(W), ctx._query(y), n)
 
 
+def turn(ctx, t, y):
+    """(U, Vt, grad, T, M) at each row t of a stack: the SVD of mat(t),
+    the gradient of f, T = U'Q_k V and sigma1.multiplier's M."""
+    U, s, Vt = np.linalg.svd(ctx.mat(t))
+    grad = ctx._grad(t, y)
+    T = np.swapaxes(U, 1, 2)[:, None] @ ctx.stack @ np.swapaxes(Vt, 1, 2)[:, None]
+    return U, Vt, grad, T, sigma1.multiplier(T, s, grad)[0]
+
+
 def multiplier(ctx, t, y):
-    """The KKT multiplier U_p M V_p' of each row t of a stack, formed from
-    its _turn."""
-    U, _, Vt, _, _, M, _ = ctx._turn(t, y)
+    """The KKT multiplier U_p M V_p' of each row t of a stack, formed."""
+    U, Vt, _, _, M = turn(ctx, t, y)
     p = M.shape[-1]
     return U[:, :, :p] @ M @ Vt[:, :p]
 
@@ -1100,7 +1129,7 @@ def top_pair_multiplier(ctx, t, y):
     """The top pair's multiplier mu u1 v1' of each row t of a stack,
     formed, with mu = max(0, -<grad, g_1> / ||g_1||^2): what the band
     multiplier is outside the band."""
-    U, _, Vt, grad, T, _, _ = ctx._turn(t, y)
+    U, Vt, grad, T, _ = turn(ctx, t, y)
     g = T[:, :, 0, 0]
     top = np.maximum(0.0, -np.sum(grad * g, axis=1) / np.sum(g * g, axis=1))
     return top[:, None, None] * (U[:, :, :1] @ Vt[:, :1])
