@@ -19,8 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,8 +41,7 @@ class InputError(Exception):
 _PROBLEM_KEYS = {"dim", "basis", "x", "y", "n", "tol", "budget", "seed"}
 
 
-@dataclass(frozen=True, eq=False)
-class Problem:
+class Problem(NamedTuple):
     dim: int
     basis: list
     x: np.ndarray
@@ -137,7 +135,7 @@ def _dump(obj, ind: int = 0) -> str:
         return _num(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):   # not a record, which is a tuple too
         if all(type(v) is float for v in obj):
             return "[" + ", ".join(map(_num, obj)) + "]"
         return "[" + ", ".join(_dump(v, ind) for v in obj) + "]"
@@ -182,9 +180,9 @@ def _cmd_distance(args, p: Problem) -> dict:
     rep = nested.locate_distance(sub, p.x, p.y, budget=budget, tol=tol)
     v = rep.verdict
     return {"tol": tol, "budget": budget, "seed": p.seed,
-            "levels": [vars(lv) for lv in rep.levels],
+            "levels": [lv._asdict() for lv in rep.levels],
             "cauchy_bounds": list(rep.cauchy_bounds),
-            "verdict": {"kind": type(v).__name__, **vars(v)}}
+            "verdict": {"kind": type(v).__name__, **v._asdict()}}
 
 
 def _cmd_balldist(args, p: Problem) -> dict:
@@ -205,7 +203,7 @@ def _cmd_project(args, p: Problem) -> dict:
     cert = pipeline.build_projection(sub, p.x, tol=tol)
     return {"tol": tol, "seed": p.seed, "P": cert.P, "rank": cert.rank,
             "r": cert.r, "floor": cert.floor, "note": cert.note,
-            "probes": [vars(row) for row in cert.per_y_trace]}
+            "probes": [row._asdict() for row in cert.per_y_trace]}
 
 
 def _cmd_radius(args, p: Problem) -> dict:
@@ -222,8 +220,8 @@ def _cmd_decompose(args, p: Problem) -> dict:
     dec = om.greedy_decompose(p.y, ball, r)
     out = dec.outcome
     return {"r": r, "seed": p.seed, "y": p.y,
-            "outcome": {"kind": type(out).__name__, **vars(out)},
-            "steps": [vars(s) for s in dec.steps]}
+            "outcome": {"kind": type(out).__name__, **out._asdict()},
+            "steps": [s._asdict() for s in dec.steps]}
 
 
 def _cmd_omt(args, p: Problem) -> dict:
@@ -246,8 +244,7 @@ def _cmd_demo(args, p) -> str:
     return demo_mod.format_table(rows)
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """A subcommand: its handler, its flags in --help order, whether it
     reads a problem file and whether that file must carry y."""
     handler: Callable

@@ -13,8 +13,7 @@ solves each |c| once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +27,7 @@ DEFAULT_C_VALUES = (0.0, 1.0, -1.0, 0.5, -0.5, 0.1, -0.1,
                     0.01, -0.01, 0.001, -0.001)
 
 
-@dataclass(frozen=True, eq=False)
-class DemoRow:
+class DemoRow(NamedTuple):
     """One family member: ambient inner radius r of the unit orbit ball,
     truncation index N (None when the pipeline refused), the distance d
     from (0,1) to the orbit, the number of sweep levels consumed (0 when
@@ -88,7 +86,7 @@ def demo_table(c_values: Sequence[float] = DEFAULT_C_VALUES,
     for c in cs:
         if abs(c) not in solved:
             solved[abs(c)] = _row(sub, c, budget, tol)
-    return [replace(solved[abs(c)], c=c) for c in cs]
+    return [solved[abs(c)]._replace(c=c) for c in cs]
 
 
 def _fmt(v: float) -> str:

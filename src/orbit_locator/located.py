@@ -53,9 +53,8 @@ distance brackets for small coefficient counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,8 +66,7 @@ from .errors import (DimensionError, GridOracleRefusal, OrbitLocatorError,
 from .sigma1 import compass_min, line_derivs, pair_line_min, sigma1_newton
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     """Distance value with the witness point that achieves it.
 
     coeffs gives the witness as coefficients in the original operator basis

@@ -12,7 +12,7 @@ every d_n from below, so a level that meets it certifies the distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .defaults import BUDGET, TOL
 from .errors import DimensionError, OrbitLocatorError, SolverFailure
 
 
-@dataclass(frozen=True, eq=False)
-class Level:
+class Level(NamedTuple):
     """One computed level: ball scale n, achieved distance d = ||y - y_n||,
     and the near-minimizer y_n itself."""
     n: int
@@ -30,16 +29,14 @@ class Level:
     y: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Located:
+class Located(NamedTuple):
     """The level minimizers form a certified Cauchy sequence: y_inf is
     within the report tolerance of the limit and d = ||y - y_inf||."""
     d: float
     y_inf: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Stabilized:
+class Stabilized(NamedTuple):
     """The global distance is d, the level-N distance, within the report
     tolerance plus the level-N solver tolerance. Certified by a lower
     bound: every level distance is at least ||y - Py||, the distance to
@@ -50,8 +47,7 @@ class Stabilized:
     d: float
 
 
-@dataclass(frozen=True, eq=False)
-class Undecided:
+class Undecided(NamedTuple):
     """No certificate up to the last level read, `budget` (below the
     sweep's budget where the tolerances pass the rounding). The global
     distance lies in [lower, upper]: lower is the span lower bound
@@ -63,8 +59,7 @@ class Undecided:
     upper: float
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     levels: tuple
     cauchy_bounds: tuple
     verdict: object

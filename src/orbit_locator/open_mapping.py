@@ -13,7 +13,7 @@ of a surjective matrix is its smallest singular value sigma_min.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .defaults import RANK_TOL
 from .errors import DimensionError
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionStep:
+class DecompositionStep(NamedTuple):
     """One dichotomy step: the chosen vector x_i in 2C (zeros on a witness
     step, which picks no vector), the branch flag, and the achieved
     residual ||y - sum_{j<=i} 2^-j x_j||."""
@@ -33,36 +32,31 @@ class DecompositionStep:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class Member:
+class Member(NamedTuple):
     """y is certified in 2C: xi = sum_{j<=i} 2^-j x_j over the steps taken,
     which lies in 2C, with ||y - xi|| <= 2^-max_steps r + 4 tol."""
     xi: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
+class Witness(NamedTuple):
     z: np.ndarray
     dist_z: float
 
 
-@dataclass(frozen=True, eq=False)
-class Undecided:
+class Undecided(NamedTuple):
     """Dichotomy landed in the dead band, or the residual missed its
     target."""
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(NamedTuple):
     steps: tuple
     outcome: object
     r: float
     y: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class RadiusResult:
+class RadiusResult(NamedTuple):
     """An inner radius of a body along a subspace W. floor is the rigorous
     lower end: B(0, floor) of W lies inside the body. It is the larger of
     the search's own floor and 1 over the body's gauge ceiling. r =

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .defaults import NET_CAP, RANK_TOL
 from .errors import DependentBasisError, DimensionError, NetTooLargeError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False)  # cached_property needs an instance __dict__
 class OperatorSubspace:
     """Span of k independent operators on R^dim.
 
@@ -80,8 +81,7 @@ class OperatorSubspace:
         return np.linalg.solve(self.upper_tri, np.asarray(coeffs, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitGeometry:
+class OrbitGeometry(NamedTuple):
     """Orbit data of a subspace through x: the orthogonal projector P onto
     the span W of the basis images and the rank, all from the full SVD
     U diag(sv) Vt of Phi = [Q_k x], the images of the Frobenius-orthonormal

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,16 +21,14 @@ from .defaults import PROBE_SEED, RANK_MARGIN, TOL
 from .errors import ConvergenceFailure, DimensionError, PipelineRefusal
 
 
-@dataclass(frozen=True, eq=False)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     y: np.ndarray
     N: int
     d_pipeline: float
     d_oracle: float
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionCertificate:
+class ProjectionCertificate(NamedTuple):
     P: np.ndarray
     rank: int
     r: float

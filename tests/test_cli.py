@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbit_locator import (DimensionError, SolverFailure, cli, located,
-                           locate_distance, make_subspace)
+                           locate_distance, make_subspace, nested)
 
 
 DIAG_BASIS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
@@ -361,3 +361,11 @@ def test_cached_parser_matches_fresh_parser(tmp_path, capsys):
         fresh.append(run_cli(capsys, argv))
     assert cached == fresh
     assert cached[0][1] != cached[1][1]
+
+
+def test_dump_refuses_a_record():
+    # records are tuples, but only a plain list or tuple renders as a JSON
+    # list: a record that reaches the renderer unconverted is a TypeError
+    with pytest.raises(TypeError, match="cannot serialize Level"):
+        cli._dump(nested.Level(n=1, d=0.5, y=np.zeros(2)))
+    assert cli._dump((1, 0.5)) == "[1, 0.5]"
