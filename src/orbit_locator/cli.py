@@ -52,13 +52,13 @@ class Problem(NamedTuple):
     seed: Optional[int]
 
 
-def _as_vec(raw, dim: int, name: str) -> np.ndarray:
+def _as_vec(raw, dim: int, where: str) -> np.ndarray:
     try:
         v = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"field {name!r} is not numeric: {exc}") from exc
+        raise InputError(f"{where} is not numeric: {exc}") from exc
     if v.shape != (dim,):
-        raise InputError(f"field {name!r} must have shape ({dim},), got {v.shape}")
+        raise InputError(f"{where} must have shape ({dim},), got {v.shape}")
     return v
 
 
@@ -111,8 +111,8 @@ def load_problem(path: str) -> Problem:
             raise InputError(
                 f"{path}: basis[{i}] must be {dim}x{dim}, got {B.shape}")
         basis.append(B)
-    x = _as_vec(raw["x"], dim, "x")
-    y = _as_vec(raw["y"], dim, "y") if raw.get("y") is not None else None
+    x = _as_vec(raw["x"], dim, f"{path}: field 'x'")
+    y = _as_vec(raw["y"], dim, f"{path}: field 'y'") if raw.get("y") is not None else None
     n, tol, budget = (_param(key, raw.get(key), f"{path}: field {key!r}")
                       for key in ("n", "tol", "budget"))
     seed = raw.get("seed")

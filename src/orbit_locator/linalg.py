@@ -1,10 +1,10 @@
 """Dense real linear algebra on desk-scale problems.
 
-Eigen- and singular values come from LAPACK through numpy. The symmetric
-eigensolver and the checked SVD check every returned pair after the fact:
-for a symmetric matrix the residual norm ||S v - lam v|| bounds the
-distance from lam to the spectrum, so a pair that does not meet its bound
-raises ConvergenceFailure instead of passing as certified. Small stacks
+Eigen- and singular values come from LAPACK through numpy. The checked
+SVD checks every returned pair after the fact: for a symmetric matrix the
+residual norm ||S v - lam v|| bounds the distance from lam to the
+spectrum, so a pair that does not meet its bound raises
+ConvergenceFailure instead of passing as certified. Small stacks
 of matrices get closed-form spectral norms (d <= 3), which the
 enumeration oracles use as a route independent of LAPACK. The calculus of
 sigma1 that the solvers use (Gram values, curvature, the SQP's multiplier
@@ -106,34 +106,6 @@ def orthonormalize(vectors) -> tuple[list[np.ndarray], int]:
     return basis, len(basis)
 
 
-def sym_eigh_desc(S, tol: float = 1e-12):
-    """All eigenvalues (descending) and eigenvectors of a symmetric matrix.
-
-    LAPACK's eigh, then every pair is checked after the fact: for symmetric
-    S the residual ||S v - lam v|| bounds the distance from lam to the
-    spectrum. Raises ConvergenceFailure when LAPACK fails or a residual
-    exceeds 50 * tol * ||S||_F * max(1, d).
-    """
-    S = as_matrix(S, square=True)
-    S = 0.5 * (S + S.T)
-    d = S.shape[0]
-    scale = float(np.linalg.norm(S, ord="fro"))
-    try:
-        lams, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh failed: {exc}") from exc
-    lams = lams[::-1]
-    V = V[:, ::-1]
-    resid = np.linalg.norm(S @ V - V * lams, axis=0)
-    worst = float(resid.max())
-    bound = 50.0 * max(tol, 1e-14) * scale * max(1.0, d)
-    if not worst <= bound:
-        raise ConvergenceFailure(
-            f"eigenpair residual {worst:.3e} exceeds {bound:.3e}",
-            best=lams, residual=worst)
-    return lams, V
-
-
 def checked_svd(M):
     """Full SVD (U, s, Vt) of a finite 2-d array M, s descending, with
     every pair checked.
@@ -142,7 +114,8 @@ def checked_svd(M):
     after the fact, with s padded by zeros: M v_i = s_i u_i and
     M' u_i = s_i v_i. These are the eigenpairs (s_i, [u_i; v_i] / sqrt 2)
     of the symmetric dilation [[0, M], [M', 0]], so the residual bounds the
-    distance from s_i to the singular values as in sym_eigh_desc. Raises
+    distance from s_i to the singular values, as it bounds the distance
+    from an eigenvalue to the spectrum of any symmetric matrix. Raises
     ConvergenceFailure when LAPACK fails or a residual exceeds
     50 * 1e-14 * ||M||_F * max(1, d, k) for M of shape (d, k).
     """
@@ -178,41 +151,22 @@ def spectral_norm(M) -> float:
     return float(singular_values(M)[0])
 
 
-def top_singular_triple(M):
-    """(sigma1, u, v) with M v = sigma1 u and unit u, v."""
-    U, s, Vt = np.linalg.svd(as_matrix(M), full_matrices=False)
-    return float(s[0]), U[:, 0], Vt[0]
-
-
-def top_singular_pairs(M, *, rel_gap: float = 1e-6, max_pairs: int = 4):
-    """Singular triples clustered at the top of the spectrum.
-
-    Returns [(s, u, v), ...] for every singular value within rel_gap
-    (relatively) of the largest, capped at max_pairs, with s recomputed as
-    u @ M @ v so the triple is exactly consistent with the returned unit
-    vectors. Empty for the zero matrix.
-    """
-    M = as_matrix(M)
-    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
-    out = []
-    for i in range(min(len(sig), max_pairs)):
-        if sig[i] < sig[0] * (1.0 - rel_gap) or sig[i] <= 1e-300:
-            break
-        u, v = U[:, i], Vt[i]
-        out.append((float(u @ M @ v), u, v))
-    return out
-
-
-def clip_spectral(M, bound: float) -> np.ndarray:
-    """Nearest matrix (Frobenius) with spectral norm <= bound: singular
-    values above the bound are clipped down to it."""
-    U, s, Vt = np.linalg.svd(as_matrix(M), full_matrices=False)
-    return (U * np.minimum(s, bound)) @ Vt
-
-
 def nuclear_norm(M) -> float:
     """Sum of singular values."""
     return float(np.sum(singular_values(M)))
+
+
+def retired(*args, **kwargs):
+    """The one body of five retired names: sym_eigh_desc,
+    top_singular_triple, top_singular_pairs and clip_spectral here, and
+    located.OrbitBallContext.project. No route calls them. Each stays
+    bound only for its row in the benchmark's layer table
+    (perfbench/layertrace.py), which looks every traced name up as
+    owner.__dict__[attr]; the rows and this stub go together."""
+    raise NotImplementedError("retired: no route calls this name")
+
+
+sym_eigh_desc = top_singular_triple = top_singular_pairs = clip_spectral = retired
 
 
 # --- closed-form batch spectral norms -------------------------------------

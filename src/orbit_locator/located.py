@@ -400,43 +400,7 @@ class OrbitBallContext:
         t = np.asarray(t, dtype=float)
         return t * (n / np.maximum(sigma1.values(self.mat(t)), n))[..., None]
 
-    def project(self, w, n: float, dyk_tol: float, max_sweeps: int = 400):
-        """Euclidean projection of coefficient vector w onto
-        {t : sigma1(mat(t)) <= n}, via alternating corrections between the
-        span and the spectral ball (Dykstra). Returns (t, shift) with t
-        feasible and shift an estimate of the distance to the exact
-        projection.
-
-        No solver route calls it; the fallback is ADMM. It stays defined
-        because perfbench/layertrace.py wraps it by looking it up with
-        owner.__dict__[attr]: removing it breaks the benchmark's --trace 1
-        run until that wrapper table drops it."""
-        M0 = self.mat(w)
-        sig = linalg.spectral_norm(M0)
-        if sig <= n * (1.0 + 1e-15):
-            return np.asarray(w, dtype=float).copy(), 0.0
-        X = M0
-        p = np.zeros_like(M0)
-        q = np.zeros_like(M0)
-        resid = np.inf
-        t = np.asarray(w, dtype=float)
-        for _ in range(max_sweeps):
-            Y = linalg.clip_spectral(X + p, n)
-            p = X + p - Y
-            t = self.tcoords(Y + q)
-            Z = self.mat(t)
-            q = Y + q - Z
-            X = Z
-            resid = float(np.linalg.norm(Y - Z))
-            if resid <= dyk_tol:
-                break
-        sig = linalg.spectral_norm(self.mat(t))
-        shift = 0.0
-        if sig > n and sig > 0.0:
-            t2 = t * (n / sig)
-            shift = float(np.linalg.norm(t - t2))
-            t = t2
-        return t, resid + shift
+    project = linalg.retired
 
     # ---- certified optimality test -----------------------------------------
 
@@ -560,7 +524,6 @@ class OrbitBallContext:
         gap = np.zeros(len(t))
         done = np.zeros(len(t), dtype=bool)
         iters = np.zeros(len(t), dtype=int)
-        k = self.k
         act = np.arange(len(t))
         for _ in range(_MAX_OUTER):
             if not act.size:

@@ -40,7 +40,8 @@ class ProjectionCertificate(NamedTuple):
 def truncation_index(y, r: float):
     """Smallest integer N with N > 2||y||/r for a vector y; for a stack of
     vectors (2-d y), one N per row as an int64 array, each equal to the N
-    of that row alone.
+    of that row alone. A vector is the stack of one row, so both forms
+    raise DimensionError on an N beyond the int64 range.
 
     The comparison carries a 1+1e-12 safety factor so values that are
     integers up to roundoff still satisfy the strict inequality.
@@ -51,11 +52,10 @@ def truncation_index(y, r: float):
     arr = np.asarray(y, dtype=float)
     rows = linalg.as_matrix(arr) if arr.ndim == 2 else linalg.as_vector(arr)[None]
     below = np.floor(2.0 * np.linalg.norm(rows, axis=1) / r * (1.0 + 1e-12))
-    if arr.ndim < 2:
-        return int(below[0]) + 1
     if not below.max() < 2.0 ** 62:
         raise DimensionError("truncation index beyond the int64 range")
-    return below.astype(np.int64) + 1
+    Ns = below.astype(np.int64) + 1
+    return Ns if arr.ndim == 2 else int(Ns[0])
 
 
 def _inner_radius_in_span(ctx: located.OrbitBallContext, search: bool = True):

@@ -215,6 +215,25 @@ def test_input_errors(tmp_path, capsys):
     assert run_cli(capsys, ["radius", with_tol])[0] == 0
 
 
+# problem files that load_problem refuses, each for one flaw
+_BAD_PROBLEMS = {
+    "BAD_TOP": [DIAG_BASIS],
+    "DIM_TRUE": {"dim": True, "basis": DIAG_BASIS, "x": [1.0, 0.1]},
+    "DIM_ZERO": {"dim": 0, "basis": DIAG_BASIS, "x": [1.0, 0.1]},
+    "DIM_STR": {"dim": "2", "basis": DIAG_BASIS, "x": [1.0, 0.1]},
+    "BASIS_EMPTY": {"dim": 2, "basis": [], "x": [1.0, 0.1]},
+    "BASIS_DICT": {"dim": 2, "basis": {"B": DIAG_BASIS}, "x": [1.0, 0.1]},
+    "ENTRY_STR": {"dim": 2, "basis": [DIAG_BASIS[0], "I"], "x": [1.0, 0.1]},
+    "ENTRY_RAGGED": {"dim": 2, "basis": [[[1.0, 0.0], [0.0]]], "x": [1.0, 0.1]},
+    "ENTRY_SHAPE": {"dim": 2, "basis": [DIAG_BASIS[0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                    "x": [1.0, 0.1]},
+    "SEED_HALF": {"dim": 2, "basis": DIAG_BASIS, "x": [1.0, 0.1], "y": [0.0, 1.0], "seed": 1.5},
+    "SEED_TRUE": {"dim": 2, "basis": DIAG_BASIS, "x": [1.0, 0.1], "y": [0.0, 1.0], "seed": True},
+    "X_STR": {"dim": 2, "basis": DIAG_BASIS, "x": ["one", 0.1]},
+    "Y_SHAPE": {"dim": 2, "basis": DIAG_BASIS, "x": [1.0, 0.1], "y": [[0.0, 1.0]]},
+}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["distance", "NO_Y"], "distance needs a target vector y in the problem file"),
     (["balldist", "NO_Y", "--n", "2"], "balldist needs a target vector y in the problem file"),
@@ -229,9 +248,26 @@ def test_input_errors(tmp_path, capsys):
     # a JSON integer beyond the doubles' range reads from its spelling as
     # the flag's string does: inf, refused as a level
     (["balldist", "HUGE"], "HUGE: field 'n': scale n must be finite, got inf"),
+    # each refusal of a problem file names the file
+    (["distance", "NO_DIR/p.json"], "cannot read NO_DIR/p.json: "),
+    (["distance", "BAD_TOP"], "BAD_TOP: top level must be a JSON object"),
+    (["distance", "DIM_TRUE"], "DIM_TRUE: dim must be a positive integer"),
+    (["distance", "DIM_ZERO"], "DIM_ZERO: dim must be a positive integer"),
+    (["distance", "DIM_STR"], "DIM_STR: dim must be a positive integer"),
+    (["distance", "BASIS_EMPTY"], "BASIS_EMPTY: basis must be a nonempty list of matrices"),
+    (["distance", "BASIS_DICT"], "BASIS_DICT: basis must be a nonempty list of matrices"),
+    (["distance", "ENTRY_STR"], "ENTRY_STR: basis[1] is not numeric: "),
+    (["distance", "ENTRY_RAGGED"], "ENTRY_RAGGED: basis[0] is not numeric: "),
+    (["distance", "ENTRY_SHAPE"], "ENTRY_SHAPE: basis[1] must be 2x2, got (2, 3)"),
+    (["distance", "SEED_HALF"], "SEED_HALF: seed must be an integer"),
+    (["distance", "SEED_TRUE"], "SEED_TRUE: seed must be an integer"),
+    (["distance", "X_STR"], "X_STR: field 'x' is not numeric: "),
+    (["distance", "Y_SHAPE"], "Y_SHAPE: field 'y' must have shape (2,), got (1, 2)"),
 ], ids=["distance-no-y", "balldist-no-y", "balldist-no-y-no-n", "decompose-no-y-no-r",
         "omt-two-matrices", "no-subcommand", "demo-csv-no-dir", "flag-before-subcommand",
-        "huge-integer-n"])
+        "huge-integer-n", "unreadable-file", "top-level-list", "dim-true", "dim-zero",
+        "dim-string", "basis-empty", "basis-not-list", "entry-string", "entry-ragged",
+        "entry-shape", "seed-fraction", "seed-bool", "x-string", "y-shape"])
 def test_input_error_messages(argv, message, tmp_path, capsys):
     # each input error exits 1 with its one-line message on stderr, no
     # report and no traceback
@@ -239,6 +275,10 @@ def test_input_error_messages(argv, message, tmp_path, capsys):
              "TWO": diag_problem(tmp_path, name="two.json"),
              "NO_DIR": str(tmp_path / "no-such-dir"),
              "HUGE": diag_problem(tmp_path, name="huge.json", n=10 ** 400)}
+    for key in set(argv) & set(_BAD_PROBLEMS):
+        path = tmp_path / f"{key.lower()}.json"
+        path.write_text(json.dumps(_BAD_PROBLEMS[key]))
+        names[key] = str(path)
 
     def fill(text):
         for key, value in names.items():

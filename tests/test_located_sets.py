@@ -13,8 +13,8 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
                            euclidean_ball, gauge_of_orbit_ball,
                            greedy_decompose, grid_oracle_distance,
                            inner_radius, linear_image_ball, locate_distance,
-                           make_subspace, orbit_ball)
-from orbit_locator import located, sigma1
+                           make_subspace, orbit, orbit_ball)
+from orbit_locator import linalg, located, sigma1
 from orbit_locator.operators import GRID_CHUNK
 from conftest import (MEM_TOL, SEED13, SEED17, family50_draw, family50_problem,
                       matrix_units, quaternion_left, svd_sigma, svd_sigmas,
@@ -154,6 +154,39 @@ def test_grid_oracle_brackets_solver(diag_sub):
         d = ball_distance(diag_sub, x, n, y, tol=1e-8).value
         lo, hi = grid_oracle_distance(diag_sub, x, n, y, eps=0.02)
         assert lo - 1e-9 <= d <= hi + 1e-9, (n, lo, d, hi)
+
+
+def test_grid_oracle_on_a_zero_orbit_is_the_norm_of_y():
+    # x in the kernel of every basis matrix: the orbit is {0}, and the
+    # bracket closes at ||y|| without a grid
+    sub = make_subspace([np.diag([1.0, 0.0])])
+    assert grid_oracle_distance(sub, [0.0, 1.0], 1.0, [3.0, 4.0], eps=0.1) == (5.0, 5.0)
+
+
+_DIAG = make_subspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: linalg.as_matrix(np.ones(3)), "nonempty 2-d matrix"),
+    (lambda: linalg.as_matrix(np.zeros((0, 2))), "nonempty 2-d matrix"),
+    (lambda: linalg.as_matrix([[np.nan]]), "must be finite"),
+    (lambda: _DIAG.matrix([1.0]), "expected 2 coefficients"),
+    (lambda: orbit(_DIAG, [1.0, 0.0, 0.0]), r"x has shape \(3,\)"),
+    (lambda: OrbitBallContext(_DIAG, [1.0, 0.5]).gauge_on(np.ones((3, 1))),
+     "columns of length 2"),
+    (lambda: linalg.batch_spectral_norms(np.eye(2)), "stack of matrices"),
+    (lambda: inner_radius(euclidean_ball(np.zeros(2), 1.0), [np.zeros(2)]),
+     "spans nothing"),
+    (lambda: inner_radius(euclidean_ball(np.zeros(2), 1.0), []), "spans nothing"),
+    (lambda: inner_radius(euclidean_ball(np.zeros(2), np.inf), [np.array([1.0, 0.0])]),
+     "gauge vanishes"),
+], ids=["matrix-1d", "matrix-empty", "matrix-nan", "coefficient-count", "orbit-x-length",
+        "gauge-on-columns", "norms-one-matrix", "radius-zero-basis", "radius-empty-basis",
+        "radius-zero-gauge"])
+def test_typed_refusals(call, match):
+    # each malformed input is refused with a DimensionError that names it
+    with pytest.raises(DimensionError, match=match):
+        call()
 
 
 def test_grid_oracle_memory_is_bounded(diag_sub):

@@ -46,6 +46,11 @@ def test_truncation_index_on_a_stack_equals_each_row():
         Ns = truncation_index(Y, r)
         assert Ns.dtype == np.int64
         assert Ns.tolist() == [truncation_index(y, r) for y in Y], r
+    # a row whose N is past int64 is refused alone as in a stack
+    far = np.array([1e10, 0.0])
+    for rows in (far, np.stack([Y[0], far])):
+        with pytest.raises(DimensionError, match="beyond the int64 range"):
+            truncation_index(rows, 1e-10)
 
 
 def test_probe_set_is_the_seeded_draw_and_read_only(ptp):
