@@ -6,10 +6,10 @@ fixed vector, {M x : M in span(B_1..B_k), sigma1(M) <= n}. Its solver has
 three routes: an exact shortcut when the orthogonal projection Py of the
 query onto the orbit span already lies in the set, a boundary SQP
 candidate, and ADMM as the one fallback. Each SQP row carries one
-symmetric 2 x 2 KKT multiplier M on its top two singular pairs,
-W = U_2 M V_2', which serves the step, the Lagrangian Hessian and the
-certificate, all read off one contraction U'Q_k V of the basis per SVD of
-mat(t) by the sigma1 module. Every boundary answer is
+symmetric r x r KKT multiplier M on the cluster of its top r singular
+pairs, W = U_r M V_r', which serves the step, the Lagrangian Hessian and
+the certificate, all read off one contraction U'Q_k V of the basis per
+SVD of mat(t) by the sigma1 module. Every boundary answer is
 certified by a duality gap, the closed-form Lagrangian dual at a d x d
 multiplier: the SQP candidate's at its W, which is also the SQP's stop
 rule, and ADMM's, which starts from W = 0, balances its penalty against
@@ -414,8 +414,9 @@ class OrbitBallContext:
     def _turn(self, t, y, usv=None):
         """The factors one SQP turn needs at each row t of a stack, from the
         stacked SVD usv of mat(t) (made when not given): (U, sig, Vt, grad,
-        T, M, two), with grad the gradient of f, T[r, k] = U'Q_k V and
-        sigma1.multiplier's (M, two) of the row."""
+        T, M, r), with grad the gradient of f, T[i, k] = U'Q_k V and
+        sigma1.multiplier's (M, r) of the row: M padded to the call's
+        largest cluster, r the size of the row's constraint."""
         U, sig, Vt = np.linalg.svd(self.mat(t)) if usv is None else usv
         grad = self._grad(t, y)
         T = np.swapaxes(U, 1, 2)[:, None] @ self.stack @ np.swapaxes(Vt, 1, 2)[:, None]
@@ -438,7 +439,7 @@ class OrbitBallContext:
         c = tcoords(W') and nuc = ||W'||_* with W' the null-cut multiplier
         of _cut; row-wise for stacks (n a scalar or one level per row). The
         one bound formula: ADMM feeds it from a formed W through _cut, and
-        _cert_gap from the multiplier M on the top pairs.
+        _cert_gap from the multiplier M on the cluster of top pairs.
 
         With N'c = 0, every feasible t has
         <W', mat(t)> = c't <= ||W'||_* sigma1 <= n ||W'||_*, so
@@ -474,14 +475,14 @@ class OrbitBallContext:
         """Upper bound f(t) - _dual(W) on f(t) - min f over the level-n
         feasible region for each feasible row t of a stack (n a scalar or
         one level per row) and the query record q, at the multiplier
-        W = U_p M V_p' of the row's _turn; f = f(t) and turn = _turn(t, y)
-        are computed when the caller does not have them. sigma1.contract
-        gives tcoords(W) and ||W||_* = tr M with no W formed, W' = W without
-        a null space; only with one is W formed and W' = W - mat(N N'c)
-        factored (_cut). Any W gives a valid bound, so W only affects
-        tightness: at an optimum whose top singular value is simple, or
-        whose top two tied values admit a multiplier M >= 0, the gap is 0
-        up to rounding."""
+        W = U_p M V_p' of the row's _turn, with M padded to p pairs; f = f(t)
+        and turn = _turn(t, y) are computed when the caller does not have
+        them. sigma1.contract gives tcoords(W) and ||W||_* = tr M with no W
+        formed, W' = W without a null space; only with one is W formed and
+        W' = W - mat(N N'c) factored (_cut). Any W gives a valid bound, so W
+        only affects tightness: at an optimum whose top singular value is
+        simple, or whose r <= 4 tied values admit a multiplier M >= 0, the
+        gap is 0 up to rounding."""
         t = np.asarray(t, dtype=float)
         if f is None:
             f = self._f(t, q["y"])
@@ -506,14 +507,14 @@ class OrbitBallContext:
         duality gap (_cert_gap) is taken from it, with f from the line
         search: a row stops once _certified at its tol. The others share one
         batched Newton step, sigma1.step on the KKT system of their
-        constraint (both pairs at the level where the turn marks M's two
-        eigenvalues clear, else the top pair's sigma1 = n) with the
-        Lagrangian's Hessian H + <M, A''>. Each row moves by the first alpha
-        in 1, 1/2, ..., 2^-11 with f < f_prev - 1e-18 (full steps as one
-        stacked trial, the halvings of rejected rows as one more) and
-        otherwise stops on a step below 1e-13 max(1, ||t||), on |f| < 1e-30,
-        on a stall or after _MAX_OUTER iterations, taking its gap at its
-        final point. Returns (t, steps taken, f, gap), one per row."""
+        constraint (the turn's r pairs at the level, the top pair's
+        sigma1 = n at r = 1) with the Lagrangian's Hessian H + <M, A''>.
+        Each row moves by the first alpha in 1, 1/2, ..., 2^-11 with
+        f < f_prev - 1e-18 (full steps as one stacked trial, the halvings
+        of rejected rows as one more) and otherwise stops on a step below
+        1e-13 max(1, ||t||), on |f| < 1e-30, on a stall or after _MAX_OUTER
+        iterations, taking its gap at its final point. Returns (t, steps
+        taken, f, gap), one per row."""
         y = q["y"]
         t = np.array(t0, dtype=float)
         n, tol = np.full(len(t), n, dtype=float), np.full(len(t), tol, dtype=float)
@@ -535,11 +536,11 @@ class OrbitBallContext:
             done[act] = shut
             if shut.all():
                 break
-            _, sig, _, grad, T, M, two = turn
+            _, sig, _, grad, T, M, r = turn
             # every row takes the step's stacked algebra; the certified
             # ones neither move nor stay
             iters[act[~shut]] += 1
-            delta = sigma1.step(self.H, T, sig, grad, M, two, na)
+            delta = sigma1.step(self.H, T, sig, grad, M, r, na)
             moving = ~shut & (np.einsum("rk,rk->r", delta, delta)
                               > 1e-26 * np.maximum(1.0, np.einsum("rk,rk->r", ta, ta)))
             live = np.flatnonzero(moving)
@@ -952,7 +953,5 @@ def grid_oracle_distance(subspace, x, n: float, y, eps: float,
     for pts in chunks:
         if len(pts):
             best = min(best, float(np.linalg.norm(pts - y, axis=1).min()))
-    if not np.isfinite(best):
-        best = float(np.linalg.norm(y))
     cover = h * np.sqrt(k) / 2.0 * (L2 + sig_lip * nx)
     return max(0.0, best - cover), best

@@ -199,8 +199,11 @@ def grid_orbit_points(subspace: OperatorSubspace, x, n: float, step: float,
     that walks the grid GRID_CHUNK points at a time and yields, per chunk,
     the orbit points M x of the grid operators with sigma1(M) <= band,
     each pulled back into the ball by the factor min(1, n / sigma1(M)).
-    Nothing is enumerated before chunks is iterated, so a caller can
-    refuse on size first; memory stays bounded by the chunk.
+    The grid point nearest 0 has |c| <= step sqrt(k) / 2, so sigma1 <=
+    sqrt(sum_i sigma1(B_i)^2) step sqrt(k) / 2, and a band at least that
+    keeps it: the grid then yields a point. Nothing is enumerated before
+    chunks is iterated, so a caller can refuse on size first; memory
+    stays bounded by the chunk.
     """
     xv = linalg.as_vector(x)
     axes = [_axis_grid(b, step) for b in coefficient_box(subspace, n)]
@@ -251,10 +254,7 @@ def epsilon_net(subspace: OperatorSubspace, x, n: float, eps: float,
         raise NetTooLargeError(
             f"epsilon net needs about {size} grid points (cap {cap}); "
             f"coarsen eps or lower n", required_size=size)
-    out = np.concatenate(list(chunks), axis=0)
-    if out.shape[0] == 0:
-        return [np.zeros(subspace.dim)]
-    return list(out)
+    return list(np.concatenate(list(chunks), axis=0))
 
 
 def covering_gap(subspace: OperatorSubspace, x, n: float, net,

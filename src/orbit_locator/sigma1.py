@@ -4,9 +4,9 @@ Every certificate of an orbit ball {M x : sigma1(M) <= n} is a statement
 about sigma1 of a span operator, and its calculus lives here, arrays in
 and arrays out. values takes sigma1 from the Gram. The boundary SQP reads
 the rest off one contraction T = U'D_k V of its directions D_k in the
-singular frames of X = U diag(s) V': the symmetric 2 x 2 KKT multiplier
-M on the top two pairs, W = U_2 M V_2' (multiplier; sigma1's
-subdifferential at a double value is {U_2 M V_2' : M >= 0}, Overton,
+singular frames of X = U diag(s) V': the symmetric r x r KKT multiplier
+M on the cluster of the top r pairs, W = U_r M V_r' (multiplier; sigma1's
+subdifferential at an r-fold value is {U_r M V_r' : M >= 0}, Overton,
 SIAM J. Matrix Anal. Appl. 9, 1988), the certificate's coordinates of W
 (contract), the block curvature <M, E''> (curvature) and the KKT step
 (step). The gauge's searches over null coordinates, pair_line_min,
@@ -21,10 +21,11 @@ import functools
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)   # machine epsilon
-_BETA = 1e-2           # the band sigma2 >= (1 - _BETA) sigma1, and the two-pair test
+_BETA = 1e-2           # the cluster's band sigma_j >= (1 - _BETA) sigma1, and its eigenvalue test
 _LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
 _MAX_EVALS = 50_000      # compass_min's per-search cap on probes
 _NEWTON_ROUNDS = 50      # sigma1_newton's cap on lockstep rounds
+_UPPER = [np.triu_indices(r, 1) for r in range(5)]   # a cluster's pairs i < l < r <= 4
 
 
 def values(Ms) -> np.ndarray:
@@ -40,63 +41,60 @@ def values(Ms) -> np.ndarray:
 
 def curvature(T, s, M) -> np.ndarray:
     """Hessian of c -> <M, E(c)> at c = 0, shape (..., K, K), with E(c)
-    the p x p block of the top p singular values of X + sum_k c_k D_k and M
-    a symmetric weight (..., p, p), p = 1 or 2, for each X = U diag(s) V'
-    of a stack, from s and T = U'D_k V (..., K, d, d), the K directions in
-    the full singular frames (Overton and Womersley, SIAM J. Matrix Anal.
-    Appl. 16, 1995, on the dilation [[0, X], [X', 0]]). The pairs j > p
-    couple with the block through the vectors a_ij = T[j, i] and
-    b_ij = T[i, j] over k: the value is the symmetric part of
-    sum_{i,l} M_il sum_{j > p} [s_i (a_ij a_lj' + b_ij b_lj')
-    + s_j (a_ij b_lj' + b_ij a_lj')] / (s_i^2 - s_j^2). At p = 1 that is M
-    times the curvature of sigma1, not finite where s1 ties s2. At p = 2
-    the block's own -s partners add tr M h h' / (2 (s1 + s2)),
-    h = T[2, 1] - T[1, 2], and the value is finite where s1 ties s2."""
+    the r x r block of the top r singular values of X + sum_k c_k D_k and M
+    a symmetric weight (..., r, r), for each X = U diag(s) V' of a stack,
+    from s and T = U'D_k V (..., K, d, d), the K directions in the full
+    singular frames (Overton and Womersley, SIAM J. Matrix Anal. Appl. 16,
+    1995, on the dilation [[0, X], [X', 0]]). With u_ij = T[j, i] + T[i, j]
+    and w_ij = T[j, i] - T[i, j] over k, i < r, it is the symmetric part of
+    sum_{i,l < r} M_il [sum_{j >= r} u_ij u_lj' / (s_i - s_j) + sum_j w_ij
+    w_lj' / (s_i + s_j)] / 2: the pairs j >= r couple with the block
+    through their +s and -s partners, the block's own -s partners give the
+    terms j < r. At r = 1 that is M times the curvature of sigma1, not
+    finite where s1 ties s2; at M = I_r it is the curvature of the Ky Fan
+    sum s1 + ... + s_r, finite where the block's values tie."""
+    r = M.shape[-1]
+    P, Q = T[..., :, :r], np.swapaxes(T[..., :r, :], -1, -2)   # [k, j, i]: T[j, i], T[i, j]
+    V = np.concatenate([P + Q, P - Q], axis=-2)[..., r:, :]   # u_ij for j >= r, all w_ij
+    partners = np.concatenate([-s[..., r:], s], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if M.shape[-1] == 1:
-            a, b = T[..., 1:, 0], T[..., 0, 1:]
-            s1, rest = s[..., :1, None], s[..., None, 1:]
-            den = s1 * s1 - rest * rest
-            at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
-            cross = (a * (rest / den)) @ bt
-            return M * (s1 * ((a / den) @ at + (b / den) @ bt) + cross + np.swapaxes(cross, -1, -2))
-        a, b = T[..., 2:, :2], np.swapaxes(T[..., :2, 2:], -1, -2)   # (..., K, d - 2, 2)
-        si, sj = s[..., None, None, :2], s[..., None, 2:, None]
-        e, f = si / (si * si - sj * sj), sj / (si * si - sj * sj)
-        rows = a.shape[:-2] + (-1,)   # one flat row over (j, i) per direction
-        Ma, Mb = (np.swapaxes((v @ M[..., None, :, :]).reshape(rows), -1, -2) for v in (a, b))
-        S = (a * e + b * f).reshape(rows) @ Ma + (b * e + a * f).reshape(rows) @ Mb
-        h = T[..., 1, 0] - T[..., 0, 1]
-        w = np.trace(M, axis1=-2, axis2=-1) / (2.0 * (s[..., 0] + s[..., 1]))
-        return 0.5 * (S + np.swapaxes(S, -1, -2)) + w[..., None, None] * (h[..., :, None]
-                                                                         * h[..., None, :])
+        X = V / (s[..., None, None, :r] + partners[..., None, :, None])
+        rows = V.shape[:-2] + (-1,)   # one flat row over (j, i) per direction
+        S = X.reshape(rows) @ np.swapaxes((V @ M[..., None, :, :]).reshape(rows), -1, -2)
+        return 0.25 * (S + np.swapaxes(S, -1, -2))
 
 
 # ---- the SQP's multiplier and step: T (rows, K, d, d), s (rows, d) and
 # grad (rows, K), the objective's gradient in the coordinates of the D_k
 
 def multiplier(T, s, grad):
-    """(M, two): each row's symmetric p x p KKT multiplier M, W = U_p M V_p'
-    with p = min(d, 2), and the rows that hold both pairs. Off the band
-    sigma2 >= (1 - _BETA) sigma1, M is the top pair's least-squares weight
-    max(0, -<grad, g> / ||g||^2), g = T[0, 0]; on it, the fit of -grad by
-    <D_k, U_2 M V_2'> (_pair_cols, normal equations by sym_solve) with its
-    negative eigenvalues clipped, and two marks lam_2 > _BETA lam_1."""
-    p = min(T.shape[-1], 2)
+    """(M, r): each row's symmetric KKT multiplier M, W = U_p M V_p', p the
+    call's largest cluster, and its constraint's size r. A row's cluster is
+    its r <= min(d, 4) pairs with sigma_j >= (1 - _BETA) sigma1. M is the top
+    pair's least-squares weight max(0, -<grad, g> / ||g||^2), g = T[0, 0], or
+    on a cluster of r >= 2 the fit of -grad by <D_k, U_r M V_r'>
+    (_cluster_cols, sym_solve) with negative eigenvalues clipped. If c clear
+    _BETA lam_max, the constraint keeps the r pairs at c = r, the top pair
+    at c <= 1, and otherwise M is fitted again on c pairs."""
     g = T[:, :, 0, 0]
-    M = np.zeros((len(T), p, p))
+    r = (s[:, :4] >= (1.0 - _BETA) * s[:, :1]).sum(axis=1)
+    M = np.zeros((len(T),) + (r.max(initial=1),) * 2)
     M[:, 0, 0] = np.maximum(0.0, -np.einsum("rk,rk->r", grad, g)
                             / np.maximum(np.einsum("rk,rk->r", g, g), 1e-300))
-    # the band (none at d = 1), narrowed below to M's two clear eigenvalues
-    two = (p == 2) & (s[:, p - 1] >= (1.0 - _BETA) * s[:, 0])
-    if two.any():
-        C = _pair_cols(T[two])
-        m = sym_solve(np.swapaxes(C, 1, 2) @ C, -(grad[two, None] @ C)[:, 0], _EPS * 3)
-        m[:, 2] *= 0.5 ** 0.5
-        lam, Z = np.linalg.eigh(m[:, [0, 2, 2, 1]].reshape(-1, 2, 2))
-        M[two] = (Z * np.maximum(lam, 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
-        two[two] = lam[:, 0] > _BETA * lam[:, 1]
-    return M, two
+    for k in range(M.shape[-1], 1, -1):
+        rows = np.flatnonzero(r == k)
+        if rows.size:
+            C = _cluster_cols(T[rows], k)
+            m = sym_solve(np.swapaxes(C, 1, 2) @ C, -(grad[rows, None] @ C)[:, 0],
+                          _EPS * C.shape[-1])
+            m[:, k:] *= 0.5 ** 0.5
+            at = np.diag(np.arange(k))   # M's entries as indices into m
+            at[_UPPER[k]] = at.T[_UPPER[k]] = np.arange(k, m.shape[1])
+            lam, Z = np.linalg.eigh(m[:, at])
+            M[rows] = 0.0   # a refit on fewer pairs drops the larger fit
+            M[rows, :k, :k] = (Z * np.maximum(lam, 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
+            r[rows] = np.maximum((lam > _BETA * lam[:, -1:]).sum(axis=1), 1)
+    return M, r
 
 
 def contract(T, M):
@@ -107,24 +105,25 @@ def contract(T, M):
     return np.einsum("rkil,ril->rk", T[:, :, :p, :p], M), np.trace(M, axis1=1, axis2=2)
 
 
-def step(H, T, s, grad, M, two, n) -> np.ndarray:
+def step(H, T, s, grad, M, r, n) -> np.ndarray:
     """The SQP's step per row to the level n (one per row) on the KKT system
-    of the row's constraint: sym(U_2' X V_2) = n I_2 where two marks M's
-    two eigenvalues clear, three rows with right side (n - sigma1,
-    n - sigma2, 0) (_pair_cols), else the top pair's sigma1 = n. The
-    Lagrangian's Hessian is H + <M, E''>, curvature at M or, with the top
-    pair, at M_00 > 0, and H on a row where that is not finite."""
+    of the row's constraint: the top pair's sigma1 = n on every row, then
+    sym(U_r' X V_r) = n I_r on the rows of each cluster size r >= 2, columns
+    _cluster_cols, right side n - sigma_i on the diagonal and 0 off it. The
+    Lagrangian's Hessian is H + <M_r, E''>, curvature at M's leading r x r
+    block, or H where M_00 = 0 or that is not finite."""
     L = np.repeat(H[None], len(T), axis=0)
-    for rows, weight in ((np.flatnonzero(~two & (M[:, 0, 0] > 0.0)), M[:, :1, :1]),
-                         (np.flatnonzero(two), M)):
+    sizes = [np.flatnonzero((r == k) & (M[:, 0, 0] > 0.0)) for k in range(1, M.shape[-1] + 1)]
+    for k, rows in enumerate(sizes, 1):
         if rows.size:
-            C = curvature(T[rows], s[rows], weight[rows])
+            C = curvature(T[rows], s[rows], M[rows, :k, :k])
             ok = np.isfinite(C).all(axis=(1, 2))
             L[rows[ok]] += C[ok]
     delta = _kkt_step(L, T[:, :, :1, 0], grad, (n - s[:, 0])[:, None])
-    if two.any():
-        delta[two] = _kkt_step(L[two], _pair_cols(T[two]), grad[two],
-                               np.pad(n[two, None] - s[two, :2], ((0, 0), (0, 1))))
+    for k, rows in enumerate(sizes[1:], 2):
+        if rows.size:
+            delta[rows] = _kkt_step(L[rows], _cluster_cols(T[rows], k), grad[rows], np.pad(
+                n[rows, None] - s[rows, :k], ((0, 0), (0, k * (k - 1) // 2))))
     return delta
 
 
@@ -148,13 +147,14 @@ def _kkt_step(L, J, g, r) -> np.ndarray:
     return sym_solve(K, np.concatenate([-g, r], axis=1), _EPS * (k + m))[:, :k]
 
 
-def _pair_cols(T) -> np.ndarray:
-    """The columns T[0, 0], T[1, 1] and (T[0, 1] + T[1, 0]) / sqrt 2 of
-    frames T (rows, k, d, d): the coordinates <D_k, U_2 M V_2'> in M's
-    Frobenius coordinates (M_00, M_11, sqrt 2 M_01), and the gradients of
-    sym(U_2' X V_2)'s entries, the off-diagonal one times sqrt 2."""
-    return np.stack([T[:, :, 0, 0], T[:, :, 1, 1],
-                     (T[:, :, 0, 1] + T[:, :, 1, 0]) * 0.5 ** 0.5], -1)
+def _cluster_cols(T, r) -> np.ndarray:
+    """The columns T[i, i], then (T[i, l] + T[l, i]) / sqrt 2 for i < l < r,
+    of frames T (rows, k, d, d): the coordinates <D_k, U_r M V_r'> in M's
+    Frobenius coordinates (the M_ii, then sqrt 2 M_il), and the gradients of
+    sym(U_r' X V_r)'s entries, the off-diagonal ones times sqrt 2."""
+    i, l = _UPPER[r]
+    return np.concatenate([np.diagonal(T[:, :, :r, :r], 0, 2, 3),
+                           (T[:, :, i, l] + T[:, :, l, i]) * 0.5 ** 0.5], -1)
 
 
 # ---- the gauge's searches over null coordinates -----------------------------

@@ -155,6 +155,18 @@ SEED13 = {"seed": 13, "dims": (6, 9), "ks": (3, 9)}
 SEED17 = {"seed": 17, "dims": (8, 13), "ks": (4, 13)}
 
 
+def scale_draw(dim, k, seeds=(0, 1)):
+    """The scale problems (basis, x, y) of dimension dim with k basis
+    operators, one per s in seeds, each from generator 1000 dim + s: a
+    standard normal basis (k, dim, dim), x, and y scaled by 1.5. They are
+    swept at budget 30 and tol 1e-6."""
+    for s in seeds:
+        g = np.random.default_rng(1000 * dim + s)
+        basis = list(g.normal(size=(k, dim, dim)))
+        x = g.normal(size=dim)
+        yield basis, x, g.normal(size=dim) * 1.5
+
+
 def wide_draw_problem(index, **draw):
     """Problem `index` of the wide draw, or of the draw `wide_draw` makes
     from the keywords `draw`."""

@@ -43,6 +43,7 @@ RUNS = [
     ("rand47", ["distance", "rand47.json"]),
     ("wide35", ["distance", "wide35.json"]),
     ("wide20", ["distance", "wide20.json"]),
+    ("quaternion", ["distance", "quaternion.json"]),
     ("fine-60", ["distance", "diag-fine.json", "--budget", "60"]),
     ("fine-1073", ["distance", "diag-fine.json", "--budget", "1073"]),
     ("marginal", ["distance", "marginal.json"]),

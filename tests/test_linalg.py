@@ -151,11 +151,12 @@ def test_sigma1_curvature_at_an_exact_tie():
     assert z[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
-def exact_tie(g, d, K):
-    """X = U diag(s) V' with s = (2, 2, 1, 0.3)[:d] and random orthogonal
-    U, V, K random directions D_k, and T = U'D_k V in those frames."""
+def exact_tie(g, d, K, r=2):
+    """X = U diag(s) V' with s = (2, ..., 2, 1, 0.3, 0.1)[:d], r values 2,
+    and random orthogonal U, V, K random directions D_k, and T = U'D_k V in
+    those frames."""
     U, V = (np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(2))
-    s = np.array([2.0, 2.0, 1.0, 0.3][:d])
+    s = np.array([2.0] * r + [1.0, 0.3, 0.1][:d - r])
     D = g.normal(size=(K, d, d))
     return U @ np.diag(s) @ V.T, D, s, U.T @ D @ V
 
@@ -167,22 +168,25 @@ def second_differences(fn, K, h):
                       for j in range(K)] for i in range(K)]) / (4.0 * h * h)
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_block_curvature_at_an_exact_tie(d):
-    # at s1 = s2 the sum sigma1 + sigma2 is smooth while sigma1 is not: the
-    # block curvature at M = I_2 matches its second differences, the error
-    # falling as h^2, and at M = [[1]] the value is not finite
+@pytest.mark.parametrize("d,r,mu", [(3, 2, 1.0), (4, 2, 1.0), (3, 1, 0.7), (4, 3, 1.3),
+                                    (5, 4, 0.6)], ids=["3", "4", "r1", "r3", "r4"])
+def test_block_curvature_at_an_exact_tie(d, r, mu):
+    # at s1 = ... = s_r the Ky Fan sum s1 + ... + s_r is smooth while sigma1
+    # is not (r > 1): the block curvature at M = mu I_r matches mu times the
+    # sum's second differences, the error falling as h^2, and at M = [[1]]
+    # the value is finite only at r = 1
     g = np.random.default_rng(40 + d)
-    X, D, s, T = exact_tie(g, d, 3)
-    curv = sigma1.curvature(T, s, np.eye(2))
+    X, D, s, T = exact_tie(g, d, 3, r)
+    curv = sigma1.curvature(T, s, mu * np.eye(r))
     assert np.allclose(curv, curv.T, rtol=0.0, atol=1e-14)
 
-    def top_two(c):
-        return svd_values(X + np.tensordot(c, D, 1))[:2].sum()
+    def ky_fan(c):
+        return mu * svd_values(X + np.tensordot(c, D, 1))[:r].sum()
 
-    errs = [np.abs(curv - second_differences(top_two, 3, h)).max() for h in (1e-2, 1e-3)]
+    errs = [np.abs(curv - second_differences(ky_fan, 3, h)).max() for h in (1e-2, 1e-3)]
     assert errs[1] <= 2e-2 * errs[0] and errs[1] <= 1e-5 * np.abs(curv).max(), errs
-    assert not np.isfinite(sigma1.curvature(T, s, np.ones((1, 1)))).any()
+    finite = np.isfinite(sigma1.curvature(T, s, np.ones((1, 1))))
+    assert finite.all() if r == 1 else not finite.any()
 
 
 def test_block_curvature_is_linear_in_its_weight():

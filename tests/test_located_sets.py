@@ -17,7 +17,7 @@ from orbit_locator import (RANK_TOL, ConvergenceFailure,
 from orbit_locator import linalg, located, sigma1
 from orbit_locator.operators import GRID_CHUNK
 from conftest import (MEM_TOL, SEED13, SEED17, family50_draw, family50_problem,
-                      matrix_units, quaternion_left, svd_sigma, svd_sigmas,
+                      matrix_units, quaternion_left, scale_draw, svd_sigma, svd_sigmas,
                       svd_values, wide_draw, wide_draw_problem)
 
 
@@ -757,29 +757,45 @@ def test_band_multiplier_closes_the_tied_corner(diag_sub):
     assert 0.0 <= ctx._cert_gap(t, ctx._query(y), 1.0)[0] <= 1e-12
 
 
-def assert_multiplier_is_the_fit(T, sig, grad, M, two):
-    """sigma1.multiplier's (M, two) at (T, sig, grad), checked row by row:
-    M >= 0; off the band sigma2 >= 0.99 sigma1 [[top, 0], [0, 0]] with top
-    the top pair's least-squares weight; on it the least-squares fit of
-    -grad by tcoords(U_2 M V_2') over symmetric M, minimum-norm in
-    Frobenius norm, with its negative eigenvalues clipped; and two marks
-    the band rows whose M has lam_2 > 0.01 lam_1."""
-    band = sig[:, 1] >= 0.99 * sig[:, 0]
+def assert_multiplier_is_the_fit(T, sig, grad, M, r):
+    """sigma1.multiplier's (M, r) at (T, sig, grad), checked row by row.
+    What any cluster size satisfies: M >= 0; tr M, as sigma1.contract gives
+    it, is ||M||_*, which is ||W||_* for W = U_p M V_p'; r lies between 1
+    and the band's size, the pairs j < 4 with sigma_j >= 0.99 sigma1; and
+    where M is the unclipped fit (r >= 2, or the top pair's weight M_00 > 0
+    off the band) the residual -grad - c, c = tcoords(W), is orthogonal to
+    tcoords(U_r B V_r') for every symmetric r x r B. On the rows whose band
+    holds at most two pairs, also the 2 x 2 form: off the band M is
+    [[top, 0], [0, 0]] with top the top pair's least-squares weight; on it
+    M's leading 2 x 2 block is the least-squares fit of -grad over
+    symmetric blocks, minimum-norm in Frobenius norm, with its negative
+    eigenvalues clipped, and r = 2 exactly where lam_2 > 0.01 lam_1."""
+    c, nuc = sigma1.contract(T, M)
     lam = np.linalg.eigvalsh(M)
-    assert np.all(lam[:, 0] >= -1e-15 * np.maximum(1.0, lam[:, 1])), lam
-    assert np.array_equal(two, band & (lam[:, 0] > 0.01 * lam[:, 1]))
+    assert np.all(lam[:, 0] >= -1e-15 * np.maximum(1.0, lam[:, -1])), lam
+    assert np.allclose(nuc, np.abs(lam).sum(axis=1), rtol=1e-13, atol=0.0), (nuc, lam)
+    band = np.count_nonzero(sig[:, :4] >= 0.99 * sig[:, :1], axis=1)
+    assert np.all((1 <= r) & (r <= band)), (r, band)
+    rho = -grad - c
+    for i in np.flatnonzero((r >= 2) | ((band == 1) & (M[:, 0, 0] > 0.0))):
+        B = np.tensordot(rho[i], T[i, :, :r[i], :r[i]], 1)
+        scale = np.abs(grad[i]).max() * np.abs(T[i]).max()
+        assert np.abs(B + B.T).max() <= 1e-12 * scale, (i, B, scale)
     g = T[:, :, 0, 0]
     top = np.maximum(0.0, -np.sum(grad * g, axis=1) / np.sum(g * g, axis=1))
-    assert np.allclose(M[~band, 0, 0], top[~band], rtol=1e-14, atol=0.0)
-    assert not M[~band][:, [0, 1, 1], [1, 0, 1]].any()
-    for r in np.flatnonzero(band):
+    one = band == 1
+    assert np.allclose(M[one, 0, 0], top[one], rtol=1e-14, atol=0.0)
+    assert not np.delete(M[one].reshape(-1, M.shape[-1] ** 2), 0, axis=1).any()
+    for i in np.flatnonzero(band == 2):
         # the coordinates M_00, M_11 and sqrt 2 M_01 are Frobenius ones
-        C = np.stack([T[r, :, 0, 0], T[r, :, 1, 1],
-                      (T[r, :, 0, 1] + T[r, :, 1, 0]) / np.sqrt(2.0)], axis=1)
-        m = np.linalg.lstsq(C, -grad[r], rcond=None)[0] * [1.0, 1.0, np.sqrt(0.5)]
+        C = np.stack([T[i, :, 0, 0], T[i, :, 1, 1],
+                      (T[i, :, 0, 1] + T[i, :, 1, 0]) / np.sqrt(2.0)], axis=1)
+        m = np.linalg.lstsq(C, -grad[i], rcond=None)[0] * [1.0, 1.0, np.sqrt(0.5)]
         w, Z = np.linalg.eigh(m[[0, 2, 2, 1]].reshape(2, 2))
-        want = (Z * np.maximum(w, 0.0)) @ Z.T
-        assert np.abs(M[r] - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (M[r], want)
+        want = np.zeros_like(M[i])
+        want[:2, :2] = (Z * np.maximum(w, 0.0)) @ Z.T
+        assert np.abs(M[i] - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (M[i], want)
+        assert r[i] == (2 if w[0] > 0.01 * w[1] else 1), (r[i], w)
 
 
 @pytest.mark.parametrize("source,index", [
@@ -806,28 +822,29 @@ def test_multiplier_is_the_clipped_fit(source, index, monkeypatch):
         assert_multiplier_is_the_fit(*args)
 
 
-@pytest.mark.parametrize("k", [3, 2])
+@pytest.mark.parametrize("k", [3, 2, 4])
 def test_multiplier_follows_a_rotated_tie(k):
-    # mat(t) = U diag(2, 2, 0.5) V' (dimension 3, k = 3) or U diag(2, 2) V'
-    # (dimension 2, k = 2, where the fit has a line of solutions) with
-    # random orthogonal U, V lies in a random span, so its top value ties
-    # exactly, and U_2 R, V_2 R frame it as well for every orthogonal R.
-    # Queries y put -grad at tcoords(U_2 P V_2') for a random P >= 0 plus
-    # noise. The fit turns with the frame, M -> R'MR, so W = U_2 M V_2' is
-    # the same; c = tcoords(W) and tr M = ||W||_*, as the certificate
-    # takes them
-    d = k
+    # mat(t) = U diag(2, 2, 0.5) V' (dimension 3, k = 3), U diag(2, 2) V'
+    # (dimension 2, k = 2, where the fit has a line of solutions) or
+    # U diag(2, 2, 2, 0.5) V' (dimension 4, k = 4, a three-fold tie whose
+    # fit has a plane of solutions) with random orthogonal U, V lies in a
+    # random span, so its top values tie exactly, and U_r Q, V_r Q frame
+    # them as well for every orthogonal Q. Queries y put -grad at
+    # tcoords(U_r P V_r') for a random P >= 0 plus noise. The fit turns
+    # with the frame, M -> Q'MQ, so W = U_p M V_p' is the same, and so are
+    # c = tcoords(W) and tr M = ||W||_*, as the certificate takes them
+    d, tie = k, 3 if k == 4 else 2
     g = np.random.default_rng(31 + k)
     U, V = (np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(2))
-    s = np.array([2.0, 2.0, 0.5][:d])
+    s = np.array({2: [2.0, 2.0], 3: [2.0, 2.0, 0.5], 4: [2.0, 2.0, 2.0, 0.5]}[k])
     X = U @ np.diag(s) @ V.T
     sub = make_subspace([X] + [g.normal(size=(d, d)) for _ in range(k - 1)])
     ctx = OrbitBallContext(sub, g.normal(size=d))
     t = ctx.tcoords(X)[None]
     spread = 0
     for seed in range(4):
-        A = g.normal(size=(2, 2))
-        w = ctx.tcoords(U[:, :2] @ A @ A.T @ V[:, :2].T) + 0.05 * g.normal(size=k)
+        A = g.normal(size=(tie, tie))
+        w = ctx.tcoords(U[:, :tie] @ A @ A.T @ V[:, :tie].T) + 0.05 * g.normal(size=k)
         # 2 Phi'(y - Phi t) = w, so -grad = w
         y = ctx.point(t[0]) + np.linalg.solve(ctx.Phi.T, w / 2.0)
         grad = ctx._grad(t, y)
@@ -835,18 +852,28 @@ def test_multiplier_follows_a_rotated_tie(k):
         fit = sigma1.multiplier(T, s[None], grad)
         assert_multiplier_is_the_fit(T, s[None], grad, *fit)
         M = fit[0][0]
-        spread += fit[1][0]
-        W = U[:, :2] @ M @ V[:, :2].T
+        p = M.shape[-1]
+        spread += fit[1][0] == tie
+        W = U[:, :p] @ M @ V[:, :p].T
         c, nuc = sigma1.contract(T, M[None])
         assert np.abs(ctx.tcoords(W) - c[0]).max() <= 1e-13
         assert nuc[0] == pytest.approx(np.linalg.svd(W, compute_uv=False).sum(), rel=1e-13)
-        for R in (rotation(0.3 + seed), np.diag([1.0, -1.0]) @ rotation(seed)):
+        if tie == 2:
+            turns = (rotation(0.3 + seed), np.diag([1.0, -1.0]) @ rotation(seed))
+        else:
+            turns = tuple(np.linalg.qr(g.normal(size=(tie, tie)))[0] for _ in range(2))
+        for R in turns:
             Q = np.eye(d)
-            Q[:2, :2] = R
-            Mr = sigma1.multiplier(((U @ Q).T @ ctx.stack @ (V @ Q))[None], s[None], grad)[0][0]
-            assert np.abs(Mr - R.T @ M @ R).max() <= 1e-12 * max(1.0, np.abs(M).max())
-            Wr = (U @ Q)[:, :2] @ Mr @ (V @ Q)[:, :2].T
+            Q[:tie, :tie] = R
+            Tr = ((U @ Q).T @ ctx.stack @ (V @ Q))[None]
+            Mr = sigma1.multiplier(Tr, s[None], grad)[0][0]
+            Mq = Q[:p, :p].T @ M @ Q[:p, :p]
+            assert np.abs(Mr - Mq).max() <= 1e-12 * max(1.0, np.abs(M).max())
+            Wr = (U @ Q)[:, :p] @ Mr @ (V @ Q)[:, :p].T
             assert np.abs(Wr - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
+            cr, nucr = sigma1.contract(Tr, Mr[None])
+            assert np.abs(cr - c).max() <= 1e-12 * max(1.0, np.abs(c).max())
+            assert nucr[0] == pytest.approx(nuc[0], rel=1e-13)
     assert spread >= 2
 
 
@@ -864,8 +891,10 @@ def test_tied_spectra_certify_in_the_sqp(basis, x, admm_runs):
     # span{I, J} is a scaled orthogonal matrix, so all its singular values
     # tie, and the full algebra M_3 holds every operator. Each ball is the
     # Euclidean ball of radius n |x|, so a level's distance is
-    # |y| - n |x| off it. The band multiplier over the top two pairs
-    # certifies every boundary level of the sweep in the SQP: no ADMM run
+    # |y| - n |x| off it. The cluster multiplier over the tied pairs (all
+    # four of the quaternion ball's, both of the disk's; M_3's optima are
+    # rank one) certifies every boundary level of the sweep in the SQP: no
+    # ADMM run
     g = np.random.default_rng(3)
     y = g.normal(size=x.size)
     y *= 5.5 * np.linalg.norm(x) / np.linalg.norm(y)
@@ -882,11 +911,12 @@ def test_tied_spectra_certify_in_the_sqp(basis, x, admm_runs):
 ], ids=["family50-20", "wide-35", "wide-181"])
 def test_tabled_levels_are_certified(source, index, count, left_open, monkeypatch):
     # _sqp stops each level once its gap meets the level's tolerance. On
-    # wide-draw 35, whose level 1-3 optima nearly tie, the 2 x 2 multiplier
-    # closes every level; on wide-draw 181 it cannot close level 1, where
-    # the step walks toward a tie the optimum lacks, and the sweep's ADMM
-    # closes it. With those closed every level of the table is certified
-    # at its own tolerance and lies within it of a solve at 1e-12
+    # wide-draw 35, whose level 1-3 optima nearly tie, the multiplier over
+    # the cluster of the two tied pairs closes every level; on wide-draw
+    # 181 it cannot close level 1, where the step walks toward a tie the
+    # optimum lacks, and the sweep's ADMM closes it. With those closed
+    # every level of the table is certified at its own tolerance and lies
+    # within it of a solve at 1e-12
     if source == "wide":
         basis, x, y = wide_draw_problem(index)
     else:
@@ -929,8 +959,10 @@ def test_wide_draw_sweeps_certify(admm_runs, sqp_rows, draw, count, kinds, level
     # SolverFailure, and the draw's ledger pinned: the verdict split, the
     # levels of all sweeps, the SQP's row iterations in all, the number of
     # levels that run ADMM and their iterations in all, and no ADMM run
-    # above `most` iterations. With a multiplier diagonal in the top two
-    # pairs and the top pair as the one constraint the wide draws ran ADMM
+    # above `most` iterations. No draw has a cluster of three or more
+    # pairs, so the r x r multiplier acts as the 2 x 2 one did. With a
+    # multiplier diagonal in the top two pairs and the top pair as the one
+    # constraint the wide draws ran ADMM
     # on 48, 20 and 37 levels for 4669, 3864 and 9805 iterations, at most
     # 626, 522 and 1577 in one run; on the wide draw the most was 6105
     # before ADMM balanced its residuals, on the seed-17 draw 6657 before
@@ -949,6 +981,27 @@ def test_wide_draw_sweeps_certify(admm_runs, sqp_rows, draw, count, kinds, level
     assert (swept, sum(sqp_rows)) == (levels, rows), (swept, sum(sqp_rows))
     assert (len(admm_runs), sum(admm_runs)) == (runs, iterations), admm_runs
     assert max(admm_runs, default=0) <= most, admm_runs
+
+
+@pytest.mark.parametrize("dim,k,levels,rows,runs,iterations", [
+    (16, 24, 10, 94, 1, 210),
+    (64, 32, 6, 21, 0, 0),
+], ids=["dim16", "dim64"])
+def test_scale_draw_sweeps_certify(admm_runs, sqp_rows, dim, k, levels, rows, runs,
+                                   iterations):
+    # the two scale problems of a (dim, k) row, swept at budget 30: both
+    # Stabilized, and their ledger pinned as in test_wide_draw_sweeps_certify.
+    # The optima tie three or four singular values; with the multiplier
+    # held to the top two pairs the SQP stalled there, and the rows took
+    # 132 and 39 SQP row iterations and ran ADMM 5 times for 1608
+    # iterations at dim 16, and 2 times for 3859 at dim 64
+    swept = 0
+    for basis, x, y in scale_draw(dim, k):
+        rep = locate_distance(make_subspace(basis), x, y, budget=30, tol=1e-6)
+        assert isinstance(rep.verdict, Stabilized)
+        swept += len(rep.levels)
+    assert (swept, sum(sqp_rows)) == (levels, rows), (swept, sum(sqp_rows))
+    assert (len(admm_runs), sum(admm_runs)) == (runs, iterations), admm_runs
 
 
 def marginal_rank_x():
@@ -1104,9 +1157,9 @@ def certificate_cases():
 
 
 def test_certificate_from_multiplier_coordinates():
-    # the gap from the coordinates <M, T_k[:2, :2]> (and tr M as the
+    # the gap from the coordinates <M, T_k[:p, :p]> (and tr M as the
     # nuclear norm without a null space) equals f - _dual on the formed
-    # multiplier W = U_2 M V_2', fed as ADMM feeds _dual; the tied rows
+    # multiplier W = U_p M V_p', fed as ADMM feeds _dual; the tied rows
     # use the band fit
     banded = spread = 0
     for ctx, y, n, t in certificate_cases():
