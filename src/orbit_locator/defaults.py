@@ -9,7 +9,7 @@ in agreement.
 """
 
 TOL = 1e-6        # distance tolerance
-GAUGE_TOL = 1e-10  # orbit-ball gauge stop: dual gap at one null coordinate, step floor at more
+GAUGE_TOL = 1e-10  # orbit-ball gauge stop: dual gap at every null coordinate count
 BUDGET = 30       # nested-limit level budget
 RANK_TOL = 1e-9   # rank cuts: SVD of Phi (orbit rank), Gram-Schmidt, basis validation
 RANK_MARGIN = 100.0  # a singular value this close (as a factor) to the rank cut makes the rank marginal

@@ -157,10 +157,11 @@ def nuclear_norm(M) -> float:
 
 
 def retired(*args, **kwargs):
-    """The one body of five retired names: sym_eigh_desc,
-    top_singular_triple, top_singular_pairs and clip_spectral here, and
-    located.OrbitBallContext.project. No route calls them. Each stays
-    bound only for its row in the benchmark's layer table
+    """The one body of six retired names: sym_eigh_desc,
+    top_singular_triple, top_singular_pairs and clip_spectral here,
+    located.compass_min (the pattern search that sigma1.cluster_min
+    replaced) and located.OrbitBallContext.project. No route calls them.
+    Each stays bound only for its row in the benchmark's layer table
     (perfbench/layertrace.py), which looks every traced name up as
     owner.__dict__[attr]; the rows and this stub go together."""
     raise NotImplementedError("retired: no route calls this name")

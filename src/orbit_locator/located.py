@@ -35,15 +35,17 @@ as the root of the top eigenvalue of its Gram, from one stacked eigvalsh.
 With A the matrix of a row's least-norm preimage, that value at A is the
 whole kernel without a null space. With one, the kernel minimises
 sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by the
-searches of the sigma1 module: pair_line_min and sigma1_newton at one
-null coordinate, compass_min on the Gram values at two or more. On a fixed
-subspace W the kernel is compiled once (gauge_on): A is the combination
-of the matrices of W's basis vectors, so a round of the inner-radius
-search builds no preimage and makes no per-row span test. The same
-generators, built once, also give the gauge ceiling on W that gauge_on
-returns with the compiled gauge: one top eigenvalue of their Gram, which
-lets that search stop, and the slack by which the rounding of the
-generators can leave a value below the exact gauge.
+searches of the sigma1 module, each stopping on its dual gap:
+pair_line_min and sigma1_newton at one null coordinate, and at two or
+more cluster_min, on the least-norm multipliers, curvature and KKT steps
+of the boundary SQP's tie calculus. On a fixed subspace W the kernel is
+compiled once (gauge_on): A is the combination of the matrices of W's
+basis vectors, so a round of the inner-radius search builds no preimage
+and makes no per-row span test. The same generators, built once, also
+give the gauge ceiling on W that gauge_on returns with the compiled
+gauge: one top eigenvalue of their Gram, which lets that search stop, and
+the slack by which the rounding of the generators can leave a value below
+the exact gauge.
 
 Euclidean balls and linear images of balls (ellipsoids) are provided as
 exactly-locatable companions, and a pure enumeration oracle gives two-sided
@@ -63,7 +65,9 @@ from .defaults import (GAUGE_TOL, GRID_CAP, MAX_SOLVER_ITERS, RANK_MARGIN,
                        RANK_TOL, TOL)
 from .errors import (DimensionError, GridOracleRefusal, OrbitLocatorError,
                      SolverFailure)
-from .sigma1 import compass_min, line_derivs, pair_line_min, sigma1_newton
+from .sigma1 import cluster_min, line_derivs, pair_line_min, sigma1_newton
+
+compass_min = linalg.retired
 
 
 class DistanceResult(NamedTuple):
@@ -138,7 +142,6 @@ class LocatedSet:
 
 
 _MAX_OUTER = 80        # _sqp's iteration cap
-_HALVES = 0.5 ** np.arange(1, 12)   # _sqp's backtracking steps
 _BALANCE_EVERY = 10    # ADMM iterations between residual-balancing checks
 _BALANCE_RATIO = 10.0  # residual ratio that doubles or halves ADMM's rho
 _EPS = float(np.finfo(float).eps)   # machine epsilon
@@ -264,33 +267,29 @@ class OrbitBallContext:
         rank cut leaves its error bound above it; those rows and every row
         at d >= 3 go to one sigma1_newton search on the derivatives of
         line_derivs (one stacked SVD), which stops once its dual gap is
-        within it. Either end is re-anchored on sigma1.values, and a row
-        whose end that puts above its value at z = 0 keeps z = 0. With two
-        or more a lockstep pattern search on sigma1.values runs from z = 0
-        down to that step, each round one sweep spanning four step sizes,
-        and moves only to lower values. So no value exceeds the one at
-        z = 0. Returns (values, coefficient rows)."""
+        within it. With two or more one cluster_min search runs, which
+        stops once its dual gap is within it or on its rho cap. Either
+        route's end is re-anchored on sigma1.values, and a row whose end
+        that puts above its value at z = 0 keeps z = 0, so no value exceeds
+        the one at z = 0. Returns (values, coefficient rows)."""
         d = self.dim
         NM = self.null_mats
         if not NM.shape[0]:
             return sigma1.values(A.reshape(-1, d, d)), t_hat
-        scale = np.maximum(1.0, np.linalg.norm(t_hat, axis=1))
-        tol = GAUGE_TOL * scale / 4.0
+        tol = GAUGE_TOL * np.maximum(1.0, np.linalg.norm(t_hat, axis=1)) / 4.0
         if NM.shape[0] > 1:
-            z, g, _ = compass_min(
-                lambda rows, P: sigma1.values(
-                    (A[rows, None] + P @ NM).reshape(*P.shape[:2], d, d)),
-                np.zeros((len(A), NM.shape[0])), init_step=scale, step_tol=tol)
-            return g, t_hat + z @ self.null_vecs.T
-        N = NM[0]
-        z, rows = pair_line_min(A, N, tol) if d == 2 else (np.zeros(len(A)), np.arange(len(A)))
-        if rows.size:
-            z[rows] = sigma1_newton(line_derivs(A[rows], N, d), A[rows] @ N, tol[rows],
-                                    np.sqrt(d))[0]
-        g = sigma1.values(np.stack([A, A + z[:, None] * N]).reshape(2, -1, d, d))
+            z = cluster_min(A, NM, tol)[0]
+        else:
+            N = NM[0]
+            z, rows = pair_line_min(A, N, tol) if d == 2 else (np.zeros(len(A)), np.arange(len(A)))
+            if rows.size:
+                z[rows] = sigma1_newton(line_derivs(A[rows], N, d), A[rows] @ N, tol[rows],
+                                        np.sqrt(d))[0]
+            z = z[:, None]
+        g = sigma1.values(np.stack([A, A + z @ NM]).reshape(2, -1, d, d))
         back = g[1] > g[0]
         z[back] = 0.0
-        return np.where(back, g[0], g[1]), t_hat + z[:, None] * self.null_vecs[:, 0]
+        return np.where(back, g[0], g[1]), t_hat + z @ self.null_vecs.T
 
     def gauges(self, V):
         """Row-wise gauge of a stack of vectors: (values, coefficient rows),
@@ -551,7 +550,7 @@ class OrbitBallContext:
             lost = live[~won]
             ended = ~moving
             if lost.size:
-                tc = self.feasify(ta[lost, None] + _HALVES[:, None] * delta[lost, None],
+                tc = self.feasify(ta[lost, None] + sigma1._HALVES[:, None] * delta[lost, None],
                                   na[lost, None])
                 fc = self._f(tc, y)
                 ok = fc < fa[lost, None] - 1e-18

@@ -9,21 +9,21 @@ M on the cluster of the top r pairs, W = U_r M V_r' (multiplier; sigma1's
 subdifferential at an r-fold value is {U_r M V_r' : M >= 0}, Overton,
 SIAM J. Matrix Anal. Appl. 9, 1988), the certificate's coordinates of W
 (contract), the block curvature <M, E''> (curvature) and the KKT step
-(step). The gauge's searches over null coordinates, pair_line_min,
-sigma1_newton (on line_derivs) and compass_min, run their rows in
-lockstep.
+(step). The gauge's searches over null coordinates run their rows in
+lockstep: pair_line_min and sigma1_newton (on line_derivs) on one, and on
+two or more cluster_min, the same tie calculus with the level a variable.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)   # machine epsilon
 _BETA = 1e-2           # the cluster's band sigma_j >= (1 - _BETA) sigma1, and its eigenvalue test
-_LEVELS = 4   # step sizes probed per compass_min round: s, s/2, ..., s/8
-_MAX_EVALS = 50_000      # compass_min's per-search cap on probes
+_HALVES = 0.5 ** np.arange(1, 12)   # the backtracking steps of the SQP and of cluster_min
+_RHO_CAP = 1e10          # cluster_min's cap on its proximal weight rho
+_CLUSTER_ROUNDS = 100    # cluster_min's cap on lockstep rounds
+_PSD_STEPS = 50          # accelerated projected gradient steps of an exact _least_norm
 _NEWTON_ROUNDS = 50      # sigma1_newton's cap on lockstep rounds
 _UPPER = [np.triu_indices(r, 1) for r in range(5)]   # a cluster's pairs i < l < r <= 4
 
@@ -87,10 +87,7 @@ def multiplier(T, s, grad):
             C = _cluster_cols(T[rows], k)
             m = sym_solve(np.swapaxes(C, 1, 2) @ C, -(grad[rows, None] @ C)[:, 0],
                           _EPS * C.shape[-1])
-            m[:, k:] *= 0.5 ** 0.5
-            at = np.diag(np.arange(k))   # M's entries as indices into m
-            at[_UPPER[k]] = at.T[_UPPER[k]] = np.arange(k, m.shape[1])
-            lam, Z = np.linalg.eigh(m[:, at])
+            lam, Z = np.linalg.eigh(_sym(m, k))
             M[rows] = 0.0   # a refit on fewer pairs drops the larger fit
             M[rows, :k, :k] = (Z * np.maximum(lam, 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
             r[rows] = np.maximum((lam > _BETA * lam[:, -1:]).sum(axis=1), 1)
@@ -157,83 +154,168 @@ def _cluster_cols(T, r) -> np.ndarray:
                            (T[:, :, i, l] + T[:, :, l, i]) * 0.5 ** 0.5], -1)
 
 
+def _sym(m, r):
+    """The symmetric r x r matrices of the coordinates m (..., entries) of
+    _cluster_cols: M_ii = m_ii, M_il = M_li = m_il / sqrt 2."""
+    m = m.copy()
+    m[..., r:] *= 0.5 ** 0.5
+    at = np.diag(np.arange(r))   # M's entries as indices into m
+    at[_UPPER[r]] = at.T[_UPPER[r]] = np.arange(r, m.shape[-1])
+    return m[..., at]
+
+
 # ---- the gauge's searches over null coordinates -----------------------------
 
-@functools.lru_cache(maxsize=16)
-def _pattern(m: int) -> np.ndarray:
-    """The probes of one compass_min round in R^m for a unit step, in probe
-    order: +-e_i, then (+-e_i +- e_j) / sqrt(2) for i < j, at each of the
-    _LEVELS step scales 1, 1/2, ..., largest first. Shared, so read-only."""
-    dirs = [sign * e for e in np.eye(m) for sign in (1.0, -1.0)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    e = np.zeros(m)
-                    e[[i, j]] = si, sj
-                    dirs.append(e / np.sqrt(2.0))
-    D = np.stack(dirs) if dirs else np.zeros((0, m))
-    D = np.concatenate([D * 0.5 ** i for i in range(_LEVELS)])
-    D.flags.writeable = False
-    return D
+def cluster_min(A, N, tol):
+    """Minimiser of sigma1(A_i + sum_l z_l N_l) over z in R^p, one search
+    per row of the stack A of flattened d x d rows, all run in lockstep
+    from z = 0, for p >= 2 flattened d x d matrices N with orthonormal
+    rows: the boundary SQP's tie calculus with the level a variable.
+
+    Each round takes the SVD U diag(s) V' of each row's X = A_i + N z and
+    T_l = U'N_l V; the row's cluster is its r <= min(d, 4) pairs with
+    s_j >= (1 - _BETA) s_1. For each k <= r, M is the least-norm
+    subgradient multiplier on the top k pairs (_least_norm): M >= 0 and
+    tr M = 1 with c(M) = (<N_l, U_k M V_k'>)_l of least norm. W = U_k M V_k'
+    has ||W||_* = 1, and W' = W - sum_l c_l N_l is orthogonal to every N_l,
+    so <W', A_i> = <W', X> <= ||W'||_* sigma1(X) at every z: each M gives a
+    lower bound on the row's minimum, taken less its rounding. The
+    candidate steps are, for each k, the KKT step (_kkt_step) of
+    min w + delta'(<M, E''> + rho s_1 I) delta / 2 (curvature) subject to
+    the top k values moving together to s_1 + w (T_l[i, i] delta - w =
+    s_1 - s_i on the diagonal, 0 off it); for k >= 2 that step plus its
+    second-order correction, the KKT step that cancels the block's
+    curvature along it, so that a tie holds through a full step; and the
+    subgradient step -c(M) / (rho s_1) of the whole cluster.
+
+    A row moves to its lowest full step if that is below its value (rho
+    quartered), else to its lowest step at the first of the halvings
+    1/2, ..., 2^-11 that has one (rho doubled), else rho grows 16-fold and
+    the row takes its lowest full step only if rounding cannot tell it from
+    its start. After a failed full search the row's next M on its whole
+    cluster is solved exactly over M >= 0, which makes -c(M) a descent
+    direction at a tie the minimum lacks. A row stops once its value is
+    within its tol (a scalar or one per row) of its best lower bound, once
+    rho exceeds _RHO_CAP, or after _CLUSTER_ROUNDS rounds. Every value is
+    sigma1.values of its point. Returns (z, value, lower, rounds)."""
+    S, p = len(A), len(N)
+    d = int(round(A.shape[1] ** 0.5))
+    Nm = N.reshape(p, d, d)
+
+    def trial(B, Z, valid):   # sigma1.values at the points Z (rows, q, p), inf where not valid
+        return np.where(valid, values((B[:, None] + Z @ N).reshape(-1, d, d)).reshape(Z.shape[:2]),
+                        np.inf)
+
+    z, f = np.zeros((S, p)), values(A.reshape(S, d, d))
+    low, rho, stuck = np.zeros(S), np.full(S, 1e-2), np.zeros(S, dtype=bool)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (S,))
+    act, rounds = np.arange(S), 0
+    while act.size and rounds < _CLUSTER_ROUNDS:
+        rounds += 1
+        za, Aa = z[act], A[act]
+        U, s, Vt = np.linalg.svd((Aa[:, None] + za[:, None] @ N).reshape(-1, d, d))
+        T = np.swapaxes(U, 1, 2)[:, None] @ Nm @ np.swapaxes(Vt, 1, 2)[:, None]
+        r = (s[:, :4] >= (1.0 - _BETA) * s[:, :1]).sum(axis=1)
+        R, prox = r.max(), rho[act] * s[:, 0]
+        steps = np.zeros((len(act), 2 * R, p))   # sizes 1..R, corrected 2..R, subgradient
+        for k in range(1, R + 1):
+            g = np.flatnonzero(r >= k)
+            Tg, sg, whole = T[g], s[g], r[g] == k
+            M = _least_norm(Tg, k, whole & stuck[act[g]])
+            c = contract(Tg, M)[0]
+            W = U[g, :, :k] @ M @ Vt[g, :k] - (c[:, None] @ N).reshape(-1, d, d)
+            dual = (W.reshape(len(g), -1) * Aa[g]).sum(axis=1) * (1.0 - 2.0 * d * d * _EPS)
+            low[act[g]] = np.maximum(low[act[g]], dual / np.linalg.svd(
+                W, compute_uv=False).sum(axis=1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                H = curvature(Tg, sg, M)
+            L = np.zeros((len(g), p + 1, p + 1))
+            L[:, :p, :p] = (np.where(np.isfinite(H).all(axis=(1, 2))[:, None, None], H, 0.0)
+                            + prox[g, None, None] * np.eye(p))
+            J = np.zeros((len(g), p + 1, k * (k + 1) // 2))
+            J[:, :p], J[:, p, :k] = _cluster_cols(Tg, k), -1.0
+            rhs = np.pad(sg[:, :1] - sg[:, :k], ((0, 0), (0, k * (k - 1) // 2)))
+            step = steps[g, k - 1] = _kkt_step(L, J, np.broadcast_to(
+                np.eye(p + 1)[p], (len(g), p + 1)), rhs)[:, :p]
+            if k > 1:
+                # Q_e = <E_e, E''>(step, step) / 2 at the unit weights E_e
+                # of the block's entries, in the coordinates of J's columns
+                TD = (step[:, :, None, None] * Tg).sum(axis=1)
+                n = (len(g), J.shape[2])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    Q = 0.5 * curvature(np.broadcast_to(TD[:, None, None], n + (1, d, d)),
+                                        np.broadcast_to(sg[:, None], n + (d,)),
+                                        np.broadcast_to(_sym(np.eye(n[1]), k), n + (k, k)))
+                    dc = _kkt_step(L, J, np.zeros((len(g), p + 1)), -Q[..., 0, 0])[:, :p]
+                steps[g, R + k - 2] = step + np.where(np.isfinite(dc), dc, 0.0)
+            steps[g[whole], -1] = -c[whole] / prox[g[whole], None]
+        keep = (f[act] - low[act] > tol[act]) & (rho[act] <= _RHO_CAP)
+        act, za, Aa, steps, r = act[keep], za[keep], Aa[keep], steps[keep], r[keep]
+        if not act.size:
+            break
+        fa, rows = f[act], np.arange(len(act))
+        valid = np.r_[np.arange(1, R + 1), np.arange(2, R + 1), 1] <= r[:, None]   # the sizes
+        full = trial(Aa, za[:, None] + steps, valid)
+        j = full.argmin(axis=1)
+        won = full[rows, j] < fa
+        lost = np.flatnonzero(~won)
+        cand = za[lost, None, None] + _HALVES[:, None, None] * steps[lost, None]
+        half = trial(Aa[lost], cand.reshape(len(lost), 2 * R * len(_HALVES), p),
+                     np.tile(valid[lost], len(_HALVES))).reshape(cand.shape[:3])
+        a = (half.min(axis=2) < fa[lost, None]).argmax(axis=1)
+        i = half[np.arange(len(lost)), a].argmin(axis=1)
+        best = half[np.arange(len(lost)), a, i]
+        ok = best < fa[lost]
+        h = lost[ok]
+        halved = np.isin(rows, h)
+        # a failed search still takes the full step whose value its
+        # rounding cannot tell from the start's
+        take = won | ~halved & (full[rows, j] <= fa * (1.0 + d * (d + 1) * _EPS))
+        z[act[take]], f[act[take]] = za[take] + steps[take, j[take]], full[take, j[take]]
+        z[act[h]], f[act[h]] = cand[ok, a[ok], i[ok]], best[ok]
+        rho[act] *= np.where(won, 0.25, np.where(halved, 2.0, 16.0))
+        stuck[act] = ~won
+    return z, f, low, rounds
 
 
-def compass_min(fn, z0, *, init_step, step_tol):
-    """Derivative-free coordinate/diagonal pattern descent, one search per
-    row of z0, all run in lockstep.
+def _least_norm(T, r, exact):
+    """cluster_min's multipliers on the top r pairs: the M of least
+    ||c(M)|| subject to tr M = 1, from the bordered normal equations on
+    _cluster_cols, projected onto {M >= 0, tr M = 1} (_spectraplex); on the
+    rows of the mask exact, then _PSD_STEPS accelerated projected gradient
+    steps (FISTA) on ||c(M)||^2 / 2 over that set, whose minimiser has
+    c(M) != 0 at a tie the minimum lacks."""
+    if r == 1:
+        return np.ones((len(T), 1, 1))
+    C = _cluster_cols(T, r)
+    G = np.swapaxes(C, 1, 2) @ C
+    e = np.zeros((len(T), C.shape[-1], 1))
+    e[:, :r] = 1.0
+    M = _spectraplex(_sym(_kkt_step(G, e, np.zeros(e.shape[:2]), np.ones((len(T), 1))), r))
+    rows = np.flatnonzero(exact)
+    if rows.size:
+        # the gradient of ||c(M)||^2 / 2 is sym(sum_l c_l T_l[:r, :r]), and
+        # its Lipschitz constant the top eigenvalue of G
+        B, X = T[rows, :, :r, :r], M[rows]
+        t, Y, X0, theta = 1.0 / np.linalg.eigvalsh(G[rows])[:, -1:, None], X, X, 1.0
+        for _ in range(_PSD_STEPS):
+            D = (contract(T[rows], Y)[0][:, :, None, None] * B).sum(axis=1)
+            X, X0 = _spectraplex(Y - t * (D + np.swapaxes(D, 1, 2)) / 2.0), X
+            theta, previous = (1.0 + (1.0 + 4.0 * theta * theta) ** 0.5) / 2.0, theta
+            Y = X + (previous - 1.0) / theta * (X - X0)
+        M[rows] = X
+    return M
 
-    Search i minimizes its own objective over R^m from z0[i] (init_step
-    and step_tol are scalars or one value per search). Each round probes
-    every pattern direction at the four step sizes s, s/2, s/4 and s/8 at
-    once and moves to the best improving probe, keeping s; when no probe
-    improves, s shrinks by 16, and the search stops once s is at most
-    step_tol. On convex objectives the final value is within O(step) of
-    the minimum. fn(rows, P) evaluates the objectives of the searches
-    rows[j] at the points P[j], shape (len(rows), p, m), and returns shape
-    (len(rows), p); each round makes one call covering every search still
-    active. A search moves only to a lower value, so no returned value
-    exceeds fn(z0). Returns (z, fn(z), evaluations) with z of the shape of
-    z0, one value per search and the total number of evaluations;
-    evaluations and _MAX_EVALS (a per-search cap) count probes.
-    """
-    z = np.array(z0, dtype=float)
-    S, m = z.shape
-    D = _pattern(m)
-    every = np.arange(S)
-    f = np.asarray(fn(every, z[:, None, :]), dtype=float)[:, 0]
-    evals = S
-    if m:
-        step = np.full(S, init_step, dtype=float)
-        floor = np.full(S, step_tol, dtype=float)
-        # the active searches are kept compacted and written back only when
-        # one stops; all of them have made the same number of evaluations
-        act = every[step > floor]
-        za, fa, sa, la = z[act], f[act], step[act], floor[act]
-        rows = np.arange(act.size)
-        per_search = 1
-        while act.size and per_search < _MAX_EVALS:
-            cand = za[:, None, :] + sa[:, None, None] * D
-            vals = np.asarray(fn(act, cand), dtype=float)
-            evals += vals.size
-            per_search += D.shape[0]
-            j = vals.argmin(axis=1)
-            low = vals[rows, j]
-            better = low < fa - 1e-18
-            moved = np.count_nonzero(better)
-            if moved:
-                np.copyto(za, cand[rows, j], where=better[:, None])
-                np.copyto(fa, low, where=better)
-            if moved == act.size:
-                continue
-            np.multiply(sa, 0.5 ** _LEVELS, out=sa, where=~better)
-            keep = sa > la
-            if np.count_nonzero(keep) < act.size:
-                z[act], f[act] = za, fa
-                act, za, fa, sa, la = (act[keep], za[keep], fa[keep],
-                                       sa[keep], la[keep])
-                rows = rows[:act.size]
-        z[act], f[act] = za, fa
-    return z, f, evals
+
+def _spectraplex(S):
+    """The nearest M >= 0 with tr M = 1 to each symmetric S of a stack, in
+    Frobenius norm: S's eigenvalues projected onto the simplex."""
+    lam, Z = np.linalg.eigh(S)
+    u = lam[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    q = (u - css / np.arange(1, u.shape[1] + 1) > 0.0).sum(axis=1)
+    theta = css[np.arange(len(u)), q - 1] / q
+    return (Z * np.maximum(lam - theta[:, None], 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
 
 
 def sigma1_newton(derivs, c, tol, width):

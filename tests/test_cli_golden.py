@@ -37,6 +37,7 @@ RUNS = [
     ("project-span7", ["project", "span7.json"]),
     ("radius-span3", ["radius", "span3.json"]),
     ("project-span3", ["project", "span3.json"]),
+    ("d3null", ["radius", "d3null.json"]),
     ("balldist", ["balldist", "diag.json", "--n", "3"]),
     ("decompose", ["decompose", "disk-y.json", "--r", "0.9"]),
     ("omt", ["omt", "omt.json"]),

@@ -2,8 +2,10 @@
 radius, against references that do not use them: dense grids and golden
 section on the dilation oracle of conftest. At one null coordinate the
 closed form pair_line_min runs at dimension 2 and sigma1_newton on the
-rows it leaves open and at 3 and more; compass_min runs at two or more
-null coordinates."""
+rows it leaves open and at 3 and more; at two or more the cluster search
+cluster_min runs, whose lower bounds are checked against its values and
+whose values are checked against those of the pattern search it replaced
+(compass_min, pinned)."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from orbit_locator import (OrbitBallContext, diag_subspace, located,
                            make_subspace, sigma1, span_inner_radius)
 from orbit_locator.defaults import GAUGE_TOL
 from orbit_locator.sigma1 import line_derivs, pair_line_min, sigma1_newton
-from conftest import stretched_null_problem, svd_sigma, svd_sigmas, svd_values
+from conftest import scale_draw, stretched_null_problem, svd_sigma, svd_sigmas, svd_values
 
 GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -34,15 +36,6 @@ def golden_min(f, lo, hi, iters=90):
     return np.minimum(fc, fd), np.where(fc <= fd, c, d)
 
 
-def sigma1_objective(A, Ns):
-    """fn(rows, P) of compass_min for the single objective
-    z -> sigma1(A + sum_j z_j N_j), by LAPACK."""
-    def fn(rows, P):
-        M = A + sum(P[..., j, None, None] * N for j, N in enumerate(Ns))
-        return np.linalg.svd(M, compute_uv=False)[..., 0]
-    return fn
-
-
 def reference_min(A, Ns, R=4.0, grid=41):
     """min over z in [-R, R]^m of sigma1(A + sum z_j N_j), m = 1 or 2: a
     dense grid brackets the minimiser of the (convex) profile in z_1,
@@ -61,47 +54,42 @@ def reference_min(A, Ns, R=4.0, grid=41):
     return float(golden_min(profile, [zs[i] - h], [zs[i] + h])[0][0])
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [2])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compass_min_reaches_sigma1_minimum(m, seed):
+    # the cluster search on two null coordinates, given in an orthonormal
+    # basis of their plane, lands on the reference minimum and closes its
+    # dual gap; one coordinate runs the line searches tested below
     g = np.random.default_rng(40 + seed)
     A = g.normal(size=(3, 3))
     Ns = [g.normal(size=(3, 3)) for _ in range(m)]
-    # sigma1 of the objective is Lipschitz in z with this constant
-    lip = np.sqrt(sum(svd_sigma(N) ** 2 for N in Ns))
     ref = reference_min(A, Ns)
-    step_tol = 1e-8
-    z, f, evals = located.compass_min(sigma1_objective(A, Ns), np.zeros((1, m)),
-                                      init_step=1.0, step_tol=step_tol)
-    assert z.shape == (1, m) and f.shape == (1,) and evals > 1
-    assert abs(f[0] - ref) <= 4.0 * step_tol * lip, (f[0], ref)
-    assert f[0] == sigma1_objective(A, Ns)(None, z[:, None, :])[0, 0]
+    N = np.linalg.qr(np.stack(Ns).reshape(m, 9).T)[0].T
+    tol = GAUGE_TOL / 4.0
+    z, f, lower, rounds = sigma1.cluster_min(A.reshape(1, 9), N, tol)
+    assert z.shape == (1, m) and f.shape == lower.shape == (1,) and rounds > 1
+    assert lower[0] <= f[0] and f[0] - lower[0] <= tol, (f[0], lower[0])
+    assert abs(f[0] - ref) <= 1e-12 * ref, (f[0], ref)
+    assert f[0] == pytest.approx(sigma1.values((A.reshape(1, 9) + z @ N).reshape(1, 3, 3))[0],
+                                 rel=1e-15, abs=0.0)
 
 
 def test_lockstep_rows_equal_one_row_runs():
+    # every row of a lockstep cluster search, with its own tolerance, ends
+    # where a search of that row alone ends, bit for bit, with the same
+    # lower bound; the lockstep runs as many rounds as its longest row
     g = np.random.default_rng(5)
-    S, m = 4, 2
-    A = g.normal(size=(S, 3, 3))
-    Ns = g.normal(size=(S, m, 3, 3))
-    z0 = g.normal(size=(S, m))
-    init = np.array([1.0, 0.3, 2.0, 0.05])
-    floor = np.array([1e-8, 1e-6, 1e-10, 1e-4])
-
-    def fn(rows, P):
-        # search i minimises sigma1(A_i + sum_j z_j N_ij)
-        M = A[rows, None] + sum(P[..., j, None, None] * Ns[rows, None, j]
-                                for j in range(m))
-        return np.linalg.svd(M, compute_uv=False)[..., 0]
-
-    z, f, evals = located.compass_min(fn, z0, init_step=init, step_tol=floor)
-    total = 0
+    S, m = 4, 3
+    A = g.normal(size=(S, 9))
+    N = np.linalg.qr(g.normal(size=(9, m)))[0].T
+    tol = np.array([1e-10, 1e-6, 1e-12, 1e-4])
+    z, f, lower, rounds = sigma1.cluster_min(A, N, tol)
+    most = 0
     for i in range(S):
-        zi, fi, ei = located.compass_min(
-            lambda rows, P: fn(np.full(len(rows), i), P), z0[i:i + 1],
-            init_step=init[i], step_tol=floor[i])
-        assert np.array_equal(z[i], zi[0]) and f[i] == fi[0], i
-        total += ei
-    assert evals == total
+        zi, fi, li, ri = sigma1.cluster_min(A[i:i + 1], N, tol[i])
+        assert np.array_equal(z[i], zi[0]) and f[i] == fi[0] and lower[i] == li[0], i
+        most = max(most, ri)
+    assert rounds == most
 
 
 def null_space_problem(seed, dim=2):
@@ -177,7 +165,7 @@ def test_newton_gauges_match_golden_section(dim, seed, monkeypatch):
     assert (ctx.rank, ctx.null_vecs.shape[1]) == (dim, 1)
     V = np.random.default_rng(100 + seed).normal(size=(32, dim))
     calls = record_newton(monkeypatch)
-    monkeypatch.setattr(located, "compass_min", None)
+    monkeypatch.setattr(located, "cluster_min", None)
     vals, ts = ctx.gauges(V)
     if dim == 2:
         assert calls == []
@@ -294,9 +282,70 @@ def test_closed_form_gauges_at_dimension_2(monkeypatch):
     check_gauge_rows(ctx, V, vals, ts)
 
 
+def record_cluster(monkeypatch):
+    """Route the kernel's cluster_min through a recorder: a list that gets
+    (tol, (z, f, lower, rounds)) for each call."""
+    calls = []
+    search = located.cluster_min
+
+    def recorded(A, N, tol):
+        out = search(A, N, tol)
+        calls.append((np.broadcast_to(tol, (len(A),)), out))
+        return out
+
+    monkeypatch.setattr(located, "cluster_min", recorded)
+    return calls
+
+
+# compass_min's values, the pattern search that cluster_min replaced, on
+# the first six directions of bodies (dim, k, seed): the basis (k, dim, dim),
+# x, then the directions, each drawn from default_rng(seed); and on the
+# query gauges of the scale problems (conftest.scale_draw) of rows (dim, k)
+COMPASS = {(3, 6, 6): [0.3841657146, 0.5375752719, 0.9429359165, 0.8942215705, 0.8079415421,
+                       0.4604084196],
+           (3, 7, 7): [1.5718747094, 1.6776432919, 1.0057869337, 0.6345747475, 1.1996926780,
+                       0.3681755162],
+           (3, 8, 8): [0.8861592456, 1.6321448625, 0.7164996769, 0.9582801084, 0.5515107565,
+                       0.8659547011],
+           (4, 9, 1): [1.9812241933, 3.1147401155, 2.9836163710, 1.4413863574, 2.6911379978,
+                       0.9802740875],
+           (5, 12, 2): [1.0343910615, 0.3374344673, 1.3789214486, 0.8400521580, 1.1847571715,
+                        1.4624971160]}
+COMPASS_SCALE = {(16, 24): [6.4585442148, 2.5631365398], (32, 48): [3.6134881102, 4.9501423580]}
+
+
+def check_cluster_rows(vals, calls, compass):
+    """Each gauge is at least the lower bound of its cluster search and
+    either within its tol of it or at most compass_min's value (relative
+    1e-6)."""
+    tol, (_, _, lower, _) = calls[-1]
+    assert np.all(lower <= vals), np.max(lower - vals)
+    ok = (vals <= np.asarray(compass) * (1.0 + 1e-6)) | (vals - lower <= tol)
+    assert ok.all(), (vals[~ok], np.asarray(compass)[~ok], (vals - lower)[~ok])
+
+
+@pytest.mark.parametrize("dim, k, seed", list(COMPASS))
+def test_cluster_gauges_close_or_match_the_pattern_search(dim, k, seed, monkeypatch):
+    g = np.random.default_rng(seed)
+    ctx = OrbitBallContext(make_subspace(list(g.normal(size=(k, dim, dim)))), g.normal(size=dim))
+    assert (ctx.rank, ctx.null_vecs.shape[1]) == (dim, k - dim)
+    calls = record_cluster(monkeypatch)
+    vals, _ = ctx.gauges(g.normal(size=(6, dim)))
+    check_cluster_rows(vals, calls, COMPASS[dim, k, seed])
+
+
+@pytest.mark.parametrize("dim, k", list(COMPASS_SCALE))
+def test_scale_query_gauges_close_or_match_the_pattern_search(dim, k, monkeypatch):
+    calls = record_cluster(monkeypatch)
+    for (basis, x, y), compass in zip(scale_draw(dim, k), COMPASS_SCALE[dim, k]):
+        ctx = OrbitBallContext(make_subspace(basis), x)
+        g, _ = ctx._query_gauge(ctx._query(y))
+        check_cluster_rows(np.array([g]), calls, [compass])
+
+
 @pytest.mark.parametrize("dim, k", [(3, 6), (3, 7), (3, 8)])
 def test_pattern_search_gauges_with_3_to_5_null_coordinates(dim, k, monkeypatch):
-    # two or more null coordinates stay on compass_min; its values still
+    # two or more null coordinates run the cluster search; its values
     # carry what the branch and bound's floor rests on
     g = np.random.default_rng(k)
     ctx = OrbitBallContext(make_subspace([g.normal(size=(dim, dim)) for _ in range(k)]),
@@ -310,9 +359,9 @@ def test_pattern_search_gauges_with_3_to_5_null_coordinates(dim, k, monkeypatch)
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_pattern_search_gauges_at_dimension_2(seed, monkeypatch):
-    # two null coordinates at d = 2: compass_min probes the Gram values
-    # alone, and every row lands on the golden-section minimum over the
-    # null plane. seed None is the full M_2, where the gauge is |v| / |x|
+    # two null coordinates at d = 2: the cluster search lands every row on
+    # the golden-section minimum over the null plane. seed None is the full
+    # M_2, where the gauge is |v| / |x|
     g = np.random.default_rng(seed)
     basis = (list(np.eye(4).reshape(4, 2, 2)) if seed is None
              else [g.normal(size=(2, 2)) for _ in range(4)])
@@ -344,7 +393,7 @@ def test_tight_gauge_search_rounds(monkeypatch):
     assert (ctx.rank, ctx.null_vecs.shape[1]) == (3, 1)
     v = np.array([np.cos(0.3), np.sin(0.3), 0.0])
     calls = record_newton(monkeypatch)
-    monkeypatch.setattr(located, "compass_min", None)
+    monkeypatch.setattr(located, "cluster_min", None)
     val, _ = ctx.gauge(v)
     ref = float(reference_gauges(basis, x, v[None])[0])
     assert abs(val - ref) <= 1e-9 * ref, (val, ref)

@@ -52,12 +52,13 @@ def test_layer_table_wraps_every_row_and_restores_it():
 
 
 def test_retired_rows_wrap_the_one_stub():
-    # the five names no route calls are one stub that refuses; their rows
+    # the six names no route calls are one stub that refuses; their rows
     # still trace it, one call each
     layertrace = _layertrace()
     modules, rows = _rows(layertrace)
     retired = {"linalg.sym_eigh_desc", "linalg.top_singular_triple",
-               "linalg.top_singular_pairs", "linalg.clip_spectral", "located.project"}
+               "linalg.top_singular_pairs", "linalg.clip_spectral", "located.compass_min",
+               "located.project"}
     assert {layer for owner, attr, layer in rows
             if owner.__dict__[attr] is linalg.retired} == retired
     tracer = layertrace.Tracer()
