@@ -37,8 +37,8 @@ whole kernel without a null space. With one, the kernel minimises
 sigma1(A + sum_l z_l mat(N_l)) over the null coordinates z by the
 searches of the sigma1 module, each stopping on its dual gap:
 pair_line_min and sigma1_newton at one null coordinate, and at two or
-more cluster_min, on the least-norm multipliers, curvature and KKT steps
-of the boundary SQP's tie calculus. On a fixed subspace W the kernel is
+more cluster_min, the boundary SQP's tie calculus with one PSD-constrained
+QP step (psd_qp) per row and round. On a fixed subspace W the kernel is
 compiled once (gauge_on): A is the combination of the matrices of W's
 basis vectors, so a round of the inner-radius search builds no preimage
 and makes no per-row span test. The same generators, built once, also
@@ -267,8 +267,9 @@ class OrbitBallContext:
         rank cut leaves its error bound above it; those rows and every row
         at d >= 3 go to one sigma1_newton search on the derivatives of
         line_derivs (one stacked SVD), which stops once its dual gap is
-        within it. With two or more one cluster_min search runs, which
-        stops once its dual gap is within it or on its rho cap. Either
+        within it. With two or more one cluster_min search runs, one
+        psd_qp step per row and round, which stops once its dual gap is
+        within it or on its rho cap. Either
         route's end is re-anchored on sigma1.values, and a row whose end
         that puts above its value at z = 0 keeps z = 0, so no value exceeds
         the one at z = 0. Returns (values, coefficient rows)."""

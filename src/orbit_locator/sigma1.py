@@ -9,9 +9,12 @@ M on the cluster of the top r pairs, W = U_r M V_r' (multiplier; sigma1's
 subdifferential at an r-fold value is {U_r M V_r' : M >= 0}, Overton,
 SIAM J. Matrix Anal. Appl. 9, 1988), the certificate's coordinates of W
 (contract), the block curvature <M, E''> (curvature) and the KKT step
-(step). The gauge's searches over null coordinates run their rows in
-lockstep: pair_line_min and sigma1_newton (on line_derivs) on one, and on
-two or more cluster_min, the same tie calculus with the level a variable.
+(step). psd_qp solves the small QP over {M >= 0, tr M = 1} that is the
+dual of a step under the cluster's linear matrix inequality (Overton,
+SIAM J. Optim. 2, 1992). The gauge's searches over null coordinates run
+their rows in lockstep: pair_line_min and sigma1_newton (on line_derivs)
+on one, and on two or more cluster_min, the same tie calculus with the
+level a variable and one psd_qp step per row and round.
 """
 
 from __future__ import annotations
@@ -23,9 +26,16 @@ _BETA = 1e-2           # the cluster's band sigma_j >= (1 - _BETA) sigma1, and i
 _HALVES = 0.5 ** np.arange(1, 12)   # the backtracking steps of the SQP and of cluster_min
 _RHO_CAP = 1e10          # cluster_min's cap on its proximal weight rho
 _CLUSTER_ROUNDS = 100    # cluster_min's cap on lockstep rounds
-_PSD_STEPS = 50          # accelerated projected gradient steps of an exact _least_norm
+_QP_ITERS = 60           # psd_qp's cap on interior-point iterations
+_QP_TOL = 1e-12          # psd_qp's stop on <L, S> and _settle's on its step, Q and b at scale 1
+_SETTLE = 8              # _settle's Newton steps
+_CENTRE = 0.1            # psd_qp's centring: each step aims at mu times this
+_FRACTION = 0.99         # psd_qp's share of the longest step that keeps its factors >= 0
 _NEWTON_ROUNDS = 50      # sigma1_newton's cap on lockstep rounds
 _UPPER = [np.triu_indices(r, 1) for r in range(5)]   # a cluster's pairs i < l < r <= 4
+# per r, the entries (i, l) of _cluster_cols' coordinates, (i, i) first, and their weights
+_PAIRS = [(np.r_[np.arange(r), i], np.r_[np.arange(r), l]) for r, (i, l) in enumerate(_UPPER)]
+_WEIGHTS = [np.where(i == l, 0.5, 0.5 ** 0.5) for i, l in _PAIRS]
 
 
 def values(Ms) -> np.ndarray:
@@ -146,12 +156,12 @@ def _kkt_step(L, J, g, r) -> np.ndarray:
 
 def _cluster_cols(T, r) -> np.ndarray:
     """The columns T[i, i], then (T[i, l] + T[l, i]) / sqrt 2 for i < l < r,
-    of frames T (rows, k, d, d): the coordinates <D_k, U_r M V_r'> in M's
+    of frames T (..., d, d): the coordinates <D_k, U_r M V_r'> in M's
     Frobenius coordinates (the M_ii, then sqrt 2 M_il), and the gradients of
-    sym(U_r' X V_r)'s entries, the off-diagonal ones times sqrt 2."""
-    i, l = _UPPER[r]
-    return np.concatenate([np.diagonal(T[:, :, :r, :r], 0, 2, 3),
-                           (T[:, :, i, l] + T[:, :, l, i]) * 0.5 ** 0.5], -1)
+    sym(U_r' X V_r)'s entries, the off-diagonal ones times sqrt 2; for one
+    matrix X (..., r, r) those of sym(X)."""
+    i, l = _PAIRS[r]
+    return (T[..., i, l] + T[..., l, i]) * _WEIGHTS[r]
 
 
 def _sym(m, r):
@@ -159,12 +169,131 @@ def _sym(m, r):
     _cluster_cols: M_ii = m_ii, M_il = M_li = m_il / sqrt 2."""
     m = m.copy()
     m[..., r:] *= 0.5 ** 0.5
-    at = np.diag(np.arange(r))   # M's entries as indices into m
-    at[_UPPER[r]] = at.T[_UPPER[r]] = np.arange(r, m.shape[-1])
-    return m[..., at]
+    return m[..., _AT[r]]
+
+
+# per r, each entry of an r x r matrix as an index into _cluster_cols'
+# coordinates, and the coordinates' basis E (m, r, r) and those e of I
+_AT = [np.zeros((r, r), dtype=int) for r in range(5)]
+for _r, (_i, _l) in enumerate(_PAIRS):
+    _AT[_r][_i, _l] = _AT[_r][_l, _i] = np.arange(len(_i))
+_BASIS = [(_sym(np.eye(len(i)), r), _cluster_cols(np.eye(r), r))
+          for r, (i, _) in enumerate(_PAIRS)]
+
+
+def psd_qp(Q, b) -> np.ndarray:
+    """The lambda of least lambda'Q lambda / 2 + b'lambda per row over the
+    symmetric r x r L >= 0 with tr L = 1, lambda = _cluster_cols(L), for Q
+    (rows, m, m) symmetric positive semidefinite and b (rows, m),
+    m = r(r + 1)/2 and r <= 4. A primal-dual interior-point solve
+    (Alizadeh, Haeberly and Overton, SIAM J. Optim. 8, 1998) from L = I / r
+    and the dual slack S = _sym(Q lambda + b) - y I, least eigenvalue 1:
+    HKM steps (_newton at P = L^-1) toward L S = _CENTRE mu I,
+    mu = <L, S> / r, each _FRACTION of the longest that keeps L and S
+    positive definite, until <L, S> is below _QP_TOL, then _settle where it
+    converges. Q and b are scaled to a largest entry of 1, and a row's
+    result does not depend on the others."""
+    rows, m = b.shape
+    r = int((2 * m) ** 0.5)
+    if r == 1:
+        return np.ones((rows, 1))
+    Q, b = _scaled(Q, b)
+    e = _BASIS[r][1]
+    lam = np.tile(e / r, (rows, 1))
+    s = (Q @ lam[..., None])[..., 0] + b
+    y = np.linalg.eigvalsh(_sym(s, r))[:, 0] - 1.0
+    s -= y[:, None] * e
+    act = np.arange(rows)
+    for _ in range(_QP_ITERS):
+        gap = (lam[act] * s[act]).sum(axis=1)
+        x, X = np.linalg.eigh(np.stack([_sym(lam[act], r), _sym(s[act], r)]))
+        go = (gap > _QP_TOL) & (x[:, :, 0] > 0.0).all(axis=0)
+        act, gap, x, X = act[go], gap[go], x[:, go], X[:, go]
+        if not act.size:
+            break
+        Xh = (X / np.sqrt(x)[..., None, :]) @ np.swapaxes(X, 2, 3)   # L^-1/2, S^-1/2
+        u = _newton(Q[act], b[act], lam[act], y[act], s[act], Xh[0] @ Xh[0],
+                    (_CENTRE * gap / r)[:, None, None] * np.eye(r))
+        # the longest step is 1 / the largest -eig of L^-1/2 dL L^-1/2 and of S's
+        rate = -np.linalg.eigvalsh(Xh @ np.stack([_sym(u[:, :m], r), _sym(u[:, m + 1:], r)])
+                                   @ Xh)[:, :, 0].min(axis=0)
+        u *= (_FRACTION / np.maximum(rate, _FRACTION))[:, None]
+        lam[act], y[act], s[act] = lam[act] + u[:, :m], y[act] + u[:, m], s[act] + u[:, m + 1:]
+    exact, ok = _settle(Q, b, lam)
+    return np.where(ok[:, None], exact, lam)
+
+
+def _scaled(Q, b):
+    """Q and b scaled per row to a largest entry of 1: the same minimiser."""
+    size = np.maximum(np.abs(Q).max(axis=(1, 2)), np.abs(b).max(axis=1))
+    size = np.where(size > 0.0, size, 1.0)
+    return Q / size[:, None, None], b / size[:, None]
+
+
+def _newton(Q, b, lam, y, s, P, target):
+    """The Newton step [d lambda, d y, d s] per row on psd_qp's KKT
+    equations, Q lambda + b - y e - s = 0 (e and s the coordinates of I and
+    of the dual slack S), tr L = 1 and sym(P (L S - target)) = 0: the HKM
+    linearisation at P = L^-1, the AHO one at P = I, whose Jacobian stays
+    regular at a strictly complementary solution, where L and S are
+    singular. nan on a row whose Jacobian LAPACK finds singular."""
+    rows, m = b.shape
+    r = int((2 * m) ** 0.5)
+    (E, e), L, S = _BASIS[r], _sym(lam, r), _sym(s, r)
+    K = np.zeros((rows, 2 * m + 1, 2 * m + 1))
+    K[:, :m, :m], K[:, :m, m], K[:, :m, m + 1:], K[:, m, :m] = Q, -e, -np.eye(m), e
+    K[:, m + 1:, :m] = np.swapaxes(_cluster_cols(P[:, None] @ E @ S[:, None], r), 1, 2)
+    K[:, m + 1:, m + 1:] = np.swapaxes(_cluster_cols(P[:, None] @ L[:, None] @ E, r), 1, 2)
+    v = np.concatenate([s - (Q @ lam[..., None])[..., 0] - b + y[:, None] * e,
+                        1.0 - lam[:, :r].sum(axis=1, keepdims=True),
+                        _cluster_cols(P @ (target - L @ S), r)], axis=1)
+    try:
+        return np.linalg.solve(K, v[..., None])[..., 0]
+    except np.linalg.LinAlgError:   # row by row, so that a singular row gives nan alone
+        return np.concatenate([_newton(Q[j:j + 1], b[j:j + 1], lam[j:j + 1], y[j:j + 1],
+                                       s[j:j + 1], P[j:j + 1], target[j:j + 1])
+                               for j in range(rows)]) if rows > 1 else np.full(v.shape, np.nan)
+
+
+def _settle(Q, b, lam):
+    """(lambda, ok): full _newton steps to psd_qp's KKT point (target 0)
+    from lambda, with y the least eigenvalue of _sym(Q lambda + b) and S
+    the rest of it, each row until its step is within _QP_TOL or for _SETTLE
+    steps; ok where the step came within _QP_TOL and no eigenvalue of L or
+    S is below -_QP_TOL, Q and b scaled to a largest entry of 1."""
+    rows, m = b.shape
+    r = int((2 * m) ** 0.5)
+    if r == 1:
+        return np.ones((rows, 1)), np.ones(rows, dtype=bool)
+    Q, b = _scaled(Q, b)
+    g = (Q @ lam[..., None])[..., 0] + b
+    y = np.linalg.eigvalsh(_sym(g, r))[:, 0]
+    lam, s = lam.copy(), g - y[:, None] * _BASIS[r][1]
+    act = np.arange(rows)
+    for _ in range(_SETTLE):
+        I = np.broadcast_to(np.eye(r), (len(act), r, r))
+        u = _newton(Q[act], b[act], lam[act], y[act], s[act], I, 0.0 * I)
+        lam[act], y[act], s[act] = lam[act] + u[:, :m], y[act] + u[:, m], s[act] + u[:, m + 1:]
+        act = act[~(np.abs(u).max(axis=1) <= _QP_TOL)]   # a nan step stays
+        if not act.size:
+            break
+    ok = np.isfinite(lam).all(axis=1) & np.isfinite(s).all(axis=1)
+    ok[act] = False
+    lam[~ok], s[~ok] = 0.0, 0.0
+    low = np.linalg.eigvalsh(np.stack([_sym(lam, r), _sym(s, r)]))[:, :, 0]
+    return lam, ok & (low >= -_QP_TOL).all(axis=0)
 
 
 # ---- the gauge's searches over null coordinates -----------------------------
+
+def _cluster_qp(Q, b, start):
+    """psd_qp's lambda, by _settle from start on the rows where it
+    converges and by psd_qp on the others."""
+    lam, ok = _settle(Q, b, start)
+    if not ok.all():
+        lam[~ok] = psd_qp(Q[~ok], b[~ok])
+    return lam
+
 
 def cluster_min(A, N, tol):
     """Minimiser of sigma1(A_i + sum_l z_l N_l) over z in R^p, one search
@@ -174,148 +303,100 @@ def cluster_min(A, N, tol):
 
     Each round takes the SVD U diag(s) V' of each row's X = A_i + N z and
     T_l = U'N_l V; the row's cluster is its r <= min(d, 4) pairs with
-    s_j >= (1 - _BETA) s_1. For each k <= r, M is the least-norm
-    subgradient multiplier on the top k pairs (_least_norm): M >= 0 and
-    tr M = 1 with c(M) = (<N_l, U_k M V_k'>)_l of least norm. W = U_k M V_k'
-    has ||W||_* = 1, and W' = W - sum_l c_l N_l is orthogonal to every N_l,
-    so <W', A_i> = <W', X> <= ||W'||_* sigma1(X) at every z: each M gives a
-    lower bound on the row's minimum, taken less its rounding. The
-    candidate steps are, for each k, the KKT step (_kkt_step) of
-    min w + delta'(<M, E''> + rho s_1 I) delta / 2 (curvature) subject to
-    the top k values moving together to s_1 + w (T_l[i, i] delta - w =
-    s_1 - s_i on the diagonal, 0 off it); for k >= 2 that step plus its
-    second-order correction, the KKT step that cancels the block's
-    curvature along it, so that a tie holds through a full step; and the
-    subgradient step -c(M) / (rho s_1) of the whole cluster.
+    s_j >= (1 - _BETA) s_1, and the rows of each r run in one batch. The
+    step delta solves min w + delta'H delta / 2 subject to diag(s_1..s_r)
+    + sym(sum_l delta_l T_l[:r, :r]) <= (s_1 + w) I, with H the curvature
+    at the last round's multiplier in this round's frames plus rho s_1 I
+    (rho s_1 I alone where the curvature is not finite or H indefinite).
+    Its dual is psd_qp's problem on Q = C'H^-1 C, C = _cluster_cols(T, r),
+    and b = _cluster_cols(s_1 I - diag(s_1..s_r)): the multiplier
+    L >= 0, tr L = 1, and delta = -H^-1 c with c = C lambda =
+    (<N_l, W>)_l, W = U_r L V_r'. The QP is solved by _settle from the last
+    round's multiplier, psd_qp where that fails, and again with the
+    constraint moved by the block's second-order terms along delta (the
+    second-order correction, which keeps a tie through a full step), whose
+    delta the row takes. ||W||_* = 1 and W' = W - sum_l c_l N_l is
+    orthogonal to every N_l, so <W', A_i> = <W', X> <= ||W'||_* sigma1(X)
+    at every z: each round gives a lower bound, taken less its rounding.
 
-    A row moves to its lowest full step if that is below its value (rho
-    quartered), else to its lowest step at the first of the halvings
-    1/2, ..., 2^-11 that has one (rho doubled), else rho grows 16-fold and
-    the row takes its lowest full step only if rounding cannot tell it from
-    its start. After a failed full search the row's next M on its whole
-    cluster is solved exactly over M >= 0, which makes -c(M) a descent
-    direction at a tie the minimum lacks. A row stops once its value is
-    within its tol (a scalar or one per row) of its best lower bound, once
-    rho exceeds _RHO_CAP, or after _CLUSTER_ROUNDS rounds. Every value is
-    sigma1.values of its point. Returns (z, value, lower, rounds)."""
+    A row moves by delta if its value there is at most the start's times
+    1 + d (d + 1) eps, sigma1.values' rounding (rho quartered), else by the
+    first of the halvings delta / 2, ..., delta 2^-11 that lowers it (rho
+    doubled), else rho grows 16-fold. A row stops once its value is within
+    its tol (a scalar or one per row) of its best lower bound, once rho
+    exceeds _RHO_CAP, or after _CLUSTER_ROUNDS rounds. Every value is
+    sigma1.values of its point. Returns (z, value, lower, rounds): the
+    point of each row's least value found, that value, its best lower
+    bound and the number of rounds."""
     S, p = len(A), len(N)
     d = int(round(A.shape[1] ** 0.5))
     Nm = N.reshape(p, d, d)
 
-    def trial(B, Z, valid):   # sigma1.values at the points Z (rows, q, p), inf where not valid
-        return np.where(valid, values((B[:, None] + Z @ N).reshape(-1, d, d)).reshape(Z.shape[:2]),
-                        np.inf)
+    def trial(B, Z):   # sigma1.values at the points Z (rows, q, p)
+        return values((B[:, None] + Z @ N).reshape(-1, d, d)).reshape(Z.shape[:2])
 
-    z, f = np.zeros((S, p)), values(A.reshape(S, d, d))
-    low, rho, stuck = np.zeros(S), np.full(S, 1e-2), np.zeros(S, dtype=bool)
+    z, f, W = np.zeros((S, p)), values(A.reshape(S, d, d)), np.zeros((S, d, d))
+    zb, fb = z.copy(), f.copy()   # the least value found and its point
+    low, rho = np.zeros(S), np.full(S, 1e-2)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (S,))
-    act, rounds = np.arange(S), 0
+    act, rounds = np.flatnonzero(f > 0.0), 0   # sigma1 = 0 is the minimum
     while act.size and rounds < _CLUSTER_ROUNDS:
         rounds += 1
         za, Aa = z[act], A[act]
         U, s, Vt = np.linalg.svd((Aa[:, None] + za[:, None] @ N).reshape(-1, d, d))
         T = np.swapaxes(U, 1, 2)[:, None] @ Nm @ np.swapaxes(Vt, 1, 2)[:, None]
-        r = (s[:, :4] >= (1.0 - _BETA) * s[:, :1]).sum(axis=1)
-        R, prox = r.max(), rho[act] * s[:, 0]
-        steps = np.zeros((len(act), 2 * R, p))   # sizes 1..R, corrected 2..R, subgradient
-        for k in range(1, R + 1):
-            g = np.flatnonzero(r >= k)
-            Tg, sg, whole = T[g], s[g], r[g] == k
-            M = _least_norm(Tg, k, whole & stuck[act[g]])
-            c = contract(Tg, M)[0]
-            W = U[g, :, :k] @ M @ Vt[g, :k] - (c[:, None] @ N).reshape(-1, d, d)
-            dual = (W.reshape(len(g), -1) * Aa[g]).sum(axis=1) * (1.0 - 2.0 * d * d * _EPS)
-            low[act[g]] = np.maximum(low[act[g]], dual / np.linalg.svd(
-                W, compute_uv=False).sum(axis=1))
+        size = (s[:, :4] >= (1.0 - _BETA) * s[:, :1]).sum(axis=1)
+        steps = np.zeros((len(act), p))
+        for r in np.unique(size):   # the rows of each cluster size r in one batch
+            g = np.flatnonzero(size == r)
+            Tg, sg, Ur, Vr, n = T[g], s[g], U[g, :, :r], Vt[g, :r], r * (r + 1) // 2
+            m = _cluster_cols(np.swapaxes(Ur, 1, 2) @ W[act[g]] @ np.swapaxes(Vr, 1, 2), r)
             with np.errstate(divide="ignore", invalid="ignore"):
-                H = curvature(Tg, sg, M)
-            L = np.zeros((len(g), p + 1, p + 1))
-            L[:, :p, :p] = (np.where(np.isfinite(H).all(axis=(1, 2))[:, None, None], H, 0.0)
-                            + prox[g, None, None] * np.eye(p))
-            J = np.zeros((len(g), p + 1, k * (k + 1) // 2))
-            J[:, :p], J[:, p, :k] = _cluster_cols(Tg, k), -1.0
-            rhs = np.pad(sg[:, :1] - sg[:, :k], ((0, 0), (0, k * (k - 1) // 2)))
-            step = steps[g, k - 1] = _kkt_step(L, J, np.broadcast_to(
-                np.eye(p + 1)[p], (len(g), p + 1)), rhs)[:, :p]
-            if k > 1:
-                # Q_e = <E_e, E''>(step, step) / 2 at the unit weights E_e
-                # of the block's entries, in the coordinates of J's columns
-                TD = (step[:, :, None, None] * Tg).sum(axis=1)
-                n = (len(g), J.shape[2])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    Q = 0.5 * curvature(np.broadcast_to(TD[:, None, None], n + (1, d, d)),
-                                        np.broadcast_to(sg[:, None], n + (d,)),
-                                        np.broadcast_to(_sym(np.eye(n[1]), k), n + (k, k)))
-                    dc = _kkt_step(L, J, np.zeros((len(g), p + 1)), -Q[..., 0, 0])[:, :p]
-                steps[g, R + k - 2] = step + np.where(np.isfinite(dc), dc, 0.0)
-            steps[g[whole], -1] = -c[whole] / prox[g[whole], None]
-        keep = (f[act] - low[act] > tol[act]) & (rho[act] <= _RHO_CAP)
-        act, za, Aa, steps, r = act[keep], za[keep], Aa[keep], steps[keep], r[keep]
+                H = curvature(Tg, sg, _sym(m, r))
+            prox = rho[act[g], None, None] * sg[:, :1, None] * np.eye(p)
+            H = np.where(np.isfinite(H).all(axis=(1, 2))[:, None, None], H + prox, prox)
+            H = np.where(np.linalg.eigvalsh(H)[:, :1, None] > 0.0, H, prox)
+            C = _cluster_cols(Tg, r)
+            HC = np.linalg.solve(H, C)
+            Q, b = np.swapaxes(C, 1, 2) @ HC, np.pad(sg[:, :1] - sg[:, :r], ((0, 0), (0, n - r)))
+            # round 1 has no last multiplier to start from
+            lam = psd_qp(Q, b) if rounds == 1 else _cluster_qp(Q, b, m)
+            W[act[g]] = Ur @ _sym(lam, r) @ Vr
+            Wp = W[act[g]] - ((C @ lam[..., None])[..., 0] @ N).reshape(-1, d, d)
+            dual = (Wp.reshape(len(g), -1) * Aa[g]).sum(axis=1) * (1.0 - 2.0 * d * d * _EPS)
+            low[act[g]] = np.maximum(low[act[g]], dual / np.linalg.svd(
+                Wp, compute_uv=False).sum(axis=1))
+            # the second-order correction: the block's terms <E_e, E''>(delta, delta) / 2
+            # at the unit weights E_e of its entries move the constraint's constant
+            delta = -(HC @ lam[..., None])[..., 0]
+            TD = np.broadcast_to((delta[:, :, None, None] * Tg).sum(axis=1)[:, None, None],
+                                 (len(g), n, 1, d, d))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                Qe = 0.5 * curvature(TD, np.broadcast_to(sg[:, None], TD.shape[:2] + (d,)),
+                                     np.broadcast_to(_BASIS[r][0], TD.shape[:2] + (r, r)))
+            lam = _cluster_qp(Q, np.where(np.isfinite(Qe[..., 0, 0]), b - Qe[..., 0, 0], b), lam)
+            steps[g] = -(HC @ lam[..., None])[..., 0]
+        keep = (fb[act] - low[act] > tol[act]) & (rho[act] <= _RHO_CAP)
+        act, za, Aa, steps = act[keep], za[keep], Aa[keep], steps[keep]
         if not act.size:
             break
-        fa, rows = f[act], np.arange(len(act))
-        valid = np.r_[np.arange(1, R + 1), np.arange(2, R + 1), 1] <= r[:, None]   # the sizes
-        full = trial(Aa, za[:, None] + steps, valid)
-        j = full.argmin(axis=1)
-        won = full[rows, j] < fa
+        fa = f[act]
+        full = trial(Aa, za[:, None] + steps[:, None])[:, 0]
+        # a full step whose value rounding cannot tell from the start's is taken
+        won = full <= fa * (1.0 + d * (d + 1) * _EPS)
         lost = np.flatnonzero(~won)
-        cand = za[lost, None, None] + _HALVES[:, None, None] * steps[lost, None]
-        half = trial(Aa[lost], cand.reshape(len(lost), 2 * R * len(_HALVES), p),
-                     np.tile(valid[lost], len(_HALVES))).reshape(cand.shape[:3])
-        a = (half.min(axis=2) < fa[lost, None]).argmax(axis=1)
-        i = half[np.arange(len(lost)), a].argmin(axis=1)
-        best = half[np.arange(len(lost)), a, i]
+        cand = za[lost, None] + _HALVES[:, None] * steps[lost, None]
+        half = trial(Aa[lost], cand)
+        a = (half < fa[lost, None]).argmax(axis=1)
+        best = half[np.arange(len(lost)), a]
         ok = best < fa[lost]
         h = lost[ok]
-        halved = np.isin(rows, h)
-        # a failed search still takes the full step whose value its
-        # rounding cannot tell from the start's
-        take = won | ~halved & (full[rows, j] <= fa * (1.0 + d * (d + 1) * _EPS))
-        z[act[take]], f[act[take]] = za[take] + steps[take, j[take]], full[take, j[take]]
-        z[act[h]], f[act[h]] = cand[ok, a[ok], i[ok]], best[ok]
-        rho[act] *= np.where(won, 0.25, np.where(halved, 2.0, 16.0))
-        stuck[act] = ~won
-    return z, f, low, rounds
-
-
-def _least_norm(T, r, exact):
-    """cluster_min's multipliers on the top r pairs: the M of least
-    ||c(M)|| subject to tr M = 1, from the bordered normal equations on
-    _cluster_cols, projected onto {M >= 0, tr M = 1} (_spectraplex); on the
-    rows of the mask exact, then _PSD_STEPS accelerated projected gradient
-    steps (FISTA) on ||c(M)||^2 / 2 over that set, whose minimiser has
-    c(M) != 0 at a tie the minimum lacks."""
-    if r == 1:
-        return np.ones((len(T), 1, 1))
-    C = _cluster_cols(T, r)
-    G = np.swapaxes(C, 1, 2) @ C
-    e = np.zeros((len(T), C.shape[-1], 1))
-    e[:, :r] = 1.0
-    M = _spectraplex(_sym(_kkt_step(G, e, np.zeros(e.shape[:2]), np.ones((len(T), 1))), r))
-    rows = np.flatnonzero(exact)
-    if rows.size:
-        # the gradient of ||c(M)||^2 / 2 is sym(sum_l c_l T_l[:r, :r]), and
-        # its Lipschitz constant the top eigenvalue of G
-        B, X = T[rows, :, :r, :r], M[rows]
-        t, Y, X0, theta = 1.0 / np.linalg.eigvalsh(G[rows])[:, -1:, None], X, X, 1.0
-        for _ in range(_PSD_STEPS):
-            D = (contract(T[rows], Y)[0][:, :, None, None] * B).sum(axis=1)
-            X, X0 = _spectraplex(Y - t * (D + np.swapaxes(D, 1, 2)) / 2.0), X
-            theta, previous = (1.0 + (1.0 + 4.0 * theta * theta) ** 0.5) / 2.0, theta
-            Y = X + (previous - 1.0) / theta * (X - X0)
-        M[rows] = X
-    return M
-
-
-def _spectraplex(S):
-    """The nearest M >= 0 with tr M = 1 to each symmetric S of a stack, in
-    Frobenius norm: S's eigenvalues projected onto the simplex."""
-    lam, Z = np.linalg.eigh(S)
-    u = lam[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    q = (u - css / np.arange(1, u.shape[1] + 1) > 0.0).sum(axis=1)
-    theta = css[np.arange(len(u)), q - 1] / q
-    return (Z * np.maximum(lam - theta[:, None], 0.0)[:, None]) @ np.swapaxes(Z, 1, 2)
+        z[act[won]], f[act[won]] = za[won] + steps[won], full[won]
+        z[act[h]], f[act[h]] = cand[ok, a[ok]], best[ok]
+        rho[act] *= np.where(won, 0.25, np.where(np.isin(np.arange(len(act)), h), 2.0, 16.0))
+        least = act[f[act] < fb[act]]
+        zb[least], fb[least] = z[least], f[least]
+    return zb, fb, low, rounds
 
 
 def sigma1_newton(derivs, c, tol, width):

@@ -38,6 +38,7 @@ RUNS = [
     ("radius-span3", ["radius", "span3.json"]),
     ("project-span3", ["project", "span3.json"]),
     ("d3null", ["radius", "d3null.json"]),
+    ("d4null", ["radius", "d4null.json"]),
     ("balldist", ["balldist", "diag.json", "--n", "3"]),
     ("decompose", ["decompose", "disk-y.json", "--r", "0.9"]),
     ("omt", ["omt", "omt.json"]),
